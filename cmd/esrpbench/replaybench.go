@@ -109,12 +109,8 @@ func runReplayBench() ([]HostMetric, float64) {
 		return nil
 	})
 	recost := bench("replay/recost-sweep", func() error {
-		for i := range machines {
-			if _, err := esrp.Recost(sched, machines[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := esrp.RecostAll(sched, machines) // one batched walk, as campaigns re-cost
+		return err
 	})
 	record := HostMetric{
 		Name: "replay/record-once", GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),

@@ -330,6 +330,17 @@ func Recost(s *Schedule, m CostModel) (*Replayed, error) {
 	return s.Recost(replay.CostModel(m))
 }
 
+// RecostAll replays a recorded schedule under every model in one walk of its
+// events — what a campaign's machine sweep does per cell; element j equals
+// Recost(s, ms[j]) bit-for-bit.
+func RecostAll(s *Schedule, ms []CostModel) ([]*Replayed, error) {
+	models := make([]replay.CostModel, len(ms))
+	for i, m := range ms {
+		models[i] = replay.CostModel(m)
+	}
+	return s.RecostAll(models)
+}
+
 // ReadScheduleBinary decodes a schedule written by Schedule.WriteBinary.
 func ReadScheduleBinary(r io.Reader) (*Schedule, error) { return replay.ReadBinary(r) }
 

@@ -27,16 +27,19 @@ const (
 // eagerly loaded entries for every cell. Probing happens before the
 // prepare phase so fully-warm prep groups skip factorization entirely —
 // that skip, not the solve skip, is most of the warm-path win on wide
-// grids. Entries are validated (frame checksum + full decode) at probe
-// time, so a hit can never degrade into a late corruption surprise; a
-// corrupt entry is classified as a miss and recomputed, never trusted.
+// grids. The probe validates every entry's frame (length + checksum) and
+// decodes the small result entries, but hands schedules over still encoded:
+// the probe is serial, so the decode runs on the worker that re-costs the
+// schedule. A corrupt entry is classified as a miss and recomputed, never
+// trusted — at probe time, or for a framed-but-undecodable schedule when
+// fillFromCache demotes the cell.
 type cacheRun struct {
 	model    cluster.CostModel // the run's effective recording model
 	keys     []ccache.Key
 	state    []cellCacheState
 	entries  []*ccache.ResultEntry
-	scheds   []*replay.Schedule
-	compiled []bool // probe already filled c.Events/c.Clamped
+	scheds   [][]byte // frame-validated schedule payloads, decoded by the consuming worker
+	compiled []bool   // probe already filled c.Events/c.Clamped
 }
 
 // cellInputOf assembles the content address of one cell. The values
@@ -88,7 +91,7 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 		keys:     make([]ccache.Key, len(cells)),
 		state:    make([]cellCacheState, len(cells)),
 		entries:  make([]*ccache.ResultEntry, len(cells)),
-		scheds:   make([]*replay.Schedule, len(cells)),
+		scheds:   make([][]byte, len(cells)),
 		compiled: make([]bool, len(cells)),
 	}
 	digests := make(map[string][32]byte, len(matrices))
@@ -121,7 +124,7 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 			cr.entries[i] = entry
 			continue
 		}
-		sched, ok := g.Cache.GetSchedule(cr.keys[i])
+		sched, ok := g.Cache.GetSchedulePayload(cr.keys[i])
 		if !ok {
 			continue
 		}
@@ -145,11 +148,28 @@ func (cr *cacheRun) needsPrep(i int) bool {
 // fillFromCache completes one probe-classified hit: report fields from
 // the result tier, simulated times re-costed for a schedule hit, machine
 // sweep points replayed from the cached schedule. Returns false (and
-// demotes the cell to a miss) only if a re-cost fails, in which case the
-// caller falls through to a live solve.
+// demotes the cell to a miss) only if the schedule fails to decode or to
+// re-cost, in which case the caller falls through to a live solve that
+// rewrites both tiers.
 func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun) bool {
 	entry := cr.entries[index]
-	sched := cr.scheds[index]
+	var sched *replay.Schedule
+	var rep *replay.Replayed
+	if payload := cr.scheds[index]; payload != nil {
+		cr.scheds[index] = nil // probe loaded eagerly; release once consumed
+		var ok bool
+		var err error
+		if sched, ok = g.Cache.DecodeSchedule(payload); ok {
+			err = g.recostMachines(sched, mcs)
+			if err == nil && cr.state[index] == cellScheduleHit {
+				rep, err = sched.Recost(replay.CostModel(cr.model))
+			}
+		}
+		if !ok || err != nil {
+			cr.state[index] = cellMiss
+			return false
+		}
+	}
 
 	r := &entry.Result
 	c.Converged = r.Converged
@@ -167,12 +187,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 	c.Kernels = r.Kernels
 	c.Recoveries = r.Recoveries
 
-	if cr.state[index] == cellScheduleHit {
-		rep, err := sched.Recost(replay.CostModel(cr.model))
-		if err != nil {
-			cr.state[index] = cellMiss
-			return false
-		}
+	if rep != nil {
 		// Recost is bit-for-bit equal to a live solve under the same
 		// model (the replay-equivalence invariant), so the warm report
 		// matches a cold run at this machine point exactly.
@@ -189,23 +204,33 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 	} else {
 		g.HostObs.CacheResultHit()
 	}
+	if sched != nil && g.OnCellSchedule != nil {
+		g.OnCellSchedule(index, c, sched)
+	}
+	return true
+}
 
-	for mi := range mcs {
-		rep, err := sched.Recost(replay.CostModel(g.Machines[mi].Model))
-		if err != nil {
-			mcs[mi].Err = err.Error()
-			continue
-		}
+// recostMachines fills a cell's machine-sweep window (one entry per
+// Grid.Machines point) from a single batched walk of its schedule.
+func (g *Grid) recostMachines(sched *replay.Schedule, mcs []MachineCell) error {
+	if len(mcs) == 0 {
+		return nil
+	}
+	models := make([]replay.CostModel, len(g.Machines))
+	for mi := range models {
+		models[mi] = replay.CostModel(g.Machines[mi].Model)
+	}
+	reps, err := sched.RecostAll(models)
+	if err != nil {
+		return err
+	}
+	for mi, rep := range reps {
 		mcs[mi].SimTime = rep.SimTime
 		mcs[mi].RecoveryTime = rep.RecoveryTime
 		mcs[mi].BytesSent = rep.BytesSent
 		mcs[mi].MsgsSent = rep.MsgsSent
 	}
-	if sched != nil && g.OnCellSchedule != nil {
-		g.OnCellSchedule(index, c, sched)
-	}
-	cr.scheds[index] = nil // probe loaded eagerly; release once consumed
-	return true
+	return nil
 }
 
 // storeCell writes a freshly solved cell into both tiers (schedule first,

@@ -308,3 +308,70 @@ func TestCacheScheduleCallbackBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// A schedule entry can pass the probe's frame check and still be unusable:
+// the decode and the re-cost now run on the cell's worker, so both failures
+// surface late. Either way the cell is demoted to a miss, solved live, and
+// its entries rewritten — byte-identical output, corruption counted, healed.
+func TestCacheLateScheduleFailureDemotesToMiss(t *testing.T) {
+	dir := t.TempDir()
+	machines := []MachinePoint{{Name: "base", Model: cluster.DefaultCostModel()}}
+	cold := tinyGrid()
+	cold.Machines = machines
+	cold.Cache = openCache(t, dir)
+	coldJSON, coldCtr := cacheCounters(t, cold)
+
+	var schedFiles []string
+	if err := filepath.WalkDir(filepath.Join(dir, "sch"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			schedFiles = append(schedFiles, path)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(schedFiles)) != coldCtr.Misses {
+		t.Fatalf("expected %d schedule entries, found %d", coldCtr.Misses, len(schedFiles))
+	}
+	// Re-frame each entry around a damaged schedule: alternately one that
+	// does not decode (a view names a rank past the node count) and one
+	// that decodes but cannot re-cost (a rank's stream cut short).
+	undecodable := 0
+	for i, path := range schedFiles {
+		s, err := ccache.ReadScheduleFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			s.Views = append(s.Views, []int{s.Nodes})
+			undecodable++
+		} else {
+			s.Events[0] = s.Events[0][:len(s.Events[0])/2]
+		}
+		if err := ccache.WriteScheduleFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	warm := tinyGrid()
+	warm.Machines = machines
+	warm.Cache = openCache(t, dir)
+	warmJSON, ctr := cacheCounters(t, warm)
+	if !bytes.Equal(warmJSON, coldJSON) {
+		t.Fatal("run over damaged schedules differs from the cold run")
+	}
+	if ctr.ResultHits != 0 || ctr.ScheduleHits != 0 || ctr.Misses != coldCtr.Misses {
+		t.Fatalf("damaged-schedule counters: %+v (want %d misses and no hits)", ctr, coldCtr.Misses)
+	}
+	if ctr.Corrupt != int64(undecodable) {
+		t.Fatalf("%d undecodable schedules, %d counted corrupt", undecodable, ctr.Corrupt)
+	}
+
+	again := tinyGrid()
+	again.Machines = machines
+	again.Cache = openCache(t, dir)
+	againJSON, ctr2 := cacheCounters(t, again)
+	if !bytes.Equal(againJSON, coldJSON) || ctr2.Misses != 0 || ctr2.Corrupt != 0 {
+		t.Fatalf("cache did not heal: counters %+v", ctr2)
+	}
+}

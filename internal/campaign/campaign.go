@@ -658,16 +658,10 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	var sched *replay.Schedule
 	if srec != nil {
 		sched = srec.Schedule()
-		for mi := range mcs {
-			rep, rerr := sched.Recost(replay.CostModel(g.Machines[mi].Model))
-			if rerr != nil {
+		if rerr := g.recostMachines(sched, mcs); rerr != nil {
+			for mi := range mcs {
 				mcs[mi].Err = rerr.Error()
-				continue
 			}
-			mcs[mi].SimTime = rep.SimTime
-			mcs[mi].RecoveryTime = rep.RecoveryTime
-			mcs[mi].BytesSent = rep.BytesSent
-			mcs[mi].MsgsSent = rep.MsgsSent
 		}
 		if g.OnCellSchedule != nil {
 			g.OnCellSchedule(index, c, sched)

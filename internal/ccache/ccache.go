@@ -283,11 +283,28 @@ func (c *Cache) PutResult(k Key, e *ResultEntry) error {
 // decoding counts as corrupt and misses — the caller re-solves and
 // re-records, overwriting the bad entry.
 func (c *Cache) GetSchedule(k Key) (*replay.Schedule, bool) {
+	payload, ok := c.GetSchedulePayload(k)
+	if !ok {
+		return nil, false
+	}
+	return c.DecodeSchedule(payload)
+}
+
+// GetSchedulePayload fetches a schedule-tier entry's frame-validated but
+// still encoded payload ((nil, false) on miss or nil c). It is GetSchedule
+// split in two so a serial probe can classify entries cheaply and leave
+// DecodeSchedule to whichever worker consumes the schedule.
+func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	payload, ok := c.read(c.entryPath(scheduleTierDir, k, ".sched"))
-	if !ok {
+	return c.read(c.entryPath(scheduleTierDir, k, ".sched"))
+}
+
+// DecodeSchedule decodes a payload GetSchedulePayload returned. A payload
+// that fails to decode counts as corrupt, exactly as in GetSchedule.
+func (c *Cache) DecodeSchedule(payload []byte) (*replay.Schedule, bool) {
+	if c == nil {
 		return nil, false
 	}
 	s, err := replay.DecodeBinary(payload)

@@ -404,4 +404,15 @@ func TestScheduleFileFormats(t *testing.T) {
 	if _, err := ReadScheduleFile(bad); err == nil {
 		t.Fatal("truncated framed file accepted")
 	}
+
+	// A bare stream carries no checksum, so its length fields reach the
+	// decoder unvetted: 15 bytes announcing 2³² events must be an error,
+	// not a 206 GB allocation.
+	huge := filepath.Join(dir, "huge.sched")
+	if err := os.WriteFile(huge, []byte("ESRPRPL1\x01\x00\x80\x80\x80\x80\x10"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadScheduleFile(huge); err == nil {
+		t.Fatal("bare stream with an implausible event count accepted")
+	}
 }

@@ -3,11 +3,12 @@ package replay
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the re-coster: it replays a Schedule's per-rank event
-// streams under a CostModel, running the identical clock arithmetic the
-// cluster ran when the schedule was recorded — delivery = sendTime +
+// streams under a set of CostModels, running the identical clock arithmetic
+// the cluster ran when the schedule was recorded — delivery = sendTime +
 // Latency + bytes·BytePeriod with a receiver max-merge at the matched
 // receive, ⌈log₂ n⌉·(Latency + Overhead + bytes·BytePeriod) collective
 // rounds over the max of the members' entry clocks, per-message sender
@@ -15,62 +16,89 @@ import (
 // the stream. No numeric solver state exists here at all; a replay is pure
 // O(events) float arithmetic.
 //
+// One walk serves every model. Which rank blocks where — a receive whose
+// matching send has not been replayed yet, a collective missing members —
+// is decided by the streams alone, never by a clock value, so the walker's
+// control flow (event fetch, pair and instance lookup, block, retry) is
+// shared by all K models and only the float arithmetic is K-wide: every
+// clock-valued piece of state is a run of K floats, one per model.
+//
 // Scheduling: ranks are swept round-robin, each executing events until it
-// blocks (a receive whose matching send has not been replayed yet, or a
-// collective missing members). Every sweep retires all newly unblocked
-// work, so the total cost is O(events) amortized — the sweep count is
-// bounded by the schedule's synchronization depth, and a blocked rank's
-// re-check is O(1). A recorded schedule cannot deadlock (replay blocking
-// is a subset of the original run's blocking); the no-progress check below
-// guards against truncated or hand-edited schedules.
+// blocks. Every sweep retires all newly unblocked work, so the total cost is
+// O(events) amortized — the sweep count is bounded by the schedule's
+// synchronization depth, and a blocked rank's re-check is O(log) lookups.
+// A recorded schedule cannot deadlock (replay blocking is a subset of the
+// original run's blocking); the no-progress check below guards against
+// truncated or hand-edited schedules. Nothing is allocated per event: send
+// slots and collective instances are recycled, and all lookup tables are
+// sized once by a validating pre-pass (linear in ranks + view members +
+// distinct communicating pairs, so a hostile schedule cannot inflate them).
 
-// sendRec is one in-flight point-to-point message: payload size and the
-// sender's clock after the send overhead.
-type sendRec struct {
-	bytes    int64
-	sendTime float64
+// sendSlot is one in-flight point-to-point message: payload size and the
+// link to the next message of the same (src,dst) FIFO, or to the next free
+// slot. Its K send times (sender clock after the send overhead) live at
+// machine.slotT[slot·K:].
+type sendSlot struct {
+	bytes int64
+	next  int32
 }
 
-// pairQueue is the per-(src,dst) FIFO box of the replay machine.
-type pairQueue struct {
-	q    []sendRec
-	head int
-}
-
-// collInst is one collective instance shared by a view's members,
-// identified by (view, per-member completion count on that view).
+// collInst is one collective instance shared by a view's members.
 type collInst struct {
-	entries  []float64 // per local rank: clock at entry
-	bytes    []int64   // per local rank: gather payload bytes
-	present  []bool
+	entries  []float64 // n·K: per local rank, the clocks at entry
+	agg      []float64 // K: allreduce max over entries / bcast root's entry clocks
+	bytes    int64     // gather: payload bytes of the non-root members so far
 	arrived  int
 	departed int
 	rootSeen bool
-	rootIn   float64 // root's entry clock (bcast)
 }
 
-// rankState is one rank's replay cursor.
+// viewState is one communicator view's replay state. A member reaches
+// instance q+1 only by departing instance q, so instances are created, and
+// fully departed, in sequence order: the live ones form a FIFO and
+// (view, seq) needs no map.
+type viewState struct {
+	members []int
+	rounds  float64     // ⌈log₂ max(n,2)⌉, as cluster.Node.collectiveCost computes it
+	seq     []int32     // per local rank: collectives completed on this view
+	live    []*collInst // live[head+i] is instance base+i
+	head    int
+	base    int32
+	free    []*collInst
+}
+
+// rankState is one rank's replay cursor; the float fields are the rank's
+// K-wide windows into the machine's flat n·K arrays.
 type rankState struct {
 	pc        int
-	clock     float64
-	rt        float64 // recoveryTime accumulator
-	t0        float64 // last RecStart clock
 	envIter   int32
-	envStart  float64
 	rtFinal   bool
-	published bool // current collective event already contributed
-	envs      []EnvSpan
+	published bool      // current collective event already contributed
+	clock     []float64 // simulated clocks
+	rt        []float64 // recoveryTime accumulators
+	t0        []float64 // last RecStart clocks
+	envStart  []float64
 }
 
-// machine is the full replay state for one Recost call.
+// machine is the full replay state for one RecostAll call.
 type machine struct {
-	s     *Schedule
-	m     CostModel
-	rs    []rankState
-	pairs map[int64]*pairQueue
-	insts map[int64]*collInst
-	seq   [][]int32       // per rank, per view: collectives completed
-	pos   []map[int32]int // per view: global rank → local rank
+	s   *Schedule
+	ms  []CostModel
+	out []*Replayed
+	rs  []rankState
+	vs  []viewState
+
+	// Point-to-point boxes: the distinct (src,dst) pairs in CSR form
+	// (pairDst[pairOff[src]:pairOff[src+1]] ascending), one FIFO per pair
+	// threaded through the recycled slots.
+	pairOff  []int32
+	pairDst  []int32
+	qhead    []int32
+	qtail    []int32
+	slots    []sendSlot
+	slotT    []float64
+	freeSlot int32
+
 	acctB int64
 	acctM int64
 }
@@ -79,36 +107,33 @@ type machine struct {
 // calls on one Schedule (the schedule is read-only; all replay state is
 // local to the call).
 func (s *Schedule) Recost(m CostModel) (*Replayed, error) {
-	mach := &machine{
-		s:     s,
-		m:     m,
-		rs:    make([]rankState, s.Nodes),
-		pairs: make(map[int64]*pairQueue),
-		insts: make(map[int64]*collInst),
-		seq:   make([][]int32, s.Nodes),
-		pos:   make([]map[int32]int, len(s.Views)),
+	reps, err := s.RecostAll([]CostModel{m})
+	if err != nil {
+		return nil, err
 	}
-	for g := range mach.seq {
-		mach.seq[g] = make([]int32, len(s.Views))
-	}
-	for v, members := range s.Views {
-		mach.pos[v] = make(map[int32]int, len(members))
-		for i, g := range members {
-			mach.pos[v][int32(g)] = i
-		}
-	}
+	return reps[0], nil
+}
 
+// RecostAll replays the schedule under every model in one walk and returns
+// one Replayed per model, in order; element j is bit-identical to
+// Recost(models[j]). A schedule that fails to replay fails for every model
+// alike. Safe for concurrent calls on one Schedule.
+func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
+	mc, err := newMachine(s, models)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		progress, done := false, true
-		for g := range mach.rs {
-			adv, err := mach.runRank(g)
+		for g := range mc.rs {
+			adv, err := mc.runRank(g)
 			if err != nil {
 				return nil, err
 			}
 			if adv {
 				progress = true
 			}
-			if mach.rs[g].pc < len(s.Events[g]) {
+			if mc.rs[g].pc < len(s.Events[g]) {
 				done = false
 			}
 		}
@@ -116,40 +141,120 @@ func (s *Schedule) Recost(m CostModel) (*Replayed, error) {
 			break
 		}
 		if !progress {
-			return nil, mach.deadlockErr()
+			return nil, mc.deadlockErr()
 		}
 	}
 
-	out := &Replayed{
-		Clocks:    make([]float64, s.Nodes),
-		Envelopes: make([][]EnvSpan, s.Nodes),
-		BytesSent: mach.acctB,
-		MsgsSent:  mach.acctM,
-		Events:    s.NumEvents(),
-	}
-	for g := range mach.rs {
-		out.Clocks[g] = mach.rs[g].clock
-		out.Envelopes[g] = mach.rs[g].envs
-		if mach.rs[g].clock > out.SimTime {
-			out.SimTime = mach.rs[g].clock
+	for j, out := range mc.out {
+		out.BytesSent, out.MsgsSent = mc.acctB, mc.acctM
+		// The final recovery time is the OpMax allreduce over the surviving
+		// view: the fold starts from the lowest-ranked participant and applies
+		// math.Max in ascending rank order, mirroring the arena reduction.
+		first := true
+		for g := range mc.rs {
+			st := &mc.rs[g]
+			out.Clocks[g] = st.clock[j]
+			if st.clock[j] > out.SimTime {
+				out.SimTime = st.clock[j]
+			}
+			if !st.rtFinal {
+				continue
+			}
+			if first {
+				out.RecoveryTime = st.rt[j]
+				first = false
+			} else {
+				out.RecoveryTime = math.Max(out.RecoveryTime, st.rt[j])
+			}
 		}
 	}
-	// The final recovery time is the OpMax allreduce over the surviving
-	// view: the fold starts from the lowest-ranked participant and applies
-	// math.Max in ascending rank order, mirroring the arena reduction.
-	first := true
-	for g := range mach.rs {
-		if !mach.rs[g].rtFinal {
-			continue
-		}
-		if first {
-			out.RecoveryTime = mach.rs[g].rt
-			first = false
-		} else {
-			out.RecoveryTime = math.Max(out.RecoveryTime, mach.rs[g].rt)
-		}
+	return mc.out, nil
+}
+
+// newMachine validates everything the walk indexes with — rank and view
+// counts, view membership lists, every send/recv peer — and sizes the replay
+// state, so that re-costing any schedule (decoded, JSON, hand-built) returns
+// a result or an error, never panics.
+func newMachine(s *Schedule, models []CostModel) (*machine, error) {
+	n, k := s.Nodes, len(models)
+	if n < 0 || len(s.Events) != n {
+		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.Events))
 	}
-	return out, nil
+	mc := &machine{s: s, ms: models, freeSlot: -1}
+
+	members := 0
+	for _, view := range s.Views {
+		members += len(view)
+	}
+	seq := make([]int32, members)
+	mc.vs = make([]viewState, len(s.Views))
+	for v, view := range s.Views {
+		for i, g := range view {
+			if g < 0 || g >= n || (i > 0 && g <= view[i-1]) {
+				return nil, fmt.Errorf("replay: view %d %v is not an ascending list of ranks below %d", v, view, n)
+			}
+		}
+		mc.vs[v] = viewState{
+			members: view,
+			rounds:  math.Ceil(math.Log2(float64(max(len(view), 2)))),
+			seq:     seq[:len(view):len(view)],
+		}
+		seq = seq[len(view):]
+	}
+
+	// One pass over the streams: range-check the peers, collect each
+	// sender's distinct destinations (mark[d] == g+1: pair (g,d) is already
+	// listed), and count the recovery envelopes each rank can emit.
+	mark := make([]int32, n)
+	envOff := make([]int, n+1)
+	mc.pairOff = make([]int32, n+1)
+	for g, evs := range s.Events {
+		envs := 0
+		for i := range evs {
+			switch e := &evs[i]; e.Kind {
+			case KindSend, KindRecv:
+				if e.Peer < 0 || int(e.Peer) >= n {
+					return nil, fmt.Errorf("replay: rank %d event %d (%v): peer %d out of range", g, i, e.Kind, e.Peer)
+				}
+				if e.Kind == KindSend && mark[e.Peer] != int32(g)+1 {
+					mark[e.Peer] = int32(g) + 1
+					mc.pairDst = append(mc.pairDst, e.Peer)
+				}
+			case KindEnvEnd:
+				envs++
+			}
+		}
+		slices.Sort(mc.pairDst[mc.pairOff[g]:])
+		mc.pairOff[g+1] = int32(len(mc.pairDst))
+		envOff[g+1] = envOff[g] + envs
+	}
+	mc.qhead = make([]int32, 2*len(mc.pairDst))
+	for i := range mc.qhead {
+		mc.qhead[i] = -1
+	}
+	mc.qhead, mc.qtail = mc.qhead[:len(mc.pairDst)], mc.qhead[len(mc.pairDst):]
+
+	events := s.NumEvents()
+	mc.out = make([]*Replayed, k)
+	for j := range mc.out {
+		out := &Replayed{Clocks: make([]float64, n), Envelopes: make([][]EnvSpan, n), Events: events}
+		if spans := envOff[n]; spans > 0 {
+			// Each rank appends into its own capacity-limited window.
+			all := make([]EnvSpan, spans)
+			for g := range out.Envelopes {
+				out.Envelopes[g] = all[envOff[g]:envOff[g]:envOff[g+1]]
+			}
+		}
+		mc.out[j] = out
+	}
+
+	f := make([]float64, 4*n*k)
+	mc.rs = make([]rankState, n)
+	for g := range mc.rs {
+		w := f[4*g*k:]
+		mc.rs[g] = rankState{clock: w[:k:k], rt: w[k : 2*k : 2*k], t0: w[2*k : 3*k : 3*k], envStart: w[3*k : 4*k : 4*k]}
+	}
+	return mc, nil
 }
 
 // runRank executes rank g's events until it blocks or finishes, reporting
@@ -174,48 +279,77 @@ func (mc *machine) runRank(g int) (bool, error) {
 
 // step executes one event; false means blocked (retry later).
 func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
-	m := mc.m
+	clock := st.clock
+	ms := mc.ms[:len(clock)]
 	switch e.Kind {
 	case KindCompute:
-		st.clock += e.Val * m.FlopTime
+		for j := range clock {
+			clock[j] += e.Val * ms[j].FlopTime
+		}
 	case KindClockAdd:
-		st.clock += e.Val
+		for j := range clock {
+			clock[j] += e.Val
+		}
 	case KindClockSync:
-		if e.Val > st.clock {
-			st.clock = e.Val
+		for j := range clock {
+			if e.Val > clock[j] {
+				clock[j] = e.Val
+			}
 		}
 	case KindSend:
-		st.clock += m.Overhead
-		q := mc.pair(g, int(e.Peer))
-		q.q = append(q.q, sendRec{bytes: e.Bytes, sendTime: st.clock})
-		mc.account(st, e)
+		q, _ := mc.pair(g, e.Peer) // every send's pair was listed by newMachine
+		sl := mc.newSlot(e.Bytes)
+		sendTime := mc.slotT[int(sl)*len(clock):][:len(clock)]
+		for j := range clock {
+			clock[j] += ms[j].Overhead
+			sendTime[j] = clock[j]
+		}
+		if mc.qtail[q] < 0 {
+			mc.qhead[q] = sl
+		} else {
+			mc.slots[mc.qtail[q]].next = sl
+		}
+		mc.qtail[q] = sl
+		mc.account(e)
 	case KindRecv:
-		q := mc.pair(int(e.Peer), g)
-		if q.head >= len(q.q) {
+		q, ok := mc.pair(int(e.Peer), int32(g))
+		if !ok || mc.qhead[q] < 0 {
 			return false, nil
 		}
-		sr := q.q[q.head]
-		q.head++
-		if q.head == len(q.q) { // drained: recycle the slice
-			q.q, q.head = q.q[:0], 0
+		sl := mc.qhead[q]
+		if mc.qhead[q] = mc.slots[sl].next; mc.qhead[q] < 0 {
+			mc.qtail[q] = -1
 		}
-		arrival := sr.sendTime + m.Latency + float64(sr.bytes)*m.BytePeriod
-		if arrival > st.clock {
-			st.clock = arrival
+		bytes := float64(mc.slots[sl].bytes)
+		sendTime := mc.slotT[int(sl)*len(clock):][:len(clock)]
+		for j := range clock {
+			arrival := sendTime[j] + ms[j].Latency + bytes*ms[j].BytePeriod
+			if arrival > clock[j] {
+				clock[j] = arrival
+			}
 		}
+		mc.slots[sl].next, mc.freeSlot = mc.freeSlot, sl
 	case KindAllreduce, KindBcast, KindGather:
 		return mc.stepCollective(g, st, e)
 	case KindRecStart:
-		st.t0 = st.clock
+		copy(st.t0, clock)
 	case KindRecEnd:
-		st.rt = math.Max(st.rt, st.clock-st.t0)
+		for j := range clock {
+			st.rt[j] = math.Max(st.rt[j], clock[j]-st.t0[j])
+		}
 	case KindRecCharge:
-		st.rt += e.Val
+		for j := range st.rt {
+			st.rt[j] += e.Val
+		}
 	case KindEnvStart:
-		st.envIter, st.envStart = e.Peer, st.clock
+		st.envIter = e.Peer
+		copy(st.envStart, clock)
 	case KindEnvEnd:
-		if st.clock > st.envStart { // obs.Envelope drops empty spans
-			st.envs = append(st.envs, EnvSpan{Iter: int(st.envIter), Start: st.envStart, End: st.clock})
+		for j := range clock {
+			if clock[j] > st.envStart[j] { // obs.Envelope drops empty spans
+				envs := &mc.out[j].Envelopes[g]
+				*envs = append(*envs, EnvSpan{Iter: int(st.envIter), Start: st.envStart[j], End: clock[j]})
+			}
 		}
 	case KindRTFinal:
 		st.rtFinal = true
@@ -227,124 +361,160 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 
 // stepCollective replays one member's half of a collective.
 func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) {
-	v := int(e.View)
-	if v < 0 || v >= len(mc.s.Views) {
-		return false, fmt.Errorf("view %d out of range", v)
+	if e.View < 0 || int(e.View) >= len(mc.vs) {
+		return false, fmt.Errorf("view %d out of range", e.View)
 	}
-	members := mc.s.Views[v]
-	n := len(members)
-	me, ok := mc.pos[v][int32(g)]
+	vs := &mc.vs[e.View]
+	n := len(vs.members)
+	me, ok := slices.BinarySearch(vs.members, g)
 	if !ok {
-		return false, fmt.Errorf("rank not a member of view %d %v", v, members)
+		return false, fmt.Errorf("rank not a member of view %d %v", e.View, vs.members)
 	}
-	key := int64(v)<<32 | int64(mc.seq[g][v])
-	inst := mc.insts[key]
-	if inst == nil {
-		inst = &collInst{
-			entries: make([]float64, n),
-			bytes:   make([]int64, n),
-			present: make([]bool, n),
-		}
-		mc.insts[key] = inst
-	}
-
-	complete := func() {
-		st.published = false
-		mc.seq[g][v]++
-		inst.departed++
-		if inst.departed == n {
-			delete(mc.insts, key)
-		}
-	}
+	clock := st.clock
+	k := len(clock)
+	ms := mc.ms[:k]
+	inst := vs.instance(vs.seq[me], k)
+	bytes := float64(e.Bytes)
 
 	switch e.Kind {
 	case KindAllreduce:
 		if !st.published {
-			inst.entries[me], inst.present[me] = st.clock, true
+			copy(inst.entries[me*k:], clock)
 			inst.arrived++
 			st.published = true
+			if inst.arrived == n { // the last arriver folds the max for everyone
+				copy(inst.agg, inst.entries[:k])
+				for r := 1; r < n; r++ {
+					for j, t := range inst.entries[r*k:][:k] {
+						if t > inst.agg[j] {
+							inst.agg[j] = t
+						}
+					}
+				}
+			}
 		}
 		if inst.arrived < n {
 			return false, nil
 		}
-		tmax := inst.entries[0]
-		for r := 1; r < n; r++ {
-			if inst.entries[r] > tmax {
-				tmax = inst.entries[r]
-			}
+		for j := range clock {
+			clock[j] = inst.agg[j] + ms[j].collectiveCost(vs.rounds, bytes)
 		}
-		st.clock = tmax + mc.m.collectiveCost(n, e.Bytes)
-		mc.account(st, e)
-		complete()
 
 	case KindBcast:
 		if e.Root {
-			inst.rootSeen, inst.rootIn = true, st.clock
-			cost := mc.m.collectiveCost(n, e.Bytes)
-			st.clock += cost
-			mc.account(st, e)
-			complete()
-			return true, nil
+			inst.rootSeen = true
+			copy(inst.agg, clock)
+			for j := range clock {
+				clock[j] += ms[j].collectiveCost(vs.rounds, bytes)
+			}
+			break
 		}
 		if !inst.rootSeen {
 			return false, nil
 		}
-		st.clock = math.Max(inst.rootIn, st.clock) + mc.m.collectiveCost(n, e.Bytes)
-		mc.account(st, e)
-		complete()
+		for j := range clock {
+			clock[j] = math.Max(inst.agg[j], clock[j]) + ms[j].collectiveCost(vs.rounds, bytes)
+		}
 
 	case KindGather:
 		if !st.published {
-			inst.entries[me], inst.bytes[me], inst.present[me] = st.clock, e.Bytes, true
+			copy(inst.entries[me*k:], clock)
 			inst.arrived++
 			st.published = true
-			if e.Root {
-				inst.rootSeen = true
+			if !e.Root {
+				inst.bytes += e.Bytes
 			}
 		}
 		if !e.Root {
 			// Non-roots only pay their send overhead; gather does not
 			// synchronize them on the simulated clock.
-			mc.account(st, e)
-			st.clock += mc.m.Overhead
-			complete()
-			return true, nil
+			for j := range clock {
+				clock[j] += ms[j].Overhead
+			}
+			break
 		}
 		if inst.arrived < n {
 			return false, nil
 		}
-		tmax := st.clock
-		totalBytes := 0
-		for r := 0; r < n; r++ {
-			if r == me {
-				continue
+		total := float64(inst.bytes)
+		for j := range clock {
+			tmax := clock[j]
+			for r := 0; r < n; r++ {
+				if t := inst.entries[r*k+j]; r != me && t > tmax {
+					tmax = t
+				}
 			}
-			if inst.entries[r] > tmax {
-				tmax = inst.entries[r]
-			}
-			totalBytes += int(inst.bytes[r])
+			clock[j] = tmax + ms[j].Latency*vs.rounds + total*ms[j].BytePeriod
 		}
-		st.clock = tmax + mc.m.Latency*math.Ceil(math.Log2(float64(max(n, 2)))) +
-			float64(totalBytes)*mc.m.BytePeriod
-		mc.account(st, e)
-		complete()
+	}
+
+	mc.account(e)
+	st.published = false
+	vs.seq[me]++
+	if inst.departed++; inst.departed == n {
+		vs.retire()
 	}
 	return true, nil
 }
 
-// pair returns the (src,dst) FIFO, creating it on first use.
-func (mc *machine) pair(src, dst int) *pairQueue {
-	key := int64(src)*int64(mc.s.Nodes) + int64(dst)
-	q := mc.pairs[key]
-	if q == nil {
-		q = &pairQueue{}
-		mc.pairs[key] = q
+// instance returns the view's instance number seq, creating it — from the
+// free list when possible — if this member is the first to reach it.
+func (vs *viewState) instance(seq int32, k int) *collInst {
+	if i := vs.head + int(seq-vs.base); i < len(vs.live) {
+		return vs.live[i]
 	}
-	return q
+	var inst *collInst
+	if last := len(vs.free) - 1; last >= 0 {
+		inst, vs.free = vs.free[last], vs.free[:last]
+	} else {
+		nk := len(vs.members) * k
+		f := make([]float64, nk+k)
+		inst = &collInst{entries: f[:nk], agg: f[nk:]}
+	}
+	vs.live = append(vs.live, inst)
+	return inst
+}
+
+// retire recycles the oldest live instance once every member has departed
+// it, compacting the FIFO whenever its dead prefix reaches half its length
+// (amortized O(1), and the slice stays as short as the live window).
+func (vs *viewState) retire() {
+	inst := vs.live[vs.head]
+	inst.bytes, inst.arrived, inst.departed, inst.rootSeen = 0, 0, 0, false
+	vs.free = append(vs.free, inst)
+	vs.head++
+	vs.base++
+	if 2*vs.head >= len(vs.live) {
+		vs.live = vs.live[:copy(vs.live, vs.live[vs.head:])]
+		vs.head = 0
+	}
+}
+
+// pair returns the index of the (src,dst) FIFO; false if src never sends to
+// dst anywhere in the schedule.
+func (mc *machine) pair(src int, dst int32) (int32, bool) {
+	lo := mc.pairOff[src]
+	i, ok := slices.BinarySearch(mc.pairDst[lo:mc.pairOff[src+1]], dst)
+	return lo + int32(i), ok
+}
+
+// newSlot takes a send slot off the free list, growing the pool when every
+// slot is in flight.
+func (mc *machine) newSlot(bytes int64) int32 {
+	sl := mc.freeSlot
+	if sl >= 0 {
+		mc.freeSlot = mc.slots[sl].next
+	} else {
+		sl = int32(len(mc.slots))
+		mc.slots = append(mc.slots, sendSlot{})
+		mc.slotT = slices.Grow(mc.slotT, len(mc.ms))[:len(mc.slots)*len(mc.ms)]
+	}
+	mc.slots[sl] = sendSlot{bytes: bytes, next: -1}
+	return sl
 }
 
 // account books one event's modeled traffic.
-func (mc *machine) account(st *rankState, e *Event) {
+func (mc *machine) account(e *Event) {
 	mc.acctM += e.AcctMsgs
 	mc.acctB += e.AcctBytes
 }

@@ -25,7 +25,6 @@ package replay
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -360,8 +359,9 @@ type Replayed struct {
 	Events       int
 }
 
-// collectiveCost mirrors cluster.Node.collectiveCost bit-for-bit.
-func (m CostModel) collectiveCost(n int, bytes int64) float64 {
-	rounds := math.Ceil(math.Log2(float64(max(n, 2))))
-	return rounds * (m.Latency + m.Overhead + float64(bytes)*m.BytePeriod)
+// collectiveCost mirrors cluster.Node.collectiveCost bit-for-bit, with
+// rounds = ⌈log₂ max(n,2)⌉ hoisted out (the re-coster computes it once per
+// view).
+func (m *CostModel) collectiveCost(rounds, bytes float64) float64 {
+	return rounds * (m.Latency + m.Overhead + bytes*m.BytePeriod)
 }

@@ -23,7 +23,7 @@ import (
 //	per view:  nmembers, then member ranks delta-encoded (rank − prev − 1
 //	           for the tail, absolute for the first; views are ascending)
 //	per rank:  nevents, then per event: kind byte followed by the fields
-//	           that kind defines (see decodeEvent); float64s are fixed
+//	           that kind defines (see DecodeBinary); float64s are fixed
 //	           8-byte little-endian bit patterns
 const binaryMagic = "ESRPRPL1"
 
@@ -89,127 +89,134 @@ func (s *Schedule) WriteBinary(w io.Writer) error {
 
 // ReadBinary decodes a schedule written by WriteBinary.
 func ReadBinary(r io.Reader) (*Schedule, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("replay: reading magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("replay: reading schedule: %w", err)
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("replay: bad magic %q (not a schedule file)", magic)
-	}
-	getUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getFloat := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-	}
+	return DecodeBinary(data)
+}
 
-	nodes, err := getUvarint()
-	if err != nil {
-		return nil, err
+// cursor reads the binary layout off a byte slice. The first failure
+// sticks: later reads return zeros, so decode loops check err once per view
+// or rank instead of once per field.
+type cursor struct {
+	data []byte
+	off  int
+	err  error
+}
+
+func (c *cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	const sane = 1 << 24 // corrupt-length guard for preallocation
-	if nodes == 0 || nodes > sane {
-		return nil, fmt.Errorf("replay: implausible node count %d", nodes)
+	c.off = len(c.data)
+}
+
+func (c *cursor) byte() byte {
+	if c.off >= len(c.data) {
+		c.fail(io.ErrUnexpectedEOF)
+		return 0
 	}
-	nviews, err := getUvarint()
-	if err != nil {
-		return nil, err
+	c.off++
+	return c.data[c.off-1]
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.data[c.off:])
+	if n <= 0 {
+		if n == 0 {
+			c.fail(io.ErrUnexpectedEOF)
+		} else {
+			c.fail(fmt.Errorf("replay: varint at offset %d overflows 64 bits", c.off))
+		}
+		return 0
 	}
-	if nviews > sane {
-		return nil, fmt.Errorf("replay: implausible view count %d", nviews)
+	c.off += n
+	return v
+}
+
+func (c *cursor) float() float64 {
+	if len(c.data)-c.off < 8 {
+		c.fail(io.ErrUnexpectedEOF)
+		return 0
 	}
-	s := &Schedule{Nodes: int(nodes), Views: make([][]int, nviews), Events: make([][]Event, nodes)}
+	c.off += 8
+	return math.Float64frombits(binary.LittleEndian.Uint64(c.data[c.off-8:]))
+}
+
+// count reads a length field. Every item a length announces — a rank, a
+// view, a member, an event — occupies at least one byte of what follows, so
+// a count beyond the bytes remaining is corrupt; checking it here keeps
+// every allocation proportional to the input.
+func (c *cursor) count(what string) int {
+	v := c.uvarint()
+	if v > uint64(len(c.data)-c.off) {
+		c.fail(fmt.Errorf("replay: implausible %s %d with %d bytes left", what, v, len(c.data)-c.off))
+		return 0
+	}
+	return int(v)
+}
+
+// DecodeBinary decodes a schedule from its compact binary encoding.
+func DecodeBinary(data []byte) (*Schedule, error) {
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("replay: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if string(data[:len(binaryMagic)]) != binaryMagic {
+		return nil, fmt.Errorf("replay: bad magic %q (not a schedule file)", data[:len(binaryMagic)])
+	}
+	c := &cursor{data: data, off: len(binaryMagic)}
+	nodes := c.count("node count")
+	if c.err == nil && nodes == 0 {
+		c.fail(fmt.Errorf("replay: implausible node count 0"))
+	}
+	nviews := c.count("view count")
+	if c.err != nil {
+		return nil, c.err
+	}
+	s := &Schedule{Nodes: nodes, Views: make([][]int, nviews), Events: make([][]Event, nodes)}
 	for v := range s.Views {
-		nm, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nm > nodes {
-			return nil, fmt.Errorf("replay: view %d has %d members > %d nodes", v, nm, nodes)
-		}
-		members := make([]int, nm)
+		members := make([]int, c.count("view size"))
 		prev := -1
 		for i := range members {
-			d, err := getUvarint()
-			if err != nil {
-				return nil, err
+			d := c.uvarint()
+			if d >= uint64(nodes-prev-1) && c.err == nil {
+				c.fail(fmt.Errorf("replay: view %d member %d is not a rank below %d", v, i, nodes))
 			}
-			members[i] = prev + 1 + int(d)
-			prev = members[i]
+			prev += 1 + int(d)
+			members[i] = prev
+		}
+		if c.err != nil {
+			return nil, c.err
 		}
 		s.Views[v] = members
 	}
 	for g := range s.Events {
-		ne, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ne > 1<<32 {
-			return nil, fmt.Errorf("replay: implausible event count %d", ne)
-		}
-		evs := make([]Event, ne)
+		evs := make([]Event, c.count("event count"))
 		for i := range evs {
-			kb, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
 			e := &evs[i]
-			e.Kind = Kind(kb)
+			e.Kind = Kind(c.byte())
 			switch e.Kind {
 			case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
-				if e.Val, err = getFloat(); err != nil {
-					return nil, err
-				}
+				e.Val = c.float()
 			case KindSend:
-				var p, b uint64
-				if p, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				if b, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				e.Peer, e.Bytes = int32(p), int64(b)
+				e.Peer, e.Bytes = int32(c.uvarint()), int64(c.uvarint())
 				e.AcctMsgs, e.AcctBytes = 1, e.Bytes
-			case KindRecv:
-				var p uint64
-				if p, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				e.Peer = int32(p)
+			case KindRecv, KindEnvStart:
+				e.Peer = int32(c.uvarint())
 			case KindAllreduce, KindBcast, KindGather:
-				rb, err := br.ReadByte()
-				if err != nil {
-					return nil, err
-				}
-				e.Root = rb != 0
-				var v, b, am, ab uint64
-				if v, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				if b, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				if am, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				if ab, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				e.View, e.Bytes = int32(v), int64(b)
-				e.AcctMsgs, e.AcctBytes = int64(am), int64(ab)
-			case KindEnvStart:
-				var p uint64
-				if p, err = getUvarint(); err != nil {
-					return nil, err
-				}
-				e.Peer = int32(p)
+				e.Root = c.byte() != 0
+				e.View, e.Bytes = int32(c.uvarint()), int64(c.uvarint())
+				e.AcctMsgs, e.AcctBytes = int64(c.uvarint()), int64(c.uvarint())
 			case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
 			default:
-				return nil, fmt.Errorf("replay: rank %d event %d: unknown kind %d", g, i, kb)
+				if c.err == nil {
+					c.fail(fmt.Errorf("replay: rank %d event %d: unknown kind %d", g, i, e.Kind))
+				}
 			}
+		}
+		if c.err != nil {
+			return nil, c.err
 		}
 		s.Events[g] = evs
 	}
@@ -226,11 +233,6 @@ func (s *Schedule) EncodeBinary() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// DecodeBinary decodes a schedule from its compact binary encoding.
-func DecodeBinary(data []byte) (*Schedule, error) {
-	return ReadBinary(bytes.NewReader(data))
 }
 
 // WriteJSON emits the schedule as JSON (large but diffable; floats are
