@@ -272,7 +272,7 @@ func runHostBench(kernel esrp.KernelKind) []HostMetric {
 // scalingProcs is the GOMAXPROCS sweep of -scaling: 1, 2, 4 and the host's
 // CPU count, deduplicated in ascending order. Points past NumCPU are kept —
 // on a small host they measure the oversubscribed regime honestly (the
-// barrier's yield-then-park policy is exactly for that shape) instead of
+// barrier's park-at-once policy is exactly for that shape) instead of
 // silently narrowing the sweep.
 func scalingProcs() []int {
 	procs := []int{1, 2, 4, runtime.NumCPU()}

@@ -233,7 +233,7 @@ type (
 // and DESIGN.md § Host observability).
 type (
 	// BarrierStats accumulates per-member wall-clock wait histograms
-	// (spin/yield/park regimes), arrival-order skew and abort counts from
+	// (spin/park regimes), arrival-order skew and abort counts from
 	// the combining-tree barrier under every collective (Config.HostStats).
 	BarrierStats = hostobs.BarrierStats
 	// HostRecorder records a campaign's host-side execution: per-worker

@@ -8,13 +8,12 @@ import (
 )
 
 // collectiveWindowAllocs runs `rounds` steady-state rounds of
-// Allreduce + AllreduceScalar + Barrier on 8 nodes after a fixed warm-up and
+// Allreduce + AllreduceScalar + Barrier on n nodes after a fixed warm-up and
 // returns the global malloc count over the window. Rank 0 reads the counter
 // while the other nodes are parked at a barrier, so the window covers
 // exactly the steady-state collectives of all nodes.
-func collectiveWindowAllocs(t *testing.T, rounds int) uint64 {
+func collectiveWindowAllocs(t *testing.T, n, rounds int) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const n = 8
 	c := New(n, testModel())
 	var allocs uint64
 	err := c.Run(func(nd *Node) {
@@ -53,16 +52,21 @@ func collectiveWindowAllocs(t *testing.T, rounds int) uint64 {
 // GOMAXPROCS > 1 tens of objects, not attributable per call), so the gate
 // measures marginally: a real per-call allocation separates a 400-round
 // window from a 6400-round window 6000-fold, constant runtime noise cancels.
+// The 128-node case is the oversubscribed shape: every waiter parks at once
+// and the last arriver folds for all, so each round is 3 × 127 park/wake
+// pairs; its windows are shorter to keep the gate quick.
 func TestAllreduceSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; gate runs in the non-race job")
 	}
-	short := collectiveWindowAllocs(t, 400)
-	long := collectiveWindowAllocs(t, 6400)
-	marginal := (float64(long) - float64(short)) / 6000
-	if marginal > 0.02 {
-		t.Fatalf("steady-state collectives allocate %.3f times per round (windows: %d over 400, %d over 6400; want ~0)",
-			marginal, short, long)
+	for _, tc := range []struct{ n, short, long int }{{8, 400, 6400}, {128, 100, 1100}} {
+		short := collectiveWindowAllocs(t, tc.n, tc.short)
+		long := collectiveWindowAllocs(t, tc.n, tc.long)
+		marginal := (float64(long) - float64(short)) / float64(tc.long-tc.short)
+		if marginal > 0.02 {
+			t.Fatalf("n=%d: steady-state collectives allocate %.3f times per round (windows: %d over %d, %d over %d; want ~0)",
+				tc.n, marginal, short, tc.short, long, tc.long)
+		}
 	}
 }
 

@@ -22,13 +22,13 @@ import (
 //   - Release is a single atomic phase-counter increment that every waiter
 //     observes with a read-only spin on its own cached copy, followed by a
 //     wake sweep over the members that declared themselves parked.
-//   - Waiting is bounded spin-then-park. When the arena's members fit the
-//     host's GOMAXPROCS, waiters spin briefly (the releaser is running on
-//     another P and the flip is imminent). When ranks oversubscribe the
-//     cores — the common shape for large simulated clusters — spinning
-//     only steals cycles from the goroutines that still have to arrive, so
-//     waiters yield to the scheduler a few times and then park on their
-//     own one-token channel.
+//   - Waiting is park-first. When the arena's members fit the host's
+//     GOMAXPROCS, waiters spin briefly before parking (the releaser is
+//     running on another P and the flip is imminent). When ranks
+//     oversubscribe the cores — the common shape for large simulated
+//     clusters — any cycle a waiter keeps is taken from the goroutines that
+//     still have to arrive, so waiters park at once on their own one-token
+//     channel.
 //
 // Parking protocol: a waiter publishes parked=1, rechecks the phase, and
 // blocks on its wake channel. A releaser (phase flip or abort) sweeps the
@@ -42,8 +42,9 @@ import (
 // The barrier carries no payload semantics: slot publication before arrival
 // and slot reads after release are ordered by the atomic arrival chain
 // (every member's slot writes happen before its leaf increment; the root
-// completion happens after all increments; the phase flip happens after the
-// root completion; every reader observes the flip).
+// completion happens after all increments, so the member that completes it
+// may read and combine every slot; the phase flip happens after that; every
+// reader observes the flip).
 type barrier struct {
 	n     int
 	tree  []combineNode
@@ -53,8 +54,8 @@ type barrier struct {
 	aborted atomic.Bool
 
 	// spin is the bounded pre-park spin budget, chosen at construction:
-	// positive when the members fit the host Ps, zero (yield-then-park)
-	// when the ranks oversubscribe them.
+	// positive when the members fit the host Ps, zero (park at once) when
+	// the ranks oversubscribe them.
 	spin int
 
 	// stats is the optional host-telemetry sink (nil = uninstrumented; the
@@ -72,11 +73,8 @@ type barrier struct {
 const combineArity = 4
 
 // spinBudget bounds the pre-park spin when the arena's members fit the
-// host's Ps; yieldBudget bounds the Gosched rounds when they do not.
-const (
-	spinBudget  = 192
-	yieldBudget = 4
-)
+// host's Ps.
+const spinBudget = 192
 
 // combineNode is one arrival counter of the tree, padded to its own cache
 // line pair so concurrent leaf increments never false-share.
@@ -165,30 +163,49 @@ func (b *barrier) arrive(me int) bool {
 }
 
 // await is one full barrier phase for member me: arrive, and either release
-// everyone (last member) or wait for the release. It panics with the abort
-// error when the arena was aborted — callers unwind exactly as the retired
-// cond-based barrier did.
+// everyone (last member) or wait for the release. A collective that has work
+// for the last arriver to do on the others' behalf (Allreduce's fold) calls
+// the four parts itself and does that work between arrive and release.
 func (b *barrier) await(me int) {
+	p := b.enter(me)
+	if b.arrive(me) {
+		b.release(me)
+		return
+	}
+	b.wait(me, p)
+}
+
+// enter opens a phase for member me and returns the phase number wait must
+// see change. It panics with the abort error when the arena was aborted —
+// callers unwind exactly as the retired cond-based barrier did.
+func (b *barrier) enter(me int) uint32 {
 	if b.aborted.Load() {
 		panic(abortedPanic())
 	}
-	st := b.stats // nil on the uninstrumented path: no clock reads below
-	if st != nil {
+	if st := b.stats; st != nil {
 		st.Arrive(me, b.arrivals.Add(1)-1)
 	}
-	p := b.phase.Load()
-	if b.arrive(me) {
-		if st != nil {
-			// Reset the arrival sequence for the next phase before the flip:
-			// next-phase arrivals happen-after observing the flip, so none
-			// can race the reset.
-			b.arrivals.Store(0)
-			st.Release(me)
-		}
-		b.phase.Add(1)
-		b.wakeParked()
-		return
+	return b.phase.Load()
+}
+
+// release flips the phase and wakes the parked members. Only the member
+// whose arrive returned true may call it.
+func (b *barrier) release(me int) {
+	if st := b.stats; st != nil {
+		// Reset the arrival sequence for the next phase before the flip:
+		// next-phase arrivals happen-after observing the flip, so none
+		// can race the reset.
+		b.arrivals.Store(0)
+		st.Release(me)
 	}
+	b.phase.Add(1)
+	b.wakeParked()
+}
+
+// wait blocks member me until phase p is released, panicking with the abort
+// error when the arena is aborted first.
+func (b *barrier) wait(me int, p uint32) {
+	st := b.stats // nil on the uninstrumented path: no clock reads below
 	var t0 time.Time
 	if b.spin > 0 {
 		if st != nil {
@@ -210,22 +227,6 @@ func (b *barrier) await(me int) {
 		}
 	}
 	if st != nil {
-		t0 = time.Now()
-	}
-	for i := 0; i < yieldBudget; i++ {
-		runtime.Gosched()
-		if b.phase.Load() != p {
-			if st != nil {
-				st.Wait(me, hostobs.RegimeYield, int64(time.Since(t0)))
-			}
-			return
-		}
-		if b.aborted.Load() {
-			panic(abortedPanic())
-		}
-	}
-	if st != nil {
-		st.Wait(me, hostobs.RegimeYield, int64(time.Since(t0)))
 		t0 = time.Now()
 	}
 	cell := &b.cells[me]

@@ -80,7 +80,7 @@ func TestBarrierAbortUnparks(t *testing.T) {
 }
 
 // TestBarrierHammer exercises the full collective stack under both waiting
-// regimes of the barrier: ranks ≫ GOMAXPROCS (the yield-then-park
+// regimes of the barrier: ranks ≫ GOMAXPROCS (the park-at-once
 // oversubscription policy every large simulated cluster hits) and ranks ≤
 // GOMAXPROCS (the bounded-spin path). GOMAXPROCS is set before New because
 // the barrier chooses its spin budget at construction. Primarily a -race

@@ -188,8 +188,12 @@ type Comm struct {
 	abortOnce sync.Once
 	abortErr  atomic.Value // error
 
-	bytesSent atomic.Int64
-	msgsSent  atomic.Int64
+	// states is every node's mutable state, one slice so a run costs one
+	// allocation for all ranks. Each rank goroutine writes only its own
+	// element; Run sums the traffic counters once every goroutine returned.
+	states              []nodeState
+	bytesSent, msgsSent int64       // Σ over states, filled by Run
+	ran                 atomic.Bool // Run was called; a Comm is single-use
 
 	rootView *view // identity view shared by all nodes (read-only)
 
@@ -202,8 +206,7 @@ type Comm struct {
 
 	hostStats *hostobs.BarrierStats // nil = no host telemetry (the default)
 
-	finalClocks []float64 // filled by Run
-	wallTime    time.Duration
+	wallTime time.Duration
 }
 
 // New creates a simulated cluster of n nodes.
@@ -219,7 +222,7 @@ func New(n int, model CostModel) *Comm {
 			pool:  make([][]float64, 0, poolDepth), // full capacity up front: putBuf never regrows it
 		}
 	}
-	c.finalClocks = make([]float64, n)
+	c.states = make([]nodeState, n)
 	c.rootView = identityView(n)
 	c.rootView.ar = c.arenaFor(c.rootView.ranks)
 	return c
@@ -233,7 +236,7 @@ func (c *Comm) Observe(rec *obs.Recorder) { c.rec = rec }
 
 // ObserveHost attaches host-side barrier telemetry: every arena barrier —
 // the root view's and any sub-communicator's — records per-member wait
-// time (split by spin/yield/park regime), arrival-order skew, releases,
+// time (split by spin/park regime), arrival-order skew, releases,
 // and aborts into st. Members are indexed by view-local rank, so st must
 // have capacity ≥ n. Must be called before Run, like Observe; a nil st
 // (or not calling ObserveHost) keeps the zero-overhead disabled path.
@@ -339,8 +342,12 @@ func (c *Comm) arenaFor(ranks []int) *arena {
 
 // Run executes body on every node concurrently and waits for completion.
 // A panic on any node aborts the whole run and is returned as an error.
-// Run may be called once per Comm.
+// A Comm is single-use — its arenas, clocks and traffic counters are spent
+// by the first run — so a second call returns an error and runs nothing.
 func (c *Comm) Run(body func(nd *Node)) error {
+	if !c.ran.CompareAndSwap(false, true) {
+		return errors.New("cluster: Run called twice on one Comm")
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(c.n)
@@ -356,18 +363,17 @@ func (c *Comm) Run(body func(nd *Node)) error {
 					c.fail(fmt.Errorf("cluster: node %d panicked: %v", g, r))
 				}
 			}()
-			nd := &Node{
-				comm:  c,
-				view:  c.rootView,
-				g:     g,
-				state: &nodeState{trace: c.rec.Rank(g), sched: c.rep.Rank(g)},
-			}
-			body(nd)
-			c.finalClocks[g] = nd.state.clock
+			st := &c.states[g]
+			st.trace, st.sched = c.rec.Rank(g), c.rep.Rank(g)
+			body(&Node{comm: c, view: c.rootView, g: g, state: st})
 		}(g)
 	}
 	wg.Wait()
 	c.wallTime = time.Since(start)
+	for i := range c.states {
+		c.bytesSent += c.states[i].bytesSent
+		c.msgsSent += c.states[i].msgsSent
+	}
 	if err, ok := c.abortErr.Load().(error); ok {
 		return err
 	}
@@ -378,10 +384,8 @@ func (c *Comm) Run(body func(nd *Node)) error {
 // the modeled runtime of the program.
 func (c *Comm) MaxClock() float64 {
 	m := 0.0
-	for _, t := range c.finalClocks {
-		if t > m {
-			m = t
-		}
+	for i := range c.states {
+		m = max(m, c.states[i].clock)
 	}
 	return m
 }
@@ -389,11 +393,12 @@ func (c *Comm) MaxClock() float64 {
 // WallTime returns the host wall-clock duration of Run.
 func (c *Comm) WallTime() time.Duration { return c.wallTime }
 
-// BytesSent returns the total point-to-point payload bytes sent.
-func (c *Comm) BytesSent() int64 { return c.bytesSent.Load() }
+// BytesSent returns the total payload bytes all nodes sent, after Run (the
+// nodes count their own traffic; Run adds it up when they have finished).
+func (c *Comm) BytesSent() int64 { return c.bytesSent }
 
-// MsgsSent returns the total number of point-to-point messages.
-func (c *Comm) MsgsSent() int64 { return c.msgsSent.Load() }
+// MsgsSent returns the total number of messages all nodes sent, after Run.
+func (c *Comm) MsgsSent() int64 { return c.msgsSent }
 
 // view maps local ranks of a (sub-)communicator to global ranks. Views are
 // immutable after construction and may be shared across goroutines.
@@ -414,16 +419,19 @@ func identityView(n int) *view {
 
 // arena is the shared-memory collective workspace of one communicator view:
 // per-member slot buffers and clock cells, synchronized by a combining-tree
-// barrier (see barrier.go). A collective is ONE barrier phase: every member publishes its
-// contribution and entry clock into the current bank, the barrier flips, and
-// every member reads all slots (reducing in ascending rank order, so results
-// are bitwise deterministic). Slots are double-buffered in two banks that
-// alternate per collective: a member racing ahead into collective k+1 writes
-// the other bank, so it cannot clobber a slot a slower member is still
-// reading in collective k — that's what makes the single barrier sufficient.
-// (A member can be at most one collective ahead: the barrier of k+1 cannot
-// pass until everyone arrived there, and arriving at k+1 implies having
-// finished reading bank k.)
+// barrier (see barrier.go). A collective is ONE barrier phase: every member
+// publishes its contribution and entry clock into the current bank, the
+// barrier flips, and every member reads what it needs. For Allreduce the
+// last arriver reduces the bank before it releases the phase — in ascending
+// rank order, so results are bitwise deterministic, and in place into member
+// 0's slot and clock cell — and the others only copy that result out. Slots
+// are double-buffered in two banks that alternate per collective: a member
+// racing ahead into collective k+1 writes the other bank, so it cannot
+// clobber a slot a slower member is still reading in collective k — that's
+// what makes the single barrier sufficient, for the folded slot 0 as for any
+// other: a bank is rewritten only two collectives later. (A member can be at
+// most one collective ahead: the barrier of k+1 cannot pass until everyone
+// arrived there, and arriving at k+1 implies having finished reading bank k.)
 type arena struct {
 	n      int
 	slots  [2][][]float64 // per-bank, per-member contribution scratch (owner-written)
@@ -464,12 +472,34 @@ func (a *arena) await(me int) {
 	a.bar.await(me)
 }
 
+// reduce is the barrier phase of an Allreduce of `width` floats: the last
+// arriver folds slots 1..n-1 of the bank into slot 0 and the largest entry
+// clock into clocks[0], in ascending rank order, then releases the phase.
+// On return slot 0 and clocks[0] hold the result for every member.
+func (a *arena) reduce(me, bank, width int, op Op) {
+	p := a.bar.enter(me)
+	if !a.bar.arrive(me) {
+		a.bar.wait(me, p)
+		return
+	}
+	slots, clocks := a.slots[bank], a.clocks[bank]
+	acc, tmax := slots[0][:width], clocks[0]
+	for r := 1; r < a.n; r++ {
+		op.apply(acc, slots[r][:width])
+		tmax = max(tmax, clocks[r])
+	}
+	clocks[0] = tmax
+	a.bar.release(me)
+}
+
 func (a *arena) abortAll() {
 	a.bar.abort()
 }
 
 // nodeState is the per-goroutine mutable state shared between a node and all
-// sub-communicator handles derived from it.
+// sub-communicator handles derived from it. The states of all nodes are
+// neighbours in Comm.states; the tail padding spaces them a cache line
+// apart, so a rank advancing its clock never invalidates its neighbour's.
 type nodeState struct {
 	clock     float64
 	flops     float64
@@ -477,6 +507,7 @@ type nodeState struct {
 	msgsSent  int64
 	trace     *obs.Rank    // nil unless Comm.Observe attached a recorder
 	sched     *replay.Rank // nil unless Comm.RecordSchedule attached one
+	_         [16]byte
 }
 
 // Node is one simulated cluster node's handle, bound to a communicator view.
@@ -552,12 +583,11 @@ func (nd *Node) Trace() *obs.Rank { return nd.state.trace }
 // Sub handles (it lives on nodeState).
 func (nd *Node) Sched() *replay.Rank { return nd.state.sched }
 
-// account books msgs messages of bytes total payload against the node and
-// the machine-wide counters (the modeled traffic of a collective that the
-// arena executes without actual messages).
+// account books msgs messages of bytes total payload against the node (for
+// a collective, the modeled traffic the arena executes without actual
+// messages). The machine-wide totals are summed from the nodes' when Run
+// ends, so the hot path touches no shared counter.
 func (nd *Node) account(msgs, bytes int64) {
-	nd.comm.bytesSent.Add(bytes)
-	nd.comm.msgsSent.Add(msgs)
 	nd.state.bytesSent += bytes
 	nd.state.msgsSent += msgs
 }
@@ -764,10 +794,11 @@ func (nd *Node) collectiveCost(bytes int) float64 {
 }
 
 // Allreduce reduces x elementwise over all view members with operator op,
-// leaving the identical result in x on every member. Every member applies
-// the reduction over the arena slots in ascending rank order — the same
-// order the retired rank-0 star used — so results are bitwise deterministic
-// and identical on all members. All members' clocks synchronize to
+// leaving the identical result in x on every member. The last member to
+// arrive applies the reduction over the arena slots in ascending rank order
+// — the same order the retired rank-0 star used — and every member copies
+// that one result, so results are bitwise deterministic and identical on all
+// members. All members' clocks synchronize to
 // max(member clocks) + collectiveCost; the traffic the star implementation
 // would have sent (each member one payload up, rank 0 one payload down per
 // member) is accounted so byte counters stay comparable run over run.
@@ -786,18 +817,10 @@ func (nd *Node) Allreduce(op Op, x []float64) {
 	copy(slot, x)
 	t0 := nd.state.clock
 	a.clocks[bank][me] = nd.state.clock
-	a.await(me) // all contributions published
+	a.reduce(me, bank, len(x), op) // all contributions published and folded
 
-	slots, clocks := a.slots[bank], a.clocks[bank]
-	copy(x, slots[0][:len(x)])
-	tmax := clocks[0]
-	for r := 1; r < n; r++ {
-		op.apply(x, slots[r][:len(x)])
-		if clocks[r] > tmax {
-			tmax = clocks[r]
-		}
-	}
-	nd.state.clock = tmax + nd.collectiveCost(8*len(x))
+	copy(x, a.slots[bank][0][:len(x)])
+	nd.state.clock = a.clocks[bank][0] + nd.collectiveCost(8*len(x))
 	nd.state.trace.Span(obs.KindAllreduce, t0, nd.state.clock)
 
 	payloadBytes := int64(8 * (len(x) + 1)) // star payload: body + clock

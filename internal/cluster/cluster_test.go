@@ -348,6 +348,66 @@ func TestCounters(t *testing.T) {
 	if c.MsgsSent() != 1 {
 		t.Fatalf("MsgsSent = %d, want 1", c.MsgsSent())
 	}
+
+	// The machine totals are the sum of what the nodes counted themselves,
+	// over P2P, every collective's modeled star traffic, and a Sub view
+	// (whose handle books against the same node).
+	const n = 7
+	c = New(n, testModel())
+	var nodeBytes, nodeMsgs [n]int64
+	err = c.Run(func(nd *Node) {
+		sub := nd.Sub([]int{1, 2, 5})
+		for round := 0; round < 3; round++ {
+			nd.ISend((nd.Rank()+1)%n, 4, make([]float64, round+1))
+			nd.Release(nd.Recv((nd.Rank()+n-1)%n, 4))
+			nd.Allreduce(OpSum, make([]float64, 3))
+			nd.Bcast(round, make([]float64, 2))
+			nd.Gather(n-1-round, make([]float64, 1))
+			if sub != nil {
+				sub.AllreduceScalar(OpMax, 1)
+				sub.Send((sub.Rank()+1)%3, 6, []float64{1})
+				sub.Recv((sub.Rank()+2)%3, 6)
+			}
+			nd.Barrier()
+		}
+		nodeBytes[nd.GlobalRank()], nodeMsgs[nd.GlobalRank()] = nd.BytesSent(), nd.MsgsSent()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sumBytes, sumMsgs int64
+	for g := range nodeBytes {
+		sumBytes += nodeBytes[g]
+		sumMsgs += nodeMsgs[g]
+	}
+	if c.BytesSent() != sumBytes || c.MsgsSent() != sumMsgs {
+		t.Fatalf("Comm totals %d B / %d msgs, Σ nodes %d B / %d msgs", c.BytesSent(), c.MsgsSent(), sumBytes, sumMsgs)
+	}
+	// Per round: n ring messages, 4 root-view collectives of 2(n-1) or n-1
+	// star messages (allreduce and barrier up + down; bcast down; gather
+	// up), and on the 3-member view one allreduce (4) plus 3 ring messages.
+	if want := int64(3 * (n + 2*2*(n-1) + 2*(n-1) + 4 + 3)); sumMsgs != want {
+		t.Fatalf("MsgsSent = %d, want %d", sumMsgs, want)
+	}
+}
+
+// TestRunTwiceIsAnError pins that a Comm is single-use: the second Run
+// returns an error without running the body (its arenas are spent and the
+// end-of-run traffic sum would count the first run twice).
+func TestRunTwiceIsAnError(t *testing.T) {
+	c := New(3, testModel())
+	if err := c.Run(func(nd *Node) { nd.AllreduceScalar(OpSum, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	clock, bytes, msgs := c.MaxClock(), c.BytesSent(), c.MsgsSent()
+	err := c.Run(func(nd *Node) { panic("body of a second Run must not execute") })
+	if err == nil || !strings.Contains(err.Error(), "Run called twice") {
+		t.Fatalf("second Run: err = %v, want the called-twice error", err)
+	}
+	if c.MaxClock() != clock || c.BytesSent() != bytes || c.MsgsSent() != msgs {
+		t.Fatalf("second Run changed the results: clock %g→%g, bytes %d→%d, msgs %d→%d",
+			clock, c.MaxClock(), bytes, c.BytesSent(), msgs, c.MsgsSent())
+	}
 }
 
 func TestAddClockAndSyncClock(t *testing.T) {

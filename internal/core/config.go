@@ -235,7 +235,7 @@ type Config struct {
 	Record *replay.Recorder
 
 	// HostStats enables host-side barrier telemetry (internal/hostobs):
-	// per-member wall-clock wait histograms split by spin/yield/park
+	// per-member wall-clock wait histograms split by spin/park
 	// regime, arrival-order skew, and abort counts from the combining-tree
 	// barrier underneath every collective. It must have capacity ≥ Nodes
 	// (validated) and may be shared by many solves — campaign runs hand

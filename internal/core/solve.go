@@ -46,7 +46,7 @@ func Solve(cfg Config) (*Result, error) {
 	}
 	result := &Result{}
 	// Per-node metric slots (each goroutine writes only its own index, like
-	// comm's final clocks): collected host-side after the run so the
+	// comm's node states): collected host-side after the run so the
 	// instrumentation costs nothing on the simulated clock.
 	nodeMem := make([]int64, cfg.Nodes)
 	nodeHalo := make([]int64, cfg.Nodes)

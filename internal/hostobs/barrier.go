@@ -3,15 +3,14 @@ package hostobs
 import "sync/atomic"
 
 // Regime classifies how a barrier member spent a wait: spinning on the
-// phase counter, yielding to the Go scheduler, or parked on its wake
-// channel. The split matters because the combining-tree barrier picks its
-// policy from n vs GOMAXPROCS — spin time is cycles burnt on a core,
-// park time is cycles given back to other rank goroutines.
+// phase counter or parked on its wake channel. The split matters because
+// the combining-tree barrier picks its policy from n vs GOMAXPROCS — spin
+// time is cycles burnt on a core, park time is cycles given back to other
+// rank goroutines.
 type Regime int
 
 const (
 	RegimeSpin Regime = iota
-	RegimeYield
 	RegimePark
 	numRegimes
 )
@@ -21,8 +20,6 @@ func RegimeName(r Regime) string {
 	switch r {
 	case RegimeSpin:
 		return "spin"
-	case RegimeYield:
-		return "yield"
 	case RegimePark:
 		return "park"
 	}
