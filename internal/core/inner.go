@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
-	"esrp/internal/dist"
 	"esrp/internal/obs"
 	"esrp/internal/precond"
 	"esrp/internal/sparse"
@@ -21,95 +19,80 @@ import (
 // cfg.GatherInnerSolve the system is gathered to the first replacement and
 // solved there sequentially (an ablation of that design choice).
 //
-// The extraction of A[If,If] and its communication plan stand in for the
+// A[If,If], its partition and its communication plan stand in for the
 // replacement nodes reloading static data from safe storage; like the
 // paper, their cost is excluded from the modeled runtime (only Compute and
-// message traffic advance the simulated clock).
+// message traffic advance the simulated clock). They are built once per
+// event — by whichever replacement rank gets here first — and shared
+// read-only (see recoverySetups); only the compact local matrix, its kernel
+// and the exchanger are per rank.
 func (run *nodeRun) innerSolve(failed []int, flo, fhi int, w []float64) {
 	sub := run.subOf(failed)
 	if sub == nil {
 		panic("core: innerSolve called on a surviving node")
 	}
-	fsize := fhi - flo
-	asub := run.cfg.A.SubRange(flo, fhi, flo, fhi)
-	offsets := make([]int, len(failed)+1)
-	for i, fr := range failed {
-		offsets[i] = run.part.Lo(fr) - flo
-	}
-	offsets[len(failed)] = fsize
-	ipart, err := dist.FromOffsets(offsets)
-	if err != nil {
-		panic(fmt.Sprintf("core: inner partition: %v", err))
-	}
-
-	maxIter := run.cfg.InnerMaxIter
-	if maxIter <= 0 {
-		maxIter = 100 * fsize
-	}
-
 	if run.cfg.GatherInnerSolve {
-		run.innerSolveGathered(sub, asub, ipart, w, maxIter)
+		run.innerSolveGathered(sub, failed, flo, fhi, w)
 		return
 	}
-
-	iplan, err := aspmv.NewPlan(asub, ipart)
-	if err != nil {
-		panic(fmt.Sprintf("core: inner plan: %v", err))
-	}
-	x, halo := innerPCG(sub, asub, iplan, ipart, run.pc, w, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange, run.cfg.Kernel)
+	sys := run.innerSystem(setupInner, failed, flo, fhi)
+	x, halo := run.innerPCG(sub, sys, run.pc, w)
 	run.ex.AddHaloBytes(halo) // the reconstruction's SpMV halo counts too
 	copy(run.x, x)
 }
 
 // innerSolveGathered gathers the inner right-hand side at sub-rank 0, solves
 // the whole lost-block system there with a sequential PCG, and scatters the
-// solution back.
-func (run *nodeRun) innerSolveGathered(sub *cluster.Node, asub *sparse.CSR, ipart *dist.Partition, w []float64, maxIter int) {
+// solution back. Sub-rank s owns the rows of failed[s].
+func (run *nodeRun) innerSolveGathered(sub *cluster.Node, failed []int, flo, fhi int, w []float64) {
 	parts := sub.Gather(0, w)
-	if sub.Rank() == 0 {
-		ball := make([]float64, asub.Rows)
-		for s, p := range parts {
-			copy(ball[ipart.Lo(s):ipart.Hi(s)], p)
-		}
-		seqPart := dist.NewBlockPartition(asub.Rows, 1)
-		seqPlan, err := aspmv.NewPlan(asub, seqPart)
-		if err != nil {
-			panic(fmt.Sprintf("core: sequential inner plan: %v", err))
-		}
-		pc, err := precond.Build(run.cfg.PrecondKind, asub, 0, asub.Rows, run.cfg.MaxBlock)
-		if err != nil {
-			panic(fmt.Sprintf("core: sequential inner preconditioner: %v", err))
-		}
-		solo := sub.Sub([]int{sub.GlobalRank()})
-		xall, _ := innerPCG(solo, asub, seqPlan, seqPart, pc, ball, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange, run.cfg.Kernel)
-		copy(run.x, xall[ipart.Lo(0):ipart.Hi(0)])
-		for s := 1; s < sub.Size(); s++ {
-			sub.Send(s, tagInnerGather, xall[ipart.Lo(s):ipart.Hi(s)])
-		}
+	if sub.Rank() != 0 {
+		copy(run.x, sub.Recv(0, tagInnerGather))
 		return
 	}
-	copy(run.x, sub.Recv(0, tagInnerGather))
+	lo := func(s int) int { return run.part.Lo(failed[s]) - flo }
+	hi := func(s int) int { return run.part.Hi(failed[s]) - flo }
+	sys := run.innerSystem(setupInnerSeq, failed, flo, fhi)
+	ball := make([]float64, fhi-flo)
+	for s, p := range parts {
+		copy(ball[lo(s):hi(s)], p)
+	}
+	pc, err := precond.Build(run.cfg.PrecondKind, sys.a, 0, sys.a.Rows, run.cfg.MaxBlock)
+	if err != nil {
+		panic(fmt.Sprintf("core: sequential inner preconditioner: %v", err))
+	}
+	solo := sub.Sub([]int{sub.GlobalRank()})
+	xall, _ := run.innerPCG(solo, sys, pc, ball)
+	copy(run.x, xall[lo(0):hi(0)])
+	for s := 1; s < sub.Size(); s++ {
+		sub.Send(s, tagInnerGather, xall[lo(s):hi(s)])
+	}
 }
 
 // innerPCG is a plain distributed PCG without resilience, used for the
 // reconstruction inner systems. nd is a (sub-)communicator handle whose
-// rank corresponds to ipart's parts; b is the local right-hand side block;
-// the returned slice is the local solution block. Convergence:
-// ‖r‖₂/‖b‖₂ < rtol (exactly, since x0 = 0). Like the outer solver, the
-// inner SpMV runs on the compact owned+ghost index space with the interior
-// product overlapping the in-flight halo (unless blocking). The second
-// return value is the halo payload this rank shipped during the solve, for
-// the caller to fold into its measured-halo counter.
-func innerPCG(nd *cluster.Node, a *sparse.CSR, plan *aspmv.Plan, ipart *dist.Partition, pc precond.Preconditioner, b []float64, rtol float64, maxIter int, blocking bool, kind sparse.KernelKind) ([]float64, int64) {
+// rank corresponds to sys.part's parts; b is the local right-hand side
+// block; the returned slice is the local solution block. Convergence:
+// ‖r‖₂/‖b‖₂ < cfg.InnerRtol (exactly, since x0 = 0). Like the outer solver,
+// the inner SpMV runs on the compact owned+ghost index space with the
+// interior product overlapping the in-flight halo (unless blocking). The
+// second return value is the halo payload this rank shipped during the
+// solve, for the caller to fold into its measured-halo counter.
+func (run *nodeRun) innerPCG(nd *cluster.Node, sys *staticSystem, pc precond.Preconditioner, b []float64) ([]float64, int64) {
+	rtol, blocking := run.cfg.InnerRtol, run.cfg.BlockingExchange
+	maxIter := run.cfg.InnerMaxIter
+	if maxIter <= 0 {
+		maxIter = 100 * sys.a.Rows
+	}
 	me := nd.Rank()
-	lo, hi := ipart.Lo(me), ipart.Hi(me)
+	lo, hi := sys.part.Lo(me), sys.part.Hi(me)
 	m := hi - lo
-	local, err := sparse.NewLocal(a, lo, hi, plan.Ghost(me))
+	local, err := sparse.NewLocal(sys.a, lo, hi, sys.plan.Ghost(me))
 	if err != nil {
 		panic(fmt.Sprintf("core: inner local matrix: %v", err))
 	}
-	kern := sparse.BuildKernel(local, kind)
-	ex := plan.NewExchanger(me)
+	kern := sparse.BuildKernel(local, run.cfg.Kernel)
+	ex := sys.plan.NewExchanger(me)
 
 	x := make([]float64, m)
 	r := append([]float64(nil), b...)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
-	"esrp/internal/dist"
 	"esrp/internal/obs"
 	"esrp/internal/precond"
 	"esrp/internal/sparse"
@@ -207,7 +205,7 @@ func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
 			nnzf += float64(len(cols))
 		}
 		run.compute(obs.KindReconstruct, 2*nnzf)
-		xIf = run.innerSolveLocal(flo, fhi, w, failedPC)
+		xIf = run.innerSolveLocal(failed, flo, fhi, w, failedPC)
 	}
 
 	// Repartition onto the survivors and continue.
@@ -302,19 +300,9 @@ func (run *nodeRun) failedRangePC(failed []int) (*precond.Composite, error) {
 
 // innerSolveLocal solves A[If,If]·x = w sequentially on this node (the
 // adopter), preconditioned with the failed nodes' own blocks.
-func (run *nodeRun) innerSolveLocal(flo, fhi int, w []float64, pc precond.Preconditioner) []float64 {
-	asub := run.cfg.A.SubRange(flo, fhi, flo, fhi)
-	seqPart := dist.NewBlockPartition(asub.Rows, 1)
-	seqPlan, err := aspmv.NewPlan(asub, seqPart)
-	if err != nil {
-		panic(fmt.Sprintf("core: no-spare inner plan: %v", err))
-	}
-	maxIter := run.cfg.InnerMaxIter
-	if maxIter <= 0 {
-		maxIter = 100 * asub.Rows
-	}
+func (run *nodeRun) innerSolveLocal(failed []int, flo, fhi int, w []float64, pc precond.Preconditioner) []float64 {
 	solo := run.nd.Sub([]int{run.nd.GlobalRank()})
-	x, _ := innerPCG(solo, asub, seqPlan, seqPart, pc, w, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange, run.cfg.Kernel)
+	x, _ := run.innerPCG(solo, run.innerSystem(setupInnerSeq, failed, flo, fhi), pc, w)
 	return x
 }
 
@@ -328,34 +316,18 @@ func (run *nodeRun) shrinkTo(sub *cluster.Node, survivors, failed []int, adopter
 	me := run.nd.Rank()
 	amAdopter := me == adopter
 
-	// New partition: survivors keep their ranges; the gap left by the
-	// failed block is absorbed by the next survivor (or the previous one
-	// when the block is at the top).
-	newPart, err := run.part.ShrinkAfterLoss(survivors)
-	if err != nil {
-		panic(fmt.Sprintf("core: no-spare partition: %v", err))
-	}
-
-	newPlan, err := aspmv.NewPlan(run.cfg.A, newPart)
-	if err != nil {
-		panic(fmt.Sprintf("core: no-spare plan: %v", err))
-	}
 	phiNew := run.phi
 	if max := len(survivors) - 1; phiNew > max {
 		phiNew = max
 	}
 	run.phi = phiNew
-	if phiNew >= 1 {
-		augment := newPlan.Augment
-		if run.cfg.NaiveAugment {
-			augment = newPlan.AugmentNaive
-		}
-		if err := augment(phiNew); err != nil {
-			panic(fmt.Sprintf("core: no-spare augment: %v", err))
-		}
-	} else {
+	if phiNew < 1 {
 		run.res = nil // single survivor: no peers to hold redundancy
 	}
+	// The shrunken partition and its plan are static data, derived once for
+	// all survivors.
+	sys := run.shrunkenSystem(survivors, flo, fhi, phiNew)
+	newPart, newPlan := sys.part, sys.plan
 
 	// Rebuild this node's local view.
 	subRank := sub.Rank()

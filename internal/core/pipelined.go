@@ -32,11 +32,13 @@ import (
 // was designed for). Its known cost is also reproduced: the deeper
 // auxiliary recurrences (s, q, z) drift further from the true residual
 // than standard PCG (compare Result.Drift).
-func SolvePipelined(cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+func SolvePipelined(in Config) (*Result, error) {
+	sh := &solveShared{}
+	var err error
+	if sh.cfg, err = in.withDefaults(); err != nil {
 		return nil, err
 	}
+	cfg := &sh.cfg
 	if cfg.Strategy != StrategyNone && cfg.Strategy != StrategyIMCR {
 		return nil, fmt.Errorf("core: pipelined PCG supports strategies none and IMCR, got %v (ESR for pipelined solvers is ref. 16's contribution)", cfg.Strategy)
 	}
@@ -50,11 +52,11 @@ func SolvePipelined(cfg Config) (*Result, error) {
 	var part *dist.Partition
 	var plan *aspmv.Plan
 	if prep := cfg.Prepared; prep != nil {
-		if err := prep.compatibleWith(&cfg); err != nil {
+		if err := prep.compatibleWith(cfg); err != nil {
 			return nil, err
 		}
 		part, plan = prep.part, prep.plan
-	} else if part, plan, err = buildPartitionPlan(&cfg); err != nil {
+	} else if part, plan, err = buildPartitionPlan(cfg); err != nil {
 		// Pipelined strategies (None/IMCR) never augment, so the shared
 		// builder yields the plain plan here.
 		return nil, err
@@ -63,7 +65,7 @@ func SolvePipelined(cfg Config) (*Result, error) {
 		ws.reset(cfg.Nodes)
 	}
 	comm := cluster.New(cfg.Nodes, model)
-	rec := newRecorder(&cfg)
+	rec := newRecorder(cfg)
 	comm.Observe(rec)
 	comm.RecordSchedule(cfg.Record) // nil = recording off
 	if cfg.HostStats != nil {
@@ -73,7 +75,7 @@ func SolvePipelined(cfg Config) (*Result, error) {
 	nodeMem := make([]int64, cfg.Nodes)
 	nodeHalo := make([]int64, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
-		run, err := newPipeRun(&cfg, nd, part, plan)
+		run, err := newPipeRun(sh, nd, part, plan)
 		if err != nil {
 			panic(err)
 		}
@@ -116,8 +118,9 @@ type pipeCkpt struct {
 	held    map[int][]float64
 }
 
-func newPipeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan) (*pipeRun, error) {
-	base, err := newNodeRun(cfg, nd, part, plan)
+func newPipeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan) (*pipeRun, error) {
+	cfg := &sh.cfg
+	base, err := newNodeRun(sh, nd, part, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -67,15 +67,20 @@ func buildPartitionPlan(cfg *Config) (*dist.Partition, *aspmv.Plan, error) {
 		return nil, nil, err
 	}
 	if phi := preparedPhi(cfg); phi > 0 {
-		augment := plan.Augment
-		if cfg.NaiveAugment {
-			augment = plan.AugmentNaive
-		}
-		if err := augment(phi); err != nil {
+		if err := augmentPlan(cfg, plan, phi); err != nil {
 			return nil, nil, err
 		}
 	}
 	return part, plan, nil
+}
+
+// augmentPlan adds φ-fold redundancy to plan by the configured scheme: the
+// paper's multiplicity-counted copies, or the naive ablation.
+func augmentPlan(cfg *Config, plan *aspmv.Plan, phi int) error {
+	if cfg.NaiveAugment {
+		return plan.AugmentNaive(phi)
+	}
+	return plan.Augment(phi)
 }
 
 // Prepare builds the shared solve context for cfg (defaults applied): the

@@ -16,10 +16,16 @@ import (
 // Solve runs the configured PCG solve on a simulated cluster and returns the
 // aggregated result. It is deterministic for a fixed configuration.
 func Solve(cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	return new(solveShared).solve(cfg)
+}
+
+// solve is Solve on this shared state, which must be fresh.
+func (sh *solveShared) solve(in Config) (*Result, error) {
+	var err error
+	if sh.cfg, err = in.withDefaults(); err != nil {
 		return nil, err
 	}
+	cfg := &sh.cfg
 	model := cluster.DefaultCostModel()
 	if cfg.CostModel != nil {
 		model = *cfg.CostModel
@@ -27,18 +33,18 @@ func Solve(cfg Config) (*Result, error) {
 	var part *dist.Partition
 	var plan *aspmv.Plan
 	if prep := cfg.Prepared; prep != nil {
-		if err := prep.compatibleWith(&cfg); err != nil {
+		if err := prep.compatibleWith(cfg); err != nil {
 			return nil, err
 		}
 		part, plan = prep.part, prep.plan
-	} else if part, plan, err = buildPartitionPlan(&cfg); err != nil {
+	} else if part, plan, err = buildPartitionPlan(cfg); err != nil {
 		return nil, err
 	}
 	if ws := cfg.Workspace; ws != nil {
 		ws.reset(cfg.Nodes)
 	}
 	comm := cluster.New(cfg.Nodes, model)
-	rec := newRecorder(&cfg)
+	rec := newRecorder(cfg)
 	comm.Observe(rec)
 	comm.RecordSchedule(cfg.Record) // nil = recording off
 	if cfg.HostStats != nil {
@@ -52,7 +58,7 @@ func Solve(cfg Config) (*Result, error) {
 	nodeHalo := make([]int64, cfg.Nodes)
 	nodeKern := make([]string, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
-		run, err := newNodeRun(&cfg, nd, part, plan)
+		run, err := newNodeRun(sh, nd, part, plan)
 		if err != nil {
 			panic(err)
 		}
@@ -176,6 +182,9 @@ type nodeRun struct {
 	sparesLeft int             // replacement nodes remaining (-1 = unlimited)
 	phi        int             // effective redundancy of the current cluster
 	eventLog   []RecoveryEvent // handled events, in order
+	// setups is the solve-wide table that builds each recovery's static
+	// data once per event for all participating ranks.
+	setups *recoverySetups
 
 	recoveryTime float64
 	recoveredAt  int
@@ -221,7 +230,8 @@ func growI(buf []int, n int) []int {
 	return buf
 }
 
-func newNodeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan) (*nodeRun, error) {
+func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan) (*nodeRun, error) {
+	cfg := &sh.cfg
 	s := nd.Rank()
 	lo, hi := part.Lo(s), part.Hi(s)
 	var pc precond.Preconditioner
@@ -257,7 +267,7 @@ func newNodeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv
 		alloc, allocZero = na.grab, na.grabZero
 	}
 	run := &nodeRun{
-		cfg: cfg, nd: nd, part: part, plan: plan, pc: pc, tr: nd.Trace(),
+		cfg: cfg, setups: &sh.setups, nd: nd, part: part, plan: plan, pc: pc, tr: nd.Trace(),
 		lo: lo, hi: hi, m: hi - lo, nnzLocal: float64(local.NNZ()),
 		local: local, kern: kern, ex: plan.NewExchanger(s), alloc: alloc, allocZero: allocZero,
 		x: allocZero(hi - lo), r: alloc(hi - lo),

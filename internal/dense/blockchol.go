@@ -183,12 +183,14 @@ func (bc *BlockCholesky) SolvePair(b0, b1 int, v0, v1 []float64) {
 
 // MulVec computes dst = A_b x = L·(Lᵀ x), reconstituting the block operator
 // from the packed factor (the reconstruction path's SolveRestricted).
-// dst must not alias x.
+// dst must not alias x. It allocates nothing: t = Lᵀ x is stored in dst and
+// L is applied in place, last row first — row i reads t[0..i], which rows
+// below it have not touched, with its operands in ascending order.
 func (bc *BlockCholesky) MulVec(b int, dst, x []float64) {
 	n := bc.dims[b]
 	ut := bc.ut[bc.ptr[b]:bc.ptr[b+1]]
 	// t = Lᵀ x: ut row i is L[i..n)[i], the column-i dot against x[i..n).
-	t := make([]float64, n)
+	t := dst[:n]
 	up := 0
 	for i := 0; i < n; i++ {
 		var s float64
@@ -200,16 +202,15 @@ func (bc *BlockCholesky) MulVec(b int, dst, x []float64) {
 		t[i] = s
 		up += n - i
 	}
-	// dst = L t.
+	// dst = L t. Row i of the packed triangle starts at i(i+1)/2.
 	l := bc.l[bc.ptr[b]:bc.ptr[b+1]]
-	rp := 0
-	for i := 0; i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
+		rp := i * (i + 1) / 2
 		var s float64
 		row := l[rp : rp+i+1]
 		for k, v := range row {
 			s += v * t[k]
 		}
 		dst[i] = s
-		rp += i + 1
 	}
 }

@@ -124,3 +124,73 @@ func TestBlockCholeskyRejectsIndefinite(t *testing.T) {
 	v := []float64{1, 2, 3, 4}
 	bc.Solve(0, v) // must not panic on the surviving block
 }
+
+// mulVecWithTemp is MulVec as it was before it went in place: t = Lᵀ x in
+// a temporary, then dst = L t top row first. Kept as the bitwise reference.
+func mulVecWithTemp(bc *BlockCholesky, b int, dst, x []float64) {
+	n := bc.dims[b]
+	ut := bc.ut[bc.ptr[b]:bc.ptr[b+1]]
+	t := make([]float64, n)
+	up := 0
+	for i := 0; i < n; i++ {
+		var s float64
+		row := ut[up : up+n-i]
+		xs := x[i:n]
+		for k, u := range row {
+			s += u * xs[k]
+		}
+		t[i] = s
+		up += n - i
+	}
+	l := bc.l[bc.ptr[b]:bc.ptr[b+1]]
+	rp := 0
+	for i := 0; i < n; i++ {
+		var s float64
+		row := l[rp : rp+i+1]
+		for k, v := range row {
+			s += v * t[k]
+		}
+		dst[i] = s
+		rp += i + 1
+	}
+}
+
+// TestBlockCholeskyMulVecInPlace: the temporary-free MulVec equals the
+// two-buffer reference bit for bit on random SPD blocks of sizes 1–40 and
+// allocates nothing.
+func TestBlockCholeskyMulVecInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var bc BlockCholesky
+	for n := 1; n <= 40; n++ {
+		if err := bc.Append(randomSPD(n, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := make([]float64, 40)
+	got := make([]float64, 40)
+	want := make([]float64, 40)
+	for b := 0; b < bc.NumBlocks(); b++ {
+		n := bc.Dim(b)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		for i := range got {
+			got[i] = math.NaN() // dst's old contents must not matter
+		}
+		bc.MulVec(b, got[:n], x[:n])
+		mulVecWithTemp(&bc, b, want[:n], x[:n])
+		for i := 0; i < n; i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("block of size %d, entry %d: %x, reference %x", n, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		for b := 0; b < bc.NumBlocks(); b++ {
+			bc.MulVec(b, got[:bc.Dim(b)], x[:bc.Dim(b)])
+		}
+	}); a != 0 {
+		t.Fatalf("MulVec allocates %v times per sweep, want 0", a)
+	}
+}

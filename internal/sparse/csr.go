@@ -1,7 +1,8 @@
 // Package sparse implements compressed sparse row (CSR) matrices and the
 // structural operations the ESR/ESRP algorithms need: sequential SpMV,
-// submatrix extraction by index range (A[If,If], A[If,I\If]), symmetry
-// checks, bandwidth statistics, and Matrix Market I/O.
+// extraction of a contiguous window (A[If,If], copied straight from the
+// sorted source rows), the compact per-rank Local view and its planned SpMV
+// kernels, symmetry checks, bandwidth statistics, and Matrix Market I/O.
 package sparse
 
 import (
@@ -105,36 +106,38 @@ func (a *CSR) Bandwidth() int {
 	return bw
 }
 
-// SubRange extracts the dense submatrix A[r0:r1, c0:c1) as a CSR with local
+// SubRange extracts the submatrix A[r0:r1, c0:c1) as a CSR with local
 // (shifted) indices. Used for A[If,If] when the failed index set If is a
 // contiguous range, which it always is for contiguous-rank failures under a
 // block row distribution.
+//
+// Source rows are sorted and duplicate-free (Validate's invariant), so each
+// row's window is one contiguous run, found by binary search and copied in
+// source order: two passes (count, fill), three allocations, O(rows·log
+// row-length + entries kept).
 func (a *CSR) SubRange(r0, r1, c0, c1 int) *CSR {
-	nb := NewBuilder(r1-r0, c1-c0)
+	rowPtr := make([]int, r1-r0+1)
+	for i := r0; i < r1; i++ {
+		cols, _ := a.Row(i)
+		lo := sort.SearchInts(cols, c0)
+		rowPtr[i-r0+1] = rowPtr[i-r0] + sort.SearchInts(cols[lo:], c1)
+	}
+	colIdx := make([]int, rowPtr[r1-r0])
+	val := make([]float64, rowPtr[r1-r0])
 	for i := r0; i < r1; i++ {
 		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if j >= c0 && j < c1 {
-				nb.Add(i-r0, j-c0, vals[k])
-			}
+		lo := sort.SearchInts(cols, c0)
+		dst := rowPtr[i-r0]
+		n := rowPtr[i-r0+1] - dst
+		// 0 + v: a stored -0.0 comes out as +0.0, as it does from
+		// Builder.Build (whose sums start at +0), so extraction and
+		// assembly agree bit for bit.
+		for k, j := range cols[lo : lo+n] {
+			colIdx[dst+k] = j - c0
+			val[dst+k] = 0 + vals[lo+k]
 		}
 	}
-	return nb.Build()
-}
-
-// SubRowsOutsideCols extracts rows [r0,r1) with only the columns *outside*
-// [c0,c1), keeping global column indices. This is A[If, I\If] from Alg. 2.
-func (a *CSR) SubRowsOutsideCols(r0, r1, c0, c1 int) *CSR {
-	nb := NewBuilder(r1-r0, a.Cols)
-	for i := r0; i < r1; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if j < c0 || j >= c1 {
-				nb.Add(i-r0, j, vals[k])
-			}
-		}
-	}
-	return nb.Build()
+	return &CSR{Rows: r1 - r0, Cols: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
 // Dense materializes the matrix as row-major dense storage (testing helper;

@@ -152,26 +152,6 @@ func TestSubRange(t *testing.T) {
 	}
 }
 
-func TestSubRowsOutsideCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomCSR(rng, 10, 10, 0.5)
-	s := a.SubRowsOutsideCols(2, 5, 2, 5)
-	if s.Rows != 3 || s.Cols != 10 {
-		t.Fatalf("dims %dx%d, want 3x10", s.Rows, s.Cols)
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 10; j++ {
-			want := a.At(i+2, j)
-			if j >= 2 && j < 5 {
-				want = 0
-			}
-			if s.At(i, j) != want {
-				t.Fatalf("(%d,%d) = %g, want %g", i, j, s.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestColRangeOfRow(t *testing.T) {
 	a := buildSmall(t)
 	lo, hi := a.ColRangeOfRow(1)
