@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"sync"
+
 	"esrp/internal/ccache"
 	"esrp/internal/cluster"
 	"esrp/internal/core"
@@ -29,17 +31,16 @@ const (
 // that skip, not the solve skip, is most of the warm-path win on wide
 // grids. The probe validates every entry's frame (length + checksum) and
 // decodes the small result entries, but hands schedules over still encoded:
-// the probe is serial, so the decode runs on the worker that re-costs the
-// schedule. A corrupt entry is classified as a miss and recomputed, never
-// trusted — at probe time, or for a framed-but-undecodable schedule when
-// fillFromCache demotes the cell.
+// the decode runs on the worker that re-costs the schedule, which is also
+// the one that then owns it. A corrupt entry is classified as a miss and
+// recomputed, never trusted — at probe time, or for a framed-but-undecodable
+// schedule when fillFromCache demotes the cell.
 type cacheRun struct {
-	model    cluster.CostModel // the run's effective recording model
-	keys     []ccache.Key
-	state    []cellCacheState
-	entries  []*ccache.ResultEntry
-	scheds   [][]byte // frame-validated schedule payloads, decoded by the consuming worker
-	compiled []bool   // probe already filled c.Events/c.Clamped
+	model   cluster.CostModel // the run's effective recording model
+	keys    []ccache.Key
+	state   []cellCacheState
+	entries []*ccache.ResultEntry
+	scheds  [][]byte // frame-validated schedule payloads, decoded by the consuming worker
 }
 
 // cellInputOf assembles the content address of one cell. The values
@@ -47,9 +48,9 @@ type cacheRun struct {
 // Spares is zeroed for strategies that never draw from the pool, and the
 // default preconditioner is normalized to core's effective choice so
 // spelled-out and defaulted grids share entries.
-func (g *Grid) cellInputOf(c *Cell, strat core.Strategy, mdigest [32]byte) ccache.CellInput {
+func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 	spares := 0
-	if strat == core.StrategyESR || strat == core.StrategyESRP {
+	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		spares = g.Spares
 	}
 	pk := g.Precond
@@ -59,7 +60,7 @@ func (g *Grid) cellInputOf(c *Cell, strat core.Strategy, mdigest [32]byte) ccach
 	return ccache.CellInput{
 		Matrix:   mdigest,
 		Nodes:    c.Nodes,
-		Strategy: strat,
+		Strategy: c.strat,
 		T:        c.T,
 		Phi:      c.Phi,
 		Seed:     c.Seed,
@@ -73,11 +74,14 @@ func (g *Grid) cellInputOf(c *Cell, strat core.Strategy, mdigest [32]byte) ccach
 	}
 }
 
-// probeCache compiles every cell's scenario, computes its content
-// address, and classifies it against the cache (nil when the grid has no
-// cache). Cells whose strategy fails to parse or whose scenario fails to
-// compile stay misses; runCell surfaces their errors exactly as on the
-// cold path.
+// probeCache computes every cell's content address and classifies it
+// against the cache (nil when the grid has no cache). It runs on the
+// worker pool: one atomic cursor hands out the per-matrix digests first and
+// then the grid indices, and a cell's task writes nothing but its own slots
+// of keys/state/entries/scheds — so what the probe finds, and every byte
+// and counter derived from it, is independent of Workers. Cells whose
+// scenario failed to compile stay misses; they carry their error already
+// and never run.
 func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRun {
 	if g.Cache == nil {
 		return nil
@@ -87,62 +91,54 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 		model = *g.CostModel
 	}
 	cr := &cacheRun{
-		model:    model,
-		keys:     make([]ccache.Key, len(cells)),
-		state:    make([]cellCacheState, len(cells)),
-		entries:  make([]*ccache.ResultEntry, len(cells)),
-		scheds:   make([][]byte, len(cells)),
-		compiled: make([]bool, len(cells)),
+		model:   model,
+		keys:    make([]ccache.Key, len(cells)),
+		state:   make([]cellCacheState, len(cells)),
+		entries: make([]*ccache.ResultEntry, len(cells)),
+		scheds:  make([][]byte, len(cells)),
 	}
-	digests := make(map[string][32]byte, len(matrices))
+	// A digest is computed by whichever task asks first — normally its own
+	// leading task, so distinct matrices hash side by side — and cell tasks
+	// that get there early wait for it.
+	digests := make(map[string]func() [32]byte, len(matrices))
 	for name, m := range matrices {
-		digests[name] = ccache.MatrixDigest(m.A, m.B)
+		digests[name] = sync.OnceValue(func() [32]byte { return ccache.MatrixDigest(m.A, m.B) })
 	}
-	for i := range cells {
-		c := &cells[i]
-		strat, err := core.ParseStrategy(c.Strategy)
-		if err != nil {
-			continue
+	nm := len(g.Matrices)
+	eachIndex(g.Workers, nm+len(cells), func(t int) {
+		if t < nm {
+			digests[g.Matrices[t].Name]()
+		} else if c := &cells[t-nm]; c.Err == "" {
+			g.probeCell(t-nm, c, digests[c.Matrix](), cr)
 		}
-		if err := g.compileCell(c, strat); err != nil {
-			continue
-		}
-		cr.compiled[i] = true
-		in := g.cellInputOf(c, strat, digests[c.Matrix])
-		cr.keys[i] = in.Key()
-		entry, ok := g.Cache.GetResult(cr.keys[i])
-		if !ok {
-			continue
-		}
-		// An exact-model entry answers the cell from the result tier
-		// alone; a machine sweep or a model change additionally needs the
-		// recorded schedule. If the schedule tier can't deliver one, the
-		// whole cell re-solves so both tiers get rewritten consistently.
-		needSchedule := len(g.Machines) > 0 || entry.Model != model
-		if !needSchedule {
-			cr.state[i] = cellResultHit
-			cr.entries[i] = entry
-			continue
-		}
-		sched, ok := g.Cache.GetSchedulePayload(cr.keys[i])
-		if !ok {
-			continue
-		}
-		cr.entries[i] = entry
-		cr.scheds[i] = sched
-		if entry.Model == model {
-			cr.state[i] = cellResultHit
-		} else {
-			cr.state[i] = cellScheduleHit
-		}
-	}
+	})
 	return cr
 }
 
-// needsPrep reports whether cell i still needs a Prepared context: every
-// cell on a cache-less run, only the misses on a cache-backed one.
-func (cr *cacheRun) needsPrep(i int) bool {
-	return cr == nil || cr.state[i] == cellMiss
+// probeCell classifies cell i against the cache, writing only slot i of cr.
+func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
+	cr.keys[i] = g.cellInputOf(c, mdigest).Key()
+	entry, ok := g.Cache.GetResult(cr.keys[i])
+	if !ok {
+		return
+	}
+	// An exact-model entry answers the cell from the result tier alone; a
+	// machine sweep or a model change additionally needs the recorded
+	// schedule. If the schedule tier can't deliver one, the whole cell
+	// re-solves so both tiers get rewritten consistently.
+	if len(g.Machines) > 0 || entry.Model != cr.model {
+		sched, ok := g.Cache.GetSchedulePayload(cr.keys[i])
+		if !ok {
+			return
+		}
+		cr.scheds[i] = sched
+	}
+	cr.entries[i] = entry
+	if entry.Model == cr.model {
+		cr.state[i] = cellResultHit
+	} else {
+		cr.state[i] = cellScheduleHit
+	}
 }
 
 // fillFromCache completes one probe-classified hit: report fields from

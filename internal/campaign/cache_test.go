@@ -375,3 +375,66 @@ func TestCacheLateScheduleFailureDemotesToMiss(t *testing.T) {
 		t.Fatalf("cache did not heal: counters %+v", ctr2)
 	}
 }
+
+// The probe runs on the worker pool, and what it finds does not depend on
+// how many workers there are: over a cache with one truncated and one
+// bit-flipped result entry, one garbled and one missing schedule, a machine
+// sweep reproduces the cold report byte for byte at every worker count, with
+// the hit, miss, corruption and I/O counts of the one-worker run. (CI runs
+// this under -race, at GOMAXPROCS 2 as well.)
+func TestCacheProbeWorkerIndependent(t *testing.T) {
+	machines := []MachinePoint{{Name: "base", Model: cluster.DefaultCostModel()}}
+	damaged := t.TempDir()
+	cold := tinyGrid()
+	cold.Machines = machines
+	cold.Cache = openCache(t, damaged)
+	coldJSON := runJSON(t, cold)
+
+	entries := func(tier string) []string {
+		files, err := filepath.Glob(filepath.Join(damaged, tier, "*", "*"))
+		if err != nil || len(files) < 4 {
+			t.Fatalf("%s tier: %d entries (err %v), need 4", tier, len(files), err)
+		}
+		return files // sorted, and both tiers name entries by key: index i is one cell
+	}
+	rewrite := func(path string, damage func([]byte) []byte) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, damage(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, sch := entries("res"), entries("sch")
+	rewrite(res[0], func(d []byte) []byte { return d[:len(d)/2] })
+	rewrite(res[1], func(d []byte) []byte { d[len(d)-2] ^= 0x10; return d })
+	rewrite(sch[2], func(d []byte) []byte { copy(d[len(d)/2:], "GARBAGE!"); return d })
+	if err := os.Remove(sch[3]); err != nil {
+		t.Fatal(err)
+	}
+
+	var first *hostobs.CacheCounters
+	for _, workers := range []int{1, 2, 8} {
+		dir := t.TempDir() // every run heals its cache, so each gets its own copy of the damage
+		if err := os.CopyFS(dir, os.DirFS(damaged)); err != nil {
+			t.Fatal(err)
+		}
+		g := tinyGrid()
+		g.Machines = machines
+		g.Workers = workers
+		g.Cache = openCache(t, dir)
+		warmJSON, ctr := cacheCounters(t, g)
+		if !bytes.Equal(warmJSON, coldJSON) {
+			t.Fatalf("workers=%d: report over the damaged cache differs from the cold run", workers)
+		}
+		if ctr.Misses != 4 || ctr.Corrupt != 3 || ctr.ResultHits != int64(len(res))-4 {
+			t.Fatalf("workers=%d: counters %+v, want 4 misses (3 of them corrupt entries) and %d result hits", workers, ctr, len(res)-4)
+		}
+		if first == nil {
+			first = ctr
+		} else if *ctr != *first {
+			t.Fatalf("workers=%d: counters %+v, one worker counted %+v", workers, ctr, first)
+		}
+	}
+}

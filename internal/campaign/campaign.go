@@ -13,13 +13,15 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -162,6 +164,8 @@ type Cell struct {
 	Recoveries   []core.RecoveryEvent `json:"recoveries,omitempty"`
 
 	Err string `json:"error,omitempty"` // non-empty: the cell failed to run
+
+	strat core.Strategy // the enumerated strategy Strategy names
 }
 
 // Aggregate condenses one (matrix, nodes, strategy, T, φ) group over its
@@ -332,23 +336,28 @@ func Run(g Grid) (*Report, error) {
 
 	// Enumerate the cross-product in deterministic order. A requested
 	// strategy with no admissible interval is a configuration error, not a
-	// silent omission from the export.
+	// silent omission from the export. Each cell takes its φ-clamped view of
+	// its (nodes, seed) failure draw as it is enumerated.
 	for _, strat := range g.Strategies {
 		if len(g.tsFor(strat)) == 0 {
 			return nil, fmt.Errorf("campaign: strategy %v has no admissible checkpoint interval in %v (ESRP needs T > 2, IMCR T > 1)", strat, g.Ts)
 		}
 	}
+	draws := g.compileDraws()
 	var cells []Cell
 	for _, m := range g.Matrices {
-		for _, n := range g.Nodes {
+		for ni, n := range g.Nodes {
 			for _, strat := range g.Strategies {
 				for _, t := range g.tsFor(strat) {
 					for _, phi := range g.phisFor(strat) {
-						for _, seed := range g.Seeds {
-							cells = append(cells, Cell{
+						for si, seed := range g.Seeds {
+							c := Cell{
 								Matrix: m.Name, Nodes: n,
 								Strategy: strat.String(), T: t, Phi: phi, Seed: seed,
-							})
+								strat: strat,
+							}
+							draws[ni*len(g.Seeds)+si].fill(&c)
+							cells = append(cells, c)
 						}
 					}
 				}
@@ -367,20 +376,14 @@ func Run(g Grid) (*Report, error) {
 	// Host telemetry (inert when HostObs is nil): one barrier-stats sink
 	// sized for the largest cluster of the grid serves every cell, and the
 	// runtime sampler brackets the prepare and solve phases.
-	maxNodes := 0
-	for _, n := range g.Nodes {
-		if n > maxNodes {
-			maxNodes = n
-		}
-	}
-	g.HostObs.Begin(g.Workers, len(cells), maxNodes)
+	g.HostObs.Begin(g.Workers, len(cells), slices.Max(g.Nodes))
 	g.HostObs.SamplePhase("start")
 
 	// Probe the persistent cache first (nil cacheRun when Grid.Cache is
-	// nil): every cell's scenario compiles, its content address resolves,
-	// and hits load their entries — so the prepare phase below can skip
-	// factorizing contexts no miss needs, which on a fully-warm sweep
-	// eliminates setup along with the solves.
+	// nil): every cell's content address resolves and hits load their
+	// entries — so the prepare phase below can skip factorizing contexts no
+	// miss needs, which on a fully-warm sweep eliminates setup along with
+	// the solves.
 	cr := g.probeCache(cells, matrices)
 	if cr != nil {
 		g.HostObs.SamplePhase("cache-probed")
@@ -392,7 +395,9 @@ func Run(g Grid) (*Report, error) {
 	// same read-only context, so the per-cell setup collapses to a map
 	// lookup. A context that fails to prepare stays nil and the cell falls
 	// back to the old per-cell path (surfacing the same error).
-	preps := g.prepareContexts(cells, matrices, cr.needsPrep)
+	preps := g.prepareContexts(cells, matrices, func(i int) bool {
+		return cells[i].Err == "" && (cr == nil || cr.state[i] == cellMiss)
+	})
 	g.HostObs.SamplePhase("prepared")
 
 	// Executor half: drain the affinity-sharded schedule (see schedule.go)
@@ -424,39 +429,33 @@ func Run(g Grid) (*Report, error) {
 		}
 		g.HostObs.ShardLayout(layout)
 	}
-	var wg sync.WaitGroup
 	var done atomic.Int64
 	total := len(cells)
-	for w := 0; w < g.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := core.NewWorkspace()
-			wl := g.HostObs.Worker(w) // nil handle when telemetry is off
-			var lastKey prepKey
-			haveKey := false
-			for {
-				i, ok := sched.next(w)
-				if !ok {
-					return
-				}
-				c := &cells[i]
-				key := prepKeyOf(c)
-				t0 := wl.Clock()
-				var mcs []MachineCell
-				if nm := len(g.Machines); nm > 0 {
-					mcs = machineCells[i*nm : (i+1)*nm]
-				}
-				g.runCell(i, c, matrices[c.Matrix], preps[key], ws, mcs, cr)
-				wl.Cell(t0, i, haveKey && key == lastKey)
-				lastKey, haveKey = key, true
-				if g.Progress != nil {
-					g.Progress(int(done.Add(1)), total)
-				}
+	onWorkers(g.Workers, func(w int) {
+		ws := core.NewWorkspace()
+		wl := g.HostObs.Worker(w) // nil handle when telemetry is off
+		var lastKey prepKey
+		haveKey := false
+		for {
+			i, ok := sched.next(w)
+			if !ok {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			c := &cells[i]
+			key := prepKeyOf(c)
+			t0 := wl.Clock()
+			var mcs []MachineCell
+			if nm := len(g.Machines); nm > 0 {
+				mcs = machineCells[i*nm : (i+1)*nm]
+			}
+			g.runCell(i, c, matrices[c.Matrix], preps[key], ws, mcs, cr)
+			wl.Cell(t0, i, haveKey && key == lastKey)
+			lastKey, haveKey = key, true
+			if g.Progress != nil {
+				g.Progress(int(done.Add(1)), total)
+			}
+		}
+	})
 	g.HostObs.SamplePhase("done")
 	if g.Cache != nil {
 		io := g.Cache.Stats()
@@ -485,14 +484,38 @@ type prepKey struct {
 
 func prepKeyOf(c *Cell) prepKey {
 	phi := 0
-	if strat, err := core.ParseStrategy(c.Strategy); err == nil &&
-		(strat == core.StrategyESR || strat == core.StrategyESRP) {
+	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		phi = c.Phi
 		if phi <= 0 {
 			phi = 1 // mirror core's withDefaults: redundant strategies get φ ≥ 1
 		}
 	}
 	return prepKey{Matrix: c.Matrix, Nodes: c.Nodes, Phi: phi}
+}
+
+// onWorkers runs body(w) for w in [0, n) on n goroutines and waits for all
+// of them.
+func onWorkers(n int, body func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// eachIndex calls do(i) once for every i in [0, n) on up to workers
+// goroutines, which claim indices in order from one cursor, and waits.
+func eachIndex(workers, n int, do func(i int)) {
+	var next atomic.Int64
+	onWorkers(min(workers, n), func(int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			do(i)
+		}
+	})
 }
 
 // prepareContexts builds the distinct Prepared contexts of the grid, keyed
@@ -504,7 +527,7 @@ func prepKeyOf(c *Cell) prepKey {
 // prep group skips factorization along with its solves.
 func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need func(i int) bool) map[prepKey]*core.Prepared {
 	preps := make(map[prepKey]*core.Prepared)
-	var order []prepKey
+	var first []*Cell // per distinct key, the first cell that needs it
 	for i := range cells {
 		if !need(i) {
 			continue
@@ -512,106 +535,95 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 		key := prepKeyOf(&cells[i])
 		if _, ok := preps[key]; !ok {
 			preps[key] = nil
-			order = append(order, key)
-		}
-	}
-	firstCell := make(map[prepKey]*Cell, len(order))
-	for i := range cells {
-		if !need(i) {
-			continue
-		}
-		key := prepKeyOf(&cells[i])
-		if firstCell[key] == nil {
-			firstCell[key] = &cells[i]
+			first = append(first, &cells[i])
 		}
 	}
 
-	var mu sync.Mutex
-	jobs := make(chan prepKey)
-	var wg sync.WaitGroup
-	for w := 0; w < min(g.Workers, len(order)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for key := range jobs {
-				c := firstCell[key]
-				strat, err := core.ParseStrategy(c.Strategy)
-				if err != nil {
-					continue // the cell's own solve reports the error
-				}
-				m := matrices[c.Matrix]
-				prep, err := core.Prepare(core.Config{
-					A: m.A, B: m.B, Nodes: c.Nodes,
-					Strategy: strat, T: c.T, Phi: c.Phi,
-					Rtol: g.Rtol, MaxIter: g.MaxIter,
-					PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
-					Kernel: g.Kernel,
-				})
-				if err != nil {
-					prep = nil // cells fall back to per-cell setup and surface the error
-				}
-				mu.Lock()
-				preps[key] = prep
-				mu.Unlock()
-			}
-		}()
+	built := make([]*core.Prepared, len(first))
+	eachIndex(g.Workers, len(first), func(k int) {
+		c := first[k]
+		m := matrices[c.Matrix]
+		prep, err := core.Prepare(core.Config{
+			A: m.A, B: m.B, Nodes: c.Nodes,
+			Strategy: c.strat, T: c.T, Phi: c.Phi,
+			Rtol: g.Rtol, MaxIter: g.MaxIter,
+			PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
+			Kernel: g.Kernel,
+		})
+		if err == nil {
+			built[k] = prep // else nil: cells fall back to per-cell setup and surface the error
+		}
+	})
+	for k, c := range first {
+		preps[prepKeyOf(c)] = built[k]
 	}
-	for _, key := range order {
-		jobs <- key
-	}
-	close(jobs)
-	wg.Wait()
 	return preps
 }
 
-// compileCell compiles the cell's failure scenario and applies the φ-clamp,
-// filling c.Events and c.Clamped. Redundancy covers at most φ simultaneous
-// failures; events wider than the cell's φ are clamped to their first φ
-// ranks (still a contiguous block) so every cell of the grid is admissible.
-// The clamp count is recorded — a grid with many clamps should raise φ or
-// shrink the correlation groups.
-func (g *Grid) compileCell(c *Cell, strat core.Strategy) error {
-	var events []core.FailureSpec
-	if g.Scenario.Model != faultsim.ModelFixed || len(g.Scenario.Schedule) > 0 {
-		sc := g.Scenario
-		sc.Nodes = c.Nodes
-		sc.Seed = c.Seed
-		var err error
-		events, err = sc.Compile()
-		if err != nil {
-			return err
-		}
+// draw is the failure timeline of one (nodes, seed) pair — the scenario
+// compiled once — or the error compiling it. Every cell at that pair reads
+// the same draw, whatever its matrix, strategy, T and φ.
+type draw struct {
+	events []core.FailureSpec
+	err    string
+}
+
+// compileDraws compiles the grid's failure scenario once per (nodes, seed);
+// the draw of g.Nodes[ni], g.Seeds[si] is at [ni*len(g.Seeds)+si].
+func (g Grid) compileDraws() []draw {
+	draws := make([]draw, len(g.Nodes)*len(g.Seeds))
+	if g.Scenario.Model == faultsim.ModelFixed && len(g.Scenario.Schedule) == 0 {
+		return draws // failure-free
 	}
-	if strat != core.StrategyNone && c.Phi > 0 {
-		for i := range events {
-			if len(events[i].Ranks) > c.Phi {
-				events[i].Ranks = events[i].Ranks[:c.Phi]
-				c.Clamped++
+	for ni, n := range g.Nodes {
+		for si, seed := range g.Seeds {
+			sc := g.Scenario
+			sc.Nodes, sc.Seed = n, seed
+			d := &draws[ni*len(g.Seeds)+si]
+			var err error
+			if d.events, err = sc.Compile(); err != nil {
+				d.err = err.Error()
 			}
 		}
 	}
-	c.Events = events
-	return nil
+	return draws
 }
 
-// runCell compiles the cell's scenario, solves it, and condenses the result
-// in place. index is the cell's position in the grid order (the trace
-// sampling key). mcs, when non-nil, is this cell's machine-sweep result
-// window (one entry per Grid.Machines point): the solve is recorded once and
-// each point's figures come from an O(events) replay of the schedule. cr,
-// when non-nil, is the cache context: hits fill the cell without solving,
-// misses solve with recording on and persist both tiers.
-func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
-	strat, err := core.ParseStrategy(c.Strategy)
-	if err != nil {
-		c.Err = err.Error()
+// fill gives c its view of the draw, setting c.Events and c.Clamped (or
+// c.Err, if the scenario does not compile for the cell's node count).
+// Redundancy covers at most φ simultaneous failures; events wider than the
+// cell's φ are clamped to their first φ ranks (still a contiguous block) so
+// every cell of the grid is admissible. The clamp count is recorded — a grid
+// with many clamps should raise φ or shrink the correlation groups. Cells no
+// clamp narrows share the draw's slice, which nothing writes after this; a
+// clamped cell narrows a private copy.
+func (d *draw) fill(c *Cell) {
+	c.Err, c.Events = d.err, d.events
+	if c.strat == core.StrategyNone || c.Phi <= 0 {
 		return
 	}
-	if cr == nil || !cr.compiled[index] {
-		if err := g.compileCell(c, strat); err != nil {
-			c.Err = err.Error()
-			return
+	for i := range d.events {
+		if len(d.events[i].Ranks) > c.Phi {
+			if c.Clamped == 0 {
+				c.Events = slices.Clone(d.events)
+			}
+			c.Events[i].Ranks = c.Events[i].Ranks[:c.Phi:c.Phi]
+			c.Clamped++
 		}
+	}
+}
+
+// runCell solves the cell and condenses the result in place; a cell whose
+// scenario did not compile already carries its error and is left alone.
+// index is the cell's position in the grid order (the trace sampling key).
+// mcs, when non-nil, is this cell's machine-sweep result window (one entry
+// per Grid.Machines point): the solve is recorded once and each point's
+// figures come from an O(events) replay of the schedule. cr, when non-nil,
+// is the cache context: hits fill the cell without solving, misses solve
+// with recording on and persist both tiers.
+func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
+	if c.Err != "" {
+		return
 	}
 	if cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr) {
 		return
@@ -622,7 +634,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 
 	cfg := core.Config{
 		A: m.A, B: m.B, Nodes: c.Nodes,
-		Strategy: strat, T: c.T, Phi: c.Phi,
+		Strategy: c.strat, T: c.T, Phi: c.Phi,
 		Rtol: g.Rtol, MaxIter: g.MaxIter,
 		PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
 		Kernel:    g.Kernel,
@@ -632,7 +644,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 		Workspace: ws,
 		HostStats: g.HostObs.BarrierStats(), // nil when telemetry is off
 	}
-	if strat == core.StrategyESR || strat == core.StrategyESRP {
+	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		cfg.Spares = g.Spares
 	}
 	traced := g.TraceSample > 0 && index%g.TraceSample == 0 && g.OnCellTrace != nil
@@ -643,7 +655,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	// will persist it: the schedule tier is what lets future runs serve
 	// any machine point without a solve.
 	var srec *replay.Recorder
-	if len(mcs) > 0 || (cr != nil && cr.compiled[index]) {
+	if len(mcs) > 0 || cr != nil {
 		srec = replay.NewRecorder()
 		cfg.Record = srec
 	}
@@ -667,7 +679,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 			g.OnCellSchedule(index, c, sched)
 		}
 	}
-	if cr != nil && cr.compiled[index] {
+	if cr != nil {
 		g.storeCell(index, c, res, sched, cr)
 	}
 	c.Converged = res.Converged
@@ -689,49 +701,40 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	}
 }
 
-// aggKey orders groups deterministically.
-type aggKey struct {
-	Matrix   string
-	Nodes    int
-	Strategy string
-	T, Phi   int
+// compareGroup orders cells by the coordinates an Aggregate condenses over
+// — everything but the seed — which is the order of Report.Aggregates.
+func compareGroup(a, b *Cell) int {
+	return cmp.Or(
+		strings.Compare(a.Matrix, b.Matrix),
+		cmp.Compare(a.Nodes, b.Nodes),
+		strings.Compare(a.Strategy, b.Strategy),
+		cmp.Compare(a.T, b.T),
+		cmp.Compare(a.Phi, b.Phi),
+	)
 }
 
 // aggregate groups the cells by coordinates and computes the seed
-// statistics.
+// statistics: the cells are ordered by group, and each run of equals is one.
 func aggregate(cells []Cell) []Aggregate {
-	groups := make(map[aggKey][]*Cell)
-	var keys []aggKey
+	order := make([]*Cell, len(cells))
 	for i := range cells {
-		c := &cells[i]
-		k := aggKey{c.Matrix, c.Nodes, c.Strategy, c.T, c.Phi}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], c)
+		order[i] = &cells[i]
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Matrix != b.Matrix {
-			return a.Matrix < b.Matrix
-		}
-		if a.Nodes != b.Nodes {
-			return a.Nodes < b.Nodes
-		}
-		if a.Strategy != b.Strategy {
-			return a.Strategy < b.Strategy
-		}
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		return a.Phi < b.Phi
-	})
+	slices.SortStableFunc(order, compareGroup)
 
-	out := make([]Aggregate, 0, len(keys))
-	for _, k := range keys {
-		group := groups[k]
-		a := Aggregate{Matrix: k.Matrix, Nodes: k.Nodes, Strategy: k.Strategy, T: k.T, Phi: k.Phi, Seeds: len(group)}
-		var times, iters, recov, wasted []float64
+	var out []Aggregate
+	var times, iters, recov, wasted []float64 // per-group series, reused across groups
+	for len(order) > 0 {
+		n := 1
+		for n < len(order) && compareGroup(order[0], order[n]) == 0 {
+			n++
+		}
+		group := order[:n]
+		order = order[n:]
+
+		k := group[0]
+		a := Aggregate{Matrix: k.Matrix, Nodes: k.Nodes, Strategy: k.Strategy, T: k.T, Phi: k.Phi, Seeds: n}
+		times, iters, recov, wasted = times[:0], iters[:0], recov[:0], wasted[:0]
 		events := 0
 		for _, c := range group {
 			if c.Err != "" {
@@ -753,9 +756,12 @@ func aggregate(cells []Cell) []Aggregate {
 				a.ShrunkCells++
 			}
 		}
-		if n := len(group) - a.Errors; n > 0 {
-			a.ConvergedRate /= float64(n)
-			a.MeanEvents = float64(events) / float64(n)
+		if ok := n - a.Errors; ok > 0 {
+			a.ConvergedRate /= float64(ok)
+			a.MeanEvents = float64(events) / float64(ok)
+		}
+		for _, series := range [][]float64{times, iters, recov, wasted} {
+			slices.Sort(series)
 		}
 		a.MedianTime = percentile(times, 50)
 		a.P10Time = percentile(times, 10)
@@ -768,21 +774,14 @@ func aggregate(cells []Cell) []Aggregate {
 	return out
 }
 
-// percentile returns the nearest-rank p-th percentile of xs (0 on empty).
-func percentile(xs []float64, p int) float64 {
-	if len(xs) == 0 {
+// percentile returns the nearest-rank p-th percentile of the ascending
+// series s (0 on empty).
+func percentile(s []float64, p int) float64 {
+	if len(s) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
 	i := (p*len(s) + 50) / 100 // nearest rank, 1-based
-	if i < 1 {
-		i = 1
-	}
-	if i > len(s) {
-		i = len(s)
-	}
-	return s[i-1]
+	return s[min(max(i, 1), len(s))-1]
 }
 
 // WriteJSON emits the full report (cells + aggregates) as indented JSON.

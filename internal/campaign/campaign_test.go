@@ -211,6 +211,13 @@ func TestGridValidation(t *testing.T) {
 	if _, err := Run(g); err == nil {
 		t.Error("empty cross-product accepted")
 	}
+	// A strategy value outside core's set never reaches a cell: nothing
+	// downstream of the enumeration re-checks it.
+	g = tinyGrid()
+	g.Strategies = append(g.Strategies, core.Strategy(99))
+	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "Strategy(99)") {
+		t.Errorf("unknown strategy: error %v, want one naming Strategy(99)", err)
+	}
 }
 
 // TestDefaultedPhiSharesContexts pins the prepKey normalization: a grid

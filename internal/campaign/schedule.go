@@ -117,7 +117,7 @@ func newSchedule(cells []Cell, nw int) *schedule {
 			}
 		}
 		s.shards[best].queue = append(s.shards[best].queue, batch...)
-		batch = nil
+		batch = batch[:0]
 	}
 	for i := range cells {
 		key := prepKeyOf(&cells[i])

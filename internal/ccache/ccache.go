@@ -22,6 +22,7 @@
 package ccache
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -220,10 +221,13 @@ func (c *Cache) Stats() IOStats {
 	}
 }
 
-// entryPath shards entries by the key's first hex byte.
+// entryPath shards entries by the key's first hex byte. One concatenation,
+// so a probe pays one allocation per path.
 func (c *Cache) entryPath(tier string, k Key, ext string) string {
-	name := k.String()
-	return filepath.Join(c.dir, tier, name[:2], name+ext)
+	const sep = string(filepath.Separator)
+	var name [2 * len(k)]byte
+	hex.Encode(name[:], k[:])
+	return c.dir + sep + tier + sep + string(name[:2]) + sep + string(name[:]) + ext
 }
 
 // read loads and validates one framed entry; (nil, false) is a miss —
@@ -252,12 +256,12 @@ func (c *Cache) GetResult(k Key) (*ResultEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	var e ResultEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
+	e, err := decodeResultEntry(payload)
+	if err != nil {
 		c.corrupt.Add(1)
 		return nil, false
 	}
-	return &e, true
+	return e, true
 }
 
 // PutResult stores a result-tier entry (no-op on nil c). An existing
@@ -292,7 +296,7 @@ func (c *Cache) GetSchedule(k Key) (*replay.Schedule, bool) {
 
 // GetSchedulePayload fetches a schedule-tier entry's frame-validated but
 // still encoded payload ((nil, false) on miss or nil c). It is GetSchedule
-// split in two so a serial probe can classify entries cheaply and leave
+// split in two so the probe can classify entries cheaply and leave
 // DecodeSchedule to whichever worker consumes the schedule.
 func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	if c == nil {
