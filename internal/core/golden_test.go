@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"esrp/internal/obs"
 )
 
 // -update-golden regenerates testdata/golden_trajectories.json from the
@@ -34,9 +37,13 @@ type goldenRecord struct {
 	HaloBytes    int64           `json:"halo_bytes"`
 	MaxNodeBytes int64           `json:"max_node_bytes"`
 	Events       []RecoveryEvent `json:"events"`
+	// TraceDigest pins the Chrome trace export of the scenarios that ask for
+	// it (driverScenarios): FNV-64a over Trace.WriteChrome's bytes.
+	TraceDigest string `json:"trace_digest,omitempty"`
 }
 
-func goldenPath() string { return filepath.Join("testdata", "golden_trajectories.json") }
+func goldenPath() string       { return filepath.Join("testdata", "golden_trajectories.json") }
+func driverGoldenPath() string { return filepath.Join("testdata", "golden_driver.json") }
 
 func recordOf(res *Result) goldenRecord {
 	bits := make([]string, len(res.Residuals))
@@ -71,27 +78,143 @@ func recordOf(res *Result) goldenRecord {
 	}
 }
 
+// driverScenario is one solve pinned by testdata/golden_driver.json: the
+// paths through the step loop, the failure handling and the IMCR protocol
+// that golden_trajectories.json does not reach — every pipelined one, and the
+// standard solver's local restart, early-failure fallback, re-ship and
+// detection-time paths.
+type driverScenario struct {
+	name      string
+	pipelined bool
+	trace     bool // also pin the Chrome trace export
+	mut       func(*Config)
+}
+
+func driverScenarios() []driverScenario {
+	imcr := func(t, phi int) func(*Config) {
+		return func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyIMCR, t, phi }
+	}
+	with := func(muts ...func(*Config)) func(*Config) {
+		return func(cfg *Config) {
+			for _, mut := range muts {
+				mut(cfg)
+			}
+		}
+	}
+	fail := func(events ...FailureSpec) func(*Config) {
+		return func(cfg *Config) { cfg.Failures = events }
+	}
+	detect := func(cfg *Config) { cfg.DetectionTime = 1e-4 }
+	x0 := func(cfg *Config) {
+		cfg.X0 = make([]float64, cfg.A.Rows)
+		for i := range cfg.X0 {
+			cfg.X0[i] = 0.25 + float64(i%7)/16
+		}
+	}
+	// Rank s checkpoints to s+1 at φ = 1: the second event's only buddy is
+	// the rank the first event just replaced, so it restores from the
+	// checkpoint re-shipped after the first recovery.
+	reship := fail(FailureSpec{Iteration: 22, Ranks: []int{3}},
+		FailureSpec{Iteration: 24, Ranks: []int{2}},
+		FailureSpec{Iteration: 55, Ranks: []int{3}})
+	return []driverScenario{
+		{name: "pipelined/none-ff", pipelined: true, mut: with()},
+		{name: "pipelined/none-fail", pipelined: true,
+			mut: with(detect, fail(FailureSpec{Iteration: 40, Ranks: []int{2, 3}}))},
+		{name: "pipelined/imcr-fail", pipelined: true, trace: true,
+			mut: with(imcr(10, 1), x0, fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
+		{name: "pipelined/imcr-before-first-checkpoint", pipelined: true,
+			mut: with(imcr(50, 1), fail(FailureSpec{Iteration: 5, Ranks: []int{1}}))},
+		{name: "pipelined/imcr-reship", pipelined: true, mut: with(imcr(10, 1), reship)},
+		{name: "pipelined/imcr-detect", pipelined: true,
+			mut: with(imcr(10, 2), detect, fail(FailureSpec{Iteration: 35, Ranks: []int{4, 5}}))},
+		{name: "pipelined/imcr-balanced", pipelined: true,
+			mut: with(imcr(10, 1), func(cfg *Config) { cfg.BalanceNNZ = true },
+				fail(FailureSpec{Iteration: 33, Ranks: []int{7}}))},
+		{name: "standard/none-fail",
+			mut: with(func(cfg *Config) { cfg.ResidualReplacementInterval = 7 },
+				fail(FailureSpec{Iteration: 40, Ranks: []int{2, 3}}))},
+		{name: "standard/esrp-before-first-stage",
+			mut: with(func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyESRP, 20, 1 },
+				fail(FailureSpec{Iteration: 2, Ranks: []int{6}}))},
+		{name: "standard/imcr-reship", trace: true, mut: with(imcr(10, 1), reship)},
+		{name: "standard/imcr-detect",
+			mut: with(imcr(10, 1), x0, detect, fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
+	}
+}
+
+// driverRecords solves every driver scenario; the traced ones a second time
+// with observation on (which must not move a bit of the first record).
+func driverRecords(t *testing.T) map[string]goldenRecord {
+	t.Helper()
+	got := make(map[string]goldenRecord)
+	for _, sc := range driverScenarios() {
+		cfg := baseConfig(t)
+		cfg.RecordResiduals = true
+		sc.mut(&cfg)
+		solver := Solve
+		if sc.pipelined {
+			solver = SolvePipelined
+		}
+		res, err := solver(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if len(res.Events) != len(cfg.Failures) {
+			t.Fatalf("%s: %d of %d events fired", sc.name, len(res.Events), len(cfg.Failures))
+		}
+		rec := recordOf(res)
+		if sc.trace {
+			cfg.Observe = &obs.Options{Trace: true, Series: true}
+			traced, err := solver(cfg)
+			if err != nil {
+				t.Fatalf("%s traced: %v", sc.name, err)
+			}
+			if again := recordOf(traced); !reflect.DeepEqual(again, rec) {
+				t.Errorf("%s: record changed with tracing on", sc.name)
+			}
+			traced.Trace.Build = obs.BuildInfo{} // toolchain and revision are not the solver's
+			var buf bytes.Buffer
+			if err := traced.Trace.WriteChrome(&buf); err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			rec.TraceDigest = fmt.Sprintf("%016x", h.Sum64())
+		}
+		got[sc.name] = rec
+	}
+	return got
+}
+
 // TestGoldenTrajectories pins the residual trajectories, iterand digest,
 // simulated clock, traffic counters and Result.Events of every
-// strategy/recovery path against the committed golden file. Any execution
-// rewrite (collectives, kernels, buffer reuse) must keep these byte-
-// identical; only deliberate numerical changes may regenerate the file.
+// strategy/recovery path of both solvers against the committed golden
+// files. Any execution rewrite (collectives, kernels, buffer reuse, the
+// solver driver) must keep these byte-identical; only deliberate numerical
+// changes may regenerate the files.
 func TestGoldenTrajectories(t *testing.T) {
-	scenarios := localPathScenarios(t)
-	names := make([]string, 0, len(scenarios))
-	for name := range scenarios {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	got := make(map[string]goldenRecord, len(names))
-	for _, name := range names {
-		res, err := Solve(scenarios[name])
+	got := make(map[string]goldenRecord)
+	for name, cfg := range localPathScenarios(t) {
+		res, err := Solve(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got[name] = recordOf(res)
 	}
+	checkGolden(t, goldenPath(), got)
+	checkGolden(t, driverGoldenPath(), driverRecords(t))
+}
+
+// checkGolden compares got with the golden file at path, field by field so a
+// failure says what moved — or rewrites the file under -update-golden.
+func checkGolden(t *testing.T, path string, got map[string]goldenRecord) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -101,14 +224,14 @@ func TestGoldenTrajectories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath(), append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s (%d scenarios)", goldenPath(), len(got))
+		t.Logf("regenerated %s (%d scenarios)", path, len(got))
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
 	}
@@ -117,7 +240,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Fatalf("golden file has %d scenarios, test produced %d", len(want), len(got))
+		t.Fatalf("%s has %d scenarios, test produced %d", path, len(want), len(got))
 	}
 	for _, name := range names {
 		w, ok := want[name]
@@ -156,6 +279,9 @@ func TestGoldenTrajectories(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g.Events, w.Events) {
 			t.Errorf("%s: recovery events %+v != golden %+v", name, g.Events, w.Events)
+		}
+		if g.TraceDigest != w.TraceDigest {
+			t.Errorf("%s: Chrome trace digest %s != golden %s", name, g.TraceDigest, w.TraceDigest)
 		}
 	}
 }
