@@ -52,7 +52,7 @@ func main() {
 		spares    = flag.Int("spares", 0, "replacement-node pool (0 = unlimited); exhausted pool falls back to the no-spare shrink (ESR/ESRP)")
 		noSpare   = flag.Bool("no-spare", false, "recover onto surviving nodes instead of replacements (ESR/ESRP)")
 
-		pipelined = flag.Bool("pipelined", false, "use the communication-hiding pipelined PCG variant (strategies none|imcr)")
+		pipelined = flag.Bool("pipelined", false, "use the communication-hiding pipelined PCG variant (strategies none|imcr; not with -rr or -no-spare)")
 		balance   = flag.Bool("balance", false, "balance the row distribution by per-row work instead of row counts")
 		rr        = flag.Int("rr", 0, "residual replacement interval (0 = off)")
 

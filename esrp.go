@@ -196,6 +196,8 @@ func NewSolveWorkspace() *SolveWorkspace { return core.NewWorkspace() }
 // halves the synchronization points — the win shows directly in the modeled
 // runtime when latency dominates. Supported strategies: StrategyNone (local
 // restart on failure) and StrategyIMCR (full-state buddy checkpointing).
+// StrategyESR / StrategyESRP (and so a finite Spares pool), NoSpareNodes and
+// ResidualReplacementInterval > 0 are rejected with an error.
 func SolvePipelined(cfg Config) (*Result, error) { return core.SolvePipelined(cfg) }
 
 // ParseStrategy converts a strategy name ("esr", "esrp", "imcr", "none").
@@ -303,20 +305,18 @@ type (
 // both the result and the recorded schedule. Recording adds no simulated
 // cost: the result is bit-identical to Solve(cfg)'s.
 func RecordSchedule(cfg Config) (*Result, *Schedule, error) {
-	rec := replay.NewRecorder()
-	cfg.Record = rec
-	res, err := core.Solve(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, rec.Schedule(), nil
+	return recordSchedule(cfg, core.Solve)
 }
 
 // RecordSchedulePipelined is RecordSchedule for the pipelined solver.
 func RecordSchedulePipelined(cfg Config) (*Result, *Schedule, error) {
+	return recordSchedule(cfg, core.SolvePipelined)
+}
+
+func recordSchedule(cfg Config, solve func(Config) (*Result, error)) (*Result, *Schedule, error) {
 	rec := replay.NewRecorder()
 	cfg.Record = rec
-	res, err := core.SolvePipelined(cfg)
+	res, err := solve(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

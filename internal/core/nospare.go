@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"esrp/internal/cluster"
 	"esrp/internal/obs"
@@ -24,7 +23,7 @@ import (
 // (the cluster got smaller either way, even when the reconstruction had to
 // degrade to a restart of the surviving iterand).
 func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
-	st, _ := run.res.(*esrState)
+	st := run.res.(*esrState)
 	n := run.nd.Size()
 	flo, fhi := run.part.RangeOfParts(failed[0], failed[len(failed)-1]+1)
 	fsize := fhi - flo
@@ -46,24 +45,21 @@ func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
 	sub := run.subOf(survivors)
 	adopter := adopterRank(failed, n)
 	me := run.nd.Rank()
+	// The adopter applies the failed nodes' preconditioner blocks, in the
+	// reconstruction and from then on: static data, rebuilt once per event.
+	var failedPC *precond.Composite
+	if me == adopter {
+		failedPC = run.failedRangePC(failed)
+	}
 
 	// Roll surviving nodes back to the last completed storage stage.
-	if st != nil && st.t > 1 && st.hasStars {
-		copy(run.x, st.xs)
-		copy(run.r, st.rs)
-		copy(run.z, st.zs)
-		copy(run.p, st.ps)
-	}
+	st.rollBack()
 
 	// The lowest surviving rank (sub rank 0) announces the reconstruction
 	// iteration and β*.
 	var hdr [3]float64
-	if sub.Rank() == 0 && st != nil {
-		if st.t == 1 && j >= 1 {
-			hdr = [3]float64{float64(j), run.betaPrev, 1}
-		} else if st.t > 1 && st.hasStars {
-			hdr = [3]float64{float64(st.starsIter), st.betaStar, 1}
-		}
+	if sub.Rank() == 0 {
+		hdr = st.header(j)
 	}
 	sub.Bcast(0, hdr[:])
 	jrec, betaStar, recoverable := int(hdr[0]), hdr[1], hdr[2] != 0
@@ -71,10 +67,9 @@ func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
 	if !recoverable {
 		// Nothing to reconstruct from: repartition with the lost block
 		// zeroed and restart the Krylov process from the surviving iterand.
-		run.shrinkTo(sub, survivors, failed, adopter, flo, fhi, nil, nil, nil, nil, jrec, betaStar)
-		run.initFromX()
-		run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-		run.nd.Sched().RecEnd()
+		run.shrinkTo(sub, survivors, failedPC, flo, fhi, nil, nil, nil, nil, jrec, betaStar)
+		run.rec.restart()
+		run.recEnd(t0)
 		return j, RecoveryShrink
 	}
 
@@ -144,10 +139,9 @@ func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
 			}
 		}
 		if sub.AllreduceScalar(cluster.OpMin, okLoc) == 0 {
-			run.shrinkTo(sub, survivors, failed, adopter, flo, fhi, nil, nil, nil, nil, jrec, betaStar)
-			run.initFromX()
-			run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-			run.nd.Sched().RecEnd()
+			run.shrinkTo(sub, survivors, failedPC, flo, fhi, nil, nil, nil, nil, jrec, betaStar)
+			run.rec.restart()
+			run.recEnd(t0)
 			// Mirror the recoverESR vote path: ESRP survivors already hold
 			// the starred state of jrec, so resume there and count the
 			// discarded work; ESR never rolled back.
@@ -179,10 +173,6 @@ func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
 		// sequential inner solve's working set all live at once on top of
 		// the steady state.
 		run.notePeak(8*int64(3*fsize /* pPrev, pCur, covered */ +11*fsize /* rIf,zIf,w,xIf + inner PCG */) + 16*int64(len(xHalo)))
-		failedPC, err := run.failedRangePC(failed)
-		if err != nil {
-			panic(fmt.Sprintf("core: rebuilding failed nodes' preconditioner: %v", err))
-		}
 		zIf = make([]float64, fsize)
 		for i := range zIf {
 			zIf[i] = pCur[i] - betaStar*pPrev[i]
@@ -209,10 +199,9 @@ func (run *nodeRun) recoverNoSpare(j int, failed []int) (int, string) {
 	}
 
 	// Repartition onto the survivors and continue.
-	run.shrinkTo(sub, survivors, failed, adopter, flo, fhi, xIf, rIf, zIf, pCur, jrec, betaStar)
-	run.restoreScalars(betaStar, st)
-	run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-	run.nd.Sched().RecEnd()
+	run.shrinkTo(sub, survivors, failedPC, flo, fhi, xIf, rIf, zIf, pCur, jrec, betaStar)
+	st.resume(betaStar)
+	run.recEnd(t0)
 	return jrec, RecoveryShrink
 }
 
@@ -283,19 +272,23 @@ func (run *nodeRun) gatherXHalo(failed []int, adopter int) map[int]float64 {
 
 // failedRangePC rebuilds the failed nodes' preconditioner segments (from
 // static data) as one composite covering [flo,fhi) in rank order.
-func (run *nodeRun) failedRangePC(failed []int) (*precond.Composite, error) {
+func (run *nodeRun) failedRangePC(failed []int) *precond.Composite {
 	parts := make([]precond.Preconditioner, 0, len(failed))
 	sizes := make([]int, 0, len(failed))
 	for _, fr := range failed {
 		lo, hi := run.part.Lo(fr), run.part.Hi(fr)
 		pc, err := precond.Build(run.cfg.PrecondKind, run.cfg.A, lo, hi, run.cfg.MaxBlock)
 		if err != nil {
-			return nil, err
+			panic(fmt.Sprintf("core: rebuilding failed nodes' preconditioner: %v", err))
 		}
 		parts = append(parts, pc)
 		sizes = append(sizes, hi-lo)
 	}
-	return precond.NewComposite(parts, sizes)
+	comp, err := precond.NewComposite(parts, sizes)
+	if err != nil {
+		panic(fmt.Sprintf("core: failed nodes' composite preconditioner: %v", err))
+	}
+	return comp
 }
 
 // innerSolveLocal solves A[If,If]·x = w sequentially on this node (the
@@ -306,15 +299,15 @@ func (run *nodeRun) innerSolveLocal(failed []int, flo, fhi int, w []float64, pc 
 	return x
 }
 
-// shrinkTo repartitions the solve onto the survivors: the adopter's range
-// absorbs the failed block (reconstructed vectors xIf, rIf, zIf, pIf; nil
-// in the non-recoverable fallback, leaving zeros), every survivor switches
-// to the sub-communicator and the new plan, and the redundancy machinery is
+// shrinkTo repartitions the solve onto the survivors: the adopter — the one
+// survivor handed failedPC, the failed block's preconditioner — absorbs the
+// failed block (reconstructed vectors xIf, rIf, zIf, pIf; nil in the
+// non-recoverable fallback, leaving zeros), every survivor switches to the
+// sub-communicator and the new plan, and the redundancy machinery is
 // re-established for the shrunken cluster.
-func (run *nodeRun) shrinkTo(sub *cluster.Node, survivors, failed []int, adopter, flo, fhi int,
+func (run *nodeRun) shrinkTo(sub *cluster.Node, survivors []int, failedPC *precond.Composite, flo, fhi int,
 	xIf, rIf, zIf, pIf []float64, jrec int, betaStar float64) {
-	me := run.nd.Rank()
-	amAdopter := me == adopter
+	amAdopter := failedPC != nil
 
 	phiNew := run.phi
 	if max := len(survivors) - 1; phiNew > max {
@@ -357,10 +350,6 @@ func (run *nodeRun) shrinkTo(sub *cluster.Node, survivors, failed []int, adopter
 		run.q = make([]float64, newM)
 
 		ownPC := run.pc
-		failedPC, err := run.failedRangePC(failed)
-		if err != nil {
-			panic(fmt.Sprintf("core: no-spare preconditioner: %v", err))
-		}
 		var parts []precond.Preconditioner
 		var sizes []int
 		if flo < run.lo { // adopted block precedes the own range
@@ -407,13 +396,7 @@ func (run *nodeRun) shrinkTo(sub *cluster.Node, survivors, failed []int, adopter
 		st.zs = make([]float64, newM)
 		st.ps = make([]float64, newM)
 		if st.t > 1 {
-			copy(st.xs, run.x)
-			copy(st.rs, run.r)
-			copy(st.zs, run.z)
-			copy(st.ps, run.p)
-			st.starsIter = jrec
-			st.hasStars = true
-			st.betaStar = betaStar
+			st.star(jrec, betaStar)
 			st.betaPending = betaStar
 		}
 	}

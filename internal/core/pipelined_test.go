@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"esrp/internal/cluster"
@@ -28,6 +29,9 @@ func solvePipeOK(t *testing.T, cfg Config) *Result {
 	}
 	if !res.Converged {
 		t.Fatalf("pipelined solver did not converge in %d iterations (relres %g)", res.Iterations, res.RelResidual)
+	}
+	if len(res.Kernels) != cfg.Nodes {
+		t.Fatalf("Result.Kernels has %d entries for %d nodes", len(res.Kernels), cfg.Nodes)
 	}
 	return res
 }
@@ -138,17 +142,47 @@ func TestPipelinedFailureBeforeFirstCheckpoint(t *testing.T) {
 	checkSolution(t, cfg, res, 5e-8)
 }
 
-func TestPipelinedRejectsUnsupportedStrategies(t *testing.T) {
+// TestPipelinedRestartKeepsSurvivingIterand: a local restart continues from
+// the iterand the survivors hold, not from x0 — the restarted residual is
+// not the initial one again.
+func TestPipelinedRestartKeepsSurvivingIterand(t *testing.T) {
 	cfg := pipeBaseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	if _, err := SolvePipelined(cfg); err == nil {
-		t.Fatal("pipelined + ESRP must be rejected (ref. 16's machinery is not implemented)")
+	cfg.RecordResiduals = true
+	cfg.X0 = make([]float64, cfg.A.Rows)
+	for i := range cfg.X0 {
+		cfg.X0[i] = 1
 	}
-	cfg = pipeBaseConfig(t)
-	cfg.Strategy = StrategyESR
-	if _, err := SolvePipelined(cfg); err == nil {
-		t.Fatal("pipelined + ESR must be rejected")
+	const at = 40
+	cfg.Failure = &FailureSpec{Iteration: at, Ranks: []int{2}}
+	res := solvePipeOK(t, cfg)
+	checkSolution(t, cfg, res, 5e-8)
+	// One sample per step head: steps 0..at, then the restarted iteration.
+	if first, restarted := res.Residuals[0], res.Residuals[at+1]; restarted == first {
+		t.Fatalf("restart at iteration %d reproduced the initial residual %g: x was reset to x0", at, first)
+	}
+}
+
+func TestPipelinedRejectsUnsupportedStrategies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"esrp", func(cfg *Config) { cfg.Strategy, cfg.T = StrategyESRP, 10 },
+			"core: pipelined PCG supports strategies none and IMCR, got ESRP"},
+		{"esr", func(cfg *Config) { cfg.Strategy = StrategyESR },
+			"core: pipelined PCG supports strategies none and IMCR, got ESR"},
+		{"no-spare", func(cfg *Config) { cfg.NoSpareNodes = true },
+			"core: pipelined PCG does not support NoSpareNodes"},
+		{"residual-replacement", func(cfg *Config) { cfg.ResidualReplacementInterval = 5 },
+			"core: pipelined PCG does not support ResidualReplacementInterval"},
+	} {
+		cfg := pipeBaseConfig(t)
+		tc.mut(&cfg)
+		_, err := SolvePipelined(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
@@ -78,13 +77,7 @@ func (st *esrState) beforeSpMV(j int) bool {
 	case (j-1)%st.t == 0 && j > 2: // second storage-stage iteration (l.7)
 		// Duplicate the local state for iteration j; these copies are what
 		// the surviving nodes reset to after a rollback (Alg. 3 l.9-10).
-		copy(st.xs, st.run.x)
-		copy(st.rs, st.run.r)
-		copy(st.zs, st.run.z)
-		copy(st.ps, st.run.p)
-		st.betaStar = st.betaPending
-		st.starsIter = j
-		st.hasStars = true
+		st.star(j, st.betaPending)
 		return true
 	}
 	return false
@@ -124,28 +117,81 @@ func (st *esrState) lose() {
 	st.starsIter, st.hasStars = -1, false
 }
 
+// star duplicates the node's x, r, z, p as the starred state of iteration j,
+// with β* the scalar a reconstruction at j needs.
+func (st *esrState) star(j int, betaStar float64) {
+	copy(st.xs, st.run.x)
+	copy(st.rs, st.run.r)
+	copy(st.zs, st.run.z)
+	copy(st.ps, st.run.p)
+	st.betaStar = betaStar
+	st.starsIter = j
+	st.hasStars = true
+}
+
+// rollBack resets a surviving node to the starred duplicates, so that all
+// nodes continue from the reconstructed iteration. ESR keeps none (it
+// reconstructs the current iteration), nor does ESRP before its first stage.
+func (st *esrState) rollBack() {
+	if st.hasStars {
+		copy(st.run.x, st.xs)
+		copy(st.run.r, st.rs)
+		copy(st.run.z, st.zs)
+		copy(st.run.p, st.ps)
+	}
+}
+
+// header is what the lowest surviving rank announces after a failure in
+// iteration j: [reconstruction iteration, β*, recoverable] (the paper's
+// "retrieve the redundant copy of β", Alg. 2 line 3). All zero means no
+// storage stage has completed yet.
+func (st *esrState) header(j int) (hdr [3]float64) {
+	switch {
+	case st.t == 1 && j >= 1:
+		// ESR reconstructs iteration j from p′^(j−1) and p′^(j): both exist
+		// once at least one full iteration has completed.
+		hdr = [3]float64{float64(j), st.run.betaPrev, 1}
+	case st.t > 1 && st.hasStars:
+		hdr = [3]float64{float64(st.starsIter), st.betaStar, 1}
+	}
+	return hdr
+}
+
+// resume re-establishes the replicated scalars after a reconstruction: rz
+// and ‖b‖ by the recurrence's allreduce, the β bookkeeping from β* so that
+// the resumed storage stage re-saves identical data.
+func (st *esrState) resume(betaStar float64) {
+	st.run.rec.restoreScalars()
+	st.run.betaPrev = betaStar
+	st.betaPending = betaStar
+}
+
 // imcrState implements in-memory buddy checkpoint-restart: every T
-// iterations each node ships the local parts of x, r, z, p to its φ buddy
-// nodes (chosen by the same Eq. 1 as the ASpMV designated destinations) and
-// keeps a local copy for its own rollback.
+// iterations each node ships the recurrence's checkpoint set (standard PCG:
+// the local parts of x, r, z, p) to its φ buddy nodes (chosen by the same
+// Eq. 1 as the ASpMV designated destinations) and keeps a local copy for its
+// own rollback. It is the one checkpoint store of every recurrence.
 type imcrState struct {
 	run     *nodeRun
 	t       int
-	buddies []int // ranks I checkpoint to
-	sources []int // ranks that checkpoint to me (ascending)
+	blocks  [][]float64 // what a checkpoint holds, in payload order
+	offset  int         // schedule phase (see recurrence.checkpoint)
+	size    int         // payload length: the blocks' lengths summed
+	buddies []int       // ranks I checkpoint to
+	sources []int       // ranks that checkpoint to me (ascending)
 
 	ownIter int // iteration of the local checkpoint; -1 none
 	ownData []float64
 	held    map[int][]float64 // source rank -> latest checkpoint payload
-	heldIt  map[int]int
 }
 
 func newIMCRState(run *nodeRun) *imcrState {
 	n := run.cfg.Nodes
 	s := run.nd.Rank()
-	st := &imcrState{
-		run: run, t: run.cfg.T, ownIter: -1,
-		held: make(map[int][]float64), heldIt: make(map[int]int),
+	st := &imcrState{run: run, t: run.cfg.T, ownIter: -1, held: make(map[int][]float64)}
+	st.blocks, st.offset = run.rec.checkpoint()
+	for _, blk := range st.blocks {
+		st.size += len(blk)
 	}
 	for k := 1; k <= run.cfg.Phi; k++ {
 		st.buddies = append(st.buddies, aspmv.Designated(s, k, n))
@@ -161,35 +207,37 @@ func newIMCRState(run *nodeRun) *imcrState {
 			}
 		}
 	}
-	sort.Ints(st.sources)
 	return st
 }
 
 func (st *imcrState) beforeSpMV(int) bool       { return false }
 func (st *imcrState) retain(aspmv.ReceivedCopy) { panic("core: IMCR retains no ASpMV copies") }
 func (st *imcrState) afterIteration(j int, _ float64) {
-	if j%st.t != 0 || j == 0 {
+	if k := j + st.offset; k%st.t != 0 || k == 0 {
 		return
 	}
-	run := st.run
-	tCkpt := run.nd.Clock()
-	// The state now in x, r, z, p is the state at the start of iteration
-	// j+1, so the restorable checkpoint is for iteration j+1 — the same
-	// recovery point ESRP's storage stage at (j, j+1) yields. The payload
-	// reuses the previous checkpoint's backing array (Send copies it into a
-	// pooled buffer before it leaves the node).
+	// The blocks now hold the state at the start of iteration j+1, so that
+	// is the iteration the checkpoint restores. The payload reuses the
+	// previous checkpoint's backing array (Send copies it into a pooled
+	// buffer before it leaves the node).
 	payload := st.ownData[:0]
-	if cap(payload) < 4*run.m {
-		payload = make([]float64, 0, 4*run.m)
+	if cap(payload) < st.size {
+		payload = make([]float64, 0, st.size)
 	}
-	payload = append(payload, run.x...)
-	payload = append(payload, run.r...)
-	payload = append(payload, run.z...)
-	payload = append(payload, run.p...)
+	for _, blk := range st.blocks {
+		payload = append(payload, blk...)
+	}
 	st.ownIter = j + 1
 	st.ownData = payload
+	st.ship()
+}
+
+// ship sends the local checkpoint to the buddies and takes in the sources'.
+func (st *imcrState) ship() {
+	run := st.run
+	tCkpt := run.nd.Clock()
 	for _, b := range st.buddies {
-		run.nd.Send(b, tagCheckpoint, payload)
+		run.nd.Send(b, tagCheckpoint, st.ownData)
 	}
 	for _, src := range st.sources {
 		if old := st.held[src]; old != nil {
@@ -202,12 +250,21 @@ func (st *imcrState) afterIteration(j int, _ float64) {
 			// with a single circulating buffer that race would allocate on
 			// every lost flip. The slack absorbs uneven partition sizes
 			// (the source's m can differ from ours by the remainder).
-			run.nd.Release(make([]float64, 4*run.m+8))
+			run.nd.Release(make([]float64, st.size+8))
 		}
 		st.held[src] = run.nd.Recv(src, tagCheckpoint)
-		st.heldIt[src] = j + 1
 	}
 	run.tr.Span(obs.KindCheckpoint, tCkpt, run.nd.Clock())
+}
+
+// restore loads a checkpoint payload into the recurrence's blocks.
+func (st *imcrState) restore(data []float64) {
+	if len(data) != st.size {
+		panic(fmt.Sprintf("core: checkpoint size %d, want %d", len(data), st.size))
+	}
+	for _, blk := range st.blocks {
+		data = data[copy(blk, data):]
+	}
 }
 
 func (st *imcrState) stateBytes() int64 {
@@ -221,8 +278,7 @@ func (st *imcrState) stateBytes() int64 {
 func (st *imcrState) lose() {
 	st.ownIter = -1
 	st.ownData = nil
-	st.held = make(map[int][]float64)
-	st.heldIt = make(map[int]int)
+	clear(st.held)
 }
 
 // ---------------------------------------------------------------------------
@@ -241,9 +297,8 @@ func (run *nodeRun) loseDynamicState() {
 	vec.Zero(run.p)
 	vec.Zero(run.q)
 	vec.Zero(run.pg)
-	run.rz = 0
-	run.betaPrev = 0
 	run.bNormGlobal = 0
+	run.rec.loseState()
 	if run.res != nil {
 		run.res.lose()
 	}
@@ -356,31 +411,17 @@ func (run *nodeRun) localRestart(j int, failed []int) int {
 	if run.amFailed(failed) {
 		run.loseDynamicState()
 	}
-	run.initFromX()
-	run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-	run.nd.Sched().RecEnd()
+	run.rec.agreeOnRestart(run.lowestSurvivor(failed))
+	run.rec.restart()
+	run.recEnd(t0)
 	return j
 }
 
-// initFromX recomputes r = b − A·x, z = P·r, p = z, rz, and ‖b‖ from the
-// current iterand — the restart path shared by bootstrap and localRestart.
-func (run *nodeRun) initFromX() {
-	bLoc := run.cfg.B[run.lo:run.hi]
-	copy(run.p, run.x)
-	run.spmv(false, -1)
-	vec.Sub(run.r, bLoc, run.q)
-	run.compute(obs.KindVec, float64(run.m))
-	run.pc.Apply(run.z, run.r)
-	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
-	copy(run.p, run.z)
-	rzLoc := vec.Dot(run.r, run.z)
-	bbLoc := vec.Dot(bLoc, bLoc)
-	run.compute(obs.KindVec, 4*float64(run.m))
-	run.rz, run.bNormGlobal = run.dot2(rzLoc, bbLoc)
-	run.bNormGlobal = math.Sqrt(run.bNormGlobal)
-	if run.bNormGlobal == 0 {
-		run.bNormGlobal = 1
-	}
+// recEnd closes the recovery section a protocol opened at t0 (RecStart): the
+// slowest section so far is the rank's recovery time.
+func (run *nodeRun) recEnd(t0 float64) {
+	run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
+	run.nd.Sched().RecEnd()
 }
 
 // recoverESR implements the ESR/ESRP recovery: determine the reconstruction
@@ -398,44 +439,25 @@ func (run *nodeRun) recoverESR(j int, failed []int) (int, string) {
 
 	if amFailed {
 		run.loseDynamicState()
-	} else if st.t > 1 {
-		// Surviving nodes reset their state to the starred duplicates so
-		// that all nodes continue from the reconstructed iteration.
-		if st.hasStars {
-			copy(run.x, st.xs)
-			copy(run.r, st.rs)
-			copy(run.z, st.zs)
-			copy(run.p, st.ps)
-		}
+	} else {
+		st.rollBack()
 	}
 
-	// The lowest surviving rank announces the reconstruction iteration and
-	// β* (the paper's "retrieve the redundant copy of β", Alg. 2 line 3).
+	// The lowest surviving rank announces the reconstruction iteration and β*.
 	root := run.lowestSurvivor(failed)
 	var hdr [3]float64
 	if run.nd.Rank() == root {
-		if st.t == 1 && j >= 1 {
-			// ESR reconstructs iteration j from p′^(j−1) and p′^(j): both
-			// exist once at least one full iteration has completed.
-			hdr = [3]float64{float64(j), run.betaPrev, 1}
-		} else if st.t > 1 && st.hasStars {
-			hdr = [3]float64{float64(st.starsIter), st.betaStar, 1}
-		} else {
-			hdr = [3]float64{0, 0, 0} // no completed storage stage yet
-		}
+		hdr = st.header(j)
 	}
 	run.nd.Bcast(root, hdr[:])
 	jrec, betaStar, recoverable := int(hdr[0]), hdr[1], hdr[2] != 0
 
 	if !recoverable {
 		// Failure before the first storage stage completed: nothing to
-		// reconstruct from; fall back to the local restart.
-		if !amFailed {
-			// Roll back nothing; survivors keep their current state.
-		}
-		run.initFromX()
-		run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-		run.nd.Sched().RecEnd()
+		// reconstruct from; survivors keep their current state and everyone
+		// falls back to the local restart.
+		run.rec.restart()
+		run.recEnd(t0)
 		return j, RecoveryRestart
 	}
 
@@ -503,9 +525,8 @@ func (run *nodeRun) recoverESR(j int, failed []int) (int, string) {
 			}
 		}
 		if run.nd.AllreduceScalar(cluster.OpMin, okLoc) == 0 {
-			run.initFromX()
-			run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-			run.nd.Sched().RecEnd()
+			run.rec.restart()
+			run.recEnd(t0)
 			// ESRP survivors were already rolled back to the starred state
 			// of iteration jrec before the vote, so resuming there keeps
 			// the counter consistent with the state and the discarded work
@@ -595,9 +616,8 @@ func (run *nodeRun) recoverESR(j int, failed []int) (int, string) {
 		copy(run.p, pCur)
 	}
 
-	run.restoreScalars(betaStar, st)
-	run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-	run.nd.Sched().RecEnd()
+	st.resume(betaStar)
+	run.recEnd(t0)
 	return jrec, RecoverySpare
 }
 
@@ -640,28 +660,9 @@ func (run *nodeRun) survivingHoldersOf(owner int, failed []int) []int {
 	return out
 }
 
-// restoreScalars re-establishes the replicated scalars after a rollback:
-// rz and ‖b‖ by a fused allreduce, β bookkeeping from β* so that the
-// resumed storage stage re-saves identical data.
-func (run *nodeRun) restoreScalars(betaStar float64, st *esrState) {
-	bLoc := run.cfg.B[run.lo:run.hi]
-	rzLoc := vec.Dot(run.r, run.z)
-	bbLoc := vec.Dot(bLoc, bLoc)
-	run.compute(obs.KindVec, 4*float64(run.m))
-	run.rz, run.bNormGlobal = run.dot2(rzLoc, bbLoc)
-	run.bNormGlobal = math.Sqrt(run.bNormGlobal)
-	if run.bNormGlobal == 0 {
-		run.bNormGlobal = 1
-	}
-	run.betaPrev = betaStar
-	if st != nil {
-		st.betaPending = betaStar
-	}
-}
-
 // recoverIMCR implements the checkpoint-restart recovery: replacements
-// retrieve their vectors from a surviving buddy, survivors roll back to
-// their local checkpoint copy.
+// retrieve the recurrence's checkpoint set from a surviving buddy, survivors
+// roll back to their local checkpoint copy.
 func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 	st := run.res.(*imcrState)
 	n := run.nd.Size()
@@ -674,17 +675,14 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 	}
 	root := run.lowestSurvivor(failed)
 	var hdr [2]float64
-	if run.nd.Rank() == root {
-		if st.ownIter >= 0 {
-			hdr = [2]float64{float64(st.ownIter), 1}
-		}
+	if run.nd.Rank() == root && st.ownIter >= 0 {
+		hdr = [2]float64{float64(st.ownIter), 1}
 	}
 	run.nd.Bcast(root, hdr[:])
 	jrec, recoverable := int(hdr[0]), hdr[1] != 0
 	if !recoverable {
-		run.initFromX()
-		run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-		run.nd.Sched().RecEnd()
+		run.rec.restart()
+		run.recEnd(t0)
 		return j, RecoveryRestart
 	}
 
@@ -712,24 +710,15 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 			run.nd.Send(fr, tagCkptRestore, data)
 		} else if me == fr {
 			data := run.nd.Recv(sender, tagCkptRestore)
-			if len(data) != 4*run.m {
-				panic(fmt.Sprintf("core: checkpoint size %d, want %d", len(data), 4*run.m))
-			}
 			run.notePeak(8 * int64(len(data))) // restore payload in flight
-			copy(run.x, data[0:run.m])
-			copy(run.r, data[run.m:2*run.m])
-			copy(run.z, data[2*run.m:3*run.m])
-			copy(run.p, data[3*run.m:4*run.m])
+			st.restore(data)
 			st.ownIter = jrec
 			st.ownData = append(st.ownData[:0], data...)
 			run.nd.Release(data)
 		}
 	}
 	if !amFailed {
-		copy(run.x, st.ownData[0:run.m])
-		copy(run.r, st.ownData[run.m:2*run.m])
-		copy(run.z, st.ownData[2*run.m:3*run.m])
-		copy(run.p, st.ownData[3*run.m:4*run.m])
+		st.restore(st.ownData)
 	}
 	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
 	if run.pendingEvents() {
@@ -739,21 +728,9 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 		// every buddy relationship is whole again — otherwise a follow-up
 		// failure whose surviving buddy is a just-recovered node would find
 		// nothing to restore from.
-		tCkpt := run.nd.Clock()
-		for _, b := range st.buddies {
-			run.nd.Send(b, tagCheckpoint, st.ownData)
-		}
-		for _, src := range st.sources {
-			if old := st.held[src]; old != nil {
-				run.nd.Release(old)
-			}
-			st.held[src] = run.nd.Recv(src, tagCheckpoint)
-			st.heldIt[src] = jrec
-		}
-		run.tr.Span(obs.KindCheckpoint, tCkpt, run.nd.Clock())
+		st.ship()
 	}
-	run.restoreScalars(0, nil)
-	run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
-	run.nd.Sched().RecEnd()
+	run.rec.restoreScalars()
+	run.recEnd(t0)
 	return jrec, RecoverySpare
 }

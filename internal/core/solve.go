@@ -16,11 +16,13 @@ import (
 // Solve runs the configured PCG solve on a simulated cluster and returns the
 // aggregated result. It is deterministic for a fixed configuration.
 func Solve(cfg Config) (*Result, error) {
-	return new(solveShared).solve(cfg)
+	return new(solveShared).solve(cfg, standardPCG)
 }
 
-// solve is Solve on this shared state, which must be fresh.
-func (sh *solveShared) solve(in Config) (*Result, error) {
+// solve runs one solve of the recurrence newRec builds on this shared state,
+// which must be fresh. It is the only place that sets up the communicator,
+// attaches the recorders, runs the ranks and reduces their metric slots.
+func (sh *solveShared) solve(in Config, newRec func(*nodeRun) recurrence) (*Result, error) {
 	var err error
 	if sh.cfg, err = in.withDefaults(); err != nil {
 		return nil, err
@@ -58,7 +60,7 @@ func (sh *solveShared) solve(in Config) (*Result, error) {
 	nodeHalo := make([]int64, cfg.Nodes)
 	nodeKern := make([]string, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
-		run, err := newNodeRun(sh, nd, part, plan)
+		run, err := newNodeRun(sh, nd, part, plan, newRec)
 		if err != nil {
 			panic(err)
 		}
@@ -132,10 +134,55 @@ func PartitionFor(cfg Config) (*dist.Partition, error) {
 	return buildPartition(&cfg)
 }
 
+// recurrence is the iteration body of one PCG variant: what is left to
+// differ once the step loop, the failure handling, the checkpoint store and
+// the epilogue are the driver's (nodeRun.main, handleFailure, imcrState).
+// Standard PCG is the method set of *nodeRun itself (standardPCG), so a
+// standard solve allocates nothing for it; pipelined PCG is *pipelined. The
+// variant is chosen once, when the rank's nodeRun is built — neither the
+// driver nor a recovery protocol asks which one it is running.
+type recurrence interface {
+	// bootstrap derives the recurrence state from the initial guess in x and
+	// returns the initial relative residual (+Inf if the variant first
+	// learns it at the head of step 0).
+	bootstrap() float64
+	// restart re-derives the state from the surviving iterand after a
+	// failure there was nothing to roll back to.
+	restart()
+	// head is the part of iteration j before the failure-injection point.
+	// It reports convergence detected there, in which case the step ends
+	// uncounted; step is the loop-step index for the series sample.
+	head(j, step int) (converged bool)
+	// tail is the part after the injection point, strategy hook included
+	// (res.afterIteration, before the variant's series sample if it samples
+	// here: the sample's clock and traffic include a checkpoint).
+	tail(j, step int) (converged bool)
+	// checkpoint declares what an IMCR checkpoint holds — the blocks, in
+	// payload order — and the phase of its schedule: a checkpoint is taken
+	// after iteration j when j+offset is a positive multiple of T. It is
+	// labelled j+1, the iteration the saved state starts, either way.
+	checkpoint() (blocks [][]float64, offset int)
+	// restoreScalars re-establishes the replicated scalars after the vectors
+	// were restored; which ones there are decides its modeled cost.
+	restoreScalars()
+	// agreeOnRestart runs between the loss and the restart of a StrategyNone
+	// recovery; root is the lowest surviving rank.
+	agreeOnRestart(root int)
+	// loseState zeroes the variant's own vectors and scalars (node failure);
+	// extraBytes is their steady-state footprint beyond nodeRun's vectors.
+	loseState()
+	extraBytes() int64
+}
+
+// standardPCG is the recurrence of Alg. 1: nodeRun's own methods.
+func standardPCG(run *nodeRun) recurrence { return run }
+
 // nodeRun is the per-node solver state. All of it is O(local + halo): the
 // node holds its block rows as a compact local matrix, its vector blocks,
 // and an owned+ghost assembly buffer — never a full-length vector.
 type nodeRun struct {
+	rec recurrence // the PCG variant iterating on this state
+
 	cfg  *Config
 	nd   *cluster.Node
 	part *dist.Partition
@@ -164,13 +211,15 @@ type nodeRun struct {
 	ex    *aspmv.Exchanger // halo exchange driver (Start/Finish halves)
 
 	// Dynamic solver state (local blocks). These are exactly the data a
-	// node failure destroys.
+	// node failure destroys. x, r, p and the SpMV buffers serve every
+	// recurrence; z, rz and betaPrev are standard PCG's.
 	x, r, z, p  []float64
-	q           []float64 // local rows of A·p
+	q           []float64 // local rows of A·p (pipelined: A·x scratch)
 	pg          []float64 // owned+ghost SpMV input buffer, length m + g
 	rz          float64   // r·z of the current iteration
 	betaPrev    float64   // β of the previous iteration
 	bNormGlobal float64
+	relres      float64 // latest ‖r‖/‖b‖ the recurrence sampled
 
 	res resilience // strategy-specific redundant storage (nil for None)
 
@@ -230,7 +279,7 @@ func growI(buf []int, n int) []int {
 	return buf
 }
 
-func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan) (*nodeRun, error) {
+func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan, newRec func(*nodeRun) recurrence) (*nodeRun, error) {
 	cfg := &sh.cfg
 	s := nd.Rank()
 	lo, hi := part.Lo(s), part.Hi(s)
@@ -259,7 +308,8 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *a
 	// Fresh makes by default; workspace-recycled buffers under
 	// Config.Workspace. Only x needs the cleared variant (zero initial
 	// guess); every other vector is fully overwritten before its first read
-	// (bootstrap computes r, z, p, q and the exchange fills pg's ghost run).
+	// (the recurrence's bootstrap computes r, z, p, q, the exchange fills pg's
+	// ghost run).
 	alloc := func(n int) []float64 { return make([]float64, n) }
 	allocZero := alloc
 	if ws := cfg.Workspace; ws != nil {
@@ -276,6 +326,10 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *a
 		events: cfg.Failures, phi: cfg.Phi,
 		sparesLeft: initialSpares(cfg),
 	}
+	if cfg.X0 != nil {
+		copy(run.x, cfg.X0[lo:hi])
+	}
+	run.rec = newRec(run) // before the strategy: IMCR asks it for the checkpoint set
 	switch cfg.Strategy {
 	case StrategyESR, StrategyESRP:
 		run.res = newESRState(run)
@@ -309,25 +363,11 @@ func (run *nodeRun) dueEvent(j int) *FailureSpec {
 // pendingEvents reports whether unfired events remain on the timeline.
 func (run *nodeRun) pendingEvents() bool { return run.nextEvent < len(run.events) }
 
-// spmv computes q = (A·p) on the local rows via the compact halo exchange,
-// dispatched through the node's planned kernel (run.kern). Unless
+// spmvInto computes dst = A·src on the local rows via the plain compact halo
+// exchange, dispatched through the node's planned kernel (run.kern). Unless
 // cfg.BlockingExchange, the interior-rows product runs between the exchange's
 // Start and Finish halves, hiding the halo latency behind local compute on
-// the simulated clock. If augmented, the received redundant copy is returned
-// by value (ok=true) for the caller to retain — a pointer here would escape
-// to the heap once per iteration.
-func (run *nodeRun) spmv(augmented bool, iter int) (rc aspmv.ReceivedCopy, ok bool) {
-	if !augmented {
-		run.spmvInto(run.q, run.p)
-		return aspmv.ReceivedCopy{}, false
-	}
-	copy(run.pg[:run.m], run.p)
-	rc = run.ex.MulOverlappedAugmented(run.nd, run.kern, run.q, run.pg, iter, run.cfg.BlockingExchange)
-	return rc, true
-}
-
-// spmvInto computes dst = A·src on the local rows via the plain compact
-// exchange, with the same overlap scheme as spmv. src has length m.
+// the simulated clock. src has length m.
 func (run *nodeRun) spmvInto(dst, src []float64) {
 	copy(run.pg[:run.m], src)
 	run.ex.MulOverlapped(run.nd, run.kern, dst, run.pg, run.cfg.BlockingExchange)
@@ -352,54 +392,93 @@ func (run *nodeRun) dot2(a, b float64) (float64, float64) {
 	return buf[0], buf[1]
 }
 
-// bootstrap initializes r, z, p, rz and the global ‖b‖ from x0 (line 1 of
-// Alg. 1) and returns the initial relative residual ‖r₀‖/‖b‖.
-func (run *nodeRun) bootstrap() float64 {
-	bLoc := run.cfg.B[run.lo:run.hi]
-	if run.cfg.X0 != nil {
-		copy(run.x, run.cfg.X0[run.lo:run.hi])
+// sample records the relative residual √rr/‖b‖ of iteration j — the residual
+// log and rank 0's series point (a no-op on every other rank and with
+// observation off) — and reports whether it meets the tolerance.
+func (run *nodeRun) sample(step, j int, rr float64) bool {
+	run.relres = math.Sqrt(rr) / run.bNormGlobal
+	if run.cfg.RecordResiduals && run.nd.Rank() == 0 {
+		run.residLog = append(run.residLog, run.relres)
 	}
-	// r = b - A x0 (reuses the SpMV path with p := x).
-	copy(run.p, run.x)
-	run.spmv(false, -1)
-	vec.Sub(run.r, bLoc, run.q)
+	run.tr.Point(step, j, run.relres, run.nd.Clock(), run.nd.BytesSent(), run.nd.MsgsSent())
+	return run.relres < run.cfg.Rtol
+}
+
+// setBNorm installs the replicated ‖b‖ from the reduced b·b.
+func (run *nodeRun) setBNorm(bb float64) {
+	run.bNormGlobal = math.Sqrt(bb)
+	if run.bNormGlobal == 0 {
+		run.bNormGlobal = 1 // solving Ax=0: converge on absolute residual
+	}
+}
+
+// trueResidual sets r = b − A·x, leaving A·x in q.
+func (run *nodeRun) trueResidual() {
+	run.spmvInto(run.q, run.x)
+	vec.Sub(run.r, run.cfg.B[run.lo:run.hi], run.q)
 	run.compute(obs.KindVec, float64(run.m))
+}
+
+// residualFromX computes r = b − A·x and z = P·r, and sets p = z: the part
+// bootstrap and restart share. Their reductions differ (bootstrap also
+// needs ‖r₀‖), and with them their modeled cost.
+func (run *nodeRun) residualFromX() {
+	run.trueResidual()
 	run.pc.Apply(run.z, run.r)
 	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
 	copy(run.p, run.z)
+}
+
+// bootstrap initializes r, z, p, rz and the global ‖b‖ from x0 (line 1 of
+// Alg. 1) and returns the initial relative residual ‖r₀‖/‖b‖.
+func (run *nodeRun) bootstrap() float64 {
+	run.residualFromX()
+	bLoc := run.cfg.B[run.lo:run.hi]
 	rzLoc, rrLoc := vec.Dot2(run.r, run.z)
 	bbLoc := vec.Dot(bLoc, bLoc)
 	run.compute(obs.KindVec, 6*float64(run.m))
 	buf := [3]float64{rzLoc, bbLoc, rrLoc}
 	run.nd.Allreduce(cluster.OpSum, buf[:])
 	run.rz = buf[0]
-	run.bNormGlobal = math.Sqrt(buf[1])
-	if run.bNormGlobal == 0 {
-		run.bNormGlobal = 1 // solving Ax=0: converge on absolute residual
-	}
+	run.setBNorm(buf[1])
 	return math.Sqrt(buf[2]) / run.bNormGlobal
 }
 
-// main is the SPMD body executed by every node. All communication goes
-// through run.nd, which the no-spare-node recovery replaces with the
-// surviving sub-communicator mid-solve; a node that failed in no-spare mode
-// sets run.retired and drops out.
+// restart recomputes r, z, p, rz and ‖b‖ from the current iterand: the
+// Krylov process starts over, all built-up conjugacy discarded.
+func (run *nodeRun) restart() {
+	run.residualFromX()
+	run.restoreScalars()
+}
+
+// restoreScalars re-establishes rz and ‖b‖ by one fused allreduce.
+func (run *nodeRun) restoreScalars() {
+	bLoc := run.cfg.B[run.lo:run.hi]
+	rzLoc := vec.Dot(run.r, run.z)
+	bbLoc := vec.Dot(bLoc, bLoc)
+	run.compute(obs.KindVec, 4*float64(run.m))
+	var bb float64
+	run.rz, bb = run.dot2(rzLoc, bbLoc)
+	run.setBNorm(bb)
+}
+
+// main is the SPMD body executed by every node, for every recurrence: the
+// step loop with its failure-injection point, and the epilogue. All
+// communication goes through run.nd, which the no-spare-node recovery
+// replaces with the surviving sub-communicator mid-solve; a node that failed
+// in no-spare mode sets run.retired and drops out.
 func (run *nodeRun) main(result *Result) {
 	cfg := run.cfg
-	relres := run.bootstrap()
+	run.relres = run.rec.bootstrap()
 
 	totalSteps := 0
-	converged := relres < cfg.Rtol // x0 may already satisfy the tolerance
+	converged := run.relres < cfg.Rtol // x0 may already satisfy the tolerance
 	j := 0
 	for ; !converged && j < cfg.MaxIter; totalSteps++ {
 		run.tr.SetIter(j)
-		// Storage-stage bookkeeping and the (possibly augmented) SpMV.
-		augmented := false
-		if run.res != nil {
-			augmented = run.res.beforeSpMV(j)
-		}
-		if rc, ok := run.spmv(augmented, j); ok {
-			run.res.retain(rc)
+		if run.rec.head(j, totalSteps) {
+			converged = true
+			break // met before the step's work: it does not count as a step
 		}
 
 		// Failure injection point: immediately after the SpMV communication
@@ -422,56 +501,12 @@ func (run *nodeRun) main(result *Result) {
 			}
 		}
 
-		// α = r·z / p·(A p)
-		pqLoc := vec.Dot(run.p, run.q)
-		run.compute(obs.KindVec, 2*float64(run.m))
-		pq := run.nd.AllreduceScalar(cluster.OpSum, pqLoc)
-		alpha := run.rz / pq
-
-		vec.AxpyPair(alpha, run.p, run.x, -alpha, run.q, run.r)
-		run.compute(obs.KindVec, 4*float64(run.m))
-
-		// Residual replacement (ref. 27): swap the recurrence residual for
-		// the true residual before z, β and p are derived from it, so the
-		// reconstruction recurrences stay valid.
-		if rr := cfg.ResidualReplacementInterval; rr > 0 && (j+1)%rr == 0 {
-			run.spmvInto(run.q, run.x)
-			vec.Sub(run.r, run.cfg.B[run.lo:run.hi], run.q)
-			run.compute(obs.KindVec, float64(run.m))
-		}
-
-		run.pc.Apply(run.z, run.r)
-		run.compute(obs.KindPrecond, run.pc.ApplyFlops())
-
-		rzLoc, rrLoc := vec.Dot2(run.r, run.z)
-		run.compute(obs.KindVec, 4*float64(run.m))
-		rzNew, rr := run.dot2(rzLoc, rrLoc)
-
-		beta := rzNew / run.rz
-		vec.XpayInto(run.p, run.z, beta, run.p)
-		run.compute(obs.KindVec, 2*float64(run.m))
-
-		run.rz = rzNew
-		run.betaPrev = beta
-		if run.res != nil {
-			run.res.afterIteration(j, beta)
-		}
-
-		relres = math.Sqrt(rr) / run.bNormGlobal
-		if cfg.RecordResiduals && run.nd.Rank() == 0 {
-			run.residLog = append(run.residLog, relres)
-		}
-		// Series sample: only rank 0's buffer has the series enabled, so
-		// this is a no-op everywhere else (and everywhere with obs off).
-		run.tr.Point(totalSteps, j, relres, run.nd.Clock(), run.nd.BytesSent(), run.nd.MsgsSent())
+		converged = run.rec.tail(j, totalSteps)
 		j++
-		if relres < cfg.Rtol {
-			converged = true
-		}
 	}
 
 	run.tr.SetIter(-1) // epilogue: drift check and the final gather
-	drift := run.residualDrift(relres)
+	drift := run.residualDrift()
 	run.nd.Sched().RTFinal() // this rank's recoveryTime enters the reduction
 	recovery := run.nd.AllreduceScalar(cluster.OpMax, run.recoveryTime)
 
@@ -485,7 +520,7 @@ func (run *nodeRun) main(result *Result) {
 		result.Converged = converged
 		result.Iterations = j
 		result.TotalSteps = totalSteps
-		result.RelResidual = relres
+		result.RelResidual = run.relres
 		result.RecoveryTime = recovery
 		result.Recovered = run.recovered
 		result.RecoveredAt = run.recoveredAt
@@ -497,13 +532,79 @@ func (run *nodeRun) main(result *Result) {
 	}
 }
 
+// head is standard PCG's step up to the injection point: the storage-stage
+// bookkeeping and the SpMV q = A·p, augmented in a storage iteration. The
+// received redundant copy travels by value — a pointer would escape to the
+// heap once per iteration.
+func (run *nodeRun) head(j, _ int) bool {
+	if run.res != nil && run.res.beforeSpMV(j) {
+		copy(run.pg[:run.m], run.p)
+		run.res.retain(run.ex.MulOverlappedAugmented(run.nd, run.kern, run.q, run.pg, j, run.cfg.BlockingExchange))
+	} else {
+		run.spmvInto(run.q, run.p)
+	}
+	return false
+}
+
+// tail is the rest of Alg. 1's iteration j: α, the x and r updates, z, β, p.
+// The residual norm it reduces next to r·z is the one sampled, so standard
+// PCG learns of convergence at the end of the step that achieved it.
+func (run *nodeRun) tail(j, step int) bool {
+	// α = r·z / p·(A p)
+	pqLoc := vec.Dot(run.p, run.q)
+	run.compute(obs.KindVec, 2*float64(run.m))
+	pq := run.nd.AllreduceScalar(cluster.OpSum, pqLoc)
+	alpha := run.rz / pq
+
+	vec.AxpyPair(alpha, run.p, run.x, -alpha, run.q, run.r)
+	run.compute(obs.KindVec, 4*float64(run.m))
+
+	// Residual replacement (ref. 27): swap the recurrence residual for
+	// the true residual before z, β and p are derived from it, so the
+	// reconstruction recurrences stay valid.
+	if rr := run.cfg.ResidualReplacementInterval; rr > 0 && (j+1)%rr == 0 {
+		run.trueResidual()
+	}
+
+	run.pc.Apply(run.z, run.r)
+	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
+
+	rzLoc, rrLoc := vec.Dot2(run.r, run.z)
+	run.compute(obs.KindVec, 4*float64(run.m))
+	rzNew, rr := run.dot2(rzLoc, rrLoc)
+
+	beta := rzNew / run.rz
+	vec.XpayInto(run.p, run.z, beta, run.p)
+	run.compute(obs.KindVec, 2*float64(run.m))
+
+	run.rz = rzNew
+	run.betaPrev = beta
+	if run.res != nil {
+		run.res.afterIteration(j, beta)
+	}
+	return run.sample(step, j, rr)
+}
+
+// checkpoint: x, r, z, p after iterations T, 2T, … — the recovery point
+// ESRP's storage stage at (j, j+1) yields.
+func (run *nodeRun) checkpoint() ([][]float64, int) {
+	return [][]float64{run.x, run.r, run.z, run.p}, 0
+}
+
+// agreeOnRestart: standard PCG restarts locally without a word.
+func (run *nodeRun) agreeOnRestart(int) {}
+
+func (run *nodeRun) loseState() { run.rz, run.betaPrev = 0, 0 }
+
+func (run *nodeRun) extraBytes() int64 { return 0 }
+
 // stateBytes returns this node's steady-state dynamic solver footprint in
 // bytes: the local vector blocks, the owned+ghost SpMV buffer, and the
-// strategy's redundant storage. Static shared data (matrix, plan,
-// preconditioner) stands in for node-local files reloaded from safe storage
-// and is excluded, as in the paper's measurement.
+// recurrence's own vectors and the strategy's redundant storage. Static
+// shared data (matrix, plan, preconditioner) stands in for node-local files
+// reloaded from safe storage and is excluded, as in the paper's measurement.
 func (run *nodeRun) stateBytes() int64 {
-	b := 8 * int64(len(run.x)+len(run.r)+len(run.z)+len(run.p)+len(run.q)+len(run.pg))
+	b := 8*int64(len(run.x)+len(run.r)+len(run.z)+len(run.p)+len(run.q)+len(run.pg)) + run.rec.extraBytes()
 	if run.res != nil {
 		b += run.res.stateBytes()
 	}
@@ -530,9 +631,8 @@ func (run *nodeRun) maxBytes() int64 {
 // residualDrift evaluates Eq. 2 of the paper after convergence:
 // (‖r‖₂ − ‖b−Ax‖₂) / ‖b−Ax‖₂, comparing the recurrence residual with the
 // true residual of the final iterand.
-func (run *nodeRun) residualDrift(finalRelres float64) float64 {
-	copy(run.p, run.x)
-	run.spmv(false, -2)
+func (run *nodeRun) residualDrift() float64 {
+	run.spmvInto(run.q, run.x)
 	bLoc := run.cfg.B[run.lo:run.hi]
 	trueLoc := 0.0
 	for i := 0; i < run.m; i++ {
@@ -545,6 +645,6 @@ func (run *nodeRun) residualDrift(finalRelres float64) float64 {
 	if trueNorm == 0 {
 		return 0
 	}
-	recNorm := finalRelres * run.bNormGlobal
+	recNorm := run.relres * run.bNormGlobal
 	return (recNorm - trueNorm) / trueNorm
 }

@@ -112,7 +112,8 @@ func TestTraceByteDeterminism(t *testing.T) {
 // TestTraceCoverage checks the taxonomy's completeness: on a failure run the
 // leaf spans of the critical rank must account for ≥95% of the modeled
 // runtime — nothing substantial happens on the simulated clock without a
-// span saying what it was.
+// span saying what it was. (The pipelined solver's coverage is checked by
+// TestDriverInvariants.)
 func TestTraceCoverage(t *testing.T) {
 	cases := []struct {
 		name string
@@ -138,12 +139,6 @@ func TestTraceCoverage(t *testing.T) {
 			cfg.NoSpareNodes = true
 			cfg.Failure = &FailureSpec{Iteration: 40, Ranks: []int{3, 4}}
 		}, Solve},
-		{"pipelined-imcr", func(cfg *Config) {
-			cfg.Strategy = StrategyIMCR
-			cfg.T = 20
-			cfg.Phi = 1
-			cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
-		}, SolvePipelined},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
