@@ -234,9 +234,10 @@ type (
 // the counterpart of the simulated-clock layer above (see internal/hostobs
 // and DESIGN.md § Host observability).
 type (
-	// BarrierStats accumulates per-member wall-clock wait histograms
-	// (spin/park regimes), arrival-order skew and abort counts from
-	// the combining-tree barrier under every collective (Config.HostStats).
+	// BarrierStats accumulates per-member wall-clock wait histograms (a
+	// wait is a rank's yield at an incomplete collective to its
+	// resumption), arrival-order skew and abort counts from the phase
+	// under every collective (Config.HostStats).
 	BarrierStats = hostobs.BarrierStats
 	// HostRecorder records a campaign's host-side execution: per-worker
 	// cell/steal timelines, shard layout, affinity hit rate, shared barrier

@@ -36,9 +36,9 @@ func benchRounds(b *testing.B, n int, round func(nd *Node)) {
 }
 
 // BenchmarkAllreduceRound is one 2-float sum allreduce (the size of PCG's
-// fused dot products) per round. n=4 fits most hosts' GOMAXPROCS (the
-// spinning barrier); 32 and 128 are the oversubscribed park-first shape,
-// 128 being the paper's node count.
+// fused dot products) per round. n=4 is a rank or two per worker on most
+// hosts; 32 and 128 are many ranks per worker, 128 being the paper's node
+// count.
 func BenchmarkAllreduceRound(b *testing.B) {
 	for _, n := range []int{4, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -52,7 +52,7 @@ func BenchmarkAllreduceRound(b *testing.B) {
 
 // BenchmarkP2PRound is one ring halo exchange per round: every rank sends 64
 // floats (one solve-wide block) to both ring neighbours, then receives and
-// releases theirs — the channel hand-off and the payload free list, no
+// releases theirs — the inbox hand-off and the payload free list, no
 // collective. Needing both neighbours' messages keeps adjacent ranks within
 // a round of each other, as the solver's exchanges do, so the free lists
 // reach their working set in the warm-up.

@@ -2,14 +2,17 @@
 // on: N nodes executing the same SPMD program, exchanging messages, with
 // node-failure events injected by the application layer.
 //
-// Each node is a goroutine; point-to-point messages travel over lazily
-// created FIFO channels whose payload buffers come from a per-receiver
-// free list, and collectives (allreduce, broadcast, gather, barrier) run
-// over a per-view shared-memory arena — preallocated per-rank slot buffers
-// synchronized by a combining-tree barrier (barrier.go) — with deterministic,
-// rank-ordered reductions so that floating-point results are reproducible
-// run to run. In steady state neither path allocates: the arena slots, the
-// send buffers and the receive buffers are all recycled.
+// Each node is a coroutine, resumed by one of a few worker goroutines until
+// it blocks (sched.go): a receive on an empty inbox and a collective that is
+// not yet complete record what the node waits for and yield to the worker.
+// Point-to-point messages land in one inbox per receiver, FIFO per (sender,
+// receiver), with payload buffers drawn from the receiver's free list, and
+// collectives (allreduce, broadcast, gather, barrier) run over a per-view
+// shared-memory arena — preallocated per-rank slot buffers, an arrival
+// counter and a phase word — with deterministic, rank-ordered reductions, so
+// floating-point results are reproducible run to run and do not depend on
+// how many workers there are. In steady state neither path allocates: the
+// arena slots, the send buffers and the receive buffers are all recycled.
 //
 // # Simulated time
 //
@@ -80,7 +83,7 @@ func DefaultCostModel() CostModel {
 
 // message is one point-to-point transmission.
 type message struct {
-	tag      int
+	src, tag int // global sender rank, protocol tag
 	floats   []float64
 	ints     []int
 	sendTime float64 // sender's simulated clock at send
@@ -89,50 +92,56 @@ type message struct {
 // bytes returns the modeled payload size.
 func (m *message) bytes() int { return 8*len(m.floats) + 8*len(m.ints) }
 
-// endpoint is the receive side of one node: per-sender FIFO channels,
-// created lazily so that mostly-neighbour traffic patterns do not allocate
-// N² buffers, plus a free list of payload buffers. The channel table is a
-// fixed slice of atomic pointers — the steady-state lookup is one atomic
-// load, no lock, no map hashing. Senders draw their payload copies from the
-// destination's free list and the receiver returns them via Node.Release,
-// so steady-state traffic recycles a fixed working set instead of
-// allocating per message.
-type endpoint struct {
-	mu    sync.Mutex                // guards slow-path box creation
-	boxes []atomic.Pointer[msgChan] // per-sender, nil until first use
+// inbox is the receive side of one node: the messages delivered and not yet
+// received, in arrival order — so FIFO per sender — plus a free list of
+// payload buffers. Senders draw their payload copies from the destination's
+// free list and the receiver returns them via Node.Release, so steady-state
+// traffic recycles a fixed working set instead of allocating per message.
+// One mutex guards both; at most one sender per worker contends for it.
+type inbox struct {
+	mu    sync.Mutex
+	queue []message
+	pool  [][]float64
 
-	pmu  sync.Mutex
-	pool [][]float64
+	// pushed counts deliveries. A receiver that found nothing from its
+	// sender blocks on the count it read before searching: until the count
+	// moves, searching again would find the same. When it moves the worker
+	// resumes the receiver to search again — in vain if the delivery was
+	// some other sender's, which measured cheaper than having the worker
+	// search under the mutex on every sweep.
+	pushed atomic.Uint32
 }
 
-// msgChan wraps a channel so it fits atomic.Pointer.
-type msgChan struct{ ch chan message }
-
-// boxCapacity bounds the in-flight messages per (sender, receiver) pair.
-// Collectives run over the shared-memory arena (never these channels), and
-// the arena barriers keep nodes within one collective of each other, so a
-// pair accumulates at most one round of halo/extra/checkpoint/recovery
-// traffic (≤ ~16 messages) before the receiver drains it. 64 leaves 4×
-// headroom while keeping the per-pair channel footprint a few KB — the
-// 4096-deep boxes of the star-collective era were 93% of a campaign cell's
-// allocations.
 const (
-	boxCapacity = 64
-	poolDepth   = 64 // free-list bound per endpoint
+	inboxDepth = 16 // queue capacity carved from the Comm's slab; deeper queues grow on their own
+	poolDepth  = 64 // free-list bound per inbox
 )
 
-func (e *endpoint) box(src int) chan message {
-	if b := e.boxes[src].Load(); b != nil {
-		return b.ch
+// push delivers m. It never blocks: the collectives keep the nodes within
+// one round of each other, so a queue holds at most a round's messages.
+func (ib *inbox) push(m message) {
+	ib.mu.Lock()
+	ib.queue = append(ib.queue, m)
+	ib.mu.Unlock()
+	ib.pushed.Add(1)
+}
+
+// take removes the oldest message from global rank src into m and reports
+// whether there was one.
+func (ib *inbox) take(src int, m *message) bool {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	for i := range ib.queue {
+		if ib.queue[i].src == src {
+			*m = ib.queue[i]
+			last := len(ib.queue) - 1
+			copy(ib.queue[i:], ib.queue[i+1:])
+			ib.queue[last] = message{} // drop the payload references
+			ib.queue = ib.queue[:last]
+			return true
+		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if b := e.boxes[src].Load(); b != nil {
-		return b.ch
-	}
-	b := &msgChan{ch: make(chan message, boxCapacity)}
-	e.boxes[src].Store(b)
-	return b.ch
+	return false
 }
 
 // getBuf pops the best-fitting free buffer with capacity in [n, 2n+32] (or
@@ -144,12 +153,12 @@ func (e *endpoint) box(src int) chan message {
 // buffer — the next large send would allocate afresh every round — so badly
 // oversized buffers are left in place and a fresh small buffer (which joins
 // the pool's fixed working set on Release) is allocated instead.
-func (e *endpoint) getBuf(n int) []float64 {
+func (ib *inbox) getBuf(n int) []float64 {
 	limit := 2*n + 32
-	e.pmu.Lock()
+	ib.mu.Lock()
 	best := -1
-	for i := len(e.pool) - 1; i >= 0; i-- {
-		if c := cap(e.pool[i]); c >= n && c <= limit && (best < 0 || c < cap(e.pool[best])) {
+	for i := len(ib.pool) - 1; i >= 0; i-- {
+		if c := cap(ib.pool[i]); c >= n && c <= limit && (best < 0 || c < cap(ib.pool[best])) {
 			best = i
 			if c == n {
 				break
@@ -157,53 +166,58 @@ func (e *endpoint) getBuf(n int) []float64 {
 		}
 	}
 	if best >= 0 {
-		buf := e.pool[best]
-		e.pool[best] = e.pool[len(e.pool)-1]
-		e.pool = e.pool[:len(e.pool)-1]
-		e.pmu.Unlock()
+		buf := ib.pool[best]
+		ib.pool[best] = ib.pool[len(ib.pool)-1]
+		ib.pool = ib.pool[:len(ib.pool)-1]
+		ib.mu.Unlock()
 		return buf[:n]
 	}
-	e.pmu.Unlock()
+	ib.mu.Unlock()
 	return make([]float64, n)
 }
 
 // putBuf returns a buffer to the free list (dropped when full).
-func (e *endpoint) putBuf(buf []float64) {
+func (ib *inbox) putBuf(buf []float64) {
 	if cap(buf) == 0 {
 		return
 	}
-	e.pmu.Lock()
-	if len(e.pool) < poolDepth {
-		e.pool = append(e.pool, buf[:0])
+	ib.mu.Lock()
+	if len(ib.pool) < poolDepth {
+		ib.pool = append(ib.pool, buf[:0])
 	}
-	e.pmu.Unlock()
+	ib.mu.Unlock()
 }
 
-// Comm is the simulated machine: the set of endpoints plus the cost model.
+// Comm is the simulated machine: the nodes' states and inboxes, the
+// collective arenas and the cost model.
 type Comm struct {
-	n         int
-	model     CostModel
-	endpoints []*endpoint
-	abort     chan struct{}
-	abortOnce sync.Once
-	abortErr  atomic.Value // error
+	n     int
+	model CostModel
 
-	// states is every node's mutable state, one slice so a run costs one
-	// allocation for all ranks. Each rank goroutine writes only its own
-	// element; Run sums the traffic counters once every goroutine returned.
+	// states is every node's mutable state — clock, counters, inbox, wait
+	// record, coroutine — one slice so a run costs one allocation for all
+	// ranks. Only the node itself and the worker that owns it touch an
+	// element, the inbox excepted; Run sums the traffic counters once every
+	// worker returned.
 	states              []nodeState
 	bytesSent, msgsSent int64       // Σ over states, filled by Run
 	ran                 atomic.Bool // Run was called; a Comm is single-use
 
-	rootView *view // identity view shared by all nodes (read-only)
+	root *arena // the view of all n nodes
 
 	arenaMu sync.Mutex
-	arenas  map[string]*arena // collective arenas keyed by member-rank set
+	arenas  map[string]*arena // sub-view arenas keyed by member-rank set; nil until the first Sub
 
-	rec *obs.Recorder // nil = no instrumentation (the default)
+	// aborted is the one flag a failed run raises: the workers poll it and
+	// unwind every rank they own. failErr is the first failure, written by
+	// whoever raised the flag and read by Run when the workers have returned.
+	aborted atomic.Bool
+	failErr error
 
-	rep *replay.Recorder // nil = no schedule recording (the default)
+	quiet census // the workers' agreement that nothing can run any more
 
+	rec       *obs.Recorder         // nil = no instrumentation (the default)
+	rep       *replay.Recorder      // nil = no schedule recording (the default)
 	hostStats *hostobs.BarrierStats // nil = no host telemetry (the default)
 
 	wallTime time.Duration
@@ -214,66 +228,58 @@ func New(n int, model CostModel) *Comm {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: invalid node count %d", n))
 	}
-	c := &Comm{n: n, model: model, abort: make(chan struct{}), arenas: make(map[string]*arena)}
-	c.endpoints = make([]*endpoint, n)
-	for i := range c.endpoints {
-		c.endpoints[i] = &endpoint{
-			boxes: make([]atomic.Pointer[msgChan], n),
-			pool:  make([][]float64, 0, poolDepth), // full capacity up front: putBuf never regrows it
-		}
+	c := &Comm{n: n, model: model, states: make([]nodeState, n)}
+	// One slab each for the inbox queues and the free lists, carved with
+	// their full capacity up front: a queue regrows only past inboxDepth,
+	// putBuf never.
+	queues := make([]message, n*inboxDepth)
+	pools := make([][]float64, n*poolDepth)
+	all := make([]int, n)
+	for i := range c.states {
+		ib := &c.states[i].inbox
+		ib.queue = queues[i*inboxDepth : i*inboxDepth : (i+1)*inboxDepth]
+		ib.pool = pools[i*poolDepth : i*poolDepth : (i+1)*poolDepth]
+		all[i] = i
 	}
-	c.states = make([]nodeState, n)
-	c.rootView = identityView(n)
-	c.rootView.ar = c.arenaFor(c.rootView.ranks)
+	c.root = newArena(all)
 	return c
 }
 
-// Observe attaches an observability recorder: each node's goroutine then
-// records collective spans (and whatever the layers above add) into its
-// own per-rank buffer. Must be called before Run; a nil recorder (or not
+// Observe attaches an observability recorder: each node then records
+// collective spans (and whatever the layers above add) into its own
+// per-rank buffer. Must be called before Run; a nil recorder (or not
 // calling Observe at all) keeps the zero-overhead disabled path.
 func (c *Comm) Observe(rec *obs.Recorder) { c.rec = rec }
 
-// ObserveHost attaches host-side barrier telemetry: every arena barrier —
-// the root view's and any sub-communicator's — records per-member wait
-// time (split by spin/park regime), arrival-order skew, releases,
-// and aborts into st. Members are indexed by view-local rank, so st must
-// have capacity ≥ n. Must be called before Run, like Observe; a nil st
-// (or not calling ObserveHost) keeps the zero-overhead disabled path.
+// ObserveHost attaches host-side collective telemetry: every arena — the
+// root view's and any sub-communicator's — records per-member wait time
+// (from the yield of a member that arrived early to its resumption),
+// arrival-order skew and releases into st, and a failed run one abort.
+// Members are indexed by view-local rank, so st must have capacity ≥ n.
+// Must be called before Run, like Observe; a nil st (or not calling
+// ObserveHost) keeps the zero-overhead disabled path.
 func (c *Comm) ObserveHost(st *hostobs.BarrierStats) {
 	if st != nil && st.Cap() < c.n {
 		panic(fmt.Sprintf("cluster: ObserveHost stats capacity %d < %d nodes", st.Cap(), c.n))
 	}
 	c.hostStats = st
-	// The root arena already exists (New creates it); retrofit it and any
-	// other pre-Run arenas. Arenas created later pick st up in arenaFor.
-	c.arenaMu.Lock()
-	for _, a := range c.arenas {
-		a.bar.stats = st
-	}
-	c.arenaMu.Unlock()
 }
 
-// RecordSchedule attaches a schedule recorder: each node's goroutine then
-// appends its abstract event stream (compute, p2p, collectives) into its
-// own per-rank buffer, and every collective arena registers its view
-// membership, so the finished recording can be re-costed under any
-// CostModel (see internal/replay). Must be called before Run; a nil
-// recorder (or not calling RecordSchedule) keeps the zero-overhead
-// disabled path.
+// RecordSchedule attaches a schedule recorder: each node then appends its
+// abstract event stream (compute, p2p, collectives) into its own per-rank
+// buffer, and every collective arena registers its view membership, so the
+// finished recording can be re-costed under any CostModel (see
+// internal/replay). Must be called before Run; a nil recorder (or not
+// calling RecordSchedule) keeps the zero-overhead disabled path.
 func (c *Comm) RecordSchedule(rec *replay.Recorder) {
 	if rec == nil {
 		return
 	}
 	c.rep = rec
 	rec.Init(c.n)
-	// The root arena already exists (New creates it); retrofit it and any
-	// other pre-Run arenas. Arenas created later register in arenaFor.
-	c.arenaMu.Lock()
-	for _, a := range c.arenas {
-		a.repID = rec.RegisterView(a.ranks)
-	}
-	c.arenaMu.Unlock()
+	// The root arena already exists (New creates it); sub-view arenas
+	// appear during Run and register in arenaFor.
+	c.root.repID = rec.RegisterView(c.root.ranks)
 }
 
 // N returns the number of nodes.
@@ -282,38 +288,30 @@ func (c *Comm) N() int { return c.n }
 // Model returns the cost model.
 func (c *Comm) Model() CostModel { return c.model }
 
-// errAborted is the panic value used to unwind node goroutines after another
-// node has failed with a real error.
-type abortedError struct{ cause error }
+// errAborted is what a blocked node unwinds with — as a panic its coroutine
+// recovers — once the run has failed elsewhere.
+var errAborted = errors.New("cluster: aborted")
 
-func (e abortedError) Error() string { return "cluster: aborted: " + e.cause.Error() }
+// errDeadlock marks a run in which no node can ever run again; Run replaces
+// it with the list of what each node waits for.
+var errDeadlock = errors.New("cluster: deadlock")
 
-// errCollectiveAborted is the shared cause of collective-abort unwinds; a
-// single value so the (already-failing) abort path allocates nothing.
-var errCollectiveAborted = errors.New("collective aborted")
-
-// abortedPanic is the value node goroutines unwind with when a collective is
-// torn down by another node's failure.
-func abortedPanic() abortedError { return abortedError{cause: errCollectiveAborted} }
-
+// fail aborts the run. The first error is the one Run returns.
 func (c *Comm) fail(err error) {
-	c.abortOnce.Do(func() {
-		c.abortErr.Store(err)
-		close(c.abort)
-		// Wake every arena so nodes parked in a collective barrier unwind
-		// instead of waiting for a member that will never arrive.
-		c.arenaMu.Lock()
-		for _, a := range c.arenas {
-			a.abortAll()
-		}
-		c.arenaMu.Unlock()
-	})
+	if c.aborted.CompareAndSwap(false, true) {
+		c.failErr = err
+		c.hostStats.Abort() // nil-safe
+	}
 }
 
 // arenaFor returns the collective arena shared by all members of the given
-// global-rank set, creating it on first use. Callers on every member pass
-// the identical ascending rank list (the view's), so the key is canonical.
+// global-rank set — ascending and in range, which Sub has checked — creating
+// it on first use. Callers on every member pass the identical rank list, so
+// the key is canonical.
 func (c *Comm) arenaFor(ranks []int) *arena {
+	if len(ranks) == c.n {
+		return c.root
+	}
 	key := make([]byte, 0, 4*len(ranks))
 	for _, r := range ranks {
 		key = strconv.AppendInt(key, int64(r), 36)
@@ -323,61 +321,18 @@ func (c *Comm) arenaFor(ranks []int) *arena {
 	defer c.arenaMu.Unlock()
 	a, ok := c.arenas[string(key)]
 	if !ok {
-		a = newArena(len(ranks), c.hostStats)
-		a.ranks = append([]int(nil), ranks...)
+		a = newArena(append([]int(nil), ranks...))
 		if c.rep != nil {
 			// Assigned inside the critical section, so every member that
 			// looks the arena up afterwards sees the id.
 			a.repID = c.rep.RegisterView(a.ranks)
 		}
-		select {
-		case <-c.abort: // run already failed: new arenas are born aborted
-			a.abortAll()
-		default:
+		if c.arenas == nil {
+			c.arenas = make(map[string]*arena)
 		}
 		c.arenas[string(key)] = a
 	}
 	return a
-}
-
-// Run executes body on every node concurrently and waits for completion.
-// A panic on any node aborts the whole run and is returned as an error.
-// A Comm is single-use — its arenas, clocks and traffic counters are spent
-// by the first run — so a second call returns an error and runs nothing.
-func (c *Comm) Run(body func(nd *Node)) error {
-	if !c.ran.CompareAndSwap(false, true) {
-		return errors.New("cluster: Run called twice on one Comm")
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(c.n)
-	for g := 0; g < c.n; g++ {
-		go func(g int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if ab, ok := r.(abortedError); ok {
-						_ = ab // secondary victim of another node's failure
-						return
-					}
-					c.fail(fmt.Errorf("cluster: node %d panicked: %v", g, r))
-				}
-			}()
-			st := &c.states[g]
-			st.trace, st.sched = c.rec.Rank(g), c.rep.Rank(g)
-			body(&Node{comm: c, view: c.rootView, g: g, state: st})
-		}(g)
-	}
-	wg.Wait()
-	c.wallTime = time.Since(start)
-	for i := range c.states {
-		c.bytesSent += c.states[i].bytesSent
-		c.msgsSent += c.states[i].msgsSent
-	}
-	if err, ok := c.abortErr.Load().(error); ok {
-		return err
-	}
-	return nil
 }
 
 // MaxClock returns the maximum simulated clock over all nodes after Run —
@@ -400,106 +355,66 @@ func (c *Comm) BytesSent() int64 { return c.bytesSent }
 // MsgsSent returns the total number of messages all nodes sent, after Run.
 func (c *Comm) MsgsSent() int64 { return c.msgsSent }
 
-// view maps local ranks of a (sub-)communicator to global ranks. Views are
-// immutable after construction and may be shared across goroutines.
-type view struct {
-	ranks []int       // global rank per local rank, ascending
-	pos   map[int]int // global rank -> local rank
-	ar    *arena      // the members' shared collective arena
-}
-
-func identityView(n int) *view {
-	v := &view{ranks: make([]int, n), pos: make(map[int]int, n)}
-	for i := 0; i < n; i++ {
-		v.ranks[i] = i
-		v.pos[i] = i
-	}
-	return v
-}
-
-// arena is the shared-memory collective workspace of one communicator view:
-// per-member slot buffers and clock cells, synchronized by a combining-tree
-// barrier (see barrier.go). A collective is ONE barrier phase: every member
-// publishes its contribution and entry clock into the current bank, the
-// barrier flips, and every member reads what it needs. For Allreduce the
-// last arriver reduces the bank before it releases the phase — in ascending
-// rank order, so results are bitwise deterministic, and in place into member
-// 0's slot and clock cell — and the others only copy that result out. Slots
-// are double-buffered in two banks that alternate per collective: a member
-// racing ahead into collective k+1 writes the other bank, so it cannot
-// clobber a slot a slower member is still reading in collective k — that's
-// what makes the single barrier sufficient, for the folded slot 0 as for any
-// other: a bank is rewritten only two collectives later. (A member can be at
-// most one collective ahead: the barrier of k+1 cannot pass until everyone
-// arrived there, and arriving at k+1 implies having finished reading bank k.)
+// arena is one communicator view: its members and their shared-memory
+// collective workspace — per-member slot buffers and clock cells, an arrival
+// counter and a phase word. A collective is ONE phase: every member
+// publishes its contribution and entry clock into the current bank and
+// arrives; the last arriver moves the phase, and every member reads what it
+// needs. For Allreduce the last arriver reduces the bank before it moves the
+// phase — in ascending rank order, so results are bitwise deterministic
+// whichever member that is, and in place into member 0's slot and clock cell
+// — and the others only copy that result out. Slots are double-buffered in
+// two banks selected by the phase's parity: a member racing ahead into
+// collective k+1 writes the other bank, so it cannot clobber a slot a slower
+// member is still reading in collective k — that's what makes the single
+// phase sufficient, for the folded slot 0 as for any other: a bank is
+// rewritten only two collectives later. (A member can be at most one
+// collective ahead: the phase of k+1 cannot move until everyone arrived
+// there, and arriving at k+1 implies having finished reading bank k.)
+//
+// The arena carries no payload semantics: every member's slot writes happen
+// before its arrival increment, the last arriver's increment after all of
+// them, the phase move after its fold, and every reader observes the move.
 type arena struct {
-	n      int
-	slots  [2][][]float64 // per-bank, per-member contribution scratch (owner-written)
-	clocks [2][]float64   // per-bank, per-member simulated clock at entry
-
 	ranks []int // global members, ascending (the canonical arena key)
 	repID int32 // replay view id (meaningful only while recording)
 
-	bar *barrier
+	slots  [][]float64 // contribution scratch of member m in bank b at [b·n+m] (owner-written)
+	clocks []float64   // simulated clock at entry, same indexing
+
+	arrived atomic.Int32  // members in the current phase so far; its last arriver resets it
+	phase   atomic.Uint32 // completed collectives
 }
 
-func newArena(n int, st *hostobs.BarrierStats) *arena {
-	a := &arena{n: n, bar: newBarrier(n, st)}
-	for b := range a.slots {
-		a.slots[b] = make([][]float64, n)
-		a.clocks[b] = make([]float64, n)
+// slotFloats is the slot capacity carved from the arena's slab: PCG's fused
+// dot products reduce one to three floats. A wider payload (a gathered
+// block, a broadcast vector) grows its slot on first use.
+const slotFloats = 4
+
+func newArena(ranks []int) *arena {
+	n := len(ranks)
+	a := &arena{ranks: ranks, slots: make([][]float64, 2*n), clocks: make([]float64, 2*n)}
+	slab := make([]float64, 2*n*slotFloats)
+	for i := range a.slots {
+		a.slots[i] = slab[i*slotFloats : i*slotFloats : (i+1)*slotFloats]
 	}
 	return a
 }
 
-// slot returns member me's contribution buffer in bank b resized to n
-// floats, growing its capacity on first use only — steady-state collectives
-// reuse it.
-func (a *arena) slot(b, me, n int) []float64 {
-	s := a.slots[b]
-	if cap(s[me]) < n {
-		s[me] = make([]float64, n)
+// slot returns the contribution buffer at index i (bank·n + member) resized
+// to n floats, growing its capacity on first use only — steady-state
+// collectives reuse it.
+func (a *arena) slot(i, n int) []float64 {
+	if cap(a.slots[i]) < n {
+		a.slots[i] = make([]float64, n)
 	}
-	s[me] = s[me][:n]
-	return s[me]
+	a.slots[i] = a.slots[i][:n]
+	return a.slots[i]
 }
 
-// await is one barrier phase for view-rank me. Publishing before await and
-// reading after it is race-free (the barrier's atomic arrival chain orders
-// the slot writes before the reads). An abort (another node failed) unparks
-// every waiter with the abort panic.
-func (a *arena) await(me int) {
-	a.bar.await(me)
-}
-
-// reduce is the barrier phase of an Allreduce of `width` floats: the last
-// arriver folds slots 1..n-1 of the bank into slot 0 and the largest entry
-// clock into clocks[0], in ascending rank order, then releases the phase.
-// On return slot 0 and clocks[0] hold the result for every member.
-func (a *arena) reduce(me, bank, width int, op Op) {
-	p := a.bar.enter(me)
-	if !a.bar.arrive(me) {
-		a.bar.wait(me, p)
-		return
-	}
-	slots, clocks := a.slots[bank], a.clocks[bank]
-	acc, tmax := slots[0][:width], clocks[0]
-	for r := 1; r < a.n; r++ {
-		op.apply(acc, slots[r][:width])
-		tmax = max(tmax, clocks[r])
-	}
-	clocks[0] = tmax
-	a.bar.release(me)
-}
-
-func (a *arena) abortAll() {
-	a.bar.abort()
-}
-
-// nodeState is the per-goroutine mutable state shared between a node and all
-// sub-communicator handles derived from it. The states of all nodes are
-// neighbours in Comm.states; the tail padding spaces them a cache line
-// apart, so a rank advancing its clock never invalidates its neighbour's.
+// nodeState is the mutable state of one node, shared between the node, all
+// sub-communicator handles derived from it and the worker that runs it. The
+// states of all nodes are neighbours in Comm.states.
 type nodeState struct {
 	clock     float64
 	flops     float64
@@ -507,25 +422,28 @@ type nodeState struct {
 	msgsSent  int64
 	trace     *obs.Rank    // nil unless Comm.Observe attached a recorder
 	sched     *replay.Rank // nil unless Comm.RecordSchedule attached one
-	_         [16]byte
+
+	coroutine
+	root  Node // the handle Run's body receives
+	inbox inbox
 }
 
 // Node is one simulated cluster node's handle, bound to a communicator view.
-// All methods must be called only from the goroutine running this node.
+// All methods must be called only from within the body Run started for this
+// node.
 type Node struct {
 	comm  *Comm
-	view  *view
-	g     int // global rank
+	ar    *arena // the view: its members and their collective arena
+	g     int    // global rank
+	rank  int    // rank within the view
 	state *nodeState
-
-	collSeq uint64 // collectives completed on this view (selects the arena bank)
 }
 
 // Rank returns this node's rank within the current view.
-func (nd *Node) Rank() int { return nd.view.pos[nd.g] }
+func (nd *Node) Rank() int { return nd.rank }
 
 // Size returns the number of nodes in the current view.
-func (nd *Node) Size() int { return len(nd.view.ranks) }
+func (nd *Node) Size() int { return len(nd.ar.ranks) }
 
 // GlobalRank returns the node's rank in the top-level communicator.
 func (nd *Node) GlobalRank() int { return nd.g }
@@ -533,7 +451,7 @@ func (nd *Node) GlobalRank() int { return nd.g }
 // GlobalOf returns the top-level rank of the given view rank — the inverse
 // of the mapping Sub establishes. Callers deriving a sub-communicator from
 // view-relative rank lists translate through this before calling Sub.
-func (nd *Node) GlobalOf(viewRank int) int { return nd.view.ranks[viewRank] }
+func (nd *Node) GlobalOf(viewRank int) int { return nd.ar.ranks[viewRank] }
 
 // Clock returns the node's simulated time.
 func (nd *Node) Clock() float64 { return nd.state.clock }
@@ -599,102 +517,87 @@ func (nd *Node) account(msgs, bytes int64) {
 // set. The reconstruction phase uses this to run a distributed inner solver
 // on the replacement nodes only.
 func (nd *Node) Sub(globalRanks []int) *Node {
-	v := &view{ranks: append([]int(nil), globalRanks...), pos: make(map[int]int, len(globalRanks))}
-	prev := -1
-	for i, r := range v.ranks {
-		if r <= prev || r < 0 || r >= nd.comm.n {
+	prev, me := -1, -1
+	for i, r := range globalRanks {
+		if r <= prev || r >= nd.comm.n {
 			panic(fmt.Sprintf("cluster: Sub ranks must be ascending and in range, got %v", globalRanks))
 		}
 		prev = r
-		v.pos[r] = i
+		if r == nd.g {
+			me = i
+		}
 	}
-	if _, ok := v.pos[nd.g]; !ok {
+	if me < 0 {
 		return nil
 	}
-	v.ar = nd.comm.arenaFor(v.ranks)
-	return &Node{comm: nd.comm, view: v, g: nd.g, state: nd.state}
+	return &Node{comm: nd.comm, ar: nd.comm.arenaFor(globalRanks), g: nd.g, rank: me, state: nd.state}
 }
 
-// send delivers a message to the local-rank dst of the current view. The
-// payload is copied — callers may reuse their buffers — but the copy lands
-// in a buffer drawn from the destination's free list, so steady-state
-// traffic does not allocate. The receiver may hand the buffer back with
-// Release once it is done with the payload.
-func (nd *Node) send(dst, tag int, floats []float64, ints []int, clocked bool) {
-	gdst := nd.view.ranks[dst]
-	ep := nd.comm.endpoints[gdst]
-	m := message{tag: tag, sendTime: nd.state.clock}
+// send delivers a message to the local-rank dst of the current view, costing
+// the sender the per-message Overhead. The payload is copied — callers may
+// reuse their buffers — but the copy lands in a buffer drawn from the
+// destination's free list, so steady-state traffic does not allocate. The
+// receiver may hand the buffer back with Release once it is done with the
+// payload.
+func (nd *Node) send(dst, tag int, floats []float64, ints []int) {
+	gdst := nd.ar.ranks[dst]
+	ib := &nd.comm.states[gdst].inbox
+	m := message{src: nd.g, tag: tag}
 	if floats != nil {
-		buf := ep.getBuf(len(floats))
-		copy(buf, floats)
-		m.floats = buf
+		m.floats = ib.getBuf(len(floats))
+		copy(m.floats, floats)
 	}
 	if ints != nil {
 		m.ints = append(make([]int, 0, len(ints)), ints...)
 	}
-	if clocked {
-		nd.state.clock += nd.comm.model.Overhead
-		m.sendTime = nd.state.clock
-	}
+	nd.state.clock += nd.comm.model.Overhead
+	m.sendTime = nd.state.clock
 	nd.account(1, int64(m.bytes()))
 	nd.state.sched.Send(gdst, int64(m.bytes()))
-	box := ep.box(nd.g)
-	select {
-	case box <- m: // fast path: box has room (it almost always does)
-	default:
-		select {
-		case box <- m:
-		case <-nd.comm.abort:
-			panic(abortedError{cause: fmt.Errorf("send to %d aborted", gdst)})
-		}
-	}
+	ib.push(m)
 }
 
-// recv receives the next message from local-rank src of the current view.
-// The message's tag must equal tag; a mismatch indicates a protocol bug and
-// panics. If clocked, the receiver's clock advances to the modeled delivery
-// time.
-func (nd *Node) recv(src, tag int, clocked bool) message {
-	gsrc := nd.view.ranks[src]
-	box := nd.comm.endpoints[nd.g].box(gsrc)
+// recv receives the next message from local-rank src of the current view,
+// blocking until there is one, and advances the receiver's clock to the
+// modeled delivery time. The message's tag must equal tag; a mismatch
+// indicates a protocol bug and panics.
+func (nd *Node) recv(src, tag int) message {
+	gsrc := nd.ar.ranks[src]
+	st := nd.state
 	var m message
-	select {
-	case m = <-box: // fast path: message already delivered
-	default:
-		select {
-		case m = <-box:
-		case <-nd.comm.abort:
-			panic(abortedError{cause: fmt.Errorf("recv from %d aborted", gsrc)})
+	for {
+		seen := st.inbox.pushed.Load() // before the search, so a delivery during it is not missed
+		if st.inbox.take(gsrc, &m) {
+			break
 		}
+		st.block(wait{kind: waitRecv, src: gsrc, tag: tag, seen: seen})
 	}
 	if m.tag != tag {
 		panic(fmt.Sprintf("cluster: node %d expected tag %d from %d, got %d", nd.g, tag, gsrc, m.tag))
 	}
-	if clocked {
-		arrival := m.sendTime + nd.comm.model.Latency + float64(m.bytes())*nd.comm.model.BytePeriod
-		if arrival > nd.state.clock {
-			nd.state.clock = arrival
-		}
+	arrival := m.sendTime + nd.comm.model.Latency + float64(m.bytes())*nd.comm.model.BytePeriod
+	if arrival > st.clock {
+		st.clock = arrival
 	}
-	nd.state.sched.Recv(gsrc)
+	st.sched.Recv(gsrc)
 	return m
 }
 
 // Send transmits floats to view-rank dst with the given tag.
 func (nd *Node) Send(dst, tag int, floats []float64) {
-	nd.send(dst, tag, floats, nil, true)
+	nd.send(dst, tag, floats, nil)
 }
 
 // SendFI transmits a float payload plus an integer payload.
 func (nd *Node) SendFI(dst, tag int, floats []float64, ints []int) {
-	nd.send(dst, tag, floats, ints, true)
+	nd.send(dst, tag, floats, ints)
 }
 
 // Recv receives a float payload from view-rank src with the given tag. The
 // returned slice is owned by the caller; pass it to Release when done to
 // recycle it, or retain it indefinitely.
 func (nd *Node) Recv(src, tag int) []float64 {
-	return nd.recv(src, tag, true).floats
+	return nd.recv(src, tag).floats
 }
 
 // Release returns a payload slice previously obtained from Recv / RecvFI /
@@ -703,12 +606,12 @@ func (nd *Node) Recv(src, tag int) []float64 {
 // obtained from a receive — corrupts future messages; when in doubt, don't:
 // unreleased buffers are simply collected by the GC.
 func (nd *Node) Release(buf []float64) {
-	nd.comm.endpoints[nd.g].putBuf(buf)
+	nd.state.inbox.putBuf(buf)
 }
 
 // Request is the handle of a nonblocking receive posted with IRecv. The zero
-// value is invalid; requests are single-use and must not be shared across
-// goroutines (like every Node method, they belong to the node's goroutine).
+// value is invalid; requests are single-use and, like every Node method,
+// belong to the node's body.
 type Request struct {
 	nd       *Node
 	src, tag int
@@ -722,7 +625,7 @@ type Request struct {
 // one call under this machine model. The sender's clock is charged the
 // per-message Overhead at post, exactly as for Send.
 func (nd *Node) ISend(dst, tag int, floats []float64) {
-	nd.send(dst, tag, floats, nil, true)
+	nd.send(dst, tag, floats, nil)
 }
 
 // IRecv posts a nonblocking receive for a message from view-rank src with
@@ -744,7 +647,7 @@ func (r *Request) Wait() []float64 {
 		panic("cluster: Wait on a zero Request")
 	}
 	if !r.done {
-		r.floats = r.nd.recv(r.src, r.tag, true).floats
+		r.floats = r.nd.recv(r.src, r.tag).floats
 		r.done = true
 	}
 	return r.floats
@@ -752,7 +655,7 @@ func (r *Request) Wait() []float64 {
 
 // RecvFI receives a float plus integer payload.
 func (nd *Node) RecvFI(src, tag int) ([]float64, []int) {
-	m := nd.recv(src, tag, true)
+	m := nd.recv(src, tag)
 	return m.floats, m.ints
 }
 
@@ -793,6 +696,47 @@ func (nd *Node) collectiveCost(bytes int) float64 {
 	return rounds * (nd.comm.model.Latency + nd.comm.model.Overhead + float64(bytes)*nd.comm.model.BytePeriod)
 }
 
+// enter opens a collective for this member: the phase it belongs to and the
+// first slot index of the bank that phase uses. Every member reads the same
+// phase, because none enters collective k before it has seen k-1 complete
+// and k cannot complete without it.
+func (nd *Node) enter() (phase uint32, bank int) {
+	phase = nd.ar.phase.Load()
+	return phase, int(phase&1) * len(nd.ar.ranks)
+}
+
+// arrive counts this member into the phase — after it has published its
+// slot — and reports whether it is the last, which owns the release and may
+// first read and combine every slot.
+func (nd *Node) arrive() (last bool) {
+	order := nd.ar.arrived.Add(1) - 1
+	nd.comm.hostStats.Arrive(nd.rank, order) // nil-safe, like Release and Wait below
+	return int(order) == len(nd.ar.ranks)-1
+}
+
+// complete ends this member's part of the phase it arrived in. The last
+// arriver — after whatever it did on the others' behalf — releases it: the
+// arrival counter is reset first, which is safe because every next-phase
+// arrival happens after observing the phase move. The others block until it
+// has moved; the wall clock is read only when host telemetry is attached.
+func (nd *Node) complete(phase uint32, last bool) {
+	a, st := nd.ar, nd.comm.hostStats
+	if last {
+		a.arrived.Store(0)
+		st.Release(nd.rank)
+		a.phase.Add(1)
+		return
+	}
+	var t0 time.Time
+	if st != nil {
+		t0 = time.Now()
+	}
+	nd.state.block(wait{kind: waitPhase, ar: a, phase: phase})
+	if st != nil {
+		st.Wait(nd.rank, hostobs.RegimePark, int64(time.Since(t0)))
+	}
+}
+
 // Allreduce reduces x elementwise over all view members with operator op,
 // leaving the identical result in x on every member. The last member to
 // arrive applies the reduction over the arena slots in ascending rank order
@@ -808,34 +752,37 @@ func (nd *Node) Allreduce(op Op, x []float64) {
 	if n == 1 {
 		return // no communication, no clock effect
 	}
-	me := nd.Rank()
-	a := nd.view.ar
-	bank := int(nd.collSeq & 1)
-	nd.collSeq++
+	me := nd.rank
+	a := nd.ar
+	phase, bank := nd.enter()
 
-	slot := a.slot(bank, me, len(x))
-	copy(slot, x)
+	copy(a.slot(bank+me, len(x)), x)
 	t0 := nd.state.clock
-	a.clocks[bank][me] = nd.state.clock
-	a.reduce(me, bank, len(x), op) // all contributions published and folded
+	a.clocks[bank+me] = nd.state.clock
+	last := nd.arrive()
+	if last {
+		// Fold slots 1..n-1 of the bank into slot 0 and the largest entry
+		// clock into its clock cell, in ascending rank order.
+		acc, tmax := a.slots[bank][:len(x)], a.clocks[bank]
+		for r := 1; r < n; r++ {
+			op.apply(acc, a.slots[bank+r][:len(x)])
+			tmax = max(tmax, a.clocks[bank+r])
+		}
+		a.clocks[bank] = tmax
+	}
+	nd.complete(phase, last)
 
-	copy(x, a.slots[bank][0][:len(x)])
-	nd.state.clock = a.clocks[bank][0] + nd.collectiveCost(8*len(x))
+	copy(x, a.slots[bank][:len(x)])
+	nd.state.clock = a.clocks[bank] + nd.collectiveCost(8*len(x))
 	nd.state.trace.Span(obs.KindAllreduce, t0, nd.state.clock)
 
 	payloadBytes := int64(8 * (len(x) + 1)) // star payload: body + clock
+	msgs, bytes := int64(1), payloadBytes
 	if me == 0 {
-		nd.account(int64(n-1), int64(n-1)*payloadBytes)
-	} else {
-		nd.account(1, payloadBytes)
+		msgs, bytes = int64(n-1), int64(n-1)*payloadBytes
 	}
-	if s := nd.state.sched; s != nil {
-		msgs, bytes := int64(1), payloadBytes
-		if me == 0 {
-			msgs, bytes = int64(n-1), int64(n-1)*payloadBytes
-		}
-		s.Collective(replay.KindAllreduce, nd.view.ar.repID, int64(8*len(x)), msgs, bytes, false)
-	}
+	nd.account(msgs, bytes)
+	nd.state.sched.Collective(replay.KindAllreduce, a.repID, int64(8*len(x)), msgs, bytes, false)
 }
 
 // AllreduceScalar reduces a single value.
@@ -856,82 +803,69 @@ func (nd *Node) Bcast(root int, data []float64) {
 	if n == 1 {
 		return
 	}
-	me := nd.Rank()
-	a := nd.view.ar
-	bank := int(nd.collSeq & 1)
-	nd.collSeq++
+	me := nd.rank
+	a := nd.ar
+	phase, bank := nd.enter()
 	t0 := nd.state.clock
 	if me == root {
-		slot := a.slot(bank, me, len(data))
-		copy(slot, data)
-		a.clocks[bank][me] = nd.state.clock
+		copy(a.slot(bank+me, len(data)), data)
+		a.clocks[bank+me] = nd.state.clock
 	}
-	a.await(me)
+	nd.complete(phase, nd.arrive())
 	cost := nd.collectiveCost(8 * len(data))
+	var msgs, bytes int64
 	if me == root {
 		nd.state.clock += cost
-		nd.account(int64(n-1), int64(n-1)*int64(8*(len(data)+1)))
+		msgs, bytes = int64(n-1), int64(n-1)*int64(8*(len(data)+1))
+		nd.account(msgs, bytes)
 	} else {
-		copy(data, a.slots[bank][root][:len(data)])
-		nd.state.clock = math.Max(a.clocks[bank][root], nd.state.clock) + cost
+		copy(data, a.slots[bank+root][:len(data)])
+		nd.state.clock = math.Max(a.clocks[bank+root], nd.state.clock) + cost
 	}
 	nd.state.trace.Span(obs.KindBcast, t0, nd.state.clock)
-	if s := nd.state.sched; s != nil {
-		var msgs, bytes int64
-		if me == root {
-			msgs, bytes = int64(n-1), int64(n-1)*int64(8*(len(data)+1))
-		}
-		s.Collective(replay.KindBcast, a.repID, int64(8*len(data)), msgs, bytes, me == root)
-	}
+	nd.state.sched.Collective(replay.KindBcast, a.repID, int64(8*len(data)), msgs, bytes, me == root)
 }
 
 // Gather collects each member's data slice at view-rank root. On root it
 // returns one slice per rank (rank order); on other members it returns nil.
 func (nd *Node) Gather(root int, data []float64) [][]float64 {
 	n := nd.Size()
-	me := nd.Rank()
-	a := nd.view.ar
-	bank := int(nd.collSeq & 1)
-	nd.collSeq++
+	me := nd.rank
+	a := nd.ar
+	phase, bank := nd.enter()
 
-	slot := a.slot(bank, me, len(data))
-	copy(slot, data)
+	copy(a.slot(bank+me, len(data)), data)
 	t0 := nd.state.clock
-	a.clocks[bank][me] = nd.state.clock
-	if s := nd.state.sched; s != nil {
-		// Recorded at entry (before the non-root overhead advance): the
-		// replay publishes the entry clock, then applies the same
-		// per-role arithmetic. Bytes is this member's payload — the root
-		// replay sums the non-root payloads for its serialization term.
-		var msgs, bytes int64
-		if me != root {
-			msgs, bytes = 1, int64(8*(len(data)+1))
-		}
-		s.Collective(replay.KindGather, a.repID, int64(8*len(data)), msgs, bytes, me == root)
+	a.clocks[bank+me] = nd.state.clock
+	// Recorded at entry (before the non-root overhead advance): the replay
+	// publishes the entry clock, then applies the same per-role arithmetic.
+	// Bytes is this member's payload — the root replay sums the non-root
+	// payloads for its serialization term.
+	var msgs, bytes int64
+	if me != root {
+		msgs, bytes = 1, int64(8*(len(data)+1))
 	}
+	nd.state.sched.Collective(replay.KindGather, a.repID, int64(8*len(data)), msgs, bytes, me == root)
 	if me != root {
 		// The sender's clock advances only by its own send overhead; gather
 		// is not synchronizing for non-roots on the simulated clock (the
-		// arena barrier is a host-side artifact with no modeled cost).
-		nd.account(1, int64(8*(len(data)+1)))
+		// arena phase is a host-side artifact with no modeled cost).
+		nd.account(msgs, bytes)
 		nd.state.clock += nd.comm.model.Overhead
 	}
-	a.await(me)
+	nd.complete(phase, nd.arrive())
 	var out [][]float64
 	if me == root {
-		slots, clocks := a.slots[bank], a.clocks[bank]
 		out = make([][]float64, n)
 		tmax := nd.state.clock
 		totalBytes := 0
 		for r := 0; r < n; r++ {
-			out[r] = append([]float64(nil), slots[r]...)
+			out[r] = append([]float64(nil), a.slots[bank+r]...)
 			if r == root {
 				continue
 			}
-			if clocks[r] > tmax {
-				tmax = clocks[r]
-			}
-			totalBytes += 8 * len(slots[r])
+			tmax = max(tmax, a.clocks[bank+r])
+			totalBytes += 8 * len(a.slots[bank+r])
 		}
 		nd.state.clock = tmax + nd.comm.model.Latency*math.Ceil(math.Log2(float64(max(n, 2)))) +
 			float64(totalBytes)*nd.comm.model.BytePeriod

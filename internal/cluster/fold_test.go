@@ -35,11 +35,11 @@ func foldRef(op Op, payloads [][]float64) []float64 {
 // orders of magnitude so any other summation order shows in the bits, entry
 // clocks differ per rank and round, and Bcast / Gather / Barrier / a Sub
 // view's collectives are interleaved at co-prime strides so the checked
-// Allreduces land on both arena banks in every neighbourhood. GOMAXPROCS is
-// set before New (the barrier picks its waiting policy at construction):
-// 1 is fully cooperative, 2 and 4 run the releaser's fold genuinely in
-// parallel with members copying the previous collective's result out of the
-// other bank — the shape a fold/reader race would need. Runs under -race.
+// Allreduces land on both arena banks in every neighbourhood. GOMAXPROCS
+// sets the worker count: 1 is a single worker, 2 and 4 run the last
+// arriver's fold genuinely in parallel with members on other workers copying
+// the previous collective's result out of the other bank — the shape a
+// fold/reader race would need. Runs under -race.
 func TestAllreduceFoldOnce(t *testing.T) {
 	const rounds = 24
 	lengths := []int{0, 1, 2, 7}
@@ -119,7 +119,7 @@ func TestAllreduceFoldOnce(t *testing.T) {
 					}
 				}
 
-				all := c.rootView.ranks
+				all := c.root.ranks
 				err := c.Run(func(nd *Node) {
 					var sub *Node
 					if len(subRanks) > 1 {

@@ -2,90 +2,99 @@ package cluster
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
 	"esrp/internal/hostobs"
 )
 
-// TestBarrierStatsWaitBounded drives an instrumented barrier over many
+// TestBarrierStatsWaitBounded runs an observed Comm over many collective
 // phases and checks the accounting invariants the observability layer
 // promises: per-member phase counts match, exactly one member releases each
 // phase, arrival positions cover [0, n), and — the headline invariant — the
 // summed wait time never exceeds members × wall time.
 func TestBarrierStatsWaitBounded(t *testing.T) {
-	const n, phases = 5, 300
-	st := hostobs.NewBarrierStats(n)
-	b := newBarrier(n, st)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for me := 0; me < n; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
+	atProcs(t, func(t *testing.T) {
+		const n, phases = 5, 300
+		st := hostobs.NewBarrierStats(n)
+		c := New(n, testModel())
+		c.ObserveHost(st)
+		start := time.Now()
+		err := c.Run(func(nd *Node) {
 			for p := 0; p < phases; p++ {
-				b.await(me)
+				nd.Barrier()
 			}
-		}(me)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start)
 
-	snap := st.Snapshot()
-	var releases, arrivalSum int64
-	for m, ms := range snap.Members {
-		if ms.Phases != phases {
-			t.Errorf("member %d recorded %d phases, want %d", m, ms.Phases, phases)
+		snap := st.Snapshot()
+		var releases, arrivalSum, waits int64
+		for m, ms := range snap.Members {
+			if ms.Phases != phases {
+				t.Errorf("member %d recorded %d phases, want %d", m, ms.Phases, phases)
+			}
+			releases += ms.Releases
+			arrivalSum += int64(math.Round(ms.MeanArrival * float64(ms.Phases)))
+			waits += ms.Wait[hostobs.RegimePark].Count
+			if ms.MeanArrival < 0 || ms.MeanArrival > n-1 {
+				t.Errorf("member %d mean arrival %g outside [0,%d]", m, ms.MeanArrival, n-1)
+			}
 		}
-		releases += ms.Releases
-		arrivalSum += int64(math.Round(ms.MeanArrival * float64(ms.Phases)))
-		if ms.MeanArrival < 0 || ms.MeanArrival > n-1 {
-			t.Errorf("member %d mean arrival %g outside [0,%d]", m, ms.MeanArrival, n-1)
+		if releases != phases {
+			t.Errorf("%d releases recorded, want exactly one per phase (%d)", releases, phases)
 		}
-	}
-	if releases != phases {
-		t.Errorf("%d releases recorded, want exactly one per phase (%d)", releases, phases)
-	}
-	// Each phase's arrival positions are a permutation of 0..n-1, so the
-	// total across members is phases * n*(n-1)/2.
-	if want := int64(phases * n * (n - 1) / 2); arrivalSum != want {
-		t.Errorf("arrival position sum %d, want %d", arrivalSum, want)
-	}
-	if got, limit := st.TotalWaitNs(), int64(n)*wall.Nanoseconds(); got > limit {
-		t.Errorf("total recorded wait %dns exceeds members×wall %dns", got, limit)
-	}
-	if st.Aborts() != 0 {
-		t.Errorf("aborts %d, want 0", st.Aborts())
-	}
+		// Each phase's arrival positions are a permutation of 0..n-1, so the
+		// total across members is phases * n*(n-1)/2.
+		if want := int64(phases * n * (n - 1) / 2); arrivalSum != want {
+			t.Errorf("arrival position sum %d, want %d", arrivalSum, want)
+		}
+		// Every member but the phase's last arriver yields and is resumed.
+		if want := int64(phases * (n - 1)); waits != want {
+			t.Errorf("%d waits recorded, want one per early arrival (%d)", waits, want)
+		}
+		if got, limit := st.TotalWaitNs(), int64(n)*wall.Nanoseconds(); got > limit {
+			t.Errorf("total recorded wait %dns exceeds members×wall %dns", got, limit)
+		}
+		if st.Aborts() != 0 {
+			t.Errorf("aborts %d, want 0", st.Aborts())
+		}
+	})
 }
 
-// TestBarrierStatsAbort pins that an aborted barrier counts the abort and
-// that recording stops cleanly (waiters unwind without corrupting stats).
+// TestBarrierStatsAbort pins that a failed run counts one abort, however
+// many arenas and blocked members it unwinds, and that recording stops
+// cleanly.
 func TestBarrierStatsAbort(t *testing.T) {
-	const n = 4
-	st := hostobs.NewBarrierStats(n)
-	b := newBarrier(n, st)
-	var wg sync.WaitGroup
-	for me := 0; me < n-1; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			defer func() { recover() }()
-			b.await(me)
-		}(me)
-	}
-	time.Sleep(10 * time.Millisecond)
-	b.abort()
-	wg.Wait()
-	if got := st.Aborts(); got != 1 {
-		t.Errorf("aborts %d, want 1", got)
-	}
+	atProcs(t, func(t *testing.T) {
+		const n = 4
+		st := hostobs.NewBarrierStats(n)
+		c := New(n, testModel())
+		c.ObserveHost(st)
+		err := c.Run(func(nd *Node) {
+			nd.Barrier()
+			if nd.Rank() == n-1 {
+				panic("boom")
+			}
+			if sub := nd.Sub([]int{0, 1}); sub != nil {
+				sub.Barrier()
+			}
+			nd.Barrier()
+		})
+		if err == nil {
+			t.Fatal("Run returned no error")
+		}
+		if got := st.Aborts(); got != 1 {
+			t.Errorf("aborts %d, want 1", got)
+		}
+	})
 }
 
 // TestObserveHostOnComm runs collectives through an observed Comm and
-// checks the stats surface real barrier traffic, including the root arena
-// that exists before ObserveHost is called (the retrofit path).
+// checks the stats surface real collective traffic, including the root arena
+// that exists before ObserveHost is called.
 func TestObserveHostOnComm(t *testing.T) {
 	const n = 4
 	c := New(n, DefaultCostModel())
@@ -106,7 +115,7 @@ func TestObserveHostOnComm(t *testing.T) {
 		phases += ms.Phases
 	}
 	if phases == 0 {
-		t.Fatal("observed Comm recorded no barrier phases")
+		t.Fatal("observed Comm recorded no collective phases")
 	}
 	if st.TotalWaitNs() < 0 {
 		t.Errorf("negative total wait %d", st.TotalWaitNs())
@@ -121,18 +130,4 @@ func TestObserveHostCapacityPanics(t *testing.T) {
 		}
 	}()
 	New(4, DefaultCostModel()).ObserveHost(hostobs.NewBarrierStats(2))
-}
-
-// TestBarrierUninstrumentedAllocFree pins that with stats disabled the
-// barrier's await path does not allocate and never reads the wall clock —
-// the zero-overhead-when-off contract.
-func TestBarrierUninstrumentedAllocFree(t *testing.T) {
-	b := newBarrier(1, nil)
-	if allocs := testing.AllocsPerRun(100, func() { b.await(0) }); allocs != 0 {
-		t.Errorf("uninstrumented await allocates %.1f per phase, want 0", allocs)
-	}
-	bi := newBarrier(1, hostobs.NewBarrierStats(1))
-	if allocs := testing.AllocsPerRun(100, func() { bi.await(0) }); allocs != 0 {
-		t.Errorf("instrumented await allocates %.1f per phase, want 0", allocs)
-	}
 }

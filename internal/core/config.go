@@ -234,15 +234,16 @@ type Config struct {
 	// are bit-identical with recording off.
 	Record *replay.Recorder
 
-	// HostStats enables host-side barrier telemetry (internal/hostobs):
-	// per-member wall-clock wait histograms split by spin/park
-	// regime, arrival-order skew, and abort counts from the combining-tree
-	// barrier underneath every collective. It must have capacity ≥ Nodes
-	// (validated) and may be shared by many solves — campaign runs hand
-	// every cell the same stats so the histograms aggregate over the whole
-	// sweep. Nil (the default) records nothing: the barrier hot path then
-	// pays one nil check and never reads the wall clock, keeping the
-	// zero-allocation and determinism guarantees exactly as without it.
+	// HostStats enables host-side collective telemetry (internal/hostobs):
+	// per-member wall-clock wait histograms (a wait is a rank's yield at an
+	// incomplete collective to its resumption), arrival-order skew, and
+	// abort counts from the phase underneath every collective. It must have
+	// capacity ≥ Nodes (validated) and may be shared by many solves —
+	// campaign runs hand every cell the same stats so the histograms
+	// aggregate over the whole sweep. Nil (the default) records nothing: the
+	// collective hot path then pays one nil check and never reads the wall
+	// clock, keeping the zero-allocation and determinism guarantees exactly
+	// as without it.
 	HostStats *hostobs.BarrierStats
 }
 

@@ -2,31 +2,28 @@ package hostobs
 
 import "sync/atomic"
 
-// Regime classifies how a barrier member spent a wait: spinning on the
-// phase counter or parked on its wake channel. The split matters because
-// the combining-tree barrier picks its policy from n vs GOMAXPROCS — spin
-// time is cycles burnt on a core, park time is cycles given back to other
-// rank goroutines.
+// Regime classifies how a collective member spent a wait. The cluster's
+// ranks are coroutines that yield to their worker when a collective is not
+// yet complete, so there is one regime: RegimePark, the time from that yield
+// to the rank's resumption — during which its worker ran other ranks or, if
+// none could run, polled. (The spin regime of the goroutine-per-rank barrier
+// went with it; the type stays an index into MemberWait.Wait.)
 type Regime int
 
 const (
-	RegimeSpin Regime = iota
-	RegimePark
+	RegimePark Regime = iota
 	numRegimes
 )
 
 // RegimeName returns the stable label used in traces and metrics.
 func RegimeName(r Regime) string {
-	switch r {
-	case RegimeSpin:
-		return "spin"
-	case RegimePark:
+	if r == RegimePark {
 		return "park"
 	}
 	return "unknown"
 }
 
-// memberStats is one barrier member's counters, padded so members on
+// memberStats is one collective member's counters, padded so members on
 // different cores never false-share. The wait histograms are per regime.
 type memberStats struct {
 	_        [64]byte
@@ -37,9 +34,9 @@ type memberStats struct {
 	_        [64]byte
 }
 
-// BarrierStats accumulates host-side barrier telemetry for up to Cap()
-// members. All recording methods are safe on a nil receiver and do
-// nothing, so an uninstrumented barrier pays only a nil check. A single
+// BarrierStats accumulates host-side telemetry of the cluster's collective
+// phases for up to Cap() members. All recording methods are safe on a nil
+// receiver and do nothing, so an uninstrumented run pays only a nil check. A single
 // BarrierStats may be shared by every arena of a Comm (root view and
 // sub-communicators); members are indexed by view-local rank, so the
 // histograms aggregate over all arenas a rank participates in.
@@ -95,7 +92,7 @@ func (s *BarrierStats) Release(member int) {
 	s.members[member].releases.Add(1)
 }
 
-// Abort records one barrier abort sweep.
+// Abort records one aborted run.
 func (s *BarrierStats) Abort() {
 	if s == nil {
 		return

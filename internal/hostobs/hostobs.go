@@ -1,9 +1,9 @@
 // Package hostobs is the observability layer of the *host* execution
 // engine — the mirror image of internal/obs. Where obs records what the
 // simulated machine did on the deterministic LogGP clock, hostobs records
-// what the real machine underneath did on the wall clock: how long rank
-// goroutines waited in the combining-tree barrier (split by spin vs park
-// regime), how the affinity-sharded campaign scheduler kept its workers
+// what the real machine underneath did on the wall clock: how long ranks
+// waited at collectives that were not yet complete, how the
+// affinity-sharded campaign scheduler kept its workers
 // busy, how much work the tail-stealing moved, and what the Go runtime
 // (heap, GC, scheduler) was doing while a campaign ran.
 //
@@ -14,7 +14,7 @@
 // zero-alloc gates and byte-identity contracts of the engine hold
 // unchanged. With recording enabled the hot-path cost is a few padded
 // atomic increments (histograms are fixed-size log-bucketed arrays; no
-// allocation ever happens on a barrier wait or a scheduler pop), and the
+// allocation ever happens on a collective wait or a scheduler pop), and the
 // recorded data is exported after the run: as a Chrome trace_event JSON of
 // host worker timelines (obs.HostTrace), as Prometheus textfile metrics
 // appended to the campaign snapshot, and as condensed columns in the

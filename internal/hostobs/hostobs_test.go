@@ -102,7 +102,7 @@ func TestBarrierStatsRecording(t *testing.T) {
 	s.Arrive(1, 1)
 	s.Arrive(2, 2)
 	s.Arrive(2, 0) // next phase: member 2 first
-	s.Wait(0, RegimeSpin, 100)
+	s.Wait(0, RegimePark, 100)
 	s.Wait(0, RegimePark, 1000)
 	s.Release(2)
 	s.Abort()
@@ -111,11 +111,11 @@ func TestBarrierStatsRecording(t *testing.T) {
 	if snap.Aborts != 1 {
 		t.Errorf("aborts %d, want 1", snap.Aborts)
 	}
-	if got := snap.Members[0].Wait[RegimeSpin].SumNs; got != 100 {
-		t.Errorf("member 0 spin sum %d, want 100", got)
+	if got := snap.Members[0].Wait[RegimePark].SumNs; got != 1100 {
+		t.Errorf("member 0 wait sum %d, want 1100", got)
 	}
-	if got := snap.Members[0].Wait[RegimePark].Count; got != 1 {
-		t.Errorf("member 0 park count %d, want 1", got)
+	if got := snap.Members[0].Wait[RegimePark].Count; got != 2 {
+		t.Errorf("member 0 wait count %d, want 2", got)
 	}
 	if got := s.TotalWaitNs(); got != 1100 {
 		t.Errorf("total wait %d, want 1100", got)
@@ -135,7 +135,6 @@ func TestRecordingIsAllocFree(t *testing.T) {
 	s := NewBarrierStats(4)
 	if n := testing.AllocsPerRun(200, func() {
 		s.Arrive(1, 0)
-		s.Wait(1, RegimeSpin, 123)
 		s.Wait(1, RegimePark, 45678)
 		s.Release(1)
 	}); n != 0 {
