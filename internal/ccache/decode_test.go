@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"esrp/internal/core"
+	"esrp/internal/replay"
 )
 
 // sweepEntries loads testdata/sweep: result entries copied, frame and all,
@@ -286,3 +287,62 @@ func FuzzDecodeResultEntry(f *testing.F) {
 		}
 	})
 }
+
+// testdata/sweep/esr-shrink-skipped.sched is the schedule-tier entry the same
+// cold sweep wrote beside esr-shrink-skipped.res, copied frame and all from a
+// cache directory of the build before schedules became their wire bytes. It
+// decodes through the cache without counting corrupt, frames back to the
+// file's bytes, and re-costs under the result entry's machine to that entry's
+// figures — which a live solve produced — and under a skewed machine to the
+// bits the writing build computed.
+func TestPinnedScheduleEntryRecost(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "sweep", "esr-shrink-skipped.sched"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := unframe(bytes.Clone(file)) // DecodeSchedule may keep the payload
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := openTestCache(t)
+	s, ok := c.DecodeSchedule(payload)
+	if !ok || c.Stats().Corrupt != 0 {
+		t.Fatalf("the entry does not decode (corrupt %d)", c.Stats().Corrupt)
+	}
+	if s.Nodes != 8 || s.NumEvents() != pinnedEntryEvents {
+		t.Errorf("decoded %d nodes, %d events; want 8, %d", s.Nodes, s.NumEvents(), pinnedEntryEvents)
+	}
+	if again, err := s.EncodeBinary(); err != nil || !bytes.Equal(frame(again), file) {
+		t.Errorf("the entry is not what PutSchedule writes for its schedule today (err %v)", err)
+	}
+
+	entry, err := decodeResultEntry(sweepEntries(t)["esr-shrink-skipped.res"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Recost(replay.CostModel(entry.Model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := &entry.Result; rep.SimTime != r.SimTime || rep.RecoveryTime != r.RecoveryTime || rep.BytesSent != r.BytesSent {
+		t.Errorf("re-cost under the entry's machine: {%.17g %.17g %d}, the solve had {%.17g %.17g %d}",
+			rep.SimTime, rep.RecoveryTime, rep.BytesSent, r.SimTime, r.RecoveryTime, r.BytesSent)
+	}
+	skewed := replay.CostModel(entry.Model)
+	skewed.Latency *= 8
+	skewed.BytePeriod /= 2
+	if rep, err = s.Recost(skewed); err != nil {
+		t.Fatal(err)
+	}
+	if got := [2]uint64{math.Float64bits(rep.SimTime), math.Float64bits(rep.RecoveryTime)}; got != pinnedEntrySkewed || rep.MsgsSent != pinnedEntryMsgs {
+		t.Errorf("re-cost under the skewed machine: %#x, %d messages; pinned %#x, %d", got, rep.MsgsSent, pinnedEntrySkewed, pinnedEntryMsgs)
+	}
+}
+
+// What the writing build read off esr-shrink-skipped.sched.
+const (
+	pinnedEntryEvents = 11195
+	pinnedEntryMsgs   = 4143
+)
+
+var pinnedEntrySkewed = [2]uint64{0x3f8d21a1b045d37f, 0x3f6a79248ff59320} // SimTime, RecoveryTime
