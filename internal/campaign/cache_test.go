@@ -346,7 +346,14 @@ func TestCacheLateScheduleFailureDemotesToMiss(t *testing.T) {
 			s.Views = append(s.Views, []int{s.Nodes})
 			undecodable++
 		} else {
-			s.Events[0] = s.Events[0][:len(s.Events[0])/2]
+			events := make([][]replay.Event, s.Nodes)
+			for g := range events {
+				events[g] = s.Events(g)
+			}
+			events[0] = events[0][:len(events[0])/2]
+			if s, err = replay.NewSchedule(s.Nodes, s.Views, events); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := ccache.WriteScheduleFile(path, s); err != nil {
 			t.Fatal(err)

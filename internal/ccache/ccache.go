@@ -305,8 +305,10 @@ func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	return c.read(c.entryPath(scheduleTierDir, k, ".sched"))
 }
 
-// DecodeSchedule decodes a payload GetSchedulePayload returned. A payload
-// that fails to decode counts as corrupt, exactly as in GetSchedule.
+// DecodeSchedule decodes a payload GetSchedulePayload returned and takes it
+// over: the schedule's event streams are windows into payload, which the
+// caller must not write to afterwards. A payload that fails to decode counts
+// as corrupt, exactly as in GetSchedule.
 func (c *Cache) DecodeSchedule(payload []byte) (*replay.Schedule, bool) {
 	if c == nil {
 		return nil, false

@@ -148,14 +148,14 @@ func testEntry() *ResultEntry {
 }
 
 func testSchedule() *replay.Schedule {
-	return &replay.Schedule{
-		Nodes: 2,
-		Views: [][]int{{0, 1}},
-		Events: [][]replay.Event{
-			{{Kind: replay.KindCompute, Val: 1.5}, {Kind: replay.KindSend, Peer: 1, Bytes: 64, AcctMsgs: 1, AcctBytes: 64}},
-			{{Kind: replay.KindRecv, Peer: 0}},
-		},
+	s, err := replay.NewSchedule(2, [][]int{{0, 1}}, [][]replay.Event{
+		{{Kind: replay.KindCompute, Val: 1.5}, {Kind: replay.KindSend, Peer: 1, Bytes: 64, AcctMsgs: 1, AcctBytes: 64}},
+		{{Kind: replay.KindRecv, Peer: 0}},
+	})
+	if err != nil {
+		panic(err)
 	}
+	return s
 }
 
 func TestResultRoundTrip(t *testing.T) {

@@ -103,7 +103,8 @@ func WriteScheduleFile(path string, s *replay.Schedule) error {
 
 // ReadScheduleFile reads a schedule written by WriteScheduleFile. For
 // compatibility with pre-cache exports it also accepts a bare ESRPRPL1
-// stream (the unframed payload replay.WriteBinary emits).
+// stream (the unframed payload replay.WriteBinary emits). The schedule
+// aliases the bytes read, which nothing else holds.
 func ReadScheduleFile(path string) (*replay.Schedule, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -29,10 +29,11 @@ import (
 // synchronization depth, and a blocked rank's re-check is O(log) lookups.
 // A recorded schedule cannot deadlock (replay blocking is a subset of the
 // original run's blocking); the no-progress check below guards against
-// truncated or hand-edited schedules. Nothing is allocated per event: send
-// slots and collective instances are recycled, and all lookup tables are
-// sized once by a validating pre-pass (linear in ranks + view members +
-// distinct communicating pairs, so a hostile schedule cannot inflate them).
+// truncated or hand-edited schedules. Nothing is allocated per event: a rank
+// fetches its next event through a cursor over its wire bytes, send slots
+// and collective instances are recycled, and the lookup tables are the ones
+// the schedule's validating scan built once (linear in ranks + view members
+// + distinct communicating pairs, so a hostile schedule cannot inflate them).
 
 // sendSlot is one in-flight point-to-point message: payload size and the
 // link to the next message of the same (src,dst) FIFO, or to the next free
@@ -70,7 +71,8 @@ type viewState struct {
 // rankState is one rank's replay cursor; the float fields are the rank's
 // K-wide windows into the machine's flat n·K arrays.
 type rankState struct {
-	pc        int
+	off       int // of the next event in the rank's stream
+	pc        int // its index
 	envIter   int32
 	rtFinal   bool
 	published bool      // current collective event already contributed
@@ -88,24 +90,19 @@ type machine struct {
 	rs  []rankState
 	vs  []viewState
 
-	// Point-to-point boxes: the distinct (src,dst) pairs in CSR form
-	// (pairDst[pairOff[src]:pairOff[src+1]] ascending), one FIFO per pair
+	// Point-to-point boxes: one FIFO per (src,dst) pair of s.pairDst,
 	// threaded through the recycled slots.
-	pairOff  []int32
-	pairDst  []int32
 	qhead    []int32
 	qtail    []int32
 	slots    []sendSlot
 	slotT    []float64
 	freeSlot int32
 
-	acctB int64
-	acctM int64
+	acctB, acctM int64 // modeled traffic booked so far
 }
 
 // Recost replays the schedule under machine model m. Safe for concurrent
-// calls on one Schedule (the schedule is read-only; all replay state is
-// local to the call).
+// calls on one Schedule (it is read-only; all replay state is the call's).
 func (s *Schedule) Recost(m CostModel) (*Replayed, error) {
 	reps, err := s.RecostAll([]CostModel{m})
 	if err != nil {
@@ -123,24 +120,18 @@ func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		progress, done := false, true
+	for done := false; !done; {
+		progress := false
+		done = true
 		for g := range mc.rs {
 			adv, err := mc.runRank(g)
 			if err != nil {
 				return nil, err
 			}
-			if adv {
-				progress = true
-			}
-			if mc.rs[g].pc < len(s.Events[g]) {
-				done = false
-			}
+			progress = progress || adv
+			done = done && mc.rs[g].off == len(s.streams[g])
 		}
-		if done {
-			break
-		}
-		if !progress {
+		if !done && !progress {
 			return nil, mc.deadlockErr()
 		}
 	}
@@ -171,14 +162,16 @@ func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
 	return mc.out, nil
 }
 
-// newMachine validates everything the walk indexes with — rank and view
-// counts, view membership lists, every send/recv peer — and sizes the replay
-// state, so that re-costing any schedule (decoded, JSON, hand-built) returns
-// a result or an error, never panics.
+// newMachine sizes the replay state. The streams were validated when the
+// schedule was built; Nodes and Views are exported fields and are checked
+// here, so that re-costing any schedule returns a result or an error.
 func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	n, k := s.Nodes, len(models)
-	if n < 0 || len(s.Events) != n {
-		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.Events))
+	if n < 0 || len(s.streams) != n {
+		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.streams))
+	}
+	if err := checkViews(n, s.Views); err != nil {
+		return nil, err
 	}
 	mc := &machine{s: s, ms: models, freeSlot: -1}
 
@@ -189,11 +182,6 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	seq := make([]int32, members)
 	mc.vs = make([]viewState, len(s.Views))
 	for v, view := range s.Views {
-		for i, g := range view {
-			if g < 0 || g >= n || (i > 0 && g <= view[i-1]) {
-				return nil, fmt.Errorf("replay: view %d %v is not an ascending list of ranks below %d", v, view, n)
-			}
-		}
 		mc.vs[v] = viewState{
 			members: view,
 			rounds:  math.Ceil(math.Log2(float64(max(len(view), 2)))),
@@ -202,47 +190,20 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 		seq = seq[len(view):]
 	}
 
-	// One pass over the streams: range-check the peers, collect each
-	// sender's distinct destinations (mark[d] == g+1: pair (g,d) is already
-	// listed), and count the recovery envelopes each rank can emit.
-	mark := make([]int32, n)
-	envOff := make([]int, n+1)
-	mc.pairOff = make([]int32, n+1)
-	for g, evs := range s.Events {
-		envs := 0
-		for i := range evs {
-			switch e := &evs[i]; e.Kind {
-			case KindSend, KindRecv:
-				if e.Peer < 0 || int(e.Peer) >= n {
-					return nil, fmt.Errorf("replay: rank %d event %d (%v): peer %d out of range", g, i, e.Kind, e.Peer)
-				}
-				if e.Kind == KindSend && mark[e.Peer] != int32(g)+1 {
-					mark[e.Peer] = int32(g) + 1
-					mc.pairDst = append(mc.pairDst, e.Peer)
-				}
-			case KindEnvEnd:
-				envs++
-			}
-		}
-		slices.Sort(mc.pairDst[mc.pairOff[g]:])
-		mc.pairOff[g+1] = int32(len(mc.pairDst))
-		envOff[g+1] = envOff[g] + envs
-	}
-	mc.qhead = make([]int32, 2*len(mc.pairDst))
+	mc.qhead = make([]int32, 2*len(s.pairDst))
 	for i := range mc.qhead {
 		mc.qhead[i] = -1
 	}
-	mc.qhead, mc.qtail = mc.qhead[:len(mc.pairDst)], mc.qhead[len(mc.pairDst):]
+	mc.qhead, mc.qtail = mc.qhead[:len(s.pairDst)], mc.qhead[len(s.pairDst):]
 
-	events := s.NumEvents()
 	mc.out = make([]*Replayed, k)
 	for j := range mc.out {
-		out := &Replayed{Clocks: make([]float64, n), Envelopes: make([][]EnvSpan, n), Events: events}
-		if spans := envOff[n]; spans > 0 {
+		out := &Replayed{Clocks: make([]float64, n), Envelopes: make([][]EnvSpan, n), Events: s.events}
+		if n > 0 && s.envOff[n] > 0 {
 			// Each rank appends into its own capacity-limited window.
-			all := make([]EnvSpan, spans)
+			all := make([]EnvSpan, s.envOff[n])
 			for g := range out.Envelopes {
-				out.Envelopes[g] = all[envOff[g]:envOff[g]:envOff[g+1]]
+				out.Envelopes[g] = all[s.envOff[g]:s.envOff[g]:s.envOff[g+1]]
 			}
 		}
 		mc.out[j] = out
@@ -258,19 +219,22 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 }
 
 // runRank executes rank g's events until it blocks or finishes, reporting
-// whether it made any progress.
+// whether it made any progress. A blocked event is decoded again next sweep.
 func (mc *machine) runRank(g int) (bool, error) {
 	st := &mc.rs[g]
-	evs := mc.s.Events[g]
+	c := cursor{data: mc.s.streams[g], off: st.off}
+	var e Event
 	advanced := false
-	for st.pc < len(evs) {
-		ok, err := mc.step(g, st, &evs[st.pc])
+	for c.off < len(c.data) {
+		c.event(&e) // cannot fail: the scan decoded these bytes before
+		ok, err := mc.step(g, st, &e)
 		if err != nil {
-			return advanced, fmt.Errorf("replay: rank %d event %d (%v): %w", g, st.pc, evs[st.pc].Kind, err)
+			return advanced, fmt.Errorf("replay: rank %d event %d (%v): %w", g, st.pc, e.Kind, err)
 		}
 		if !ok {
 			return advanced, nil
 		}
+		st.off = c.off
 		st.pc++
 		advanced = true
 	}
@@ -297,7 +261,7 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 			}
 		}
 	case KindSend:
-		q, _ := mc.pair(g, e.Peer) // every send's pair was listed by newMachine
+		q, _ := mc.pair(g, e.Peer) // every send's pair was listed by the scan
 		sl := mc.newSlot(e.Bytes)
 		sendTime := mc.slotT[int(sl)*len(clock):][:len(clock)]
 		for j := range clock {
@@ -310,7 +274,7 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 			mc.slots[mc.qtail[q]].next = sl
 		}
 		mc.qtail[q] = sl
-		mc.account(e)
+		mc.acctM, mc.acctB = mc.acctM+e.AcctMsgs, mc.acctB+e.AcctBytes
 	case KindRecv:
 		q, ok := mc.pair(int(e.Peer), int32(g))
 		if !ok || mc.qhead[q] < 0 {
@@ -353,15 +317,13 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 		}
 	case KindRTFinal:
 		st.rtFinal = true
-	default:
-		return false, fmt.Errorf("unknown event kind %d", e.Kind)
 	}
 	return true, nil
 }
 
 // stepCollective replays one member's half of a collective.
 func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) {
-	if e.View < 0 || int(e.View) >= len(mc.vs) {
+	if int(e.View) >= len(mc.vs) { // Views may have shrunk since the scan
 		return false, fmt.Errorf("view %d out of range", e.View)
 	}
 	vs := &mc.vs[e.View]
@@ -448,7 +410,7 @@ func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) 
 		}
 	}
 
-	mc.account(e)
+	mc.acctM, mc.acctB = mc.acctM+e.AcctMsgs, mc.acctB+e.AcctBytes
 	st.published = false
 	vs.seq[me]++
 	if inst.departed++; inst.departed == n {
@@ -493,8 +455,8 @@ func (vs *viewState) retire() {
 // pair returns the index of the (src,dst) FIFO; false if src never sends to
 // dst anywhere in the schedule.
 func (mc *machine) pair(src int, dst int32) (int32, bool) {
-	lo := mc.pairOff[src]
-	i, ok := slices.BinarySearch(mc.pairDst[lo:mc.pairOff[src+1]], dst)
+	lo := mc.s.pairOff[src]
+	i, ok := slices.BinarySearch(mc.s.pairDst[lo:mc.s.pairOff[src+1]], dst)
 	return lo + int32(i), ok
 }
 
@@ -513,20 +475,13 @@ func (mc *machine) newSlot(bytes int64) int32 {
 	return sl
 }
 
-// account books one event's modeled traffic.
-func (mc *machine) account(e *Event) {
-	mc.acctM += e.AcctMsgs
-	mc.acctB += e.AcctBytes
-}
-
 // deadlockErr describes where every unfinished rank is stuck — reached only
 // for schedules that were truncated or edited after recording.
 func (mc *machine) deadlockErr() error {
 	msg := "replay: no progress (truncated or inconsistent schedule); stuck:"
 	for g := range mc.rs {
-		if mc.rs[g].pc < len(mc.s.Events[g]) {
-			e := mc.s.Events[g][mc.rs[g].pc]
-			msg += fmt.Sprintf(" rank %d at event %d (%v)", g, mc.rs[g].pc, e.Kind)
+		if st := &mc.rs[g]; st.off < len(mc.s.streams[g]) {
+			msg += fmt.Sprintf(" rank %d at event %d (%v)", g, st.pc, Kind(mc.s.streams[g][st.off]))
 		}
 	}
 	return fmt.Errorf("%s", msg)

@@ -13,6 +13,10 @@
 // reproducing SimTime, BytesSent, MsgsSent, RecoveryTime and the per-event
 // recovery envelopes bit-for-bit when replayed under the recording model.
 //
+// An event stream has one representation, its ESRPRPL1 wire bytes
+// (serialize.go): ranks record them, the cache stores them, a decoded
+// schedule aliases them and the re-coster walks them by cursor.
+//
 // The package follows the same nil-handle contract as internal/obs: a nil
 // *Recorder yields nil *Rank handles, every Rank method tolerates a nil
 // receiver, and a solve without a recorder pays only dead nil-checks on the
@@ -24,14 +28,15 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 )
 
 // CostModel mirrors cluster.CostModel field-for-field (same names, types,
-// order), so cluster.CostModel values convert directly:
-// replay.CostModel(m).
+// order), so cluster.CostModel values convert directly: replay.CostModel(m).
 type CostModel struct {
 	FlopTime   float64 // seconds per floating-point operation
 	Latency    float64 // end-to-end latency per message (α)
@@ -64,43 +69,23 @@ const (
 	KindRTFinal        // rank contributes recoveryTime to the final OpMax
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindCompute:
-		return "compute"
-	case KindClockAdd:
-		return "clockadd"
-	case KindClockSync:
-		return "clocksync"
-	case KindSend:
-		return "send"
-	case KindRecv:
-		return "recv"
-	case KindAllreduce:
-		return "allreduce"
-	case KindBcast:
-		return "bcast"
-	case KindGather:
-		return "gather"
-	case KindRecStart:
-		return "recstart"
-	case KindRecEnd:
-		return "recend"
-	case KindRecCharge:
-		return "reccharge"
-	case KindEnvStart:
-		return "envstart"
-	case KindEnvEnd:
-		return "envend"
-	case KindRTFinal:
-		return "rtfinal"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
+var kindNames = [...]string{
+	KindCompute: "compute", KindClockAdd: "clockadd", KindClockSync: "clocksync",
+	KindSend: "send", KindRecv: "recv", KindAllreduce: "allreduce", KindBcast: "bcast", KindGather: "gather",
+	KindRecStart: "recstart", KindRecEnd: "recend", KindRecCharge: "reccharge",
+	KindEnvStart: "envstart", KindEnvEnd: "envend", KindRTFinal: "rtfinal",
 }
 
-// Event is one entry of a rank's program-order stream. Only the fields the
-// Kind documents are meaningful; the rest stay zero (and are elided by the
-// binary encoding).
+func (k Kind) String() string {
+	if k == KindInvalid || int(k) >= len(kindNames) {
+		return fmt.Sprintf("kind(%d)", uint8(k))
+	}
+	return kindNames[k]
+}
+
+// Event is the decoded value of one entry of a rank's program-order stream.
+// Only the fields the Kind documents are meaningful; the rest stay zero (and
+// have no wire encoding).
 type Event struct {
 	Kind      Kind    `json:"k"`
 	Root      bool    `json:"root,omitempty"` // bcast/gather: this member is the root
@@ -119,26 +104,24 @@ type Event struct {
 // single-writer, so recording adds no cross-rank contention.
 type Recorder struct {
 	mu    sync.Mutex
-	n     int
-	ranks []*Rank
+	ranks []Rank
 	views [][]int // view id → ascending global member ranks
 }
 
-// NewRecorder returns an empty recorder; the cluster sizes it in
-// RecordSchedule.
+// NewRecorder returns an empty recorder, which RecordSchedule sizes.
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Init sizes the recorder for an n-rank cluster. Called by
-// cluster.Comm.RecordSchedule; calling it twice resets the recording.
+// cluster.Comm.RecordSchedule; calling it twice resets the recording. A
+// rank's buffer starts with room for a hundred-odd events.
 func (rc *Recorder) Init(n int) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.n = n
-	rc.ranks = make([]*Rank, n)
+	rc.ranks = make([]Rank, n)
 	for g := range rc.ranks {
-		rc.ranks[g] = &Rank{}
+		rc.ranks[g].buf = make([]byte, 0, 1<<10)
 	}
-	rc.views = rc.views[:0]
+	rc.views = nil
 }
 
 // Rank returns global rank g's event stream handle — nil when the recorder
@@ -147,7 +130,7 @@ func (rc *Recorder) Rank(g int) *Rank {
 	if rc == nil || g < 0 || g >= len(rc.ranks) {
 		return nil
 	}
-	return rc.ranks[g]
+	return &rc.ranks[g]
 }
 
 // RegisterView records a communicator view's membership (ascending global
@@ -162,84 +145,98 @@ func (rc *Recorder) RegisterView(ranks []int) int32 {
 	return id
 }
 
-// Schedule freezes the recording into its serializable, canonical form.
-// Views are reordered lexicographically by member list and event View
-// fields remapped, so the bytes of a schedule are independent of the
-// (racy) arena-creation order of the recorded run. Call after the solve
-// returns; the recorder must not be recording concurrently.
+// Schedule freezes the recording into its canonical form. Views are
+// reordered lexicographically by member list, so the bytes of a schedule are
+// independent of the (racy) arena-creation order of the recorded run. The
+// ranks' buffers are copied, behind their event counts, into one payload;
+// events are encoded afresh only if the canonical order moved a view id.
+// Call after the solve returns, not while recording.
 func (rc *Recorder) Schedule() *Schedule {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	perm := make([]int, len(rc.views))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		return lessRanks(rc.views[perm[a]], rc.views[perm[b]])
-	})
-	remap := make([]int32, len(rc.views))
-	views := make([][]int, len(rc.views))
-	for newID, oldID := range perm {
+	// Views have distinct member sets, so the order is strict and total.
+	views := slices.Clone(rc.views)
+	slices.SortFunc(views, slices.Compare[[]int])
+	remap := make([]int32, len(views))
+	moved := false
+	for oldID, view := range rc.views {
+		newID, _ := slices.BinarySearchFunc(views, view, slices.Compare[[]int])
 		remap[oldID] = int32(newID)
-		views[newID] = append([]int(nil), rc.views[oldID]...)
+		moved = moved || newID != oldID
 	}
-	s := &Schedule{Nodes: rc.n, Views: views, Events: make([][]Event, rc.n)}
-	for g, r := range rc.ranks {
-		evs := append([]Event(nil), r.ev...)
-		for i := range evs {
-			switch evs[i].Kind {
-			case KindAllreduce, KindBcast, KindGather:
-				evs[i].View = remap[evs[i].View]
-			}
+	size := binary.MaxVarintLen64 * len(rc.ranks)
+	for g := range rc.ranks {
+		size += len(rc.ranks[g].buf)
+	}
+	out := Rank{buf: make([]byte, 0, size)}
+	var e Event
+	for g := range rc.ranks {
+		r := &rc.ranks[g]
+		out.buf = binary.AppendUvarint(out.buf, uint64(r.n))
+		if !moved {
+			out.buf = append(out.buf, r.buf...)
+			continue
 		}
-		s.Events[g] = evs
+		for c := (cursor{data: r.buf}); c.off < len(r.buf); {
+			c.event(&e)
+			if e.Kind == KindAllreduce || e.Kind == KindBcast || e.Kind == KindGather {
+				e.View = remap[e.View]
+			}
+			out.put(&e) //nolint:errcheck // what a rank recorded encodes
+		}
+	}
+	s, err := index(len(rc.ranks), views, &cursor{data: out.buf})
+	if err != nil { // the cluster range-checks every peer before it records it
+		panic("replay: the recorder holds an invalid stream: " + err.Error())
 	}
 	return s
 }
 
-// lessRanks orders member lists lexicographically (views have distinct
-// member sets, so this is a strict total order).
-func lessRanks(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+// Rank is one global rank's append-only event stream, held in the wire
+// encoding of serialize.go. All methods are single-goroutine (the rank's
+// own) and tolerate a nil receiver — the zero-overhead-off contract.
+type Rank struct {
+	buf []byte
+	n   int // events in buf
 }
 
-// Rank is one global rank's append-only event stream. All methods are
-// single-goroutine (the rank's own) and tolerate a nil receiver — the
-// zero-overhead-off contract.
-type Rank struct {
-	ev []Event
+// val appends an event that is its kind and one float64.
+func (r *Rank) val(k Kind, v float64) {
+	if r == nil {
+		return
+	}
+	r.buf = binary.LittleEndian.AppendUint64(append(r.buf, byte(k)), math.Float64bits(v))
+	r.n++
+}
+
+// peer appends an event that is its kind and one varint.
+func (r *Rank) peer(k Kind, p int) {
+	if r == nil {
+		return
+	}
+	r.buf = binary.AppendUvarint(append(r.buf, byte(k)), uint64(p))
+	r.n++
+}
+
+// mark appends an event that is its kind alone.
+func (r *Rank) mark(k Kind) {
+	if r == nil {
+		return
+	}
+	r.buf = append(r.buf, byte(k))
+	r.n++
 }
 
 // Compute records a Compute(flops) clock advance.
-func (r *Rank) Compute(flops float64) {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindCompute, Val: flops})
-}
+func (r *Rank) Compute(flops float64) { r.val(KindCompute, flops) }
 
 // ClockAdd records an AddClock(dt) advance (model-independent).
-func (r *Rank) ClockAdd(dt float64) {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindClockAdd, Val: dt})
-}
+func (r *Rank) ClockAdd(dt float64) { r.val(KindClockAdd, dt) }
 
 // ClockSync records a SyncClock(t). The target t is a clock value of the
 // recorded run, so a schedule containing sync events only re-costs exactly
 // under the recording model; the solver does not use SyncClock.
-func (r *Rank) ClockSync(t float64) {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindClockSync, Val: t})
-}
+func (r *Rank) ClockSync(t float64) { r.val(KindClockSync, t) }
 
 // Send records a clocked point-to-point send of bytes payload to global
 // rank dst (books 1 message + bytes, like the cluster).
@@ -247,17 +244,13 @@ func (r *Rank) Send(dst int, bytes int64) {
 	if r == nil {
 		return
 	}
-	r.ev = append(r.ev, Event{Kind: KindSend, Peer: int32(dst), Bytes: bytes, AcctMsgs: 1, AcctBytes: bytes})
+	r.peer(KindSend, dst)
+	r.buf = binary.AppendUvarint(r.buf, uint64(bytes))
 }
 
 // Recv records a clocked receive from global rank src; payload size and
 // send time come from the matched send at replay.
-func (r *Rank) Recv(src int) {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindRecv, Peer: int32(src)})
-}
+func (r *Rank) Recv(src int) { r.peer(KindRecv, src) }
 
 // Collective records this member's half of one collective on the given
 // view: kind, the payload size its clock arithmetic uses, the modeled star
@@ -266,75 +259,125 @@ func (r *Rank) Collective(kind Kind, view int32, bytes, acctMsgs, acctBytes int6
 	if r == nil {
 		return
 	}
-	r.ev = append(r.ev, Event{Kind: kind, View: view, Bytes: bytes, AcctMsgs: acctMsgs, AcctBytes: acctBytes, Root: root})
+	b := append(r.buf, byte(kind), 0)
+	if root {
+		b[len(b)-1] = 1
+	}
+	for _, v := range [...]int64{int64(view), bytes, acctMsgs, acctBytes} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	r.buf = b
+	r.n++
 }
 
 // RecStart marks a recovery protocol's t0 := Clock() sample.
-func (r *Rank) RecStart() {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindRecStart})
-}
+func (r *Rank) RecStart() { r.mark(KindRecStart) }
 
 // RecEnd marks recoveryTime = max(recoveryTime, Clock() − t0).
-func (r *Rank) RecEnd() {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindRecEnd})
-}
+func (r *Rank) RecEnd() { r.mark(KindRecEnd) }
 
 // RecCharge marks recoveryTime += dt (the detection-time charge).
-func (r *Rank) RecCharge(dt float64) {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindRecCharge, Val: dt})
-}
+func (r *Rank) RecCharge(dt float64) { r.val(KindRecCharge, dt) }
 
 // EnvStart opens failure event j's recovery envelope at the current clock.
-func (r *Rank) EnvStart(j int) {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindEnvStart, Peer: int32(j)})
-}
+func (r *Rank) EnvStart(j int) { r.peer(KindEnvStart, j) }
 
 // EnvEnd closes the open recovery envelope at the current clock.
-func (r *Rank) EnvEnd() {
-	if r == nil {
-		return
-	}
-	r.ev = append(r.ev, Event{Kind: KindEnvEnd})
-}
+func (r *Rank) EnvEnd() { r.mark(KindEnvEnd) }
 
 // RTFinal marks that this rank contributes its recoveryTime to the final
 // OpMax reduction (retired ranks never reach it).
-func (r *Rank) RTFinal() {
-	if r == nil {
-		return
+func (r *Rank) RTFinal() { r.mark(KindRTFinal) }
+
+// put appends e through the methods the ranks record with, the one encoder.
+// What has no encoding — a negative count, an unknown kind — is an error.
+func (r *Rank) put(e *Event) error {
+	if e.Peer < 0 || e.View < 0 || e.Bytes < 0 || e.AcctMsgs < 0 || e.AcctBytes < 0 {
+		return fmt.Errorf("negative peer, view or byte count in %+v", *e)
 	}
-	r.ev = append(r.ev, Event{Kind: KindRTFinal})
+	switch e.Kind {
+	case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
+		r.val(e.Kind, e.Val)
+	case KindSend:
+		r.Send(int(e.Peer), e.Bytes)
+	case KindRecv, KindEnvStart:
+		r.peer(e.Kind, int(e.Peer))
+	case KindAllreduce, KindBcast, KindGather:
+		r.Collective(e.Kind, e.View, e.Bytes, e.AcctMsgs, e.AcctBytes, e.Root)
+	case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
+		r.mark(e.Kind)
+	default:
+		return fmt.Errorf("unknown event kind %d", e.Kind)
+	}
+	return nil
 }
 
-// Schedule is a recorded solve's full event schedule: per-rank program-order
-// streams plus the membership of every communicator view, in canonical
-// order. It is immutable once built; Recost may be called concurrently from
-// multiple goroutines (each replay allocates its own machine state).
+// Schedule is a recorded solve's full event schedule: the membership of
+// every communicator view, in canonical order, and per-rank program-order
+// event streams held as their ESRPRPL1 wire bytes. Recorder.Schedule,
+// DecodeBinary and NewSchedule all end in the one validating scan (index);
+// from then on it is immutable, and Recost may be called concurrently (each
+// replay allocates its own machine state and shares the scan's tables).
 type Schedule struct {
-	Nodes  int       `json:"nodes"`
-	Views  [][]int   `json:"views"`
-	Events [][]Event `json:"events"`
+	Nodes int
+	Views [][]int
+
+	payload []byte   // per rank: its event count, then its events
+	streams [][]byte // per rank: the window of payload that holds its events
+	events  int      // in all streams together
+
+	// Left by the scan: the distinct (src,dst) pairs of all sends in CSR form
+	// (pairDst[pairOff[src]:pairOff[src+1]] ascending) and, as a prefix sum,
+	// the envelopes each rank can emit.
+	pairOff []int32
+	pairDst []int32
+	envOff  []int
+}
+
+// NewSchedule builds a schedule from decoded events — the constructor behind
+// ReadJSON and hand-built schedules. It validates what DecodeBinary does.
+func NewSchedule(nodes int, views [][]int, events [][]Event) (*Schedule, error) {
+	if nodes < 0 || len(events) != nodes {
+		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", nodes, len(events))
+	}
+	if err := checkViews(nodes, views); err != nil {
+		return nil, err
+	}
+	var out Rank
+	for g, evs := range events {
+		out.buf = binary.AppendUvarint(out.buf, uint64(len(evs)))
+		for i := range evs {
+			if err := out.put(&evs[i]); err != nil {
+				return nil, fmt.Errorf("replay: rank %d event %d (%v): %w", g, i, evs[i].Kind, err)
+			}
+		}
+	}
+	return index(nodes, views, &cursor{data: out.buf})
+}
+
+// checkViews reports a view that is not an ascending list of ranks below n.
+func checkViews(n int, views [][]int) error {
+	for v, view := range views {
+		for i, g := range view {
+			if g < 0 || g >= n || (i > 0 && g <= view[i-1]) {
+				return fmt.Errorf("replay: view %d %v is not an ascending list of ranks below %d", v, view, n)
+			}
+		}
+	}
+	return nil
 }
 
 // NumEvents returns the total event count across ranks.
-func (s *Schedule) NumEvents() int {
-	n := 0
-	for _, evs := range s.Events {
-		n += len(evs)
+func (s *Schedule) NumEvents() int { return s.events }
+
+// Events decodes rank g's stream into a fresh slice.
+func (s *Schedule) Events(g int) []Event {
+	evs := []Event{}
+	for c := (cursor{data: s.streams[g]}); c.off < len(c.data); {
+		evs = append(evs, Event{})
+		c.event(&evs[len(evs)-1])
 	}
-	return n
+	return evs
 }
 
 // EnvSpan is one replayed recovery envelope: failure event Iter's recovery

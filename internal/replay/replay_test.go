@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,9 +204,9 @@ func TestRecostAllMatchesRecostAndLiveSolve(t *testing.T) {
 func TestDeepInstanceFIFOOfOneView(t *testing.T) {
 	const rounds, steps = 1.0, 5 // ⌈log₂ 2⌉
 	bytes := func(i int) int64 { return int64(100 * (i + 1)) }
-	s := &replay.Schedule{Nodes: 2, Views: [][]int{{0, 1}}, Events: make([][]replay.Event, 2)}
+	events := make([][]replay.Event, 2)
 	flops := []float64{3e3, 9e3}
-	for g := range s.Events {
+	for g := range events {
 		evs := []replay.Event{{Kind: replay.KindCompute, Val: flops[g]}}
 		for i := 0; i < steps; i++ {
 			evs = append(evs, replay.Event{Kind: replay.KindBcast, Root: g == 0, Bytes: bytes(i)})
@@ -212,7 +214,11 @@ func TestDeepInstanceFIFOOfOneView(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			evs = append(evs, replay.Event{Kind: replay.KindGather, Root: g == 0, Bytes: bytes(i) * int64(g)})
 		}
-		s.Events[g] = evs
+		events[g] = evs
+	}
+	s, err := replay.NewSchedule(2, [][]int{{0, 1}}, events)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ms := randomModels(rand.New(rand.NewSource(9)), 2)
 	reps, err := s.RecostAll(ms)
@@ -236,8 +242,51 @@ func TestDeepInstanceFIFOOfOneView(t *testing.T) {
 	}
 }
 
-// Every serialization re-costs to the in-memory schedule's exact figures,
-// and re-encoding a decoded schedule reproduces the bytes.
+// Arenas are created in whatever order the ranks reach them, so view ids
+// differ from run to run; the schedule's bytes do not. The same events
+// recorded against views registered in three different orders — the first
+// already canonical, the others not — freeze to one encoding.
+func TestScheduleIsIndependentOfViewRegistrationOrder(t *testing.T) {
+	views := [][]int{{0, 1, 2}, {0, 2}, {1, 2}} // in canonical order
+	var want []byte
+	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
+		rec := replay.NewRecorder()
+		rec.Init(3)
+		ids := make([]int32, len(views))
+		for _, v := range order {
+			ids[v] = rec.RegisterView(views[v])
+		}
+		for g := 0; g < 3; g++ {
+			r := rec.Rank(g)
+			r.Compute(float64(100 * (g + 1)))
+			for v, members := range views {
+				if slices.Contains(members, g) {
+					r.Collective(replay.KindAllreduce, ids[v], 8, 2, 16, false)
+					r.Collective(replay.KindBcast, ids[v], 300, 1, 300, g == members[0])
+					r.RecStart()
+				}
+			}
+		}
+		s := rec.Schedule()
+		got, err := s.EncodeBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		}
+		if !bytes.Equal(got, want) || !reflect.DeepEqual(s.Views, views) {
+			t.Errorf("views registered in order %v: views %v, %d bytes that differ from the canonical order's", order, s.Views, len(got))
+		}
+		if _, err := s.Recost(replay.CostModel(cluster.DefaultCostModel())); err != nil {
+			t.Errorf("views registered in order %v: %v", order, err)
+		}
+	}
+}
+
+// Every serialization re-costs to the recorded schedule's exact figures, and
+// re-encoding what was read back reproduces the bytes — through JSON too:
+// WriteJSON → ReadJSON → EncodeBinary is the original encoding.
 func TestRoundTripsRecostIdentically(t *testing.T) {
 	ms := randomModels(rand.New(rand.NewSource(5)), 3)
 	for _, fx := range fixtures() {
@@ -255,7 +304,7 @@ func TestRoundTripsRecostIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		decoders := map[string]func() (*replay.Schedule, error){
-			"DecodeBinary": func() (*replay.Schedule, error) { return replay.DecodeBinary(data) },
+			"DecodeBinary": func() (*replay.Schedule, error) { return replay.DecodeBinary(bytes.Clone(data)) },
 			"ReadBinary":   func() (*replay.Schedule, error) { return replay.ReadBinary(bytes.NewReader(data)) },
 			"ReadJSON":     func() (*replay.Schedule, error) { return replay.ReadJSON(&js) },
 		}
@@ -283,7 +332,7 @@ func TestRoundTripsRecostIdentically(t *testing.T) {
 
 // RecostAll's allocations are set-up plus pooled state: bounded by ranks,
 // views and K, however many events the schedule holds. DecodeBinary makes
-// one slice per rank and per view.
+// one slice per view and a handful of tables.
 func TestAllocationGates(t *testing.T) {
 	ms := randomModels(rand.New(rand.NewSource(7)), 8)
 	for _, fx := range fixtures() {
@@ -307,7 +356,7 @@ func TestAllocationGates(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if limit := float64(4 + size); decode > limit {
+			if limit := float64(8 + size); decode > limit {
 				t.Errorf("%s, %d events: DecodeBinary allocates %.0f times, gate %.0f", fx.name, sched.NumEvents(), decode, limit)
 			}
 		}
@@ -343,6 +392,16 @@ func hostilePayloads() map[string][]byte {
 		"truncated-float":  append(payload(1, 0, 1), byte(replay.KindCompute), 1, 2, 3),
 		"truncated-header": []byte("ESRPRP"),
 		"bad-magic":        []byte("ESRPCCF1........"),
+		// Fields wider than the Event they decode into: rank 0 sends 8 bytes
+		// to peer 2³²+1, which used to wrap to peer 1 and re-cost cleanly.
+		"peer-2^32+1": payload(2, 0, 1, uint64(replay.KindSend), 1<<32+1, 8, 1, uint64(replay.KindRecv), 0),
+		"view-2^32":   payload(1, 1, 1, 0, 1, uint64(replay.KindAllreduce), 0, 1<<32, 8, 0, 0),
+		"bytes-2^63":  payload(2, 0, 1, uint64(replay.KindSend), 1, 1<<63, 1, uint64(replay.KindRecv), 0),
+		// One schedule, one encoding: nothing after the last rank, no padded
+		// varints, a root flag of 0 or 1.
+		"trailing-bytes": append(payload(1, 0, 1, uint64(replay.KindRTFinal)), 0xde, 0xad, 0xbe, 0xef),
+		"padded-varint":  append([]byte("ESRPRPL1"), 0x81, 0x00, 0, 0),
+		"root-flag-2":    payload(1, 1, 1, 0, 1, uint64(replay.KindBcast), 2, 0, 8, 0, 0),
 	}
 }
 
@@ -366,24 +425,32 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// Anything DecodeBinary or ReadJSON accepts re-costs to a result or an
-// error: peers, views and member ranks that would index out of range are
-// reported, and a truncated stream keeps its "stuck" diagnostic.
+// What NewSchedule is handed is validated like what DecodeBinary reads:
+// peers, views, member ranks and counts that would index out of range or
+// have no wire encoding are the constructor's errors; what only a replay can
+// find — a rank outside the view it names, a stream cut short — is
+// RecostAll's, with its "stuck" diagnostic, and fails the same after a trip
+// through the wire.
 func TestRecostHostileSchedulesError(t *testing.T) {
 	_, good := record(t, fixtures()[2], shortIters)
-	mutate := func(f func(s *replay.Schedule)) *replay.Schedule {
-		s := &replay.Schedule{Nodes: good.Nodes, Views: append([][]int(nil), good.Views...), Events: make([][]replay.Event, good.Nodes)}
-		for g := range s.Events {
-			s.Events[g] = append([]replay.Event(nil), good.Events[g]...)
-		}
-		f(s)
-		return s
+	type parts struct {
+		nodes  int
+		views  [][]int
+		events [][]replay.Event
 	}
-	firstOf := func(s *replay.Schedule, kinds ...replay.Kind) *replay.Event {
-		for i := range s.Events[1] {
+	mutate := func(f func(p *parts)) parts {
+		p := parts{good.Nodes, append([][]int(nil), good.Views...), make([][]replay.Event, good.Nodes)}
+		for g := range p.events {
+			p.events[g] = good.Events(g)
+		}
+		f(&p)
+		return p
+	}
+	firstOf := func(p *parts, kinds ...replay.Kind) *replay.Event {
+		for i := range p.events[1] {
 			for _, k := range kinds {
-				if s.Events[1][i].Kind == k {
-					return &s.Events[1][i]
+				if p.events[1][i].Kind == k {
+					return &p.events[1][i]
 				}
 			}
 		}
@@ -391,49 +458,126 @@ func TestRecostHostileSchedulesError(t *testing.T) {
 		return nil
 	}
 	cases := map[string]struct {
-		s    *replay.Schedule
+		p    parts
 		want string
 	}{
-		"send-peer-high": {mutate(func(s *replay.Schedule) { firstOf(s, replay.KindSend).Peer = 4 }), "peer 4 out of range"},
-		"recv-peer-neg":  {mutate(func(s *replay.Schedule) { firstOf(s, replay.KindRecv).Peer = -1 }), "peer -1 out of range"},
-		"view-high":      {mutate(func(s *replay.Schedule) { firstOf(s, replay.KindAllreduce).View = int32(len(s.Views)) }), "out of range"},
-		"view-neg":       {mutate(func(s *replay.Schedule) { firstOf(s, replay.KindAllreduce).View = -7 }), "out of range"},
-		"non-member": {mutate(func(s *replay.Schedule) {
-			s.Views = append(s.Views, []int{0, 2})
-			firstOf(s, replay.KindAllreduce).View = int32(len(s.Views) - 1)
+		"send-peer-high": {mutate(func(p *parts) { firstOf(p, replay.KindSend).Peer = 4 }), "peer 4 out of range"},
+		"recv-peer-neg":  {mutate(func(p *parts) { firstOf(p, replay.KindRecv).Peer = -1 }), "negative peer"},
+		"send-bytes-neg": {mutate(func(p *parts) { firstOf(p, replay.KindSend).Bytes = -8 }), "negative peer, view or byte count"},
+		"acct-bytes-neg": {mutate(func(p *parts) { firstOf(p, replay.KindAllreduce).AcctBytes = -8 }), "negative peer, view or byte count"},
+		"view-high":      {mutate(func(p *parts) { firstOf(p, replay.KindAllreduce).View = int32(len(p.views)) }), "out of range"},
+		"view-neg":       {mutate(func(p *parts) { firstOf(p, replay.KindAllreduce).View = -7 }), "negative peer, view"},
+		"non-member": {mutate(func(p *parts) {
+			p.views = append(p.views, []int{0, 2})
+			firstOf(p, replay.KindAllreduce).View = int32(len(p.views) - 1)
 		}), "not a member"},
-		"member-past-nodes": {mutate(func(s *replay.Schedule) { s.Views[0] = []int{0, 1, 2, 9} }), "not an ascending list"},
-		"members-unsorted":  {mutate(func(s *replay.Schedule) { s.Views[0] = []int{0, 2, 1, 3} }), "not an ascending list"},
-		"nodes-past-events": {mutate(func(s *replay.Schedule) { s.Nodes = 6 }), "6 nodes but carries 4"},
-		"nodes-negative":    {mutate(func(s *replay.Schedule) { s.Nodes = -1 }), "-1 nodes"},
-		"unknown-kind":      {mutate(func(s *replay.Schedule) { firstOf(s, replay.KindCompute).Kind = 200 }), "unknown event kind"},
-		"recv-never-sent": {mutate(func(s *replay.Schedule) {
-			s.Events[0] = append([]replay.Event{{Kind: replay.KindRecv, Peer: 0}}, s.Events[0]...)
+		"member-past-nodes": {mutate(func(p *parts) { p.views[0] = []int{0, 1, 2, 9} }), "not an ascending list"},
+		"members-unsorted":  {mutate(func(p *parts) { p.views[0] = []int{0, 2, 1, 3} }), "not an ascending list"},
+		"nodes-past-events": {mutate(func(p *parts) { p.nodes = 6 }), "6 nodes but carries 4"},
+		"nodes-negative":    {mutate(func(p *parts) { p.nodes = -1 }), "-1 nodes"},
+		"unknown-kind":      {mutate(func(p *parts) { firstOf(p, replay.KindCompute).Kind = 200 }), "unknown event kind"},
+		"recv-never-sent": {mutate(func(p *parts) {
+			p.events[0] = append([]replay.Event{{Kind: replay.KindRecv, Peer: 0}}, p.events[0]...)
 		}), "stuck: rank 0 at event 0 (recv)"},
-		"truncated": {mutate(func(s *replay.Schedule) { s.Events[3] = s.Events[3][:len(s.Events[3])/2] }), "no progress (truncated or inconsistent schedule); stuck:"},
+		"truncated": {mutate(func(p *parts) { p.events[3] = p.events[3][:len(p.events[3])/2] }), "no progress (truncated or inconsistent schedule); stuck:"},
 	}
 	ms := randomModels(rand.New(rand.NewSource(3)), 2)
 	for name, c := range cases {
-		reps, err := c.s.RecostAll(ms)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got (%d results, %v), want an error containing %q", name, len(reps), err, c.want)
-		}
-		// The same through the wire: what encodes and decodes fails alike.
-		if data, eerr := c.s.EncodeBinary(); eerr == nil {
-			if dec, derr := replay.DecodeBinary(data); derr == nil {
-				if _, err := dec.Recost(ms[0]); err == nil {
-					t.Errorf("%s: the decoded schedule re-costs without error", name)
-				}
+		s, err := replay.NewSchedule(c.p.nodes, c.p.views, c.p.events)
+		if err == nil {
+			var reps []*replay.Replayed
+			if reps, err = s.RecostAll(ms); err == nil {
+				t.Errorf("%s: re-costs to %d results, want an error containing %q", name, len(reps), c.want)
+				continue
+			}
+			data, _ := s.EncodeBinary()
+			if dec, derr := replay.DecodeBinary(data); derr != nil {
+				t.Errorf("%s: NewSchedule accepts what DecodeBinary rejects: %v", name, derr)
+			} else if _, err := dec.Recost(ms[0]); err == nil {
+				t.Errorf("%s: the decoded schedule re-costs without error", name)
 			}
 		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, c.want)
+		}
 	}
-	js := `{"nodes":2,"views":[[0,5]],"events":[[{"k":6,"view":0}],[]]}`
-	s, err := replay.ReadJSON(strings.NewReader(js))
-	if err != nil {
-		t.Fatal(err)
+
+	// Nodes and Views stay exported: what a caller does to them after the
+	// scan is caught when the re-coster sizes its state, or at the event.
+	after := map[string]struct {
+		f    func(s *replay.Schedule)
+		want string
+	}{
+		"nodes":   {func(s *replay.Schedule) { s.Nodes = 6 }, "6 nodes but carries 4"},
+		"members": {func(s *replay.Schedule) { s.Views[0] = []int{0, 1, 2, 9} }, "not an ascending list"},
+		"views":   {func(s *replay.Schedule) { s.Views = nil }, "view 0 out of range"},
 	}
-	if _, err := s.RecostAll(ms); err == nil {
-		t.Error("a JSON schedule with a view member past its node count re-costs without error")
+	for name, c := range after {
+		p := mutate(func(*parts) {})
+		s, err := replay.NewSchedule(p.nodes, p.views, p.events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.f(s)
+		if _, err := s.RecostAll(ms); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s changed after construction: got %v, want an error containing %q", name, err, c.want)
+		}
+	}
+
+	for _, js := range []string{
+		`{"nodes":2,"views":[[0,5]],"events":[[{"k":6,"view":0}],[]]}`, // a view member past the node count
+		`{"nodes":2,"views":[],"events":[[{"k":5,"peer":-1}],[]]}`,
+		`{"nodes":2,"views":[],"events":[[{"k":4,"peer":1,"bytes":-8}],[{"k":5}]]}`,
+	} {
+		if s, err := replay.ReadJSON(strings.NewReader(js)); err == nil {
+			t.Errorf("ReadJSON accepts %s as a schedule of %d events", js, s.NumEvents())
+		}
+	}
+}
+
+// DecodeBinary plus RecostAll allocate by ranks, views, communicating pairs
+// and K — never by events: the same number of objects for a fixture recorded
+// at 1× and at 4× the iterations, and bytes within a bound that knows nothing
+// of the event count. (ROADMAP item 2: "replay decode allocations per
+// schedule O(1)".)
+func TestRecostAllocsIndependentOfEvents(t *testing.T) {
+	ms := randomModels(rand.New(rand.NewSource(7)), 8)
+	for _, fx := range fixtures() {
+		var objects [2]float64
+		for i, iters := range []int{shortIters, 4 * shortIters} {
+			_, sched := record(t, fx, iters)
+			data, err := sched.EncodeBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass := func() {
+				s, err := replay.DecodeBinary(data)
+				if err == nil {
+					_, err = s.RecostAll(ms)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			objects[i] = testing.AllocsPerRun(5, pass)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pass()
+			runtime.ReadMemStats(&after)
+			n, members := sched.Nodes, 0
+			for _, view := range sched.Views {
+				members += len(view)
+			}
+			// Four float windows per rank, an instance or two per view member,
+			// a queue and a few slots per pair (at most n² of them), all K wide.
+			bound := uint64(4096 + 8*len(ms)*(16*n+8*members+8*n*n))
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+				t.Errorf("%s, %d events in %d bytes: decode + re-cost allocated %d bytes, bound %d", fx.name, sched.NumEvents(), len(data), grew, bound)
+			}
+		}
+		if objects[0] != objects[1] {
+			t.Errorf("%s: decode + re-cost allocates %.0f objects at 1× the iterations, %.0f at 4×", fx.name, objects[0], objects[1])
+		}
 	}
 }
 
@@ -497,9 +641,10 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 }
 
 // FuzzDecodeBinary: any input decodes to an error or to a schedule whose
-// every rank, view member and event is backed by at least one input byte,
-// and whatever decodes re-costs — batched, and one model at a time — to
-// identical results or an error, never a panic.
+// every rank, view member and event is backed by at least one input byte and
+// which encodes back to exactly the input, and whatever decodes re-costs —
+// batched, and one model at a time — to identical results or an error, never
+// a panic.
 func FuzzDecodeBinary(f *testing.F) {
 	ms := randomModels(rand.New(rand.NewSource(1)), 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -513,6 +658,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if items > len(data) {
 			t.Fatalf("%d bytes decoded to %d ranks, views, members and events", len(data), items)
+		}
+		if again, err := s.EncodeBinary(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%d bytes decode, then encode to %d different ones (err %v)", len(data), len(again), err)
 		}
 		reps, err := s.RecostAll(ms)
 		if err != nil {

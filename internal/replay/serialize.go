@@ -1,13 +1,13 @@
 package replay
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Serialization of schedules: a compact self-describing binary format for
@@ -16,75 +16,44 @@ import (
 // bit patterns), so a deserialized schedule re-costs to the identical
 // bytes the in-memory one does.
 //
-// Binary layout (all ints unsigned varints unless noted):
+// Binary layout (all ints unsigned varints of minimal length unless noted):
 //
 //	magic "ESRPRPL1" (8 bytes)
 //	nodes, nviews
 //	per view:  nmembers, then member ranks delta-encoded (rank − prev − 1
 //	           for the tail, absolute for the first; views are ascending)
 //	per rank:  nevents, then per event: kind byte followed by the fields
-//	           that kind defines (see DecodeBinary); float64s are fixed
+//	           that kind defines (see cursor.event); float64s are fixed
 //	           8-byte little-endian bit patterns
+//
+// The per-event part of this layout is also the in-memory form (Rank,
+// Schedule.streams): encoding copies it behind a header, decoding aliases it.
 const binaryMagic = "ESRPRPL1"
 
-// WriteBinary encodes the schedule in the compact binary format.
-func (s *Schedule) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		bw.Write(scratch[:n])
-	}
-	putFloat := func(f float64) {
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(f))
-		bw.Write(scratch[:8])
-	}
-	putUvarint(uint64(s.Nodes))
-	putUvarint(uint64(len(s.Views)))
-	for _, members := range s.Views {
-		putUvarint(uint64(len(members)))
+// EncodeBinary returns the schedule's compact binary encoding: the header,
+// then the payload as it is held. The content-addressed campaign cache frames
+// these bytes (length + checksum) for its schedule tier, so there is exactly
+// one serializer for schedules on disk.
+func (s *Schedule) EncodeBinary() ([]byte, error) {
+	dst := append(make([]byte, 0, 64), binaryMagic...) // the payload's append sizes the result
+	dst = binary.AppendUvarint(dst, uint64(s.Nodes))
+	dst = binary.AppendUvarint(dst, uint64(len(s.Views)))
+	for _, view := range s.Views {
+		dst = binary.AppendUvarint(dst, uint64(len(view)))
 		prev := -1
-		for _, g := range members {
-			putUvarint(uint64(g - prev - 1))
+		for _, g := range view {
+			dst = binary.AppendUvarint(dst, uint64(g-prev-1))
 			prev = g
 		}
 	}
-	for _, evs := range s.Events {
-		putUvarint(uint64(len(evs)))
-		for i := range evs {
-			e := &evs[i]
-			bw.WriteByte(byte(e.Kind))
-			switch e.Kind {
-			case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
-				putFloat(e.Val)
-			case KindSend:
-				putUvarint(uint64(e.Peer))
-				putUvarint(uint64(e.Bytes))
-			case KindRecv:
-				putUvarint(uint64(e.Peer))
-			case KindAllreduce, KindBcast, KindGather:
-				root := byte(0)
-				if e.Root {
-					root = 1
-				}
-				bw.WriteByte(root)
-				putUvarint(uint64(e.View))
-				putUvarint(uint64(e.Bytes))
-				putUvarint(uint64(e.AcctMsgs))
-				putUvarint(uint64(e.AcctBytes))
-			case KindEnvStart:
-				putUvarint(uint64(e.Peer))
-			case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
-				// kind byte only
-			default:
-				return fmt.Errorf("replay: cannot encode event kind %d", e.Kind)
-			}
-		}
-	}
-	return bw.Flush()
+	return append(dst, s.payload...), nil
+}
+
+// WriteBinary writes the bytes of EncodeBinary.
+func (s *Schedule) WriteBinary(w io.Writer) error {
+	data, _ := s.EncodeBinary() // never fails
+	_, err := w.Write(data)
+	return err
 }
 
 // ReadBinary decodes a schedule written by WriteBinary.
@@ -112,140 +81,172 @@ func (c *cursor) fail(err error) {
 	c.off = len(c.data)
 }
 
-func (c *cursor) byte() byte {
-	if c.off >= len(c.data) {
-		c.fail(io.ErrUnexpectedEOF)
-		return 0
+// uvarint reads a varint of at most limit. A padded varint is an error: one
+// value has one encoding, so what decodes encodes back to the same bytes.
+func (c *cursor) uvarint(limit uint64) uint64 {
+	if c.off < len(c.data) && c.data[c.off] < 0x80 && uint64(c.data[c.off]) <= limit {
+		c.off++
+		return uint64(c.data[c.off-1]) // one byte, most of the time
 	}
-	c.off++
-	return c.data[c.off-1]
-}
-
-func (c *cursor) uvarint() uint64 {
 	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		if n == 0 {
-			c.fail(io.ErrUnexpectedEOF)
-		} else {
-			c.fail(fmt.Errorf("replay: varint at offset %d overflows 64 bits", c.off))
-		}
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) float() float64 {
-	if len(c.data)-c.off < 8 {
+	switch {
+	case n == 0:
 		c.fail(io.ErrUnexpectedEOF)
-		return 0
+	case n < 0:
+		c.fail(fmt.Errorf("varint at offset %d overflows 64 bits", c.off))
+	case n > 1 && c.data[c.off+n-1] == 0:
+		c.fail(fmt.Errorf("varint at offset %d is padded", c.off))
+	case v > limit:
+		c.fail(fmt.Errorf("value %d at offset %d exceeds %d", v, c.off, limit))
+	default:
+		c.off += n
+		return v
 	}
-	c.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.data[c.off-8:]))
+	return 0
 }
 
 // count reads a length field. Every item a length announces — a rank, a
 // view, a member, an event — occupies at least one byte of what follows, so
 // a count beyond the bytes remaining is corrupt; checking it here keeps
 // every allocation proportional to the input.
-func (c *cursor) count(what string) int {
-	v := c.uvarint()
-	if v > uint64(len(c.data)-c.off) {
-		c.fail(fmt.Errorf("replay: implausible %s %d with %d bytes left", what, v, len(c.data)-c.off))
-		return 0
+func (c *cursor) count() int { return int(c.uvarint(uint64(len(c.data) - c.off))) }
+
+// event decodes the event at the cursor into e: the kind byte, then the
+// fields that kind defines. Peers and views beyond int32, counts beyond
+// int64 and unknown kinds fail the cursor.
+func (c *cursor) event(e *Event) {
+	*e = Event{}
+	if c.off >= len(c.data) {
+		c.fail(io.ErrUnexpectedEOF)
+		return
 	}
-	return int(v)
+	e.Kind = Kind(c.data[c.off])
+	c.off++
+	switch e.Kind {
+	case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
+		if len(c.data)-c.off < 8 {
+			c.fail(io.ErrUnexpectedEOF)
+			return
+		}
+		e.Val = math.Float64frombits(binary.LittleEndian.Uint64(c.data[c.off:]))
+		c.off += 8
+	case KindSend:
+		e.Peer, e.Bytes = int32(c.uvarint(math.MaxInt32)), int64(c.uvarint(math.MaxInt64))
+		e.AcctMsgs, e.AcctBytes = 1, e.Bytes
+	case KindRecv, KindEnvStart:
+		e.Peer = int32(c.uvarint(math.MaxInt32))
+	case KindAllreduce, KindBcast, KindGather:
+		root := c.uvarint(1)
+		e.Root = root == 1
+		e.View, e.Bytes = int32(c.uvarint(math.MaxInt32)), int64(c.uvarint(math.MaxInt64))
+		e.AcctMsgs, e.AcctBytes = int64(c.uvarint(math.MaxInt64)), int64(c.uvarint(math.MaxInt64))
+	case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
+	default:
+		c.fail(fmt.Errorf("unknown event kind %d at offset %d", e.Kind, c.off-1))
+	}
 }
 
-// DecodeBinary decodes a schedule from its compact binary encoding.
+// DecodeBinary decodes a schedule from its compact binary encoding. The
+// schedule aliases data — its event streams are windows into it — so the
+// caller hands the buffer over and must not write to it afterwards.
 func DecodeBinary(data []byte) (*Schedule, error) {
-	if len(data) < len(binaryMagic) {
-		return nil, fmt.Errorf("replay: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	if string(data[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("replay: bad magic %q (not a schedule file)", data[:len(binaryMagic)])
+	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
+		return nil, fmt.Errorf("replay: bad magic %q (not a schedule file)", data[:min(len(data), len(binaryMagic))])
 	}
 	c := &cursor{data: data, off: len(binaryMagic)}
-	nodes := c.count("node count")
+	nodes := c.count()
 	if c.err == nil && nodes == 0 {
-		c.fail(fmt.Errorf("replay: implausible node count 0"))
+		c.fail(fmt.Errorf("node count 0"))
 	}
-	nviews := c.count("view count")
-	if c.err != nil {
-		return nil, c.err
-	}
-	s := &Schedule{Nodes: nodes, Views: make([][]int, nviews), Events: make([][]Event, nodes)}
-	for v := range s.Views {
-		members := make([]int, c.count("view size"))
+	views := make([][]int, c.count())
+	for v := range views {
+		members := make([]int, c.count())
 		prev := -1
 		for i := range members {
-			d := c.uvarint()
+			// Every delta is below nodes − prev − 1, so views arrive valid.
+			d := c.uvarint(math.MaxUint64)
 			if d >= uint64(nodes-prev-1) && c.err == nil {
-				c.fail(fmt.Errorf("replay: view %d member %d is not a rank below %d", v, i, nodes))
+				c.fail(fmt.Errorf("view %d member %d is not a rank below %d", v, i, nodes))
 			}
 			prev += 1 + int(d)
 			members[i] = prev
 		}
-		if c.err != nil {
-			return nil, c.err
-		}
-		s.Views[v] = members
+		views[v] = members
 	}
-	for g := range s.Events {
-		evs := make([]Event, c.count("event count"))
-		for i := range evs {
-			e := &evs[i]
-			e.Kind = Kind(c.byte())
-			switch e.Kind {
-			case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
-				e.Val = c.float()
-			case KindSend:
-				e.Peer, e.Bytes = int32(c.uvarint()), int64(c.uvarint())
-				e.AcctMsgs, e.AcctBytes = 1, e.Bytes
-			case KindRecv, KindEnvStart:
-				e.Peer = int32(c.uvarint())
-			case KindAllreduce, KindBcast, KindGather:
-				e.Root = c.byte() != 0
-				e.View, e.Bytes = int32(c.uvarint()), int64(c.uvarint())
-				e.AcctMsgs, e.AcctBytes = int64(c.uvarint()), int64(c.uvarint())
-			case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
-			default:
-				if c.err == nil {
-					c.fail(fmt.Errorf("replay: rank %d event %d: unknown kind %d", g, i, e.Kind))
-				}
+	if c.err != nil {
+		return nil, fmt.Errorf("replay: %w", c.err)
+	}
+	return index(nodes, views, c)
+}
+
+// index runs the one validating scan over a schedule's payload, which runs
+// from the cursor to the end of its data: rank by rank, the event count, then
+// the events. It checks every event's kind and field ranges, every peer
+// against the node count and every view id against the view list, and leaves
+// on the schedule the stream windows, the event total, the distinct (src,dst)
+// pairs and the envelope counts that every Recost call then shares.
+func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
+	int32s := make([]int32, 2*nodes+1)
+	s := &Schedule{
+		Nodes: nodes, Views: views, payload: c.data[c.off:], streams: make([][]byte, nodes),
+		envOff: make([]int, nodes+1), pairOff: int32s[: nodes+1 : nodes+1],
+	}
+	mark := int32s[nodes+1:] // mark[d] == g+1: pair (g,d) is already listed
+	var e Event
+	for g := range s.streams {
+		count := c.count()
+		start, envs := c.off, 0
+		for i := 0; i < count; i++ {
+			c.event(&e)
+			switch {
+			case (e.Kind == KindSend || e.Kind == KindRecv) && int(e.Peer) >= nodes:
+				return nil, fmt.Errorf("replay: rank %d event %d (%v): peer %d out of range", g, i, e.Kind, e.Peer)
+			case e.Kind == KindSend && mark[e.Peer] != int32(g)+1:
+				mark[e.Peer] = int32(g) + 1
+				s.pairDst = append(s.pairDst, e.Peer)
+			case (e.Kind == KindAllreduce || e.Kind == KindBcast || e.Kind == KindGather) && int(e.View) >= len(views):
+				return nil, fmt.Errorf("replay: rank %d event %d (%v): view %d out of range", g, i, e.Kind, e.View)
+			case e.Kind == KindEnvEnd:
+				envs++
 			}
 		}
 		if c.err != nil {
-			return nil, c.err
+			return nil, fmt.Errorf("replay: rank %d: %w", g, c.err)
 		}
-		s.Events[g] = evs
+		slices.Sort(s.pairDst[s.pairOff[g]:])
+		s.pairOff[g+1] = int32(len(s.pairDst))
+		s.envOff[g+1] = s.envOff[g] + envs
+		s.streams[g] = c.data[start:c.off:c.off]
+		s.events += count
+	}
+	if c.off != len(c.data) {
+		return nil, fmt.Errorf("replay: %d bytes after the last rank's stream", len(c.data)-c.off)
 	}
 	return s, nil
 }
 
-// EncodeBinary returns the schedule's compact binary encoding as one byte
-// slice — the same bytes WriteBinary streams. The content-addressed campaign
-// cache frames these bytes (length + checksum) for its schedule tier, so
-// there is exactly one serializer for schedules on disk.
-func (s *Schedule) EncodeBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// jsonSchedule is the JSON form of a schedule: its events decoded.
+type jsonSchedule struct {
+	Nodes  int       `json:"nodes"`
+	Views  [][]int   `json:"views"`
+	Events [][]Event `json:"events"`
 }
 
 // WriteJSON emits the schedule as JSON (large but diffable; floats are
 // round-trip exact under Go's JSON shortest-representation encoding).
 func (s *Schedule) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(s)
+	js := jsonSchedule{Nodes: s.Nodes, Views: s.Views, Events: make([][]Event, len(s.streams))}
+	for g := range js.Events {
+		js.Events[g] = s.Events(g)
+	}
+	return json.NewEncoder(w).Encode(js)
 }
 
 // ReadJSON decodes a schedule written by WriteJSON.
 func ReadJSON(r io.Reader) (*Schedule, error) {
-	var s Schedule
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	var js jsonSchedule
+	if err := json.NewDecoder(r).Decode(&js); err != nil {
 		return nil, fmt.Errorf("replay: decoding JSON schedule: %w", err)
 	}
-	return &s, nil
+	return NewSchedule(js.Nodes, js.Views, js.Events)
 }
