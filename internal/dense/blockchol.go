@@ -181,6 +181,57 @@ func (bc *BlockCholesky) SolvePair(b0, b1 int, v0, v1 []float64) {
 	}
 }
 
+//go:generate go run gen_solvequad.go
+
+// SolveAll overwrites v — the blocks' vectors back to back, in block order —
+// with A_b⁻¹ v_b for every block: one sweep over the arena, four blocks at a
+// time wherever the next four have one size the unrolled solve exists for,
+// else two, else one. Each block's operations run in Solve's order on every
+// route, so the result is bitwise that of one Solve call per block.
+func (bc *BlockCholesky) SolveAll(v []float64) {
+	o := 0 // offset of block b's vector in v
+	for b, nb := 0, len(bc.dims); b < nb; {
+		n := bc.dims[b]
+		switch {
+		case b+4 <= nb && bc.solveQuad(b, v[o:]):
+			b, o = b+4, o+4*n
+		case b+2 <= nb:
+			n1 := bc.dims[b+1]
+			bc.SolvePair(b, b+1, v[o:o+n], v[o+n:o+n+n1])
+			b, o = b+2, o+n+n1
+		default:
+			bc.Solve(b, v[o:o+n])
+			b, o = b+1, o+n
+		}
+	}
+}
+
+// solveQuad solves the four consecutive blocks b … b+3, whose vectors start
+// v, through the generated code (solvequad_gen.go) — if the four have one size
+// and the generator covers it: 9 and 10, what block Jacobi cuts at the
+// paper's MaxBlock. Otherwise it touches nothing and reports false.
+//
+// A lone triangular solve is bound by its division chain. The generated code
+// unrolls every row's dot product and interleaves the four blocks row by row,
+// so four chains overlap where SolvePair overlaps two, and the loops' index
+// arithmetic and bounds checks are gone.
+func (bc *BlockCholesky) solveQuad(b int, v []float64) bool {
+	n := bc.dims[b]
+	if n != bc.dims[b+1] || n != bc.dims[b+2] || n != bc.dims[b+3] {
+		return false
+	}
+	l, ut := bc.l[bc.ptr[b]:bc.ptr[b+4]], bc.ut[bc.ptr[b]:bc.ptr[b+4]]
+	switch n {
+	case 9:
+		solveQuad9(l, ut, v)
+	case 10:
+		solveQuad10(l, ut, v)
+	default:
+		return false
+	}
+	return true
+}
+
 // MulVec computes dst = A_b x = L·(Lᵀ x), reconstituting the block operator
 // from the packed factor (the reconstruction path's SolveRestricted).
 // dst must not alias x. It allocates nothing: t = Lᵀ x is stored in dst and

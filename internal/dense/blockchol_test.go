@@ -1,8 +1,12 @@
 package dense
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"slices"
 	"testing"
 )
 
@@ -192,5 +196,99 @@ func TestBlockCholeskyMulVecInPlace(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("MulVec allocates %v times per sweep, want 0", a)
+	}
+}
+
+// TestBlockCholeskySolveQuadBitwise: the batched sweep must equal one
+// per-block Cholesky.Solve per block bit for bit — through the generated
+// four-block code (dims 9 and 10), through SolvePair and Solve (every other
+// dim, groups of mixed size, the 0…3 blocks left after the last four) — on
+// uniform sequences of every dim 1…12 and on sequences that change between
+// 10 and 9 the way block Jacobi's do.
+func TestBlockCholeskySolveQuadBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var seqs [][]int
+	for n := 1; n <= 12; n++ {
+		for count := 4; count <= 11; count++ {
+			seqs = append(seqs, slices.Repeat([]int{n}, count))
+		}
+	}
+	for tens := 0; tens <= 9; tens++ {
+		for nines := 0; nines <= 9; nines++ {
+			seqs = append(seqs, append(slices.Repeat([]int{10}, tens), slices.Repeat([]int{9}, nines)...))
+		}
+	}
+	for _, sizes := range seqs {
+		var bc BlockCholesky
+		var v, want []float64
+		for _, n := range sizes {
+			a := randomSPD(n, rng)
+			ch, err := Factor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bc.Append(a); err != nil {
+				t.Fatal(err)
+			}
+			vb := make([]float64, n)
+			for i := range vb {
+				vb[i] = rng.NormFloat64()
+			}
+			v = append(v, vb...)
+			ch.Solve(vb)
+			want = append(want, vb...)
+		}
+		bc.SolveAll(v)
+		for i := range v {
+			if math.Float64bits(v[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("sizes %v, entry %d: %x, per-block %x", sizes, i,
+					math.Float64bits(v[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	// The sweep only tests the generated code if it gets there: four blocks
+	// of 9 or 10 are taken, anything else is refused and left alone.
+	for n := 1; n <= 12; n++ {
+		var bc BlockCholesky
+		for _, m := range []int{n, n, n, n, n + 1} {
+			if err := bc.Append(randomSPD(m, rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := make([]float64, 4*n+1)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		before := slices.Clone(v)
+		if took := bc.solveQuad(0, v); took != (n == 9 || n == 10) {
+			t.Fatalf("four %d×%d blocks: solveQuad reports %v", n, n, took)
+		} else if !took && !slices.Equal(v, before) {
+			t.Fatalf("four %d×%d blocks: refused, yet v changed", n, n)
+		}
+		if bc.solveQuad(1, v) {
+			t.Fatalf("blocks of %d, %d, %d, %d taken as one size", n, n, n, n+1)
+		}
+	}
+}
+
+// The committed solvequad_gen.go is what gen_solvequad.go writes (go generate
+// ./internal/dense rewrites it).
+func TestGeneratedSolveIsCurrent(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool to run the generator with")
+	}
+	cmd := exec.Command("go", "run", "gen_solvequad.go", "-stdout")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	want, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go run gen_solvequad.go -stdout: %v\n%s", err, &stderr)
+	}
+	got, err := os.ReadFile("solvequad_gen.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("solvequad_gen.go differs from what gen_solvequad.go writes (run go generate ./internal/dense)")
 	}
 }

@@ -244,17 +244,11 @@ func (p *BlockJacobiPC) NumBlocks() int { return p.bc.NumBlocks() }
 // Apply implements Preconditioner: per block, z_b = B_b⁻¹ r_b — one batched
 // sweep over the flat factor arena.
 func (p *BlockJacobiPC) Apply(z, r []float64) {
-	if n := p.offsets[len(p.offsets)-1]; n > 0 && &z[0] != &r[0] {
+	n := p.offsets[len(p.offsets)-1]
+	if n > 0 && &z[0] != &r[0] {
 		copy(z[:n], r[:n])
 	}
-	nb := p.bc.NumBlocks()
-	b := 0
-	for ; b+1 < nb; b += 2 {
-		p.bc.SolvePair(b, b+1, z[p.offsets[b]:p.offsets[b+1]], z[p.offsets[b+1]:p.offsets[b+2]])
-	}
-	for ; b < nb; b++ {
-		p.bc.Solve(b, z[p.offsets[b]:p.offsets[b+1]])
-	}
+	p.bc.SolveAll(z[:n])
 }
 
 // ApplyFlops implements Preconditioner.

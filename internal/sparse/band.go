@@ -1,9 +1,19 @@
 package sparse
 
+import "fmt"
+
 // bandUnroll is the row unroll width of the period-1 band loop: four
 // consecutive rows share one pass over the offset pattern, with four
-// independent accumulators and x loads that land on adjacent entries.
+// independent accumulators and x loads that land on adjacent entries. It is
+// also the lane count of one vector register of the chunked path, which
+// walks 2·bandUnroll rows per step and then at most one bandUnroll-row chunk.
 const bandUnroll = 4
+
+// bandVector reports whether period-1 runs are additionally stored
+// chunk-transposed and multiplied by the platform's vector routine
+// (band_amd64.s). The platform decides, once; tests flip it before building a
+// kernel to send the same rows through the portable loops.
+var bandVector = cpuHasAVX()
 
 // bandMaxPeriod caps the detected pattern period (the dof count of blocked
 // stencil matrices; audikw-class problems use 3). It also bounds the
@@ -21,12 +31,13 @@ const bandMaxPeriod = 8
 // d = dof covers vertex-blocked stencils (audikw-class), where the dof rows
 // of a vertex couple the same columns. Stencil interiors are almost
 // entirely such runs; a run's values are contiguous in the Local's CSR
-// storage, so the kernel streams them without copying.
+// storage, so the portable loops stream them without copying.
 type bandRun struct {
 	i0, i1 int
 	d      int   // pattern period (≥ 1); i1−i0 is a multiple of d
 	base   int   // offset of row i0's first entry in the Local's Vals
 	off    []int // column offsets relative to the group base, source order
+	vt     int   // offset of the run's chunks in bandRows.vt, −1 if it has none
 }
 
 // bandRows is the constant-band layout of one row block: the block's rows
@@ -36,13 +47,32 @@ type bandRun struct {
 // each x entry once per group instead of once per row. Rows that fit no run
 // degenerate to single-row runs (correct, CSR-equivalent speed); the
 // planner only picks this layout when long runs dominate.
+//
+// Where bandVector holds, the first ⌊n/4⌋·4 rows of every period-1 run of
+// n ≥ 4 rows are also kept chunk-transposed in vt — chunks of 8 rows, then at
+// most one of 4, each laid out [entry k][lane] — so that one vector lane per
+// row advances each row's own accumulator through the row's entries in source
+// order: the same products and sums as the portable loop, four or eight rows
+// per instruction. The routine has no bounds checks; transposeChunks proves
+// every index a chunked run touches lies below xlen (in x) and dlen (in dst),
+// and mul checks those two lengths once per call.
 type bandRows struct {
-	vals []float64 // the Local's value storage (shared, read-only)
-	runs []bandRun
-	nz   int
+	vals       []float64 // the Local's value storage (shared, read-only)
+	vt         []float64 // chunk-transposed values, one arena for all runs
+	xlen, dlen int       // len(x), len(dst) the chunked runs need
+	runs       []bandRun
+	nz         int
 }
 
 func newBandRows(l *Local, rows []int) *bandRows {
+	b := findBandRuns(l, rows)
+	b.transposeChunks(l.M + l.G())
+	return b
+}
+
+// findBandRuns decomposes the rows into runs — all the planner needs to
+// judge the layout, and all the portable loops need to multiply.
+func findBandRuns(l *Local, rows []int) *bandRows {
 	b := &bandRows{vals: l.Vals}
 	for t := 0; t < len(rows); {
 		i0 := rows[t]
@@ -72,12 +102,68 @@ func newBandRows(l *Local, rows []int) *bandRows {
 			}
 			groups++
 		}
-		run := bandRun{i0: i0, i1: i0 + groups*d, d: d, base: l.RowPtr[i0], off: off}
+		run := bandRun{i0: i0, i1: i0 + groups*d, d: d, base: l.RowPtr[i0], off: off, vt: -1}
 		b.nz += (run.i1 - run.i0) * len(off)
 		b.runs = append(b.runs, run)
 		t += groups * d
 	}
 	return b
+}
+
+// transposeChunks, where the platform has the vector routine, lays out the
+// chunked rows of every eligible period-1 run in one arena: count, allocate
+// once, fill. A run is eligible when it has a full chunk of rows, at least one
+// entry per row, and every column it references lies in [0, cols) — which a
+// well-formed Local guarantees and which is checked here because the vector
+// routine will not check it again.
+func (b *bandRows) transposeChunks(cols int) {
+	if !bandVector {
+		return
+	}
+	size := 0
+	for ri := range b.runs {
+		rn := &b.runs[ri]
+		n, w := rn.i1-rn.i0, len(rn.off)
+		if rn.d != 1 || n < bandUnroll || w == 0 {
+			continue
+		}
+		lo, hi := rn.off[0], rn.off[0]
+		for _, o := range rn.off {
+			lo, hi = min(lo, o), max(hi, o)
+		}
+		if rn.i0+lo < 0 || rn.i1-1+hi >= cols {
+			continue
+		}
+		rn.vt = size
+		size += n / bandUnroll * bandUnroll * w
+		b.xlen = max(b.xlen, rn.i1+hi)
+		b.dlen = max(b.dlen, rn.i1)
+	}
+	if size == 0 {
+		return
+	}
+	b.vt = make([]float64, size)
+	for ri := range b.runs {
+		rn := &b.runs[ri]
+		if rn.vt < 0 {
+			continue
+		}
+		w := len(rn.off)
+		src, out := b.vals[rn.base:], b.vt[rn.vt:]
+		for rows := rn.i1 - rn.i0; rows >= bandUnroll; {
+			lanes := 2 * bandUnroll
+			if rows < lanes {
+				lanes = bandUnroll
+			}
+			for r := 0; r < lanes; r++ {
+				for k, v := range src[r*w : (r+1)*w] {
+					out[k*lanes+r] = v
+				}
+			}
+			src, out = src[lanes*w:], out[lanes*w:]
+			rows -= lanes
+		}
+	}
 }
 
 // colsEqualShifted reports whether local row i's compact columns equal
@@ -113,6 +199,10 @@ func (b *bandRows) coveredRows() int {
 }
 
 func (b *bandRows) mul(dst, x []float64) {
+	if len(x) < b.xlen || len(dst) < b.dlen {
+		panic(fmt.Sprintf("sparse: band kernel needs len(x) ≥ %d and len(dst) ≥ %d, got %d and %d",
+			b.xlen, b.dlen, len(x), len(dst)))
+	}
 	for ri := range b.runs {
 		rn := &b.runs[ri]
 		if rn.d > 1 {
@@ -123,12 +213,20 @@ func (b *bandRows) mul(dst, x []float64) {
 		w := len(off)
 		vi := rn.base
 		i := rn.i0
-		if w > 0 {
+		if rn.vt >= 0 {
+			n := rn.i1 - i
+			bandMulChunks(&b.vt[rn.vt], &off[0], w, &x[i], &dst[i], n/(2*bandUnroll), n/bandUnroll%2)
+			n -= n % bandUnroll
+			i += n
+			vi += n * w
+		} else if w > 0 {
 			for ; i+bandUnroll <= rn.i1; i += bandUnroll {
-				v0 := b.vals[vi : vi+w : vi+w]
-				v1 := b.vals[vi+w : vi+2*w : vi+2*w]
-				v2 := b.vals[vi+2*w : vi+3*w : vi+3*w]
-				v3 := b.vals[vi+3*w : vi+4*w : vi+4*w]
+				// Re-sliced to len(off), the four rows need no index check
+				// inside the entry loop.
+				v0 := b.vals[vi : vi+w : vi+w][:len(off)]
+				v1 := b.vals[vi+w : vi+2*w : vi+2*w][:len(off)]
+				v2 := b.vals[vi+2*w : vi+3*w : vi+3*w][:len(off)]
+				v3 := b.vals[vi+3*w : vi+4*w : vi+4*w][:len(off)]
 				var a0, a1, a2, a3 float64
 				for k, o := range off {
 					xo := x[i+o : i+o+4 : i+o+4]

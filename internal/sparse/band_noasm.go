@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package sparse
+
+func cpuHasAVX() bool { return false }
+
+// bandMulChunks is never reached: without a vector routine bandVector stays
+// false and no run is chunked.
+func bandMulChunks(vt *float64, off *int, w int, x, dst *float64, n8, n4 int) {
+	panic("sparse: no vector band routine on this platform")
+}

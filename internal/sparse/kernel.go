@@ -206,8 +206,9 @@ func planBlock(l *Local, rows []int) blockMul {
 	if len(rows) == 0 {
 		return newCSRRows(l, rows)
 	}
-	band := newBandRows(l, rows)
+	band := findBandRuns(l, rows)
 	if float64(band.coveredRows()) >= bandCoverage*float64(len(rows)) {
+		band.transposeChunks(l.M + l.G())
 		return band
 	}
 	if len(rows) >= sellChunk && band.nnz() <= sellMaxMeanRow*len(rows) {

@@ -37,12 +37,17 @@ func localOf(t testing.TB, a *CSR, lo, hi int) *Local {
 
 // stencil27 builds a scalar 27-point stencil matrix on an n³ grid — the
 // Emilia/audikw sparsity-pattern class the band kernel targets.
-func stencil27(n int) *CSR {
-	idx := func(i, j, k int) int { return (i*n+j)*n + k }
-	b := NewBuilder(n*n*n, n*n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
+func stencil27(n int) *CSR { return stencilGrid(n, n, n) }
+
+// stencilGrid is the 27-point stencil on an nx×ny×nz grid, z fastest: the
+// sparsity pattern of matgen.EmiliaLike(nx, ny, nz), which this package
+// cannot import.
+func stencilGrid(nx, ny, nz int) *CSR {
+	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
+	b := NewBuilder(nx*ny*nz, nx*ny*nz)
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			for k := 0; k < nz; k++ {
 				r := idx(i, j, k)
 				diag := 1.0
 				for di := -1; di <= 1; di++ {
@@ -52,7 +57,7 @@ func stencil27(n int) *CSR {
 								continue
 							}
 							ii, jj, kk := i+di, j+dj, k+dk
-							if ii < 0 || ii >= n || jj < 0 || jj >= n || kk < 0 || kk >= n {
+							if ii < 0 || ii >= nx || jj < 0 || jj >= ny || kk < 0 || kk >= nz {
 								continue
 							}
 							w := 1 / float64(di*di+dj*dj+dk*dk)
@@ -87,6 +92,45 @@ func raggedSparse(n int, seed int64) *CSR {
 	return b.Build()
 }
 
+// runLengths builds a matrix whose rows form period-1 band runs of every
+// length 1…17, each row coupling columns i−1, i and i+2, with a diagonal-only
+// row between two runs: between them the runs take every chunk shape of the
+// vector path — 8+8+tail, 8+4+tail, 8+tail, 4+tail and tail only.
+func runLengths() *CSR {
+	n := 2 + 17*18/2 + 17 + 3
+	rng := rand.New(rand.NewSource(17))
+	b := NewBuilder(n, n)
+	i := 2
+	b.Add(0, 0, 1)
+	b.Add(1, 1, 1)
+	for length := 1; length <= 17; length++ {
+		for r := 0; r < length; r, i = r+1, i+1 {
+			b.Add(i, i-1, rng.NormFloat64())
+			b.Add(i, i, 4+rng.Float64())
+			b.Add(i, i+2, rng.NormFloat64())
+		}
+		b.Add(i, i, 1)
+		i++
+	}
+	for ; i < n; i++ {
+		b.Add(i, i, 1)
+	}
+	return b.Build()
+}
+
+// bandPaths runs f once per way the band layout can multiply on this
+// platform: through the vector routine where there is one, and through the
+// portable loops — what every other platform runs.
+func bandPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func(v bool) { bandVector = v }(bandVector)
+	if bandVector {
+		t.Run("vector", f)
+	}
+	bandVector = false
+	t.Run("portable", f)
+}
+
 // mmSample is a tiny Matrix Market general matrix with ragged rows.
 const mmSample = `%%MatrixMarket matrix coordinate real general
 6 6 9
@@ -114,14 +158,18 @@ func kernelMatrices(t testing.TB) map[string]*CSR {
 		"random-80":    randomSparse(80, 6, 7),
 		"ragged-97":    raggedSparse(97, 3),
 		"matrixmarket": mm,
+		"runs-1to17":   runLengths(),
 	}
 }
 
 // TestKernelsBitwiseIdentical is the kernel-format property test: for every
 // matrix class, every row split (including the single-node g=0 halo case),
-// and every kernel kind, Mul/MulInterior/MulBoundary must reproduce the
-// scalar CSR traversal bit for bit — the invariant that keeps solver
-// trajectories independent of the storage layout.
+// every kernel kind and both band paths, Mul/MulInterior/MulBoundary must
+// reproduce the scalar CSR traversal bit for bit — the invariant that keeps
+// solver trajectories independent of the storage layout and of the platform.
+// Each case runs on an x of ordinary values and signed zeros and on one that
+// also holds NaN and both infinities, and with x and dst starting one element
+// into their arrays, so the vector loads and stores see both alignments.
 func TestKernelsBitwiseIdentical(t *testing.T) {
 	kinds := []KernelKind{KernelAuto, KernelCSR, KernelSellC, KernelBand}
 	for name, a := range kernelMatrices(t) {
@@ -132,51 +180,144 @@ func TestKernelsBitwiseIdentical(t *testing.T) {
 		}
 		for _, sp := range splits {
 			l := localOf(t, a, sp[0], sp[1])
-			rng := rand.New(rand.NewSource(int64(sp[0]) + 99))
-			x := make([]float64, l.M+l.G())
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			// Sprinkle in signed zeros: padding or reordering bugs show up
-			// exactly where -0.0 partial sums get normalized to +0.0.
-			if len(x) > 2 {
-				x[0], x[len(x)/2] = math.Copysign(0, -1), math.Copysign(0, -1)
-			}
-			want := make([]float64, l.M)
-			l.Mul(want, x)
-			wantI := make([]float64, l.M)
-			wantB := make([]float64, l.M)
-			l.MulInterior(wantI, x)
-			l.MulBoundary(wantB, x)
 			for _, kind := range kinds {
-				k := BuildKernel(l, kind)
 				t.Run(fmt.Sprintf("%s/rows%d-%d/%v", name, sp[0], sp[1], kind), func(t *testing.T) {
-					checkBits := func(op string, got, want []float64) {
-						t.Helper()
-						for i := range got {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("%s (%s): row %d = %x, csr %x", op, k.Name(), i,
-									math.Float64bits(got[i]), math.Float64bits(want[i]))
-							}
+					bandPaths(t, func(t *testing.T) {
+						k := BuildKernel(l, kind)
+						for _, special := range []bool{false, true} {
+							x := kernelInput(l, int64(sp[0])+99, special)
+							checkKernel(t, l, k, x, 0)
+							checkKernel(t, l, k, append([]float64{0}, x...)[1:], 1)
 						}
-					}
-					got := make([]float64, l.M)
-					k.Mul(got, x)
-					checkBits("Mul", got, want)
-					gotI := make([]float64, l.M)
-					k.MulInterior(gotI, x)
-					checkBits("MulInterior", gotI, wantI)
-					gotB := make([]float64, l.M)
-					k.MulBoundary(gotB, x)
-					checkBits("MulBoundary", gotB, wantB)
-					if k.NNZ() != l.NNZ() || k.InteriorNNZ() != l.InteriorNNZ() || k.BoundaryNNZ() != l.BoundaryNNZ() {
-						t.Fatalf("nnz accounting (%d,%d,%d) != local (%d,%d,%d)",
-							k.NNZ(), k.InteriorNNZ(), k.BoundaryNNZ(), l.NNZ(), l.InteriorNNZ(), l.BoundaryNNZ())
-					}
+					})
 				})
 			}
 		}
 	}
+}
+
+// kernelInput fills an x for l with normal deviates and signed zeros:
+// padding or reordering bugs show up exactly where -0.0 partial sums get
+// normalized to +0.0. special adds NaN and ±Inf, which must come out of every
+// layout in the same rows.
+func kernelInput(l *Local, seed int64, special bool) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, l.M+l.G())
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	if len(x) > 2 {
+		x[0], x[len(x)/2] = math.Copysign(0, -1), math.Copysign(0, -1)
+	}
+	if special {
+		for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+			for j := 3 + 5*i; j < len(x); j += 23 {
+				x[j] = v
+			}
+		}
+	}
+	return x
+}
+
+// sameBits compares two results bit for bit, except that any NaN equals any
+// NaN: which of two NaN operands an addition returns depends on the order the
+// compiler gave them, and that already differs between the rows of one Go
+// loop (Inf − Inf and a NaN from x carry different bits).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// checkKernel compares k's three products on x against the Local's scalar
+// CSR traversal; dst starts shift elements into its array.
+func checkKernel(t *testing.T, l *Local, k Kernel, x []float64, shift int) {
+	t.Helper()
+	ops := []struct {
+		name      string
+		got, want func(dst, x []float64)
+	}{
+		{"Mul", k.Mul, l.Mul},
+		{"MulInterior", k.MulInterior, l.MulInterior},
+		{"MulBoundary", k.MulBoundary, l.MulBoundary},
+	}
+	for _, op := range ops {
+		want := make([]float64, l.M)
+		op.want(want, x)
+		got := make([]float64, l.M+shift)[shift:]
+		op.got(got, x)
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s (%s, x and dst %d into their arrays): row %d = %x, csr %x", op.name, k.Name(), shift, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	if k.NNZ() != l.NNZ() || k.InteriorNNZ() != l.InteriorNNZ() || k.BoundaryNNZ() != l.BoundaryNNZ() {
+		t.Fatalf("%s: nnz accounting (%d,%d,%d) != local (%d,%d,%d)", k.Name(),
+			k.NNZ(), k.InteriorNNZ(), k.BoundaryNNZ(), l.NNZ(), l.InteriorNNZ(), l.BoundaryNNZ())
+	}
+}
+
+// TestBandChunkShapes: the run-length matrix really reaches every chunk shape
+// of the vector path, so TestKernelsBitwiseIdentical covers them all.
+func TestBandChunkShapes(t *testing.T) {
+	if !bandVector {
+		t.Skip("no vector band routine on this platform")
+	}
+	a := runLengths()
+	l := localOf(t, a, 0, a.Rows) // one node, no ghosts: every row is interior
+	b := newBandRows(l, l.InteriorRows)
+	type shape struct{ n8, n4, tail int }
+	seen := map[shape]bool{}
+	for _, rn := range b.runs {
+		if n := rn.i1 - rn.i0; rn.d == 1 && len(rn.off) == 3 {
+			if (rn.vt >= 0) != (n >= bandUnroll) {
+				t.Fatalf("run of %d rows: chunk offset %d", n, rn.vt)
+			}
+			seen[shape{n / 8, n / 4 % 2, n % 4}] = true
+		}
+	}
+	for n := 1; n <= 17; n++ {
+		if sh := (shape{n / 8, n / 4 % 2, n % 4}); !seen[sh] {
+			t.Errorf("no run of %d rows (chunks %+v)", n, sh)
+		}
+	}
+}
+
+// TestBandMulChecksLengths: the vector routine checks no bounds, so a short x
+// or dst must be refused in Go before it runs — by the explicit check at
+// exactly the lengths the chunked runs need, and for anything shorter than
+// the whole block by that check or the portable loops' own index checks.
+func TestBandMulChecksLengths(t *testing.T) {
+	l := localOf(t, stencil27(6), 72, 144)
+	x := make([]float64, l.M+l.G())
+	dst := make([]float64, l.M)
+	panics := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	bandPaths(t, func(t *testing.T) {
+		k := BuildKernel(l, KernelBand).(*planned)
+		if msg := panics(func() { k.Mul(dst, x[:len(x)-1]) }); msg == "<nil>" {
+			t.Error("Mul accepted an x one short of M+G")
+		}
+		if msg := panics(func() { k.Mul(dst[:len(dst)-1], x) }); msg == "<nil>" {
+			t.Error("Mul accepted a dst one short of M")
+		}
+		if !bandVector {
+			return
+		}
+		b := k.boundary.(*bandRows) // two grid planes: every row reads a halo
+		if b.xlen == 0 || b.dlen == 0 || b.xlen > len(x) || b.dlen > len(dst) {
+			t.Fatalf("chunked runs need x[:%d], dst[:%d] of a %d+%d block", b.xlen, b.dlen, l.M, l.G())
+		}
+		if msg := panics(func() { b.mul(dst, x[:b.xlen-1]) }); !strings.Contains(msg, "band kernel needs") {
+			t.Errorf("x one short of the chunked runs: %s", msg)
+		}
+		if msg := panics(func() { b.mul(dst[:b.dlen-1], x) }); !strings.Contains(msg, "band kernel needs") {
+			t.Errorf("dst one short of the chunked runs: %s", msg)
+		}
+	})
 }
 
 // TestKernelPlannerPicksBandForStencil pins the planner's headline decision:
@@ -204,23 +345,55 @@ func TestKernelPlannerPicksBandForStencil(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelMul measures the raw local product per layout on a stencil
-// slab — the arithmetic floor the planner converts into solve wall-clock.
-func BenchmarkKernelMul(b *testing.B) {
-	a := stencil27(24) // 13824 rows, ~350k nnz
-	l := localOf(b, a, 3456, 10368)
-	x := make([]float64, l.M+l.G())
-	for i := range x {
-		x[i] = float64(i%17) * 0.25
+// entryBytes is what one stored entry streams through the CPU in each layout:
+// its value, plus CSR's column index (Local.Cols is []int) or SELL-C's int32
+// one. The band layout loads no per-entry index.
+var entryBytes = map[string]int{"csr": 16, "sellc": 12, "band": 8}
+
+func kernelBytes(k Kernel) int64 {
+	if p, ok := k.(*planned); ok {
+		return int64(entryBytes[p.interior.name()]*p.interior.nnz() + entryBytes[p.boundary.name()]*p.boundary.nnz())
 	}
-	dst := make([]float64, l.M)
-	for _, kind := range []KernelKind{KernelCSR, KernelSellC, KernelBand, KernelAuto} {
-		k := BuildKernel(l, kind)
-		b.Run(kind.String(), func(b *testing.B) {
-			b.SetBytes(int64(12 * l.NNZ()))
-			for i := 0; i < b.N; i++ {
-				k.Mul(dst, x)
-			}
-		})
+	return int64(entryBytes["csr"] * k.NNZ())
+}
+
+// BenchmarkKernelMul measures the raw local product per layout — the
+// arithmetic floor the planner converts into solve wall-clock — on the two
+// rank shapes of the benchmark's solve workloads: a 6 912-row slab of a 24³
+// stencil (solve-fat's structure, long interior runs), and one of 128 ranks
+// of a 16×16×32 grid (solve-wide: 64 rows, two grid lines, every row reads a
+// halo).
+func BenchmarkKernelMul(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		a      *CSR
+		lo, hi int
+	}{
+		{"slab6912", stencil27(24), 3456, 10368},
+		{"rank64", stencilGrid(16, 16, 32), 64 * 37, 64 * 38},
+	} {
+		l := localOf(b, c.a, c.lo, c.hi)
+		x := make([]float64, l.M+l.G())
+		for i := range x {
+			x[i] = float64(i%17) * 0.25
+		}
+		dst := make([]float64, l.M)
+		run := func(name string, k Kernel) {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(kernelBytes(k))
+				for i := 0; i < b.N; i++ {
+					k.Mul(dst, x)
+				}
+			})
+		}
+		for _, kind := range []KernelKind{KernelCSR, KernelSellC, KernelBand, KernelAuto} {
+			run(kind.String(), BuildKernel(l, kind))
+		}
+		if bandVector { // what platforms without the vector routine run
+			bandVector = false
+			k := BuildKernel(l, KernelBand)
+			bandVector = true
+			run("band-portable", k)
+		}
 	}
 }
