@@ -42,8 +42,9 @@ type goldenRecord struct {
 	TraceDigest string `json:"trace_digest,omitempty"`
 }
 
-func goldenPath() string       { return filepath.Join("testdata", "golden_trajectories.json") }
-func driverGoldenPath() string { return filepath.Join("testdata", "golden_driver.json") }
+func goldenPath() string        { return filepath.Join("testdata", "golden_trajectories.json") }
+func driverGoldenPath() string  { return filepath.Join("testdata", "golden_driver.json") }
+func blockedGoldenPath() string { return filepath.Join("testdata", "golden_blocked.json") }
 
 func recordOf(res *Result) goldenRecord {
 	bits := make([]string, len(res.Residuals))
@@ -187,6 +188,54 @@ func driverRecords(t *testing.T) map[string]goldenRecord {
 	return got
 }
 
+// blockedRecords solves the recovery-storm shape (stormBase: 3 dofs per
+// vertex, 8 ranks, φ = 3), the only dof-blocked input the core goldens
+// reach: its rows form period-3 band runs, so testdata/golden_blocked.json
+// pins that path of the band layout under every forced kernel. One ψ = 3
+// event per strategy, the spares-exhausted tail (a spare recovery, then two
+// shrinks) and the gathered inner solve.
+func blockedRecords(t *testing.T) map[string]goldenRecord {
+	t.Helper()
+	event := func(cfg *Config) { cfg.Failures = []FailureSpec{{Iteration: 25, Ranks: []int{2, 3, 4}}} }
+	shrinks := func(cfg *Config) {
+		cfg.Spares = 3
+		cfg.MaxIter = 110
+		cfg.Failures = []FailureSpec{
+			{Iteration: 25, Ranks: []int{4, 5, 6}},
+			{Iteration: 50, Ranks: []int{1, 2, 3}},
+			{Iteration: 75, Ranks: []int{0, 1, 2}},
+		}
+	}
+	gathered := func(cfg *Config) {
+		cfg.GatherInnerSolve = true
+		cfg.Failures = []FailureSpec{
+			{Iteration: 25, Ranks: []int{5, 6, 7}},
+			{Iteration: 50, Ranks: []int{0, 1, 2}},
+		}
+	}
+	got := make(map[string]goldenRecord)
+	for _, strategy := range []Strategy{StrategyESR, StrategyESRP} {
+		for _, sc := range []struct {
+			name string
+			mut  func(*Config)
+		}{{"event", event}, {"spare-then-two-shrinks", shrinks}, {"gathered", gathered}} {
+			cfg := stormBase(t, strategy)
+			cfg.Kernel = testKernel(t)
+			sc.mut(&cfg)
+			name := strategy.String() + "/" + sc.name
+			res, err := Solve(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Events) != len(cfg.Failures) {
+				t.Fatalf("%s: %d of %d events fired", name, len(res.Events), len(cfg.Failures))
+			}
+			got[name] = recordOf(res)
+		}
+	}
+	return got
+}
+
 // TestGoldenTrajectories pins the residual trajectories, iterand digest,
 // simulated clock, traffic counters and Result.Events of every
 // strategy/recovery path of both solvers against the committed golden
@@ -204,6 +253,7 @@ func TestGoldenTrajectories(t *testing.T) {
 	}
 	checkGolden(t, goldenPath(), got)
 	checkGolden(t, driverGoldenPath(), driverRecords(t))
+	checkGolden(t, blockedGoldenPath(), blockedRecords(t))
 }
 
 // checkGolden compares got with the golden file at path, field by field so a
