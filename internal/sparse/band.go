@@ -9,11 +9,17 @@ import "fmt"
 // walks 2·bandUnroll rows per step and then at most one bandUnroll-row chunk.
 const bandUnroll = 4
 
-// bandVector reports whether period-1 runs are additionally stored
-// chunk-transposed and multiplied by the platform's vector routine
+// bandVector reports whether period-1 and period-3 runs are additionally
+// stored transposed and multiplied by the platform's vector routines
 // (band_amd64.s). The platform decides, once; tests flip it before building a
 // kernel to send the same rows through the portable loops.
 var bandVector = cpuHasAVX()
+
+// bandGroupPeriod is the one period > 1 the vector path takes: the dof count
+// of every dof-blocked input the tools generate (AudikwLike's 3). A group of
+// its rows fills three lanes of a vector register; other periods keep the
+// portable loops.
+const bandGroupPeriod = 3
 
 // bandMaxPeriod caps the detected pattern period (the dof count of blocked
 // stencil matrices; audikw-class problems use 3). It also bounds the
@@ -37,7 +43,7 @@ type bandRun struct {
 	d      int   // pattern period (≥ 1); i1−i0 is a multiple of d
 	base   int   // offset of row i0's first entry in the Local's Vals
 	off    []int // column offsets relative to the group base, source order
-	vt     int   // offset of the run's chunks in bandRows.vt, −1 if it has none
+	vt     int   // offset of the run's transposed values in bandRows.vt, −1 if none
 }
 
 // bandRows is the constant-band layout of one row block: the block's rows
@@ -50,37 +56,38 @@ type bandRun struct {
 //
 // Where bandVector holds, the first ⌊n/4⌋·4 rows of every period-1 run of
 // n ≥ 4 rows are also kept chunk-transposed in vt — chunks of 8 rows, then at
-// most one of 4, each laid out [entry k][lane] — so that one vector lane per
-// row advances each row's own accumulator through the row's entries in source
-// order: the same products and sums as the portable loop, four or eight rows
-// per instruction. The routine has no bounds checks; transposeChunks proves
-// every index a chunked run touches lies below xlen (in x) and dlen (in dst),
-// and mul checks those two lengths once per call.
+// most one of 4, each laid out [entry k][lane] — and so is every period-3 run,
+// group-transposed: chunks of 4 groups, then at most one of 2, then at most
+// one single group, each laid out [entry k][group][lane], lane = row within
+// the group, the fourth lane a zero pad. Either way one vector lane per row
+// advances that row's own accumulator through the row's entries in source
+// order: the same products and sums as the portable loops, several rows per
+// instruction. The routines have no bounds checks; transpose proves every
+// index a transposed run touches lies below xlen (in x) and dlen (in dst), and
+// mul checks those two lengths once per call.
 type bandRows struct {
 	vals       []float64 // the Local's value storage (shared, read-only)
-	vt         []float64 // chunk-transposed values, one arena for all runs
-	xlen, dlen int       // len(x), len(dst) the chunked runs need
+	vt         []float64 // transposed values, one arena for all runs
+	xlen, dlen int       // len(x), len(dst) the transposed runs need
 	runs       []bandRun
 	nz         int
 }
 
 func newBandRows(l *Local, rows []int) *bandRows {
 	b := findBandRuns(l, rows)
-	b.transposeChunks(l.M + l.G())
+	b.transpose(l.M + l.G())
 	return b
 }
 
 // findBandRuns decomposes the rows into runs — all the planner needs to
-// judge the layout, and all the portable loops need to multiply.
+// judge the layout, and all the portable loops need to multiply. Every run's
+// offsets are carved from one arena: count, allocate once, fill.
 func findBandRuns(l *Local, rows []int) *bandRows {
 	b := &bandRows{vals: l.Vals}
+	width := 0
 	for t := 0; t < len(rows); {
 		i0 := rows[t]
 		cols, _ := l.Row(i0)
-		off := make([]int, len(cols))
-		for k, c := range cols {
-			off[k] = c - i0
-		}
 		// Period: 1 + the consecutive rows whose columns equal row i0's.
 		d := 1
 		for t+d < len(rows) && d < bandMaxPeriod &&
@@ -102,41 +109,70 @@ func findBandRuns(l *Local, rows []int) *bandRows {
 			}
 			groups++
 		}
-		run := bandRun{i0: i0, i1: i0 + groups*d, d: d, base: l.RowPtr[i0], off: off, vt: -1}
-		b.nz += (run.i1 - run.i0) * len(off)
+		run := bandRun{i0: i0, i1: i0 + groups*d, d: d, base: l.RowPtr[i0], vt: -1}
+		width += len(cols)
+		b.nz += (run.i1 - run.i0) * len(cols)
 		b.runs = append(b.runs, run)
 		t += groups * d
+	}
+	offs := make([]int, width)
+	for ri := range b.runs {
+		rn := &b.runs[ri]
+		cols, _ := l.Row(rn.i0)
+		rn.off, offs = offs[:len(cols)], offs[len(cols):]
+		for k, c := range cols {
+			rn.off[k] = c - rn.i0
+		}
 	}
 	return b
 }
 
-// transposeChunks, where the platform has the vector routine, lays out the
-// chunked rows of every eligible period-1 run in one arena: count, allocate
-// once, fill. A run is eligible when it has a full chunk of rows, at least one
-// entry per row, and every column it references lies in [0, cols) — which a
-// well-formed Local guarantees and which is checked here because the vector
-// routine will not check it again.
-func (b *bandRows) transposeChunks(cols int) {
+// vectorGroups reports how much of the run the vector routines take: lanes
+// per group and the number of groups. At period 1 every row is a group of
+// one lane and the routine takes the run's whole chunks of 4 rows; at
+// bandGroupPeriod a group fills three of a register's four lanes and the
+// routine takes them all. 0 groups leaves the run to the portable loops.
+func (rn *bandRun) vectorGroups() (lanes, groups int) {
+	n := rn.i1 - rn.i0
+	switch {
+	case len(rn.off) == 0:
+	case rn.d == 1:
+		return 1, n / bandUnroll * bandUnroll
+	case rn.d == bandGroupPeriod:
+		return bandUnroll, n / bandGroupPeriod
+	}
+	return 0, 0
+}
+
+// transpose, where the platform has the vector routines, lays out the
+// vector-path rows of every eligible run in one arena: count, allocate once,
+// fill. A run is eligible when vectorGroups takes any of it and every column
+// it references lies in [0, cols) — i0 + min(off) ≥ 0 and, from the first row
+// of its last group, i1 − d + max(off) < cols — which a well-formed Local
+// guarantees and which is checked here because the vector routines will not
+// check it again.
+func (b *bandRows) transpose(cols int) {
 	if !bandVector {
 		return
 	}
 	size := 0
 	for ri := range b.runs {
 		rn := &b.runs[ri]
-		n, w := rn.i1-rn.i0, len(rn.off)
-		if rn.d != 1 || n < bandUnroll || w == 0 {
+		lanes, groups := rn.vectorGroups()
+		if groups == 0 {
 			continue
 		}
 		lo, hi := rn.off[0], rn.off[0]
 		for _, o := range rn.off {
 			lo, hi = min(lo, o), max(hi, o)
 		}
-		if rn.i0+lo < 0 || rn.i1-1+hi >= cols {
+		last := rn.i1 - rn.d
+		if rn.i0+lo < 0 || last+hi >= cols {
 			continue
 		}
 		rn.vt = size
-		size += n / bandUnroll * bandUnroll * w
-		b.xlen = max(b.xlen, rn.i1+hi)
+		size += groups * lanes * len(rn.off)
+		b.xlen = max(b.xlen, last+hi+1)
 		b.dlen = max(b.dlen, rn.i1)
 	}
 	if size == 0 {
@@ -148,20 +184,28 @@ func (b *bandRows) transposeChunks(cols int) {
 		if rn.vt < 0 {
 			continue
 		}
-		w := len(rn.off)
+		// Chunks of the widest register set first, halving: period 1 takes
+		// 8 rows then 4, bandGroupPeriod 4 groups then 2 then 1. Row r of a
+		// chunk of c groups sits in lane r mod d of group ⌊r/d⌋; its entry k
+		// at out[k·c·lanes + ⌊r/d⌋·lanes + r mod d]. Pad lanes stay zero.
+		lanes, groups := rn.vectorGroups()
+		widest := bandUnroll
+		if rn.d == 1 {
+			widest = 2 * bandUnroll
+		}
+		d, w := rn.d, len(rn.off)
 		src, out := b.vals[rn.base:], b.vt[rn.vt:]
-		for rows := rn.i1 - rn.i0; rows >= bandUnroll; {
-			lanes := 2 * bandUnroll
-			if rows < lanes {
-				lanes = bandUnroll
+		for c := widest; groups > 0; groups -= c {
+			for c > groups {
+				c /= 2
 			}
-			for r := 0; r < lanes; r++ {
+			for r := 0; r < c*d; r++ {
+				slot := r/d*lanes + r%d
 				for k, v := range src[r*w : (r+1)*w] {
-					out[k*lanes+r] = v
+					out[k*c*lanes+slot] = v
 				}
 			}
-			src, out = src[lanes*w:], out[lanes*w:]
-			rows -= lanes
+			src, out = src[c*d*w:], out[c*lanes*w:]
 		}
 	}
 }
@@ -206,7 +250,12 @@ func (b *bandRows) mul(dst, x []float64) {
 	for ri := range b.runs {
 		rn := &b.runs[ri]
 		if rn.d > 1 {
-			b.mulPeriodic(rn, dst, x)
+			if rn.vt >= 0 {
+				g := (rn.i1 - rn.i0) / bandGroupPeriod
+				bandMulGroups(&b.vt[rn.vt], &rn.off[0], len(rn.off), &x[rn.i0], &dst[rn.i0], g/4, g/2%2, g%2)
+			} else {
+				b.mulPeriodic(rn, dst, x)
+			}
 			continue
 		}
 		off := rn.off

@@ -4,8 +4,12 @@ package sparse
 
 func cpuHasAVX() bool { return false }
 
-// bandMulChunks is never reached: without a vector routine bandVector stays
-// false and no run is chunked.
+// bandMulChunks and bandMulGroups are never reached: without a vector routine
+// bandVector stays false and no run is transposed.
 func bandMulChunks(vt *float64, off *int, w int, x, dst *float64, n8, n4 int) {
+	panic("sparse: no vector band routine on this platform")
+}
+
+func bandMulGroups(vt *float64, off *int, w int, x, dst *float64, n4, n2, n1 int) {
 	panic("sparse: no vector band routine on this platform")
 }

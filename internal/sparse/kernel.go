@@ -208,7 +208,7 @@ func planBlock(l *Local, rows []int) blockMul {
 	}
 	band := findBandRuns(l, rows)
 	if float64(band.coveredRows()) >= bandCoverage*float64(len(rows)) {
-		band.transposeChunks(l.M + l.G())
+		band.transpose(l.M + l.G())
 		return band
 	}
 	if len(rows) >= sellChunk && band.nnz() <= sellMaxMeanRow*len(rows) {

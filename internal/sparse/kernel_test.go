@@ -73,6 +73,40 @@ func stencilGrid(nx, ny, nz int) *CSR {
 	return b.Build()
 }
 
+// stencilDof is the 27-point stencil on an nx×ny×nz grid of vertices, z
+// fastest, with dof rows per vertex, each coupling every dof column of its own
+// vertex and of each neighbour: the sparsity pattern of matgen.AudikwLike(nx,
+// ny, nz, dof), whose rows form period-dof band runs. Values are random, so no
+// two rows of a group agree.
+func stencilDof(nx, ny, nz, dof int, seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
+	n := nx * ny * nz * dof
+	b := NewBuilder(n, n)
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			for k := 0; k < nz; k++ {
+				for di := -1; di <= 1; di++ {
+					for dj := -1; dj <= 1; dj++ {
+						for dk := -1; dk <= 1; dk++ {
+							ii, jj, kk := i+di, j+dj, k+dk
+							if ii < 0 || ii >= nx || jj < 0 || jj >= ny || kk < 0 || kk >= nz {
+								continue
+							}
+							for a := 0; a < dof; a++ {
+								for c := 0; c < dof; c++ {
+									b.Add(idx(i, j, k)*dof+a, idx(ii, jj, kk)*dof+c, rng.NormFloat64())
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
 // raggedSparse builds a deliberately irregular matrix: random row lengths,
 // empty rows, and rows whose only entries are far off-diagonal.
 func raggedSparse(n int, seed int64) *CSR {
@@ -118,6 +152,36 @@ func runLengths() *CSR {
 	return b.Build()
 }
 
+// groupLengths builds a matrix whose rows form period-3 band runs of every
+// length 1…9 groups, the three rows of the group at i coupling columns i−2,
+// i, i+1, i+2 and i+4, with a diagonal-only row after each run: between them
+// the runs take every chunk shape of the vector path — 4+4+1, 4+4, 4+2+1,
+// 4+2, 4+1, 4, 2+1, 2 and 1.
+func groupLengths() *CSR {
+	n := 3 + 3*9*10/2 + 9 + 5
+	rng := rand.New(rand.NewSource(19))
+	b := NewBuilder(n, n)
+	i := 0
+	for ; i < 3; i++ {
+		b.Add(i, i, 1)
+	}
+	for groups := 1; groups <= 9; groups++ {
+		for g := 0; g < groups; g, i = g+1, i+3 {
+			for r := 0; r < 3; r++ {
+				for _, o := range []int{-2, 0, 1, 2, 4} {
+					b.Add(i+r, i+o, rng.NormFloat64())
+				}
+			}
+		}
+		b.Add(i, i, 1)
+		i++
+	}
+	for ; i < n; i++ {
+		b.Add(i, i, 1)
+	}
+	return b.Build()
+}
+
 // bandPaths runs f once per way the band layout can multiply on this
 // platform: through the vector routine where there is one, and through the
 // portable loops — what every other platform runs.
@@ -145,8 +209,9 @@ const mmSample = `%%MatrixMarket matrix coordinate real general
 6 6 2.0
 `
 
-// kernelMatrices enumerates the property-test inputs: stencil, random,
-// ragged (empty rows included), and Matrix-Market-parsed.
+// kernelMatrices enumerates the property-test inputs: stencil, dof-blocked
+// stencils (period-2, -3 and -4 band runs), random, ragged (empty rows
+// included), and Matrix-Market-parsed.
 func kernelMatrices(t testing.TB) map[string]*CSR {
 	t.Helper()
 	mm, err := ReadMatrixMarket(strings.NewReader(mmSample))
@@ -154,11 +219,15 @@ func kernelMatrices(t testing.TB) map[string]*CSR {
 		t.Fatal(err)
 	}
 	return map[string]*CSR{
-		"stencil27-6":  stencil27(6),
-		"random-80":    randomSparse(80, 6, 7),
-		"ragged-97":    raggedSparse(97, 3),
-		"matrixmarket": mm,
-		"runs-1to17":   runLengths(),
+		"stencil27-6":      stencil27(6),
+		"stencil27-5-dof2": stencilDof(5, 5, 5, 2, 2),
+		"stencil27-5-dof3": stencilDof(5, 5, 5, 3, 3),
+		"stencil27-5-dof4": stencilDof(5, 5, 5, 4, 4),
+		"random-80":        randomSparse(80, 6, 7),
+		"ragged-97":        raggedSparse(97, 3),
+		"matrixmarket":     mm,
+		"runs-1to17":       runLengths(),
+		"groups-1to9":      groupLengths(),
 	}
 }
 
@@ -283,10 +352,91 @@ func TestBandChunkShapes(t *testing.T) {
 	}
 }
 
-// TestBandMulChecksLengths: the vector routine checks no bounds, so a short x
-// or dst must be refused in Go before it runs — by the explicit check at
-// exactly the lengths the chunked runs need, and for anything shorter than
-// the whole block by that check or the portable loops' own index checks.
+// TestBandGroupShapes: the group-length matrix's period-3 runs are all on the
+// vector path and reach every chunk shape of it (quads, then at most one
+// pair, then at most one single group), so TestKernelsBitwiseIdentical covers
+// them all.
+func TestBandGroupShapes(t *testing.T) {
+	if !bandVector {
+		t.Skip("no vector band routine on this platform")
+	}
+	a := groupLengths()
+	l := localOf(t, a, 0, a.Rows)
+	b := newBandRows(l, l.InteriorRows)
+	type shape struct{ n4, n2, n1 int }
+	seen := map[shape]bool{}
+	for _, rn := range b.runs {
+		if rn.d != 3 {
+			continue
+		}
+		if g := (rn.i1 - rn.i0) / 3; rn.vt < 0 || len(rn.off) != 5 {
+			t.Errorf("run of %d groups at row %d: %d offsets, group offset %d", g, rn.i0, len(rn.off), rn.vt)
+		} else {
+			seen[shape{g / 4, g / 2 % 2, g % 2}] = true
+		}
+	}
+	for g := 1; g <= 9; g++ {
+		if sh := (shape{g / 4, g / 2 % 2, g % 2}); !seen[sh] {
+			t.Errorf("no run of %d groups (chunks %+v)", g, sh)
+		}
+	}
+}
+
+// TestBandMulStoresOnlyItsRows: a block writes its own rows and no others.
+// The vector routines store a lane only where it holds a row of the run — a
+// period-3 group stores three of its register's four — so sentinels in the
+// rows of the other block, and in the row right after every run (dst[i1]),
+// survive a mul.
+func TestBandMulStoresOnlyItsRows(t *testing.T) {
+	sentinel := math.Float64frombits(0x7ff4_dead_0000_beef) // a NaN no sum produces
+	groups := groupLengths()
+	var grouped []int // every row but the diagonal-only ones, so each run's i1 is outside
+	for i := 0; i < groups.Rows; i++ {
+		if groups.RowPtr[i+1]-groups.RowPtr[i] > 1 {
+			grouped = append(grouped, i)
+		}
+	}
+	gl := localOf(t, groups, 0, groups.Rows)
+	sl := localOf(t, stencilDof(5, 5, 5, 3, 3), 75, 290) // ends inside a vertex: halos both sides
+	blocks := []struct {
+		name string
+		l    *Local
+		rows []int
+	}{
+		{"dof3/interior", sl, sl.InteriorRows},
+		{"dof3/boundary", sl, sl.BoundaryRows},
+		{"groups-1to9/no-separators", gl, grouped},
+	}
+	bandPaths(t, func(t *testing.T) {
+		for _, bl := range blocks {
+			b := newBandRows(bl.l, bl.rows)
+			if len(bl.rows) == 0 || len(b.runs) == 0 {
+				t.Fatalf("%s: empty block", bl.name)
+			}
+			mine := make([]bool, bl.l.M+1)
+			for _, i := range bl.rows {
+				mine[i] = true
+			}
+			dst := make([]float64, bl.l.M+1)
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			b.mul(dst[:bl.l.M], kernelInput(bl.l, 5, true))
+			for i, v := range dst {
+				if !mine[i] && math.Float64bits(v) != math.Float64bits(sentinel) {
+					t.Errorf("%s: row %d outside the block written: %x", bl.name, i, math.Float64bits(v))
+				}
+			}
+		}
+	})
+}
+
+// TestBandMulChecksLengths: the vector routines check no bounds, so a short x
+// or dst must be refused in Go before they run — by the explicit check at
+// exactly the lengths the transposed runs need, and for anything shorter than
+// the whole block by that check or the portable loops' own index checks. A
+// block whose every run is transposed (period 3) multiplies at exactly those
+// lengths, and writes nothing past them.
 func TestBandMulChecksLengths(t *testing.T) {
 	l := localOf(t, stencil27(6), 72, 144)
 	x := make([]float64, l.M+l.G())
@@ -296,6 +446,22 @@ func TestBandMulChecksLengths(t *testing.T) {
 		f()
 		return
 	}
+	short := func(t *testing.T, name string, b *bandRows, dst, x []float64) {
+		t.Helper()
+		if b.xlen == 0 || b.dlen == 0 || b.xlen > len(x) || b.dlen > len(dst) {
+			t.Fatalf("%s: transposed runs need x[:%d], dst[:%d] of x[:%d], dst[:%d]", name, b.xlen, b.dlen, len(x), len(dst))
+		}
+		if msg := panics(func() { b.mul(dst, x[:b.xlen-1]) }); !strings.Contains(msg, "band kernel needs") {
+			t.Errorf("%s: x one short of the transposed runs: %s", name, msg)
+		}
+		if msg := panics(func() { b.mul(dst[:b.dlen-1], x) }); !strings.Contains(msg, "band kernel needs") {
+			t.Errorf("%s: dst one short of the transposed runs: %s", name, msg)
+		}
+	}
+	// Three grid planes of a dof-3 stencil: the interior block is the middle
+	// plane, which reads neither the halo nor the last owned rows.
+	gl := localOf(t, stencilDof(6, 6, 6, 3, 6), 216, 540)
+	gx := kernelInput(gl, 7, false)
 	bandPaths(t, func(t *testing.T) {
 		k := BuildKernel(l, KernelBand).(*planned)
 		if msg := panics(func() { k.Mul(dst, x[:len(x)-1]) }); msg == "<nil>" {
@@ -307,16 +473,43 @@ func TestBandMulChecksLengths(t *testing.T) {
 		if !bandVector {
 			return
 		}
-		b := k.boundary.(*bandRows) // two grid planes: every row reads a halo
-		if b.xlen == 0 || b.dlen == 0 || b.xlen > len(x) || b.dlen > len(dst) {
-			t.Fatalf("chunked runs need x[:%d], dst[:%d] of a %d+%d block", b.xlen, b.dlen, l.M, l.G())
+		short(t, "period 1", k.boundary.(*bandRows), dst, x) // every row reads a halo
+
+		b := newBandRows(gl, gl.InteriorRows)
+		for _, rn := range b.runs {
+			if rn.d != 3 || rn.vt < 0 {
+				t.Fatalf("run [%d,%d) of period %d, group offset %d: want every run period 3 and transposed", rn.i0, rn.i1, rn.d, rn.vt)
+			}
 		}
-		if msg := panics(func() { b.mul(dst, x[:b.xlen-1]) }); !strings.Contains(msg, "band kernel needs") {
-			t.Errorf("x one short of the chunked runs: %s", msg)
+		xlen, dlen := 0, 0 // one past the last column and row the block touches
+		for _, i := range gl.InteriorRows {
+			cols, _ := gl.Row(i)
+			for _, c := range cols {
+				xlen = max(xlen, c+1)
+			}
+			dlen = max(dlen, i+1)
 		}
-		if msg := panics(func() { b.mul(dst[:b.dlen-1], x) }); !strings.Contains(msg, "band kernel needs") {
-			t.Errorf("dst one short of the chunked runs: %s", msg)
+		if b.xlen != xlen || b.dlen != dlen {
+			t.Fatalf("period 3: proof gives x[:%d], dst[:%d]; the rows touch x[:%d], dst[:%d]", b.xlen, b.dlen, xlen, dlen)
 		}
+		want := make([]float64, gl.M)
+		gl.MulInterior(want, gx)
+		got := make([]float64, gl.M+1)
+		got[b.dlen] = 42
+		poisoned := append([]float64(nil), gx...) // a read past x[:xlen] shows as NaN
+		for i := b.xlen; i < len(poisoned); i++ {
+			poisoned[i] = math.NaN()
+		}
+		b.mul(got[:b.dlen], poisoned[:b.xlen])
+		for _, i := range gl.InteriorRows {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("period 3 at x[:%d], dst[:%d]: row %d = %v, csr %v", b.xlen, b.dlen, i, got[i], want[i])
+			}
+		}
+		if got[b.dlen] != 42 {
+			t.Errorf("period 3: dst[%d], one past dst, overwritten with %v", b.dlen, got[b.dlen])
+		}
+		short(t, "period 3", b, got[:gl.M], gx)
 	})
 }
 
@@ -360,9 +553,10 @@ func kernelBytes(k Kernel) int64 {
 // BenchmarkKernelMul measures the raw local product per layout — the
 // arithmetic floor the planner converts into solve wall-clock — on the two
 // rank shapes of the benchmark's solve workloads: a 6 912-row slab of a 24³
-// stencil (solve-fat's structure, long interior runs), and one of 128 ranks
-// of a 16×16×32 grid (solve-wide: 64 rows, two grid lines, every row reads a
-// halo).
+// stencil (solve-fat's structure, long interior runs), one of 128 ranks of a
+// 16×16×32 grid (solve-wide: 64 rows, two grid lines, every row reads a halo),
+// and one of 8 ranks of a 3-dof stencil on 10³ vertices (recovery-storm: 375
+// rows in period-3 runs of 1 to 8 groups).
 func BenchmarkKernelMul(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -371,6 +565,7 @@ func BenchmarkKernelMul(b *testing.B) {
 	}{
 		{"slab6912", stencil27(24), 3456, 10368},
 		{"rank64", stencilGrid(16, 16, 32), 64 * 37, 64 * 38},
+		{"rank375x3", stencilDof(10, 10, 10, 3, 1), 1125, 1500},
 	} {
 		l := localOf(b, c.a, c.lo, c.hi)
 		x := make([]float64, l.M+l.G())
