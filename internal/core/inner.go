@@ -11,44 +11,44 @@ import (
 	"esrp/internal/vec"
 )
 
-// innerSolve solves A[If,If]·x_If = w (line 8 of Alg. 2) for this
-// replacement node's share of the lost iterand, writing the result into
-// run.x. By default the solve runs as a distributed PCG across the
-// replacement sub-communicator, reusing each node's block Jacobi
-// preconditioner (identical blocks, since blocks are node-local). With
+// innerSolve solves A[If,If]·x_If = w (line 8 of Alg. 2) over the event's
+// rebuilders, split by rebuilder, and returns this rank's share of x_If.
+// With spares it runs as a distributed PCG across the replacement
+// sub-communicator, reusing each node's block Jacobi preconditioner
+// (identical blocks, since blocks are node-local); with
 // cfg.GatherInnerSolve the system is gathered to the first replacement and
-// solved there sequentially (an ablation of that design choice).
+// solved there sequentially (an ablation of that design choice). The
+// adopter of a shrink, the one rebuilder, solves it whole with the failed
+// nodes' blocks.
 //
 // A[If,If], its partition and its communication plan stand in for the
-// replacement nodes reloading static data from safe storage; like the
-// paper, their cost is excluded from the modeled runtime (only Compute and
-// message traffic advance the simulated clock). They are built once per
-// event — by whichever replacement rank gets here first — and shared
-// read-only (see recoverySetups); only the compact local matrix, its kernel
-// and the exchanger are per rank.
-func (run *nodeRun) innerSolve(failed []int, flo, fhi int, w []float64) {
-	sub := run.subOf(failed)
-	if sub == nil {
-		panic("core: innerSolve called on a surviving node")
+// rebuilders reloading static data from safe storage; like the paper,
+// their cost is excluded from the modeled runtime (only Compute and message
+// traffic advance the simulated clock). They are built once per event — by
+// whichever rebuilder gets here first — and shared read-only (see
+// recoverySetups); only the compact local matrix, its kernel and the
+// exchanger are per rank.
+func (run *nodeRun) innerSolve(ev *esrEvent, w []float64) []float64 {
+	rebuilders, kind := ev.failed, setupInner
+	if ev.adopter >= 0 {
+		rebuilders, kind = []int{ev.adopter}, setupInnerSeq
 	}
-	if run.cfg.GatherInnerSolve {
-		run.innerSolveGathered(sub, failed, flo, fhi, w)
-		return
+	sub := run.subOf(rebuilders)
+	if run.cfg.GatherInnerSolve && kind == setupInner {
+		return run.innerSolveGathered(sub, ev.failed, ev.flo, ev.fhi, w)
 	}
-	sys := run.innerSystem(setupInner, failed, flo, fhi)
-	x, halo := run.innerPCG(sub, sys, run.pc, w)
+	x, halo := run.innerPCG(sub, run.innerSystem(kind, ev.failed, ev.flo, ev.fhi), ev.pc, w)
 	run.ex.AddHaloBytes(halo) // the reconstruction's SpMV halo counts too
-	copy(run.x, x)
+	return x
 }
 
 // innerSolveGathered gathers the inner right-hand side at sub-rank 0, solves
 // the whole lost-block system there with a sequential PCG, and scatters the
 // solution back. Sub-rank s owns the rows of failed[s].
-func (run *nodeRun) innerSolveGathered(sub *cluster.Node, failed []int, flo, fhi int, w []float64) {
+func (run *nodeRun) innerSolveGathered(sub *cluster.Node, failed []int, flo, fhi int, w []float64) []float64 {
 	parts := sub.Gather(0, w)
 	if sub.Rank() != 0 {
-		copy(run.x, sub.Recv(0, tagInnerGather))
-		return
+		return sub.Recv(0, tagInnerGather)
 	}
 	lo := func(s int) int { return run.part.Lo(failed[s]) - flo }
 	hi := func(s int) int { return run.part.Hi(failed[s]) - flo }
@@ -63,10 +63,10 @@ func (run *nodeRun) innerSolveGathered(sub *cluster.Node, failed []int, flo, fhi
 	}
 	solo := sub.Sub([]int{sub.GlobalRank()})
 	xall, _ := run.innerPCG(solo, sys, pc, ball)
-	copy(run.x, xall[lo(0):hi(0)])
 	for s := 1; s < sub.Size(); s++ {
 		sub.Send(s, tagInnerGather, xall[lo(s):hi(s)])
 	}
+	return xall[lo(0):hi(0)]
 }
 
 // innerPCG is a plain distributed PCG without resilience, used for the

@@ -113,6 +113,36 @@ func TestNoSpareFallbackBeforeFirstStage(t *testing.T) {
 	}
 }
 
+func TestNoSpareRestartThenSecondEvent(t *testing.T) {
+	// The first shrink strikes before ESRP's first storage stage and restarts
+	// from the surviving iterand: there is no state to roll back to, so a
+	// second event before the next stage must restart again from where it
+	// strikes — exactly what the spare twin of this timeline does — rather
+	// than roll back to a stale pre-restart state labelled iteration 0.
+	cfg := baseConfig(t)
+	cfg.Strategy = StrategyESRP
+	cfg.T = 20
+	cfg.Phi = 2
+	cfg.NoSpareNodes = true
+	cfg.Failures = []FailureSpec{
+		{Iteration: 5, Ranks: []int{4}},
+		{Iteration: 12, Ranks: []int{2}},
+	}
+	res := solveOK(t, cfg)
+	checkSolution(t, cfg, res, 5e-8)
+	if len(res.Events) != 2 || res.ActiveNodes != cfg.Nodes-2 {
+		t.Fatalf("events %+v, %d active nodes; want two shrinks to %d", res.Events, res.ActiveNodes, cfg.Nodes-2)
+	}
+	for i, ev := range res.Events {
+		if ev.Mode != RecoveryShrink {
+			t.Errorf("event %d mode %q, want shrink", i, ev.Mode)
+		}
+	}
+	if ev := res.Events[1]; ev.RecoveredAt != 12 || ev.WastedIters != 0 {
+		t.Fatalf("event 1 resumed at %d with %d wasted, want 12 and 0", ev.RecoveredAt, ev.WastedIters)
+	}
+}
+
 func TestNoSpareContinuedResilienceAfterShrink(t *testing.T) {
 	// After shrinking, the solver re-augments the new plan; a failure-free
 	// remainder must still converge identically and the redundancy invariant

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +35,9 @@ func TestESRPExactRecoveryProperty(t *testing.T) {
 		phi := 1 + int(phiRaw)%3
 		failIter := 3 + int(iterRaw)%(ref.Iterations-5)
 		psi := 1 + int(rankRaw)%phi
-		first := int(rankRaw) % (nodes - psi)
+		// Any block position, the one reaching the top rank included: there
+		// the shrink's adopter is the survivor before the block.
+		first := int(rankRaw) % (nodes - psi + 1)
 		ranks := make([]int, psi)
 		for i := range ranks {
 			ranks[i] = first + i
@@ -73,7 +76,9 @@ func TestESRPExactRecoveryProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	// A fixed seed: every run draws the same configurations, so a failure
+	// reproduces.
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +127,9 @@ func TestIMCRExactRecoveryProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	// A fixed seed: every run draws the same configurations, so a failure
+	// reproduces.
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

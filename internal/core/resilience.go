@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
 	"esrp/internal/obs"
+	"esrp/internal/precond"
 	"esrp/internal/vec"
 )
 
@@ -360,16 +363,13 @@ func (run *nodeRun) handleFailure(j int, ev *FailureSpec) (int, string) {
 		jrec = run.localRestart(j, failed)
 		mode = RecoveryRestart
 	case StrategyESR, StrategyESRP:
-		if run.sparesLeft >= 0 && run.sparesLeft < len(failed) {
-			// Pool exhausted (or was empty from the start): no replacements
-			// for this event, recover onto the survivors.
-			jrec, mode = run.recoverNoSpare(j, failed)
-		} else {
-			if run.sparesLeft > 0 {
-				run.sparesLeft -= len(failed)
-			}
-			jrec, mode = run.recoverESR(j, failed)
+		// An exhausted (or from the start empty) pool has no replacements
+		// for this event: it recovers onto the survivors.
+		shrink := run.sparesLeft >= 0 && run.sparesLeft < len(failed)
+		if !shrink && run.sparesLeft > 0 {
+			run.sparesLeft -= len(failed)
 		}
+		jrec, mode = run.recoverESR(j, failed, shrink)
 	case StrategyIMCR:
 		jrec, mode = run.recoverIMCR(j, failed)
 	default:
@@ -424,240 +424,351 @@ func (run *nodeRun) recEnd(t0 float64) {
 	run.nd.Sched().RecEnd()
 }
 
-// recoverESR implements the ESR/ESRP recovery: determine the reconstruction
-// iteration, roll surviving nodes back to their starred copies, gather the
-// redundant search directions and the iterand halo at the replacement
-// nodes, and run the exact state reconstruction of Alg. 2. It returns the
-// resume iteration and the recovery mode (RecoverySpare, or RecoveryRestart
-// when there is nothing to reconstruct from).
-func (run *nodeRun) recoverESR(j int, failed []int) (int, string) {
+// esrEvent is one ESR/ESRP event as every participating rank sees it: the
+// failed index range [flo, fhi), who rebuilds it and where the survivors
+// agree on it. With spares the ψ replacement ranks each rebuild their own
+// rows; in a shrink the failed ranks retire and one adopter rebuilds all of
+// [flo, fhi).
+type esrEvent struct {
+	failed   []int
+	flo, fhi int
+	adopter  int                    // the shrink's one rebuilder; -1 with spares
+	pc       precond.Preconditioner // run.pc, or at the adopter the failed nodes' blocks
+	nd       *cluster.Node          // header and vote: run.nd, or the survivors' sub-communicator
+}
+
+// rebuilderOf returns the rank that rebuilds failed rank fr's rows.
+func (ev *esrEvent) rebuilderOf(fr int) int {
+	if ev.adopter >= 0 {
+		return ev.adopter
+	}
+	return fr
+}
+
+// recoverESR implements the ESR/ESRP recovery for both pool states. With
+// spares, replacement nodes take the failed ranks' places. Without (shrink:
+// the spare-free variant of [Pachajoa, Pacher, Gansterer 2019], ref. 22 of
+// the paper) the failed nodes lose their state and retire, and the survivor
+// adjacent to the failed block adopts its rows, applying the failed nodes'
+// own preconditioner blocks so the solver stays on the reference trajectory
+// despite the repartitioning. Either way the survivors roll back to their
+// starred copies, the lowest of them announces the reconstruction iteration
+// and β*, and the rebuilders reconstruct the exact state (Alg. 2). It
+// returns the resume iteration and the recovery mode: RecoverySpare
+// (RecoveryRestart when there was nothing to reconstruct from), or
+// RecoveryShrink — the cluster got smaller either way.
+func (run *nodeRun) recoverESR(j int, failed []int, shrink bool) (int, string) {
 	st := run.res.(*esrState)
-	flo, fhi := run.part.RangeOfParts(failed[0], failed[len(failed)-1]+1)
 	amFailed := run.amFailed(failed)
+	if shrink && amFailed {
+		run.loseDynamicState()
+		run.retired = true
+		return j, RecoveryShrink
+	}
 	t0 := run.nd.Clock()
 	run.nd.Sched().RecStart()
 
+	ev := esrEvent{failed: failed, adopter: -1, pc: run.pc, nd: run.nd}
+	ev.flo, ev.fhi = run.part.RangeOfParts(failed[0], failed[len(failed)-1]+1)
+	root := run.lowestSurvivor(failed)
+	var survivors []int
+	if shrink {
+		n := run.nd.Size()
+		survivors = make([]int, 0, n-len(failed))
+		for s := 0; s < n; s++ {
+			if !rankIsFailed(failed, s) {
+				survivors = append(survivors, s)
+			}
+		}
+		ev.nd, root = run.subOf(survivors), 0 // the lowest survivor's sub-rank
+		ev.adopter = adopterRank(failed, n)
+		if run.nd.Rank() == ev.adopter {
+			// Static data, rebuilt once per event: the adopter applies the
+			// failed nodes' blocks in the reconstruction and from then on.
+			ev.pc = run.failedRangePC(failed)
+		}
+	}
 	if amFailed {
 		run.loseDynamicState()
 	} else {
 		st.rollBack()
 	}
 
-	// The lowest surviving rank announces the reconstruction iteration and β*.
-	root := run.lowestSurvivor(failed)
+	// The lowest survivor announces the reconstruction iteration and β*.
 	var hdr [3]float64
-	if run.nd.Rank() == root {
+	if ev.nd.Rank() == root {
 		hdr = st.header(j)
 	}
-	run.nd.Bcast(root, hdr[:])
+	ev.nd.Bcast(root, hdr[:])
 	jrec, betaStar, recoverable := int(hdr[0]), hdr[1], hdr[2] != 0
+	var x, r, z, p []float64
+	rebuilt := false
+	if recoverable {
+		x, r, z, p, rebuilt = run.reconstruct(&ev, jrec, betaStar)
+	} else {
+		jrec = j // no storage stage completed yet: nothing was rolled back
+	}
 
-	if !recoverable {
-		// Failure before the first storage stage completed: nothing to
-		// reconstruct from; survivors keep their current state and everyone
-		// falls back to the local restart.
+	if shrink {
+		run.shrinkTo(&ev, survivors, x, r, z, p, rebuilt, jrec, betaStar)
+	} else if x != nil {
+		copy(run.x, x)
+		copy(run.p, p)
+	}
+	if rebuilt {
+		st.resume(betaStar)
+	} else {
+		// Restart the Krylov process from the surviving iterand: where the
+		// survivors stood, or — ESRP after a failed vote — the starred state
+		// of jrec they rolled back to, the work since then counted as wasted
+		// (ESR reconstructs iteration j itself and never rolls back).
 		run.rec.restart()
-		run.recEnd(t0)
-		return j, RecoveryRestart
+	}
+	run.recEnd(t0)
+	switch {
+	case shrink:
+		return jrec, RecoveryShrink
+	case rebuilt:
+		return jrec, RecoverySpare
+	}
+	return jrec, RecoveryRestart
+}
+
+// reconstruct is Alg. 2 for one event once the header is known: the
+// rebuilders gather p′^(jrec−1) and p′^(jrec) of their rows from the
+// surviving holders, the survivors vote on coverage, the rebuilders gather
+// the surviving iterand's halo and rebuild z, r, w and x exactly (lines 4–8).
+// It returns the rebuilt x, r, z, p of this rank's share of [flo, fhi) — nil
+// on ranks rebuilding nothing — and false when the copies were incomplete.
+func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r, z, p []float64, ok bool) {
+	st := run.res.(*esrState)
+	me := run.nd.Rank()
+	amFailed := run.amFailed(ev.failed)
+	shrink := ev.adopter >= 0
+	// This rank's share [rlo, rhi) of the failed range and the compact view
+	// of those rows, whose ghost slots xg take the x halo: a replacement's
+	// own rows and ghost buffer (run.pg's ghost region, a scratch until the
+	// next exchange), or all of the failed rows at the adopter, their
+	// surviving couplings as ghosts. Every other rank's share is empty.
+	var rlo, rhi int
+	local, xg := run.local, run.pg[run.m:]
+	switch {
+	case me == ev.adopter:
+		rlo, rhi, local = ev.flo, ev.fhi, run.adoptedRows(ev.failed, ev.flo, ev.fhi)
+		run.recX = growF(run.recX, local.G())
+		xg = run.recX
+	case amFailed:
+		rlo, rhi = run.lo, run.hi
+	}
+	rm := rhi - rlo
+	rebuilds := rm > 0
+
+	// Scratch high-water marks. A rebuilder holds the gathered pair, its
+	// coverage mask, w and the inner PCG's vectors; the adopter also holds
+	// the rebuilt x, r, z, p beside its own until the shrink, and the x halo
+	// with its ghost indices. A spare event charges every rank the gather
+	// buffers.
+	if !shrink {
+		run.notePeak(8 * int64(3*run.m))
+	}
+	if rebuilds {
+		extra := 8 * int64(10*rm)
+		if shrink {
+			extra += 8*int64(4*rm) + 16*int64(local.G())
+		}
+		run.notePeak(extra)
+	}
+	run.recPrev = growF(run.recPrev, rm)
+	run.recCur = growF(run.recCur, rm)
+	run.recCovered = growI(run.recCovered, rm) // bitmask: 1 = prev seen, 2 = cur seen
+	pPrev, pCur, covered := run.recPrev, run.recCur, run.recCovered
+	var holders [][]int
+	if rebuilds {
+		holders = run.holdersOf(ev)
 	}
 
-	// Gather the redundant copies p′^(jrec−1) and p′^(jrec) for the failed
-	// index range at the replacement nodes. The set of surviving holders of
-	// each failed node's entries is static: the plain and resilient-copy
-	// receivers of that node's ASpMV traffic.
-	run.recPrev = growF(run.recPrev, run.m)
-	run.recCur = growF(run.recCur, run.m)
-	run.recCovered = growI(run.recCovered, run.m) // bitmask: 1 = prev seen, 2 = cur seen
-	pPrev, pCur, covered := run.recPrev, run.recCur, run.recCovered
-	// Reconstruction scratch high-water mark: every node allocates the
-	// gather buffers, but only the failed (reconstructing) nodes run the
-	// inner solve and hold its working vectors.
-	run.notePeak(8 * int64(3*run.m /* pPrev, pCur, covered */))
-	if amFailed {
-		run.notePeak(8 * int64(3*run.m+7*run.m /* w + inner PCG vectors */))
-	}
+	// Each failed rank's entries go from their surviving holders to the rank
+	// rebuilding its rows; the adopter files its own copies first.
 	tGather := run.nd.Clock()
-	for pass, tag := range []int{tagRecoverP0, tagRecoverP1} {
-		iter := jrec - 1 + pass
-		if !amFailed {
-			c := st.queue.Get(iter)
-			for _, fr := range failed {
-				if !run.holdsEntriesOf(fr) {
-					continue
+	for pass, tag := range [2]int{tagRecoverP0, tagRecoverP1} {
+		c := st.queue.Get(jrec - 1 + pass)
+		dst := pPrev
+		if pass == 1 {
+			dst = pCur
+		}
+		file := func(idx []int, val []float64) {
+			for k, gi := range idx {
+				if gi >= rlo && gi < rhi {
+					dst[gi-rlo] = val[k]
+					covered[gi-rlo] |= 1 << pass
 				}
-				var idx []int
-				var val []float64
-				if c != nil {
-					idx, val = c.Lookup(run.part.Lo(fr), run.part.Hi(fr))
-				}
-				run.nd.SendFI(fr, tag, val, idx)
 			}
-		} else {
-			dst := pPrev
-			if pass == 1 {
-				dst = pCur
+		}
+		for i, fr := range ev.failed {
+			var idx []int
+			var val []float64
+			if c != nil {
+				idx, val = c.Lookup(run.part.Lo(fr), run.part.Hi(fr))
 			}
-			for _, s := range run.survivingHoldersOf(run.nd.Rank(), failed) {
-				val, idx := run.nd.RecvFI(s, tag)
-				for k, gi := range idx {
-					if gi >= run.lo && gi < run.hi {
-						dst[gi-run.lo] = val[k]
-						covered[gi-run.lo] |= 1 << pass
-					}
+			switch reb := ev.rebuilderOf(fr); {
+			case reb == me:
+				file(idx, val)
+				for _, s := range holders[i] {
+					val, idx := run.nd.RecvFI(s, tag)
+					file(idx, val)
 				}
+			case !amFailed && run.holds(me, fr):
+				run.nd.SendFI(reb, tag, val, idx)
 			}
 		}
 	}
 	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
 	if len(run.events) > 1 {
 		// Multi-event timelines can leave the gathered copies incomplete: a
-		// holder that itself failed earlier lost its queue, and the stage
-		// whose copies we need may predate its recovery. The nodes vote on
-		// coverage; on any gap the whole cluster degrades to a consistent
-		// local restart instead of reconstructing from partial data.
+		// holder that failed earlier lost its queue, and the stage whose
+		// copies we need may predate its recovery, or the event is wider than
+		// a shrunken cluster's redundancy. The nodes vote on coverage; on any
+		// gap the event degrades to a consistent restart instead of
+		// reconstructing from partial data.
 		okLoc := 1.0
-		if amFailed {
-			for _, c := range covered {
-				if c != 3 {
-					okLoc = 0
-					break
-				}
-			}
+		if slices.ContainsFunc(covered, func(c int) bool { return c != 3 }) {
+			okLoc = 0
 		}
-		if run.nd.AllreduceScalar(cluster.OpMin, okLoc) == 0 {
-			run.rec.restart()
-			run.recEnd(t0)
-			// ESRP survivors were already rolled back to the starred state
-			// of iteration jrec before the vote, so resuming there keeps
-			// the counter consistent with the state and the discarded work
-			// [jrec, j) counted. ESR (t = 1) never rolled back: resume at j.
-			if st.t > 1 {
-				return jrec, RecoveryRestart
-			}
-			return j, RecoveryRestart
+		if ev.nd.AllreduceScalar(cluster.OpMin, okLoc) == 0 {
+			return nil, nil, nil, nil, false
 		}
-	} else if amFailed {
+	} else {
 		for i, c := range covered {
 			if c != 3 {
-				panic(fmt.Sprintf("core: entry %d of failed node %d not covered by redundant copies (mask %d)",
-					run.lo+i, run.nd.Rank(), c))
+				panic(fmt.Sprintf("core: entry %d of failed range [%d,%d) not covered by redundant copies (mask %d)",
+					rlo+i, ev.flo, ev.fhi, c))
 			}
 		}
 	}
 
-	// Halo of the surviving iterand x (Alg. 2 lines 2 and 7): survivors send
-	// the entries the failed rows couple to; the failed node scatters them
-	// into its compact ghost buffer (run.pg's ghost region — a scratch at
-	// this point, refreshed by the next exchange anyway).
-	me := run.nd.Rank()
-	xg := run.pg[run.m:]
+	// Halo of the surviving iterand x (Alg. 2 lines 2 and 7): the owners of
+	// the entries the failed rows couple to send them to the rows' rebuilder.
 	tGather = run.nd.Clock()
-	if !amFailed {
-		for _, fr := range failed {
-			for _, t := range run.plan.Recv[fr] {
-				if t.Peer != me {
-					continue
-				}
+	for _, fr := range ev.failed {
+		reb := ev.rebuilderOf(fr)
+		for _, t := range run.plan.Recv[fr] {
+			switch {
+			case rankIsFailed(ev.failed, t.Peer):
+				// unknowns of the inner system, not data
+			case t.Peer == me:
 				run.sendScratch = growF(run.sendScratch, len(t.Idx))
 				buf := run.sendScratch
 				for k, gi := range t.Idx {
 					buf[k] = run.x[gi-run.lo]
 				}
-				run.nd.Send(fr, tagRecoverX, buf)
+				if reb == me {
+					fileGhosts(xg, local.Ghost, t.Idx, buf)
+				} else {
+					run.nd.Send(reb, tagRecoverX, buf)
+				}
+			case reb == me:
+				fileGhosts(xg, local.Ghost, t.Idx, run.nd.Recv(t.Peer, tagRecoverX))
 			}
-		}
-	} else {
-		vec.Zero(xg)
-		for ti, t := range run.plan.Recv[me] {
-			if rankIsFailed(failed, t.Peer) {
-				continue // unknowns of the inner system, not data
-			}
-			vals := run.nd.Recv(t.Peer, tagRecoverX)
-			copy(xg[run.plan.RecvGhostOffset(me, ti):], vals)
 		}
 	}
 	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
-
-	// Exact state reconstruction on the replacement nodes (Alg. 2).
-	if amFailed {
-		// Line 4: z_If = p^(jrec)_If − β* p^(jrec−1)_If.
-		for i := 0; i < run.m; i++ {
-			run.z[i] = pCur[i] - betaStar*pPrev[i]
-		}
-		run.compute(obs.KindReconstruct, 2*float64(run.m))
-		// Lines 5–6: v = z_If − P[If,I\If]·r (zero off-part for node-local
-		// preconditioners), then solve P[If,If]·r_If = v.
-		run.pc.SolveRestricted(run.r, run.z)
-		run.compute(obs.KindReconstruct, run.pc.SolveRestrictedFlops())
-		// Line 7: w = b_If − r_If − A[If,I\If]·x_(I\If), on the compact
-		// local matrix: owned columns lie inside If by construction, ghost
-		// columns owned by other failed ranks are inner-system unknowns —
-		// both are skipped, leaving exactly the surviving coupling.
-		run.recW = growF(run.recW, run.m)
-		w := run.recW
-		bLoc := run.cfg.B[run.lo:run.hi]
-		for i := 0; i < run.m; i++ {
-			cols, vals := run.local.Row(i)
-			var s float64
-			for k, c := range cols {
-				if c < run.m {
-					continue
-				}
-				if gi := run.local.Ghost[c-run.m]; gi >= flo && gi < fhi {
-					continue
-				}
-				s += vals[k] * xg[c-run.m]
-			}
-			w[i] = bLoc[i] - run.r[i] - s
-		}
-		run.compute(obs.KindReconstruct, 2*run.nnzLocal)
-		// Line 8: solve A[If,If]·x_If = w on the replacement nodes.
-		run.innerSolve(failed, flo, fhi, w)
-		copy(run.p, pCur)
+	if !rebuilds {
+		return nil, nil, nil, nil, true
 	}
 
-	st.resume(betaStar)
-	run.recEnd(t0)
-	return jrec, RecoverySpare
+	// Exact state reconstruction of this rank's share. A replacement
+	// rebuilds z and r in place; the adopter keeps them beside its own
+	// vectors until the shrink, z over p′^(jrec−1).
+	z, r = run.z, run.r
+	if shrink {
+		run.recR = growF(run.recR, rm)
+		z, r = pPrev, run.recR
+	}
+	// Line 4: z_If = p^(jrec)_If − β* p^(jrec−1)_If.
+	for i := range z {
+		z[i] = pCur[i] - betaStar*pPrev[i]
+	}
+	run.compute(obs.KindReconstruct, 2*float64(rm))
+	// Lines 5–6: v = z_If − P[If,I\If]·r (zero off-part for node-local
+	// preconditioners), then solve P[If,If]·r_If = v.
+	ev.pc.SolveRestricted(r, z)
+	run.compute(obs.KindReconstruct, ev.pc.SolveRestrictedFlops())
+	// Line 7: w = b_If − r_If − A[If,I\If]·x_(I\If): owned columns lie inside
+	// If by construction, ghost columns owned by other failed ranks are
+	// inner-system unknowns — both are skipped, leaving exactly the
+	// surviving coupling.
+	run.recW = growF(run.recW, rm)
+	w, b := run.recW, run.cfg.B[rlo:rhi]
+	for i := range w {
+		cols, vals := local.Row(i)
+		var s float64
+		for k, c := range cols {
+			if c < rm {
+				continue
+			}
+			if gi := local.Ghost[c-rm]; gi >= ev.flo && gi < ev.fhi {
+				continue
+			}
+			s += vals[k] * xg[c-rm]
+		}
+		w[i] = b[i] - r[i] - s
+	}
+	run.compute(obs.KindReconstruct, 2*float64(local.NNZ()))
+	// Line 8: solve A[If,If]·x_If = w over the rebuilders.
+	return run.innerSolve(ev, w), r, z, pCur, true
 }
 
-// holdsEntriesOf reports whether this (surviving) node statically receives
-// redundant copies of entries owned by rank fr.
-func (run *nodeRun) holdsEntriesOf(fr int) bool {
-	me := run.nd.Rank()
-	for _, t := range run.plan.Send[fr] {
-		if t.Peer == me {
+// holds reports whether rank s statically receives redundant copies of
+// entries owned by rank owner: it is a plain or resilient-copy receiver of
+// owner's ASpMV traffic.
+func (run *nodeRun) holds(s, owner int) bool {
+	for _, t := range run.plan.Send[owner] {
+		if t.Peer == s {
 			return true
 		}
 	}
-	for _, t := range run.plan.ExtraSend[fr] {
-		if t.Peer == me {
+	for _, t := range run.plan.ExtraSend[owner] {
+		if t.Peer == s {
 			return true
 		}
 	}
 	return false
 }
 
-// survivingHoldersOf returns, in ascending order, the surviving ranks that
-// hold redundant copies of at least one entry owned by rank owner. This is
-// the exact set of ranks whose holdsEntriesOf(owner) is true, so the gather
-// protocol's sends and receives pair up one-to-one even when multiple failed
-// nodes have different holder sets.
-func (run *nodeRun) survivingHoldersOf(owner int, failed []int) []int {
-	mark := make([]bool, run.nd.Size())
-	for _, t := range run.plan.Send[owner] {
-		mark[t.Peer] = true
+// holdersOf lists, for each failed rank whose rows this rank rebuilds, the
+// other surviving ranks holding copies of its entries, ascending: exactly
+// the ranks whose holds(me, fr) makes them send here, so the gather's sends
+// and receives pair up one to one. The lists are built once per event into
+// reused rows; the rows of failed ranks rebuilt elsewhere stay empty.
+func (run *nodeRun) holdersOf(ev *esrEvent) [][]int {
+	if len(run.recHolders) < len(ev.failed) {
+		run.recHolders = make([][]int, len(ev.failed))
 	}
-	for _, t := range run.plan.ExtraSend[owner] {
-		mark[t.Peer] = true
-	}
-	var out []int
-	for s, m := range mark {
-		if m && !rankIsFailed(failed, s) {
-			out = append(out, s)
+	rows, n, me := run.recHolders[:len(ev.failed)], run.nd.Size(), run.nd.Rank()
+	for i, fr := range ev.failed {
+		if rows[i] = rows[i][:0]; ev.rebuilderOf(fr) != me {
+			continue
+		}
+		rows[i] = slices.Grow(rows[i], n)
+		for s := range n {
+			if s != me && !rankIsFailed(ev.failed, s) && run.holds(s, fr) {
+				rows[i] = append(rows[i], s)
+			}
 		}
 	}
-	return out
+	return rows
+}
+
+// fileGhosts writes vals, the x entries at the sorted global indices idx, to
+// their slots in xg, the buffer of the sorted ghost set ghost ⊇ idx.
+func fileGhosts(xg []float64, ghost, idx []int, vals []float64) {
+	g := sort.SearchInts(ghost, idx[0])
+	for k, gi := range idx {
+		for ghost[g] != gi {
+			g++
+		}
+		xg[g] = vals[k]
+	}
 }
 
 // recoverIMCR implements the checkpoint-restart recovery: replacements

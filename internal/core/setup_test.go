@@ -190,10 +190,11 @@ func TestFailureFreeSolveBuildsNoSetUp(t *testing.T) {
 // TestRecoveryAllocationsIndependentOfRowLength: allocations of a solve
 // with one ψ = 3 event minus those of its failure-free twin stay under a
 // fixed bound per recovery mode — per-rank compact matrices, kernels,
-// exchangers and inner-PCG vectors, the adopter's preconditioner blocks
-// (built once per shrink: at most 1 337 allocations over the kernel kinds,
-// under sellc; 1 120 under band and auto, where each band block carves its
-// run offsets from one arena), one shared set-up —
+// exchangers and inner-PCG vectors, the adopter's preconditioner blocks and
+// compact view of the failed rows (built once per shrink: at most 1 344
+// allocations over the kernel kinds, under sellc; 1 127 under band and
+// auto, where each band block carves its run offsets from one arena), one
+// shared set-up —
 // on a 5-entries-per-row and on a ≈ 70-entries-per-row matrix alike. An
 // extraction or plan built per rank, or through a
 // per-entry builder, breaks it (through the builder these events cost

@@ -245,11 +245,13 @@ type nodeRun struct {
 
 	// Recovery scratch, grown on first use and reused across events, so
 	// failure-heavy campaign cells do not re-allocate the gather buffers per
-	// event. Not part of stateBytes: the peak accounting (notePeak) already
-	// samples these live during recovery.
-	recPrev, recCur, recW []float64
-	recCovered            []int
-	sendScratch           []float64
+	// event: the gathered p′ pair and its coverage mask, the holder lists,
+	// the adopter's rebuilt r and x halo, and w. Not part of stateBytes: the
+	// peak accounting (notePeak) already samples these live during recovery.
+	recPrev, recCur, recR, recX, recW []float64
+	recCovered                        []int
+	recHolders                        [][]int
+	sendScratch                       []float64
 
 	residLog []float64
 }
