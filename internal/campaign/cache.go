@@ -99,10 +99,12 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 	}
 	// A digest is computed by whichever task asks first — normally its own
 	// leading task, so distinct matrices hash side by side — and cell tasks
-	// that get there early wait for it.
+	// that get there early wait for it. The cache handle hashes a system it
+	// has seen before only if its bytes changed, and then remembers just
+	// this run's systems.
 	digests := make(map[string]func() [32]byte, len(matrices))
 	for name, m := range matrices {
-		digests[name] = sync.OnceValue(func() [32]byte { return ccache.MatrixDigest(m.A, m.B) })
+		digests[name] = sync.OnceValue(func() [32]byte { return g.Cache.Digest(m.A, m.B) })
 	}
 	nm := len(g.Matrices)
 	eachIndex(g.Workers, nm+len(cells), func(t int) {
@@ -112,6 +114,11 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 			g.probeCell(t-nm, c, digests[c.Matrix](), cr)
 		}
 	})
+	used := make([][32]byte, 0, nm)
+	for _, d := range digests {
+		used = append(used, d())
+	}
+	g.Cache.KeepDigests(used)
 	return cr
 }
 

@@ -226,6 +226,8 @@ func (g Grid) withDefaults() (Grid, error) {
 	// Default into a copy: Run takes the grid by value, so filling names
 	// and right-hand sides must not leak into the caller's slice.
 	g.Matrices = append([]MatrixSpec(nil), g.Matrices...)
+	// Cells, prepared contexts and cache digests find their system by name.
+	index := make(map[string]int, len(g.Matrices))
 	for i := range g.Matrices {
 		m := &g.Matrices[i]
 		if m.A == nil {
@@ -234,6 +236,10 @@ func (g Grid) withDefaults() (Grid, error) {
 		if m.Name == "" {
 			m.Name = fmt.Sprintf("matrix%d", i)
 		}
+		if j, dup := index[m.Name]; dup {
+			return g, fmt.Errorf("campaign: matrices %d and %d are both named %q", j, i, m.Name)
+		}
+		index[m.Name] = i
 		if m.B == nil {
 			b := make([]float64, m.A.Rows)
 			one := make([]float64, m.A.Rows)

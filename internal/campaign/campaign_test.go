@@ -211,6 +211,16 @@ func TestGridValidation(t *testing.T) {
 	if _, err := Run(g); err == nil {
 		t.Error("empty cross-product accepted")
 	}
+	// Two systems under one name: cells find their system by name, so both
+	// rows would report the last one's solve.
+	g = tinyGrid()
+	g.Matrices = []MatrixSpec{
+		{Name: "m", A: matgen.Poisson2D(12, 12)},
+		{Name: "m", A: matgen.EmiliaLike(5, 5, 5, 1)},
+	}
+	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "matrices 0 and 1") {
+		t.Errorf("duplicate matrix names: error %v, want one naming matrices 0 and 1", err)
+	}
 	// A strategy value outside core's set never reaches a cell: nothing
 	// downstream of the enumeration re-checks it.
 	g = tinyGrid()

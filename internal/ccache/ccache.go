@@ -22,11 +22,13 @@
 package ccache
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"esrp/internal/cluster"
@@ -118,7 +120,8 @@ type IOStats struct {
 // misses, Put discards), so callers thread one handle unconditionally —
 // the same contract obs, hostobs and replay recorders follow.
 type Cache struct {
-	dir string
+	dir     string
+	digests digestMemo
 
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
@@ -230,11 +233,17 @@ func (c *Cache) entryPath(tier string, k Key, ext string) string {
 	return c.dir + sep + tier + sep + string(name[:2]) + sep + string(name[:]) + ext
 }
 
-// read loads and validates one framed entry; (nil, false) is a miss —
-// absent, truncated, tampered and undecodable entries all land there, the
-// last three also counting as corrupt.
-func (c *Cache) read(path string) ([]byte, bool) {
-	data, err := os.ReadFile(path)
+// readBufs recycles the buffers entries are read into: a result entry is
+// decoded straight out of one, a schedule payload is copied out of it.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// read loads and validates one framed entry into *buf and returns the
+// payload, a view of *buf; (nil, false) is a miss — absent, truncated,
+// tampered and undecodable entries all land there, the last three also
+// counting as corrupt.
+func (c *Cache) read(path string, buf *[]byte) ([]byte, bool) {
+	data, err := readFile(path, (*buf)[:0])
+	*buf = data
 	if err != nil {
 		return nil, false // absent (or unreadable) = plain miss
 	}
@@ -252,11 +261,13 @@ func (c *Cache) GetResult(k Key) (*ResultEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
-	payload, ok := c.read(c.entryPath(resultTierDir, k, ".res"))
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	payload, ok := c.read(c.entryPath(resultTierDir, k, ".res"), buf)
 	if !ok {
 		return nil, false
 	}
-	e, err := decodeResultEntry(payload)
+	e, err := decodeResultEntry(payload) // copies out all it keeps
 	if err != nil {
 		c.corrupt.Add(1)
 		return nil, false
@@ -302,7 +313,13 @@ func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.read(c.entryPath(scheduleTierDir, k, ".sched"))
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	payload, ok := c.read(c.entryPath(scheduleTierDir, k, ".sched"), buf)
+	if !ok {
+		return nil, false
+	}
+	return bytes.Clone(payload), true
 }
 
 // DecodeSchedule decodes a payload GetSchedulePayload returned and takes it

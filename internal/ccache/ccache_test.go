@@ -2,8 +2,10 @@ package ccache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"esrp/internal/cluster"
@@ -205,16 +207,23 @@ func TestScheduleRoundTrip(t *testing.T) {
 }
 
 // Corruption must read as a miss (and count), never a crash or a wrong
-// answer: truncation, a flipped payload byte, a flipped checksum, a wrong
-// magic, and garbage all land on the recompute path.
+// answer: truncation, trailing bytes, a flipped payload byte, a flipped
+// checksum, a wrong magic, a length no file carries, and garbage all land on
+// the recompute path, and none of them costs more memory than the file's
+// own bytes (a header's length is never trusted to size a buffer).
 func TestCorruptionIsAMiss(t *testing.T) {
 	corruptions := map[string]func([]byte) []byte{
 		"truncated-header":  func(b []byte) []byte { return b[:frameHeaderLen-2] },
 		"truncated-payload": func(b []byte) []byte { return b[:len(b)-3] },
+		"trailing-bytes":    func(b []byte) []byte { return append(b, 0) },
 		"flipped-byte":      func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b },
 		"flipped-crc":       func(b []byte) []byte { b[16] ^= 0xff; return b },
 		"wrong-magic":       func(b []byte) []byte { copy(b, "NOTESRP!"); return b },
 		"empty":             func(b []byte) []byte { return nil },
+		"huge-declared-length": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], 1<<40)
+			return b[:30]
+		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -238,11 +247,17 @@ func TestCorruptionIsAMiss(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			if _, ok := c.GetResult(k); ok {
 				t.Error("corrupt result entry was trusted")
 			}
 			if _, ok := c.GetSchedule(k); ok {
 				t.Error("corrupt schedule entry was trusted")
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("reading two corrupt entries allocated %d bytes", n)
 			}
 			if st := c.Stats(); st.Corrupt != 2 {
 				t.Errorf("corrupt counter = %d, want 2", st.Corrupt)

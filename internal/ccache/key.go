@@ -109,8 +109,9 @@ func MatrixDigest(a *sparse.CSR, b []float64) [32]byte {
 	h := sha256.New()
 	// Encode in bulk: one buffered Write per array instead of one hasher
 	// call per element — the byte stream (and therefore the digest) is
-	// unchanged, but hashing a large system costs a handful of calls. This
-	// is the hot edge of a warm cache probe, paid once per (matrix, run).
+	// unchanged, but hashing a large system costs a handful of calls. A
+	// campaign pays it once per system per cache handle (Cache.Digest); a
+	// later run over the same bytes only compares them.
 	buf := make([]byte, 0, 64*1024)
 	flush := func() {
 		if len(buf) > 0 {
