@@ -492,8 +492,8 @@ func BenchmarkAblationResidualReplacement(b *testing.B) {
 // MaxIter + unreachable Rtol makes the run length independent of
 // convergence, so the metric is a pure data-path cost. The default cases run
 // the kernel planner (auto); the kernel=* cases force each layout on the
-// reference strategy for the attribution. BENCH_PR5.json records these
-// numbers run over run.
+// reference strategy for the attribution. The recorded host figures are
+// benchmark/'s solve workloads; this benchmark is for local attribution.
 func BenchmarkHostSolve(b *testing.B) {
 	a := benchEmilia()
 	rhs := esrp.RHSOnes(a.Rows)

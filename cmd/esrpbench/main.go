@@ -22,8 +22,9 @@
 //
 // Every constellation run also writes a machine-readable BENCH_<name>.json
 // (simulated time, iterations, halo bytes, max per-node bytes for the
-// reference and every cell) into -json-dir, so the performance trajectory is
-// tracked across changes; -json-dir "" disables the export.
+// reference and every cell) into -json-dir; -json-dir "" disables the
+// export. The figures are simulated, so two builds that agree on them agree
+// bit for bit; the host cost of the engine is measured under benchmark/.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -54,22 +54,39 @@ func main() {
 		reps    = flag.Int("reps", 1, "repetitions per setting (median reported)")
 		rtol    = flag.Float64("rtol", 1e-8, "outer relative tolerance")
 		kernel  = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
-		jsonDir = flag.String("json-dir", ".", "directory for the BENCH_<name>.json exports (\"\" = disabled)")
-
-		hostbench    = flag.Bool("hostbench", false, "measure host-side performance (ns/op, allocs/op, campaign cells/sec; kernel=csr baseline vs kernel=auto) and write "+hostBenchFile+" to -json-dir")
-		scaling      = flag.Bool("scaling", false, "with the hostbench suite, sweep GOMAXPROCS ∈ {1,2,4,NumCPU} over the solve and campaign-smoke benchmarks and record per-procs rows plus parallel efficiency in "+hostBenchFile+" (implies -hostbench)")
-		hostBaseline = flag.String("host-baseline", "", "previous BENCH_PR*.json to chain from (\"\" = newest BENCH_PR*.json in the current directory)")
-		hostNote     = flag.String("host-note", "", "free-form note recorded in the "+hostBenchFile+" export")
-
-		check          = flag.String("check", "", "perf-regression sentinel: re-run the benchmarks of this committed BENCH_PR*.json and exit non-zero (with a per-row delta table) when ns/op or allocs/op regress beyond the tolerances")
-		checkTolNs     = flag.Float64("check-tol-ns", 0.35, "fractional ns/op regression tolerated by -check (0.35 = +35%)")
-		checkTolAllocs = flag.Float64("check-tol-allocs", 0.15, "fractional allocs/op regression tolerated by -check")
+		jsonDir = flag.String("json-dir", ".", "directory for the BENCH_<name>.json exports of the simulated figures (\"\" = disabled)")
 
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		allocsprofile = flag.String("allocsprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+
+	if !*all && *table == 0 && *fig == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	// Reject bad values before any matrix is generated or solved.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"nodes", *nodes}, {"scale", *scale}, {"reps", *reps}} {
+		if f.v < 1 {
+			usagef("bad -%s: %d is not a positive integer", f.name, f.v)
+		}
+	}
+	phiList, err := parseInts(*phis)
+	if err != nil {
+		usagef("bad -phis: %v", err)
+	}
+	tList, err := parseInts(*ts)
+	if err != nil {
+		usagef("bad -ts: %v", err)
+	}
+	kk, err := esrp.ParseKernel(*kernel)
+	if err != nil {
+		usagef("bad -kernel: %v", err)
+	}
 
 	stop, err := profiling.Start(*cpuprofile, *memprofile, *allocsprofile)
 	if err != nil {
@@ -81,49 +98,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "esrpbench: %v\n", err)
 		}
 	}()
-
-	if *check != "" {
-		failed, err := runCheck(*check, *checkTolNs, *checkTolAllocs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if failed > 0 {
-			fatalf("check: %d row(s) regressed beyond tolerance", failed)
-		}
-		fmt.Fprintln(os.Stderr, "esrpbench: check passed")
-		return
-	}
-
-	if *hostbench || *scaling {
-		if *jsonDir == "" {
-			fatalf("-hostbench writes %s and needs a -json-dir (got the disabled value \"\")", hostBenchFile)
-		}
-		path, err := writeHostBench(*jsonDir, *hostBaseline, *hostNote, *scaling)
-		if err != nil {
-			fatalf("hostbench: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "esrpbench: wrote %s\n", path)
-		return
-	}
-
-	if !*all && *table == 0 && *fig == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	phiList, err := parseInts(*phis)
-	if err != nil {
-		fatalf("bad -phis: %v", err)
-	}
-	tList, err := parseInts(*ts)
-	if err != nil {
-		fatalf("bad -ts: %v", err)
-	}
-
-	kk, err := esrp.ParseKernel(*kernel)
-	if err != nil {
-		fatalf("bad -kernel: %v", err)
-	}
 
 	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, reps: *reps, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
 
@@ -215,8 +189,6 @@ func (g generator) audikw() *esrp.CSR {
 func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 	fmt.Fprintf(os.Stderr, "esrpbench: running %s constellation (%d rows, %d nnz, %d nodes)...\n",
 		name, a.Rows, a.NNZ(), g.nodes)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	rep, err := esrp.RunExperiment(esrp.ExperimentSpec{
 		Name:   name,
@@ -228,16 +200,13 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 		Rtol:   g.rtol,
 		Kernel: g.kernel,
 	})
-	hostNs := time.Since(start).Nanoseconds()
-	runtime.ReadMemStats(&m1)
 	if err != nil {
 		fatalf("%s constellation: %v", name, err)
 	}
-	hostAllocs := int64(m1.Mallocs - m0.Mallocs)
 	fmt.Fprintf(os.Stderr, "esrpbench: %s done in %v (reference: %d iterations, %.4g s simulated)\n",
 		name, time.Since(start).Round(time.Millisecond), rep.RefIters, rep.RefTime)
 	if g.jsonDir != "" {
-		if path, err := writeBenchJSON(g.jsonDir, name, g, a, rep, hostNs, hostAllocs); err != nil {
+		if path, err := writeBenchJSON(g.jsonDir, name, g, a, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "esrpbench: writing %s results: %v\n", name, err)
 		} else {
 			fmt.Fprintf(os.Stderr, "esrpbench: wrote %s\n", path)
@@ -277,25 +246,17 @@ type benchJSON struct {
 	RefMaxNodeBytes int64   `json:"ref_max_node_bytes"`
 	RefHaloBytes    int64   `json:"ref_halo_bytes"`
 
-	// Host-side cost of regenerating the whole constellation: wall-clock
-	// nanoseconds and heap allocations. Unlike the simulated figures above,
-	// these change with engine optimizations.
-	HostWallNs int64 `json:"host_wall_ns"`
-	HostAllocs int64 `json:"host_allocs"`
-
 	Cells []benchCell `json:"cells"`
 }
 
-// writeBenchJSON exports one constellation's headline numbers so the perf
-// trajectory (simulated time, traffic, memory, host-side cost) is tracked
-// run over run.
-func writeBenchJSON(dir, name string, g generator, a *esrp.CSR, rep *esrp.ExperimentReport, hostNs, hostAllocs int64) (string, error) {
+// writeBenchJSON exports one constellation's simulated headline numbers
+// (time, iterations, traffic, memory) for diffing across builds.
+func writeBenchJSON(dir, name string, g generator, a *esrp.CSR, rep *esrp.ExperimentReport) (string, error) {
 	out := benchJSON{
 		Name: name, Rows: a.Rows, NNZ: a.NNZ(), Nodes: g.nodes, Scale: g.scale,
 		Build:      esrp.CurrentBuild(),
 		RefSimTime: rep.RefTime, RefIterations: rep.RefIters,
 		RefMaxNodeBytes: rep.RefMaxNodeBytes, RefHaloBytes: rep.RefHaloBytes,
-		HostWallNs: hostNs, HostAllocs: hostAllocs,
 	}
 	add := func(label string, cells []esrp.ExperimentCell) {
 		for _, c := range cells {
@@ -347,6 +308,7 @@ func esrpTable1(g generator) string {
 	})
 }
 
+// parseInts parses a comma-separated list of positive integers.
 func parseInts(csv string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(csv, ",") {
@@ -357,6 +319,9 @@ func parseInts(csv string) ([]int, error) {
 		v, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, err
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("%d is not a positive integer", v)
 		}
 		out = append(out, v)
 	}
@@ -379,4 +344,11 @@ func fatalf(format string, args ...any) {
 	}
 	fmt.Fprintf(os.Stderr, "esrpbench: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports a bad flag value and exits 2, as the flag package does for
+// a flag it cannot parse.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "esrpbench: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"esrp"
@@ -19,6 +20,11 @@ func TestParseInts(t *testing.T) {
 	}
 	if _, err := parseInts("1,x"); err == nil {
 		t.Error("non-integer must fail")
+	}
+	for _, csv := range []string{"0", "-3", "1,0"} {
+		if got, err := parseInts(csv); err == nil {
+			t.Errorf("parseInts(%q) = %v, want an error for a non-positive entry", csv, got)
+		}
 	}
 }
 
@@ -38,8 +44,8 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-// The JSON export must carry the reference and per-cell perf figures and be
-// valid JSON on disk.
+// The JSON export must carry the reference and per-cell simulated figures,
+// no host-side ones, and be valid JSON on disk.
 func TestWriteBenchJSON(t *testing.T) {
 	dir := t.TempDir()
 	a := esrp.Poisson2D(24, 24)
@@ -50,7 +56,7 @@ func TestWriteBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := generator{nodes: 6, scale: 1, jsonDir: dir}
-	path, err := writeBenchJSON(dir, "tiny", g, a, rep, 12345, 678)
+	path, err := writeBenchJSON(dir, "tiny", g, a, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +70,15 @@ func TestWriteBenchJSON(t *testing.T) {
 	var out benchJSON
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		if strings.HasPrefix(k, "host_") {
+			t.Errorf("export carries host-side key %q", k)
+		}
 	}
 	if out.RefSimTime <= 0 || out.RefIterations <= 0 || out.RefMaxNodeBytes <= 0 || out.RefHaloBytes <= 0 {
 		t.Fatalf("reference figures missing: %+v", out)

@@ -17,8 +17,8 @@
 // allocation ever happens on a collective wait or a scheduler pop), and the
 // recorded data is exported after the run: as a Chrome trace_event JSON of
 // host worker timelines (obs.HostTrace), as Prometheus textfile metrics
-// appended to the campaign snapshot, and as condensed columns in the
-// BENCH_*.json perf-trajectory exports.
+// appended to the campaign snapshot, and as telemetry that benchmark/'s
+// traced runs condense into per-layer rows.
 package hostobs
 
 import (

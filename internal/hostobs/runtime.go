@@ -84,12 +84,3 @@ func (r *CampaignRecorder) PhaseSamples() []PhaseSample {
 	defer r.phaseMu.Unlock()
 	return append([]PhaseSample(nil), r.phases...)
 }
-
-// GCPauseDeltaNs returns the GC pause time accrued between the first and
-// last phase samples — the campaign-attributable pause total.
-func (t *CampaignTelemetry) GCPauseDeltaNs() int64 {
-	if len(t.Phases) < 2 {
-		return 0
-	}
-	return int64(t.Phases[len(t.Phases)-1].GCPauseNs - t.Phases[0].GCPauseNs)
-}
