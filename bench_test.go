@@ -66,8 +66,8 @@ func benchConstellation(b *testing.B, name string, a *esrp.CSR) *esrp.Experiment
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(rep.RefTime, "simsec/ref")
-	b.ReportMetric(float64(rep.RefIters), "iters")
+	b.ReportMetric(rep.Ref.SimTime, "simsec/ref")
+	b.ReportMetric(float64(rep.Ref.Iterations), "iters")
 	return rep
 }
 

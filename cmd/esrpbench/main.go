@@ -18,7 +18,6 @@
 //	-scale S    grid refinement factor (default 1; 2 ≈ 8× the rows)
 //	-phis CSV   redundancy counts (default 1,3,8)
 //	-ts CSV     checkpoint intervals (default 1,20,50,100)
-//	-reps R     repetitions per setting (default 1; runs are deterministic)
 //
 // Every constellation run also writes a machine-readable BENCH_<name>.json
 // (simulated time, iterations, halo bytes, max per-node bytes for the
@@ -51,7 +50,6 @@ func main() {
 		scale   = flag.Int("scale", 1, "grid refinement factor for the test matrices")
 		phis    = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
 		ts      = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
-		reps    = flag.Int("reps", 1, "repetitions per setting (median reported)")
 		rtol    = flag.Float64("rtol", 1e-8, "outer relative tolerance")
 		kernel  = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
 		jsonDir = flag.String("json-dir", ".", "directory for the BENCH_<name>.json exports of the simulated figures (\"\" = disabled)")
@@ -70,7 +68,7 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"nodes", *nodes}, {"scale", *scale}, {"reps", *reps}} {
+	}{{"nodes", *nodes}, {"scale", *scale}} {
 		if f.v < 1 {
 			usagef("bad -%s: %d is not a positive integer", f.name, f.v)
 		}
@@ -99,7 +97,7 @@ func main() {
 		}
 	}()
 
-	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, reps: *reps, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
+	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
 
 	want := func(t, f int) bool {
 		if *all {
@@ -162,11 +160,11 @@ func main() {
 
 // generator holds the scale parameters and builds the experiment specs.
 type generator struct {
-	nodes, scale, reps int
-	phis, ts           []int
-	rtol               float64
-	kernel             esrp.KernelKind
-	jsonDir            string
+	nodes, scale int
+	phis, ts     []int
+	rtol         float64
+	kernel       esrp.KernelKind
+	jsonDir      string
 }
 
 // emilia returns the Emilia_923 analog at the configured scale: a banded
@@ -196,7 +194,6 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 		Nodes:  g.nodes,
 		Ts:     g.ts,
 		Phis:   g.phis,
-		Reps:   g.reps,
 		Rtol:   g.rtol,
 		Kernel: g.kernel,
 	})
@@ -204,7 +201,7 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 		fatalf("%s constellation: %v", name, err)
 	}
 	fmt.Fprintf(os.Stderr, "esrpbench: %s done in %v (reference: %d iterations, %.4g s simulated)\n",
-		name, time.Since(start).Round(time.Millisecond), rep.RefIters, rep.RefTime)
+		name, time.Since(start).Round(time.Millisecond), rep.Ref.Iterations, rep.Ref.SimTime)
 	if g.jsonDir != "" {
 		if path, err := writeBenchJSON(g.jsonDir, name, g, a, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "esrpbench: writing %s results: %v\n", name, err)
@@ -255,24 +252,19 @@ func writeBenchJSON(dir, name string, g generator, a *esrp.CSR, rep *esrp.Experi
 	out := benchJSON{
 		Name: name, Rows: a.Rows, NNZ: a.NNZ(), Nodes: g.nodes, Scale: g.scale,
 		Build:      esrp.CurrentBuild(),
-		RefSimTime: rep.RefTime, RefIterations: rep.RefIters,
-		RefMaxNodeBytes: rep.RefMaxNodeBytes, RefHaloBytes: rep.RefHaloBytes,
+		RefSimTime: rep.Ref.SimTime, RefIterations: rep.Ref.Iterations,
+		RefMaxNodeBytes: rep.Ref.MaxNodeBytes, RefHaloBytes: rep.Ref.HaloBytes,
 	}
-	add := func(label string, cells []esrp.ExperimentCell) {
+	for _, cells := range [][]esrp.ExperimentCell{rep.ESRP, rep.IMCR} {
 		for _, c := range cells {
-			strat := label
-			if label == "ESRP" && c.T == 1 {
-				strat = "ESR"
-			}
+			ff := &c.FF
 			out.Cells = append(out.Cells, benchCell{
-				Strategy: strat, T: c.T, Phi: c.Phi,
-				SimTime: c.FFTime, Overhead: c.FFOverhead, Iterations: c.FFIters,
-				MaxNodeBytes: c.FFMaxNodeBytes, HaloBytes: c.FFHaloBytes,
+				Strategy: ff.Strategy, T: ff.T, Phi: ff.Phi,
+				SimTime: ff.SimTime, Overhead: rep.Overhead(ff), Iterations: ff.Iterations,
+				MaxNodeBytes: ff.MaxNodeBytes, HaloBytes: ff.HaloBytes,
 			})
 		}
 	}
-	add("ESRP", rep.ESRP)
-	add("IMCR", rep.IMCR)
 
 	path := filepath.Join(dir, "BENCH_"+sanitizeName(name)+".json")
 	f, err := os.Create(path)

@@ -60,7 +60,6 @@ import (
 	"esrp/internal/core"
 	"esrp/internal/dist"
 	"esrp/internal/faultsim"
-	"esrp/internal/harness"
 	"esrp/internal/hostobs"
 	"esrp/internal/matgen"
 	"esrp/internal/obs"
@@ -426,48 +425,44 @@ func RHSForSolution(a *CSR, seed int64) (b, xstar []float64) {
 	return matgen.RHSForSolution(a, seed)
 }
 
-// Experiment harness (the paper's constellation; Tables 2–4, Figures 2–3).
+// The paper's constellation (Tables 2–4, Figures 2–3), run as campaign grids.
 type (
-	// ExperimentSpec describes a sweep over strategies, intervals and
-	// redundancy counts for one matrix.
-	ExperimentSpec = harness.Spec
-	// ExperimentReport aggregates the sweep's measurements.
-	ExperimentReport = harness.Report
-	// ExperimentCell is one measured (strategy, T, φ) setting of a report.
-	ExperimentCell = harness.Cell
-	// ExperimentScenario is the report's multi-failure scenario cell
-	// (Spec.Timeline), with the per-event recovery records.
-	ExperimentScenario = harness.ScenarioCell
+	// ExperimentSpec describes one matrix's sweep over checkpoint intervals
+	// and redundancy counts.
+	ExperimentSpec = campaign.PaperSpec
+	// ExperimentReport holds the sweep's cells: the reference, and per
+	// (strategy, T, φ) the failure-free run and one run per failure location.
+	ExperimentReport = campaign.PaperReport
+	// ExperimentCell is one (strategy, T, φ) setting of a report.
+	ExperimentCell = campaign.PaperCell
 	// Table1Row is one matrix-inventory entry.
-	Table1Row = harness.Table1Row
+	Table1Row = campaign.Table1Row
 )
 
-// RunExperiment executes the full constellation for the spec.
-func RunExperiment(spec ExperimentSpec) (*ExperimentReport, error) { return harness.Run(spec) }
+// RunExperiment executes the full constellation for the spec; any cell that
+// fails to run is an error.
+func RunExperiment(spec ExperimentSpec) (*ExperimentReport, error) { return campaign.RunPaper(spec) }
 
 // RenderTable1 prints a matrix inventory in the layout of Table 1.
-func RenderTable1(rows []Table1Row) string { return harness.RenderTable1(rows) }
+func RenderTable1(rows []Table1Row) string { return campaign.RenderTable1(rows) }
 
 // RenderOverheadTable prints a report in the layout of Tables 2–3.
-func RenderOverheadTable(r *ExperimentReport) string { return harness.RenderOverheadTable(r) }
+func RenderOverheadTable(r *ExperimentReport) string { return campaign.RenderOverheadTable(r) }
 
 // RenderDriftTable prints residual-drift statistics in the layout of Table 4.
-func RenderDriftTable(reports []*ExperimentReport) string { return harness.RenderDriftTable(reports) }
+func RenderDriftTable(reports []*ExperimentReport) string { return campaign.RenderDriftTable(reports) }
 
 // RenderFigure prints the data series of Figures 2–3; failureFree selects
 // subfigure (a), otherwise (b).
 func RenderFigure(r *ExperimentReport, failureFree bool) string {
-	return harness.RenderFigure(r, failureFree)
+	return campaign.RenderFigure(r, failureFree)
 }
 
 // RenderFigureASCII draws the Figures 2–3 layout as a log-scale ASCII
 // scatter, mirroring the paper's plots.
 func RenderFigureASCII(r *ExperimentReport, failureFree bool) string {
-	return harness.RenderFigureASCII(r, failureFree)
+	return campaign.RenderFigureASCII(r, failureFree)
 }
-
-// ExperimentSummary prints a compact headline comparison for a report.
-func ExperimentSummary(r *ExperimentReport) string { return harness.Summary(r) }
 
 // Failure scenarios and experiment campaigns (internal/faultsim and
 // internal/campaign): stochastic multi-failure processes compiled into event

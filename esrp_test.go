@@ -101,9 +101,6 @@ func TestExperimentAPI(t *testing.T) {
 	if got := esrp.RenderFigure(rep, true); got == "" {
 		t.Error("empty figure")
 	}
-	if got := esrp.ExperimentSummary(rep); got == "" {
-		t.Error("empty summary")
-	}
 }
 
 func TestParseStrategy(t *testing.T) {

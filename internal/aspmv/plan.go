@@ -30,7 +30,7 @@ type Transfer struct {
 
 // Plan is the static communication schedule of the distributed SpMV for one
 // matrix and partition. Plans are computed once at setup; the paper excludes
-// setup from the measured runtimes and so does the harness.
+// setup from the measured runtimes and so does the paper constellation.
 type Plan struct {
 	Part *dist.Partition
 	Phi  int // redundancy target; 0 = plain SpMV plan

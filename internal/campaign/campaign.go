@@ -1,11 +1,15 @@
 // Package campaign runs whole experiment grids — the cross-product of
 // strategy × checkpoint interval T × redundancy φ × matrix × node count ×
 // scenario seed — concurrently across host cores, one simulated cluster per
-// cell. Where the harness replays the paper's fixed constellation (single
-// injected failure, two locations), a campaign sweeps stochastic
-// multi-failure scenarios from internal/faultsim over arbitrary grids,
-// aggregates per-cell results into median/percentile statistics over seeds,
-// and exports structured JSON/CSV for downstream analysis.
+// cell. A grid's failure process comes from internal/faultsim: a fixed
+// schedule or stochastic multi-failure scenarios. Per-cell results are
+// aggregated into median/percentile statistics over seeds and exported as
+// structured JSON/CSV for downstream analysis.
+//
+// The paper's constellation (Section 5; Tables 2–4, Figures 2–3) is such a
+// sweep too: RunPaper runs one failure-free grid and then one grid per
+// (T, failure location) with a single fixed failure event, and the Render*
+// functions lay the cells out as the paper's tables and figures.
 //
 // Every cell is deterministic (the simulated cluster is, and the scenario is
 // seeded), so a campaign's output is bitwise reproducible regardless of how
@@ -295,7 +299,7 @@ func (g Grid) withDefaults() (Grid, error) {
 }
 
 // tsFor maps the grid's interval list to the strategy's admissible cells,
-// mirroring the harness conventions: ESR is the T = 1 point, ESRP needs
+// following the paper's conventions: ESR is the T = 1 point, ESRP needs
 // T > 2, IMCR T > 1, and None has no interval axis.
 func (g Grid) tsFor(s core.Strategy) []int {
 	switch s {

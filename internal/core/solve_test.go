@@ -289,7 +289,8 @@ func TestESRPFailureAtStageCompletion(t *testing.T) {
 }
 
 // The same exactness property on the 27-point structural stencil the
-// harness uses (the EmiliaLike analog), at its natural iteration count.
+// paper constellation uses (the EmiliaLike analog), at its natural
+// iteration count.
 func TestESRPRecoveryOnEmiliaLikeStencil(t *testing.T) {
 	a := matgen.EmiliaLike(8, 8, 8, 11) // 512 rows, C ≈ 32
 	b, _ := matgen.RHSForSolution(a, 12)

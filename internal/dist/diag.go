@@ -114,7 +114,7 @@ func (p *Partition) Analyze(a *sparse.CSR) (*Quality, error) {
 	return q, nil
 }
 
-// String renders the headline quality numbers for harness reports.
+// String renders the headline quality numbers for diagnostics output.
 func (q *Quality) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "load max/mean %.0f/%.0f (imbalance %.3f), ghosts %d",

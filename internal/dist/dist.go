@@ -162,8 +162,8 @@ func (p *Partition) Equal(q *Partition) bool {
 	return true
 }
 
-// String renders the partition compactly for test failures and harness
-// reports, eliding the interior offsets of large partitions.
+// String renders the partition compactly for test failures and
+// diagnostics, eliding the interior offsets of large partitions.
 func (p *Partition) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Partition{M:%d N:%d offsets:[", p.M, p.N)

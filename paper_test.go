@@ -125,22 +125,24 @@ func flattenPaper(rep *esrp.ExperimentReport) paperGolden {
 		Name: rep.Spec.Name, Rows: rep.Spec.Matrix.Rows, NNZ: rep.Spec.Matrix.NNZ(),
 		Nodes: rep.Spec.Nodes, Rtol: rep.Spec.Rtol,
 		Reference: paperRef{
-			SimTime: rep.RefTime, Iterations: rep.RefIters, Drift: rep.RefDrift,
-			MaxNodeBytes: rep.RefMaxNodeBytes, HaloBytes: rep.RefHaloBytes,
+			SimTime: rep.Ref.SimTime, Iterations: rep.Ref.Iterations, Drift: rep.Ref.Drift,
+			MaxNodeBytes: rep.Ref.MaxNodeBytes, HaloBytes: rep.Ref.HaloBytes,
 		},
 	}
 	for _, group := range [][]esrp.ExperimentCell{rep.ESRP, rep.IMCR} {
 		for _, c := range group {
+			ff := &c.FF
 			g.FailureFree = append(g.FailureFree, paperFF{
-				Strategy: c.Strategy.String(), T: c.T, Phi: c.Phi,
-				SimTime: c.FFTime, Overhead: c.FFOverhead, Iterations: c.FFIters,
-				MaxNodeBytes: c.FFMaxNodeBytes, HaloBytes: c.FFHaloBytes,
+				Strategy: ff.Strategy, T: ff.T, Phi: ff.Phi,
+				SimTime: ff.SimTime, Overhead: rep.Overhead(ff), Iterations: ff.Iterations,
+				MaxNodeBytes: ff.MaxNodeBytes, HaloBytes: ff.HaloBytes,
 			})
-			for _, f := range c.Fail {
+			for li, loc := range []string{"Start", "Center"} {
+				f := &c.Fail[li]
 				g.Failures = append(g.Failures, paperFail{
-					Strategy: c.Strategy.String(), T: c.T, Phi: c.Phi,
-					Location: f.Location.String(), Psi: f.Psi, FailureIter: f.FailureIter,
-					SimTime: f.Time, Overhead: f.Overhead, RecoveryOverhead: f.RecoveryOverhead,
+					Strategy: ff.Strategy, T: ff.T, Phi: ff.Phi,
+					Location: loc, Psi: len(f.Events[0].Ranks), FailureIter: f.Events[0].Iteration,
+					SimTime: f.SimTime, Overhead: rep.Overhead(f), RecoveryOverhead: rep.RecoveryOverhead(f),
 					WastedIters: f.WastedIters, Drift: f.Drift, Converged: f.Converged,
 				})
 			}
@@ -201,4 +203,45 @@ func TestPaperGoldens(t *testing.T) {
 		check(s.file+".json", append(raw, '\n'))
 	}
 	check("small.txt", []byte(renderPaper(reps)))
+}
+
+// The paper injects the failure two iterations before the end of the
+// interval containing C/2, so an interval T > 1 with 2T > C puts it before
+// the first storage stage or checkpoint, or after convergence. Neither is
+// the experiment the table claims, so the constellation refuses it.
+func TestPaperRejectsExcludedIntervals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reference solves in -short mode")
+	}
+	for _, tc := range []struct {
+		a    *esrp.CSR
+		ts   []int
+		want string
+	}{
+		{esrp.EmiliaLike(12, 12, 12, 923), []int{1, 20, 100}, "T = 100 exceeds C/2 for C = 109"},
+		{esrp.AudikwLike(8, 8, 8, 3, 944), []int{1, 20, 50}, "T = 50 exceeds C/2 for C = 59"},
+	} {
+		rep, err := esrp.RunExperiment(esrp.ExperimentSpec{Matrix: tc.a, Nodes: 8, Ts: tc.ts, Phis: []int{1}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Ts %v: report %v, error %v; want an error containing %q", tc.ts, rep != nil, err, tc.want)
+		}
+	}
+}
+
+// A cell that fails to run fails the constellation, naming the cell, and
+// never renders as a row of zeros.
+func TestPaperCellErrorsAreErrors(t *testing.T) {
+	a := esrp.Poisson2D(24, 24)
+	for _, tc := range []struct {
+		phis []int
+		want string
+	}{
+		{[]int{1, 5}, "ESR T=1 φ=1 Center: faultsim: event 0 rank 8 out of range"}, // the Center block of max(φ) = 5 ranks
+		{[]int{8}, "ESR T=1 φ=8 failure-free"},
+	} {
+		rep, err := esrp.RunExperiment(esrp.ExperimentSpec{Matrix: a, Nodes: 8, Ts: []int{1, 10}, Phis: tc.phis})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("φ %v: report %v, error %v; want an error containing %q", tc.phis, rep != nil, err, tc.want)
+		}
+	}
 }
