@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -242,6 +243,124 @@ func TestPaperCellErrorsAreErrors(t *testing.T) {
 		rep, err := esrp.RunExperiment(esrp.ExperimentSpec{Matrix: a, Nodes: 8, Ts: []int{1, 10}, Phis: tc.phis})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("φ %v: report %v, error %v; want an error containing %q", tc.phis, rep != nil, err, tc.want)
+		}
+	}
+}
+
+// TestPaperClaims states the paper's findings (Tables 2–4, Figures 2–3) as
+// inequalities over the two pinned constellations.
+func TestPaperClaims(t *testing.T) {
+	for _, rep := range loadPaperReports(t) {
+		t.Run(rep.Spec.Name, func(t *testing.T) { checkPaperClaims(t, rep) })
+	}
+}
+
+func checkPaperClaims(t *testing.T, rep *esrp.ExperimentReport) {
+	c := float64(rep.Ref.Iterations)
+	ff := func(p *esrp.ExperimentCell) float64 { return rep.Overhead(&p.FF) }
+	rc := func(p *esrp.ExperimentCell, li int) float64 { return rep.RecoveryOverhead(&p.Fail[li]) }
+	// at indexes a group's cells by (T, φ).
+	at := func(cells []esrp.ExperimentCell) map[[2]int]*esrp.ExperimentCell {
+		m := make(map[[2]int]*esrp.ExperimentCell)
+		for i := range cells {
+			m[[2]int{cells[i].FF.T, cells[i].FF.Phi}] = &cells[i]
+		}
+		return m
+	}
+	byTPhi := at(rep.ESRP)
+	phis := rep.Spec.Phis
+	var ts []int // ESRP intervals, ascending
+	for _, tt := range rep.Spec.Ts {
+		if tt > 2 {
+			ts = append(ts, tt)
+		}
+	}
+
+	for _, cells := range [][]esrp.ExperimentCell{rep.ESRP, rep.IMCR} {
+		for i := range cells {
+			p := &cells[i]
+			s, tt, phi := p.FF.Strategy, p.FF.T, p.FF.Phi
+			// Redundancy and checkpoints never change the trajectory.
+			if p.FF.Iterations != rep.Ref.Iterations {
+				t.Errorf("%s T=%d φ=%d: %d failure-free iterations, want C = %d", s, tt, phi, p.FF.Iterations, rep.Ref.Iterations)
+			}
+			if s != "IMCR" && phi == 1 && ff(p) != 0 {
+				t.Errorf("%s T=%d φ=1: failure-free overhead %g, want exactly 0 (φ = 1 needs no extra copies)", s, tt, ff(p))
+			}
+			if s == "IMCR" && ff(p) <= 0 {
+				t.Errorf("IMCR T=%d φ=%d: failure-free overhead %g, want > 0 (checkpoint traffic)", tt, phi, ff(p))
+			}
+			for li, loc := range []string{"Start", "Center"} {
+				f := &p.Fail[li]
+				if s == "IMCR" && rc(p, li) >= 0.01 {
+					t.Errorf("IMCR T=%d φ=%d %s: reconstruction %g of t0, want < 1 %%", tt, phi, loc, rc(p, li))
+				}
+				if f.WastedIters > tt || (s == "ESR" && f.WastedIters != 0) {
+					t.Errorf("%s T=%d φ=%d %s: %d wasted iterations, want ≤ T (0 for ESR)", s, tt, phi, loc, f.WastedIters)
+				}
+				// The failure costs the reconstruction plus the repeated
+				// iterations, each ≈ t0/C.
+				if d := rep.Overhead(f) - rc(p, li) - ff(p) - float64(f.WastedIters)/c; math.Abs(d) > 1/c {
+					t.Errorf("%s T=%d φ=%d %s: overhead − reconstruction − failure-free is %d/C %+g, want within 1/C",
+						s, tt, phi, loc, f.WastedIters, d)
+				}
+				if s != "IMCR" {
+					esr := byTPhi[[2]int{1, phi}]
+					if r := rc(p, li) / rc(esr, li); math.Abs(r-1) > 0.02 {
+						t.Errorf("%s T=%d φ=%d %s: reconstruction %g is %.4f × ESR's, want within 2 %%", s, tt, phi, loc, rc(p, li), r)
+					}
+				}
+			}
+		}
+	}
+
+	// Failure-free ESRP overhead falls with T (strictly while positive),
+	// rises with φ, and never exceeds ESR's.
+	for _, phi := range phis {
+		for i, tt := range ts {
+			p := byTPhi[[2]int{tt, phi}]
+			if esr := byTPhi[[2]int{1, phi}]; ff(p) > ff(esr) {
+				t.Errorf("ESRP T=%d φ=%d: failure-free overhead %g above ESR's %g", tt, phi, ff(p), ff(esr))
+			}
+			if i == 0 {
+				continue
+			}
+			prev := byTPhi[[2]int{ts[i-1], phi}]
+			if ff(p) > ff(prev) || (ff(prev) > 0 && ff(p) == ff(prev)) {
+				t.Errorf("ESRP φ=%d: failure-free overhead %g at T=%d, %g at T=%d; want it falling with T", phi, ff(prev), ts[i-1], ff(p), tt)
+			}
+		}
+	}
+	for _, tt := range append([]int{1}, ts...) {
+		for i := 1; i < len(phis); i++ {
+			lo, hi := byTPhi[[2]int{tt, phis[i-1]}], byTPhi[[2]int{tt, phis[i]}]
+			if ff(hi) < ff(lo) {
+				t.Errorf("%s T=%d: failure-free overhead %g at φ=%d below %g at φ=%d", hi.FF.Strategy, tt, ff(hi), phis[i], ff(lo), phis[i-1])
+			}
+			for li, loc := range []string{"Start", "Center"} {
+				if rc(hi, li) <= rc(lo, li) {
+					t.Errorf("%s T=%d %s: reconstruction %g at ψ=%d not above %g at ψ=%d", hi.FF.Strategy, tt, loc, rc(hi, li), phis[i], rc(lo, li), phis[i-1])
+				}
+			}
+		}
+	}
+
+	// Every run converges, and its residual drift (Eq. 2) stays within an
+	// order of magnitude of the tolerance (Table 4).
+	tol := 10 * rep.Spec.Rtol
+	check := func(what string, cell *esrp.CampaignCell) {
+		if !cell.Converged || math.Abs(cell.Drift) > tol {
+			t.Errorf("%s: converged %v, drift %g; want convergence with |drift| ≤ %g", what, cell.Converged, cell.Drift, tol)
+		}
+	}
+	check("reference", &rep.Ref)
+	for _, cells := range [][]esrp.ExperimentCell{rep.ESRP, rep.IMCR} {
+		for i := range cells {
+			p := &cells[i]
+			check(p.FF.Strategy+" failure-free", &p.FF)
+			for li := range p.Fail {
+				check(p.FF.Strategy+" with failures", &p.Fail[li])
+			}
 		}
 	}
 }
