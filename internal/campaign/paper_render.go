@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table1Row is one matrix entry of Table 1.
@@ -15,14 +18,19 @@ type Table1Row struct {
 }
 
 // RenderTable1 prints the test-matrix inventory in the layout of the paper's
-// Table 1: name, problem type, size, and nonzero count.
+// Table 1: name, problem type, size, and nonzero count. The name column is
+// as wide as the longest name.
 func RenderTable1(rows []Table1Row) string {
+	w := utf8.RuneCountInString("Matrix")
+	for _, r := range rows {
+		w = max(w, utf8.RuneCountInString(r.Name))
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: Test matrices\n")
-	fmt.Fprintf(&b, "%-24s %-14s %12s %14s %10s\n", "Matrix", "Problem type", "Problem size", "#NZ", "nnz/row")
+	fmt.Fprintf(&b, "%-*s %-14s %12s %14s %10s\n", w, "Matrix", "Problem type", "Problem size", "#NZ", "nnz/row")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %-14s %12d %14d %10.1f\n",
-			r.Name, r.ProblemType, r.Size, r.NNZ, float64(r.NNZ)/float64(r.Size))
+		fmt.Fprintf(&b, "%-*s %-14s %12d %14d %10.1f\n",
+			w, r.Name, r.ProblemType, r.Size, r.NNZ, float64(r.NNZ)/float64(r.Size))
 	}
 	return b.String()
 }
@@ -63,7 +71,7 @@ func RenderOverheadTable(r *PaperReport) string {
 	}
 	renderGroup := func(cells []PaperCell) {
 		byT := groupByT(cells)
-		for _, t := range sortedKeys(byT) {
+		for _, t := range slices.Sorted(maps.Keys(byT)) {
 			group := byT[t]
 			for li, loc := range paperLocations {
 				if li == 0 {
@@ -105,7 +113,7 @@ func (r *PaperReport) DriftStats() (ref, median, min float64) {
 	if len(drifts) == 0 {
 		return r.Ref.Drift, r.Ref.Drift, r.Ref.Drift
 	}
-	sortFloats(drifts)
+	slices.Sort(drifts)
 	return r.Ref.Drift, drifts[len(drifts)/2], drifts[0]
 }
 
@@ -169,7 +177,7 @@ func (r *PaperReport) figureValue(c *PaperCell, failureFree bool) float64 {
 	for i := range c.Fail {
 		vals = append(vals, r.Overhead(&c.Fail[i]))
 	}
-	sortFloats(vals)
+	slices.Sort(vals)
 	if n := len(vals); n%2 == 1 {
 		return vals[n/2]
 	} else {
@@ -179,9 +187,10 @@ func (r *PaperReport) figureValue(c *PaperCell, failureFree bool) float64 {
 
 // RenderFigureASCII draws the paper's Fig. 2/3 layout as a log-scale ASCII
 // scatter: checkpoint intervals clustered on the x-axis, runtime overhead on
-// a logarithmic y-axis, one marker column per strategy within each cluster
-// (P = ESRP, E = ESR, C = IMCR), markers 1..9 keyed by φ position in the
-// sweep. failureFree selects subfigure (a), otherwise (b).
+// a logarithmic y-axis. Each T-cluster holds three column groups — ESRP,
+// then ESR, then IMCR, one column per φ — and a marker is the digit of its
+// φ's position in the sweep (1 for the first φ, 2 for the second, …).
+// failureFree selects subfigure (a), otherwise (b).
 func RenderFigureASCII(r *PaperReport, failureFree bool) string {
 	ts := tsAbove1(r.Spec.Ts)
 	if len(ts) == 0 {
@@ -278,15 +287,6 @@ func groupByT(cells []PaperCell) map[int][]PaperCell {
 	return m
 }
 
-func sortedKeys(m map[int][]PaperCell) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortInts(keys)
-	return keys
-}
-
 func cellsWithT(cells []PaperCell, t int) []PaperCell {
 	var out []PaperCell
 	for _, c := range cells {
@@ -314,20 +314,4 @@ func tsAbove1(ts []int) []int {
 		}
 	}
 	return out
-}
-
-func sortInts(x []int) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
 }
