@@ -92,7 +92,7 @@ func (s PaperSpec) withDefaults() (PaperSpec, error) {
 	}{{"T", s.Ts}, {"φ", s.Phis}} {
 		for i, x := range axis.xs {
 			if x < 1 || slices.Contains(axis.xs[:i], x) {
-				return s, fmt.Errorf("campaign: paper constellation: %s = %d is not a positive value of its own", axis.name, x)
+				return s, fmt.Errorf("campaign: paper constellation: %s entry %d must be positive and listed once", axis.name, x)
 			}
 		}
 	}
@@ -124,13 +124,20 @@ func RunPaper(spec PaperSpec) (*PaperReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	// ESR is the row of an entry T ≤ 2; ESRP and IMCR run wherever the
+	// grid's interval rule admits an entry.
 	strats := []core.Strategy{core.StrategyNone}
-	for _, s := range []core.Strategy{core.StrategyESR, core.StrategyESRP, core.StrategyIMCR} {
-		if admits(s, spec.Ts) {
+	if slices.Min(spec.Ts) <= 2 {
+		strats = append(strats, core.StrategyESR)
+	}
+	all := spec.grid(nil, spec.Ts, faultsim.Scenario{})
+	for _, s := range []core.Strategy{core.StrategyESRP, core.StrategyIMCR} {
+		if len(all.tsFor(s)) > 0 {
 			strats = append(strats, s)
 		}
 	}
-	ff, err := runPaperGrid(spec.grid(strats, spec.Ts, faultsim.Scenario{}), "failure-free")
+	all.Strategies = strats
+	ff, err := runPaperGrid(all, "failure-free")
 	if err != nil {
 		return nil, err
 	}
@@ -146,23 +153,11 @@ func RunPaper(spec PaperSpec) (*PaperReport, error) {
 		}
 	}
 
-	// The failure grids run, per interval, the strategies that have a cell
-	// there, in the failure-free grid's order.
-	var ts []int
-	stratsAt := make(map[int][]core.Strategy)
 	for _, cell := range ff.Cells[1:] {
-		pc := PaperCell{FF: cell}
 		if cell.strat == core.StrategyIMCR {
-			rep.IMCR = append(rep.IMCR, pc)
+			rep.IMCR = append(rep.IMCR, PaperCell{FF: cell})
 		} else {
-			rep.ESRP = append(rep.ESRP, pc)
-		}
-		at := stratsAt[cell.T]
-		if len(at) == 0 {
-			ts = append(ts, cell.T)
-		}
-		if len(at) == 0 || at[len(at)-1] != cell.strat {
-			stratsAt[cell.T] = append(at, cell.strat)
+			rep.ESRP = append(rep.ESRP, PaperCell{FF: cell})
 		}
 	}
 	type key struct {
@@ -176,7 +171,16 @@ func RunPaper(spec PaperSpec) (*PaperReport, error) {
 		}
 	}
 	psi := slices.Max(spec.Phis)
-	for _, t := range ts {
+	for _, t := range append([]int{1}, tsAbove1(spec.Ts)...) {
+		var at []core.Strategy // the strategies with cells at t
+		for _, s := range strats[1:] {
+			if slices.Contains(all.tsFor(s), t) {
+				at = append(at, s)
+			}
+		}
+		if len(at) == 0 {
+			continue
+		}
 		for li, base := range [2]int{0, spec.Nodes / 2} {
 			ranks := make([]int, psi)
 			for i := range ranks {
@@ -185,7 +189,7 @@ func RunPaper(spec PaperSpec) (*PaperReport, error) {
 			sc := faultsim.Scenario{Model: faultsim.ModelFixed, Schedule: []core.FailureSpec{
 				{Iteration: FailureIteration(c, t), Ranks: ranks},
 			}}
-			fr, err := runPaperGrid(spec.grid(stratsAt[t], []int{t}, sc), paperLocations[li])
+			fr, err := runPaperGrid(spec.grid(at, []int{t}, sc), paperLocations[li])
 			if err != nil {
 				return nil, err
 			}
@@ -195,17 +199,6 @@ func RunPaper(spec PaperSpec) (*PaperReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// admits reports whether strategy s has an admissible interval in ts,
-// following Grid.tsFor: ESR is the T ≤ 2 row, ESRP needs T > 2, IMCR T > 1.
-func admits(s core.Strategy, ts []int) bool {
-	for _, t := range ts {
-		if (s == core.StrategyESR && t <= 2) || (s == core.StrategyESRP && t > 2) || (s == core.StrategyIMCR && t > 1) {
-			return true
-		}
-	}
-	return false
 }
 
 // runPaperGrid runs one grid of the constellation and turns the first cell

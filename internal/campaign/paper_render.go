@@ -168,21 +168,12 @@ func RenderFigure(r *PaperReport, failureFree bool) string {
 }
 
 // figureValue is one figure marker: the failure-free overhead, or the
-// median overhead over the failure locations.
+// median overhead over the two failure locations, i.e. their mean.
 func (r *PaperReport) figureValue(c *PaperCell, failureFree bool) float64 {
 	if failureFree {
 		return r.Overhead(&c.FF)
 	}
-	vals := make([]float64, 0, len(c.Fail))
-	for i := range c.Fail {
-		vals = append(vals, r.Overhead(&c.Fail[i]))
-	}
-	slices.Sort(vals)
-	if n := len(vals); n%2 == 1 {
-		return vals[n/2]
-	} else {
-		return (vals[n/2-1] + vals[n/2]) / 2
-	}
+	return (r.Overhead(&c.Fail[0]) + r.Overhead(&c.Fail[1])) / 2
 }
 
 // RenderFigureASCII draws the paper's Fig. 2/3 layout as a log-scale ASCII
