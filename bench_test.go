@@ -202,120 +202,24 @@ func BenchmarkFig3AudikwLike(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAugmentNaive compares the paper's multiplicity-counted
-// resilient-copy routing (Section 2.2.1) against the naive ship-everything
-// scheme, in failure-free ESRP runs — the traffic difference shows up
-// directly in the modeled runtime.
-func BenchmarkAblationAugmentNaive(b *testing.B) {
-	a := benchEmilia()
-	rhs := esrp.RHSOnes(a.Rows)
-	for _, sub := range []struct {
-		name  string
-		naive bool
-	}{
-		{"counted", false},
-		{"naive", true},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			var sim float64
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				// φ = 1 on a banded matrix is where the multiplicity
-				// counting matters: the plain product already replicates
-				// boundary planes, which the counted scheme skips and the
-				// naive scheme re-ships. (At φ ≥ 2 nearly every entry needs
-				// extra copies under either scheme and the plans coincide.)
-				res, err := esrp.Solve(esrp.Config{
-					A: a, B: rhs, Nodes: benchNodes,
-					Strategy: esrp.StrategyESR, Phi: 1,
-					NaiveAugment: sub.naive,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim, bytes = res.SimTime, res.BytesSent
-			}
-			b.ReportMetric(sim, "simsec/solve")
-			b.ReportMetric(float64(bytes), "bytes/solve")
-		})
-	}
-}
-
-// BenchmarkAblationInnerSolveGathered compares the distributed inner
-// reconstruction solve (Alg. 2 line 8 across all replacement nodes) against
-// gathering the lost block to a single node and solving sequentially.
-func BenchmarkAblationInnerSolveGathered(b *testing.B) {
-	a := benchEmilia()
-	rhs := esrp.RHSOnes(a.Rows)
-	ref, err := esrp.Solve(esrp.Config{A: a, B: rhs, Nodes: benchNodes})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sub := range []struct {
-		name   string
-		gather bool
-	}{
-		{"distributed", false},
-		{"gathered", true},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			var rec float64
-			for i := 0; i < b.N; i++ {
-				res, err := esrp.Solve(esrp.Config{
-					A: a, B: rhs, Nodes: benchNodes,
-					Strategy: esrp.StrategyESRP, T: 20, Phi: 3,
-					GatherInnerSolve: sub.gather,
-					Failure: &esrp.FailureSpec{
-						Iteration: ref.Iterations / 2,
-						Ranks:     []int{4, 5, 6},
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged || !res.Recovered {
-					b.Fatal("failed run did not recover/converge")
-				}
-				rec = res.RecoveryTime
-			}
-			b.ReportMetric(rec, "recsec/solve")
-		})
-	}
-}
-
-// BenchmarkAblationAugmentTraffic isolates the plan-level traffic cost of
-// the two augmentation schemes (no solve; pure plan accounting).
-func BenchmarkAblationAugmentTraffic(b *testing.B) {
+// BenchmarkAugmentTraffic isolates the plan-level traffic cost of the
+// resilient copies (no solve; pure plan accounting).
+func BenchmarkAugmentTraffic(b *testing.B) {
 	a := benchEmilia()
 	part := dist.NewBlockPartition(a.Rows, benchNodes)
-	for _, sub := range []struct {
-		name  string
-		naive bool
-	}{
-		{"counted", false},
-		{"naive", true},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			var extra, regular int
-			for i := 0; i < b.N; i++ {
-				plan, err := aspmv.NewPlan(a, part)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sub.naive {
-					err = plan.AugmentNaive(1)
-				} else {
-					err = plan.Augment(1)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				extra, regular = plan.ExtraTraffic()
-			}
-			b.ReportMetric(float64(extra), "extra-entries")
-			b.ReportMetric(float64(extra)/float64(regular)*100, "extra%")
-		})
+	var extra, regular int
+	for i := 0; i < b.N; i++ {
+		plan, err := aspmv.NewPlan(a, part)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := plan.Augment(1); err != nil {
+			b.Fatal(err)
+		}
+		extra, regular = plan.ExtraTraffic()
 	}
+	b.ReportMetric(float64(extra), "extra-entries")
+	b.ReportMetric(float64(extra)/float64(regular)*100, "extra%")
 }
 
 // BenchmarkSpMVExchange measures the halo exchange plus local SpMV, the hot

@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	pk, err := parsePrecond(*precond)
+	pk, err := esrp.ParsePrecond(*precond)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -265,20 +265,6 @@ func loadMatrix(file, gen string, n int, seed int64) (*esrp.CSR, string, error) 
 	default:
 		return nil, "", fmt.Errorf("unknown generator %q", gen)
 	}
-}
-
-func parsePrecond(s string) (esrp.PrecondKind, error) {
-	switch strings.ToLower(s) {
-	case "none", "identity":
-		return esrp.PrecondIdentity, nil
-	case "jacobi":
-		return esrp.PrecondJacobi, nil
-	case "blockjacobi", "block-jacobi", "bj":
-		return esrp.PrecondBlockJacobi, nil
-	case "ic0", "icc", "ichol":
-		return esrp.PrecondIC0, nil
-	}
-	return esrp.PrecondIdentity, fmt.Errorf("unknown preconditioner %q", s)
 }
 
 func parseRanks(csv string) ([]int, error) {

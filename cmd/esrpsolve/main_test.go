@@ -2,17 +2,6 @@ package main
 
 import "testing"
 
-func TestParsePrecond(t *testing.T) {
-	for _, name := range []string{"none", "jacobi", "blockjacobi", "ic0"} {
-		if _, err := parsePrecond(name); err != nil {
-			t.Errorf("parsePrecond(%q): %v", name, err)
-		}
-	}
-	if _, err := parsePrecond("bogus"); err == nil {
-		t.Error("bogus preconditioner must fail")
-	}
-}
-
 func TestParseRanks(t *testing.T) {
 	got, err := parseRanks("3, 4,5")
 	if err != nil || len(got) != 3 || got[0] != 3 || got[2] != 5 {

@@ -139,6 +139,11 @@ const (
 // ParseKernel converts a kernel name ("auto", "csr", "sellc", "band").
 func ParseKernel(s string) (KernelKind, error) { return sparse.ParseKernelKind(s) }
 
+// ParsePrecond converts a preconditioner name ("none", "jacobi",
+// "blockjacobi", "ic0", and the aliases "identity", "block-jacobi", "bj",
+// "icc", "ichol").
+func ParsePrecond(s string) (PrecondKind, error) { return precond.ParseKind(s) }
+
 // CondenseKernels condenses Result.Kernels (per-node SpMV layout names)
 // into a compact "name×count" display string.
 func CondenseKernels(names []string) string { return core.CondenseKernels(names) }
@@ -164,30 +169,8 @@ func NewBalancedPartition(weights []float64, n int) (*Partition, error) {
 	return dist.NewBalancedWeightPartition(weights, n)
 }
 
-// PartitionFromOffsets builds a partition from explicit part boundaries;
-// offsets[s] is node s's first row, offsets[len-1] the matrix size.
-func PartitionFromOffsets(offsets []int) (*Partition, error) {
-	return dist.FromOffsets(offsets)
-}
-
 // Solve runs one configured PCG solve on the simulated cluster.
 func Solve(cfg Config) (*Result, error) { return core.Solve(cfg) }
-
-// Prepared is a reusable read-only solve context (partition, communication
-// plan, local matrices, preconditioners). Build it once with Prepare and
-// pass it via Config.Prepared to amortize setup across repeated solves with
-// identical settings — the campaign engine does this per grid automatically.
-type Prepared = core.Prepared
-
-// SolveWorkspace recycles per-rank solver vector buffers between
-// consecutive solves (Config.Workspace). Not safe for concurrent solves.
-type SolveWorkspace = core.Workspace
-
-// Prepare builds the shared solve context for cfg.
-func Prepare(cfg Config) (*Prepared, error) { return core.Prepare(cfg) }
-
-// NewSolveWorkspace returns an empty solver-buffer workspace.
-func NewSolveWorkspace() *SolveWorkspace { return core.NewWorkspace() }
 
 // SolvePipelined runs the communication-hiding pipelined PCG variant
 // (Ghysels & Vanroose; the solver the paper's related work [16] extends ESR
@@ -233,11 +216,6 @@ type (
 // the counterpart of the simulated-clock layer above (see internal/hostobs
 // and DESIGN.md § Host observability).
 type (
-	// BarrierStats accumulates per-member wall-clock wait histograms (a
-	// wait is a rank's yield at an incomplete collective to its
-	// resumption), arrival-order skew and abort counts from the phase
-	// under every collective (Config.HostStats).
-	BarrierStats = hostobs.BarrierStats
 	// HostRecorder records a campaign's host-side execution: per-worker
 	// cell/steal timelines, shard layout, affinity hit rate, shared barrier
 	// stats, and Go-runtime phase samples (CampaignGrid.HostObs).
@@ -249,9 +227,6 @@ type (
 	// simulated-clock Trace.
 	HostTrace = obs.HostTrace
 )
-
-// NewBarrierStats sizes host barrier telemetry for clusters of up to n nodes.
-func NewBarrierStats(n int) *BarrierStats { return hostobs.NewBarrierStats(n) }
 
 // NewHostRecorder returns an empty campaign host recorder; RunCampaign
 // initializes it when attached via CampaignGrid.HostObs.
@@ -532,11 +507,4 @@ type IntervalAdvice = ckptmodel.Advise
 // (all in seconds — simulated or real, as long as they are consistent).
 func PlanCheckpointInterval(delta, iterTime, mtbf float64) (IntervalAdvice, error) {
 	return ckptmodel.Plan(delta, iterTime, mtbf)
-}
-
-// ExpectedRuntimeWithFailures returns Daly's expected-runtime model for a
-// job of failure-free length work, checkpoint cost delta, interval tau,
-// recovery cost restart, and exponential failures with the given mtbf.
-func ExpectedRuntimeWithFailures(work, delta, tau, restart, mtbf float64) float64 {
-	return ckptmodel.ExpectedRuntime(work, delta, tau, restart, mtbf)
 }

@@ -158,16 +158,6 @@ func TestPartitionAPI(t *testing.T) {
 	if q.Imbalance < 1 {
 		t.Fatalf("imbalance %g < 1", q.Imbalance)
 	}
-	fromOff, err := esrp.PartitionFromOffsets(part.Offsets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromOff.Equal(part) {
-		t.Fatalf("offsets round trip gave %v, want %v", fromOff, part)
-	}
-	if _, err := esrp.PartitionFromOffsets([]int{3, 1}); err == nil {
-		t.Fatal("invalid offsets accepted")
-	}
 
 	// BalanceNNZ is the solver-facing entry to the balanced layout.
 	b := esrp.RHSOnes(a.Rows)

@@ -37,7 +37,7 @@ type localView struct {
 }
 
 // buildViews (re)derives the per-rank local views. Called at the end of
-// NewPlan and again by Augment/AugmentNaive to extend the copy layout.
+// NewPlan and again by Augment to extend the copy layout.
 func (p *Plan) buildViews() {
 	n := p.Part.N
 	p.views = make([]localView, n)
@@ -119,14 +119,6 @@ func (p *Plan) Ghost(s int) []int { return p.views[s].ghost }
 
 // GhostLen returns the ghost-buffer length of rank s.
 func (p *Plan) GhostLen(s int) int { return len(p.views[s].ghost) }
-
-// RecvGhostOffset returns the start offset within rank s's ghost buffer of
-// the run delivered by its ti-th Recv transfer. Recovery protocols use it to
-// scatter per-peer payloads into a compact buffer.
-func (p *Plan) RecvGhostOffset(s, ti int) int { return p.views[s].recvOff[ti] }
-
-// CopyLen returns the entry count of rank s's augmented ReceivedCopy.
-func (p *Plan) CopyLen(s int) int { return len(p.views[s].copyIdx) }
 
 // Exchanger drives the halo exchange of one rank in Start/Finish halves over
 // the compact local index space. Start posts all sends and receives; the

@@ -212,64 +212,6 @@ func (p *Plan) Augment(phi int) error {
 	return nil
 }
 
-// AugmentNaive extends the plan like Augment but without the paper's
-// multiplicity counting (Section 2.2.1): node s ships its entire block to
-// every designated destination d_{s,k} except the entries the product
-// already delivers there. This is the obvious-but-wasteful baseline the
-// Rc_{s,k} optimization is measured against (the redundancy invariant holds
-// trivially); see BenchmarkAblationAugmentNaive.
-func (p *Plan) AugmentNaive(phi int) error {
-	n := p.Part.N
-	if phi < 1 {
-		return fmt.Errorf("aspmv: redundancy target must be ≥ 1, got %d", phi)
-	}
-	if phi > n-1 {
-		return fmt.Errorf("aspmv: redundancy target %d needs at least %d nodes, have %d", phi, phi+1, n)
-	}
-	p.Phi = phi
-	p.ExtraSend = make([][]Transfer, n)
-	p.ExtraRecv = make([][]Transfer, n)
-	for s := 0; s < n; s++ {
-		lo, hi := p.Part.Lo(s), p.Part.Hi(s)
-		already := make(map[int]map[int]bool, len(p.Send[s]))
-		for _, t := range p.Send[s] {
-			set := make(map[int]bool, len(t.Idx))
-			for _, i := range t.Idx {
-				set[i] = true
-			}
-			already[t.Peer] = set
-		}
-		for k := 1; k <= phi; k++ {
-			d := Designated(s, k, n)
-			var extra []int
-			for i := lo; i < hi; i++ {
-				if already[d] != nil && already[d][i] {
-					continue
-				}
-				extra = append(extra, i)
-			}
-			if len(extra) > 0 {
-				p.ExtraSend[s] = append(p.ExtraSend[s], Transfer{Peer: d, Idx: extra})
-			}
-		}
-		sort.Slice(p.ExtraSend[s], func(i, j int) bool {
-			return p.ExtraSend[s][i].Peer < p.ExtraSend[s][j].Peer
-		})
-	}
-	for s := 0; s < n; s++ {
-		for _, t := range p.ExtraSend[s] {
-			p.ExtraRecv[t.Peer] = append(p.ExtraRecv[t.Peer], Transfer{Peer: s, Idx: t.Idx})
-		}
-	}
-	for s := 0; s < n; s++ {
-		sort.Slice(p.ExtraRecv[s], func(i, j int) bool {
-			return p.ExtraRecv[s][i].Peer < p.ExtraRecv[s][j].Peer
-		})
-	}
-	p.buildViews()
-	return nil
-}
-
 // Holders returns, for every global index, the set of node ranks that hold a
 // copy of the corresponding input-vector entry after one ASpMV: the owner
 // plus every plain-product or resilient-copy receiver. Used by tests to

@@ -222,6 +222,52 @@ func TestAugmentNoWasteWhenProductCovers(t *testing.T) {
 	}
 }
 
+// Section 2.2.1 ships exactly the copies the plain product leaves missing:
+// an entry i that m(i) non-owner nodes already receive for the product gets
+// max(0, φ − m(i)) resilient copies, so the extra traffic is the sum of those
+// and every entry ends with φ+1 holders.
+func TestAugmentShipsMinimalCopies(t *testing.T) {
+	f := func(seed int64, bwRaw, nodesRaw, phiRaw uint8) bool {
+		bw := 1 + int(bwRaw)%8
+		nodes := 3 + int(nodesRaw)%6
+		phi := 1 + int(phiRaw)%(nodes-1)
+		a := matgen.BandedSPD(240, bw, seed)
+		p, err := NewPlan(a, dist.NewBlockPartition(a.Rows, nodes))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		m := make([]int, a.Rows)
+		for s := range p.Send {
+			for _, tr := range p.Send[s] {
+				for _, i := range tr.Idx {
+					m[i]++
+				}
+			}
+		}
+		want := 0
+		for _, mi := range m {
+			want += max(0, phi-mi)
+		}
+		if err := p.Augment(phi); err != nil {
+			t.Log(err)
+			return false
+		}
+		if extra, _ := p.ExtraTraffic(); extra != want {
+			t.Logf("bw %d, %d nodes, φ = %d: %d extra entries, want %d", bw, nodes, phi, extra, want)
+			return false
+		}
+		if err := p.VerifyRedundancy(phi); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExtraTrafficGrowsWithPhi(t *testing.T) {
 	a := matgen.EmiliaLike(5, 5, 5, 2)
 	part := dist.NewBlockPartition(a.Rows, 10)

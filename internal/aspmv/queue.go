@@ -21,12 +21,6 @@ func NewQueue(depth int) *Queue {
 	return &Queue{depth: depth, slots: make([]ReceivedCopy, 0, depth)}
 }
 
-// Depth returns the queue capacity.
-func (q *Queue) Depth() int { return q.depth }
-
-// Len returns the number of copies currently held.
-func (q *Queue) Len() int { return len(q.slots) }
-
 // Push inserts the copy as newest, dropping the oldest if full. The evicted
 // copy (ok=true) is returned so callers can recycle its value buffer via
 // Exchanger.Recycle.
@@ -49,15 +43,6 @@ func (q *Queue) ValBytes() int64 {
 		b += 8 * int64(len(q.slots[i].Val))
 	}
 	return b
-}
-
-// Iters returns the iteration numbers of the held copies, oldest first.
-func (q *Queue) Iters() []int {
-	it := make([]int, len(q.slots))
-	for i, c := range q.slots {
-		it[i] = c.Iter
-	}
-	return it
 }
 
 // Get returns the copy for the given iteration, or nil.

@@ -9,15 +9,24 @@ func mkCopy(iter int) ReceivedCopy {
 	return ReceivedCopy{Iter: iter, Idx: []int{iter}, Val: []float64{float64(iter)}}
 }
 
+// iters returns the iteration numbers of the held copies, oldest first.
+func iters(q *Queue) []int {
+	it := make([]int, len(q.slots))
+	for i, c := range q.slots {
+		it[i] = c.Iter
+	}
+	return it
+}
+
 func TestQueuePushEvicts(t *testing.T) {
 	q := NewQueue(3)
 	for i := 0; i < 5; i++ {
 		q.Push(mkCopy(i))
 	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
+	if len(q.slots) != 3 {
+		t.Fatalf("%d copies held, want 3", len(q.slots))
 	}
-	its := q.Iters()
+	its := iters(q)
 	if its[0] != 2 || its[1] != 3 || its[2] != 4 {
 		t.Fatalf("Iters = %v, want [2 3 4]", its)
 	}
@@ -120,30 +129,30 @@ func TestQueueReset(t *testing.T) {
 	q := NewQueue(2)
 	q.Push(mkCopy(1))
 	q.Reset()
-	if q.Len() != 0 {
+	if len(q.slots) != 0 {
 		t.Fatal("Reset must empty the queue")
 	}
-	if q.Depth() != 2 {
+	if q.depth != 2 {
 		t.Fatal("Reset must keep the depth")
 	}
 }
 
-// Property: after any push sequence, Len ≤ depth and Iters returns the most
-// recent pushes in order.
+// Property: after any push sequence, at most depth copies are held and they
+// are the most recent pushes in order.
 func TestQueueProperty(t *testing.T) {
-	f := func(iters []int, depthSeed uint8) bool {
+	f := func(pushed []int, depthSeed uint8) bool {
 		depth := 1 + int(depthSeed%4)
 		q := NewQueue(depth)
-		for _, it := range iters {
+		for _, it := range pushed {
 			q.Push(mkCopy(it))
 		}
-		if q.Len() > depth || q.Len() > len(iters) {
+		if len(q.slots) > depth || len(q.slots) > len(pushed) {
 			return false
 		}
-		got := q.Iters()
-		start := len(iters) - len(got)
+		got := iters(q)
+		start := len(pushed) - len(got)
 		for k, it := range got {
-			if it != iters[start+k] {
+			if it != pushed[start+k] {
 				return false
 			}
 		}

@@ -204,14 +204,6 @@ func describeBuild(b obs.BuildInfo) string {
 	return fmt.Sprintf("%s@%s", b.GoVersion, rev)
 }
 
-// Dir returns the cache root ("" on nil).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 // Stats snapshots the raw I/O counters (zero on nil).
 func (c *Cache) Stats() IOStats {
 	if c == nil {

@@ -3,6 +3,7 @@ package ccache
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,7 +52,8 @@ func goldenInput() CellInput {
 func TestKeyGolden(t *testing.T) {
 	const want = "1d3f56373eb6e84e47cfeeb0ffe6764eaf2248f8669c3d61c6302c9d36239eee"
 	in := goldenInput()
-	if got := in.Key().String(); got != want {
+	k := in.Key()
+	if got := hex.EncodeToString(k[:]); got != want {
 		t.Fatalf("canonical key changed:\n got %s\nwant %s\n(bump keyVersion if intentional)", got, want)
 	}
 }
@@ -305,7 +307,7 @@ func TestNilCacheIsInert(t *testing.T) {
 	if err := c.PutSchedule(k, testSchedule()); err != nil {
 		t.Error(err)
 	}
-	if c.Stats() != (IOStats{}) || c.Dir() != "" {
+	if c.Stats() != (IOStats{}) {
 		t.Error("nil cache carries state")
 	}
 }

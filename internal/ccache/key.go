@@ -3,7 +3,6 @@ package ccache
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"math"
 
 	"esrp/internal/core"
@@ -18,9 +17,6 @@ import (
 // on is folded in — and the machine model deliberately is NOT (see
 // CellInput).
 type Key [32]byte
-
-// String returns the key as lowercase hex — the on-disk entry name.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // CellInput is everything a campaign cell's outcome depends on. The
 // cluster.CostModel is deliberately absent: the replay engine's event

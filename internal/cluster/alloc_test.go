@@ -24,20 +24,20 @@ func collectiveWindowAllocs(t *testing.T, n, rounds int, st *hostobs.BarrierStat
 		x := []float64{1, 2, 3}
 		for i := 0; i < 16; i++ { // warm the slot banks and scheduler
 			nd.Allreduce(OpSum, x)
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		}
 		var m1, m2 runtime.MemStats
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		if nd.Rank() == 0 {
 			runtime.ReadMemStats(&m1)
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		for i := 0; i < rounds; i++ {
 			nd.Allreduce(OpSum, x)
 			nd.AllreduceScalar(OpMax, float64(i))
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		if nd.Rank() == 0 {
 			runtime.ReadMemStats(&m2)
 			allocs = m2.Mallocs - m1.Mallocs
@@ -106,19 +106,19 @@ func p2pWindowAllocs(t *testing.T, rounds int) uint64 {
 		}
 		for i := 0; i < 16; i++ { // warm the destination's free list
 			exchange()
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		}
 		var m1, m2 runtime.MemStats
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		if nd.Rank() == 0 {
 			runtime.ReadMemStats(&m1)
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		for i := 0; i < rounds; i++ {
 			exchange()
-			nd.Barrier() // bound sender run-ahead: in-flight stays ≤ 1 buffer
+			nd.Allreduce(OpMax, nil) // bound sender run-ahead: in-flight stays ≤ 1 buffer
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		if nd.Rank() == 0 {
 			runtime.ReadMemStats(&m2)
 			allocs = m2.Mallocs - m1.Mallocs
@@ -203,9 +203,9 @@ func TestCollectiveHammer(t *testing.T) {
 				if v != float64(len(evens)) {
 					panic(fmt.Sprintf("round %d: sub allreduce %v", round, v))
 				}
-				sub.Barrier()
+				sub.Allreduce(OpMax, nil)
 			}
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		}
 	})
 	if err != nil {

@@ -17,15 +17,15 @@ func benchRounds(b *testing.B, n int, round func(nd *Node)) {
 		for i := 0; i < 16; i++ {
 			round(nd)
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		if nd.Rank() == 0 {
 			b.ResetTimer()
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		for i := 0; i < b.N; i++ {
 			round(nd)
 		}
-		nd.Barrier()
+		nd.Allreduce(OpMax, nil)
 		if nd.Rank() == 0 {
 			b.StopTimer()
 		}

@@ -282,12 +282,6 @@ func (c *Comm) RecordSchedule(rec *replay.Recorder) {
 	c.root.repID = rec.RegisterView(c.root.ranks)
 }
 
-// N returns the number of nodes.
-func (c *Comm) N() int { return c.n }
-
-// Model returns the cost model.
-func (c *Comm) Model() CostModel { return c.model }
-
 // errAborted is what a blocked node unwinds with — as a panic its coroutine
 // recovers — once the run has failed elsewhere.
 var errAborted = errors.New("cluster: aborted")
@@ -417,7 +411,6 @@ func (a *arena) slot(i, n int) []float64 {
 // states of all nodes are neighbours in Comm.states.
 type nodeState struct {
 	clock     float64
-	flops     float64
 	bytesSent int64
 	msgsSent  int64
 	trace     *obs.Rank    // nil unless Comm.Observe attached a recorder
@@ -465,23 +458,11 @@ func (nd *Node) AddClock(dt float64) {
 	nd.state.sched.ClockAdd(dt)
 }
 
-// SyncClock raises the simulated clock to at least t.
-func (nd *Node) SyncClock(t float64) {
-	if t > nd.state.clock {
-		nd.state.clock = t
-	}
-	nd.state.sched.ClockSync(t)
-}
-
-// Compute advances the clock by flops·FlopTime and accounts the flops.
+// Compute advances the clock by flops·FlopTime.
 func (nd *Node) Compute(flops float64) {
-	nd.state.flops += flops
 	nd.state.clock += flops * nd.comm.model.FlopTime
 	nd.state.sched.Compute(flops)
 }
-
-// Flops returns the total flops accounted on this node.
-func (nd *Node) Flops() float64 { return nd.state.flops }
 
 // BytesSent returns the payload bytes this node has sent.
 func (nd *Node) BytesSent() int64 { return nd.state.bytesSent }
@@ -790,11 +771,6 @@ func (nd *Node) AllreduceScalar(op Op, v float64) float64 {
 	buf := [1]float64{v}
 	nd.Allreduce(op, buf[:])
 	return buf[0]
-}
-
-// Barrier synchronizes all view members (an empty allreduce).
-func (nd *Node) Barrier() {
-	nd.Allreduce(OpMax, nil)
 }
 
 // Bcast broadcasts data from view-rank root to all members, in place.

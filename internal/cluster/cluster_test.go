@@ -217,7 +217,7 @@ func TestBarrierCompletes(t *testing.T) {
 	c := New(8, testModel())
 	err := c.Run(func(nd *Node) {
 		for i := 0; i < 10; i++ {
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		}
 	})
 	if err != nil {
@@ -368,7 +368,7 @@ func TestCounters(t *testing.T) {
 				sub.Send((sub.Rank()+1)%3, 6, []float64{1})
 				sub.Recv((sub.Rank()+2)%3, 6)
 			}
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		}
 		nodeBytes[nd.GlobalRank()], nodeMsgs[nd.GlobalRank()] = nd.BytesSent(), nd.MsgsSent()
 	})
@@ -410,28 +410,27 @@ func TestRunTwiceIsAnError(t *testing.T) {
 	}
 }
 
-func TestAddClockAndSyncClock(t *testing.T) {
+func TestAddClock(t *testing.T) {
 	c := New(1, testModel())
 	err := c.Run(func(nd *Node) {
 		nd.AddClock(1.5)
-		nd.SyncClock(1.0) // no-op, behind
-		if nd.Clock() != 1.5 {
-			panic("SyncClock must not rewind")
-		}
-		nd.SyncClock(2.0)
+		nd.AddClock(0.5)
 		if nd.Clock() != 2.0 {
-			panic("SyncClock must raise")
+			panic("AddClock must advance the clock")
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := New(1, testModel()).Run(func(nd *Node) { nd.AddClock(-1) }); err == nil {
+		t.Fatal("a negative clock advance must fail the run")
 	}
 }
 
 func TestCollectiveCostScalesWithLogN(t *testing.T) {
 	timeFor := func(n int) float64 {
 		c := New(n, testModel())
-		if err := c.Run(func(nd *Node) { nd.Barrier() }); err != nil {
+		if err := c.Run(func(nd *Node) { nd.Allreduce(OpMax, nil) }); err != nil {
 			t.Fatal(err)
 		}
 		return c.MaxClock()

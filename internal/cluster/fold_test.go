@@ -153,7 +153,7 @@ func TestAllreduceFoldOnce(t *testing.T) {
 							check(sub, subRanks, rounds+k, k)
 						}
 						if k%5 == 0 {
-							nd.Barrier()
+							nd.Allreduce(OpMax, nil)
 						}
 					}
 				})

@@ -22,7 +22,7 @@ func TestBarrierStatsWaitBounded(t *testing.T) {
 		start := time.Now()
 		err := c.Run(func(nd *Node) {
 			for p := 0; p < phases; p++ {
-				nd.Barrier()
+				nd.Allreduce(OpMax, nil)
 			}
 		})
 		if err != nil {
@@ -58,8 +58,8 @@ func TestBarrierStatsWaitBounded(t *testing.T) {
 		if got, limit := st.TotalWaitNs(), int64(n)*wall.Nanoseconds(); got > limit {
 			t.Errorf("total recorded wait %dns exceeds members×wall %dns", got, limit)
 		}
-		if st.Aborts() != 0 {
-			t.Errorf("aborts %d, want 0", st.Aborts())
+		if st.Snapshot().Aborts != 0 {
+			t.Errorf("aborts %d, want 0", st.Snapshot().Aborts)
 		}
 	})
 }
@@ -74,19 +74,19 @@ func TestBarrierStatsAbort(t *testing.T) {
 		c := New(n, testModel())
 		c.ObserveHost(st)
 		err := c.Run(func(nd *Node) {
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 			if nd.Rank() == n-1 {
 				panic("boom")
 			}
 			if sub := nd.Sub([]int{0, 1}); sub != nil {
-				sub.Barrier()
+				sub.Allreduce(OpMax, nil)
 			}
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 		})
 		if err == nil {
 			t.Fatal("Run returned no error")
 		}
-		if got := st.Aborts(); got != 1 {
+		if got := st.Snapshot().Aborts; got != 1 {
 			t.Errorf("aborts %d, want 1", got)
 		}
 	})
@@ -102,7 +102,7 @@ func TestObserveHostOnComm(t *testing.T) {
 	c.ObserveHost(st)
 	err := c.Run(func(nd *Node) {
 		for i := 0; i < 10; i++ {
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 			nd.AllreduceScalar(OpSum, float64(nd.Rank()))
 		}
 	})

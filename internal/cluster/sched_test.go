@@ -50,7 +50,7 @@ func TestBarrierPhases(t *testing.T) {
 				err := New(n, testModel()).Run(func(nd *Node) {
 					for p := 0; p < phases; p++ {
 						counter.Add(1)
-						nd.Barrier()
+						nd.Allreduce(OpMax, nil)
 						// All n arrivals of phase p happened before any
 						// release; racing ahead only adds more.
 						if got := counter.Load(); got < int64((p+1)*n) {
@@ -76,7 +76,7 @@ func TestBarrierAbortUnparks(t *testing.T) {
 	const n = 9
 	blocked := map[string]func(nd *Node){
 		"recv":       func(nd *Node) { nd.Recv((nd.Rank()+1)%n, 5) },
-		"collective": func(nd *Node) { nd.Barrier() },
+		"collective": func(nd *Node) { nd.Allreduce(OpMax, nil) },
 		"sub-view": func(nd *Node) {
 			// Everyone but the failing rank and rank 0, which the others
 			// then wait for in vain.
@@ -140,14 +140,14 @@ func TestDeadlockIsAnError(t *testing.T) {
 			}
 		}, "cluster: deadlock: rank 0 waits recv(src 1, tag 3); rank 1 finished"},
 		{"skipped-collective", 3, func(nd *Node) {
-			nd.Barrier()
+			nd.Allreduce(OpMax, nil)
 			if nd.Rank() != 2 {
-				nd.Barrier()
+				nd.Allreduce(OpMax, nil)
 			}
 		}, "cluster: deadlock: rank 0 waits collective 1 of the root view; rank 1 waits collective 1 of the root view; rank 2 finished"},
 		{"sub-view-member-missing", 4, func(nd *Node) {
 			if sub := nd.Sub([]int{0, 1, 2}); sub != nil && nd.Rank() != 2 {
-				sub.Barrier()
+				sub.Allreduce(OpMax, nil)
 			}
 		}, "cluster: deadlock: rank 0 waits collective 0 of view [0 1 2]; rank 1 waits collective 0 of view [0 1 2]; rank 2 finished; rank 3 finished"},
 		{"recv-cycle-after-traffic", 4, func(nd *Node) {
@@ -155,7 +155,7 @@ func TestDeadlockIsAnError(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				nd.ISend(next, 7, []float64{1})
 				nd.Release(nd.Recv(prev, 7))
-				nd.Barrier()
+				nd.Allreduce(OpMax, nil)
 			}
 			nd.Recv(next, 8) // everyone receives, nobody sends
 		}, "cluster: deadlock: rank 0 waits recv(src 1, tag 8); rank 1 waits recv(src 2, tag 8); rank 2 waits recv(src 3, tag 8); rank 3 waits recv(src 0, tag 8)"},
@@ -221,7 +221,7 @@ func TestBarrierHammer(t *testing.T) {
 						panic(fmt.Sprintf("round %d: bcast got %v", round, data))
 					}
 
-					nd.Barrier()
+					nd.Allreduce(OpMax, nil)
 				}
 			})
 			if err != nil {

@@ -146,17 +146,6 @@ type Config struct {
 
 	CostModel *cluster.CostModel // nil = cluster.DefaultCostModel()
 
-	// GatherInnerSolve switches the reconstruction inner solve (Alg. 2
-	// line 8) from a distributed PCG across all replacement nodes to a
-	// gather-to-one-node sequential solve (an ablation of the design choice).
-	GatherInnerSolve bool
-
-	// NaiveAugment replaces the paper's multiplicity-counted resilient-copy
-	// sets Rc_{s,k} with the naive scheme that ships each node's whole block
-	// to all φ designated destinations (an ablation of Section 2.2.1's
-	// optimization; ESR/ESRP only).
-	NaiveAugment bool
-
 	// NoSpareNodes switches ESR/ESRP recovery to the spare-free variant of
 	// [Pachajoa, Pacher, Gansterer 2019] (ref. 22 of the paper): failed
 	// nodes are not replaced; a surviving node adjacent to the failed block

@@ -120,32 +120,6 @@ func TestESRPAllButOneNodeFails(t *testing.T) {
 	}
 }
 
-func TestNaiveAugmentRecoversIdentically(t *testing.T) {
-	// The naive augmentation ships more data but must preserve recovery
-	// semantics exactly. The traffic difference appears at φ = 1: the
-	// counted scheme skips entries the product already replicates, the
-	// naive scheme re-ships a boundary plane per node. (At φ = 2 on a
-	// narrow-band matrix the schemes coincide: nearly every entry needs
-	// both extra copies anyway.)
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	cfg.Phi = 1
-	cfg.NaiveAugment = true
-	cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{4}}
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 31 {
-		t.Fatalf("RecoveredAt = %d, want 31", res.RecoveredAt)
-	}
-
-	counted := cfg
-	counted.NaiveAugment = false
-	cres := checkExactRecovery(t, counted, 3)
-	if res.BytesSent <= cres.BytesSent {
-		t.Fatalf("naive augmentation must ship more bytes: %d vs %d", res.BytesSent, cres.BytesSent)
-	}
-}
-
 func TestDetectionTimeChargedOnRecovery(t *testing.T) {
 	// The middleware-cost knob must add to the modeled recovery cost of a
 	// failure run and leave failure-free runs untouched.

@@ -192,8 +192,8 @@ func driverRecords(t *testing.T) map[string]goldenRecord {
 // vertex, 8 ranks, φ = 3), the only dof-blocked input the core goldens
 // reach: its rows form period-3 band runs, so testdata/golden_blocked.json
 // pins that path of the band layout under every forced kernel. One ψ = 3
-// event per strategy, the spares-exhausted tail (a spare recovery, then two
-// shrinks) and the gathered inner solve.
+// event per strategy and the spares-exhausted tail (a spare recovery, then
+// two shrinks).
 func blockedRecords(t *testing.T) map[string]goldenRecord {
 	t.Helper()
 	event := func(cfg *Config) { cfg.Failures = []FailureSpec{{Iteration: 25, Ranks: []int{2, 3, 4}}} }
@@ -206,19 +206,12 @@ func blockedRecords(t *testing.T) map[string]goldenRecord {
 			{Iteration: 75, Ranks: []int{0, 1, 2}},
 		}
 	}
-	gathered := func(cfg *Config) {
-		cfg.GatherInnerSolve = true
-		cfg.Failures = []FailureSpec{
-			{Iteration: 25, Ranks: []int{5, 6, 7}},
-			{Iteration: 50, Ranks: []int{0, 1, 2}},
-		}
-	}
 	got := make(map[string]goldenRecord)
 	for _, strategy := range []Strategy{StrategyESR, StrategyESRP} {
 		for _, sc := range []struct {
 			name string
 			mut  func(*Config)
-		}{{"event", event}, {"spare-then-two-shrinks", shrinks}, {"gathered", gathered}} {
+		}{{"event", event}, {"spare-then-two-shrinks", shrinks}} {
 			cfg := stormBase(t, strategy)
 			cfg.Kernel = testKernel(t)
 			sc.mut(&cfg)

@@ -15,11 +15,8 @@ import (
 // rebuilders, split by rebuilder, and returns this rank's share of x_If.
 // With spares it runs as a distributed PCG across the replacement
 // sub-communicator, reusing each node's block Jacobi preconditioner
-// (identical blocks, since blocks are node-local); with
-// cfg.GatherInnerSolve the system is gathered to the first replacement and
-// solved there sequentially (an ablation of that design choice). The
-// adopter of a shrink, the one rebuilder, solves it whole with the failed
-// nodes' blocks.
+// (identical blocks, since blocks are node-local). The adopter of a shrink,
+// the one rebuilder, solves it whole with the failed nodes' blocks.
 //
 // A[If,If], its partition and its communication plan stand in for the
 // rebuilders reloading static data from safe storage; like the paper,
@@ -33,40 +30,9 @@ func (run *nodeRun) innerSolve(ev *esrEvent, w []float64) []float64 {
 	if ev.adopter >= 0 {
 		rebuilders, kind = []int{ev.adopter}, setupInnerSeq
 	}
-	sub := run.subOf(rebuilders)
-	if run.cfg.GatherInnerSolve && kind == setupInner {
-		return run.innerSolveGathered(sub, ev.failed, ev.flo, ev.fhi, w)
-	}
-	x, halo := run.innerPCG(sub, run.innerSystem(kind, ev.failed, ev.flo, ev.fhi), ev.pc, w)
+	x, halo := run.innerPCG(run.subOf(rebuilders), run.innerSystem(kind, ev.failed, ev.flo, ev.fhi), ev.pc, w)
 	run.ex.AddHaloBytes(halo) // the reconstruction's SpMV halo counts too
 	return x
-}
-
-// innerSolveGathered gathers the inner right-hand side at sub-rank 0, solves
-// the whole lost-block system there with a sequential PCG, and scatters the
-// solution back. Sub-rank s owns the rows of failed[s].
-func (run *nodeRun) innerSolveGathered(sub *cluster.Node, failed []int, flo, fhi int, w []float64) []float64 {
-	parts := sub.Gather(0, w)
-	if sub.Rank() != 0 {
-		return sub.Recv(0, tagInnerGather)
-	}
-	lo := func(s int) int { return run.part.Lo(failed[s]) - flo }
-	hi := func(s int) int { return run.part.Hi(failed[s]) - flo }
-	sys := run.innerSystem(setupInnerSeq, failed, flo, fhi)
-	ball := make([]float64, fhi-flo)
-	for s, p := range parts {
-		copy(ball[lo(s):hi(s)], p)
-	}
-	pc, err := precond.Build(run.cfg.PrecondKind, sys.a, 0, sys.a.Rows, run.cfg.MaxBlock)
-	if err != nil {
-		panic(fmt.Sprintf("core: sequential inner preconditioner: %v", err))
-	}
-	solo := sub.Sub([]int{sub.GlobalRank()})
-	xall, _ := run.innerPCG(solo, sys, pc, ball)
-	for s := 1; s < sub.Size(); s++ {
-		sub.Send(s, tagInnerGather, xall[lo(s):hi(s)])
-	}
-	return xall[lo(0):hi(0)]
 }
 
 // innerPCG is a plain distributed PCG without resilience, used for the

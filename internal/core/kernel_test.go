@@ -83,9 +83,6 @@ func TestPreparedRejectsKernelMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := prep.KernelChoices(); len(names) != cfg.Nodes {
-		t.Fatalf("KernelChoices has %d entries, want %d", len(names), cfg.Nodes)
-	}
 	bad := cfg
 	bad.Kernel = sparse.KernelSellC
 	bad.Prepared = prep

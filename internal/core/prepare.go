@@ -21,7 +21,6 @@ type Prepared struct {
 	a        *sparse.CSR
 	nodes    int
 	phi      int // augmentation baked into the plan (0 = plain product)
-	naive    bool
 	balance  bool
 	kind     precond.Kind
 	maxBlock int
@@ -32,16 +31,6 @@ type Prepared struct {
 	locals []*sparse.Local
 	kerns  []sparse.Kernel
 	pcs    []precond.Preconditioner
-}
-
-// KernelChoices returns each rank's planned SpMV kernel layout name — what
-// the planner picked per node under KernelAuto, or the forced kind.
-func (p *Prepared) KernelChoices() []string {
-	names := make([]string, len(p.kerns))
-	for s, k := range p.kerns {
-		names[s] = k.Name()
-	}
-	return names
 }
 
 // preparedPhi returns the augmentation level a config's solve bakes into
@@ -67,20 +56,11 @@ func buildPartitionPlan(cfg *Config) (*dist.Partition, *aspmv.Plan, error) {
 		return nil, nil, err
 	}
 	if phi := preparedPhi(cfg); phi > 0 {
-		if err := augmentPlan(cfg, plan, phi); err != nil {
+		if err := plan.Augment(phi); err != nil {
 			return nil, nil, err
 		}
 	}
 	return part, plan, nil
-}
-
-// augmentPlan adds φ-fold redundancy to plan by the configured scheme: the
-// paper's multiplicity-counted copies, or the naive ablation.
-func augmentPlan(cfg *Config, plan *aspmv.Plan, phi int) error {
-	if cfg.NaiveAugment {
-		return plan.AugmentNaive(phi)
-	}
-	return plan.Augment(phi)
 }
 
 // Prepare builds the shared solve context for cfg (defaults applied): the
@@ -96,9 +76,8 @@ func Prepare(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	phi := preparedPhi(&cfg)
 	p := &Prepared{
-		a: cfg.A, nodes: cfg.Nodes, phi: phi, naive: cfg.NaiveAugment && phi > 0,
+		a: cfg.A, nodes: cfg.Nodes, phi: preparedPhi(&cfg),
 		balance: cfg.BalanceNNZ, kind: cfg.PrecondKind, maxBlock: cfg.MaxBlock,
 		kernel: cfg.Kernel,
 		part:   part, plan: plan,
@@ -136,8 +115,6 @@ func (p *Prepared) compatibleWith(cfg *Config) error {
 		return fmt.Errorf("core: Prepared was built for %d nodes, solve uses %d", p.nodes, cfg.Nodes)
 	case p.phi != preparedPhi(cfg):
 		return fmt.Errorf("core: Prepared plan augmentation phi=%d does not match solve phi=%d", p.phi, preparedPhi(cfg))
-	case p.phi > 0 && p.naive != cfg.NaiveAugment:
-		return fmt.Errorf("core: Prepared augmentation scheme (naive=%v) does not match config", p.naive)
 	case p.balance != cfg.BalanceNNZ:
 		return fmt.Errorf("core: Prepared partition balancing does not match config")
 	case p.kind != cfg.PrecondKind || p.maxBlock != cfg.MaxBlock:

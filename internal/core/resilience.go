@@ -20,7 +20,6 @@ const (
 	tagRecoverX    = 202 // halo of the surviving iterand for Alg. 2 line 7
 	tagCheckpoint  = 210 // IMCR checkpoint shipment
 	tagCkptRestore = 211 // IMCR checkpoint retrieval after a failure
-	tagInnerGather = 220 // gathered-inner-solve ablation scatter
 )
 
 // resilience is the per-node strategy hook interface invoked by the solver

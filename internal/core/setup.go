@@ -139,7 +139,7 @@ func (run *nodeRun) shrunkenSystem(survivors []int, flo, fhi, phi int) *staticSy
 			return nil, fmt.Errorf("core: no-spare plan: %w", err)
 		}
 		if phi >= 1 {
-			if err := augmentPlan(run.cfg, plan, phi); err != nil {
+			if err := plan.Augment(phi); err != nil {
 				return nil, fmt.Errorf("core: no-spare augment: %w", err)
 			}
 		}

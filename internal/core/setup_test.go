@@ -117,13 +117,6 @@ func TestRecoverySetUpOncePerEvent(t *testing.T) {
 				{Iteration: 75, Ranks: []int{0, 1, 2}}, // 5 → 2 ranks, φ drops to 1
 			}
 		}, map[setupKind]int{setupInner: 1, setupInnerSeq: 2, setupShrink: 2}, 2},
-		{"gathered", func(cfg *Config) {
-			cfg.GatherInnerSolve = true
-			cfg.Failures = []FailureSpec{
-				{Iteration: 25, Ranks: []int{5, 6, 7}},
-				{Iteration: 50, Ranks: []int{0, 1, 2}},
-			}
-		}, map[setupKind]int{setupInnerSeq: 2}, 8},
 	}
 	parallel := runtime.GOMAXPROCS(0) // the CI legs' 2 or 4
 	if parallel < 2 {

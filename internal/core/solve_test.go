@@ -387,19 +387,6 @@ func TestIMCRFailureBeforeFirstCheckpointFallsBack(t *testing.T) {
 	checkSolution(t, cfg, res, 5e-8)
 }
 
-func TestGatherInnerSolveAblation(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	cfg.Phi = 3
-	cfg.Failure = &FailureSpec{Iteration: 45, Ranks: []int{2, 3, 4}}
-	cfg.GatherInnerSolve = true
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 41 {
-		t.Fatalf("RecoveredAt = %d, want 41", res.RecoveredAt)
-	}
-}
-
 func TestResidualDriftSmall(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Strategy = StrategyESRP

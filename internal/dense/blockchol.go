@@ -27,9 +27,6 @@ type BlockCholesky struct {
 // NumBlocks returns the number of appended blocks.
 func (bc *BlockCholesky) NumBlocks() int { return len(bc.dims) }
 
-// Dim returns the size of block b.
-func (bc *BlockCholesky) Dim(b int) int { return bc.dims[b] }
-
 // Append factors the SPD matrix a and packs the factor into the arena as the
 // next block. On a non-positive pivot the arena is left unchanged and
 // ErrNotSPD is wrapped in the returned error.

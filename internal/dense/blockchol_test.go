@@ -34,8 +34,8 @@ func TestBlockCholeskyMatchesPerBlock(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want %d", bc.NumBlocks(), len(sizes))
 	}
 	for b, n := range sizes {
-		if bc.Dim(b) != n {
-			t.Fatalf("Dim(%d) = %d, want %d", b, bc.Dim(b), n)
+		if bc.dims[b] != n {
+			t.Fatalf("block %d has %d rows, want %d", b, bc.dims[b], n)
 		}
 		v := make([]float64, n)
 		for i := range v {
@@ -174,7 +174,7 @@ func TestBlockCholeskyMulVecInPlace(t *testing.T) {
 	got := make([]float64, 40)
 	want := make([]float64, 40)
 	for b := 0; b < bc.NumBlocks(); b++ {
-		n := bc.Dim(b)
+		n := bc.dims[b]
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
@@ -192,7 +192,7 @@ func TestBlockCholeskyMulVecInPlace(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() {
 		for b := 0; b < bc.NumBlocks(); b++ {
-			bc.MulVec(b, got[:bc.Dim(b)], x[:bc.Dim(b)])
+			bc.MulVec(b, got[:bc.dims[b]], x[:bc.dims[b]])
 		}
 	}); a != 0 {
 		t.Fatalf("MulVec allocates %v times per sweep, want 0", a)

@@ -46,16 +46,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.N+j] }
 // Set assigns A(i,j) = v.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
 
-// Add accumulates A(i,j) += v.
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.N+j] += v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.N)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // MulVec computes dst = A*x. dst must not alias x.
 func (m *Matrix) MulVec(dst, x []float64) {
 	n := m.N
@@ -67,19 +57,6 @@ func (m *Matrix) MulVec(dst, x []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// IsSymmetric reports whether |A(i,j)-A(j,i)| <= tol for all i,j.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	n := m.N
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ErrNotSPD is returned by Cholesky when a non-positive pivot is encountered,
@@ -168,9 +145,10 @@ func (c *Cholesky) SolveInto(dst, src []float64) {
 }
 
 // MulVec computes dst = A*x = L·(Lᵀ x), reconstituting the original operator
-// from the factorization. Used by the ESR reconstruction (Alg. 2 line 6):
-// solving P[If,If]·r = v where P is the block Jacobi *inverse* operator is a
-// multiplication by the original blocks.
+// from the factorization — the reference for BlockCholesky.MulVec, which the
+// ESR reconstruction (Alg. 2 line 6) uses: solving P[If,If]·r = v where P is
+// the block Jacobi *inverse* operator is a multiplication by the original
+// blocks.
 func (c *Cholesky) MulVec(dst, x []float64) {
 	n := c.N
 	// t = Lᵀ x

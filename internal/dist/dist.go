@@ -18,7 +18,6 @@ package dist
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Partition is a division of the global index range [0,M) into N contiguous
@@ -132,20 +131,6 @@ func (p *Partition) Owner(j int) int {
 	return sort.SearchInts(p.offsets[1:], j+1)
 }
 
-// Offsets returns a copy of the partition's offset vector (length N+1).
-func (p *Partition) Offsets() []int {
-	return append([]int(nil), p.offsets...)
-}
-
-// Sizes returns the part sizes (length N).
-func (p *Partition) Sizes() []int {
-	sizes := make([]int, p.N)
-	for s := range sizes {
-		sizes[s] = p.Size(s)
-	}
-	return sizes
-}
-
 // Equal reports whether two partitions describe the identical distribution.
 func (p *Partition) Equal(q *Partition) bool {
 	if p == nil || q == nil {
@@ -160,30 +145,4 @@ func (p *Partition) Equal(q *Partition) bool {
 		}
 	}
 	return true
-}
-
-// String renders the partition compactly for test failures and
-// diagnostics, eliding the interior offsets of large partitions.
-func (p *Partition) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Partition{M:%d N:%d offsets:[", p.M, p.N)
-	const maxShown = 17
-	if len(p.offsets) <= maxShown {
-		for s, o := range p.offsets {
-			if s > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d", o)
-		}
-	} else {
-		for s := 0; s < maxShown/2; s++ {
-			fmt.Fprintf(&b, "%d ", p.offsets[s])
-		}
-		fmt.Fprintf(&b, "… %d more …", len(p.offsets)-maxShown+1)
-		for s := len(p.offsets) - maxShown/2; s < len(p.offsets); s++ {
-			fmt.Fprintf(&b, " %d", p.offsets[s])
-		}
-	}
-	b.WriteString("]}")
-	return b.String()
 }

@@ -2,7 +2,7 @@ package dist
 
 import (
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -117,11 +117,6 @@ func TestFromOffsetsDoesNotAliasInput(t *testing.T) {
 	if p.Hi(0) != 2 {
 		t.Fatal("partition aliases the caller's offsets slice")
 	}
-	got := p.Offsets()
-	got[1] = 42
-	if p.Hi(0) != 2 {
-		t.Fatal("Offsets() exposes internal storage")
-	}
 }
 
 func TestRangeOfParts(t *testing.T) {
@@ -144,7 +139,7 @@ func TestOwnerFastPathMatchesSearch(t *testing.T) {
 		m := 1 + rng.Intn(200)
 		n := 1 + rng.Intn(m)
 		fast := NewBlockPartition(m, n)
-		slow := &Partition{M: m, N: n, offsets: fast.Offsets(), blockQ: -1}
+		slow := &Partition{M: m, N: n, offsets: slices.Clone(fast.offsets), blockQ: -1}
 		for j := 0; j < m; j++ {
 			if fast.Owner(j) != slow.Owner(j) {
 				t.Fatalf("m=%d n=%d: fast Owner(%d)=%d, search says %d",
@@ -191,7 +186,7 @@ func TestEqual(t *testing.T) {
 
 func TestUniformDetection(t *testing.T) {
 	// A FromOffsets partition with the uniform layout gets the O(1) path.
-	p, err := FromOffsets(NewBlockPartition(23, 5).Offsets())
+	p, err := FromOffsets(NewBlockPartition(23, 5).offsets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,19 +199,5 @@ func TestUniformDetection(t *testing.T) {
 	}
 	if q.blockQ >= 0 {
 		t.Fatal("skewed layout misdetected as uniform")
-	}
-}
-
-func TestString(t *testing.T) {
-	small := NewBlockPartition(10, 2)
-	if s := small.String(); !strings.Contains(s, "M:10") || !strings.Contains(s, "0 5 10") {
-		t.Fatalf("small String: %s", s)
-	}
-	big := NewBlockPartition(1000, 100)
-	if s := big.String(); !strings.Contains(s, "more") {
-		t.Fatalf("big String should elide offsets: %s", s)
-	}
-	if sz := NewBlockPartition(10, 4).Sizes(); len(sz) != 4 || sz[0] != 3 || sz[3] != 2 {
-		t.Fatalf("Sizes = %v", sz)
 	}
 }

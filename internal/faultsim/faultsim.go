@@ -46,20 +46,6 @@ const (
 	ModelWeibull
 )
 
-// String returns the model's CLI name.
-func (m Model) String() string {
-	switch m {
-	case ModelFixed:
-		return "fixed"
-	case ModelExponential:
-		return "exp"
-	case ModelWeibull:
-		return "weibull"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
-	}
-}
-
 // ParseModel converts a CLI name to a Model.
 func ParseModel(s string) (Model, error) {
 	switch strings.ToLower(s) {
@@ -141,23 +127,6 @@ func (s Scenario) validate() error {
 		return fmt.Errorf("faultsim: MaxEvents must be ≥ 0, got %d", s.MaxEvents)
 	}
 	return nil
-}
-
-// MaxPsi returns the largest simultaneous-failure width the scenario can
-// produce — what core.Config.Phi must cover for every event to be
-// recoverable by redundancy.
-func (s Scenario) MaxPsi() int {
-	if s.Model == ModelFixed {
-		psi := 0
-		for _, ev := range s.Schedule {
-			psi = max(psi, len(ev.Ranks))
-		}
-		return psi
-	}
-	if s.GroupSize > 1 && s.GroupProb > 0 {
-		return s.GroupSize
-	}
-	return 1
 }
 
 // String describes the process for logs and reports. The seed is appended
@@ -353,17 +322,4 @@ func ParseSchedule(s string) ([]core.FailureSpec, error) {
 		return nil, fmt.Errorf("faultsim: empty schedule")
 	}
 	return out, nil
-}
-
-// Describe renders a compiled timeline for logs: one line per event.
-func Describe(events []core.FailureSpec) string {
-	if len(events) == 0 {
-		return "no failure events"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d failure events:\n", len(events))
-	for i, ev := range events {
-		fmt.Fprintf(&b, "  event %d: iteration %d, ranks %v\n", i, ev.Iteration, ev.Ranks)
-	}
-	return b.String()
 }

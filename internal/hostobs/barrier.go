@@ -100,14 +100,6 @@ func (s *BarrierStats) Abort() {
 	s.aborts.Add(1)
 }
 
-// Aborts returns the abort count (0 on nil).
-func (s *BarrierStats) Aborts() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.aborts.Load()
-}
-
 // TotalWaitNs sums all members' wait time across regimes (0 on nil).
 // Because members wait concurrently the sum can exceed wall time by up to
 // a factor of Cap(); it never exceeds Cap() × wall time.

@@ -65,7 +65,6 @@ func (w *WorkerLog) Cell(t0 int64, index int, affinity bool) {
 	if affinity {
 		w.affinityHits++
 	}
-	w.rec.liveCells.Add(1)
 	w.rec.liveWorkerCells[w.id].Add(1)
 }
 
@@ -102,7 +101,6 @@ type CampaignRecorder struct {
 	shardCells []int
 	barrier    *BarrierStats
 
-	liveCells  atomic.Int64 // cells completed so far (progress meters)
 	liveSteals atomic.Int64 // successful steals so far
 
 	// liveWorkerCells mirrors each worker's completed-cell count with an
@@ -171,15 +169,6 @@ func (r *CampaignRecorder) ShardLayout(cellsPerShard []int) {
 		return
 	}
 	r.shardCells = append(r.shardCells[:0], cellsPerShard...)
-}
-
-// LiveCells returns cells completed so far — safe concurrently, for
-// progress meters (0 on nil).
-func (r *CampaignRecorder) LiveCells() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.liveCells.Load()
 }
 
 // LiveSteals returns successful steals so far (0 on nil).

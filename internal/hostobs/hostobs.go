@@ -68,12 +68,3 @@ func (h *Hist) Snapshot() [histBuckets]int64 {
 	}
 	return out
 }
-
-// BucketUpperNs returns the exclusive upper bound of bucket k in
-// nanoseconds (the last bucket is unbounded and reports its lower bound).
-func BucketUpperNs(k int) int64 {
-	if k >= histBuckets-1 {
-		return int64(1) << (histBuckets - 2)
-	}
-	return int64(1) << k
-}

@@ -41,12 +41,6 @@ func NewComposite(parts []Preconditioner, sizes []int) (*Composite, error) {
 	return c, nil
 }
 
-// Len returns the total local length the composite covers.
-func (c *Composite) Len() int { return c.total }
-
-// Name implements Preconditioner.
-func (c *Composite) Name() string { return "composite" }
-
 // Apply implements Preconditioner segment-wise.
 func (c *Composite) Apply(z, r []float64) {
 	for _, s := range c.segs {

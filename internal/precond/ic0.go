@@ -210,13 +210,6 @@ func (p *IC0PC) factor(base []float64, shift float64) error {
 	return nil
 }
 
-// Name implements Preconditioner.
-func (*IC0PC) Name() string { return "ic0" }
-
-// Shift returns the diagonal shift applied to make the factorization
-// succeed (0 when IC(0) succeeded unshifted).
-func (p *IC0PC) Shift() float64 { return p.shift }
-
 // Apply implements Preconditioner: z = (L·Lᵀ)⁻¹ r by forward substitution
 // L·y = r followed by backward substitution Lᵀ·z = y. On stencil blocks both
 // sweeps walk the factor's band runs (no per-entry column loads); the

@@ -20,9 +20,6 @@ func TestIC0ExactOnPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIC0: %v", err)
 	}
-	if p.Name() != "ic0" {
-		t.Fatalf("name = %q", p.Name())
-	}
 	if p.CouplesAcrossNodes() {
 		t.Fatal("IC0 must be node-local")
 	}
@@ -49,8 +46,8 @@ func TestIC0ExactForDiagonal(t *testing.T) {
 			t.Fatalf("z[%d] = %g, want %g", i, z[i], r[i]/d[i])
 		}
 	}
-	if p.Shift() != 0 {
-		t.Fatalf("diagonal matrix should not need a shift, got %g", p.Shift())
+	if p.shift != 0 {
+		t.Fatalf("diagonal matrix should not need a shift, got %g", p.shift)
 	}
 }
 
@@ -214,8 +211,8 @@ func TestIC0BuildAndParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build(IC0): %v", err)
 	}
-	if p.Name() != "ic0" {
-		t.Fatalf("name = %q", p.Name())
+	if _, ok := p.(*IC0PC); !ok {
+		t.Fatalf("Build(IC0) built a %T", p)
 	}
 	k, err := ParseKind("ic0")
 	if err != nil || k != IC0 {

@@ -22,8 +22,6 @@ import (
 // operate on the local index range [lo,hi) the instance was built for;
 // slices have length hi-lo.
 type Preconditioner interface {
-	// Name identifies the preconditioner kind (for reports).
-	Name() string
 	// Apply computes z = P·r on the local range.
 	Apply(z, r []float64)
 	// ApplyFlops returns the modeled flop count of one Apply.
@@ -109,12 +107,6 @@ func Build(kind Kind, a *sparse.CSR, lo, hi, maxBlock int) (Preconditioner, erro
 // Identity is the trivial preconditioner P = I (plain CG).
 type Identity struct{ n int }
 
-// NewIdentity returns the identity preconditioner for n local rows.
-func NewIdentity(n int) Identity { return Identity{n: n} }
-
-// Name implements Preconditioner.
-func (Identity) Name() string { return "none" }
-
 // Apply implements Preconditioner: z = r.
 func (p Identity) Apply(z, r []float64) { copy(z, r) }
 
@@ -150,9 +142,6 @@ func NewJacobi(a *sparse.CSR, lo, hi int) (*PointJacobi, error) {
 	}
 	return p, nil
 }
-
-// Name implements Preconditioner.
-func (*PointJacobi) Name() string { return "jacobi" }
 
 // Apply implements Preconditioner: z_i = r_i / A_ii.
 func (p *PointJacobi) Apply(z, r []float64) {
@@ -234,12 +223,6 @@ func NewBlockJacobi(a *sparse.CSR, lo, hi, maxBlock int) (*BlockJacobiPC, error)
 	}
 	return p, nil
 }
-
-// Name implements Preconditioner.
-func (*BlockJacobiPC) Name() string { return "block-jacobi" }
-
-// NumBlocks returns the number of diagonal blocks.
-func (p *BlockJacobiPC) NumBlocks() int { return p.bc.NumBlocks() }
 
 // Apply implements Preconditioner: per block, z_b = B_b⁻¹ r_b — one batched
 // sweep over the flat factor arena.

@@ -1,6 +1,7 @@
 package precond
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -31,7 +32,7 @@ func TestKindStringAndParse(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	p := NewIdentity(3)
+	p := Identity{n: 3}
 	r := []float64{1, 2, 3}
 	z := make([]float64, 3)
 	p.Apply(z, r)
@@ -87,8 +88,8 @@ func TestBlockJacobiBlockLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 25 rows, max block 10 → 3 uniform blocks of sizes 9,8,8.
-	if p.NumBlocks() != 3 {
-		t.Fatalf("NumBlocks = %d, want 3", p.NumBlocks())
+	if p.bc.NumBlocks() != 3 {
+		t.Fatalf("NumBlocks = %d, want 3", p.bc.NumBlocks())
 	}
 	sizes := []int{p.offsets[1] - p.offsets[0], p.offsets[2] - p.offsets[1], p.offsets[3] - p.offsets[2]}
 	if sizes[0] != 9 || sizes[1] != 8 || sizes[2] != 8 {
@@ -133,8 +134,8 @@ func TestBlockJacobiMatchesExactBlockSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumBlocks() != 1 {
-		t.Fatalf("want a single block, got %d", p.NumBlocks())
+	if p.bc.NumBlocks() != 1 {
+		t.Fatalf("want a single block, got %d", p.bc.NumBlocks())
 	}
 	r := []float64{1, 0, 0, 0, 0, 0}
 	z := make([]float64, 6)
@@ -163,13 +164,13 @@ func TestBlockJacobiApplyMatchesPerBlockSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leftovers[p.NumBlocks()%4] = true
+		leftovers[p.bc.NumBlocks()%4] = true
 		r := make([]float64, n)
 		for i := range r {
 			r[i] = float64((i*7)%13) - 6.25
 		}
 		want := make([]float64, n)
-		for b := 0; b < p.NumBlocks(); b++ {
+		for b := 0; b < p.bc.NumBlocks(); b++ {
 			b0, b1 := p.offsets[b], p.offsets[b+1]
 			blk := dense.New(b1 - b0)
 			for i := b0; i < b1; i++ {
@@ -190,7 +191,7 @@ func TestBlockJacobiApplyMatchesPerBlockSolve(t *testing.T) {
 		p.Apply(inPlace, inPlace)
 		for i := range want {
 			if math.Float64bits(z[i]) != math.Float64bits(want[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%d rows, %d blocks, row %d: Apply %x, in place %x, per-block solve %x", n, p.NumBlocks(), i,
+				t.Fatalf("%d rows, %d blocks, row %d: Apply %x, in place %x, per-block solve %x", n, p.bc.NumBlocks(), i,
 					math.Float64bits(z[i]), math.Float64bits(inPlace[i]), math.Float64bits(want[i]))
 			}
 		}
@@ -207,8 +208,8 @@ func TestBlockJacobiEmptyRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Apply(nil, nil) // must not panic
-	if p.NumBlocks() != 0 {
-		t.Fatalf("empty range NumBlocks = %d", p.NumBlocks())
+	if p.bc.NumBlocks() != 0 {
+		t.Fatalf("empty range NumBlocks = %d", p.bc.NumBlocks())
 	}
 }
 
@@ -227,13 +228,13 @@ func TestBlockJacobiRejectsBadBlockAndSPD(t *testing.T) {
 
 func TestBuildFactory(t *testing.T) {
 	a := matgen.Poisson2D(3, 3)
-	for _, k := range []Kind{None, Jacobi, BlockJacobi} {
+	for k, want := range map[Kind]string{None: "precond.Identity", Jacobi: "*precond.PointJacobi", BlockJacobi: "*precond.BlockJacobiPC"} {
 		p, err := Build(k, a, 0, 9, 10)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if p.Name() != k.String() {
-			t.Fatalf("Name %q != kind %q", p.Name(), k.String())
+		if got := fmt.Sprintf("%T", p); got != want {
+			t.Fatalf("Build(%v) built a %s, want %s", k, got, want)
 		}
 	}
 	if _, err := Build(Kind(99), a, 0, 9, 10); err == nil {

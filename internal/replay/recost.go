@@ -254,12 +254,6 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 		for j := range clock {
 			clock[j] += e.Val
 		}
-	case KindClockSync:
-		for j := range clock {
-			if e.Val > clock[j] {
-				clock[j] = e.Val
-			}
-		}
 	case KindSend:
 		q, _ := mc.pair(g, e.Peer) // every send's pair was listed by the scan
 		sl := mc.newSlot(e.Bytes)

@@ -55,7 +55,7 @@ const (
 	KindInvalid   Kind = iota
 	KindCompute        // Val = flops; clock += flops·FlopTime
 	KindClockAdd       // Val = dt (model-independent, e.g. DetectionTime)
-	KindClockSync      // Val = t; clock = max(clock, t) — recorded verbatim
+	_                  // 3: reserved (a clock sync no solve records); decoding it is an error
 	KindSend           // Peer = dst global rank, Bytes = payload
 	KindRecv           // Peer = src global rank
 	KindAllreduce      // View, Bytes = reduced payload, Acct* = star traffic
@@ -70,14 +70,14 @@ const (
 )
 
 var kindNames = [...]string{
-	KindCompute: "compute", KindClockAdd: "clockadd", KindClockSync: "clocksync",
+	KindCompute: "compute", KindClockAdd: "clockadd",
 	KindSend: "send", KindRecv: "recv", KindAllreduce: "allreduce", KindBcast: "bcast", KindGather: "gather",
 	KindRecStart: "recstart", KindRecEnd: "recend", KindRecCharge: "reccharge",
 	KindEnvStart: "envstart", KindEnvEnd: "envend", KindRTFinal: "rtfinal",
 }
 
 func (k Kind) String() string {
-	if k == KindInvalid || int(k) >= len(kindNames) {
+	if int(k) >= len(kindNames) || kindNames[k] == "" {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 	return kindNames[k]
@@ -233,11 +233,6 @@ func (r *Rank) Compute(flops float64) { r.val(KindCompute, flops) }
 // ClockAdd records an AddClock(dt) advance (model-independent).
 func (r *Rank) ClockAdd(dt float64) { r.val(KindClockAdd, dt) }
 
-// ClockSync records a SyncClock(t). The target t is a clock value of the
-// recorded run, so a schedule containing sync events only re-costs exactly
-// under the recording model; the solver does not use SyncClock.
-func (r *Rank) ClockSync(t float64) { r.val(KindClockSync, t) }
-
 // Send records a clocked point-to-point send of bytes payload to global
 // rank dst (books 1 message + bytes, like the cluster).
 func (r *Rank) Send(dst int, bytes int64) {
@@ -296,7 +291,7 @@ func (r *Rank) put(e *Event) error {
 		return fmt.Errorf("negative peer, view or byte count in %+v", *e)
 	}
 	switch e.Kind {
-	case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
+	case KindCompute, KindClockAdd, KindRecCharge:
 		r.val(e.Kind, e.Val)
 	case KindSend:
 		r.Send(int(e.Peer), e.Bytes)

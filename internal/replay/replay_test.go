@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -422,6 +423,23 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		if _, rerr := replay.ReadBinary(bytes.NewReader(data)); rerr == nil {
 			t.Errorf("%s: ReadBinary accepted what DecodeBinary rejects", name)
 		}
+	}
+}
+
+// Kind 3 was a clock sync that no solve ever recorded. Its value stays
+// reserved, so no later kind is renumbered, and a stream carrying it is
+// rejected by the decoder and by NewSchedule alike.
+func TestReservedKindIsRejected(t *testing.T) {
+	const reserved = 3
+	val := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.5))
+	data := append(payload(1, 0, 2, reserved), val...)
+	data = append(data, byte(replay.KindRTFinal))
+	if s, err := replay.DecodeBinary(data); err == nil || !strings.Contains(err.Error(), "unknown event kind 3") {
+		t.Fatalf("DecodeBinary: got %v, %v; want the unknown event kind 3 error", s, err)
+	}
+	events := [][]replay.Event{{{Kind: reserved, Val: 1.5}, {Kind: replay.KindRTFinal}}}
+	if _, err := replay.NewSchedule(1, nil, events); err == nil || !strings.Contains(err.Error(), "unknown event kind 3") {
+		t.Fatalf("NewSchedule: got %v, want the unknown event kind 3 error", err)
 	}
 }
 

@@ -123,7 +123,7 @@ func (c *cursor) event(e *Event) {
 	e.Kind = Kind(c.data[c.off])
 	c.off++
 	switch e.Kind {
-	case KindCompute, KindClockAdd, KindClockSync, KindRecCharge:
+	case KindCompute, KindClockAdd, KindRecCharge:
 		if len(c.data)-c.off < 8 {
 			c.fail(io.ErrUnexpectedEOF)
 			return

@@ -66,15 +66,6 @@ func (a *CSR) MulVecRows(dst, x []float64, r0, r1 int) {
 	}
 }
 
-// Diag returns a copy of the main diagonal.
-func (a *CSR) Diag() []float64 {
-	d := make([]float64, min(a.Rows, a.Cols))
-	for i := range d {
-		d[i] = a.At(i, i)
-	}
-	return d
-}
-
 // IsSymmetric reports whether the matrix is structurally and numerically
 // symmetric within absolute tolerance tol. Cost O(nnz log nnz-per-row).
 func (a *CSR) IsSymmetric(tol float64) bool {
@@ -153,16 +144,6 @@ func (a *CSR) Dense() []float64 {
 	return d
 }
 
-// ColRangeOfRow returns the smallest and largest column index stored in row i,
-// or (-1,-1) for an empty row.
-func (a *CSR) ColRangeOfRow(i int) (lo, hi int) {
-	cols, _ := a.Row(i)
-	if len(cols) == 0 {
-		return -1, -1
-	}
-	return cols[0], cols[len(cols)-1]
-}
-
 // Validate checks structural invariants (monotone RowPtr, sorted unique
 // column indices in range). It returns a descriptive error on violation.
 func (a *CSR) Validate() error {
@@ -220,9 +201,6 @@ func (b *Builder) AddSym(i, j int, v float64) {
 		b.Add(j, i, v)
 	}
 }
-
-// NNZ returns the number of accumulated triplets (before duplicate merging).
-func (b *Builder) NNZ() int { return len(b.v) }
 
 // Build assembles the CSR, sorting rows, merging duplicates, and dropping
 // explicit zeros that result from exact cancellation.

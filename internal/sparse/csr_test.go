@@ -104,14 +104,6 @@ func TestMulVecRows(t *testing.T) {
 	}
 }
 
-func TestDiag(t *testing.T) {
-	a := buildSmall(t)
-	d := a.Diag()
-	if len(d) != 3 || d[0] != 2 || d[2] != 2 {
-		t.Fatalf("Diag = %v", d)
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	a := buildSmall(t)
 	if !a.IsSymmetric(0) {
@@ -149,18 +141,6 @@ func TestSubRange(t *testing.T) {
 				t.Fatalf("SubRange(%d,%d) = %g, want %g", i, j, s.At(i, j), a.At(i+3, j+3))
 			}
 		}
-	}
-}
-
-func TestColRangeOfRow(t *testing.T) {
-	a := buildSmall(t)
-	lo, hi := a.ColRangeOfRow(1)
-	if lo != 0 || hi != 2 {
-		t.Fatalf("ColRangeOfRow(1) = (%d,%d), want (0,2)", lo, hi)
-	}
-	empty := NewBuilder(2, 2).Build()
-	if lo, hi := empty.ColRangeOfRow(0); lo != -1 || hi != -1 {
-		t.Fatalf("empty row range = (%d,%d), want (-1,-1)", lo, hi)
 	}
 }
 

@@ -94,37 +94,11 @@ func AxpyPair(a float64, x, y []float64, b float64, u, v []float64) {
 	}
 }
 
-// Axpby computes y = a*x + b*y in place.
-func Axpby(a float64, x []float64, b float64, y []float64) {
-	for i, xi := range x {
-		y[i] = a*xi + b*y[i]
-	}
-}
-
 // XpayInto computes dst = x + a*y. dst may alias x or y.
 func XpayInto(dst, x []float64, a float64, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] + a*y[i]
 	}
-}
-
-// Scale multiplies x by a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) {
-	copy(dst, src)
-}
-
-// Clone returns a freshly allocated copy of x.
-func Clone(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
 }
 
 // Zero sets all entries of x to zero.
@@ -134,21 +108,9 @@ func Zero(x []float64) {
 	}
 }
 
-// Fill sets all entries of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Norm2Sq returns the squared Euclidean norm of x.
-func Norm2Sq(x []float64) float64 {
-	return Dot(x, x)
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
-	return math.Sqrt(Norm2Sq(x))
+	return math.Sqrt(Dot(x, x))
 }
 
 // NormInf returns the maximum absolute entry of x (0 for empty x).
@@ -169,13 +131,6 @@ func Sub(dst, x, y []float64) {
 	}
 }
 
-// Add computes dst = x + y.
-func Add(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
 // MaxAbsDiff returns max_i |x[i]-y[i]|, a convenient trajectory-comparison
 // metric for reconstruction-exactness tests.
 func MaxAbsDiff(x, y []float64) float64 {
@@ -186,13 +141,4 @@ func MaxAbsDiff(x, y []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Equalish reports whether x and y agree entrywise within absolute
-// tolerance tol.
-func Equalish(x, y []float64, tol float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	return MaxAbsDiff(x, y) <= tol
 }
