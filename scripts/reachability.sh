@@ -13,10 +13,9 @@
 #	bash scripts/reachability.sh -check     # exit 1 unless it equals the allowlist
 #
 # Build outputs, coverage counters and the files the commands write go to a
-# temporary directory ($REACH_DIR if set), removed on exit unless REACH_DIR is
-# given. A command that should succeed and fails, or the reverse, stops the
-# script: an entry point that stopped working would otherwise only show as
-# functions gone unreached.
+# temporary directory, removed on exit. A command that should succeed and
+# fails, or the reverse, stops the script: an entry point that stopped working
+# would otherwise only show as functions gone unreached.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,14 +29,17 @@ case "${1:-}" in
 	;;
 esac
 
-if [ -n "${REACH_DIR:-}" ]; then
-	dir=$REACH_DIR
-	rm -rf "$dir"
-	mkdir -p "$dir"
-else
-	dir=$(mktemp -d)
-	trap 'rm -rf "$dir"' EXIT
+# The allowlist is the set of an amd64 host with AVX: elsewhere the portable
+# band loop is reached and the vector routine's stubs are not. Two Ps at least,
+# or a run's ranks share one cluster worker and its idle path goes unreached.
+if [ "$(go env GOARCH)" != amd64 ] || ! grep -qw avx /proc/cpuinfo 2>/dev/null; then
+	echo "reachability: needs an amd64 host with AVX, the platform testdata/reachability.txt is the set of" >&2
+	exit 2
 fi
+export GOMAXPROCS=$(($(nproc) > 2 ? $(nproc) : 2))
+
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
 bin=$dir/bin work=$dir/work
 mkdir -p "$bin" "$work" "$dir/cov"
 export GOCOVERDIR=$dir/cov GOFLAGS=-buildvcs=false
@@ -151,6 +153,14 @@ printf 'X' | dd of="$(echo "$res" | sed -n 2p)" bs=1 seek=30 conv=notrunc 2>/dev
 printf 'GARBAGE!' | dd of="$(find "$work/ccache/sch" -type f | sort | tail -1)" bs=1 conv=notrunc 2>/dev/null
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -workers 3 -json "$work/healed.json" -metrics "$work/healed.prom"
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -cache-mismatch refresh -json /dev/null -q
+# Eight cells of one Prepared context land on one shard, so the second worker
+# starts by stealing: the steal path and its telemetry run on every host.
+ok "$camp" -gen poisson2d -n 32 -nodes 8 -strategies esrp -ts 10,20 -phis 1 -seeds 4 -mtbf 500 -horizon 80 \
+	-workers 2 -json /dev/null -metrics "$work/steal.prom" -q
+grep -q '^esrp_host_steals_total [1-9]' "$work/steal.prom" || {
+	log "no steal in the one-context campaign"
+	exit 1
+}
 ok "$camp" -gen banded,audikw -n 6 -nodes 4 -strategies none,esr -ts 5 -phis 1 -seeds 2 \
 	-model weibull -shape 0.7 -mtbf 300 -horizon 40 -group 2 -group-prob 0.5 -max-events 3 -spares 1 \
 	-kernel band -trace-sample 2 -trace-dir "$work/traces" -json /dev/null -q
