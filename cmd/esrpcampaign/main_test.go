@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"esrp"
@@ -77,5 +80,24 @@ func TestTinyGridEndToEnd(t *testing.T) {
 		if c.Err != "" || !c.Converged {
 			t.Errorf("cell seed %d: err=%q converged=%v", c.Seed, c.Err, c.Converged)
 		}
+	}
+}
+
+// A negative -maxiter is an error: the command exits non-zero and says so,
+// rather than running every cell with the default cap.
+func TestNegativeMaxIterExitsNonZero(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool to build the command with")
+	}
+	bin := filepath.Join(t.TempDir(), "esrpcampaign")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-maxiter", "-5").CombinedOutput()
+	if _, exited := err.(*exec.ExitError); !exited {
+		t.Fatalf("esrpcampaign -maxiter -5: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "iteration cap must be ≥ 0") {
+		t.Fatalf("esrpcampaign -maxiter -5 printed\n%s\nwant the iteration cap error", out)
 	}
 }

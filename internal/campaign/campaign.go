@@ -76,8 +76,8 @@ type Grid struct {
 	Spares int
 
 	Rtol      float64 // outer tolerance (default 1e-8)
-	MaxIter   int     // iteration cap (0 = solver default)
-	MaxBlock  int     // block Jacobi bound (default 10)
+	MaxIter   int     // iteration cap (0 = solver default; negative is an error)
+	MaxBlock  int     // block Jacobi bound (0 = 10; negative is an error)
 	Precond   precond.Kind
 	Kernel    sparse.KernelKind // SpMV layout for every cell (zero = planner)
 	CostModel *cluster.CostModel
@@ -278,7 +278,13 @@ func (g Grid) withDefaults() (Grid, error) {
 	if g.Rtol <= 0 {
 		g.Rtol = 1e-8
 	}
-	if g.MaxBlock <= 0 {
+	if g.MaxIter < 0 {
+		return g, fmt.Errorf("campaign: iteration cap must be ≥ 0 (0 = solver default), got %d", g.MaxIter)
+	}
+	if g.MaxBlock < 0 {
+		return g, fmt.Errorf("campaign: block Jacobi block size must be ≥ 0 (0 = 10), got %d", g.MaxBlock)
+	}
+	if g.MaxBlock == 0 {
 		g.MaxBlock = 10
 	}
 	if g.Spares < 0 {

@@ -228,6 +228,17 @@ func TestGridValidation(t *testing.T) {
 	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "Strategy(99)") {
 		t.Errorf("unknown strategy: error %v, want one naming Strategy(99)", err)
 	}
+	// A negative cap is an error, not the default.
+	g = tinyGrid()
+	g.MaxIter = -5
+	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "iteration cap must be ≥ 0") {
+		t.Errorf("MaxIter -5: error %v, want the iteration cap's", err)
+	}
+	g = tinyGrid()
+	g.MaxBlock = -3
+	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "block size must be ≥ 0") {
+		t.Errorf("MaxBlock -3: error %v, want the block size's", err)
+	}
 }
 
 // TestDefaultedPhiSharesContexts pins the prepKey normalization: a grid

@@ -98,10 +98,10 @@ type Config struct {
 	Nodes int // number of simulated cluster nodes
 
 	Rtol    float64 // convergence: ‖r‖₂/‖b‖₂ < Rtol (paper: 1e-8)
-	MaxIter int     // iteration cap (0 = 10·M)
+	MaxIter int     // iteration cap (0 = 10·M; negative is an error)
 
 	PrecondKind precond.Kind // paper: block Jacobi
-	MaxBlock    int          // block Jacobi maximum block size (paper: 10)
+	MaxBlock    int          // block Jacobi maximum block size (0 = the paper's 10; negative is an error)
 
 	// Kernel selects the storage layout of the local SpMV. The zero value
 	// KernelAuto lets the Prepare-time planner inspect each node's interior
@@ -263,10 +263,16 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Rtol <= 0 {
 		cfg.Rtol = 1e-8
 	}
-	if cfg.MaxIter <= 0 {
+	if cfg.MaxIter < 0 {
+		return cfg, fmt.Errorf("core: iteration cap must be ≥ 0 (0 = 10·rows), got %d", cfg.MaxIter)
+	}
+	if cfg.MaxIter == 0 {
 		cfg.MaxIter = 10 * cfg.A.Rows
 	}
-	if cfg.MaxBlock <= 0 {
+	if cfg.MaxBlock < 0 {
+		return cfg, fmt.Errorf("core: block Jacobi block size must be ≥ 0 (0 = 10), got %d", cfg.MaxBlock)
+	}
+	if cfg.MaxBlock == 0 {
 		cfg.MaxBlock = 10
 	}
 	if cfg.PrecondKind == precond.Default {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"esrp/internal/cluster"
@@ -438,6 +439,31 @@ func TestConfigValidation(t *testing.T) {
 	rect.Add(0, 0, 1)
 	if _, err := Solve(Config{A: rect.Build(), B: make([]float64, 3), Nodes: 1}); err == nil {
 		t.Fatal("rectangular matrix must be rejected")
+	}
+}
+
+// A negative iteration cap or block size is an error; zero takes the
+// default (10·rows, the paper's block size 10).
+func TestConfigNegativeCapsAreErrors(t *testing.T) {
+	a := matgen.Poisson2D(4, 4)
+	b := matgen.RHSOnes(16)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{A: a, B: b, Nodes: 2, MaxIter: -5}, "iteration cap must be ≥ 0"},
+		{Config{A: a, B: b, Nodes: 2, MaxBlock: -3}, "block size must be ≥ 0"},
+	} {
+		if _, err := Solve(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("MaxIter %d, MaxBlock %d: err = %v, want one saying %q", c.cfg.MaxIter, c.cfg.MaxBlock, err, c.want)
+		}
+	}
+	got, err := Config{A: a, B: b, Nodes: 2}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MaxIter != 160 || got.MaxBlock != 10 {
+		t.Fatalf("zero caps default to MaxIter %d, MaxBlock %d; want 160, 10", got.MaxIter, got.MaxBlock)
 	}
 }
 

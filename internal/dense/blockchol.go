@@ -3,115 +3,135 @@ package dense
 import (
 	"fmt"
 	"math"
+
+	"esrp/internal/cpu"
 )
 
-// BlockCholesky is a batch of small Cholesky factors in one flat arena: the
-// lower triangles (and their transposes, for the contiguous backward pass)
-// of many independent SPD blocks packed back to back, row-major, without the
-// zero half that full N×N storage carries. The block Jacobi preconditioner
-// holds its many ≤10×10 diagonal blocks this way: one backsolve sweep then
-// streams a few contiguous kilobytes instead of chasing per-block heap
-// pointers, which is worth integer percents of the whole solve at stencil
-// block counts.
+// BlockCholesky is a batch of small Cholesky factors in one flat arena,
+// allocated once: the packed lower triangles of many independent SPD blocks,
+// row-major, without the zero half that full N×N storage carries and without
+// a transposed copy — the backward passes read column i of L where they need
+// it. The block Jacobi preconditioner holds its many ≤10×10 diagonal blocks
+// this way: one backsolve sweep then streams a few contiguous kilobytes
+// instead of chasing per-block heap pointers.
+//
+// Four consecutive blocks that SolveAll solves as one group (one size the
+// generated solves cover: 9 or 10) have their triangles interleaved
+// [entry][lane], so entry e of all four is one 32-byte load — lane q's
+// L[i][k] sits at lanes·(i(i+1)/2+k)+q from the group's start. Every other
+// block is packed alone.
 //
 // Factorization and the triangular solves perform the exact same operations
 // in the exact same order as Factor/Cholesky.Solve on each block, so results
 // are bitwise identical to the per-block path.
 type BlockCholesky struct {
-	dims []int // block sizes
-	ptr  []int // arena offset of each block's packed triangle (len nblocks+1)
-	l    []float64
-	ut   []float64
+	slots []slot
+	l     []float64 // Σ n(n+1)/2 floats
 }
 
-// NumBlocks returns the number of appended blocks.
-func (bc *BlockCholesky) NumBlocks() int { return len(bc.dims) }
+// slot places one block in the arena: entry e of its packed lower triangle
+// (row i starts at entry i(i+1)/2) is l[off+e·step], step being lanes inside a
+// group and 1 elsewhere.
+type slot struct{ n, off, step int }
 
-// Append factors the SPD matrix a and packs the factor into the arena as the
-// next block. On a non-positive pivot the arena is left unchanged and
-// ErrNotSPD is wrapped in the returned error.
-func (bc *BlockCholesky) Append(a *Matrix) error {
-	n := a.N
-	base := len(bc.l)
-	if len(bc.ptr) == 0 {
-		bc.ptr = append(bc.ptr, 0)
+// lanes is the number of blocks in a group: one per float64 lane of a ymm
+// register.
+const lanes = 4
+
+// NewBlockCholesky lays out the arena for blocks of the given sizes, in
+// order, and allocates it; Factor fills it block by block. A group is
+// formed wherever SolveAll's walk — four blocks of one size it has a
+// generated solve for, else two, else one — meets four such blocks.
+func NewBlockCholesky(dims []int) *BlockCholesky {
+	bc := &BlockCholesky{slots: make([]slot, len(dims))}
+	size := 0
+	for b, nb := 0, len(dims); b < nb; {
+		n := dims[b]
+		tri := n * (n + 1) / 2
+		if (n == 9 || n == 10) && b+lanes <= nb && dims[b+1] == n && dims[b+2] == n && dims[b+3] == n {
+			for q := 0; q < lanes; q++ {
+				bc.slots[b+q] = slot{n, size + q, lanes}
+			}
+			b, size = b+lanes, size+lanes*tri
+			continue
+		}
+		for k := min(2, nb-b); k > 0; k-- { // the pair SolveAll takes instead
+			m := dims[b]
+			bc.slots[b] = slot{m, size, 1}
+			b, size = b+1, size+m*(m+1)/2
+		}
 	}
-	bc.l = append(bc.l, make([]float64, n*(n+1)/2)...)
-	l := bc.l[base:]
-	// Packed row-major lower triangle: row i starts at i(i+1)/2 and holds
-	// i+1 entries. The update loops below are Factor's, re-indexed.
-	rp := func(i int) int { return i * (i + 1) / 2 }
+	bc.l = make([]float64, size)
+	return bc
+}
+
+// NumBlocks returns the number of blocks.
+func (bc *BlockCholesky) NumBlocks() int { return len(bc.slots) }
+
+// Factor factors the SPD matrix a, whose size must be block b's, into block
+// b's place in the arena. On a non-positive pivot it returns an error
+// wrapping ErrNotSPD, and block b holds no factor.
+func (bc *BlockCholesky) Factor(b int, a *Matrix) error {
+	s := bc.slots[b]
+	if a.N != s.n {
+		return fmt.Errorf("dense: block %d has %d rows, got a %d×%d matrix", b, s.n, a.N, a.N)
+	}
+	n, st := s.n, s.step
+	l := bc.l[s.off:]
+	// L[i][k] is l[at(i, k)]. The update loops below are Factor's, re-indexed.
+	at := func(i, k int) int { return (i*(i+1)/2 + k) * st }
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
-		lj := l[rp(j) : rp(j)+j]
-		for _, v := range lj {
+		for k := 0; k < j; k++ {
+			v := l[at(j, k)]
 			d -= v * v
 		}
 		if !(d > 0) {
-			bc.l = bc.l[:base]
 			return fmt.Errorf("%w (pivot %d = %g)", ErrNotSPD, j, d)
 		}
 		ljj := math.Sqrt(d)
-		l[rp(j)+j] = ljj
+		l[at(j, j)] = ljj
 		for i := j + 1; i < n; i++ {
 			s := a.At(i, j)
-			li := l[rp(i) : rp(i)+j]
-			for k, v := range lj {
-				s -= li[k] * v
+			for k := 0; k < j; k++ {
+				s -= l[at(i, k)] * l[at(j, k)]
 			}
-			l[rp(i)+j] = s / ljj
+			l[at(i, j)] = s / ljj
 		}
 	}
-	// Transposed copy (packed upper triangle, row-major): row i holds
-	// L[i..n)[i], so the backward substitution streams contiguously.
-	ubase := len(bc.ut)
-	bc.ut = append(bc.ut, make([]float64, n*(n+1)/2)...)
-	ut := bc.ut[ubase:]
-	up := 0
-	for i := 0; i < n; i++ {
-		for k := i; k < n; k++ {
-			ut[up] = l[rp(k)+i]
-			up++
-		}
-	}
-	bc.dims = append(bc.dims, n)
-	bc.ptr = append(bc.ptr, len(bc.l))
 	return nil
 }
 
-// Solve overwrites v (length Dim(b)) with A_b⁻¹ v: forward substitution on
-// the packed lower triangle, backward on the packed transpose — operand for
-// operand the same arithmetic as Cholesky.Solve.
+// Solve overwrites v (length n of block b) with A_b⁻¹ v: forward
+// substitution along the rows of the packed lower triangle, backward along
+// its columns — operand for operand the same arithmetic as Cholesky.Solve.
 func (bc *BlockCholesky) Solve(b int, v []float64) {
-	n := bc.dims[b]
-	l := bc.l[bc.ptr[b]:bc.ptr[b+1]]
-	// Forward: L y = v. Row i of the packed triangle starts at i(i+1)/2.
-	rp := 0
-	for i := 0; i < n; i++ {
-		s := v[i]
-		row := l[rp : rp+i]
-		vi := v[:i]
-		for k, lik := range row {
-			s -= lik * vi[k]
+	s := bc.slots[b]
+	n, st := s.n, s.step
+	l := bc.l[s.off:]
+	v = v[:n]
+	// Forward: L y = v. e walks the triangle entry by entry, row after row.
+	e := 0
+	for i := range v {
+		sum := v[i]
+		for k, vk := range v[:i] {
+			sum -= l[e+k*st] * vk
 		}
-		v[i] = s / l[rp+i]
-		rp += i + 1
+		e += i * st
+		v[i] = sum / l[e]
+		e += st
 	}
-	// Backward: Lᵀ x = y, streaming the packed transpose. Row i of ut holds
-	// L[i,i], L[i+1,i], …, L[n-1,i]; it ends at the arena position where row
-	// i+1 of l would start counting from the top, so walk it backwards.
-	ut := bc.ut[bc.ptr[b]:bc.ptr[b+1]]
-	up := len(ut)
+	// Backward: Lᵀ x = y. Column i holds L[i][i], L[i+1][i], …, L[n-1][i];
+	// L[k+1][i] is k+1 entries after L[k][i].
 	for i := n - 1; i >= 0; i-- {
-		w := n - i // entries in ut row i
-		up -= w
-		row := ut[up+1 : up+w]
-		s := v[i]
-		vs := v[i+1 : n]
-		for k, u := range row {
-			s -= u * vs[k]
+		sum := v[i]
+		diag := (i*(i+1)/2 + i) * st
+		e, d := diag+(i+1)*st, (i+2)*st
+		for _, vk := range v[i+1:] {
+			sum -= l[e] * vk
+			e, d = e+d, d+st
 		}
-		v[i] = s / ut[up]
+		v[i] = sum / l[diag]
 	}
 }
 
@@ -123,77 +143,117 @@ func (bc *BlockCholesky) Solve(b int, v []float64) {
 // own operations run in the exact order Solve uses, so results are bitwise
 // identical to two Solve calls.
 func (bc *BlockCholesky) SolvePair(b0, b1 int, v0, v1 []float64) {
-	n0, n1 := bc.dims[b0], bc.dims[b1]
-	l0 := bc.l[bc.ptr[b0]:bc.ptr[b0+1]]
-	l1 := bc.l[bc.ptr[b1]:bc.ptr[b1+1]]
-	rp0, rp1 := 0, 0
+	s0, s1 := bc.slots[b0], bc.slots[b1]
+	n0, n1, st0, st1 := s0.n, s1.n, s0.step, s1.step
+	l0, l1 := bc.l[s0.off:], bc.l[s1.off:]
+	v0, v1 = v0[:n0], v1[:n1]
+	e0, e1 := 0, 0
 	for i := 0; i < n0 || i < n1; i++ {
 		if i < n0 {
-			s := v0[i]
-			row := l0[rp0 : rp0+i]
-			vi := v0[:i]
-			for k, lik := range row {
-				s -= lik * vi[k]
+			sum := v0[i]
+			for k, vk := range v0[:i] {
+				sum -= l0[e0+k*st0] * vk
 			}
-			v0[i] = s / l0[rp0+i]
-			rp0 += i + 1
+			e0 += i * st0
+			v0[i] = sum / l0[e0]
+			e0 += st0
 		}
 		if i < n1 {
-			s := v1[i]
-			row := l1[rp1 : rp1+i]
-			vi := v1[:i]
-			for k, lik := range row {
-				s -= lik * vi[k]
+			sum := v1[i]
+			for k, vk := range v1[:i] {
+				sum -= l1[e1+k*st1] * vk
 			}
-			v1[i] = s / l1[rp1+i]
-			rp1 += i + 1
+			e1 += i * st1
+			v1[i] = sum / l1[e1]
+			e1 += st1
 		}
 	}
-	ut0 := bc.ut[bc.ptr[b0]:bc.ptr[b0+1]]
-	ut1 := bc.ut[bc.ptr[b1]:bc.ptr[b1+1]]
-	up0, up1 := len(ut0), len(ut1)
 	for i := max(n0, n1) - 1; i >= 0; i-- {
 		if i < n0 {
-			w := n0 - i
-			up0 -= w
-			row := ut0[up0+1 : up0+w]
-			s := v0[i]
-			vs := v0[i+1 : n0]
-			for k, u := range row {
-				s -= u * vs[k]
+			sum := v0[i]
+			diag := (i*(i+1)/2 + i) * st0
+			e, d := diag+(i+1)*st0, (i+2)*st0
+			for _, vk := range v0[i+1:] {
+				sum -= l0[e] * vk
+				e, d = e+d, d+st0
 			}
-			v0[i] = s / ut0[up0]
+			v0[i] = sum / l0[diag]
 		}
 		if i < n1 {
-			w := n1 - i
-			up1 -= w
-			row := ut1[up1+1 : up1+w]
-			s := v1[i]
-			vs := v1[i+1 : n1]
-			for k, u := range row {
-				s -= u * vs[k]
+			sum := v1[i]
+			diag := (i*(i+1)/2 + i) * st1
+			e, d := diag+(i+1)*st1, (i+2)*st1
+			for _, vk := range v1[i+1:] {
+				sum -= l1[e] * vk
+				e, d = e+d, d+st1
 			}
-			v1[i] = s / ut1[up1]
+			v1[i] = sum / l1[diag]
 		}
 	}
 }
 
 //go:generate go run gen_solvequad.go
 
+// route is how SolveAll solves a block and the ones it takes with it.
+type route uint8
+
+const (
+	routeOne   route = iota // Solve, the block alone
+	routePair               // SolvePair, the block and the next
+	routeQuad               // the generated Go solve of a group (solvequad_gen.go)
+	routeLanes              // the AVX solve of a group (solvequad_amd64.s)
+)
+
+// route reports how SolveAll solves block b, which its walk reaches: a group
+// through the AVX solve wherever cpu.AVX holds and through the generated Go
+// one elsewhere (tests clear cpu.AVX to take it), else two blocks, else the
+// last one alone.
+func (bc *BlockCholesky) route(b int) route {
+	switch {
+	case bc.slots[b].step == lanes && cpu.AVX:
+		return routeLanes
+	case bc.slots[b].step == lanes:
+		return routeQuad
+	case b+2 <= len(bc.slots):
+		return routePair
+	}
+	return routeOne
+}
+
 // SolveAll overwrites v — the blocks' vectors back to back, in block order —
-// with A_b⁻¹ v_b for every block: one sweep over the arena, four blocks at a
-// time wherever the next four have one size the unrolled solve exists for,
-// else two, else one. Each block's operations run in Solve's order on every
-// route, so the result is bitwise that of one Solve call per block.
+// with A_b⁻¹ v_b for every block: one sweep over the arena, a group of four
+// at a time wherever the layout formed one, else two, else one. Each
+// block's operations run in Solve's order on every route, so the result is
+// bitwise that of one Solve call per block.
+//
+// A lone triangular solve is bound by its division chain. The group solves
+// unroll every row's dot product and run four blocks at once — in the four
+// lanes of one register, or interleaved row by row in Go — so four chains
+// overlap where SolvePair overlaps two.
 func (bc *BlockCholesky) SolveAll(v []float64) {
 	o := 0 // offset of block b's vector in v
-	for b, nb := 0, len(bc.dims); b < nb; {
-		n := bc.dims[b]
-		switch {
-		case b+4 <= nb && bc.solveQuad(b, v[o:]):
-			b, o = b+4, o+4*n
-		case b+2 <= nb:
-			n1 := bc.dims[b+1]
+	for b := 0; b < len(bc.slots); {
+		s := bc.slots[b]
+		n := s.n
+		switch bc.route(b) {
+		case routeLanes:
+			l, g := bc.group(s, v[o:])
+			if n == 9 {
+				solveLanes9(&l[0], &g[0])
+			} else {
+				solveLanes10(&l[0], &g[0])
+			}
+			b, o = b+lanes, o+lanes*n
+		case routeQuad:
+			l, g := bc.group(s, v[o:])
+			if n == 9 {
+				solveQuad9(l, g)
+			} else {
+				solveQuad10(l, g)
+			}
+			b, o = b+lanes, o+lanes*n
+		case routePair:
+			n1 := bc.slots[b+1].n
 			bc.SolvePair(b, b+1, v[o:o+n], v[o+n:o+n+n1])
 			b, o = b+2, o+n+n1
 		default:
@@ -203,30 +263,10 @@ func (bc *BlockCholesky) SolveAll(v []float64) {
 	}
 }
 
-// solveQuad solves the four consecutive blocks b … b+3, whose vectors start
-// v, through the generated code (solvequad_gen.go) — if the four have one size
-// and the generator covers it: 9 and 10, what block Jacobi cuts at the
-// paper's MaxBlock. Otherwise it touches nothing and reports false.
-//
-// A lone triangular solve is bound by its division chain. The generated code
-// unrolls every row's dot product and interleaves the four blocks row by row,
-// so four chains overlap where SolvePair overlaps two, and the loops' index
-// arithmetic and bounds checks are gone.
-func (bc *BlockCholesky) solveQuad(b int, v []float64) bool {
-	n := bc.dims[b]
-	if n != bc.dims[b+1] || n != bc.dims[b+2] || n != bc.dims[b+3] {
-		return false
-	}
-	l, ut := bc.l[bc.ptr[b]:bc.ptr[b+4]], bc.ut[bc.ptr[b]:bc.ptr[b+4]]
-	switch n {
-	case 9:
-		solveQuad9(l, ut, v)
-	case 10:
-		solveQuad10(l, ut, v)
-	default:
-		return false
-	}
-	return true
+// group returns the arena and the vectors of the group whose first block is
+// s, its vectors starting at v: exactly what the group solves read and write.
+func (bc *BlockCholesky) group(s slot, v []float64) (l, g []float64) {
+	return bc.l[s.off : s.off+lanes*s.n*(s.n+1)/2], v[:lanes*s.n]
 }
 
 // MulVec computes dst = A_b x = L·(Lᵀ x), reconstituting the block operator
@@ -235,30 +275,28 @@ func (bc *BlockCholesky) solveQuad(b int, v []float64) bool {
 // L is applied in place, last row first — row i reads t[0..i], which rows
 // below it have not touched, with its operands in ascending order.
 func (bc *BlockCholesky) MulVec(b int, dst, x []float64) {
-	n := bc.dims[b]
-	ut := bc.ut[bc.ptr[b]:bc.ptr[b+1]]
-	// t = Lᵀ x: ut row i is L[i..n)[i], the column-i dot against x[i..n).
+	s := bc.slots[b]
+	n, st := s.n, s.step
+	l := bc.l[s.off:]
+	x = x[:n]
+	// t = Lᵀ x: t[i] is column i of L, L[i..n)[i], dotted with x[i..n).
 	t := dst[:n]
-	up := 0
-	for i := 0; i < n; i++ {
-		var s float64
-		row := ut[up : up+n-i]
-		xs := x[i:n]
-		for k, u := range row {
-			s += u * xs[k]
+	for i := range t {
+		var sum float64
+		e, d := (i*(i+1)/2+i)*st, (i+1)*st
+		for _, xk := range x[i:] {
+			sum += l[e] * xk
+			e, d = e+d, d+st
 		}
-		t[i] = s
-		up += n - i
+		t[i] = sum
 	}
-	// dst = L t. Row i of the packed triangle starts at i(i+1)/2.
-	l := bc.l[bc.ptr[b]:bc.ptr[b+1]]
+	// dst = L t, row i of L dotted with t[0..i].
 	for i := n - 1; i >= 0; i-- {
-		rp := i * (i + 1) / 2
-		var s float64
-		row := l[rp : rp+i+1]
-		for k, v := range row {
-			s += v * t[k]
+		e := i * (i + 1) / 2 * st
+		var sum float64
+		for k, tk := range t[:i+1] {
+			sum += l[e+k*st] * tk
 		}
-		dst[i] = s
+		dst[i] = sum
 	}
 }

@@ -8,10 +8,11 @@ import (
 	"esrp/internal/sparse"
 )
 
-// BenchmarkBlockJacobiApply measures the batched backsolve sweep (blocks ≤ 10)
-// on one rank's rows of the Emilia analog at two sizes: 256 rows, where the
+// BenchmarkBlockJacobiApply measures the batched backsolve sweep (blocks ≤ 10,
+// four at a time through the lane routine wherever cpu.AVX holds) on one
+// rank's rows of the Emilia analog at two sizes: 256 rows, whose 11 KB
 // factor arena sits in L1, and the 3 456 rows per rank of the benchmark's
-// solve-fat workload, where it streams from L2.
+// solve-fat workload, whose 152 KB arena streams from L2.
 func BenchmarkBlockJacobiApply(b *testing.B) {
 	for _, c := range []struct {
 		a      *sparse.CSR

@@ -175,7 +175,7 @@ func (*PointJacobi) CouplesAcrossNodes() bool { return false }
 // per-block heap objects.
 type BlockJacobiPC struct {
 	offsets []int // local block boundaries, offsets[0]=0 … offsets[m]=n
-	bc      dense.BlockCholesky
+	bc      *dense.BlockCholesky
 	flops   float64
 }
 
@@ -187,27 +187,25 @@ func NewBlockJacobi(a *sparse.CSR, lo, hi, maxBlock int) (*BlockJacobiPC, error)
 		return nil, fmt.Errorf("precond: maxBlock must be positive, got %d", maxBlock)
 	}
 	n := hi - lo
-	p := &BlockJacobiPC{}
 	if n == 0 {
-		p.offsets = []int{0}
-		return p, nil
+		return &BlockJacobiPC{offsets: []int{0}, bc: dense.NewBlockCholesky(nil)}, nil
 	}
 	nblocks := (n + maxBlock - 1) / maxBlock
-	base, rem := n/nblocks, n%nblocks
-	p.offsets = make([]int, nblocks+1)
-	off := 0
-	for b := 0; b < nblocks; b++ {
-		p.offsets[b] = off
-		off += base
-		if b < rem {
-			off++
+	p := &BlockJacobiPC{offsets: make([]int, nblocks+1)}
+	dims := make([]int, nblocks)
+	for b := range dims {
+		dims[b] = n / nblocks
+		if b < n%nblocks {
+			dims[b]++
 		}
+		p.offsets[b+1] = p.offsets[b] + dims[b]
 	}
-	p.offsets[nblocks] = n
-	for b := 0; b < nblocks; b++ {
+	p.bc = dense.NewBlockCholesky(dims)
+	blk := dense.New(dims[0]) // the largest; every block refills a cleared prefix
+	for b, bs := range dims {
 		b0, b1 := lo+p.offsets[b], lo+p.offsets[b+1]
-		bs := b1 - b0
-		blk := dense.New(bs)
+		blk.N, blk.Data = bs, blk.Data[:bs*bs]
+		clear(blk.Data)
 		for i := b0; i < b1; i++ {
 			cols, vals := a.Row(i)
 			for k, j := range cols {
@@ -216,7 +214,7 @@ func NewBlockJacobi(a *sparse.CSR, lo, hi, maxBlock int) (*BlockJacobiPC, error)
 				}
 			}
 		}
-		if err := p.bc.Append(blk); err != nil {
+		if err := p.bc.Factor(b, blk); err != nil {
 			return nil, fmt.Errorf("precond: block %d (rows %d..%d): %w", b, b0, b1, err)
 		}
 		p.flops += 2 * float64(bs*bs)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"esrp/internal/cpu"
 	"esrp/internal/dense"
 	"esrp/internal/matgen"
 	"esrp/internal/sparse"
@@ -151,53 +152,66 @@ func TestBlockJacobiMatchesExactBlockSolve(t *testing.T) {
 }
 
 // TestBlockJacobiApplyMatchesPerBlockSolve: the batched sweep — groups of
-// four through the unrolled solve, pairs, a single — equals one
-// dense.Cholesky solve per block bit for bit, on local ranges whose block
-// sequences mix 10s and 9s (and 8s) and leave 0…3 blocks after the last
-// group of four, in place and out of place.
+// four through the AVX routine and through the generated Go solve, pairs, a
+// single — equals one dense.Cholesky solve per block bit for bit, on local
+// ranges whose block sequences mix 10s and 9s (and 8s) and leave 0…3 blocks
+// after the last group of four, in place and out of place. Every other range
+// carries NaN, ±Inf or −0 in one row, so one lane of a group.
 func TestBlockJacobiApplyMatchesPerBlockSolve(t *testing.T) {
 	a := matgen.EmiliaLike(6, 6, 6, 3) // 216 rows
-	leftovers := map[int]bool{}
-	for n := 72; n <= 130; n++ {
-		lo, hi := 40, 40+n
-		p, err := NewBlockJacobi(a, lo, hi, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leftovers[p.bc.NumBlocks()%4] = true
-		r := make([]float64, n)
-		for i := range r {
-			r[i] = float64((i*7)%13) - 6.25
-		}
-		want := make([]float64, n)
-		for b := 0; b < p.bc.NumBlocks(); b++ {
-			b0, b1 := p.offsets[b], p.offsets[b+1]
-			blk := dense.New(b1 - b0)
-			for i := b0; i < b1; i++ {
-				for j := b0; j < b1; j++ {
-					blk.Set(i-b0, j-b0, a.At(lo+i, lo+j))
-				}
-			}
-			ch, err := dense.Factor(blk)
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	paths := []bool{false}
+	if cpu.AVX {
+		paths = append(paths, true)
+	}
+	defer func(v bool) { cpu.AVX = v }(cpu.AVX)
+	for _, vector := range paths {
+		cpu.AVX = vector
+		leftovers := map[int]bool{}
+		for n := 72; n <= 130; n++ {
+			lo, hi := 40, 40+n
+			p, err := NewBlockJacobi(a, lo, hi, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			copy(want[b0:b1], r[b0:b1])
-			ch.Solve(want[b0:b1])
-		}
-		z := make([]float64, n)
-		p.Apply(z, r)
-		inPlace := append([]float64(nil), r...)
-		p.Apply(inPlace, inPlace)
-		for i := range want {
-			if math.Float64bits(z[i]) != math.Float64bits(want[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%d rows, %d blocks, row %d: Apply %x, in place %x, per-block solve %x", n, p.bc.NumBlocks(), i,
-					math.Float64bits(z[i]), math.Float64bits(inPlace[i]), math.Float64bits(want[i]))
+			leftovers[p.bc.NumBlocks()%4] = true
+			r := make([]float64, n)
+			for i := range r {
+				r[i] = float64((i*7)%13) - 6.25
+			}
+			if n%2 == 0 {
+				r[n%7*9+n%9] = special[n/2%len(special)]
+			}
+			want := make([]float64, n)
+			for b := 0; b < p.bc.NumBlocks(); b++ {
+				b0, b1 := p.offsets[b], p.offsets[b+1]
+				blk := dense.New(b1 - b0)
+				for i := b0; i < b1; i++ {
+					for j := b0; j < b1; j++ {
+						blk.Set(i-b0, j-b0, a.At(lo+i, lo+j))
+					}
+				}
+				ch, err := dense.Factor(blk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(want[b0:b1], r[b0:b1])
+				ch.Solve(want[b0:b1])
+			}
+			z := make([]float64, n)
+			p.Apply(z, r)
+			inPlace := append([]float64(nil), r...)
+			p.Apply(inPlace, inPlace)
+			for i := range want {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("vector %v, %d rows, %d blocks, row %d: Apply %x, in place %x, per-block solve %x", vector, n, p.bc.NumBlocks(), i,
+						math.Float64bits(z[i]), math.Float64bits(inPlace[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
-	}
-	if len(leftovers) != 4 {
-		t.Fatalf("block counts mod 4 seen: %v, want all of 0…3", leftovers)
+		if len(leftovers) != 4 {
+			t.Fatalf("block counts mod 4 seen: %v, want all of 0…3", leftovers)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"esrp/internal/cpu"
+)
 
 // bandUnroll is the row unroll width of the period-1 band loop: four
 // consecutive rows share one pass over the offset pattern, with four
@@ -13,7 +17,7 @@ const bandUnroll = 4
 // stored transposed and multiplied by the platform's vector routines
 // (band_amd64.s). The platform decides, once; tests flip it before building a
 // kernel to send the same rows through the portable loops.
-var bandVector = cpuHasAVX()
+var bandVector = cpu.AVX
 
 // bandGroupPeriod is the one period > 1 the vector path takes: the dof count
 // of every dof-blocked input the tools generate (AudikwLike's 3). A group of

@@ -1,25 +1,5 @@
 #include "textflag.h"
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // bit 27 OSXSAVE, bit 28 AVX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV               // XCR0 in DX:AX
-	ANDL $6, AX          // bit 1 xmm state, bit 2 ymm state
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func bandMulChunks(vt *float64, off *int, w int, x, dst *float64, n8, n4 int)
 //
 // One ymm lane per row. Per entry k of a chunk: an unaligned load of the four

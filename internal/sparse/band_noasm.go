@@ -2,8 +2,6 @@
 
 package sparse
 
-func cpuHasAVX() bool { return false }
-
 // bandMulChunks and bandMulGroups are never reached: without a vector routine
 // bandVector stays false and no run is transposed.
 func bandMulChunks(vt *float64, off *int, w int, x, dst *float64, n8, n4 int) {

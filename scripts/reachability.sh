@@ -92,6 +92,7 @@ fails "$solve" -kernel bogus
 fails "$solve" -strategy bogus
 fails "$solve" -gen bogus
 fails "$solve" -gen poisson2d -n 4 -nodes 64
+fails "$solve" -gen poisson2d -n 8 -nodes 2 -maxblock -3
 cat >"$work/small.mtx" <<'EOF'
 %%MatrixMarket matrix coordinate real symmetric
 % 1-D Laplacian, 8 rows
@@ -141,6 +142,7 @@ log "esrpbench done"
 # skip.
 small=(-gen poisson2d -n 32 -nodes 8 -strategies esrp,imcr -ts 10 -phis 1 -seeds 2 -mtbf 500 -horizon 80)
 ok "$camp" "${small[@]}" -json "$work/campaign.json" -csv "$work/campaign.csv"
+fails "$camp" -gen poisson2d -n 8 -nodes 2 -maxiter -5
 ok "$camp" "${small[@]}" -sweep-machine "L=1x,8x" -schedules "$work/schedules" -json "$work/sweep.json"
 ok "$camp" "${small[@]}" -json /dev/null -host-trace "$work/host.trace.json" -metrics "$work/host.prom" -v
 cached=(-gen poisson2d -n 32 -nodes 8 -strategies esrp,imcr -ts 10,20 -phis 1 -seeds 2 -mtbf 500 -horizon 80)
