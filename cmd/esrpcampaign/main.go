@@ -52,7 +52,7 @@ func main() {
 		model     = flag.String("model", "exp", "failure process: exp|weibull|fixed (fixed uses -events)")
 		mtbf      = flag.Float64("mtbf", 5000, "per-node mean iterations between failures")
 		shape     = flag.Float64("shape", 1, "Weibull shape k (model=weibull)")
-		horizon   = flag.Int("horizon", 200, "last iteration failures may strike (set near the expected iteration count)")
+		horizon   = flag.Int("horizon", 200, "last iteration failures may strike (set near the expected iteration count; 0 = 200)")
 		group     = flag.Int("group", 1, "correlated blade width (adjacent ranks failing together)")
 		groupProb = flag.Float64("group-prob", 0, "probability a failure takes down its whole blade")
 		maxEvents = flag.Int("max-events", 0, "cap on events per cell (0 = none)")
@@ -75,12 +75,12 @@ func main() {
 		jsonPath = flag.String("json", "-", "JSON output path (- = stdout)")
 		csvPath  = flag.String("csv", "", "optional CSV output path (one row per cell)")
 		quiet    = flag.Bool("q", false, "suppress the aggregate table, summary, and live progress on stderr")
-		verbose  = flag.Bool("v", false, "extend the live progress meter with host-engine counters (cells done per shard, steals so far); report JSON/CSV are byte-identical either way")
+		verbose  = flag.Bool("v", false, "extend the live progress meter with host-engine counters (cells done per worker); report JSON/CSV are byte-identical either way")
 
 		metricsPath   = flag.String("metrics", "", "write a Prometheus textfile snapshot of the campaign counters (plus host-engine telemetry) to this path")
 		traceSample   = flag.Int("trace-sample", 0, "trace every N-th grid cell (0 = off); traces land in -trace-dir")
 		traceDir      = flag.String("trace-dir", "traces", "directory for sampled cell traces (Chrome trace_event JSON)")
-		hostTracePath = flag.String("host-trace", "", "write a wall-clock Chrome trace of the host workers (cell and steal spans) to this path")
+		hostTracePath = flag.String("host-trace", "", "write a wall-clock Chrome trace of the host workers (one span per cell) to this path")
 
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -196,7 +196,6 @@ func main() {
 		start := time.Now()
 		var progressMu sync.Mutex
 		hi := 0
-		showShards := *verbose
 		grid.Progress = func(done, total int) {
 			progressMu.Lock()
 			defer progressMu.Unlock()
@@ -216,14 +215,13 @@ func main() {
 				rh, sh, ms := hostRec.LiveCacheHits()
 				cacheMeter = fmt.Sprintf(" cache %d+%d hit/%d miss", rh, sh, ms)
 			}
-			if showShards {
-				perShard := make([]string, 0, 8)
+			if *verbose {
+				counts := make([]string, 0, 8)
 				for _, c := range hostRec.LiveWorkerCells() {
-					perShard = append(perShard, strconv.FormatInt(c, 10))
+					counts = append(counts, strconv.FormatInt(c, 10))
 				}
-				fmt.Fprintf(os.Stderr, "\rcells %d/%d (%.1f/s, ETA %v) shards [%s] steals %d%s   ",
-					done, total, rate, eta.Round(time.Second),
-					strings.Join(perShard, " "), hostRec.LiveSteals(), cacheMeter)
+				fmt.Fprintf(os.Stderr, "\rcells %d/%d (%.1f/s, ETA %v) workers [%s]%s   ",
+					done, total, rate, eta.Round(time.Second), strings.Join(counts, " "), cacheMeter)
 				return
 			}
 			fmt.Fprintf(os.Stderr, "\rcells %d/%d (%.1f/s, ETA %v)%s   ", done, total, rate, eta.Round(time.Second), cacheMeter)
@@ -363,7 +361,10 @@ func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
 		return nil, err
 	}
 	horizon := f.horizon
-	if horizon <= 0 {
+	if horizon < 0 {
+		return nil, fmt.Errorf("bad -horizon: must be ≥ 0 (0 = 200), got %d", horizon)
+	}
+	if horizon == 0 {
 		horizon = 200
 	}
 	scenario := esrp.FailureScenario{

@@ -83,9 +83,9 @@ func TestTinyGridEndToEnd(t *testing.T) {
 	}
 }
 
-// A negative -maxiter is an error: the command exits non-zero and says so,
-// rather than running every cell with the default cap.
-func TestNegativeMaxIterExitsNonZero(t *testing.T) {
+// buildCommand compiles this command into a temporary directory.
+func buildCommand(t *testing.T) string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool to build the command with")
 	}
@@ -93,11 +93,38 @@ func TestNegativeMaxIterExitsNonZero(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// A negative -maxiter is an error: the command exits non-zero and says so,
+// rather than running every cell with the default cap.
+func TestNegativeMaxIterExitsNonZero(t *testing.T) {
+	bin := buildCommand(t)
 	out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-maxiter", "-5").CombinedOutput()
 	if _, exited := err.(*exec.ExitError); !exited {
 		t.Fatalf("esrpcampaign -maxiter -5: err %v, want a non-zero exit\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "iteration cap must be ≥ 0") {
 		t.Fatalf("esrpcampaign -maxiter -5 printed\n%s\nwant the iteration cap error", out)
+	}
+}
+
+// Negative -workers, -rtol and -horizon are errors too, where they used to
+// run on GOMAXPROCS workers, at 1e-8 and up to iteration 200.
+func TestNegativeValuesExitNonZero(t *testing.T) {
+	bin := buildCommand(t)
+	for _, c := range []struct{ flag, value, want string }{
+		{"-workers", "-3", "workers must be ≥ 0"},
+		{"-rtol", "-1", "tolerance must be ≥ 0"},
+		{"-horizon", "-5", "bad -horizon"},
+	} {
+		out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-json", "/dev/null", "-q", c.flag, c.value).CombinedOutput()
+		if _, exited := err.(*exec.ExitError); !exited {
+			t.Errorf("esrpcampaign %s %s: err %v, want a non-zero exit\n%s", c.flag, c.value, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("esrpcampaign %s %s printed\n%s\nwant %q", c.flag, c.value, out, c.want)
+		}
 	}
 }

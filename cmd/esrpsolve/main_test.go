@@ -32,9 +32,9 @@ func TestLoadMatrixGenerators(t *testing.T) {
 	}
 }
 
-// A negative -maxblock is an error: the command exits non-zero and says so,
-// rather than solving with the default block size.
-func TestNegativeMaxBlockExitsNonZero(t *testing.T) {
+// buildCommand compiles this command into a temporary directory.
+func buildCommand(t *testing.T) string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool to build the command with")
 	}
@@ -42,11 +42,38 @@ func TestNegativeMaxBlockExitsNonZero(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// A negative -maxblock is an error: the command exits non-zero and says so,
+// rather than solving with the default block size.
+func TestNegativeMaxBlockExitsNonZero(t *testing.T) {
+	bin := buildCommand(t)
 	out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-maxblock", "-3").CombinedOutput()
 	if _, exited := err.(*exec.ExitError); !exited {
 		t.Fatalf("esrpsolve -maxblock -3: err %v, want a non-zero exit\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "block size must be ≥ 0") {
 		t.Fatalf("esrpsolve -maxblock -3 printed\n%s\nwant the block size error", out)
+	}
+}
+
+// Negative -phi, -rtol and -rr are errors too, where they used to solve
+// with φ = 1, at 1e-8 and without residual replacement.
+func TestNegativeValuesExitNonZero(t *testing.T) {
+	bin := buildCommand(t)
+	for _, c := range []struct{ flag, value, want string }{
+		{"-phi", "-2", "phi must be ≥ 0"},
+		{"-rtol", "-1", "tolerance must be ≥ 0"},
+		{"-rr", "-3", "residual replacement interval must be ≥ 0"},
+	} {
+		out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-strategy", "esrp", "-T", "5", c.flag, c.value).CombinedOutput()
+		if _, exited := err.(*exec.ExitError); !exited {
+			t.Errorf("esrpsolve %s %s: err %v, want a non-zero exit\n%s", c.flag, c.value, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("esrpsolve %s %s printed\n%s\nwant %q", c.flag, c.value, out, c.want)
+		}
 	}
 }

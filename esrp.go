@@ -217,8 +217,8 @@ type (
 // and DESIGN.md § Host observability).
 type (
 	// HostRecorder records a campaign's host-side execution: per-worker
-	// cell/steal timelines, shard layout, affinity hit rate, shared barrier
-	// stats, and Go-runtime phase samples (CampaignGrid.HostObs).
+	// cell timelines, affinity hit rate, shared barrier stats, and
+	// Go-runtime phase samples (CampaignGrid.HostObs).
 	HostRecorder = hostobs.CampaignRecorder
 	// HostTelemetry is the aggregated post-run view of a HostRecorder.
 	HostTelemetry = hostobs.CampaignTelemetry
@@ -302,18 +302,14 @@ func recordSchedule(cfg Config, solve func(Config) (*Result, error)) (*Result, *
 // identical LogGP clock arithmetic the cluster ran when recording. Safe for
 // concurrent calls on one schedule.
 func Recost(s *Schedule, m CostModel) (*Replayed, error) {
-	return s.Recost(replay.CostModel(m))
+	return s.Recost(m)
 }
 
 // RecostAll replays a recorded schedule under every model in one walk of its
 // events — what a campaign's machine sweep does per cell; element j equals
 // Recost(s, ms[j]) bit-for-bit.
 func RecostAll(s *Schedule, ms []CostModel) ([]*Replayed, error) {
-	models := make([]replay.CostModel, len(ms))
-	for i, m := range ms {
-		models[i] = replay.CostModel(m)
-	}
-	return s.RecostAll(models)
+	return s.RecostAll(ms)
 }
 
 // ReadScheduleBinary decodes a schedule written by Schedule.WriteBinary.

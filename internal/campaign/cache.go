@@ -107,7 +107,7 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 		digests[name] = sync.OnceValue(func() [32]byte { return g.Cache.Digest(m.A, m.B) })
 	}
 	nm := len(g.Matrices)
-	eachIndex(g.Workers, nm+len(cells), func(t int) {
+	eachIndex(g.Workers, nm+len(cells), func(_, t int) {
 		if t < nm {
 			digests[g.Matrices[t].Name]()
 		} else if c := &cells[t-nm]; c.Err == "" {
@@ -165,7 +165,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 		if sched, ok = g.Cache.DecodeSchedule(payload); ok {
 			err = g.recostMachines(sched, mcs)
 			if err == nil && cr.state[index] == cellScheduleHit {
-				rep, err = sched.Recost(replay.CostModel(cr.model))
+				rep, err = sched.Recost(cr.model)
 			}
 		}
 		if !ok || err != nil {
@@ -219,9 +219,9 @@ func (g *Grid) recostMachines(sched *replay.Schedule, mcs []MachineCell) error {
 	if len(mcs) == 0 {
 		return nil
 	}
-	models := make([]replay.CostModel, len(g.Machines))
+	models := make([]cluster.CostModel, len(g.Machines))
 	for mi := range models {
-		models[mi] = replay.CostModel(g.Machines[mi].Model)
+		models[mi] = g.Machines[mi].Model
 	}
 	reps, err := sched.RecostAll(models)
 	if err != nil {

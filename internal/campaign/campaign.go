@@ -75,7 +75,7 @@ type Grid struct {
 	// back to the no-spare shrink. Other strategies always replace.
 	Spares int
 
-	Rtol      float64 // outer tolerance (default 1e-8)
+	Rtol      float64 // outer tolerance (0 = 1e-8; negative is an error)
 	MaxIter   int     // iteration cap (0 = solver default; negative is an error)
 	MaxBlock  int     // block Jacobi bound (0 = 10; negative is an error)
 	Precond   precond.Kind
@@ -83,7 +83,8 @@ type Grid struct {
 	CostModel *cluster.CostModel
 
 	// Workers bounds the number of cells solved concurrently on the host
-	// (default: GOMAXPROCS). Each cell spawns its own simulated cluster.
+	// (0 = GOMAXPROCS; negative is an error). Each cell spawns its own
+	// simulated cluster.
 	Workers int
 
 	// TraceSample enables span tracing on every N-th cell of the enumerated
@@ -107,9 +108,9 @@ type Grid struct {
 	// replay engine: each cell's solve runs exactly once with schedule
 	// recording on (under CostModel — the recording model), and the schedule
 	// is re-costed under every machine point in O(events), filling
-	// Report.MachineCells at fixed (cell, machine) indices. The replays ride
-	// the affinity-sharded worker scheduler with their cell, so the report
-	// bytes stay independent of Workers.
+	// Report.MachineCells at fixed (cell, machine) indices. The replays run
+	// on the worker that solves their cell, so the report bytes stay
+	// independent of Workers.
 	Machines []MachinePoint
 
 	// OnCellSchedule, when set together with Machines, receives every
@@ -130,12 +131,12 @@ type Grid struct {
 	Cache *ccache.Cache
 
 	// HostObs, when set, records host-side execution telemetry for the run:
-	// per-worker wall-clock cell/steal timelines, shard layout and steal
-	// traffic, prepKey-affinity hit rate, barrier wait histograms shared by
-	// every cell's simulated cluster, and Go-runtime samples at phase
-	// boundaries. Nil (the default) records nothing — the worker loop then
-	// never reads the wall clock, and report bytes, cell trajectories and
-	// allocation behaviour are identical to a recorder-less run.
+	// per-worker wall-clock cell timelines, prepKey-affinity hit rate,
+	// barrier wait histograms shared by every cell's simulated cluster, and
+	// Go-runtime samples at phase boundaries. Nil (the default) records
+	// nothing — the worker loop then never reads the wall clock, and report
+	// bytes, cell trajectories and allocation behaviour are identical to a
+	// recorder-less run.
 	HostObs *hostobs.CampaignRecorder
 }
 
@@ -275,7 +276,10 @@ func (g Grid) withDefaults() (Grid, error) {
 	if g.Scenario.Model == faultsim.ModelFixed && len(g.Seeds) > 1 {
 		g.Seeds = g.Seeds[:1]
 	}
-	if g.Rtol <= 0 {
+	if g.Rtol < 0 {
+		return g, fmt.Errorf("campaign: tolerance must be ≥ 0 (0 = 1e-8), got %g", g.Rtol)
+	}
+	if g.Rtol == 0 {
 		g.Rtol = 1e-8
 	}
 	if g.MaxIter < 0 {
@@ -290,7 +294,10 @@ func (g Grid) withDefaults() (Grid, error) {
 	if g.Spares < 0 {
 		return g, fmt.Errorf("campaign: spares must be ≥ 0, got %d", g.Spares)
 	}
-	if g.Workers <= 0 {
+	if g.Workers < 0 {
+		return g, fmt.Errorf("campaign: workers must be ≥ 0 (0 = GOMAXPROCS), got %d", g.Workers)
+	}
+	if g.Workers == 0 {
 		g.Workers = runtime.GOMAXPROCS(0)
 	}
 	if len(g.Machines) > 0 {
@@ -416,16 +423,18 @@ func Run(g Grid) (*Report, error) {
 	})
 	g.HostObs.SamplePhase("prepared")
 
-	// Executor half: drain the affinity-sharded schedule (see schedule.go)
-	// on Workers goroutines. Results land at their cell index, so the
-	// report order is independent of scheduling and stealing. Each worker
-	// owns one Workspace: consecutive cells on the same worker — batched by
-	// shared Prepared context — reuse the solver's vector buffers instead
-	// of re-allocating them. Progress is an atomic post-increment per
-	// finished cell, so callbacks see each value of 1..total exactly once
-	// (delivery order across workers is not a contract).
-	// Machine-sweep results live at fixed (cell, machine) indices, so the
-	// sweep output is as scheduling-independent as the cells themselves.
+	// Executor half: Workers goroutines claim cells in grid order off one
+	// atomic cursor — the pool the probe and prepare phases use. Grid order
+	// keeps cells that share a Prepared context in runs, so a worker's next
+	// cell often uses the context its last one did. Results land at their
+	// cell index, so the report order is independent of which worker ran
+	// which cell. Each worker owns one Workspace: consecutive cells on it
+	// reuse the solver's vector buffers instead of re-allocating them.
+	// Progress is an atomic post-increment per finished cell, so callbacks
+	// see each value of 1..total exactly once (delivery order across
+	// workers is not a contract). Machine-sweep results live at fixed
+	// (cell, machine) indices, so the sweep output is as independent of the
+	// workers as the cells themselves.
 	var machineCells []MachineCell
 	if nm := len(g.Machines); nm > 0 {
 		machineCells = make([]MachineCell, len(cells)*nm)
@@ -436,40 +445,27 @@ func Run(g Grid) (*Report, error) {
 		}
 	}
 
-	sched := newSchedule(cells, g.Workers)
-	sched.rec = g.HostObs
-	if g.HostObs != nil {
-		layout := make([]int, len(sched.shards))
-		for i := range sched.shards {
-			layout[i] = len(sched.shards[i].queue)
-		}
-		g.HostObs.ShardLayout(layout)
-	}
+	workers := make([]execWorker, g.Workers)
 	var done atomic.Int64
 	total := len(cells)
-	onWorkers(g.Workers, func(w int) {
-		ws := core.NewWorkspace()
+	eachIndex(g.Workers, total, func(w, i int) {
+		x := &workers[w]
+		if x.ws == nil {
+			x.ws = core.NewWorkspace()
+		}
 		wl := g.HostObs.Worker(w) // nil handle when telemetry is off
-		var lastKey prepKey
-		haveKey := false
-		for {
-			i, ok := sched.next(w)
-			if !ok {
-				return
-			}
-			c := &cells[i]
-			key := prepKeyOf(c)
-			t0 := wl.Clock()
-			var mcs []MachineCell
-			if nm := len(g.Machines); nm > 0 {
-				mcs = machineCells[i*nm : (i+1)*nm]
-			}
-			g.runCell(i, c, matrices[c.Matrix], preps[key], ws, mcs, cr)
-			wl.Cell(t0, i, haveKey && key == lastKey)
-			lastKey, haveKey = key, true
-			if g.Progress != nil {
-				g.Progress(int(done.Add(1)), total)
-			}
+		c := &cells[i]
+		key := prepKeyOf(c)
+		t0 := wl.Clock()
+		var mcs []MachineCell
+		if nm := len(g.Machines); nm > 0 {
+			mcs = machineCells[i*nm : (i+1)*nm]
+		}
+		g.runCell(i, c, matrices[c.Matrix], preps[key], x.ws, mcs, cr)
+		wl.Cell(t0, i, key == x.lastKey)
+		x.lastKey = key
+		if g.Progress != nil {
+			g.Progress(int(done.Add(1)), total)
 		}
 	})
 	g.HostObs.SamplePhase("done")
@@ -502,36 +498,39 @@ func prepKeyOf(c *Cell) prepKey {
 	phi := 0
 	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		phi = c.Phi
-		if phi <= 0 {
-			phi = 1 // mirror core's withDefaults: redundant strategies get φ ≥ 1
+		if phi == 0 {
+			phi = 1 // mirror core's withDefaults: redundant strategies default φ to 1
 		}
 	}
 	return prepKey{Matrix: c.Matrix, Nodes: c.Nodes, Phi: phi}
 }
 
-// onWorkers runs body(w) for w in [0, n) on n goroutines and waits for all
-// of them.
-func onWorkers(n int, body func(w int)) {
+// execWorker is one executor worker's state: its solver Workspace and the
+// prepKey of the cell it ran last. The zero prepKey names no cell (every
+// matrix has a name by then), so a worker's first cell is never an
+// affinity hit.
+type execWorker struct {
+	ws      *core.Workspace
+	lastKey prepKey
+}
+
+// eachIndex calls do(w, i) once for every i in [0, n) on min(workers, n)
+// goroutines, which claim indices in order from one atomic cursor, and
+// waits. w names the goroutine that claimed i, so callers keep per-worker
+// state in a slice indexed by it.
+func eachIndex(workers, n int, do func(w, i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
+	for w := range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body(w)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(w, i)
+			}
 		}()
 	}
 	wg.Wait()
-}
-
-// eachIndex calls do(i) once for every i in [0, n) on up to workers
-// goroutines, which claim indices in order from one cursor, and waits.
-func eachIndex(workers, n int, do func(i int)) {
-	var next atomic.Int64
-	onWorkers(min(workers, n), func(int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			do(i)
-		}
-	})
 }
 
 // prepareContexts builds the distinct Prepared contexts of the grid, keyed
@@ -556,7 +555,7 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 	}
 
 	built := make([]*core.Prepared, len(first))
-	eachIndex(g.Workers, len(first), func(k int) {
+	eachIndex(g.Workers, len(first), func(_, k int) {
 		c := first[k]
 		m := matrices[c.Matrix]
 		prep, err := core.Prepare(core.Config{

@@ -228,16 +228,22 @@ func TestGridValidation(t *testing.T) {
 	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "Strategy(99)") {
 		t.Errorf("unknown strategy: error %v, want one naming Strategy(99)", err)
 	}
-	// A negative cap is an error, not the default.
-	g = tinyGrid()
-	g.MaxIter = -5
-	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "iteration cap must be ≥ 0") {
-		t.Errorf("MaxIter -5: error %v, want the iteration cap's", err)
-	}
-	g = tinyGrid()
-	g.MaxBlock = -3
-	if _, err := Run(g); err == nil || !strings.Contains(err.Error(), "block size must be ≥ 0") {
-		t.Errorf("MaxBlock -3: error %v, want the block size's", err)
+	// A negative cap, tolerance or worker count is an error, not the
+	// default.
+	for _, c := range []struct {
+		set  func(*Grid)
+		want string
+	}{
+		{func(g *Grid) { g.MaxIter = -5 }, "iteration cap must be ≥ 0"},
+		{func(g *Grid) { g.MaxBlock = -3 }, "block size must be ≥ 0"},
+		{func(g *Grid) { g.Rtol = -1 }, "tolerance must be ≥ 0"},
+		{func(g *Grid) { g.Workers = -3 }, "workers must be ≥ 0"},
+	} {
+		g = tinyGrid()
+		c.set(&g)
+		if _, err := Run(g); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %v, want one saying %q", err, c.want)
+		}
 	}
 }
 

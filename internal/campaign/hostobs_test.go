@@ -8,11 +8,11 @@ import (
 	"esrp/internal/obs"
 )
 
-// runWithRecorder runs the steal-heavy grid with host telemetry on and
+// runWithRecorder runs the one-context grid with host telemetry on and
 // returns the report bytes plus the recorder for inspection.
 func runWithRecorder(t *testing.T, workers int) ([]byte, []byte, *hostobs.CampaignRecorder) {
 	t.Helper()
-	g := stealHeavyGrid()
+	g := oneContextGrid()
 	g.Workers = workers
 	rec := hostobs.NewCampaignRecorder()
 	g.HostObs = rec
@@ -35,7 +35,7 @@ func runWithRecorder(t *testing.T, workers int) ([]byte, []byte, *hostobs.Campai
 // output, at any worker count.
 func TestHostObsOutputByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		g := stealHeavyGrid()
+		g := oneContextGrid()
 		g.Workers = workers
 		rep, err := Run(g)
 		if err != nil {
@@ -59,10 +59,10 @@ func TestHostObsOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHostObsTelemetrySanity runs the steal-heavy grid (all 24 cells on one
-// shard) with several workers and checks the recorder's aggregate story:
-// every cell accounted once, shards sum to the grid, steals happened, the
-// shared barrier saw traffic, and phase samples bracket the run.
+// TestHostObsTelemetrySanity runs the one-context grid (24 cells) with
+// several workers and checks the recorder's aggregate story: every cell
+// accounted once, no steals, the shared barrier saw traffic, and phase
+// samples bracket the run.
 func TestHostObsTelemetrySanity(t *testing.T) {
 	_, _, rec := runWithRecorder(t, 4)
 	tel := rec.Telemetry()
@@ -71,20 +71,8 @@ func TestHostObsTelemetrySanity(t *testing.T) {
 	if tel.TotalCells != total || tel.CellsDone != total {
 		t.Errorf("cells: total %d done %d, want %d", tel.TotalCells, tel.CellsDone, total)
 	}
-	var shardSum int
-	for _, n := range tel.ShardCells {
-		shardSum += n
-	}
-	if shardSum != total {
-		t.Errorf("shard layout sums to %d, want %d", shardSum, total)
-	}
-	// One prepKey → one shard; with 4 workers the other three live off
-	// steals alone.
-	if tel.Steals == 0 || tel.CellsStolen == 0 {
-		t.Errorf("steal-heavy grid recorded %d steals moving %d cells, want > 0", tel.Steals, tel.CellsStolen)
-	}
-	if tel.StealAttempts < tel.Steals {
-		t.Errorf("%d attempts < %d successful steals", tel.StealAttempts, tel.Steals)
+	if tel.Steals != 0 {
+		t.Errorf("recorded %d steals, want 0: workers share one cursor", tel.Steals)
 	}
 	var workerCells int64
 	for _, w := range tel.Workers {
@@ -122,7 +110,7 @@ func TestHostObsTelemetrySanity(t *testing.T) {
 // TestBuildHostTraceValidates converts a live recorder into a Chrome trace
 // and runs it through the same validator the simulated-clock traces use.
 func TestBuildHostTraceValidates(t *testing.T) {
-	g := stealHeavyGrid()
+	g := oneContextGrid()
 	g.Workers = 3
 	rec := hostobs.NewCampaignRecorder()
 	g.HostObs = rec
@@ -153,5 +141,40 @@ func TestBuildHostTraceValidates(t *testing.T) {
 	}
 	if BuildHostTrace(nil, rep, obs.BuildInfo{}) != nil {
 		t.Error("BuildHostTrace on a nil recorder returned a trace")
+	}
+}
+
+// TestCursorClaimsEachCellOnce pins the executor's work queue: on the
+// one-context grid, with one worker, eight, and more workers than cells,
+// the host trace's cell spans across all workers carry every grid index
+// exactly once. Run with -race this also traps a cursor that hands one
+// index to two workers.
+func TestCursorClaimsEachCellOnce(t *testing.T) {
+	for _, workers := range []int{1, 8, 40} {
+		g := oneContextGrid()
+		g.Workers = workers
+		rec := hostobs.NewCampaignRecorder()
+		g.HostObs = rec
+		rep, err := Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Cells) != 8*3 {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(rep.Cells), 8*3)
+		}
+		seen := make([]int, len(rep.Cells))
+		for _, th := range BuildHostTrace(rec, rep, obs.BuildInfo{}).Threads {
+			for _, s := range th.Spans {
+				if s.Iter < 0 || s.Iter >= len(seen) {
+					t.Fatalf("workers=%d: span for cell %d outside the %d-cell grid", workers, s.Iter, len(seen))
+				}
+				seen[s.Iter]++
+			}
+		}
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("workers=%d: cell %d has %d spans, want 1", workers, i, n)
+			}
+		}
 	}
 }

@@ -13,11 +13,12 @@ import (
 	"esrp/internal/obs"
 )
 
-// stealHeavyGrid is a grid whose cells ALL share one Prepared context
-// (IMCR's prepKey ignores T and seed), so the scheduler lays every cell on
-// one shard and the other workers live entirely off work stealing — the
-// adversarial layout for the executor.
-func stealHeavyGrid() Grid {
+// oneContextGrid is a grid whose 24 cells ALL share one Prepared context
+// (IMCR's prepKey ignores T and seed), so every worker solves cells of the
+// same context at once, each on its own Workspace — the layout where
+// workers contend hardest for the cursor and share the most read-only
+// state.
+func oneContextGrid() Grid {
 	return Grid{
 		Matrices:   []MatrixSpec{{Name: "poisson", A: matgen.Poisson2D(24, 24)}},
 		Nodes:      []int{4},
@@ -32,13 +33,13 @@ func stealHeavyGrid() Grid {
 	}
 }
 
-// TestCampaignWorkerHammer runs the steal-heavy layout with many more
-// workers than affinity batches: 24 cells on one shard, 8 workers, 4
-// simulated ranks per cell. Under -race this traps unsafe sharing anywhere
-// in the scheduler/executor split or the per-worker workspace reuse; the
-// result assertions pin that stolen cells still solve correctly.
+// TestCampaignWorkerHammer runs the one-context grid with many more
+// workers than contexts: 24 cells of one context, 8 workers, 4 simulated
+// ranks per cell. Under -race this traps unsafe sharing anywhere in the
+// cursor, the shared Prepared context or the per-worker workspace reuse;
+// the result assertions pin that every cell still solves correctly.
 func TestCampaignWorkerHammer(t *testing.T) {
-	rep, err := Run(stealHeavyGrid())
+	rep, err := Run(oneContextGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestCampaignWorkerHammer(t *testing.T) {
 	}
 }
 
-// TestCampaignDeterministicAcrossWorkers pins the byte-identity contract
-// with work stealing in play: JSON report, CSV export and every sampled
-// trace must be identical for Workers ∈ {1, 3, NumCPU} on the steal-heavy
-// grid (one affinity batch, so any parallel run steals).
+// TestCampaignDeterministicAcrossWorkers pins the byte-identity contract:
+// JSON report, CSV export and every sampled trace must be identical for
+// Workers ∈ {1, 3, NumCPU} on the one-context grid, whatever cells each
+// worker happens to claim.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	collect := func(workers int) (jsonB, csvB []byte, traces map[int][]byte) {
-		g := stealHeavyGrid()
+		g := oneContextGrid()
 		g.Workers = workers
 		g.TraceSample = 5
 		var mu sync.Mutex
@@ -121,7 +122,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 // with -race this also proves the callback's done counter is not a torn or
 // repeated snapshot.
 func TestCampaignProgressExact(t *testing.T) {
-	g := stealHeavyGrid()
+	g := oneContextGrid()
 	var mu sync.Mutex
 	var dones []int
 	g.Progress = func(done, total int) {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"esrp/internal/core"
-	"esrp/internal/replay"
 )
 
 // sweepEntries loads testdata/sweep: result entries copied, frame and all,
@@ -320,7 +319,7 @@ func TestPinnedScheduleEntryRecost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Recost(replay.CostModel(entry.Model))
+	rep, err := s.Recost(entry.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func TestPinnedScheduleEntryRecost(t *testing.T) {
 		t.Errorf("re-cost under the entry's machine: {%.17g %.17g %d}, the solve had {%.17g %.17g %d}",
 			rep.SimTime, rep.RecoveryTime, rep.BytesSent, r.SimTime, r.RecoveryTime, r.BytesSent)
 	}
-	skewed := replay.CostModel(entry.Model)
+	skewed := entry.Model
 	skewed.Latency *= 8
 	skewed.BytePeriod /= 2
 	if rep, err = s.Recost(skewed); err != nil {

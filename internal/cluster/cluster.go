@@ -59,13 +59,10 @@ import (
 )
 
 // CostModel holds the LogGP-style machine parameters of the simulated
-// cluster, all in seconds (per flop / per message / per byte).
-type CostModel struct {
-	FlopTime   float64 // seconds per floating-point operation
-	Latency    float64 // end-to-end latency per message (α)
-	BytePeriod float64 // seconds per payload byte (1/bandwidth, β)
-	Overhead   float64 // sender-side CPU overhead per message (o)
-}
+// cluster, all in seconds (per flop / per message / per byte). It is
+// replay's type, so the live clock and the re-coster share its collective
+// formulas (CollectiveCost, GatherRootClock).
+type CostModel = replay.CostModel
 
 // DefaultCostModel returns parameters loosely calibrated to the paper's
 // platform (VSC3: QDR InfiniBand fat-tree, one MPI process per node, and an
@@ -670,11 +667,9 @@ func (op Op) apply(dst, src []float64) {
 }
 
 // collectiveCost returns the modeled time for one size-`bytes` collective
-// over n participants: ⌈log₂ n⌉ rounds of latency plus serialization.
+// over this node's view.
 func (nd *Node) collectiveCost(bytes int) float64 {
-	n := nd.Size()
-	rounds := math.Ceil(math.Log2(float64(max(n, 2))))
-	return rounds * (nd.comm.model.Latency + nd.comm.model.Overhead + float64(bytes)*nd.comm.model.BytePeriod)
+	return nd.comm.model.CollectiveCost(replay.Rounds(nd.Size()), float64(bytes))
 }
 
 // enter opens a collective for this member: the phase it belongs to and the
@@ -843,8 +838,7 @@ func (nd *Node) Gather(root int, data []float64) [][]float64 {
 			tmax = max(tmax, a.clocks[bank+r])
 			totalBytes += 8 * len(a.slots[bank+r])
 		}
-		nd.state.clock = tmax + nd.comm.model.Latency*math.Ceil(math.Log2(float64(max(n, 2)))) +
-			float64(totalBytes)*nd.comm.model.BytePeriod
+		nd.state.clock = nd.comm.model.GatherRootClock(tmax, replay.Rounds(n), float64(totalBytes))
 	}
 	nd.state.trace.Span(obs.KindGather, t0, nd.state.clock)
 	return out

@@ -97,7 +97,7 @@ type Config struct {
 
 	Nodes int // number of simulated cluster nodes
 
-	Rtol    float64 // convergence: ‖r‖₂/‖b‖₂ < Rtol (paper: 1e-8)
+	Rtol    float64 // convergence: ‖r‖₂/‖b‖₂ < Rtol (0 = the paper's 1e-8; negative is an error)
 	MaxIter int     // iteration cap (0 = 10·M; negative is an error)
 
 	PrecondKind precond.Kind // paper: block Jacobi
@@ -115,10 +115,11 @@ type Config struct {
 
 	Strategy Strategy
 	T        int // checkpointing interval (ignored for None/ESR)
-	Phi      int // redundancy copies / supported simultaneous failures
+	// Phi is the redundancy: copies kept, simultaneous failures supported
+	// (0 = 1 for ESR, ESRP and IMCR; negative is an error).
+	Phi int
 
-	InnerRtol    float64 // reconstruction inner-solve tolerance (paper: 1e-14)
-	InnerMaxIter int     // inner-solve iteration cap (0 = 100·|If|)
+	InnerRtol float64 // reconstruction inner-solve tolerance (paper: 1e-14)
 
 	// Failure injects a single node-failure event — the paper's framework.
 	// It is shorthand for a one-element Failures timeline; setting both is an
@@ -183,7 +184,8 @@ type Config struct {
 	// Table 4 measures, at the cost of one extra SpMV per replacement. The
 	// replacement happens before z, β and p are computed, so the search
 	// direction recurrence p = z + β·p_prev — and with it the exact state
-	// reconstruction — remains valid. 0 disables replacement.
+	// reconstruction — remains valid. 0 disables replacement; negative is
+	// an error.
 	ResidualReplacementInterval int
 
 	// RecordResiduals appends the relative residual of every productive
@@ -260,7 +262,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.HostStats != nil && cfg.HostStats.Cap() < cfg.Nodes {
 		return cfg, fmt.Errorf("core: HostStats capacity %d < %d nodes", cfg.HostStats.Cap(), cfg.Nodes)
 	}
-	if cfg.Rtol <= 0 {
+	if cfg.Rtol < 0 {
+		return cfg, fmt.Errorf("core: tolerance must be ≥ 0 (0 = 1e-8), got %g", cfg.Rtol)
+	}
+	if cfg.Rtol == 0 {
 		cfg.Rtol = 1e-8
 	}
 	if cfg.MaxIter < 0 {
@@ -284,25 +289,31 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.InnerRtol <= 0 {
 		cfg.InnerRtol = 1e-14
 	}
+	if cfg.Phi < 0 {
+		return cfg, fmt.Errorf("core: phi must be ≥ 0 (0 = 1 for redundant strategies), got %d", cfg.Phi)
+	}
+	if cfg.ResidualReplacementInterval < 0 {
+		return cfg, fmt.Errorf("core: residual replacement interval must be ≥ 0 (0 = off), got %d", cfg.ResidualReplacementInterval)
+	}
 	switch cfg.Strategy {
 	case StrategyNone:
 	case StrategyESR:
 		cfg.T = 1
-		if cfg.Phi <= 0 {
+		if cfg.Phi == 0 {
 			cfg.Phi = 1
 		}
 	case StrategyESRP:
 		if cfg.T <= 2 {
 			return cfg, fmt.Errorf("core: ESRP requires T > 2 (use StrategyESR for T ≤ 2), got %d", cfg.T)
 		}
-		if cfg.Phi <= 0 {
+		if cfg.Phi == 0 {
 			cfg.Phi = 1
 		}
 	case StrategyIMCR:
 		if cfg.T <= 0 {
 			return cfg, fmt.Errorf("core: IMCR requires T ≥ 1, got %d", cfg.T)
 		}
-		if cfg.Phi <= 0 {
+		if cfg.Phi == 0 {
 			cfg.Phi = 1
 		}
 	default:

@@ -39,17 +39,15 @@ func (run *nodeRun) innerSolve(ev *esrEvent, w []float64) []float64 {
 // reconstruction inner systems. nd is a (sub-)communicator handle whose
 // rank corresponds to sys.part's parts; b is the local right-hand side
 // block; the returned slice is the local solution block. Convergence:
-// ‖r‖₂/‖b‖₂ < cfg.InnerRtol (exactly, since x0 = 0). Like the outer solver,
+// ‖r‖₂/‖b‖₂ < cfg.InnerRtol (exactly, since x0 = 0), within 100·|If|
+// iterations (|If| = the inner system's rows). Like the outer solver,
 // the inner SpMV runs on the compact owned+ghost index space with the
 // interior product overlapping the in-flight halo (unless blocking). The
 // second return value is the halo payload this rank shipped during the
 // solve, for the caller to fold into its measured-halo counter.
 func (run *nodeRun) innerPCG(nd *cluster.Node, sys *staticSystem, pc precond.Preconditioner, b []float64) ([]float64, int64) {
 	rtol, blocking := run.cfg.InnerRtol, run.cfg.BlockingExchange
-	maxIter := run.cfg.InnerMaxIter
-	if maxIter <= 0 {
-		maxIter = 100 * sys.a.Rows
-	}
+	maxIter := 100 * sys.a.Rows
 	me := nd.Rank()
 	lo, hi := sys.part.Lo(me), sys.part.Hi(me)
 	m := hi - lo

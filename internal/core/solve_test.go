@@ -442,8 +442,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// A negative iteration cap or block size is an error; zero takes the
-// default (10·rows, the paper's block size 10).
+// A negative iteration cap, block size, tolerance, φ or residual
+// replacement interval is an error; zero takes the default (10·rows, the
+// paper's block size 10, 1e-8, φ = 1 for redundant strategies, no
+// replacement).
 func TestConfigNegativeCapsAreErrors(t *testing.T) {
 	a := matgen.Poisson2D(4, 4)
 	b := matgen.RHSOnes(16)
@@ -453,17 +455,26 @@ func TestConfigNegativeCapsAreErrors(t *testing.T) {
 	}{
 		{Config{A: a, B: b, Nodes: 2, MaxIter: -5}, "iteration cap must be ≥ 0"},
 		{Config{A: a, B: b, Nodes: 2, MaxBlock: -3}, "block size must be ≥ 0"},
+		{Config{A: a, B: b, Nodes: 2, Rtol: -1}, "tolerance must be ≥ 0"},
+		{Config{A: a, B: b, Nodes: 2, Strategy: StrategyESRP, T: 5, Phi: -2}, "phi must be ≥ 0"},
+		{Config{A: a, B: b, Nodes: 2, Phi: -1}, "phi must be ≥ 0"},
+		{Config{A: a, B: b, Nodes: 2, ResidualReplacementInterval: -3}, "residual replacement interval must be ≥ 0"},
 	} {
 		if _, err := Solve(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("MaxIter %d, MaxBlock %d: err = %v, want one saying %q", c.cfg.MaxIter, c.cfg.MaxBlock, err, c.want)
+			t.Fatalf("MaxIter %d, MaxBlock %d, Rtol %g, Phi %d, RR %d: err = %v, want one saying %q",
+				c.cfg.MaxIter, c.cfg.MaxBlock, c.cfg.Rtol, c.cfg.Phi, c.cfg.ResidualReplacementInterval, err, c.want)
 		}
 	}
 	got, err := Config{A: a, B: b, Nodes: 2}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxIter != 160 || got.MaxBlock != 10 {
-		t.Fatalf("zero caps default to MaxIter %d, MaxBlock %d; want 160, 10", got.MaxIter, got.MaxBlock)
+	if got.MaxIter != 160 || got.MaxBlock != 10 || got.Rtol != 1e-8 || got.ResidualReplacementInterval != 0 {
+		t.Fatalf("zero caps default to MaxIter %d, MaxBlock %d, Rtol %g, RR %d; want 160, 10, 1e-8, 0",
+			got.MaxIter, got.MaxBlock, got.Rtol, got.ResidualReplacementInterval)
+	}
+	if got, err := (Config{A: a, B: b, Nodes: 2, Strategy: StrategyESRP, T: 5}).withDefaults(); err != nil || got.Phi != 1 {
+		t.Fatalf("zero φ under ESRP: Phi %d, err %v; want 1, nil", got.Phi, err)
 	}
 }
 

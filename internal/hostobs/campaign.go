@@ -6,22 +6,13 @@ import (
 	"time"
 )
 
-// spanKind distinguishes the two kinds of worker timeline spans.
-type spanKind uint8
-
-const (
-	spanCell spanKind = iota
-	spanSteal
-)
-
-// workerSpan is one interval on a worker's wall-clock timeline. Spans are
-// appended by the owning worker goroutine only (single writer) and read
+// workerSpan is one solved cell on a worker's wall-clock timeline. Spans
+// are appended by the owning worker goroutine only (single writer) and read
 // after the campaign's completion barrier, so they need no locking.
 type workerSpan struct {
 	startNs  int64
 	endNs    int64
-	index    int // cell index, or cells moved for a steal span
-	kind     spanKind
+	index    int  // cell index
 	affinity bool // cell reused the previous cell's Prepared context
 }
 
@@ -30,15 +21,12 @@ type workerSpan struct {
 // a disabled recorder costs one nil check per call — in particular Clock
 // returns 0 without reading the wall clock.
 type WorkerLog struct {
-	rec           *CampaignRecorder
-	id            int
-	spans         []workerSpan
-	cells         int64
-	busyNs        int64
-	stealAttempts int64
-	steals        int64
-	cellsStolen   int64
-	affinityHits  int64
+	rec          *CampaignRecorder
+	id           int
+	spans        []workerSpan
+	cells        int64
+	busyNs       int64
+	affinityHits int64
 }
 
 // Clock returns nanoseconds since the campaign recorder started, or 0 on
@@ -53,13 +41,13 @@ func (w *WorkerLog) Clock() int64 {
 
 // Cell records one solved cell spanning [t0, now] on this worker's
 // timeline. affinity marks a cell that reused the previous cell's
-// Prepared context (the scheduler's affinity batching paying off).
+// Prepared context on this worker.
 func (w *WorkerLog) Cell(t0 int64, index int, affinity bool) {
 	if w == nil {
 		return
 	}
 	end := w.Clock()
-	w.spans = append(w.spans, workerSpan{startNs: t0, endNs: end, index: index, kind: spanCell, affinity: affinity})
+	w.spans = append(w.spans, workerSpan{startNs: t0, endNs: end, index: index, affinity: affinity})
 	w.cells++
 	w.busyNs += end - t0
 	if affinity {
@@ -68,43 +56,20 @@ func (w *WorkerLog) Cell(t0 int64, index int, affinity bool) {
 	w.rec.liveWorkerCells[w.id].Add(1)
 }
 
-// StealAttempt records one stealTail call against a victim shard.
-func (w *WorkerLog) StealAttempt() {
-	if w == nil {
-		return
-	}
-	w.stealAttempts++
-}
-
-// Steal records one successful steal spanning [t0, now] that moved `moved`
-// cells onto this worker's shard.
-func (w *WorkerLog) Steal(t0 int64, moved int) {
-	if w == nil {
-		return
-	}
-	w.spans = append(w.spans, workerSpan{startNs: t0, endNs: w.Clock(), index: moved, kind: spanSteal})
-	w.steals++
-	w.cellsStolen += int64(moved)
-	w.rec.liveSteals.Add(1)
-}
-
 // CampaignRecorder collects host-side telemetry for one campaign run:
-// per-worker timelines, steal traffic, shard layout, the shared barrier
-// stats handed to every cell's solve, and runtime phase samples. A nil
-// recorder is fully inert — every method (and every WorkerLog it hands
-// out) nil-checks, so campaign output and allocation behaviour with
-// telemetry off are bit-identical to an unbuilt recorder.
+// per-worker timelines, the shared barrier stats handed to every cell's
+// solve, and runtime phase samples. A nil recorder is fully inert — every
+// method (and every WorkerLog it hands out) nil-checks, so campaign output
+// and allocation behaviour with telemetry off are bit-identical to an
+// unbuilt recorder.
 type CampaignRecorder struct {
 	start      time.Time
 	totalCells int
 	workers    []WorkerLog
-	shardCells []int
 	barrier    *BarrierStats
 
-	liveSteals atomic.Int64 // successful steals so far
-
 	// liveWorkerCells mirrors each worker's completed-cell count with an
-	// atomic so live meters can read per-shard progress while the
+	// atomic so live meters can read per-worker progress while the
 	// single-writer WorkerLog fields stay lock-free.
 	liveWorkerCells []atomic.Int64
 
@@ -163,24 +128,8 @@ func (r *CampaignRecorder) BarrierStats() *BarrierStats {
 	return r.barrier
 }
 
-// ShardLayout records the scheduler's initial cells-per-shard packing.
-func (r *CampaignRecorder) ShardLayout(cellsPerShard []int) {
-	if r == nil {
-		return
-	}
-	r.shardCells = append(r.shardCells[:0], cellsPerShard...)
-}
-
-// LiveSteals returns successful steals so far (0 on nil).
-func (r *CampaignRecorder) LiveSteals() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.liveSteals.Load()
-}
-
 // LiveWorkerCells copies each worker's completed-cell count so far — safe
-// concurrently, for live shard meters (nil on a nil recorder).
+// concurrently, for live meters (nil on a nil recorder).
 func (r *CampaignRecorder) LiveWorkerCells() []int64 {
 	if r == nil {
 		return nil
@@ -252,12 +201,9 @@ func (r *CampaignRecorder) WallNs() int64 {
 
 // WorkerTelemetry is the aggregated per-worker view.
 type WorkerTelemetry struct {
-	Cells         int64
-	BusyNs        int64
-	StealAttempts int64
-	Steals        int64
-	CellsStolen   int64
-	AffinityHits  int64
+	Cells        int64
+	BusyNs       int64
+	AffinityHits int64
 }
 
 // CacheCounters is the campaign-cache section of the telemetry: how each
@@ -279,16 +225,17 @@ type CampaignTelemetry struct {
 	WallNs        int64
 	TotalCells    int
 	Workers       []WorkerTelemetry
-	ShardCells    []int
 	CellsDone     int64
 	BusyNs        int64
-	StealAttempts int64
-	Steals        int64
-	CellsStolen   int64
 	AffinityHits  int64
 	Barrier       BarrierSnapshot
 	BarrierWaitNs int64
 	Phases        []PhaseSample
+
+	// Steals is always 0: workers claim cells off one shared cursor and
+	// never take work from each other. It stays because benchmark/ still
+	// reports it as campaign.steals.
+	Steals int64
 
 	// Cache is non-nil only for cache-backed runs (SetCacheIO marks them).
 	Cache *CacheCounters
@@ -303,7 +250,6 @@ func (r *CampaignRecorder) Telemetry() CampaignTelemetry {
 		WallNs:        r.WallNs(),
 		TotalCells:    r.totalCells,
 		Workers:       make([]WorkerTelemetry, len(r.workers)),
-		ShardCells:    append([]int(nil), r.shardCells...),
 		Barrier:       r.barrier.Snapshot(),
 		BarrierWaitNs: r.barrier.TotalWaitNs(),
 		Phases:        r.PhaseSamples(),
@@ -321,18 +267,12 @@ func (r *CampaignRecorder) Telemetry() CampaignTelemetry {
 	for i := range r.workers {
 		w := &r.workers[i]
 		t.Workers[i] = WorkerTelemetry{
-			Cells:         w.cells,
-			BusyNs:        w.busyNs,
-			StealAttempts: w.stealAttempts,
-			Steals:        w.steals,
-			CellsStolen:   w.cellsStolen,
-			AffinityHits:  w.affinityHits,
+			Cells:        w.cells,
+			BusyNs:       w.busyNs,
+			AffinityHits: w.affinityHits,
 		}
 		t.CellsDone += w.cells
 		t.BusyNs += w.busyNs
-		t.StealAttempts += w.stealAttempts
-		t.Steals += w.steals
-		t.CellsStolen += w.cellsStolen
 		t.AffinityHits += w.affinityHits
 	}
 	return t

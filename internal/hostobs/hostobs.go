@@ -2,10 +2,10 @@
 // engine — the mirror image of internal/obs. Where obs records what the
 // simulated machine did on the deterministic LogGP clock, hostobs records
 // what the real machine underneath did on the wall clock: how long ranks
-// waited at collectives that were not yet complete, how the
-// affinity-sharded campaign scheduler kept its workers
-// busy, how much work the tail-stealing moved, and what the Go runtime
-// (heap, GC, scheduler) was doing while a campaign ran.
+// waited at collectives that were not yet complete, how busy the campaign
+// workers were and how often a worker's next cell reused its previous
+// cell's solve context, and what the Go runtime (heap, GC, scheduler) was
+// doing while a campaign ran.
 //
 // The layer follows the same zero-overhead-when-off discipline as
 // obs.Recorder: every hot-path entry point is a method on a handle that
@@ -14,7 +14,7 @@
 // zero-alloc gates and byte-identity contracts of the engine hold
 // unchanged. With recording enabled the hot-path cost is a few padded
 // atomic increments (histograms are fixed-size log-bucketed arrays; no
-// allocation ever happens on a collective wait or a scheduler pop), and the
+// allocation ever happens on a collective wait), and the
 // recorded data is exported after the run: as a Chrome trace_event JSON of
 // host worker timelines (obs.HostTrace), as Prometheus textfile metrics
 // appended to the campaign snapshot, and as telemetry that benchmark/'s

@@ -67,11 +67,10 @@ func TestNilHandlesAreInert(t *testing.T) {
 	var r *CampaignRecorder
 	r.Begin(4, 100, 8)
 	r.SamplePhase("x")
-	r.ShardLayout([]int{1, 2})
 	if r.Worker(0) != nil {
 		t.Error("nil recorder handed out a non-nil worker log")
 	}
-	if r.LiveSteals() != 0 || r.WallNs() != 0 {
+	if r.WallNs() != 0 {
 		t.Error("nil recorder reported non-zero live state")
 	}
 	if r.LiveWorkerCells() != nil || r.PhaseSamples() != nil {
@@ -89,8 +88,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 		t.Error("nil worker log read the clock")
 	}
 	w.Cell(0, 3, true)
-	w.StealAttempt()
-	w.Steal(0, 5)
 }
 
 func TestBarrierStatsRecording(t *testing.T) {
@@ -145,27 +142,21 @@ func TestRecordingIsAllocFree(t *testing.T) {
 func TestCampaignRecorderTelemetry(t *testing.T) {
 	r := NewCampaignRecorder()
 	r.Begin(2, 10, 8)
-	r.ShardLayout([]int{6, 4})
 	r.SamplePhase("start")
 
 	w0, w1 := r.Worker(0), r.Worker(1)
 	t0 := w0.Clock()
 	w0.Cell(t0, 0, false)
 	w0.Cell(w0.Clock(), 1, true)
-	w1.StealAttempt()
-	w1.Steal(w1.Clock(), 3)
 	w1.Cell(w1.Clock(), 9, false)
 	r.SamplePhase("done")
 
-	if got := r.LiveSteals(); got != 1 {
-		t.Errorf("live steals %d, want 1", got)
-	}
 	if got := r.LiveWorkerCells(); got[0] != 2 || got[1] != 1 {
 		t.Errorf("live worker cells %v, want [2 1]", got)
 	}
 
 	tel := r.Telemetry()
-	if tel.CellsDone != 3 || tel.Steals != 1 || tel.StealAttempts != 1 || tel.CellsStolen != 3 {
+	if tel.CellsDone != 3 || tel.Steals != 0 {
 		t.Errorf("telemetry %+v: wrong counters", tel)
 	}
 	if tel.AffinityHits != 1 {
@@ -173,9 +164,6 @@ func TestCampaignRecorderTelemetry(t *testing.T) {
 	}
 	if got := tel.AffinityHitRate(); got <= 0.33 || got >= 0.34 {
 		t.Errorf("affinity hit rate %g, want 1/3", got)
-	}
-	if len(tel.ShardCells) != 2 || tel.ShardCells[0] != 6 {
-		t.Errorf("shard cells %v, want [6 4]", tel.ShardCells)
 	}
 	if len(tel.Phases) != 2 || tel.Phases[0].Phase != "start" || tel.Phases[1].Phase != "done" {
 		t.Fatalf("phases %v, want start+done", tel.Phases)
@@ -188,7 +176,6 @@ func TestCampaignRecorderTelemetry(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewCampaignRecorder()
 	r.Begin(1, 2, 4)
-	r.ShardLayout([]int{2})
 	r.SamplePhase("start")
 	w := r.Worker(0)
 	w.Cell(w.Clock(), 0, false)
@@ -205,14 +192,18 @@ func TestWritePrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"esrp_host_cells_done_total 2",
-		`esrp_host_shard_cells{shard="0"} 2`,
+		`esrp_host_worker_cells{worker="0"} 2`,
 		"esrp_host_affinity_hit_ratio 0.5",
 		`esrp_host_barrier_wait_seconds_total{member="0",regime="park"} 5e-06`,
 		`esrp_host_phase_goroutines{phase="start"}`,
-		"esrp_host_steals_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"esrp_host_shard_cells", "esrp_host_steal", "esrp_host_cells_stolen"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("prometheus output still has %s\n%s", gone, out)
 		}
 	}
 }

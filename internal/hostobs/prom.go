@@ -37,22 +37,6 @@ func (t *CampaignTelemetry) WritePrometheus(w io.Writer) error {
 		p("esrp_host_worker_cells{worker=\"%d\"} %d\n", i, wk.Cells)
 	}
 
-	p("# HELP esrp_host_shard_cells Cells initially packed onto each scheduler shard.\n")
-	p("# TYPE esrp_host_shard_cells gauge\n")
-	for i, n := range t.ShardCells {
-		p("esrp_host_shard_cells{shard=\"%d\"} %d\n", i, n)
-	}
-
-	p("# HELP esrp_host_steal_attempts_total stealTail calls against victim shards.\n")
-	p("# TYPE esrp_host_steal_attempts_total counter\n")
-	p("esrp_host_steal_attempts_total %d\n", t.StealAttempts)
-	p("# HELP esrp_host_steals_total Successful steals.\n")
-	p("# TYPE esrp_host_steals_total counter\n")
-	p("esrp_host_steals_total %d\n", t.Steals)
-	p("# HELP esrp_host_cells_stolen_total Cells moved between shards by steals.\n")
-	p("# TYPE esrp_host_cells_stolen_total counter\n")
-	p("esrp_host_cells_stolen_total %d\n", t.CellsStolen)
-
 	p("# HELP esrp_host_affinity_hit_ratio Fraction of cells reusing the previous cell's Prepared context.\n")
 	p("# TYPE esrp_host_affinity_hit_ratio gauge\n")
 	p("esrp_host_affinity_hit_ratio %g\n", t.AffinityHitRate())

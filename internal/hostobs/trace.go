@@ -8,10 +8,10 @@ import (
 
 // BuildTrace converts the recorder into an obs.HostTrace: one thread per
 // campaign worker, one "X" span per solved cell (named by the label
-// callback, typically "matrix/strategy T=.. φ=..") and per successful
-// steal. The phase arg distinguishes affinity-hit cells ("affinity") from
-// context-switch cells ("cold"); steal spans carry the cells moved in the
-// iter arg. Returns nil on a nil recorder.
+// callback, typically "matrix/strategy T=.. φ=..", with the cell index in
+// the iter arg). The phase arg distinguishes affinity-hit cells
+// ("affinity") from context-switch cells ("cold"). Returns nil on a nil
+// recorder.
 func (r *CampaignRecorder) BuildTrace(process string, build obs.BuildInfo, label func(index int) (name, cat string)) *obs.HostTrace {
 	if r == nil {
 		return nil
@@ -32,18 +32,11 @@ func (r *CampaignRecorder) BuildTrace(process string, build obs.BuildInfo, label
 				Start: float64(s.startNs) / 1e9,
 				End:   float64(s.endNs) / 1e9,
 				Iter:  s.index,
+				Phase: "cold",
 			}
-			switch s.kind {
-			case spanCell:
-				hs.Name, hs.Cat = label(s.index)
-				if s.affinity {
-					hs.Phase = "affinity"
-				} else {
-					hs.Phase = "cold"
-				}
-			case spanSteal:
-				hs.Name, hs.Cat = "steal", "sched"
-				hs.Phase = "steal"
+			hs.Name, hs.Cat = label(s.index)
+			if s.affinity {
+				hs.Phase = "affinity"
 			}
 			th.Spans = append(th.Spans, hs)
 		}

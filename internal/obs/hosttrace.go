@@ -8,7 +8,7 @@ import (
 // HostTrace is a wall-clock execution trace of the *host* machine — the
 // counterpart of Trace, whose timelines run on the simulated LogGP clock.
 // internal/hostobs builds one from a campaign recorder: one thread per
-// host worker, spans for solved cells and steals. It serializes through
+// host worker, one span per solved cell. It serializes through
 // the same trace_event writer machinery as Trace, so a simulated-clock
 // trace and the wall-clock trace of the same campaign open side by side
 // in Perfetto and pass the same ValidateChromeTrace check.
@@ -27,7 +27,7 @@ type HostThread struct {
 
 // HostSpan is one wall-clock interval. Start/End are seconds from the
 // trace origin; Iter and Phase land in the event args (Iter carries the
-// cell index for cell spans and the cells moved for steal spans).
+// cell index).
 type HostSpan struct {
 	Name  string
 	Cat   string

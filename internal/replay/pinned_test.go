@@ -73,7 +73,7 @@ func (p pinnedReplayed) replayed() *replay.Replayed {
 // writePinned records every fixture with this build and writes its schedule
 // and what it re-costs to under the default machine and two skewed ones.
 func writePinned(t *testing.T) {
-	d := replay.CostModel(cluster.DefaultCostModel())
+	d := cluster.DefaultCostModel()
 	models := []replay.CostModel{
 		d,
 		{FlopTime: d.FlopTime / 2, Latency: d.Latency * 8, BytePeriod: d.BytePeriod * 3, Overhead: d.Overhead / 4},

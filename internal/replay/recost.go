@@ -60,7 +60,7 @@ type collInst struct {
 // (view, seq) needs no map.
 type viewState struct {
 	members []int
-	rounds  float64     // ⌈log₂ max(n,2)⌉, as cluster.Node.collectiveCost computes it
+	rounds  float64     // Rounds(len(members))
 	seq     []int32     // per local rank: collectives completed on this view
 	live    []*collInst // live[head+i] is instance base+i
 	head    int
@@ -184,7 +184,7 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	for v, view := range s.Views {
 		mc.vs[v] = viewState{
 			members: view,
-			rounds:  math.Ceil(math.Log2(float64(max(len(view), 2)))),
+			rounds:  Rounds(len(view)),
 			seq:     seq[:len(view):len(view)],
 		}
 		seq = seq[len(view):]
@@ -353,7 +353,7 @@ func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) 
 			return false, nil
 		}
 		for j := range clock {
-			clock[j] = inst.agg[j] + ms[j].collectiveCost(vs.rounds, bytes)
+			clock[j] = inst.agg[j] + ms[j].CollectiveCost(vs.rounds, bytes)
 		}
 
 	case KindBcast:
@@ -361,7 +361,7 @@ func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) 
 			inst.rootSeen = true
 			copy(inst.agg, clock)
 			for j := range clock {
-				clock[j] += ms[j].collectiveCost(vs.rounds, bytes)
+				clock[j] += ms[j].CollectiveCost(vs.rounds, bytes)
 			}
 			break
 		}
@@ -369,7 +369,7 @@ func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) 
 			return false, nil
 		}
 		for j := range clock {
-			clock[j] = math.Max(inst.agg[j], clock[j]) + ms[j].collectiveCost(vs.rounds, bytes)
+			clock[j] = math.Max(inst.agg[j], clock[j]) + ms[j].CollectiveCost(vs.rounds, bytes)
 		}
 
 	case KindGather:
@@ -400,7 +400,7 @@ func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) 
 					tmax = t
 				}
 			}
-			clock[j] = tmax + ms[j].Latency*vs.rounds + total*ms[j].BytePeriod
+			clock[j] = ms[j].GatherRootClock(tmax, vs.rounds, total)
 		}
 	}
 

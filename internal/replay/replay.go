@@ -22,9 +22,10 @@
 // receiver, and a solve without a recorder pays only dead nil-checks on the
 // hot path — zero allocations, bit-identical results.
 //
-// replay deliberately imports nothing from internal/cluster (cluster
-// imports replay); CostModel is a structurally identical twin of
-// cluster.CostModel so call sites convert with a plain Go conversion.
+// CostModel and its formulas live here rather than in internal/cluster
+// (which imports replay and aliases the type): the live clock and the
+// re-coster call the same CollectiveCost and GatherRootClock, so there is
+// one site per LogGP formula to keep bit-identical.
 package replay
 
 import (
@@ -35,8 +36,9 @@ import (
 	"sync"
 )
 
-// CostModel mirrors cluster.CostModel field-for-field (same names, types,
-// order), so cluster.CostModel values convert directly: replay.CostModel(m).
+// CostModel holds the LogGP-style machine parameters of the simulated
+// cluster, all in seconds (per flop / per message / per byte).
+// cluster.CostModel is this type.
 type CostModel struct {
 	FlopTime   float64 // seconds per floating-point operation
 	Latency    float64 // end-to-end latency per message (α)
@@ -397,9 +399,22 @@ type Replayed struct {
 	Events       int
 }
 
-// collectiveCost mirrors cluster.Node.collectiveCost bit-for-bit, with
-// rounds = ⌈log₂ max(n,2)⌉ hoisted out (the re-coster computes it once per
-// view).
-func (m *CostModel) collectiveCost(rounds, bytes float64) float64 {
+// Rounds returns ⌈log₂ max(n,2)⌉, the round count of a collective over n
+// members.
+func Rounds(n int) float64 {
+	return math.Ceil(math.Log2(float64(max(n, 2))))
+}
+
+// CollectiveCost returns the modeled time of one collective with a payload
+// of bytes over rounds rounds (Rounds of the view size): each round pays
+// latency, overhead and serialization.
+func (m *CostModel) CollectiveCost(rounds, bytes float64) float64 {
 	return rounds * (m.Latency + m.Overhead + bytes*m.BytePeriod)
+}
+
+// GatherRootClock returns a gather root's clock once the latest entry clock
+// of the root and its non-root members is tmax: rounds latencies plus the
+// serialization of the bytes the non-roots sent.
+func (m *CostModel) GatherRootClock(tmax, rounds, bytes float64) float64 {
+	return tmax + m.Latency*rounds + bytes*m.BytePeriod
 }

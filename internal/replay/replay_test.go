@@ -89,7 +89,7 @@ func record(t testing.TB, fx fixture, iters int) (*core.Result, *replay.Schedule
 // default, then overwrites the last with a copy of the first when k > 1 so
 // every batch carries a duplicate.
 func randomModels(rng *rand.Rand, k int) []replay.CostModel {
-	d := replay.CostModel(cluster.DefaultCostModel())
+	d := cluster.DefaultCostModel()
 	scale := func() float64 { return math.Pow(10, 2*rng.Float64()-1) }
 	ms := make([]replay.CostModel, k)
 	for i := range ms {
@@ -279,7 +279,7 @@ func TestScheduleIsIndependentOfViewRegistrationOrder(t *testing.T) {
 		if !bytes.Equal(got, want) || !reflect.DeepEqual(s.Views, views) {
 			t.Errorf("views registered in order %v: views %v, %d bytes that differ from the canonical order's", order, s.Views, len(got))
 		}
-		if _, err := s.Recost(replay.CostModel(cluster.DefaultCostModel())); err != nil {
+		if _, err := s.Recost(cluster.DefaultCostModel()); err != nil {
 			t.Errorf("views registered in order %v: %v", order, err)
 		}
 	}

@@ -93,6 +93,7 @@ fails "$solve" -strategy bogus
 fails "$solve" -gen bogus
 fails "$solve" -gen poisson2d -n 4 -nodes 64
 fails "$solve" -gen poisson2d -n 8 -nodes 2 -maxblock -3
+fails "$solve" -gen poisson2d -n 8 -nodes 2 -strategy esrp -T 5 -phi -2
 cat >"$work/small.mtx" <<'EOF'
 %%MatrixMarket matrix coordinate real symmetric
 % 1-D Laplacian, 8 rows
@@ -143,6 +144,7 @@ log "esrpbench done"
 small=(-gen poisson2d -n 32 -nodes 8 -strategies esrp,imcr -ts 10 -phis 1 -seeds 2 -mtbf 500 -horizon 80)
 ok "$camp" "${small[@]}" -json "$work/campaign.json" -csv "$work/campaign.csv"
 fails "$camp" -gen poisson2d -n 8 -nodes 2 -maxiter -5
+fails "$camp" -gen poisson2d -n 8 -nodes 2 -horizon -5
 ok "$camp" "${small[@]}" -sweep-machine "L=1x,8x" -schedules "$work/schedules" -json "$work/sweep.json"
 ok "$camp" "${small[@]}" -json /dev/null -host-trace "$work/host.trace.json" -metrics "$work/host.prom" -v
 cached=(-gen poisson2d -n 32 -nodes 8 -strategies esrp,imcr -ts 10,20 -phis 1 -seeds 2 -mtbf 500 -horizon 80)
@@ -155,14 +157,6 @@ printf 'X' | dd of="$(echo "$res" | sed -n 2p)" bs=1 seek=30 conv=notrunc 2>/dev
 printf 'GARBAGE!' | dd of="$(find "$work/ccache/sch" -type f | sort | tail -1)" bs=1 conv=notrunc 2>/dev/null
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -workers 3 -json "$work/healed.json" -metrics "$work/healed.prom"
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -cache-mismatch refresh -json /dev/null -q
-# Eight cells of one Prepared context land on one shard, so the second worker
-# starts by stealing: the steal path and its telemetry run on every host.
-ok "$camp" -gen poisson2d -n 32 -nodes 8 -strategies esrp -ts 10,20 -phis 1 -seeds 4 -mtbf 500 -horizon 80 \
-	-workers 2 -json /dev/null -metrics "$work/steal.prom" -q
-grep -q '^esrp_host_steals_total [1-9]' "$work/steal.prom" || {
-	log "no steal in the one-context campaign"
-	exit 1
-}
 ok "$camp" -gen banded,audikw -n 6 -nodes 4 -strategies none,esr -ts 5 -phis 1 -seeds 2 \
 	-model weibull -shape 0.7 -mtbf 300 -horizon 40 -group 2 -group-prob 0.5 -max-events 3 -spares 1 \
 	-kernel band -trace-sample 2 -trace-dir "$work/traces" -json /dev/null -q
