@@ -83,7 +83,8 @@ func recordOf(res *Result) goldenRecord {
 // paths through the step loop, the failure handling and the IMCR protocol
 // that golden_trajectories.json does not reach — every pipelined one, and the
 // standard solver's local restart, early-failure fallback, re-ship and
-// detection-time paths.
+// detection-time paths. The traced ESR/ESRP scenarios pin the span sequence
+// of the reconstruction's inner solve and of the augmented exchange.
 type driverScenario struct {
 	name      string
 	pipelined bool
@@ -94,6 +95,9 @@ type driverScenario struct {
 func driverScenarios() []driverScenario {
 	imcr := func(t, phi int) func(*Config) {
 		return func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyIMCR, t, phi }
+	}
+	esrp := func(t, phi int) func(*Config) {
+		return func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyESRP, t, phi }
 	}
 	with := func(muts ...func(*Config)) func(*Config) {
 		return func(cfg *Config) {
@@ -139,6 +143,14 @@ func driverScenarios() []driverScenario {
 			mut: with(func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyESRP, 20, 1 },
 				fail(FailureSpec{Iteration: 2, Ranks: []int{6}}))},
 		{name: "standard/imcr-reship", trace: true, mut: with(imcr(10, 1), reship)},
+		{name: "standard/esrp-spare", trace: true,
+			mut: with(esrp(10, 2), fail(FailureSpec{Iteration: 33, Ranks: []int{3, 4}}))},
+		{name: "standard/esr-shrink", trace: true,
+			mut: with(func(cfg *Config) { cfg.Strategy, cfg.Phi, cfg.NoSpareNodes = StrategyESR, 1, true },
+				fail(FailureSpec{Iteration: 30, Ranks: []int{5}}))},
+		{name: "standard/esrp-blocking", trace: true,
+			mut: with(esrp(10, 1), func(cfg *Config) { cfg.BlockingExchange = true },
+				fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
 		{name: "standard/imcr-detect",
 			mut: with(imcr(10, 1), x0, detect, fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
 	}
