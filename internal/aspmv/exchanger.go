@@ -215,55 +215,41 @@ func contiguousStart(idx []int) int {
 // Start posts the plain halo exchange: sends of the owned entries consumers
 // need, and nonblocking receives of this rank's ghost entries. The caller
 // may compute on xOwn-independent data (interior rows) before Finish.
-func (ex *Exchanger) Start(nd *cluster.Node, xOwn []float64) {
+func (ex *Exchanger) Start(nd *cluster.Node, xOwn []float64) { ex.start(nd, xOwn, false) }
+
+// StartAugmented posts the ASpMV exchange: the plain halo traffic plus the
+// resilient copies of the augmented plan.
+func (ex *Exchanger) StartAugmented(nd *cluster.Node, xOwn []float64) { ex.start(nd, xOwn, true) }
+
+// start posts the plain sends, then (augmented) the resilient-copy sends,
+// then the receives in the same order.
+func (ex *Exchanger) start(nd *cluster.Node, xOwn []float64, augmented bool) {
+	if augmented && ex.p.Phi < 1 {
+		panic("aspmv: StartAugmented on a non-augmented plan")
+	}
 	if ex.inFlight {
 		panic("aspmv: Start while an exchange is in flight")
 	}
 	v := &ex.p.views[ex.s]
 	ex.postSends(nd, xOwn, ex.p.Send[ex.s], v.sendIdx, v.sendContig, TagHalo)
+	if augmented {
+		ex.postSends(nd, xOwn, ex.p.ExtraSend[ex.s], v.extraSendIdx, v.extraSendContig, TagExtra)
+	}
 	ex.reqs = ex.reqs[:0]
 	for _, t := range ex.p.Recv[ex.s] {
 		ex.reqs = append(ex.reqs, nd.IRecv(t.Peer, TagHalo))
 	}
-	ex.inFlight, ex.augmented = true, false
-}
-
-// StartAugmented posts the ASpMV exchange: the plain halo traffic plus the
-// resilient copies of the augmented plan.
-func (ex *Exchanger) StartAugmented(nd *cluster.Node, xOwn []float64) {
-	if ex.p.Phi < 1 {
-		panic("aspmv: StartAugmented on a non-augmented plan")
+	if augmented {
+		for _, t := range ex.p.ExtraRecv[ex.s] {
+			ex.reqs = append(ex.reqs, nd.IRecv(t.Peer, TagExtra))
+		}
 	}
-	if ex.inFlight {
-		panic("aspmv: StartAugmented while an exchange is in flight")
-	}
-	v := &ex.p.views[ex.s]
-	ex.postSends(nd, xOwn, ex.p.Send[ex.s], v.sendIdx, v.sendContig, TagHalo)
-	ex.postSends(nd, xOwn, ex.p.ExtraSend[ex.s], v.extraSendIdx, v.extraSendContig, TagExtra)
-	ex.reqs = ex.reqs[:0]
-	for _, t := range ex.p.Recv[ex.s] {
-		ex.reqs = append(ex.reqs, nd.IRecv(t.Peer, TagHalo))
-	}
-	for _, t := range ex.p.ExtraRecv[ex.s] {
-		ex.reqs = append(ex.reqs, nd.IRecv(t.Peer, TagExtra))
-	}
-	ex.inFlight, ex.augmented = true, true
+	ex.inFlight, ex.augmented = true, augmented
 }
 
 // Finish waits for the plain exchange and scatters the received values into
 // the compact ghost buffer (length GhostLen).
-func (ex *Exchanger) Finish(nd *cluster.Node, ghost []float64) {
-	if !ex.inFlight || ex.augmented {
-		panic("aspmv: Finish without a matching Start")
-	}
-	v := &ex.p.views[ex.s]
-	for ti := range ex.reqs {
-		vals := ex.reqs[ti].Wait()
-		copy(ghost[v.recvOff[ti]:], vals)
-		nd.Release(vals) // scattered: recycle the payload buffer
-	}
-	ex.inFlight = false
-}
+func (ex *Exchanger) Finish(nd *cluster.Node, ghost []float64) { ex.finish(nd, ghost, false, 0) }
 
 // FinishAugmented waits for the augmented exchange, scatters the plain ghost
 // entries into the compact ghost buffer, and assembles the ReceivedCopy this
@@ -272,27 +258,41 @@ func (ex *Exchanger) Finish(nd *cluster.Node, ghost []float64) {
 // recycle pool when available, so steady-state ASpMV iterations reuse
 // storage instead of growing the heap.
 func (ex *Exchanger) FinishAugmented(nd *cluster.Node, ghost []float64, iter int) ReceivedCopy {
-	if !ex.inFlight || !ex.augmented {
-		panic("aspmv: FinishAugmented without a matching StartAugmented")
+	return ex.finish(nd, ghost, true, iter)
+}
+
+// finish is Finish, or FinishAugmented when augmented; a plain exchange
+// returns the zero ReceivedCopy.
+func (ex *Exchanger) finish(nd *cluster.Node, ghost []float64, augmented bool, iter int) ReceivedCopy {
+	if !ex.inFlight || ex.augmented != augmented {
+		panic("aspmv: Finish without a matching Start")
 	}
 	v := &ex.p.views[ex.s]
-	val := ex.getValBuf(len(v.copyIdx))
+	var val []float64
+	if augmented {
+		val = ex.getValBuf(len(v.copyIdx))
+	}
 	nPlain := len(ex.p.Recv[ex.s])
 	for ti := range ex.reqs {
 		vals := ex.reqs[ti].Wait()
 		if ti < nPlain {
 			copy(ghost[v.recvOff[ti]:], vals)
 		}
-		if c := v.copyContig[ti]; c >= 0 {
-			copy(val[c:c+len(vals)], vals)
-		} else {
-			for k, pos := range v.copyPos[ti] {
-				val[pos] = vals[k]
+		if augmented {
+			if c := v.copyContig[ti]; c >= 0 {
+				copy(val[c:c+len(vals)], vals)
+			} else {
+				for k, pos := range v.copyPos[ti] {
+					val[pos] = vals[k]
+				}
 			}
 		}
-		nd.Release(vals) // scattered into ghost + val: recycle
+		nd.Release(vals) // scattered: recycle the payload buffer
 	}
 	ex.inFlight = false
+	if !augmented {
+		return ReceivedCopy{}
+	}
 	return ReceivedCopy{Iter: iter, Idx: v.copyIdx, Val: val}
 }
 

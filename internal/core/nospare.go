@@ -141,9 +141,8 @@ func (run *nodeRun) shrinkTo(ev *esrEvent, survivors []int, xIf, rIf, zIf, pIf [
 	}
 	run.local = local
 	run.kern = sparse.BuildKernel(local, run.cfg.Kernel)
-	run.nnzLocal = float64(local.NNZ())
 	sent := run.ex.HaloBytes()
-	run.ex = newPlan.NewExchanger(subRank)
+	run.ex = *newPlan.NewExchanger(subRank)
 	run.ex.AddHaloBytes(sent)
 	run.pg = make([]float64, newM+local.G())
 

@@ -97,7 +97,7 @@ func (pp *pipelined) restart() {
 	run.trueResidual()
 	run.pc.Apply(pp.u, run.r)
 	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
-	run.spmvInto(pp.w, pp.u)
+	run.spmv(pp.w, pp.u)
 	pp.restoreScalars()
 	for _, v := range [][]float64{pp.s, pp.q, pp.z, run.p} {
 		vec.Zero(v)
@@ -133,7 +133,7 @@ func (pp *pipelined) head(j, step int) bool {
 	}
 	run.pc.Apply(pp.m, pp.w)
 	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
-	run.spmvInto(pp.n, pp.m)
+	run.spmv(pp.n, pp.m)
 	return false
 }
 

@@ -42,27 +42,6 @@ func preparedPhi(cfg *Config) int {
 	return 0
 }
 
-// buildPartitionPlan derives the partition and the (φ-augmented, when the
-// strategy stores redundant copies) communication plan for a defaulted
-// config — the single implementation behind Solve, SolvePipelined and
-// Prepare, so the prepared and per-solve paths cannot drift apart.
-func buildPartitionPlan(cfg *Config) (*dist.Partition, *aspmv.Plan, error) {
-	part, err := buildPartition(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := aspmv.NewPlan(cfg.A, part)
-	if err != nil {
-		return nil, nil, err
-	}
-	if phi := preparedPhi(cfg); phi > 0 {
-		if err := plan.Augment(phi); err != nil {
-			return nil, nil, err
-		}
-	}
-	return part, plan, nil
-}
-
 // Prepare builds the shared solve context for cfg (defaults applied): the
 // exact partition, plan, local matrices and preconditioners Solve would
 // derive on its own. Pass the result via Config.Prepared to any solve with
@@ -72,12 +51,29 @@ func Prepare(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, plan, err := buildPartitionPlan(&cfg)
+	return prepare(&cfg)
+}
+
+// prepare is Prepare for a defaulted config — also what a solve without
+// Config.Prepared runs, so the prepared and per-solve paths cannot drift
+// apart. The plan is φ-augmented when the strategy stores redundant copies.
+func prepare(cfg *Config) (*Prepared, error) {
+	part, err := buildPartition(cfg)
 	if err != nil {
 		return nil, err
 	}
+	plan, err := aspmv.NewPlan(cfg.A, part)
+	if err != nil {
+		return nil, err
+	}
+	phi := preparedPhi(cfg)
+	if phi > 0 {
+		if err := plan.Augment(phi); err != nil {
+			return nil, err
+		}
+	}
 	p := &Prepared{
-		a: cfg.A, nodes: cfg.Nodes, phi: preparedPhi(&cfg),
+		a: cfg.A, nodes: cfg.Nodes, phi: phi,
 		balance: cfg.BalanceNNZ, kind: cfg.PrecondKind, maxBlock: cfg.MaxBlock,
 		kernel: cfg.Kernel,
 		part:   part, plan: plan,

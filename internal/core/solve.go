@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
 	"esrp/internal/dist"
 	"esrp/internal/obs"
-	"esrp/internal/precond"
 	"esrp/internal/sparse"
 	"esrp/internal/vec"
 )
@@ -32,14 +30,12 @@ func (sh *solveShared) solve(in Config, newRec func(*nodeRun) recurrence) (*Resu
 	if cfg.CostModel != nil {
 		model = *cfg.CostModel
 	}
-	var part *dist.Partition
-	var plan *aspmv.Plan
-	if prep := cfg.Prepared; prep != nil {
-		if err := prep.compatibleWith(cfg); err != nil {
+	prep := cfg.Prepared
+	if prep == nil {
+		if prep, err = prepare(cfg); err != nil {
 			return nil, err
 		}
-		part, plan = prep.part, prep.plan
-	} else if part, plan, err = buildPartitionPlan(cfg); err != nil {
+	} else if err := prep.compatibleWith(cfg); err != nil {
 		return nil, err
 	}
 	if ws := cfg.Workspace; ws != nil {
@@ -60,10 +56,7 @@ func (sh *solveShared) solve(in Config, newRec func(*nodeRun) recurrence) (*Resu
 	nodeHalo := make([]int64, cfg.Nodes)
 	nodeKern := make([]string, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
-		run, err := newNodeRun(sh, nd, part, plan, newRec)
-		if err != nil {
-			panic(err)
-		}
+		run := newNodeRun(sh, nd, prep, newRec)
 		run.main(result)
 		nodeMem[nd.GlobalRank()] = run.maxBytes()
 		nodeHalo[nd.GlobalRank()] = run.ex.HaloBytes()
@@ -181,23 +174,20 @@ func standardPCG(run *nodeRun) recurrence { return run }
 // node holds its block rows as a compact local matrix, its vector blocks,
 // and an owned+ghost assembly buffer — never a full-length vector.
 type nodeRun struct {
+	// cg is the PCG iteration state: communicator handle, trace buffer
+	// (it lives on the cluster node's shared state, so it survives the
+	// no-spare shrink's communicator replacement), preconditioner, kernel,
+	// exchanger and the dynamic vectors. x, r, z, p and the SpMV buffers are
+	// exactly the data a node failure destroys; they serve every
+	// recurrence, while z, rz and betaPrev are standard PCG's.
+	cg
 	rec recurrence // the PCG variant iterating on this state
 
 	cfg  *Config
-	nd   *cluster.Node
 	part *dist.Partition
 	plan *aspmv.Plan
-	pc   precond.Preconditioner
 
-	// tr is this rank's observability buffer — nil with observation off
-	// (every obs.Rank method no-ops on nil, so span sites carry no guards).
-	// It lives on the cluster node's shared state, so it survives the
-	// no-spare shrink's communicator replacement.
-	tr *obs.Rank
-
-	lo, hi   int // owned global index range
-	m        int // local size
-	nnzLocal float64
+	lo, hi int // owned global index range
 
 	// alloc provides the steady-state vector buffers: fresh makes by
 	// default, workspace-recycled ones under Config.Workspace. alloc may
@@ -206,18 +196,9 @@ type nodeRun struct {
 	alloc     func(n int) []float64
 	allocZero func(n int) []float64
 
-	local *sparse.Local    // block rows in the compact owned+ghost index space
-	kern  sparse.Kernel    // planned SpMV layout over those rows (Config.Kernel)
-	ex    *aspmv.Exchanger // halo exchange driver (Start/Finish halves)
+	local *sparse.Local // block rows in the compact owned+ghost index space
 
-	// Dynamic solver state (local blocks). These are exactly the data a
-	// node failure destroys. x, r, p and the SpMV buffers serve every
-	// recurrence; z, rz and betaPrev are standard PCG's.
-	x, r, z, p  []float64
-	q           []float64 // local rows of A·p (pipelined: A·x scratch)
-	pg          []float64 // owned+ghost SpMV input buffer, length m + g
-	rz          float64   // r·z of the current iteration
-	betaPrev    float64   // β of the previous iteration
+	betaPrev    float64 // β of the previous iteration
 	bNormGlobal float64
 	relres      float64 // latest ‖r‖/‖b‖ the recurrence sampled
 
@@ -281,32 +262,13 @@ func growI(buf []int, n int) []int {
 	return buf
 }
 
-func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan, newRec func(*nodeRun) recurrence) (*nodeRun, error) {
+// newNodeRun sets up rank nd's state over the solve's shared context: its
+// preconditioner, compact local matrix and planned kernel come from prep.
+func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared, newRec func(*nodeRun) recurrence) *nodeRun {
 	cfg := &sh.cfg
 	s := nd.Rank()
+	part, plan, local := prep.part, prep.plan, prep.locals[s]
 	lo, hi := part.Lo(s), part.Hi(s)
-	var pc precond.Preconditioner
-	var local *sparse.Local
-	var kern sparse.Kernel
-	if prep := cfg.Prepared; prep != nil {
-		// The shared context already built (and validated) this rank's
-		// preconditioner, compact local matrix and planned kernel.
-		pc, local, kern = prep.pcs[s], prep.locals[s], prep.kerns[s]
-	} else {
-		var err error
-		pc, err = precond.Build(cfg.PrecondKind, cfg.A, lo, hi, cfg.MaxBlock)
-		if err != nil {
-			return nil, err
-		}
-		if pc.CouplesAcrossNodes() {
-			return nil, fmt.Errorf("core: preconditioners coupling across node boundaries are not supported by the reconstruction")
-		}
-		local, err = sparse.NewLocal(cfg.A, lo, hi, plan.Ghost(s))
-		if err != nil {
-			return nil, fmt.Errorf("core: local matrix extraction: %w", err)
-		}
-		kern = sparse.BuildKernel(local, cfg.Kernel)
-	}
 	// Fresh makes by default; workspace-recycled buffers under
 	// Config.Workspace. Only x needs the cleared variant (zero initial
 	// guess); every other vector is fully overwritten before its first read
@@ -319,12 +281,16 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *a
 		alloc, allocZero = na.grab, na.grabZero
 	}
 	run := &nodeRun{
-		cfg: cfg, setups: &sh.setups, nd: nd, part: part, plan: plan, pc: pc, tr: nd.Trace(),
-		lo: lo, hi: hi, m: hi - lo, nnzLocal: float64(local.NNZ()),
-		local: local, kern: kern, ex: plan.NewExchanger(s), alloc: alloc, allocZero: allocZero,
-		x: allocZero(hi - lo), r: alloc(hi - lo),
-		z: alloc(hi - lo), p: alloc(hi - lo),
-		q: alloc(hi - lo), pg: alloc(hi - lo + local.G()),
+		cg: cg{
+			nd: nd, tr: nd.Trace(), pc: prep.pcs[s], kern: prep.kerns[s], ex: *plan.NewExchanger(s),
+			blocking: cfg.BlockingExchange, m: hi - lo,
+			x: allocZero(hi - lo), r: alloc(hi - lo),
+			z: alloc(hi - lo), p: alloc(hi - lo),
+			q: alloc(hi - lo), pg: alloc(hi - lo + local.G()),
+			vecKind: obs.KindVec, pcKind: obs.KindPrecond,
+		},
+		cfg: cfg, setups: &sh.setups, part: part, plan: plan,
+		lo: lo, hi: hi, local: local, alloc: alloc, allocZero: allocZero,
 		events: cfg.Failures, phi: cfg.Phi,
 		sparesLeft: initialSpares(cfg),
 	}
@@ -338,7 +304,7 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, part *dist.Partition, plan *a
 	case StrategyIMCR:
 		run.res = newIMCRState(run)
 	}
-	return run, nil
+	return run
 }
 
 // initialSpares maps the config's pool knobs to the per-node counter:
@@ -365,35 +331,6 @@ func (run *nodeRun) dueEvent(j int) *FailureSpec {
 // pendingEvents reports whether unfired events remain on the timeline.
 func (run *nodeRun) pendingEvents() bool { return run.nextEvent < len(run.events) }
 
-// spmvInto computes dst = A·src on the local rows via the plain compact halo
-// exchange, dispatched through the node's planned kernel (run.kern). Unless
-// cfg.BlockingExchange, the interior-rows product runs between the exchange's
-// Start and Finish halves, hiding the halo latency behind local compute on
-// the simulated clock. src has length m.
-func (run *nodeRun) spmvInto(dst, src []float64) {
-	copy(run.pg[:run.m], src)
-	run.ex.MulOverlapped(run.nd, run.kern, dst, run.pg, run.cfg.BlockingExchange)
-}
-
-// compute advances the simulated clock by flops·FlopTime and attributes
-// the interval to kind on the node's span timeline. With observation off
-// this degenerates to nd.Compute: the clock reads are plain loads and the
-// span call no-ops on the nil buffer — no branches worth measuring, no
-// allocation, identical simulated time either way.
-func (run *nodeRun) compute(kind obs.Kind, flops float64) {
-	t0 := run.nd.Clock()
-	run.nd.Compute(flops)
-	run.tr.Span(kind, t0, run.nd.Clock())
-}
-
-// dot2 performs the fused allreduce of two local partial sums, the way an
-// optimized PCG batches its residual norms.
-func (run *nodeRun) dot2(a, b float64) (float64, float64) {
-	buf := [2]float64{a, b}
-	run.nd.Allreduce(cluster.OpSum, buf[:])
-	return buf[0], buf[1]
-}
-
 // sample records the relative residual √rr/‖b‖ of iteration j — the residual
 // log and rank 0's series point (a no-op on every other rank and with
 // observation off) — and reports whether it meets the tolerance.
@@ -416,7 +353,7 @@ func (run *nodeRun) setBNorm(bb float64) {
 
 // trueResidual sets r = b − A·x, leaving A·x in q.
 func (run *nodeRun) trueResidual() {
-	run.spmvInto(run.q, run.x)
+	run.spmv(run.q, run.x)
 	vec.Sub(run.r, run.cfg.B[run.lo:run.hi], run.q)
 	run.compute(obs.KindVec, float64(run.m))
 }
@@ -535,15 +472,11 @@ func (run *nodeRun) main(result *Result) {
 }
 
 // head is standard PCG's step up to the injection point: the storage-stage
-// bookkeeping and the SpMV q = A·p, augmented in a storage iteration. The
-// received redundant copy travels by value — a pointer would escape to the
-// heap once per iteration.
+// bookkeeping and the SpMV q = A·p, augmented in a storage iteration.
 func (run *nodeRun) head(j, _ int) bool {
-	if run.res != nil && run.res.beforeSpMV(j) {
-		copy(run.pg[:run.m], run.p)
-		run.res.retain(run.ex.MulOverlappedAugmented(run.nd, run.kern, run.q, run.pg, j, run.cfg.BlockingExchange))
-	} else {
-		run.spmvInto(run.q, run.p)
+	augmented := run.res != nil && run.res.beforeSpMV(j)
+	if rc := run.mul(run.q, run.p, augmented, j); augmented {
+		run.res.retain(rc)
 	}
 	return false
 }
@@ -552,34 +485,14 @@ func (run *nodeRun) head(j, _ int) bool {
 // The residual norm it reduces next to r·z is the one sampled, so standard
 // PCG learns of convergence at the end of the step that achieved it.
 func (run *nodeRun) tail(j, step int) bool {
-	// α = r·z / p·(A p)
-	pqLoc := vec.Dot(run.p, run.q)
-	run.compute(obs.KindVec, 2*float64(run.m))
-	pq := run.nd.AllreduceScalar(cluster.OpSum, pqLoc)
-	alpha := run.rz / pq
-
-	vec.AxpyPair(alpha, run.p, run.x, -alpha, run.q, run.r)
-	run.compute(obs.KindVec, 4*float64(run.m))
-
+	run.update(run.rz / run.pAq())
 	// Residual replacement (ref. 27): swap the recurrence residual for
 	// the true residual before z, β and p are derived from it, so the
 	// reconstruction recurrences stay valid.
 	if rr := run.cfg.ResidualReplacementInterval; rr > 0 && (j+1)%rr == 0 {
 		run.trueResidual()
 	}
-
-	run.pc.Apply(run.z, run.r)
-	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
-
-	rzLoc, rrLoc := vec.Dot2(run.r, run.z)
-	run.compute(obs.KindVec, 4*float64(run.m))
-	rzNew, rr := run.dot2(rzLoc, rrLoc)
-
-	beta := rzNew / run.rz
-	vec.XpayInto(run.p, run.z, beta, run.p)
-	run.compute(obs.KindVec, 2*float64(run.m))
-
-	run.rz = rzNew
+	beta, rr := run.step()
 	run.betaPrev = beta
 	if run.res != nil {
 		run.res.afterIteration(j, beta)
@@ -634,7 +547,7 @@ func (run *nodeRun) maxBytes() int64 {
 // (‖r‖₂ − ‖b−Ax‖₂) / ‖b−Ax‖₂, comparing the recurrence residual with the
 // true residual of the final iterand.
 func (run *nodeRun) residualDrift() float64 {
-	run.spmvInto(run.q, run.x)
+	run.spmv(run.q, run.x)
 	bLoc := run.cfg.B[run.lo:run.hi]
 	trueLoc := 0.0
 	for i := 0; i < run.m; i++ {
