@@ -110,13 +110,19 @@ func TestNegativeMaxIterExitsNonZero(t *testing.T) {
 }
 
 // Negative -workers, -rtol and -horizon are errors too, where they used to
-// run on GOMAXPROCS workers, at 1e-8 and up to iteration 200.
+// run on GOMAXPROCS workers, at 1e-8 and up to iteration 200. So are grid
+// values that used to make every cell an error cell and exit 0.
 func TestNegativeValuesExitNonZero(t *testing.T) {
 	bin := buildCommand(t)
 	for _, c := range []struct{ flag, value, want string }{
 		{"-workers", "-3", "workers must be ≥ 0"},
 		{"-rtol", "-1", "tolerance must be ≥ 0"},
 		{"-horizon", "-5", "bad -horizon"},
+		{"-nodes", "0", "node counts must be ≥ 1"},
+		{"-phis", "-1", "redundancy φ must be ≥ 0"},
+		{"-mtbf", "-5", "MTBF must be positive"},
+		{"-group-prob", "2", "group probability must be in [0,1]"},
+		{"-group", "-1", "group size must be in"},
 	} {
 		out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-json", "/dev/null", "-q", c.flag, c.value).CombinedOutput()
 		if _, exited := err.(*exec.ExitError); !exited {

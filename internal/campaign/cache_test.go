@@ -88,6 +88,62 @@ func TestCacheWarmRunByteIdentical(t *testing.T) {
 	}
 }
 
+// A sampled cell delivers its trace on a warm run too: cold and warm runs
+// with TraceSample = 1 hand over the same indices and byte-identical traces,
+// while the warm report and the cache directory stay what the cold run left.
+func TestCacheWarmRunDeliversSampledTraces(t *testing.T) {
+	dir := t.TempDir()
+	run := func() ([]byte, map[int][]byte, map[string][]byte) {
+		g := tinyGrid()
+		g.Cache = openCache(t, dir)
+		g.TraceSample = 1
+		var mu sync.Mutex
+		traces := map[int][]byte{}
+		g.OnCellTrace = func(index int, c *Cell, tr *obs.Trace) {
+			var buf bytes.Buffer
+			if err := tr.WriteChrome(&buf); err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			traces[index] = buf.Bytes()
+			mu.Unlock()
+		}
+		out := runJSON(t, g)
+		files := map[string][]byte{}
+		if err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			files[path], err = os.ReadFile(path)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out, traces, files
+	}
+	coldJSON, coldTraces, coldFiles := run()
+	warmJSON, warmTraces, warmFiles := run()
+	if len(coldTraces) == 0 || len(warmTraces) != len(coldTraces) {
+		t.Fatalf("warm run delivered %d traces, cold %d", len(warmTraces), len(coldTraces))
+	}
+	for i, tr := range coldTraces {
+		if !bytes.Equal(warmTraces[i], tr) {
+			t.Errorf("cell %d: warm trace differs from the cold one", i)
+		}
+	}
+	if !bytes.Equal(warmJSON, coldJSON) {
+		t.Error("warm report differs from the cold one")
+	}
+	if len(warmFiles) != len(coldFiles) {
+		t.Fatalf("cache holds %d files after the warm run, %d after the cold one", len(warmFiles), len(coldFiles))
+	}
+	for path, b := range coldFiles {
+		if !bytes.Equal(warmFiles[path], b) {
+			t.Errorf("%s changed on the warm run", path)
+		}
+	}
+}
+
 // A machine-point-only change must be served entirely from the schedule
 // tier — zero solves — and match a cacheless cold run under that model
 // bit-for-bit (the replay-equivalence invariant, now across processes).

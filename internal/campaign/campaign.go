@@ -270,6 +270,24 @@ func (g Grid) withDefaults() (Grid, error) {
 	if len(g.Seeds) == 0 {
 		g.Seeds = []int64{1}
 	}
+	// Mistakes that would turn every cell of a row into an error cell stop
+	// the run before any cell does.
+	for _, n := range g.Nodes {
+		if n < 1 {
+			return g, fmt.Errorf("campaign: node counts must be ≥ 1, got %d", n)
+		}
+		if sc := g.Scenario; !g.failureFree() {
+			sc.Nodes = n
+			if err := sc.Validate(); err != nil {
+				return g, fmt.Errorf("campaign: scenario at %d nodes: %w", n, err)
+			}
+		}
+	}
+	for _, phi := range g.Phis {
+		if phi < 0 {
+			return g, fmt.Errorf("campaign: redundancy φ must be ≥ 0 (0 = 1 for redundant strategies), got %d", phi)
+		}
+	}
 	// A seed-independent scenario (fixed schedule, or the zero value =
 	// failure-free) makes every seed's cell bit-identical; collapse the
 	// seed axis instead of running redundant copies.
@@ -419,7 +437,7 @@ func Run(g Grid) (*Report, error) {
 	// lookup. A context that fails to prepare stays nil and the cell falls
 	// back to the old per-cell path (surfacing the same error).
 	preps := g.prepareContexts(cells, matrices, func(i int) bool {
-		return cells[i].Err == "" && (cr == nil || cr.state[i] == cellMiss)
+		return cells[i].Err == "" && (cr == nil || cr.state[i] == cellMiss || g.traced(i))
 	})
 	g.HostObs.SamplePhase("prepared")
 
@@ -587,8 +605,8 @@ type draw struct {
 // the draw of g.Nodes[ni], g.Seeds[si] is at [ni*len(g.Seeds)+si].
 func (g Grid) compileDraws() []draw {
 	draws := make([]draw, len(g.Nodes)*len(g.Seeds))
-	if g.Scenario.Model == faultsim.ModelFixed && len(g.Scenario.Schedule) == 0 {
-		return draws // failure-free
+	if g.failureFree() {
+		return draws
 	}
 	for ni, n := range g.Nodes {
 		for si, seed := range g.Seeds {
@@ -602,6 +620,12 @@ func (g Grid) compileDraws() []draw {
 		}
 	}
 	return draws
+}
+
+// failureFree reports whether the grid's scenario is the zero one: a fixed
+// model without a schedule, no failures at any node count.
+func (g *Grid) failureFree() bool {
+	return g.Scenario.Model == faultsim.ModelFixed && len(g.Scenario.Schedule) == 0
 }
 
 // fill gives c its view of the draw, setting c.Events and c.Clamped (or
@@ -635,15 +659,19 @@ func (d *draw) fill(c *Cell) {
 // per Grid.Machines point): the solve is recorded once and each point's
 // figures come from an O(events) replay of the schedule. cr, when non-nil,
 // is the cache context: hits fill the cell without solving, misses solve
-// with recording on and persist both tiers.
+// with recording on and persist both tiers. Until traces are derived from
+// schedules, a sampled hit still solves, for its trace alone: the cell keeps
+// the cached figures.
 func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
 	if c.Err != "" {
 		return
 	}
-	if cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr) {
+	traced := g.traced(index)
+	hit := cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr)
+	if hit && !traced {
 		return
 	}
-	if cr != nil {
+	if cr != nil && !hit {
 		g.HostObs.CacheMiss()
 	}
 
@@ -662,9 +690,16 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		cfg.Spares = g.Spares
 	}
-	traced := g.TraceSample > 0 && index%g.TraceSample == 0 && g.OnCellTrace != nil
 	if traced {
 		cfg.Observe = &obs.Options{Trace: true}
+	}
+	if hit {
+		if res, err := core.Solve(cfg); err != nil {
+			c.Err = err.Error()
+		} else {
+			g.OnCellTrace(index, c, res.Trace)
+		}
+		return
 	}
 	// Record whenever a machine sweep needs the schedule, or a cache miss
 	// will persist it: the schedule tier is what lets future runs serve
@@ -714,6 +749,11 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	if traced && res.Trace != nil {
 		g.OnCellTrace(index, c, res.Trace)
 	}
+}
+
+// traced reports whether the cell at grid index i is in the trace sample.
+func (g *Grid) traced(i int) bool {
+	return g.TraceSample > 0 && i%g.TraceSample == 0 && g.OnCellTrace != nil
 }
 
 // compareGroup orders cells by the coordinates an Aggregate condenses over

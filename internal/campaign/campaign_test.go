@@ -196,6 +196,11 @@ func TestRenderAndSummary(t *testing.T) {
 }
 
 func TestGridValidation(t *testing.T) {
+	stochastic := func(mut func(*faultsim.Scenario)) faultsim.Scenario {
+		sc := faultsim.Scenario{Model: faultsim.ModelExponential, MTBF: 500, Horizon: 60}
+		mut(&sc)
+		return sc
+	}
 	if _, err := Run(Grid{}); err == nil {
 		t.Error("empty grid accepted")
 	}
@@ -238,12 +243,29 @@ func TestGridValidation(t *testing.T) {
 		{func(g *Grid) { g.MaxBlock = -3 }, "block size must be ≥ 0"},
 		{func(g *Grid) { g.Rtol = -1 }, "tolerance must be ≥ 0"},
 		{func(g *Grid) { g.Workers = -3 }, "workers must be ≥ 0"},
+		// Mistakes that would make every cell of a row an error cell.
+		{func(g *Grid) { g.Nodes = []int{4, 0} }, "node counts must be ≥ 1, got 0"},
+		{func(g *Grid) { g.Phis = []int{1, -1} }, "redundancy φ must be ≥ 0"},
+		{func(g *Grid) { g.Scenario = stochastic(func(sc *faultsim.Scenario) { sc.MTBF = -5 }) }, "MTBF must be positive"},
+		{func(g *Grid) { g.Scenario = stochastic(func(sc *faultsim.Scenario) { sc.GroupProb = 2 }) }, "group probability"},
+		{func(g *Grid) { g.Scenario = stochastic(func(sc *faultsim.Scenario) { sc.GroupSize = -1 }) }, "group size"},
+		// A blade as wide as one node count of the grid.
+		{func(g *Grid) {
+			g.Nodes = []int{8, 4}
+			g.Scenario = stochastic(func(sc *faultsim.Scenario) { sc.GroupSize = 4 })
+		}, "scenario at 4 nodes: faultsim: group size must be in [0,4)"},
 	} {
 		g = tinyGrid()
 		c.set(&g)
 		if _, err := Run(g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("error %v, want one saying %q", err, c.want)
 		}
+	}
+	// The zero scenario is failure-free: valid at any node count.
+	g = tinyGrid()
+	g.Nodes, g.Scenario = []int{1, 4}, faultsim.Scenario{}
+	if _, err := Run(g); err != nil {
+		t.Errorf("failure-free grid rejected: %v", err)
 	}
 }
 

@@ -106,14 +106,17 @@ func TestDrawsMatchPerCellCompile(t *testing.T) {
 	}
 }
 
-// A scenario that does not compile for one node count fails exactly that
-// count's cells, with the compile error, identically without a cache, into
-// an empty one and out of a full one.
+// A scenario that validates but does not compile for one node count fails
+// exactly that count's cells, with the compile error, identically without a
+// cache, into an empty one and out of a full one. (One that fails
+// validation at any node count fails the whole grid: TestGridValidation.)
 func TestDrawCompileErrorOnEveryPath(t *testing.T) {
 	grid := func() Grid {
 		g := drawGrid(rand.New(rand.NewSource(7)))
 		g.Nodes = []int{4, 8}
-		g.Scenario.GroupSize = 4 // a blade as wide as the 4-node cluster
+		// Rank 5 exists on the 8-node cluster only.
+		g.Scenario = faultsim.Scenario{Model: faultsim.ModelFixed,
+			Schedule: []core.FailureSpec{{Iteration: 3, Ranks: []int{5}}}}
 		return g
 	}
 	sc := grid().Scenario

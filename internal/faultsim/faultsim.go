@@ -97,8 +97,8 @@ type Scenario struct {
 	Schedule []core.FailureSpec
 }
 
-// validate checks the scenario parameters.
-func (s Scenario) validate() error {
+// Validate checks the scenario parameters; Compile runs it first.
+func (s Scenario) Validate() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("faultsim: need at least 2 nodes, got %d", s.Nodes)
 	}
@@ -168,7 +168,7 @@ type arrival struct {
 // ascending rank block. Compilation is deterministic in the scenario value
 // (same seed ⇒ identical slice).
 func (s Scenario) Compile() ([]core.FailureSpec, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if s.Model == ModelFixed {
@@ -265,7 +265,7 @@ func (s Scenario) compileFixed() ([]core.FailureSpec, error) {
 
 // blade returns the aligned group of width g containing rank r, clipped to
 // the cluster — the correlated-failure unit (ranks sharing a chassis).
-// validate() guarantees g < nodes, so a blade never covers the whole
+// Validate guarantees g < nodes, so a blade never covers the whole
 // cluster.
 func blade(r, g, nodes int) []int {
 	lo := (r / g) * g
