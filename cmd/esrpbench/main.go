@@ -19,19 +19,15 @@
 //	-phis CSV   redundancy counts (default 1,3,8)
 //	-ts CSV     checkpoint intervals (default 1,20,50,100)
 //
-// Every constellation run also writes a machine-readable BENCH_<name>.json
-// (simulated time, iterations, halo bytes, max per-node bytes for the
-// reference and every cell) into -json-dir; -json-dir "" disables the
-// export. The figures are simulated, so two builds that agree on them agree
-// bit for bit; the host cost of the engine is measured under benchmark/.
+// The figures are simulated, so two builds that agree on them agree bit for
+// bit (testdata/paper pins them); the host cost of the engine is measured
+// under benchmark/.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -46,13 +42,12 @@ func main() {
 		fig   = flag.Int("fig", 0, "regenerate Figure 2..3 (0 = none)")
 		all   = flag.Bool("all", false, "regenerate every table and figure")
 
-		nodes   = flag.Int("nodes", 32, "simulated cluster size")
-		scale   = flag.Int("scale", 1, "grid refinement factor for the test matrices")
-		phis    = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
-		ts      = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
-		rtol    = flag.Float64("rtol", 1e-8, "outer relative tolerance")
-		kernel  = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
-		jsonDir = flag.String("json-dir", ".", "directory for the BENCH_<name>.json exports of the simulated figures (\"\" = disabled)")
+		nodes  = flag.Int("nodes", 32, "simulated cluster size")
+		scale  = flag.Int("scale", 1, "grid refinement factor for the test matrices")
+		phis   = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
+		ts     = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
+		rtol   = flag.Float64("rtol", 1e-8, "outer relative tolerance")
+		kernel = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
 
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -97,7 +92,7 @@ func main() {
 		}
 	}()
 
-	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
+	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, kernel: kk}
 
 	want := func(t, f int) bool {
 		if *all {
@@ -164,7 +159,6 @@ type generator struct {
 	phis, ts     []int
 	rtol         float64
 	kernel       esrp.KernelKind
-	jsonDir      string
 }
 
 // emilia returns the Emilia_923 analog at the configured scale: a banded
@@ -202,94 +196,7 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 	}
 	fmt.Fprintf(os.Stderr, "esrpbench: %s done in %v (reference: %d iterations, %.4g s simulated)\n",
 		name, time.Since(start).Round(time.Millisecond), rep.Ref.Iterations, rep.Ref.SimTime)
-	if g.jsonDir != "" {
-		if path, err := writeBenchJSON(g.jsonDir, name, g, a, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "esrpbench: writing %s results: %v\n", name, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "esrpbench: wrote %s\n", path)
-		}
-	}
 	return rep
-}
-
-// benchCell is one machine-readable measurement row of the export.
-type benchCell struct {
-	Strategy     string  `json:"strategy"`
-	T            int     `json:"t"`
-	Phi          int     `json:"phi"`
-	SimTime      float64 `json:"sim_time_s"`
-	Overhead     float64 `json:"overhead"`
-	Iterations   int     `json:"iterations"`
-	MaxNodeBytes int64   `json:"max_node_bytes"`
-	HaloBytes    int64   `json:"halo_bytes"`
-}
-
-// benchJSON is the BENCH_<name>.json schema: the reference run plus every
-// failure-free cell of the constellation, in stable sweep order.
-type benchJSON struct {
-	Name  string `json:"name"`
-	Rows  int    `json:"rows"`
-	NNZ   int    `json:"nnz"`
-	Nodes int    `json:"nodes"`
-	Scale int    `json:"scale"`
-
-	// Build is the provenance stamp of the binary that produced the export
-	// (Go version, VCS revision) — the anchor for comparing figures across
-	// runs.
-	Build esrp.BuildInfo `json:"build"`
-
-	RefSimTime      float64 `json:"ref_sim_time_s"`
-	RefIterations   int     `json:"ref_iterations"`
-	RefMaxNodeBytes int64   `json:"ref_max_node_bytes"`
-	RefHaloBytes    int64   `json:"ref_halo_bytes"`
-
-	Cells []benchCell `json:"cells"`
-}
-
-// writeBenchJSON exports one constellation's simulated headline numbers
-// (time, iterations, traffic, memory) for diffing across builds.
-func writeBenchJSON(dir, name string, g generator, a *esrp.CSR, rep *esrp.ExperimentReport) (string, error) {
-	out := benchJSON{
-		Name: name, Rows: a.Rows, NNZ: a.NNZ(), Nodes: g.nodes, Scale: g.scale,
-		Build:      esrp.CurrentBuild(),
-		RefSimTime: rep.Ref.SimTime, RefIterations: rep.Ref.Iterations,
-		RefMaxNodeBytes: rep.Ref.MaxNodeBytes, RefHaloBytes: rep.Ref.HaloBytes,
-	}
-	for _, cells := range [][]esrp.ExperimentCell{rep.ESRP, rep.IMCR} {
-		for _, c := range cells {
-			ff := &c.FF
-			out.Cells = append(out.Cells, benchCell{
-				Strategy: ff.Strategy, T: ff.T, Phi: ff.Phi,
-				SimTime: ff.SimTime, Overhead: rep.Overhead(ff), Iterations: ff.Iterations,
-				MaxNodeBytes: ff.MaxNodeBytes, HaloBytes: ff.HaloBytes,
-			})
-		}
-	}
-
-	path := filepath.Join(dir, "BENCH_"+sanitizeName(name)+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
-// sanitizeName keeps the export filename shell-friendly.
-func sanitizeName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '-'
-		}
-	}, name)
 }
 
 func esrpTable1(g generator) string {
