@@ -38,7 +38,7 @@ type setupKind uint8
 
 const (
 	setupInner    setupKind = iota // A[If,If], one part per failed rank
-	setupInnerSeq                  // A[If,If] as a single part (adopter, gathered ablation)
+	setupInnerSeq                  // A[If,If] as a single part (the shrink's adopter)
 	setupShrink                    // A over the survivors of a no-spare shrink
 )
 

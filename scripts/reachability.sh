@@ -127,12 +127,12 @@ fails "$solve" -events "bogus"
 fails "$solve" -fail-iter 5 -fail-ranks x
 log "esrpsolve done"
 
-# esrpbench: the fast table, CI's paper-tables job, the exports, the
-# profiles and the rejected flags.
-ok "$bench" -table 2 -scale 1 -json-dir "$work" \
+# esrpbench: the fast table, CI's paper-tables job, the profiles and the
+# rejected flags.
+ok "$bench" -table 2 -scale 1 \
 	-cpuprofile "$work/cpu.prof" -memprofile "$work/mem.prof" -allocsprofile "$work/allocs.prof"
-ok "$bench" -all -json-dir "$work"
-ok "$bench" -fig 2 -nodes 8 -ts 10,20 -phis 1 -kernel csr -json-dir ""
+ok "$bench" -all
+ok "$bench" -fig 2 -nodes 8 -ts 10,20 -phis 1 -kernel csr
 fails "$bench"
 fails "$bench" -table 1 -scale 0
 fails "$bench" -table 1 -ts 0
@@ -145,11 +145,17 @@ small=(-gen poisson2d -n 32 -nodes 8 -strategies esrp,imcr -ts 10 -phis 1 -seeds
 ok "$camp" "${small[@]}" -json "$work/campaign.json" -csv "$work/campaign.csv"
 fails "$camp" -gen poisson2d -n 8 -nodes 2 -maxiter -5
 fails "$camp" -gen poisson2d -n 8 -nodes 2 -horizon -5
+for bad in "-nodes 0" "-phis -1" "-mtbf -5" "-group-prob 2" "-group -1"; do
+	# $bad unquoted: it splits into the flag and its value
+	fails "$camp" -gen poisson2d -n 8 -nodes 2 $bad -json /dev/null
+done
 ok "$camp" "${small[@]}" -sweep-machine "L=1x,8x" -schedules "$work/schedules" -json "$work/sweep.json"
 ok "$camp" "${small[@]}" -json /dev/null -host-trace "$work/host.trace.json" -metrics "$work/host.prom" -v
 cached=(-gen poisson2d -n 32 -nodes 8 -strategies esrp,imcr -ts 10,20 -phis 1 -seeds 2 -mtbf 500 -horizon 80)
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -workers 2 -json "$work/cold.json" -metrics "$work/cold.prom"
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -workers 1 -json "$work/warm.json" -metrics "$work/warm.prom"
+ok "$camp" "${cached[@]}" -cache "$work/ccache" -trace-sample 2 -trace-dir "$work/warm-traces" -json "$work/traced.json"
+ok cmp "$work/cold.json" "$work/traced.json"
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -machine "L=4x;G=2x" -json "$work/moved.json" -metrics "$work/moved.prom"
 res=$(find "$work/ccache/res" -type f | sort | head -2)
 truncate -s 5 "$(echo "$res" | sed -n 1p)"
