@@ -276,7 +276,8 @@ func (g Grid) withDefaults() (Grid, error) {
 		if n < 1 {
 			return g, fmt.Errorf("campaign: node counts must be ≥ 1, got %d", n)
 		}
-		if sc := g.Scenario; !g.failureFree() {
+		if !g.failureFree() {
+			sc := g.Scenario
 			sc.Nodes = n
 			if err := sc.Validate(); err != nil {
 				return g, fmt.Errorf("campaign: scenario at %d nodes: %w", n, err)

@@ -24,7 +24,7 @@ type cg struct {
 
 	pc       precond.Preconditioner
 	kern     sparse.Kernel   // planned SpMV layout over the compact local rows
-	ex       aspmv.Exchanger // halo exchange driver, held by value
+	ex       aspmv.Exchanger // halo exchange driver; by value, so an inner solve's stays on its stack
 	blocking bool            // Config.BlockingExchange
 
 	// Local blocks of m rows: x, r, z, p of the recurrence, q = A·p, and
