@@ -182,6 +182,57 @@ func groupLengths() *CSR {
 	return b.Build()
 }
 
+// tailPatterns builds a matrix whose period-1 rows left over by the chunks
+// fall into offset patterns of every size 1…9 rows: pattern c couples columns
+// i−1, i and i+c+1, and its c rows are ⌈c/2⌉ single-row runs followed by the
+// one to three rows left after the 4-row chunk of runs of 5 to 7 rows. A
+// diagonal-only row follows every run. Four single rows of one more pattern,
+// columns i and i+far, reach the last column, as does the closing run of 12
+// diagonal-only rows: a bounds proof against one column fewer rejects exactly
+// that pattern's quad and that run.
+func tailPatterns() *CSR {
+	type segment struct{ c, rows int } // pattern c (0: far), run length
+	var segs []segment
+	for r := 0; r < 4; r++ {
+		segs = append(segs, segment{0, 1})
+	}
+	for c := 1; c <= 9; c++ {
+		single := (c + 1) / 2
+		for r := 0; r < single; r++ {
+			segs = append(segs, segment{c, 1})
+		}
+		for rest := c - single; rest > 0; rest -= min(rest, 3) {
+			segs = append(segs, segment{c, bandUnroll + min(rest, 3)})
+		}
+	}
+	n := 1 + 11
+	for _, sg := range segs {
+		n += sg.rows + 1
+	}
+	far := n - 1 - 7 // the fourth far row is row 7
+	rng := rand.New(rand.NewSource(23))
+	b := NewBuilder(n, n)
+	b.Add(0, 0, 1)
+	i := 1
+	for _, sg := range segs {
+		for r := 0; r < sg.rows; r, i = r+1, i+1 {
+			cols := []int{i - 1, i, i + sg.c + 1}
+			if sg.c == 0 {
+				cols = []int{i, i + far}
+			}
+			for _, c := range cols {
+				b.Add(i, c, rng.NormFloat64())
+			}
+		}
+		b.Add(i, i, 1)
+		i++
+	}
+	for ; i < n; i++ {
+		b.Add(i, i, 1)
+	}
+	return b.Build()
+}
+
 // bandPaths runs f once per way the band layout can multiply on this
 // platform: through the vector routine where there is one, and through the
 // portable loops — what every other platform runs.
@@ -228,6 +279,7 @@ func kernelMatrices(t testing.TB) map[string]*CSR {
 		"matrixmarket":     mm,
 		"runs-1to17":       runLengths(),
 		"groups-1to9":      groupLengths(),
+		"tails-1to9":       tailPatterns(),
 	}
 }
 
@@ -389,15 +441,21 @@ func TestBandGroupShapes(t *testing.T) {
 // survive a mul.
 func TestBandMulStoresOnlyItsRows(t *testing.T) {
 	sentinel := math.Float64frombits(0x7ff4_dead_0000_beef) // a NaN no sum produces
-	groups := groupLengths()
-	var grouped []int // every row but the diagonal-only ones, so each run's i1 is outside
-	for i := 0; i < groups.Rows; i++ {
-		if groups.RowPtr[i+1]-groups.RowPtr[i] > 1 {
-			grouped = append(grouped, i)
+	// Every row but the diagonal-only ones, so the row after each run is
+	// outside the block.
+	noSeparators := func(a *CSR) []int {
+		var rows []int
+		for i := 0; i < a.Rows; i++ {
+			if a.RowPtr[i+1]-a.RowPtr[i] > 1 {
+				rows = append(rows, i)
+			}
 		}
+		return rows
 	}
-	gl := localOf(t, groups, 0, groups.Rows)
+	groups, tails := groupLengths(), tailPatterns()
+	gl, tl := localOf(t, groups, 0, groups.Rows), localOf(t, tails, 0, tails.Rows)
 	sl := localOf(t, stencilDof(5, 5, 5, 3, 3), 75, 290) // ends inside a vertex: halos both sides
+	pl := localOf(t, stencil27(8), 128, 384)             // four planes: halos both sides
 	blocks := []struct {
 		name string
 		l    *Local
@@ -405,7 +463,10 @@ func TestBandMulStoresOnlyItsRows(t *testing.T) {
 	}{
 		{"dof3/interior", sl, sl.InteriorRows},
 		{"dof3/boundary", sl, sl.BoundaryRows},
-		{"groups-1to9/no-separators", gl, grouped},
+		{"groups-1to9/no-separators", gl, noSeparators(groups)},
+		{"tails-1to9/no-separators", tl, noSeparators(tails)},
+		{"slab/interior", pl, pl.InteriorRows},
+		{"slab/boundary", pl, pl.BoundaryRows},
 	}
 	bandPaths(t, func(t *testing.T) {
 		for _, bl := range blocks {
@@ -551,12 +612,13 @@ func kernelBytes(k Kernel) int64 {
 }
 
 // BenchmarkKernelMul measures the raw local product per layout — the
-// arithmetic floor the planner converts into solve wall-clock — on the two
-// rank shapes of the benchmark's solve workloads: a 6 912-row slab of a 24³
-// stencil (solve-fat's structure, long interior runs), one of 128 ranks of a
-// 16×16×32 grid (solve-wide: 64 rows, two grid lines, every row reads a halo),
-// and one of 8 ranks of a 3-dof stencil on 10³ vertices (recovery-storm: 375
-// rows in period-3 runs of 1 to 8 groups).
+// arithmetic floor the planner converts into solve wall-clock — on a 6 912-row
+// slab of a 24³ stencil (two solve-fat ranks' rows as one block: long interior
+// runs) and on the rank shapes of the benchmark's three solve workloads: one
+// of 4 ranks of that stencil (solve-fat: 3 456 rows, halo on both sides), one
+// of 128 ranks of a 16×16×32 grid (solve-wide: 64 rows, two grid lines, every
+// row reads a halo), and one of 8 ranks of a 3-dof stencil on 10³ vertices
+// (recovery-storm: 375 rows in period-3 runs of 1 to 8 groups).
 func BenchmarkKernelMul(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -564,6 +626,7 @@ func BenchmarkKernelMul(b *testing.B) {
 		lo, hi int
 	}{
 		{"slab6912", stencil27(24), 3456, 10368},
+		{"rank3456", stencil27(24), 3456, 6912},
 		{"rank64", stencilGrid(16, 16, 32), 64 * 37, 64 * 38},
 		{"rank375x3", stencilDof(10, 10, 10, 3, 1), 1125, 1500},
 	} {
