@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 
 	"esrp/internal/cpu"
 )
@@ -48,6 +49,7 @@ type bandRun struct {
 	base   int   // offset of row i0's first entry in the Local's Vals
 	off    []int // column offsets relative to the group base, source order
 	vt     int   // offset of the run's transposed values in bandRows.vt, −1 if none
+	rest   int   // first row the portable loops multiply (period 1 only)
 }
 
 // bandRows is the constant-band layout of one row block: the block's rows
@@ -55,31 +57,41 @@ type bandRun struct {
 // entry k is groupBase+off[k] — no per-entry index loads; the period-1 loop
 // reuses each offset across four rows, the period-d loop additionally loads
 // each x entry once per group instead of once per row. Rows that fit no run
-// degenerate to single-row runs (correct, CSR-equivalent speed); the
-// planner only picks this layout when long runs dominate.
+// form single-row runs; the planner only picks this layout when long runs
+// dominate.
 //
 // Where bandVector holds, the first ⌊n/4⌋·4 rows of every period-1 run of
 // n ≥ 4 rows are also kept chunk-transposed in vt — chunks of 8 rows, then at
 // most one of 4, each laid out [entry k][lane] — and so is every period-3 run,
 // group-transposed: chunks of 4 groups, then at most one of 2, then at most
 // one single group, each laid out [entry k][group][lane], lane = row within
-// the group, the fourth lane a zero pad. Either way one vector lane per row
-// advances that row's own accumulator through the row's entries in source
-// order: the same products and sums as the portable loops, several rows per
+// the group, the fourth lane a zero pad. The period-1 rows left over — the
+// n mod 4 rows after a run's chunks and the rows of runs shorter than 4 — are
+// gathered by offset pattern: every four rows of one pattern, wherever they
+// sit, form a quad, its values laid out [entry k][lane] after the runs' in vt
+// and its rows listed in quads. Either way one vector lane per row advances
+// that row's own accumulator through the row's entries in source order: the
+// same products and sums as the portable loops, several rows per
 // instruction. The routines have no bounds checks; transpose proves every
-// index a transposed run touches lies below xlen (in x) and dlen (in dst), and
-// mul checks those two lengths once per call.
+// index a transposed run or a quad touches lies below xlen (in x) and dlen
+// (in dst), and mul checks those two lengths once per call.
 type bandRows struct {
 	vals       []float64 // the Local's value storage (shared, read-only)
-	vt         []float64 // transposed values, one arena for all runs
-	xlen, dlen int       // len(x), len(dst) the transposed runs need
+	vt         []float64 // transposed values, one arena for all runs and quads
+	xlen, dlen int       // len(x), len(dst) the transposed runs and quads need
 	runs       []bandRun
 	nz         int
+	// quads lists the gathered rows, one record per offset pattern that has
+	// any: the index of a run with that pattern, the quad count q, then the
+	// 4·q rows, quad after quad. The quads' values follow the runs' in vt,
+	// from qvt on, in the same order.
+	quads []int
+	qvt   int
 }
 
 func newBandRows(l *Local, rows []int) *bandRows {
 	b := findBandRuns(l, rows)
-	b.transpose(l.M + l.G())
+	b.transpose(l, l.M+l.G())
 	return b
 }
 
@@ -113,7 +125,7 @@ func findBandRuns(l *Local, rows []int) *bandRows {
 			}
 			groups++
 		}
-		run := bandRun{i0: i0, i1: i0 + groups*d, d: d, base: l.RowPtr[i0], vt: -1}
+		run := bandRun{i0: i0, i1: i0 + groups*d, d: d, base: l.RowPtr[i0], vt: -1, rest: i0}
 		width += len(cols)
 		b.nz += (run.i1 - run.i0) * len(cols)
 		b.runs = append(b.runs, run)
@@ -149,13 +161,14 @@ func (rn *bandRun) vectorGroups() (lanes, groups int) {
 }
 
 // transpose, where the platform has the vector routines, lays out the
-// vector-path rows of every eligible run in one arena: count, allocate once,
-// fill. A run is eligible when vectorGroups takes any of it and every column
-// it references lies in [0, cols) — i0 + min(off) ≥ 0 and, from the first row
-// of its last group, i1 − d + max(off) < cols — which a well-formed Local
-// guarantees and which is checked here because the vector routines will not
-// check it again.
-func (b *bandRows) transpose(cols int) {
+// vector-path rows of every eligible run, then the quads gathered from the
+// rows they leave over, in one arena: count, allocate once, fill. A run is
+// eligible when vectorGroups takes any of it and every column it references
+// lies in [0, cols) — i0 + min(off) ≥ 0 and, from the first row of its last
+// group, i1 − d + max(off) < cols — which a well-formed Local guarantees and
+// which is checked here because the vector routines will not check it again;
+// gather proves the same of its quads.
+func (b *bandRows) transpose(l *Local, cols int) {
 	if !bandVector {
 		return
 	}
@@ -166,10 +179,7 @@ func (b *bandRows) transpose(cols int) {
 		if groups == 0 {
 			continue
 		}
-		lo, hi := rn.off[0], rn.off[0]
-		for _, o := range rn.off {
-			lo, hi = min(lo, o), max(hi, o)
-		}
+		lo, hi := bounds(rn.off)
 		last := rn.i1 - rn.d
 		if rn.i0+lo < 0 || last+hi >= cols {
 			continue
@@ -178,7 +188,12 @@ func (b *bandRows) transpose(cols int) {
 		size += groups * lanes * len(rn.off)
 		b.xlen = max(b.xlen, last+hi+1)
 		b.dlen = max(b.dlen, rn.i1)
+		if rn.d == 1 {
+			rn.rest = rn.i0 + groups
+		}
 	}
+	b.qvt = size
+	size += b.gather(cols)
 	if size == 0 {
 		return
 	}
@@ -212,6 +227,122 @@ func (b *bandRows) transpose(cols int) {
 			src, out = src[c*d*w:], out[c*lanes*w:]
 		}
 	}
+	// Quads: row q of a quad in lane q, its entry k at out[4k + q].
+	out := b.vt[b.qvt:]
+	for g := b.quads; len(g) > 0; {
+		w, rows := len(b.runs[g[0]].off), g[2:2+g[1]*bandUnroll]
+		for len(rows) > 0 {
+			for q, r := range rows[:bandUnroll] {
+				for k, v := range b.vals[l.RowPtr[r] : l.RowPtr[r]+w] {
+					out[k*bandUnroll+q] = v
+				}
+			}
+			rows, out = rows[bandUnroll:], out[bandUnroll*w:]
+		}
+		g = g[2+g[1]*bandUnroll:]
+	}
+}
+
+// gather groups the period-1 rows the chunks leave over by offset pattern
+// and lists every four rows of a pattern as a quad in b.quads, returning the
+// number of transposed values the quads need. A pattern's c rows are taken in
+// ascending order and the first ⌊c/4⌋·4 form its quads, so the gathered rows
+// of each run are the first of its left-over rows and its rest steps past
+// them; the c mod 4 after them stay on the portable loop. So does every row of
+// a pattern whose quads fail the bounds proof (first row + min(off) ≥ 0, last
+// gathered row + max(off) < cols).
+//
+// One []int holds the quads' records at its front and, as scratch, the
+// indices of the runs with left-over rows at its end. The records take at
+// most rows + 2·⌊rows/4⌋ ints (4·q rows and a two-int header per pattern with
+// q ≥ 1), so they never reach the scratch.
+func (b *bandRows) gather(cols int) int {
+	runs, rows := 0, 0
+	for ri := range b.runs {
+		if n := b.runs[ri].leftOver(); n > 0 {
+			runs++
+			rows += n
+		}
+	}
+	if rows < bandUnroll {
+		return 0
+	}
+	arena := make([]int, rows+2*(rows/bandUnroll)+runs)
+	sorted := arena[len(arena)-runs:]
+	runs = 0
+	for ri := range b.runs {
+		if b.runs[ri].leftOver() > 0 {
+			sorted[runs] = ri
+			runs++
+		}
+	}
+	// By pattern, then by position: equal patterns end up adjacent, each
+	// pattern's runs ascending.
+	slices.SortFunc(sorted, func(p, q int) int {
+		if c := slices.Compare(b.runs[p].off, b.runs[q].off); c != 0 {
+			return c
+		}
+		return p - q
+	})
+	size, n := 0, 0
+	for len(sorted) > 0 {
+		off := b.runs[sorted[0]].off
+		same, c := 0, 0
+		for ; same < len(sorted) && slices.Equal(b.runs[sorted[same]].off, off); same++ {
+			c += b.runs[sorted[same]].leftOver()
+		}
+		group := sorted[:same]
+		sorted = sorted[same:]
+		q := c / bandUnroll
+		if q == 0 {
+			continue
+		}
+		rec := arena[n : n+2+q*bandUnroll]
+		rec[0], rec[1] = group[0], q
+		taken := rec[2:]
+		for _, ri := range group {
+			rn := &b.runs[ri]
+			for i := rn.rest; i < rn.i1 && len(taken) > 0; i++ {
+				taken[0], taken = i, taken[1:]
+			}
+		}
+		lo, hi := bounds(off)
+		first, last := rec[2], rec[len(rec)-1]
+		if first+lo < 0 || last+hi >= cols {
+			continue
+		}
+		for _, ri := range group {
+			if rn := &b.runs[ri]; rn.rest <= last {
+				rn.rest = min(rn.i1, last+1)
+			}
+		}
+		n += len(rec)
+		size += q * bandUnroll * len(off)
+		b.xlen = max(b.xlen, last+hi+1)
+		b.dlen = max(b.dlen, last+1)
+	}
+	b.quads = arena[:n:n]
+	return size
+}
+
+// leftOver counts the rows of a period-1 run that no chunk takes: the n mod 4
+// after a transposed run's chunks, every row of a run shorter than 4; none of
+// an empty-row run or of one the bounds proof kept off the vector path.
+func (rn *bandRun) leftOver() int {
+	n := rn.i1 - rn.i0
+	if rn.d != 1 || len(rn.off) == 0 || rn.vt < 0 && n >= bandUnroll {
+		return 0
+	}
+	return n % bandUnroll
+}
+
+// bounds returns the least and the largest offset of a non-empty pattern.
+func bounds(off []int) (lo, hi int) {
+	lo, hi = off[0], off[0]
+	for _, o := range off {
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	return lo, hi
 }
 
 // colsEqualShifted reports whether local row i's compact columns equal
@@ -264,36 +395,34 @@ func (b *bandRows) mul(dst, x []float64) {
 		}
 		off := rn.off
 		w := len(off)
-		vi := rn.base
-		i := rn.i0
 		if rn.vt >= 0 {
-			n := rn.i1 - i
-			bandMulChunks(&b.vt[rn.vt], &off[0], w, &x[i], &dst[i], n/(2*bandUnroll), n/bandUnroll%2)
-			n -= n % bandUnroll
-			i += n
-			vi += n * w
-		} else if w > 0 {
-			for ; i+bandUnroll <= rn.i1; i += bandUnroll {
-				// Re-sliced to len(off), the four rows need no index check
-				// inside the entry loop.
-				v0 := b.vals[vi : vi+w : vi+w][:len(off)]
-				v1 := b.vals[vi+w : vi+2*w : vi+2*w][:len(off)]
-				v2 := b.vals[vi+2*w : vi+3*w : vi+3*w][:len(off)]
-				v3 := b.vals[vi+3*w : vi+4*w : vi+4*w][:len(off)]
-				var a0, a1, a2, a3 float64
-				for k, o := range off {
-					xo := x[i+o : i+o+4 : i+o+4]
-					a0 += v0[k] * xo[0]
-					a1 += v1[k] * xo[1]
-					a2 += v2[k] * xo[2]
-					a3 += v3[k] * xo[3]
-				}
-				dst[i] = a0
-				dst[i+1] = a1
-				dst[i+2] = a2
-				dst[i+3] = a3
-				vi += bandUnroll * w
+			n := rn.i1 - rn.i0
+			bandMulChunks(&b.vt[rn.vt], &off[0], w, &x[rn.i0], &dst[rn.i0], n/(2*bandUnroll), n/bandUnroll%2)
+		}
+		// The portable loops take the rest: the whole run where nothing is
+		// transposed, else the left-over rows no quad gathered.
+		i := rn.rest
+		vi := rn.base + (i-rn.i0)*w
+		for ; i+bandUnroll <= rn.i1; i += bandUnroll {
+			// Re-sliced to len(off), the four rows need no index check
+			// inside the entry loop.
+			v0 := b.vals[vi : vi+w : vi+w][:len(off)]
+			v1 := b.vals[vi+w : vi+2*w : vi+2*w][:len(off)]
+			v2 := b.vals[vi+2*w : vi+3*w : vi+3*w][:len(off)]
+			v3 := b.vals[vi+3*w : vi+4*w : vi+4*w][:len(off)]
+			var a0, a1, a2, a3 float64
+			for k, o := range off {
+				xo := x[i+o : i+o+4 : i+o+4]
+				a0 += v0[k] * xo[0]
+				a1 += v1[k] * xo[1]
+				a2 += v2[k] * xo[2]
+				a3 += v3[k] * xo[3]
 			}
+			dst[i] = a0
+			dst[i+1] = a1
+			dst[i+2] = a2
+			dst[i+3] = a3
+			vi += bandUnroll * w
 		}
 		for ; i < rn.i1; i++ {
 			v := b.vals[vi : vi+w : vi+w]
@@ -304,6 +433,12 @@ func (b *bandRows) mul(dst, x []float64) {
 			dst[i] = a
 			vi += w
 		}
+	}
+	for g, vt := b.quads, b.qvt; len(g) > 0; {
+		off, q := b.runs[g[0]].off, g[1]
+		bandMulGather(&b.vt[vt], &off[0], len(off), &x[0], &dst[0], &g[2], q)
+		vt += q * bandUnroll * len(off)
+		g = g[2+q*bandUnroll:]
 	}
 }
 

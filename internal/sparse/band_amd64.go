@@ -22,3 +22,15 @@ func bandMulChunks(vt *float64, off *int, w int, x, dst *float64, n8, n4 int)
 //
 //go:noescape
 func bandMulGroups(vt *float64, off *int, w int, x, dst *float64, n4, n2, n1 int)
+
+// bandMulGather multiplies n quads of period-1 rows that share one offset
+// pattern, four rows at any positions each: rows lists them quad after quad,
+// and their values at vt are laid out [quad][entry k][lane], lane q holding
+// the quad's q-th row. x and dst point at the block's x[0] and dst[0]; row r
+// reads entry k at x[r+off[k]], and each row's products are summed in entry
+// order into an accumulator that starts at +0 — multiply, round, add, round,
+// never fused. It stores exactly the listed rows, checks no bounds
+// (bandRows.mul does) and allocates nothing.
+//
+//go:noescape
+func bandMulGather(vt *float64, off *int, w int, x, dst *float64, rows *int, n int)

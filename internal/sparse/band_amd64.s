@@ -178,3 +178,60 @@ entry1:
 done1:
 	VZEROUPPER
 	RET
+
+// func bandMulGather(vt *float64, off *int, w int, x, dst *float64, rows *int, n int)
+//
+// One ymm lane per row of a quad, the four rows anywhere in the block. Per
+// entry k: four scalar loads of x[r_q+off[k]], assembled into one register
+// (VMOVSD and VMOVHPD into each half, VINSERTF128 of the high half), one
+// VMULPD against the quad-transposed values, one VADDPD into the lane
+// accumulators. As in bandMulChunks, multiply then add, never fused. Each
+// quad then scatters exactly its four lanes to dst[r_q].
+TEXT ·bandMulGather(SB), NOSPLIT, $0-56
+	MOVQ vt+0(FP), SI
+	MOVQ x+24(FP), R8
+	MOVQ dst+32(FP), R9
+	MOVQ rows+40(FP), R10
+	MOVQ n+48(FP), R11
+
+quad:
+	MOVQ   off+8(FP), DI
+	MOVQ   w+16(FP), BX
+	LEAQ   (DI)(BX*8), BX
+	MOVQ   (R10), AX
+	LEAQ   (R8)(AX*8), AX
+	MOVQ   8(R10), CX
+	LEAQ   (R8)(CX*8), CX
+	MOVQ   16(R10), R12
+	LEAQ   (R8)(R12*8), R12
+	MOVQ   24(R10), R13
+	LEAQ   (R8)(R13*8), R13
+	VXORPD Y0, Y0, Y0
+
+entry:
+	MOVQ        (DI), DX
+	VMOVSD      (AX)(DX*8), X1
+	VMOVHPD     (CX)(DX*8), X1, X1
+	VMOVSD      (R12)(DX*8), X2
+	VMOVHPD     (R13)(DX*8), X2, X2
+	VINSERTF128 $1, X2, Y1, Y1
+	VMULPD      (SI), Y1, Y1
+	VADDPD      Y1, Y0, Y0
+	ADDQ        $32, SI
+	ADDQ        $8, DI
+	CMPQ        DI, BX
+	JNE         entry
+	MOVQ         (R10), AX
+	VMOVSD       X0, (R9)(AX*8)
+	MOVQ         8(R10), AX
+	VMOVHPD      X0, (R9)(AX*8)
+	VEXTRACTF128 $1, Y0, X1
+	MOVQ         16(R10), AX
+	VMOVSD       X1, (R9)(AX*8)
+	MOVQ         24(R10), AX
+	VMOVHPD      X1, (R9)(AX*8)
+	ADDQ         $32, R10
+	DECQ         R11
+	JNE          quad
+	VZEROUPPER
+	RET

@@ -182,11 +182,12 @@ func assemble(interior, boundary blockMul) *planned {
 
 // Planner thresholds: a block goes to the band layout when at least
 // bandCoverage of its rows sit in shifted-pattern runs long enough to feed
-// the unrolled band loop (rows outside runs fall back to CSR speed inside
-// the band kernel, so moderate coverage already wins — a stencil slab's
-// grid-edge rows break the runs at every grid line, capping coverage near
-// (n-2)/n); sliced-ELL needs at least one full chunk of rows to pay for its
-// gather/scatter indirection.
+// the unrolled band loop. A stencil slab's grid-edge rows break the runs at
+// every grid line, capping coverage near (n-2)/n, so moderate coverage must
+// already win: the rows outside runs still take the band kernel, gathered
+// into quads of equal offset pattern on the vector path and one row at a
+// time with no per-entry index load on the portable one. Sliced-ELL needs at
+// least one full chunk of rows to pay for its gather/scatter indirection.
 const (
 	bandMinRun   = bandUnroll
 	bandCoverage = 0.6
@@ -208,7 +209,7 @@ func planBlock(l *Local, rows []int) blockMul {
 	}
 	band := findBandRuns(l, rows)
 	if float64(band.coveredRows()) >= bandCoverage*float64(len(rows)) {
-		band.transpose(l.M + l.G())
+		band.transpose(l, l.M+l.G())
 		return band
 	}
 	if len(rows) >= sellChunk && band.nnz() <= sellMaxMeanRow*len(rows) {

@@ -434,11 +434,111 @@ func TestBandGroupShapes(t *testing.T) {
 	}
 }
 
+// gatherRoutes splits the left-over period-1 rows of b by offset pattern
+// into the rows its quads gather and the rows the portable loop keeps, and
+// reports for every gathered row the length of the run it comes from.
+func gatherRoutes(t *testing.T, b *bandRows) (gathered, scalar map[string]int, runOf map[int]int) {
+	t.Helper()
+	gathered, scalar, runOf = map[string]int{}, map[string]int{}, map[int]int{}
+	in := map[int]*bandRun{}
+	for ri := range b.runs {
+		rn := &b.runs[ri]
+		for i := rn.i0; i < rn.i1; i++ {
+			in[i] = rn
+		}
+		if rn.d == 1 && (rn.vt >= 0 || rn.i1-rn.i0 < bandUnroll) {
+			scalar[fmt.Sprint(rn.off)] += rn.i1 - rn.rest
+		}
+	}
+	for g := b.quads; len(g) > 0; g = g[2+g[1]*bandUnroll:] {
+		pattern := fmt.Sprint(b.runs[g[0]].off)
+		rows := g[2 : 2+g[1]*bandUnroll]
+		for k, i := range rows {
+			rn := in[i]
+			if rn == nil || fmt.Sprint(rn.off) != pattern || k > 0 && i <= rows[k-1] {
+				t.Fatalf("quad rows %v of pattern %s: row %d not in an ascending run of that pattern", rows, pattern, i)
+			}
+			if i >= rn.rest || i < rn.i0+(rn.i1-rn.i0)/bandUnroll*bandUnroll && rn.vt >= 0 {
+				t.Fatalf("row %d of run [%d,%d) rest %d: gathered and also multiplied elsewhere", i, rn.i0, rn.i1, rn.rest)
+			}
+			runOf[i] = rn.i1 - rn.i0
+		}
+		gathered[pattern] += len(rows)
+	}
+	return gathered, scalar, runOf
+}
+
+// TestBandGatherShapes: the tail-pattern matrix's left-over rows reach every
+// quad count of its patterns of 1…9 rows, with 0…3 rows left to the portable
+// loop, the quads holding rows of single-row runs and rows after a run's
+// chunk and splitting some run's left-over rows between a quad and the loop; a
+// pattern whose quad fails the bounds proof keeps all its rows on the loop,
+// and the block still multiplies bit for bit like the CSR traversal.
+func TestBandGatherShapes(t *testing.T) {
+	if !bandVector {
+		t.Skip("no vector band routine on this platform")
+	}
+	a := tailPatterns()
+	l := localOf(t, a, 0, a.Rows)
+	cols := l.M + l.G()
+	far := fmt.Sprint([]int{0, cols - 1 - 7})
+	pattern := func(c int) string { return fmt.Sprint([]int{-1, 0, c + 1}) }
+	check := func(name string, b *bandRows, farGathered int) {
+		gathered, scalar, runOf := gatherRoutes(t, b)
+		for c := 1; c <= 9; c++ {
+			if g, s := gathered[pattern(c)], scalar[pattern(c)]; g != c/4*4 || s != c%4 {
+				t.Errorf("%s: pattern of %d rows: %d gathered, %d on the loop; want %d, %d", name, c, g, s, c/4*4, c%4)
+			}
+		}
+		if g, s := gathered[far], scalar[far]; g != farGathered || s != 4-farGathered {
+			t.Errorf("%s: far pattern: %d gathered, %d on the loop; want %d, %d", name, g, s, farGathered, 4-farGathered)
+		}
+		single, after := 0, 0
+		for _, n := range runOf {
+			if n == 1 {
+				single++
+			} else {
+				after++
+			}
+		}
+		split := false
+		for _, rn := range b.runs {
+			split = split || rn.i1-rn.i0 > bandUnroll && rn.vt >= 0 && rn.rest > rn.i0+bandUnroll && rn.rest < rn.i1
+		}
+		if single == 0 || after == 0 || !split {
+			t.Errorf("%s: quads hold %d rows of single-row runs and %d left after a chunk; a run split between a quad and the loop: %v",
+				name, single, after, split)
+		}
+		for _, special := range []bool{false, true} {
+			x := kernelInput(l, 13, special)
+			want := make([]float64, l.M)
+			l.Mul(want, x)
+			got := make([]float64, l.M)
+			b.mul(got, x)
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%s: row %d = %x, csr %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+	check("proof holds", newBandRows(l, l.InteriorRows), 4)
+
+	b := findBandRuns(l, l.InteriorRows)
+	b.transpose(l, cols-1) // one column short: the far rows and the closing run reach it
+	for _, rn := range b.runs {
+		if rn.i1 == l.M && rn.vt >= 0 {
+			t.Errorf("closing run [%d,%d) transposed past the proof", rn.i0, rn.i1)
+		}
+	}
+	check("proof fails for the far pattern", b, 0)
+}
+
 // TestBandMulStoresOnlyItsRows: a block writes its own rows and no others.
 // The vector routines store a lane only where it holds a row of the run — a
-// period-3 group stores three of its register's four — so sentinels in the
-// rows of the other block, and in the row right after every run (dst[i1]),
-// survive a mul.
+// period-3 group stores three of its register's four, a quad scatters its
+// four lanes to its four rows — so sentinels in the rows of the other block,
+// and in the row right after every run (dst[i1]), survive a mul.
 func TestBandMulStoresOnlyItsRows(t *testing.T) {
 	sentinel := math.Float64frombits(0x7ff4_dead_0000_beef) // a NaN no sum produces
 	// Every row but the diagonal-only ones, so the row after each run is
@@ -457,22 +557,26 @@ func TestBandMulStoresOnlyItsRows(t *testing.T) {
 	sl := localOf(t, stencilDof(5, 5, 5, 3, 3), 75, 290) // ends inside a vertex: halos both sides
 	pl := localOf(t, stencil27(8), 128, 384)             // four planes: halos both sides
 	blocks := []struct {
-		name string
-		l    *Local
-		rows []int
+		name  string
+		l     *Local
+		rows  []int
+		quads bool // on the vector path, some rows are gathered
 	}{
-		{"dof3/interior", sl, sl.InteriorRows},
-		{"dof3/boundary", sl, sl.BoundaryRows},
-		{"groups-1to9/no-separators", gl, noSeparators(groups)},
-		{"tails-1to9/no-separators", tl, noSeparators(tails)},
-		{"slab/interior", pl, pl.InteriorRows},
-		{"slab/boundary", pl, pl.BoundaryRows},
+		{"dof3/interior", sl, sl.InteriorRows, false},
+		{"dof3/boundary", sl, sl.BoundaryRows, false},
+		{"groups-1to9/no-separators", gl, noSeparators(groups), false},
+		{"tails-1to9/no-separators", tl, noSeparators(tails), true},
+		{"slab/interior", pl, pl.InteriorRows, true},
+		{"slab/boundary", pl, pl.BoundaryRows, true},
 	}
 	bandPaths(t, func(t *testing.T) {
 		for _, bl := range blocks {
 			b := newBandRows(bl.l, bl.rows)
 			if len(bl.rows) == 0 || len(b.runs) == 0 {
 				t.Fatalf("%s: empty block", bl.name)
+			}
+			if bl.quads && bandVector && len(b.quads) == 0 {
+				t.Fatalf("%s: no quad gathered", bl.name)
 			}
 			mine := make([]bool, bl.l.M+1)
 			for _, i := range bl.rows {
@@ -494,10 +598,11 @@ func TestBandMulStoresOnlyItsRows(t *testing.T) {
 
 // TestBandMulChecksLengths: the vector routines check no bounds, so a short x
 // or dst must be refused in Go before they run — by the explicit check at
-// exactly the lengths the transposed runs need, and for anything shorter than
-// the whole block by that check or the portable loops' own index checks. A
-// block whose every run is transposed (period 3) multiplies at exactly those
-// lengths, and writes nothing past them.
+// exactly the lengths the transposed runs and quads need, and for anything
+// shorter than the whole block by that check or the portable loops' own index
+// checks. A block whose every run is transposed (period 3) multiplies at
+// exactly those lengths, and writes nothing past them; in a block whose
+// largest x index is read by a gathered row, the quads' proof sets xlen.
 func TestBandMulChecksLengths(t *testing.T) {
 	l := localOf(t, stencil27(6), 72, 144)
 	x := make([]float64, l.M+l.G())
@@ -523,6 +628,8 @@ func TestBandMulChecksLengths(t *testing.T) {
 	// plane, which reads neither the halo nor the last owned rows.
 	gl := localOf(t, stencilDof(6, 6, 6, 3, 6), 216, 540)
 	gx := kernelInput(gl, 7, false)
+	tails := tailPatterns()
+	tl := localOf(t, tails, 0, tails.Rows)
 	bandPaths(t, func(t *testing.T) {
 		k := BuildKernel(l, KernelBand).(*planned)
 		if msg := panics(func() { k.Mul(dst, x[:len(x)-1]) }); msg == "<nil>" {
@@ -571,6 +678,27 @@ func TestBandMulChecksLengths(t *testing.T) {
 			t.Errorf("period 3: dst[%d], one past dst, overwritten with %v", b.dlen, got[b.dlen])
 		}
 		short(t, "period 3", b, got[:gl.M], gx)
+
+		// The tail patterns without their closing run: the last column is
+		// read by a far row only, which a quad gathers.
+		tb := newBandRows(tl, tl.InteriorRows[:tl.M-12])
+		runReach := 0
+		for _, rn := range tb.runs {
+			if rn.vt >= 0 {
+				_, hi := bounds(rn.off)
+				runReach = max(runReach, rn.i1-rn.d+hi+1)
+			}
+		}
+		quadReach := 0
+		for g := tb.quads; len(g) > 0; g = g[2+g[1]*bandUnroll:] {
+			_, hi := bounds(tb.runs[g[0]].off)
+			quadReach = max(quadReach, g[1+g[1]*bandUnroll]+hi+1)
+		}
+		if tb.xlen != quadReach || tb.xlen != tl.M+tl.G() || runReach >= tb.xlen {
+			t.Fatalf("gathered: proof gives x[:%d]; quads reach x[:%d], transposed runs x[:%d], the block x[:%d]",
+				tb.xlen, quadReach, runReach, tl.M+tl.G())
+		}
+		short(t, "gathered", tb, make([]float64, tl.M), kernelInput(tl, 3, false))
 	})
 }
 
@@ -596,6 +724,61 @@ func TestKernelPlannerPicksBandForStencil(t *testing.T) {
 	li := localOf(t, irregular, 0, 97)
 	if name := BuildKernel(li, KernelAuto).Name(); strings.Contains(name, "band") {
 		t.Fatalf("planner chose %q for a ragged matrix, band runs cannot dominate there", name)
+	}
+}
+
+// TestBandRoutesOnRankShapes pins which rows of the benchmark workloads'
+// rank shapes take which band route — the twin of dense's
+// TestSolveAllRoutesOnRankShapes. Per block of the planned kernel: rows in a
+// run's chunks or groups, rows gathered into quads, rows left to the portable
+// loop. A z-line of the 24³ stencil leaves four rows to gather, its two end
+// rows and the two after its run's chunks; they group by the offset pattern
+// their grid position gives them. A block the planner does not give the band
+// layout wants {0, 0, 0}.
+func TestBandRoutesOnRankShapes(t *testing.T) {
+	if !bandVector {
+		t.Skip("no vector band routine on this platform")
+	}
+	routes := func(blk blockMul) (r [3]int) {
+		b, ok := blk.(*bandRows)
+		if !ok {
+			return r
+		}
+		rows := 0
+		for _, rn := range b.runs {
+			rows += rn.i1 - rn.i0
+			if lanes, groups := rn.vectorGroups(); rn.vt >= 0 {
+				r[0] += groups * min(lanes, rn.d)
+			}
+		}
+		for g := b.quads; len(g) > 0; g = g[2+g[1]*bandUnroll:] {
+			r[1] += g[1] * bandUnroll
+		}
+		r[2] = rows - r[0] - r[1]
+		return r
+	}
+	for _, c := range []struct {
+		name               string
+		a                  *CSR
+		lo, hi             int
+		interior, boundary [3]int // chunked, gathered, portable rows
+	}{
+		{"solve-fat/rank0", stencil27(24), 0, 3456, [3]int{2400, 468, 12}, [3]int{480, 84, 12}},
+		{"solve-fat/rank1", stencil27(24), 3456, 6912, [3]int{1920, 384, 0}, [3]int{960, 168, 24}},
+		{"solve-wide/rank64", stencilGrid(16, 16, 32), 64 * 37, 64 * 38, [3]int{}, [3]int{56, 0, 8}},
+		{"recovery-storm/rank375x3", stencilDof(10, 10, 10, 3, 1), 1125, 1500, [3]int{}, [3]int{375, 0, 0}},
+	} {
+		k := BuildKernel(localOf(t, c.a, c.lo, c.hi), KernelAuto)
+		p, ok := k.(*planned)
+		if !ok {
+			t.Fatalf("%s: planner chose %s, want a band block", c.name, k.Name())
+		}
+		if got := routes(p.interior); got != c.interior {
+			t.Errorf("%s interior (%s): chunked, gathered, portable rows %v, want %v", c.name, p.interior.name(), got, c.interior)
+		}
+		if got := routes(p.boundary); got != c.boundary {
+			t.Errorf("%s boundary (%s): chunked, gathered, portable rows %v, want %v", c.name, p.boundary.name(), got, c.boundary)
+		}
 	}
 }
 
