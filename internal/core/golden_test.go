@@ -153,6 +153,11 @@ func driverScenarios() []driverScenario {
 				fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
 		{name: "standard/imcr-detect",
 			mut: with(imcr(10, 1), x0, detect, fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
+		{name: "standard/imcr-before-first-checkpoint",
+			mut: with(imcr(50, 1), fail(FailureSpec{Iteration: 5, Ranks: []int{1}}))},
+		{name: "standard/imcr-balanced",
+			mut: with(imcr(10, 1), func(cfg *Config) { cfg.BalanceNNZ = true },
+				fail(FailureSpec{Iteration: 33, Ranks: []int{7}}))},
 	}
 }
 
