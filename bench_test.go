@@ -289,48 +289,6 @@ func BenchmarkExchangeOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelinedVsStandard compares standard PCG (two synchronizing
-// collectives per iteration) with the pipelined variant (one) in a normal
-// and a latency-dominated regime, reporting modeled time per iteration.
-func BenchmarkPipelinedVsStandard(b *testing.B) {
-	a := benchEmilia()
-	rhs := esrp.RHSOnes(a.Rows)
-	for _, reg := range []struct {
-		name    string
-		latMult float64
-	}{
-		{"default-latency", 1},
-		{"100x-latency", 100},
-	} {
-		model := esrp.DefaultCostModel()
-		model.Latency *= reg.latMult
-		for _, solver := range []struct {
-			name string
-			fn   func(esrp.Config) (*esrp.Result, error)
-		}{
-			{"standard", esrp.Solve},
-			{"pipelined", esrp.SolvePipelined},
-		} {
-			b.Run(reg.name+"/"+solver.name, func(b *testing.B) {
-				var perIter float64
-				for i := 0; i < b.N; i++ {
-					res, err := solver.fn(esrp.Config{
-						A: a, B: rhs, Nodes: benchNodes, CostModel: &model,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Converged {
-						b.Fatal("did not converge")
-					}
-					perIter = res.SimTime / float64(res.Iterations)
-				}
-				b.ReportMetric(perIter*1e6, "simus/iter")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationBalancedPartition compares uniform-rows and work-balanced
 // row distributions on the audikw-like matrix (near-uniform rows; balancing
 // is cheap insurance) — the paper's future-work question on partitioning.

@@ -52,9 +52,8 @@ func main() {
 		spares    = flag.Int("spares", 0, "replacement-node pool (0 = unlimited); exhausted pool falls back to the no-spare shrink (ESR/ESRP)")
 		noSpare   = flag.Bool("no-spare", false, "recover onto surviving nodes instead of replacements (ESR/ESRP)")
 
-		pipelined = flag.Bool("pipelined", false, "use the communication-hiding pipelined PCG variant (strategies none|imcr; not with -rr or -no-spare)")
-		balance   = flag.Bool("balance", false, "balance the row distribution by per-row work instead of row counts")
-		rr        = flag.Int("rr", 0, "residual replacement interval (0 = off)")
+		balance = flag.Bool("balance", false, "balance the row distribution by per-row work instead of row counts")
+		rr      = flag.Int("rr", 0, "residual replacement interval (0 = off)")
 
 		tracePath  = flag.String("trace", "", "write the per-rank span timeline as Chrome trace_event JSON to this file (open in https://ui.perfetto.dev)")
 		seriesPath = flag.String("series", "", "write the per-iteration metric series to this file (.json, anything else = CSV)")
@@ -114,13 +113,9 @@ func main() {
 		cfg.Failure = &esrp.FailureSpec{Iteration: *failIter, Ranks: ranks}
 	}
 
-	solver, solverName := esrp.Solve, "PCG"
-	if *pipelined {
-		solver, solverName = esrp.SolvePipelined, "pipelined PCG"
-	}
-	fmt.Printf("solving %s with %s: %d rows, %d nnz, %d nodes, strategy %v (T=%d, φ=%d)\n",
-		name, solverName, a.Rows, a.NNZ(), *nodes, strat, *tInt, *phi)
-	res, err := solver(cfg)
+	fmt.Printf("solving %s with PCG: %d rows, %d nnz, %d nodes, strategy %v (T=%d, φ=%d)\n",
+		name, a.Rows, a.NNZ(), *nodes, strat, *tInt, *phi)
+	res, err := esrp.Solve(cfg)
 	if err != nil {
 		fatalf("solve: %v", err)
 	}

@@ -172,16 +172,6 @@ func NewBalancedPartition(weights []float64, n int) (*Partition, error) {
 // Solve runs one configured PCG solve on the simulated cluster.
 func Solve(cfg Config) (*Result, error) { return core.Solve(cfg) }
 
-// SolvePipelined runs the communication-hiding pipelined PCG variant
-// (Ghysels & Vanroose; the solver the paper's related work [16] extends ESR
-// to). It fuses the iteration's dot products into a single allreduce, which
-// halves the synchronization points — the win shows directly in the modeled
-// runtime when latency dominates. Supported strategies: StrategyNone (local
-// restart on failure) and StrategyIMCR (full-state buddy checkpointing).
-// StrategyESR / StrategyESRP (and so a finite Spares pool), NoSpareNodes and
-// ResidualReplacementInterval > 0 are rejected with an error.
-func SolvePipelined(cfg Config) (*Result, error) { return core.SolvePipelined(cfg) }
-
 // ParseStrategy converts a strategy name ("esr", "esrp", "imcr", "none").
 func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }
 
@@ -280,18 +270,9 @@ type (
 // both the result and the recorded schedule. Recording adds no simulated
 // cost: the result is bit-identical to Solve(cfg)'s.
 func RecordSchedule(cfg Config) (*Result, *Schedule, error) {
-	return recordSchedule(cfg, core.Solve)
-}
-
-// RecordSchedulePipelined is RecordSchedule for the pipelined solver.
-func RecordSchedulePipelined(cfg Config) (*Result, *Schedule, error) {
-	return recordSchedule(cfg, core.SolvePipelined)
-}
-
-func recordSchedule(cfg Config, solve func(Config) (*Result, error)) (*Result, *Schedule, error) {
 	rec := replay.NewRecorder()
 	cfg.Record = rec
-	res, err := solve(cfg)
+	res, err := core.Solve(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // steady-state loop — solver vector updates, Exchanger Start/Finish, and
 // the arena collectives — which the zero-allocation hot path must keep off
 // the heap entirely.
-func perIterationAllocs(t *testing.T, solver func(Config) (*Result, error), mut func(*Config)) float64 {
+func perIterationAllocs(t *testing.T, mut func(*Config)) float64 {
 	t.Helper()
 	base := baseConfig(t)
 	base.Rtol = 1e-300 // never converges: iteration count == MaxIter
@@ -31,7 +31,7 @@ func perIterationAllocs(t *testing.T, solver func(Config) (*Result, error), mut 
 	solve := func(iters int) {
 		cfg := base
 		cfg.MaxIter = iters
-		res, err := solver(cfg)
+		res, err := Solve(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,8 +51,7 @@ func perIterationAllocs(t *testing.T, solver func(Config) (*Result, error), mut 
 // heap allocations per iteration across the strategies: the plain loop, the
 // every-iteration augmented exchange of ESR (ReceivedCopy retention through
 // the recycle pool), ESRP's periodic storage stages, and IMCR's buddy
-// checkpoints (payload buffers reused, superseded ones released) — and the
-// pipelined recurrence through the same driver, plain and checkpointed. The
+// checkpoints (payload buffers reused, superseded ones released). The
 // whole table runs once per forced SpMV kernel on top of the suite's default
 // (ESRP_TEST_KERNEL or auto), so no storage layout can smuggle a
 // per-iteration allocation into the product path.
@@ -60,18 +59,14 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; gate runs in the non-race job")
 	}
-	imcr := func(cfg *Config) { cfg.Strategy = StrategyIMCR; cfg.T = 10; cfg.Phi = 1 }
 	strategies := []struct {
-		name   string
-		solver func(Config) (*Result, error)
-		mut    func(*Config)
+		name string
+		mut  func(*Config)
 	}{
-		{"none", Solve, func(cfg *Config) {}},
-		{"esr", Solve, func(cfg *Config) { cfg.Strategy = StrategyESR; cfg.Phi = 1 }},
-		{"esrp-T10", Solve, func(cfg *Config) { cfg.Strategy = StrategyESRP; cfg.T = 10; cfg.Phi = 1 }},
-		{"imcr-T10", Solve, imcr},
-		{"pipelined-none", SolvePipelined, func(cfg *Config) {}},
-		{"pipelined-imcr-T10", SolvePipelined, imcr},
+		{"none", func(cfg *Config) {}},
+		{"esr", func(cfg *Config) { cfg.Strategy = StrategyESR; cfg.Phi = 1 }},
+		{"esrp-T10", func(cfg *Config) { cfg.Strategy = StrategyESRP; cfg.T = 10; cfg.Phi = 1 }},
+		{"imcr-T10", func(cfg *Config) { cfg.Strategy = StrategyIMCR; cfg.T = 10; cfg.Phi = 1 }},
 	}
 	kernels := []sparse.KernelKind{testKernel(t)}
 	for _, kind := range []sparse.KernelKind{sparse.KernelCSR, sparse.KernelSellC, sparse.KernelBand} {
@@ -90,7 +85,7 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 				// checkpoint stage (≥ 0.1 at T=10); the threshold tolerates only
 				// the ±1-per-solve constant of runtime internals (goroutine park
 				// bookkeeping) that the fixed-length delta cannot fully cancel.
-				if per := perIterationAllocs(t, sub.solver, mut); per > 0.02 {
+				if per := perIterationAllocs(t, mut); per > 0.02 {
 					t.Fatalf("steady-state CG iteration allocates %.2f times (want 0)", per)
 				}
 			})

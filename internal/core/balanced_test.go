@@ -76,7 +76,7 @@ func TestBalanceNNZWithESRPRecovery(t *testing.T) {
 	}
 }
 
-func TestBalanceNNZWithIMCRAndPipelined(t *testing.T) {
+func TestBalanceNNZWithIMCR(t *testing.T) {
 	a := skewedSPD(800)
 	b, _ := matgen.RHSForSolution(a, 4)
 	imcr := Config{
@@ -90,13 +90,4 @@ func TestBalanceNNZWithIMCRAndPipelined(t *testing.T) {
 		t.Fatal("IMCR on balanced partition did not recover")
 	}
 	checkSolution(t, imcr, res, 5e-8)
-
-	pipe := Config{A: a, B: b, Nodes: 8, BalanceNNZ: true, CostModel: fastModel()}
-	pres, err := SolvePipelined(pipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pres.Converged {
-		t.Fatal("pipelined on balanced partition did not converge")
-	}
 }

@@ -6,24 +6,11 @@ import (
 	"esrp/internal/obs"
 )
 
-// TestDriverInvariants runs both recurrences through the one driver with the
-// same Config and checks, for each, what the driver owns whatever iterates
-// inside it: step and wasted-iteration bookkeeping, the event log, the
-// recovery summary, the footprint accounting, the kernel report, and that
-// the span taxonomy covers the critical rank's timeline (the pipelined IMCR
-// row is the case TestTraceCoverage used to carry).
+// TestDriverInvariants checks what the step loop and the failure handling
+// own, scenario by scenario: step and wasted-iteration bookkeeping, the
+// event log, the recovery summary, the footprint accounting, the kernel
+// report, and that the span taxonomy covers the critical rank's timeline.
 func TestDriverInvariants(t *testing.T) {
-	recurrences := []struct {
-		name   string
-		solver func(Config) (*Result, error)
-		// vectors is the recurrence's steady-state vector count (pg counted
-		// as one), ckpt the floats of its checkpoint set for m local rows.
-		vectors int
-		ckpt    func(m int) int
-	}{
-		{"standard", Solve, 6, func(m int) int { return 4 * m }},
-		{"pipelined", SolvePipelined, 13, func(m int) int { return 8*m + 2 }},
-	}
 	imcr := func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyIMCR, 20, 1 }
 	scenarios := []struct {
 		name  string
@@ -48,66 +35,65 @@ func TestDriverInvariants(t *testing.T) {
 			cfg.Failures = []FailureSpec{{Iteration: 45, Ranks: []int{3}}, {Iteration: 47, Ranks: []int{2}}}
 		}, []string{RecoverySpare, RecoverySpare}},
 	}
-	for _, rec := range recurrences {
-		for _, sc := range scenarios {
-			t.Run(rec.name+"/"+sc.name, func(t *testing.T) {
-				cfg := baseConfig(t)
-				sc.mut(&cfg)
-				cfg.Observe = &obs.Options{Trace: true}
-				res, err := rec.solver(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Converged {
-					t.Fatalf("did not converge (relres %g)", res.RelResidual)
-				}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := baseConfig(t)
+			sc.mut(&cfg)
+			cfg.Observe = &obs.Options{Trace: true}
+			res, err := Solve(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("did not converge (relres %g)", res.RelResidual)
+			}
 
-				if len(res.Events) != len(sc.modes) {
-					t.Fatalf("%d events logged, %d fired: %+v", len(res.Events), len(sc.modes), res.Events)
+			if len(res.Events) != len(sc.modes) {
+				t.Fatalf("%d events logged, %d fired: %+v", len(res.Events), len(sc.modes), res.Events)
+			}
+			wasted := 0
+			for i, ev := range res.Events {
+				if ev.Mode != sc.modes[i] {
+					t.Errorf("event %d: mode %q, want %q", i, ev.Mode, sc.modes[i])
 				}
-				wasted := 0
-				for i, ev := range res.Events {
-					if ev.Mode != sc.modes[i] {
-						t.Errorf("event %d: mode %q, want %q", i, ev.Mode, sc.modes[i])
-					}
-					if ev.WastedIters != ev.Iteration-ev.RecoveredAt || ev.ActiveNodes != cfg.Nodes {
-						t.Errorf("event %d inconsistent: %+v", i, ev)
-					}
-					wasted += ev.WastedIters
+				if ev.WastedIters != ev.Iteration-ev.RecoveredAt || ev.ActiveNodes != cfg.Nodes {
+					t.Errorf("event %d inconsistent: %+v", i, ev)
 				}
-				// Every step either advances the trajectory, is rolled back,
-				// or is the step an event interrupted.
-				if res.WastedIters != wasted || res.TotalSteps-res.Iterations != wasted+len(res.Events) {
-					t.Errorf("steps %d, iterations %d, wasted %d: events waste %d in %d interrupted steps",
-						res.TotalSteps, res.Iterations, res.WastedIters, wasted, len(res.Events))
-				}
-				if res.Recovered != (len(res.Events) > 0) {
-					t.Errorf("Recovered = %v with %d events", res.Recovered, len(res.Events))
-				}
-				if n := len(res.Events); n > 0 && res.RecoveredAt != res.Events[n-1].RecoveredAt {
-					t.Errorf("RecoveredAt = %d, last event resumed at %d", res.RecoveredAt, res.Events[n-1].RecoveredAt)
-				}
-				if res.ActiveNodes != cfg.Nodes || len(res.Kernels) != cfg.Nodes {
-					t.Errorf("%d active nodes, %d kernel names; want %d", res.ActiveNodes, len(res.Kernels), cfg.Nodes)
-				}
+				wasted += ev.WastedIters
+			}
+			// Every step either advances the trajectory, is rolled back,
+			// or is the step an event interrupted.
+			if res.WastedIters != wasted || res.TotalSteps-res.Iterations != wasted+len(res.Events) {
+				t.Errorf("steps %d, iterations %d, wasted %d: events waste %d in %d interrupted steps",
+					res.TotalSteps, res.Iterations, res.WastedIters, wasted, len(res.Events))
+			}
+			if res.Recovered != (len(res.Events) > 0) {
+				t.Errorf("Recovered = %v with %d events", res.Recovered, len(res.Events))
+			}
+			if n := len(res.Events); n > 0 && res.RecoveredAt != res.Events[n-1].RecoveredAt {
+				t.Errorf("RecoveredAt = %d, last event resumed at %d", res.RecoveredAt, res.Events[n-1].RecoveredAt)
+			}
+			if res.ActiveNodes != cfg.Nodes || len(res.Kernels) != cfg.Nodes {
+				t.Errorf("%d active nodes, %d kernel names; want %d", res.ActiveNodes, len(res.Kernels), cfg.Nodes)
+			}
 
-				// Footprint: the recurrence's vectors, plus — once a checkpoint
-				// stage has run — the own copy and one held per buddy source.
-				m := cfg.A.Rows / cfg.Nodes
-				floor := rec.vectors * m
-				if cfg.Strategy == StrategyIMCR && res.Iterations > cfg.T {
-					floor += (1 + cfg.Phi) * rec.ckpt(m)
-				}
-				if res.MaxNodeBytes < int64(8*floor) {
-					t.Errorf("MaxNodeBytes %d below the steady state of %d floats", res.MaxNodeBytes, floor)
-				}
+			// Footprint: x, r, z, p, q and pg (counted as m), plus — once a
+			// checkpoint stage has run — the own copy of x, r, z, p and one
+			// held per buddy source.
+			m := cfg.A.Rows / cfg.Nodes
+			floor := 6 * m
+			if cfg.Strategy == StrategyIMCR && res.Iterations > cfg.T {
+				floor += (1 + cfg.Phi) * 4 * m
+			}
+			if res.MaxNodeBytes < int64(8*floor) {
+				t.Errorf("MaxNodeBytes %d below the steady state of %d floats", res.MaxNodeBytes, floor)
+			}
 
-				rank, frac := res.Trace.Coverage()
-				if frac < 0.95 || frac > 1+1e-9 {
-					t.Errorf("leaf spans cover %.1f%% of rank %d's timeline, want 95–100%% (totals %v, simtime %v)",
-						100*frac, rank, res.Trace.Totals(), res.Trace.SimTime)
-				}
-			})
-		}
+			rank, frac := res.Trace.Coverage()
+			if frac < 0.95 || frac > 1+1e-9 {
+				t.Errorf("leaf spans cover %.1f%% of rank %d's timeline, want 95–100%% (totals %v, simtime %v)",
+					100*frac, rank, res.Trace.Totals(), res.Trace.SimTime)
+			}
+		})
 	}
 }

@@ -81,15 +81,14 @@ func recordOf(res *Result) goldenRecord {
 
 // driverScenario is one solve pinned by testdata/golden_driver.json: the
 // paths through the step loop, the failure handling and the IMCR protocol
-// that golden_trajectories.json does not reach — every pipelined one, and the
-// standard solver's local restart, early-failure fallback, re-ship and
-// detection-time paths. The traced ESR/ESRP scenarios pin the span sequence
+// that golden_trajectories.json does not reach — the local restart, IMCR's
+// early-failure fallback, re-ship, detection-time and balanced-partition
+// paths. The traced ESR/ESRP scenarios pin the span sequence
 // of the reconstruction's inner solve and of the augmented exchange.
 type driverScenario struct {
-	name      string
-	pipelined bool
-	trace     bool // also pin the Chrome trace export
-	mut       func(*Config)
+	name  string
+	trace bool // also pin the Chrome trace export
+	mut   func(*Config)
 }
 
 func driverScenarios() []driverScenario {
@@ -123,19 +122,6 @@ func driverScenarios() []driverScenario {
 		FailureSpec{Iteration: 24, Ranks: []int{2}},
 		FailureSpec{Iteration: 55, Ranks: []int{3}})
 	return []driverScenario{
-		{name: "pipelined/none-ff", pipelined: true, mut: with()},
-		{name: "pipelined/none-fail", pipelined: true,
-			mut: with(detect, fail(FailureSpec{Iteration: 40, Ranks: []int{2, 3}}))},
-		{name: "pipelined/imcr-fail", pipelined: true, trace: true,
-			mut: with(imcr(10, 1), x0, fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
-		{name: "pipelined/imcr-before-first-checkpoint", pipelined: true,
-			mut: with(imcr(50, 1), fail(FailureSpec{Iteration: 5, Ranks: []int{1}}))},
-		{name: "pipelined/imcr-reship", pipelined: true, mut: with(imcr(10, 1), reship)},
-		{name: "pipelined/imcr-detect", pipelined: true,
-			mut: with(imcr(10, 2), detect, fail(FailureSpec{Iteration: 35, Ranks: []int{4, 5}}))},
-		{name: "pipelined/imcr-balanced", pipelined: true,
-			mut: with(imcr(10, 1), func(cfg *Config) { cfg.BalanceNNZ = true },
-				fail(FailureSpec{Iteration: 33, Ranks: []int{7}}))},
 		{name: "standard/none-fail",
 			mut: with(func(cfg *Config) { cfg.ResidualReplacementInterval = 7 },
 				fail(FailureSpec{Iteration: 40, Ranks: []int{2, 3}}))},
@@ -170,11 +156,7 @@ func driverRecords(t *testing.T) map[string]goldenRecord {
 		cfg := baseConfig(t)
 		cfg.RecordResiduals = true
 		sc.mut(&cfg)
-		solver := Solve
-		if sc.pipelined {
-			solver = SolvePipelined
-		}
-		res, err := solver(cfg)
+		res, err := Solve(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
@@ -184,7 +166,7 @@ func driverRecords(t *testing.T) map[string]goldenRecord {
 		rec := recordOf(res)
 		if sc.trace {
 			cfg.Observe = &obs.Options{Trace: true, Series: true}
-			traced, err := solver(cfg)
+			traced, err := Solve(cfg)
 			if err != nil {
 				t.Fatalf("%s traced: %v", sc.name, err)
 			}
@@ -248,7 +230,7 @@ func blockedRecords(t *testing.T) map[string]goldenRecord {
 
 // TestGoldenTrajectories pins the residual trajectories, iterand digest,
 // simulated clock, traffic counters and Result.Events of every
-// strategy/recovery path of both solvers against the committed golden
+// strategy/recovery path of the solver against the committed golden
 // files. Any execution rewrite (collectives, kernels, buffer reuse, the
 // solver driver) must keep these byte-identical; only deliberate numerical
 // changes may regenerate the files.

@@ -90,37 +90,6 @@ func TestOverlapMatchesBlockingTrajectory(t *testing.T) {
 	}
 }
 
-// TestPipelinedOverlapMatchesBlocking repeats the identity check for the
-// pipelined solver's data path.
-func TestPipelinedOverlapMatchesBlocking(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.RecordResiduals = true
-	blocking := cfg
-	blocking.BlockingExchange = true
-	over, err := SolvePipelined(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, err := SolvePipelined(blocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !over.Converged || !block.Converged {
-		t.Fatal("pipelined runs did not converge")
-	}
-	if over.Iterations != block.Iterations {
-		t.Fatalf("iterations differ: %d vs %d", over.Iterations, block.Iterations)
-	}
-	for i := range over.X {
-		if over.X[i] != block.X[i] {
-			t.Fatalf("x[%d] differs: %v vs %v", i, over.X[i], block.X[i])
-		}
-	}
-	if over.SimTime >= block.SimTime {
-		t.Fatalf("overlapped pipelined solve must be strictly faster: %g >= %g", over.SimTime, block.SimTime)
-	}
-}
-
 // TestPerNodeMemoryIsLocal verifies the O(n/s + halo) footprint: doubling
 // the cluster size must shrink the largest per-node state accordingly, and
 // no node may hold even one full-length vector's worth of dynamic data —

@@ -186,29 +186,6 @@ func TestIMCRMultiEvent(t *testing.T) {
 	}
 }
 
-// Multi-event on the pipelined solver.
-func TestPipelinedMultiEvent(t *testing.T) {
-	cfg := multiBase(t)
-	cfg.Strategy = StrategyIMCR
-	cfg.T = 10
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{
-		{Iteration: 20, Ranks: []int{2}},
-		{Iteration: 40, Ranks: []int{6}},
-	}
-	res, err := SolvePipelined(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("pipelined multi-event did not converge (relres %g)", res.RelResidual)
-	}
-	checkSolution(t, cfg, res, 1e-6)
-	if len(res.Events) != 2 {
-		t.Fatalf("got %d events, want 2", len(res.Events))
-	}
-}
-
 // ESR events in consecutive iterations right after a rollback: stresses the
 // queue refill and the coverage vote.
 func TestESRBackToBackEvents(t *testing.T) {

@@ -160,24 +160,22 @@ func (st *esrState) header(j int) (hdr [3]float64) {
 }
 
 // resume re-establishes the replicated scalars after a reconstruction: rz
-// and ‖b‖ by the recurrence's allreduce, the β bookkeeping from β* so that
-// the resumed storage stage re-saves identical data.
+// and ‖b‖ by one fused allreduce, the β bookkeeping from β* so that the
+// resumed storage stage re-saves identical data.
 func (st *esrState) resume(betaStar float64) {
-	st.run.rec.restoreScalars()
+	st.run.restoreScalars()
 	st.run.betaPrev = betaStar
 	st.betaPending = betaStar
 }
 
 // imcrState implements in-memory buddy checkpoint-restart: every T
-// iterations each node ships the recurrence's checkpoint set (standard PCG:
-// the local parts of x, r, z, p) to its φ buddy nodes (chosen by the same
-// Eq. 1 as the ASpMV designated destinations) and keeps a local copy for its
-// own rollback. It is the one checkpoint store of every recurrence.
+// iterations each node ships its checkpoint set (the local parts of x, r, z,
+// p) to its φ buddy nodes (chosen by the same Eq. 1 as the ASpMV designated
+// destinations) and keeps a local copy for its own rollback.
 type imcrState struct {
 	run     *nodeRun
 	t       int
 	blocks  [][]float64 // what a checkpoint holds, in payload order
-	offset  int         // schedule phase (see recurrence.checkpoint)
 	size    int         // payload length: the blocks' lengths summed
 	buddies []int       // ranks I checkpoint to
 	sources []int       // ranks that checkpoint to me (ascending)
@@ -191,7 +189,7 @@ func newIMCRState(run *nodeRun) *imcrState {
 	n := run.cfg.Nodes
 	s := run.nd.Rank()
 	st := &imcrState{run: run, t: run.cfg.T, ownIter: -1, held: make(map[int][]float64)}
-	st.blocks, st.offset = run.rec.checkpoint()
+	st.blocks = run.checkpoint()
 	for _, blk := range st.blocks {
 		st.size += len(blk)
 	}
@@ -215,7 +213,7 @@ func newIMCRState(run *nodeRun) *imcrState {
 func (st *imcrState) beforeSpMV(int) bool       { return false }
 func (st *imcrState) retain(aspmv.ReceivedCopy) { panic("core: IMCR retains no ASpMV copies") }
 func (st *imcrState) afterIteration(j int, _ float64) {
-	if k := j + st.offset; k%st.t != 0 || k == 0 {
+	if j%st.t != 0 || j == 0 {
 		return
 	}
 	// The blocks now hold the state at the start of iteration j+1, so that
@@ -259,7 +257,7 @@ func (st *imcrState) ship() {
 	run.tr.Span(obs.KindCheckpoint, tCkpt, run.nd.Clock())
 }
 
-// restore loads a checkpoint payload into the recurrence's blocks.
+// restore loads a checkpoint payload into the checkpoint set's blocks.
 func (st *imcrState) restore(data []float64) {
 	if len(data) != st.size {
 		panic(fmt.Sprintf("core: checkpoint size %d, want %d", len(data), st.size))
@@ -300,7 +298,7 @@ func (run *nodeRun) loseDynamicState() {
 	vec.Zero(run.q)
 	vec.Zero(run.pg)
 	run.bNormGlobal = 0
-	run.rec.loseState()
+	run.rz, run.betaPrev = 0, 0
 	if run.res != nil {
 		run.res.lose()
 	}
@@ -410,8 +408,7 @@ func (run *nodeRun) localRestart(j int, failed []int) int {
 	if run.amFailed(failed) {
 		run.loseDynamicState()
 	}
-	run.rec.agreeOnRestart(run.lowestSurvivor(failed))
-	run.rec.restart()
+	run.restart()
 	run.recEnd(t0)
 	return j
 }
@@ -521,7 +518,7 @@ func (run *nodeRun) recoverESR(j int, failed []int, shrink bool) (int, string) {
 		// survivors stood, or — ESRP after a failed vote — the starred state
 		// of jrec they rolled back to, the work since then counted as wasted
 		// (ESR reconstructs iteration j itself and never rolls back).
-		run.rec.restart()
+		run.restart()
 	}
 	run.recEnd(t0)
 	switch {
@@ -771,8 +768,8 @@ func fileGhosts(xg []float64, ghost, idx []int, vals []float64) {
 }
 
 // recoverIMCR implements the checkpoint-restart recovery: replacements
-// retrieve the recurrence's checkpoint set from a surviving buddy, survivors
-// roll back to their local checkpoint copy.
+// retrieve their checkpoint set from a surviving buddy, survivors roll back
+// to their local checkpoint copy.
 func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 	st := run.res.(*imcrState)
 	n := run.nd.Size()
@@ -791,7 +788,7 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 	run.nd.Bcast(root, hdr[:])
 	jrec, recoverable := int(hdr[0]), hdr[1] != 0
 	if !recoverable {
-		run.rec.restart()
+		run.restart()
 		run.recEnd(t0)
 		return j, RecoveryRestart
 	}
@@ -840,7 +837,7 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 		// nothing to restore from.
 		st.ship()
 	}
-	run.rec.restoreScalars()
+	run.restoreScalars()
 	run.recEnd(t0)
 	return jrec, RecoverySpare
 }

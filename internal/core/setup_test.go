@@ -131,7 +131,7 @@ func TestRecoverySetUpOncePerEvent(t *testing.T) {
 				run := func(procs int) (*Result, *solveShared) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					sh := new(solveShared)
-					res, err := sh.solve(cfg, standardPCG)
+					res, err := sh.solve(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -172,7 +172,7 @@ func TestRecoverySetUpOncePerEvent(t *testing.T) {
 // no failure leaves it nil.
 func TestFailureFreeSolveBuildsNoSetUp(t *testing.T) {
 	sh := new(solveShared)
-	if _, err := sh.solve(stormBase(t, StrategyESR), standardPCG); err != nil {
+	if _, err := sh.solve(stormBase(t, StrategyESR)); err != nil {
 		t.Fatal(err)
 	}
 	if sh.setups.built != nil {

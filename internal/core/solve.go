@@ -14,13 +14,13 @@ import (
 // Solve runs the configured PCG solve on a simulated cluster and returns the
 // aggregated result. It is deterministic for a fixed configuration.
 func Solve(cfg Config) (*Result, error) {
-	return new(solveShared).solve(cfg, standardPCG)
+	return new(solveShared).solve(cfg)
 }
 
-// solve runs one solve of the recurrence newRec builds on this shared state,
-// which must be fresh. It is the only place that sets up the communicator,
-// attaches the recorders, runs the ranks and reduces their metric slots.
-func (sh *solveShared) solve(in Config, newRec func(*nodeRun) recurrence) (*Result, error) {
+// solve runs one solve on this shared state, which must be fresh. It is the
+// only place that sets up the communicator, attaches the recorders, runs the
+// ranks and reduces their metric slots.
+func (sh *solveShared) solve(in Config) (*Result, error) {
 	var err error
 	if sh.cfg, err = in.withDefaults(); err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (sh *solveShared) solve(in Config, newRec func(*nodeRun) recurrence) (*Resu
 	nodeHalo := make([]int64, cfg.Nodes)
 	nodeKern := make([]string, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
-		run := newNodeRun(sh, nd, prep, newRec)
+		run := newNodeRun(sh, nd, prep)
 		run.main(result)
 		nodeMem[nd.GlobalRank()] = run.maxBytes()
 		nodeHalo[nd.GlobalRank()] = run.ex.HaloBytes()
@@ -127,49 +127,6 @@ func PartitionFor(cfg Config) (*dist.Partition, error) {
 	return buildPartition(&cfg)
 }
 
-// recurrence is the iteration body of one PCG variant: what is left to
-// differ once the step loop, the failure handling, the checkpoint store and
-// the epilogue are the driver's (nodeRun.main, handleFailure, imcrState).
-// Standard PCG is the method set of *nodeRun itself (standardPCG), so a
-// standard solve allocates nothing for it; pipelined PCG is *pipelined. The
-// variant is chosen once, when the rank's nodeRun is built — neither the
-// driver nor a recovery protocol asks which one it is running.
-type recurrence interface {
-	// bootstrap derives the recurrence state from the initial guess in x and
-	// returns the initial relative residual (+Inf if the variant first
-	// learns it at the head of step 0).
-	bootstrap() float64
-	// restart re-derives the state from the surviving iterand after a
-	// failure there was nothing to roll back to.
-	restart()
-	// head is the part of iteration j before the failure-injection point.
-	// It reports convergence detected there, in which case the step ends
-	// uncounted; step is the loop-step index for the series sample.
-	head(j, step int) (converged bool)
-	// tail is the part after the injection point, strategy hook included
-	// (res.afterIteration, before the variant's series sample if it samples
-	// here: the sample's clock and traffic include a checkpoint).
-	tail(j, step int) (converged bool)
-	// checkpoint declares what an IMCR checkpoint holds — the blocks, in
-	// payload order — and the phase of its schedule: a checkpoint is taken
-	// after iteration j when j+offset is a positive multiple of T. It is
-	// labelled j+1, the iteration the saved state starts, either way.
-	checkpoint() (blocks [][]float64, offset int)
-	// restoreScalars re-establishes the replicated scalars after the vectors
-	// were restored; which ones there are decides its modeled cost.
-	restoreScalars()
-	// agreeOnRestart runs between the loss and the restart of a StrategyNone
-	// recovery; root is the lowest surviving rank.
-	agreeOnRestart(root int)
-	// loseState zeroes the variant's own vectors and scalars (node failure);
-	// extraBytes is their steady-state footprint beyond nodeRun's vectors.
-	loseState()
-	extraBytes() int64
-}
-
-// standardPCG is the recurrence of Alg. 1: nodeRun's own methods.
-func standardPCG(run *nodeRun) recurrence { return run }
-
 // nodeRun is the per-node solver state. All of it is O(local + halo): the
 // node holds its block rows as a compact local matrix, its vector blocks,
 // and an owned+ghost assembly buffer — never a full-length vector.
@@ -178,10 +135,8 @@ type nodeRun struct {
 	// (it lives on the cluster node's shared state, so it survives the
 	// no-spare shrink's communicator replacement), preconditioner, kernel,
 	// exchanger and the dynamic vectors. x, r, z, p and the SpMV buffers are
-	// exactly the data a node failure destroys; they serve every
-	// recurrence, while z, rz and betaPrev are standard PCG's.
+	// exactly the data a node failure destroys.
 	cg
-	rec recurrence // the PCG variant iterating on this state
 
 	cfg  *Config
 	part *dist.Partition
@@ -264,7 +219,7 @@ func growI(buf []int, n int) []int {
 
 // newNodeRun sets up rank nd's state over the solve's shared context: its
 // preconditioner, compact local matrix and planned kernel come from prep.
-func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared, newRec func(*nodeRun) recurrence) *nodeRun {
+func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared) *nodeRun {
 	cfg := &sh.cfg
 	s := nd.Rank()
 	part, plan, local := prep.part, prep.plan, prep.locals[s]
@@ -272,8 +227,7 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared, newRec func(*
 	// Fresh makes by default; workspace-recycled buffers under
 	// Config.Workspace. Only x needs the cleared variant (zero initial
 	// guess); every other vector is fully overwritten before its first read
-	// (the recurrence's bootstrap computes r, z, p, q, the exchange fills pg's
-	// ghost run).
+	// (bootstrap computes r, z, p, q, the exchange fills pg's ghost run).
 	alloc := func(n int) []float64 { return make([]float64, n) }
 	allocZero := alloc
 	if ws := cfg.Workspace; ws != nil {
@@ -297,7 +251,6 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared, newRec func(*
 	if cfg.X0 != nil {
 		copy(run.x, cfg.X0[lo:hi])
 	}
-	run.rec = newRec(run) // before the strategy: IMCR asks it for the checkpoint set
 	switch cfg.Strategy {
 	case StrategyESR, StrategyESRP:
 		run.res = newESRState(run)
@@ -401,24 +354,21 @@ func (run *nodeRun) restoreScalars() {
 	run.setBNorm(bb)
 }
 
-// main is the SPMD body executed by every node, for every recurrence: the
-// step loop with its failure-injection point, and the epilogue. All
-// communication goes through run.nd, which the no-spare-node recovery
-// replaces with the surviving sub-communicator mid-solve; a node that failed
-// in no-spare mode sets run.retired and drops out.
+// main is the SPMD body executed by every node: the step loop with its
+// failure-injection point, and the epilogue. All communication goes through
+// run.nd, which the no-spare-node recovery replaces with the surviving
+// sub-communicator mid-solve; a node that failed in no-spare mode sets
+// run.retired and drops out.
 func (run *nodeRun) main(result *Result) {
 	cfg := run.cfg
-	run.relres = run.rec.bootstrap()
+	run.relres = run.bootstrap()
 
 	totalSteps := 0
 	converged := run.relres < cfg.Rtol // x0 may already satisfy the tolerance
 	j := 0
 	for ; !converged && j < cfg.MaxIter; totalSteps++ {
 		run.tr.SetIter(j)
-		if run.rec.head(j, totalSteps) {
-			converged = true
-			break // met before the step's work: it does not count as a step
-		}
+		run.head(j)
 
 		// Failure injection point: immediately after the SpMV communication
 		// of the marked iteration, as in the paper's framework, so that the
@@ -440,7 +390,7 @@ func (run *nodeRun) main(result *Result) {
 			}
 		}
 
-		converged = run.rec.tail(j, totalSteps)
+		converged = run.tail(j, totalSteps)
 		j++
 	}
 
@@ -471,19 +421,19 @@ func (run *nodeRun) main(result *Result) {
 	}
 }
 
-// head is standard PCG's step up to the injection point: the storage-stage
+// head is iteration j up to the injection point: the storage-stage
 // bookkeeping and the SpMV q = A·p, augmented in a storage iteration.
-func (run *nodeRun) head(j, _ int) bool {
+func (run *nodeRun) head(j int) {
 	augmented := run.res != nil && run.res.beforeSpMV(j)
 	if rc := run.mul(run.q, run.p, augmented, j); augmented {
 		run.res.retain(rc)
 	}
-	return false
 }
 
 // tail is the rest of Alg. 1's iteration j: α, the x and r updates, z, β, p.
-// The residual norm it reduces next to r·z is the one sampled, so standard
-// PCG learns of convergence at the end of the step that achieved it.
+// The residual norm it reduces next to r·z is the one sampled, so the solve
+// learns of convergence at the end of the step that achieved it; step is the
+// loop-step index for the series sample.
 func (run *nodeRun) tail(j, step int) bool {
 	run.update(run.rz / run.pAq())
 	// Residual replacement (ref. 27): swap the recurrence residual for
@@ -500,26 +450,20 @@ func (run *nodeRun) tail(j, step int) bool {
 	return run.sample(step, j, rr)
 }
 
-// checkpoint: x, r, z, p after iterations T, 2T, … — the recovery point
-// ESRP's storage stage at (j, j+1) yields.
-func (run *nodeRun) checkpoint() ([][]float64, int) {
-	return [][]float64{run.x, run.r, run.z, run.p}, 0
+// checkpoint is what an IMCR checkpoint holds, in payload order: x, r, z, p
+// after iterations T, 2T, … — the recovery point ESRP's storage stage at
+// (j, j+1) yields.
+func (run *nodeRun) checkpoint() [][]float64 {
+	return [][]float64{run.x, run.r, run.z, run.p}
 }
 
-// agreeOnRestart: standard PCG restarts locally without a word.
-func (run *nodeRun) agreeOnRestart(int) {}
-
-func (run *nodeRun) loseState() { run.rz, run.betaPrev = 0, 0 }
-
-func (run *nodeRun) extraBytes() int64 { return 0 }
-
 // stateBytes returns this node's steady-state dynamic solver footprint in
-// bytes: the local vector blocks, the owned+ghost SpMV buffer, and the
-// recurrence's own vectors and the strategy's redundant storage. Static
+// bytes: the local vector blocks, the owned+ghost SpMV buffer and the
+// strategy's redundant storage. Static
 // shared data (matrix, plan, preconditioner) stands in for node-local files
 // reloaded from safe storage and is excluded, as in the paper's measurement.
 func (run *nodeRun) stateBytes() int64 {
-	b := 8*int64(len(run.x)+len(run.r)+len(run.z)+len(run.p)+len(run.q)+len(run.pg)) + run.rec.extraBytes()
+	b := 8 * int64(len(run.x)+len(run.r)+len(run.z)+len(run.p)+len(run.q)+len(run.pg))
 	if run.res != nil {
 		b += run.res.stateBytes()
 	}

@@ -365,6 +365,30 @@ func TestNoneLocalRestartConvergesSlowly(t *testing.T) {
 	}
 }
 
+// TestLocalRestartKeepsSurvivingIterand: a StrategyNone local restart
+// continues from the iterand the survivors hold, not from Config.X0 — the
+// first residual sampled after the restart is not the solve's first one.
+func TestLocalRestartKeepsSurvivingIterand(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.RecordResiduals = true
+	cfg.X0 = make([]float64, cfg.A.Rows)
+	for i := range cfg.X0 {
+		cfg.X0[i] = 1
+	}
+	const at = 40
+	cfg.Failure = &FailureSpec{Iteration: at, Ranks: []int{2}}
+	res := solveOK(t, cfg)
+	checkSolution(t, cfg, res, 5e-8)
+	if !res.Recovered || res.RecoveredAt != at {
+		t.Fatalf("recovered=%v at %d, want a restart at %d", res.Recovered, res.RecoveredAt, at)
+	}
+	// One sample per completed step: iterations 0..at−1, then the restarted
+	// iteration at (the interrupted step samples nothing).
+	if first, restarted := res.Residuals[0], res.Residuals[at]; restarted == first {
+		t.Fatalf("restart at iteration %d reproduced the first residual %g: x was reset to x0", at, first)
+	}
+}
+
 func TestESRPFailureBeforeFirstStageFallsBack(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Strategy = StrategyESRP

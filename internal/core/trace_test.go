@@ -25,20 +25,19 @@ func TestTraceNilWhenDisabled(t *testing.T) {
 
 // TestTraceDoesNotPerturbSolve is the observer-effect gate: turning the
 // recorder on must not change one bit of the trajectory or the modeled
-// runtime, for the standard and the pipelined solver, with and without
-// failures.
+// runtime, with and without failures.
 func TestTraceDoesNotPerturbSolve(t *testing.T) {
-	run := func(name string, mut func(*Config), solver func(Config) (*Result, error)) {
+	run := func(name string, mut func(*Config)) {
 		t.Helper()
 		plain := baseConfig(t)
 		mut(&plain)
 		traced := plain
 		traced.Observe = &obs.Options{Trace: true, Series: true}
-		a, err := solver(plain)
+		a, err := Solve(plain)
 		if err != nil {
 			t.Fatalf("%s plain: %v", name, err)
 		}
-		b, err := solver(traced)
+		b, err := Solve(traced)
 		if err != nil {
 			t.Fatalf("%s traced: %v", name, err)
 		}
@@ -67,20 +66,14 @@ func TestTraceDoesNotPerturbSolve(t *testing.T) {
 		cfg.T = 20
 		cfg.Phi = 1
 		cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
-	}, Solve)
+	})
 	run("imcr-failure", func(cfg *Config) {
 		cfg.Strategy = StrategyIMCR
 		cfg.T = 20
 		cfg.Phi = 1
 		cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
-	}, Solve)
-	run("none", func(cfg *Config) { cfg.Strategy = StrategyNone }, Solve)
-	run("pipelined-imcr", func(cfg *Config) {
-		cfg.Strategy = StrategyIMCR
-		cfg.T = 20
-		cfg.Phi = 1
-		cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
-	}, SolvePipelined)
+	})
+	run("none", func(cfg *Config) { cfg.Strategy = StrategyNone })
 }
 
 // TestTraceByteDeterminism pins the export contract: the same configuration
@@ -112,13 +105,11 @@ func TestTraceByteDeterminism(t *testing.T) {
 // TestTraceCoverage checks the taxonomy's completeness: on a failure run the
 // leaf spans of the critical rank must account for ≥95% of the modeled
 // runtime — nothing substantial happens on the simulated clock without a
-// span saying what it was. (The pipelined solver's coverage is checked by
-// TestDriverInvariants.)
+// span saying what it was.
 func TestTraceCoverage(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
-		run  func(Config) (*Result, error)
 	}{
 		{"esrp", func(cfg *Config) {
 			cfg.Strategy = StrategyESRP
@@ -126,26 +117,26 @@ func TestTraceCoverage(t *testing.T) {
 			cfg.Phi = 1
 			cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
 			cfg.DetectionTime = 1e-4
-		}, Solve},
+		}},
 		{"imcr", func(cfg *Config) {
 			cfg.Strategy = StrategyIMCR
 			cfg.T = 20
 			cfg.Phi = 1
 			cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
-		}, Solve},
+		}},
 		{"esr-nospare", func(cfg *Config) {
 			cfg.Strategy = StrategyESR
 			cfg.Phi = 2
 			cfg.NoSpareNodes = true
 			cfg.Failure = &FailureSpec{Iteration: 40, Ranks: []int{3, 4}}
-		}, Solve},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(t)
 			tc.mut(&cfg)
 			cfg.Observe = &obs.Options{Trace: true}
-			res, err := tc.run(cfg)
+			res, err := Solve(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,12 +28,12 @@ type solveFingerprint struct {
 	Schedule, Chrome                 []byte
 }
 
-func fingerprint(t *testing.T, cfg Config, solver func(Config) (*Result, error)) solveFingerprint {
+func fingerprint(t *testing.T, cfg Config) solveFingerprint {
 	t.Helper()
 	rec := replay.NewRecorder()
 	cfg.Record = rec
 	cfg.Observe = &obs.Options{Trace: true, Series: true}
-	res, err := solver(cfg)
+	res, err := Solve(cfg)
 	if err != nil {
 		t.Error(err) // not Fatal: concurrent solves call this off the test goroutine
 		return solveFingerprint{}
@@ -60,29 +60,22 @@ func fingerprint(t *testing.T, cfg Config, solver func(Config) (*Result, error))
 }
 
 // TestWorkerCountIndependence pins that nothing a solve produces depends on
-// how many workers the cluster ran its ranks on: the five golden scenarios,
-// a pipelined IMCR recovery and a spare-then-two-shrinks timeline are solved
+// how many workers the cluster ran its ranks on: the five golden scenarios
+// and a spare-then-two-shrinks timeline are solved
 // at GOMAXPROCS 1, 2 and 4 — one worker, and ranks of one solve genuinely in
 // parallel — and as two concurrent solves that share the Ps, and every run
 // must match the first in Result bits, recorded-schedule bytes and Chrome
 // trace bytes. The CI multicore legs run it under -race.
 func TestWorkerCountIndependence(t *testing.T) {
 	type scenario struct {
-		name   string
-		cfg    Config
-		solver func(Config) (*Result, error)
+		name string
+		cfg  Config
 	}
 	var scenarios []scenario
 	for name, cfg := range localPathScenarios(t) {
-		scenarios = append(scenarios, scenario{name, cfg, Solve})
+		scenarios = append(scenarios, scenario{name, cfg})
 	}
 	sort.Slice(scenarios, func(i, j int) bool { return scenarios[i].name < scenarios[j].name })
-
-	pipelined := baseConfig(t)
-	pipelined.RecordResiduals = true
-	pipelined.Strategy, pipelined.T, pipelined.Phi = StrategyIMCR, 10, 1
-	pipelined.Failures = []FailureSpec{{Iteration: 33, Ranks: []int{4}}}
-	scenarios = append(scenarios, scenario{"pipelined-imcr-fail", pipelined, SolvePipelined})
 
 	shrink := stormBase(t, StrategyESRP)
 	shrink.Kernel = testKernel(t)
@@ -92,7 +85,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 		{Iteration: 50, Ranks: []int{1, 2, 3}}, // 8 → 5 ranks
 		{Iteration: 75, Ranks: []int{0, 1, 2}}, // 5 → 2 ranks
 	}
-	scenarios = append(scenarios, scenario{"esrp-spare-then-two-shrinks", shrink, Solve})
+	scenarios = append(scenarios, scenario{"esrp-spare-then-two-shrinks", shrink})
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -113,7 +106,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 			for _, procs := range []int{1, 2, 4} {
 				func() {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					got := fingerprint(t, sc.cfg, sc.solver)
+					got := fingerprint(t, sc.cfg)
 					if procs == 1 {
 						want = got
 						failures := len(sc.cfg.Failures)
@@ -135,7 +128,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					both[i] = fingerprint(t, sc.cfg, sc.solver)
+					both[i] = fingerprint(t, sc.cfg)
 				}()
 			}
 			wg.Wait()

@@ -47,8 +47,8 @@ const (
 	KindBcast
 	// KindGather covers gathers.
 	KindGather
-	// KindCheckpoint covers checkpoint shipment: IMCR/pipelined buddy
-	// exchanges, including the re-ship after a recovery.
+	// KindCheckpoint covers checkpoint shipment: IMCR buddy exchanges,
+	// including the re-ship after a recovery.
 	KindCheckpoint
 	// KindRecoverGather covers post-failure state retrieval: redundant-copy
 	// and iterand-halo gathers (ESR/ESRP) or checkpoint restores (IMCR).

@@ -54,18 +54,6 @@ func Dot2(x, y []float64) (xy, xx float64) {
 	return xy, xx
 }
 
-// Dot3 returns x·y, z·y and x·x in one sweep — the pipelined solver's fused
-// (γ, δ, ‖r‖²) triple with x = r, y = u, z = w. Order-preserving like Dot2.
-func Dot3(x, y, z []float64) (xy, zy, xx float64) {
-	for i := range x {
-		xi, yi := x[i], y[i]
-		xy += xi * yi
-		zy += z[i] * yi
-		xx += xi * xi
-	}
-	return xy, zy, xx
-}
-
 // Axpy computes y += a*x in place (4-way unrolled; elementwise, so the
 // result is bitwise identical to the naive loop).
 func Axpy(a float64, x, y []float64) {

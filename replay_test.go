@@ -9,11 +9,10 @@ import (
 )
 
 // replayCase is one (strategy, failure timeline) shape of the bitwise
-// re-cost gate. Pipelined cases go through RecordSchedulePipelined.
+// re-cost gate.
 type replayCase struct {
-	name      string
-	pipelined bool
-	cfg       esrp.Config
+	name string
+	cfg  esrp.Config
 }
 
 func replayCases(t *testing.T) []replayCase {
@@ -28,7 +27,7 @@ func replayCases(t *testing.T) []replayCase {
 		mut(&cfg)
 		return replayCase{name: name, cfg: cfg}
 	}
-	cases := []replayCase{
+	return []replayCase{
 		mk("none/failure-free", func(c *esrp.Config) { c.Strategy = esrp.StrategyNone }),
 		mk("none/restart", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyNone
@@ -68,28 +67,11 @@ func replayCases(t *testing.T) []replayCase {
 			}
 		}),
 	}
-	pipeNone := base()
-	pipeNone.Strategy = esrp.StrategyNone
-	pipeNone.Failure = &esrp.FailureSpec{Iteration: 12, Ranks: []int{2}}
-	cases = append(cases, replayCase{name: "pipelined/none-restart", pipelined: true, cfg: pipeNone})
-	pipeIMCR := base()
-	pipeIMCR.Strategy = esrp.StrategyIMCR
-	pipeIMCR.T, pipeIMCR.Phi = 8, 1
-	pipeIMCR.Failure = &esrp.FailureSpec{Iteration: 12, Ranks: []int{1}}
-	cases = append(cases, replayCase{name: "pipelined/imcr", pipelined: true, cfg: pipeIMCR})
-	return cases
 }
 
-func record(t *testing.T, rc replayCase) (*esrp.Result, *esrp.Schedule) {
+func record(t *testing.T, cfg esrp.Config) (*esrp.Result, *esrp.Schedule) {
 	t.Helper()
-	var res *esrp.Result
-	var sched *esrp.Schedule
-	var err error
-	if rc.pipelined {
-		res, sched, err = esrp.RecordSchedulePipelined(rc.cfg)
-	} else {
-		res, sched, err = esrp.RecordSchedule(rc.cfg)
-	}
+	res, sched, err := esrp.RecordSchedule(cfg)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -105,9 +87,7 @@ func TestRecostReproducesSolveBitForBit(t *testing.T) {
 		t.Run(rc.name, func(t *testing.T) {
 			cfg := rc.cfg
 			cfg.Observe = &esrp.ObserveOptions{Trace: true} // envelope cross-check
-			rcT := rc
-			rcT.cfg = cfg
-			res, sched := record(t, rcT)
+			res, sched := record(t, cfg)
 			if !res.Converged {
 				t.Fatalf("case did not converge (relres %g)", res.RelResidual)
 			}
@@ -159,7 +139,7 @@ func TestRecostReproducesSolveBitForBit(t *testing.T) {
 // contract: a recorded solve's figures equal an unrecorded one's.
 func TestRecordingDoesNotPerturbSolve(t *testing.T) {
 	rc := replayCases(t)[3] // esrp/multi-event
-	res, _ := record(t, rc)
+	res, _ := record(t, rc.cfg)
 	plain, err := esrp.Solve(rc.cfg)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -176,7 +156,7 @@ func TestRecordingDoesNotPerturbSolve(t *testing.T) {
 // arithmetic says they must, without re-running the solve.
 func TestRecostUnderSweptMachines(t *testing.T) {
 	rc := replayCases(t)[3] // esrp/multi-event
-	_, sched := record(t, rc)
+	_, sched := record(t, rc.cfg)
 	base := esrp.DefaultCostModel()
 	ref, err := esrp.Recost(sched, base)
 	if err != nil {
@@ -211,7 +191,7 @@ func TestRecostUnderSweptMachines(t *testing.T) {
 // schedule reproduces the original bytes.
 func TestScheduleSerializationRoundTrip(t *testing.T) {
 	rc := replayCases(t)[3] // esrp/multi-event: exercises every event kind
-	_, sched := record(t, rc)
+	_, sched := record(t, rc.cfg)
 	ref, err := esrp.Recost(sched, esrp.DefaultCostModel())
 	if err != nil {
 		t.Fatalf("Recost: %v", err)
@@ -269,8 +249,8 @@ func TestScheduleSerializationRoundTrip(t *testing.T) {
 // erases the racy arena-creation order.
 func TestScheduleBytesDeterministicAcrossRuns(t *testing.T) {
 	rc := replayCases(t)[6] // spares-exhausted: creates sub-communicator views
-	_, s1 := record(t, rc)
-	_, s2 := record(t, rc)
+	_, s1 := record(t, rc.cfg)
+	_, s2 := record(t, rc.cfg)
 	var b1, b2 bytes.Buffer
 	if err := s1.WriteBinary(&b1); err != nil {
 		t.Fatal(err)

@@ -71,10 +71,8 @@ solve=$bin/esrpsolve bench=$bin/esrpbench camp=$bin/esrpcampaign
 
 # esrpsolve: the verify-skill recipes and the observability smoke.
 ok "$solve" -gen poisson2d -n 64 -nodes 12 -balance -strategy esrp -T 15 -phi 2 -fail-iter 50 -fail-ranks 5,6 -no-spare -v
-ok "$solve" -gen poisson2d -n 64 -nodes 8 -pipelined -strategy imcr -T 10 -fail-iter 35 -fail-ranks 4 -v
-fails "$solve" -gen poisson2d -n 16 -nodes 4 -pipelined -rr 5
-fails "$solve" -gen poisson2d -n 16 -nodes 4 -pipelined -strategy esrp
-fails "$solve" -gen poisson2d -n 16 -nodes 4 -pipelined -strategy imcr -no-spare
+ok "$solve" -gen poisson2d -n 64 -nodes 8 -strategy imcr -T 10 -fail-iter 35 -fail-ranks 4 -v
+fails "$solve" -gen poisson2d -n 16 -nodes 4 -pipelined
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esrp -T 20 -phi 1 -fail-iter 50 -fail-ranks 3 \
 	-trace "$work/solve.trace.json" -series "$work/solve.series.csv" -v
 # The flag values the recipes skip.
@@ -120,7 +118,6 @@ ok "$solve" -gen poisson2d -n 24 -nodes 4 -series "$work/solve.series.json"
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esr -phi 1 -events "20:3;45:5;70:2" -spares 1 -v
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esrp -T 10 -phi 2 -rr 10 -events "20:2-3" -no-spare
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy none -fail-iter 20 -fail-ranks 1
-ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy none -fail-iter 20 -fail-ranks 1 -pipelined
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy imcr -T 50 -fail-iter 5 -fail-ranks 1
 fails "$solve" -events "20:3" -fail-iter 5
 fails "$solve" -events "bogus"
