@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -426,6 +427,44 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	}
 }
 
+// Two-byte varints are accepted when minimal and within their field's limit,
+// and rejected exactly as the general path rejects them otherwise: padded,
+// cut short, or too large for the field.
+func TestDecodeTwoByteVarints(t *testing.T) {
+	envStart := func(tail ...byte) []byte {
+		return append(payload(1, 0, 1, uint64(replay.KindEnvStart)), tail...)
+	}
+	bcastRoot := func(root ...byte) []byte { // the root flag's limit is 1
+		data := append(payload(1, 1, 1, 0, 1, uint64(replay.KindBcast)), root...)
+		return append(data, 0, 8, 0, 0)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		peer int32  // the decoded EnvStart iteration, when want is ""
+		want string // an error substring
+	}{
+		{"128", envStart(0x80, 0x01), 128, ""},
+		{"16383", envStart(0xff, 0x7f), 16383, ""},
+		{"padded", envStart(0x80, 0x00), 0, "varint at offset 12 is padded"},
+		{"cut-after-first-byte", envStart(0x80), 0, io.ErrUnexpectedEOF.Error()},
+		{"root-flag-128", bcastRoot(0x80, 0x01), 0, "value 128 at offset 14 exceeds 1"},
+		{"node-count-past-input", append([]byte("ESRPRPL1"), 0x80, 0x01, 0), 0, "value 128 at offset 8 exceeds 3"},
+	}
+	for _, c := range cases {
+		s, err := replay.DecodeBinary(c.data)
+		switch {
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		case c.want != "":
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case s.Events(0)[0].Peer != c.peer:
+			t.Errorf("%s: decoded %+v, want peer %d", c.name, s.Events(0)[0], c.peer)
+		}
+	}
+}
+
 // Kind 3 was a clock sync that no solve ever recorded. Its value stays
 // reserved, so no later kind is renumbered, and a stream carrying it is
 // rejected by the decoder and by NewSchedule alike.
@@ -529,6 +568,9 @@ func TestRecostHostileSchedulesError(t *testing.T) {
 		"nodes":   {func(s *replay.Schedule) { s.Nodes = 6 }, "6 nodes but carries 4"},
 		"members": {func(s *replay.Schedule) { s.Views[0] = []int{0, 1, 2, 9} }, "not an ascending list"},
 		"views":   {func(s *replay.Schedule) { s.Views = nil }, "view 0 out of range"},
+		"member dropped": {func(s *replay.Schedule) {
+			s.Views[0] = slices.DeleteFunc(slices.Clone(s.Views[0]), func(g int) bool { return g == 1 })
+		}, "not a member"},
 	}
 	for name, c := range after {
 		p := mutate(func(*parts) {})
