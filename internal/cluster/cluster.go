@@ -457,7 +457,7 @@ func (nd *Node) AddClock(dt float64) {
 
 // Compute advances the clock by flops·FlopTime.
 func (nd *Node) Compute(flops float64) {
-	nd.state.clock += flops * nd.comm.model.FlopTime
+	nd.state.clock += float64(flops * nd.comm.model.FlopTime)
 	nd.state.sched.Compute(flops)
 }
 
@@ -553,7 +553,7 @@ func (nd *Node) recv(src, tag int) message {
 	if m.tag != tag {
 		panic(fmt.Sprintf("cluster: node %d expected tag %d from %d, got %d", nd.g, tag, gsrc, m.tag))
 	}
-	arrival := m.sendTime + nd.comm.model.Latency + float64(m.bytes())*nd.comm.model.BytePeriod
+	arrival := m.sendTime + nd.comm.model.Latency + float64(float64(m.bytes())*nd.comm.model.BytePeriod)
 	if arrival > st.clock {
 		st.clock = arrival
 	}

@@ -248,7 +248,7 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 	switch e.Kind {
 	case KindCompute:
 		for j := range clock {
-			clock[j] += e.Val * ms[j].FlopTime
+			clock[j] += float64(e.Val * ms[j].FlopTime)
 		}
 	case KindClockAdd:
 		for j := range clock {
@@ -281,7 +281,7 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 		bytes := float64(mc.slots[sl].bytes)
 		sendTime := mc.slotT[int(sl)*len(clock):][:len(clock)]
 		for j := range clock {
-			arrival := sendTime[j] + ms[j].Latency + bytes*ms[j].BytePeriod
+			arrival := sendTime[j] + ms[j].Latency + float64(bytes*ms[j].BytePeriod)
 			if arrival > clock[j] {
 				clock[j] = arrival
 			}

@@ -25,7 +25,10 @@
 // CostModel and its formulas live here rather than in internal/cluster
 // (which imports replay and aliases the type): the live clock and the
 // re-coster call the same CollectiveCost and GatherRootClock, so there is
-// one site per LogGP formula to keep bit-identical.
+// one site per LogGP formula to keep bit-identical. Every product that
+// feeds a sum, in these formulas and in both clocks, is rounded by an
+// explicit float64 conversion, so that no GOARCH fuses it into a
+// multiply-add and a replay on arm64 prices what a solve on amd64 priced.
 package replay
 
 import (
@@ -409,12 +412,12 @@ func Rounds(n int) float64 {
 // of bytes over rounds rounds (Rounds of the view size): each round pays
 // latency, overhead and serialization.
 func (m *CostModel) CollectiveCost(rounds, bytes float64) float64 {
-	return rounds * (m.Latency + m.Overhead + bytes*m.BytePeriod)
+	return float64(rounds * (m.Latency + m.Overhead + float64(bytes*m.BytePeriod)))
 }
 
 // GatherRootClock returns a gather root's clock once the latest entry clock
 // of the root and its non-root members is tmax: rounds latencies plus the
 // serialization of the bytes the non-roots sent.
 func (m *CostModel) GatherRootClock(tmax, rounds, bytes float64) float64 {
-	return tmax + m.Latency*rounds + bytes*m.BytePeriod
+	return tmax + float64(m.Latency*rounds) + float64(bytes*m.BytePeriod)
 }
