@@ -40,7 +40,7 @@ func BenchmarkRecostAll(b *testing.B) {
 
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		for range b.N {
+		for b.Loop() {
 			if _, err := replay.DecodeBinary(data); err != nil {
 				b.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func BenchmarkRecostAll(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			for range b.N {
+			for b.Loop() {
 				if _, err := sched.RecostAll(ms); err != nil {
 					b.Fatal(err)
 				}

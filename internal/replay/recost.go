@@ -26,14 +26,16 @@ import (
 // Scheduling: ranks are swept round-robin, each executing events until it
 // blocks. Every sweep retires all newly unblocked work, so the total cost is
 // O(events) amortized — the sweep count is bounded by the schedule's
-// synchronization depth, and a blocked rank's re-check is O(log) lookups.
-// A recorded schedule cannot deadlock (replay blocking is a subset of the
-// original run's blocking); the no-progress check below guards against
-// truncated or hand-edited schedules. Nothing is allocated per event: a rank
-// fetches its next event through a cursor over its wire bytes, send slots
-// and collective instances are recycled, and the lookup tables are the ones
-// the schedule's validating scan built once (linear in ranks + view members
-// + distinct communicating pairs, so a hostile schedule cannot inflate them).
+// synchronization depth, and a blocked rank's re-check is a step of the
+// event it keeps decoded, with O(1) pair and member lookups. A recorded
+// schedule cannot deadlock (replay blocking is a subset of the original
+// run's blocking); the no-progress check below guards against truncated or
+// hand-edited schedules. Nothing is allocated per event: a rank fetches its
+// next event through a cursor over its wire bytes, send slots and
+// collective instances are recycled, and the lookup tables are sized by what
+// the schedule's validating scan left — ranks, view members and the n×n pair
+// table, which newMachine refuses for a schedule too sparse to pay for it, so
+// a hostile schedule cannot inflate them.
 
 // sendSlot is one in-flight point-to-point message: payload size and the
 // link to the next message of the same (src,dst) FIFO, or to the next free
@@ -71,8 +73,11 @@ type viewState struct {
 // rankState is one rank's replay cursor; the float fields are the rank's
 // K-wide windows into the machine's flat n·K arrays.
 type rankState struct {
-	off       int // of the next event in the rank's stream
-	pc        int // its index
+	off       int   // of the next event in the rank's stream
+	next      int   // end of ev, the decoded event at off, when next > off
+	ev        Event // kept decoded while the rank is blocked on it
+	pc        int   // its index
+	member    int   // the rank's index in the last view it used
 	envIter   int32
 	rtFinal   bool
 	published bool      // current collective event already contributed
@@ -90,8 +95,13 @@ type machine struct {
 	rs  []rankState
 	vs  []viewState
 
+	// Per-model parameters the K-wide loops read, one run of K each.
+	flop, ovh, lat, bp []float64
+
 	// Point-to-point boxes: one FIFO per (src,dst) pair of s.pairDst,
-	// threaded through the recycled slots.
+	// threaded through the recycled slots; pairs[src·n+dst] is the pair's
+	// index, or -1 if src never sends to dst.
+	pairs    []int32
 	qhead    []int32
 	qtail    []int32
 	slots    []sendSlot
@@ -173,6 +183,12 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	if err := checkViews(n, s.Views); err != nil {
 		return nil, err
 	}
+	// The pair table has n² entries. A recorded solve holds many bytes per
+	// rank; a schedule with fewer than n²/64 bytes is refused, so that no
+	// input makes the table larger than 256 bytes per byte of its own.
+	if n*n/64 > len(s.payload) {
+		return nil, fmt.Errorf("replay: %d ranks in %d payload bytes: too sparse to re-cost", n, len(s.payload))
+	}
 	mc := &machine{s: s, ms: models, freeSlot: -1}
 
 	members := 0
@@ -190,11 +206,17 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 		seq = seq[len(view):]
 	}
 
-	mc.qhead = make([]int32, 2*len(s.pairDst))
-	for i := range mc.qhead {
-		mc.qhead[i] = -1
+	p := len(s.pairDst)
+	q := make([]int32, 2*p+n*n)
+	for i := range q {
+		q[i] = -1
 	}
-	mc.qhead, mc.qtail = mc.qhead[:len(s.pairDst)], mc.qhead[len(s.pairDst):]
+	mc.qhead, mc.qtail, mc.pairs = q[:p:p], q[p:2*p:2*p], q[2*p:]
+	for src := range n {
+		for i := s.pairOff[src]; i < s.pairOff[src+1]; i++ {
+			mc.pairs[src*n+int(s.pairDst[i])] = i
+		}
+	}
 
 	mc.out = make([]*Replayed, k)
 	for j := range mc.out {
@@ -209,29 +231,37 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 		mc.out[j] = out
 	}
 
-	f := make([]float64, 4*n*k)
+	f := make([]float64, 4*(n+1)*k)
 	mc.rs = make([]rankState, n)
 	for g := range mc.rs {
 		w := f[4*g*k:]
 		mc.rs[g] = rankState{clock: w[:k:k], rt: w[k : 2*k : 2*k], t0: w[2*k : 3*k : 3*k], envStart: w[3*k : 4*k : 4*k]}
 	}
+	w := f[4*n*k:]
+	mc.flop, mc.ovh, mc.lat, mc.bp = w[:k:k], w[k:2*k:2*k], w[2*k:3*k:3*k], w[3*k:4*k:4*k]
+	for j, m := range models {
+		mc.flop[j], mc.ovh[j], mc.lat[j], mc.bp[j] = m.FlopTime, m.Overhead, m.Latency, m.BytePeriod
+	}
 	return mc, nil
 }
 
 // runRank executes rank g's events until it blocks or finishes, reporting
-// whether it made any progress. A blocked event is decoded again next sweep.
+// whether it made any progress. A blocked event stays decoded on the rank,
+// with its end offset, and the next sweep steps it again without decoding.
 func (mc *machine) runRank(g int) (bool, error) {
 	st := &mc.rs[g]
-	c := cursor{data: mc.s.streams[g], off: st.off}
-	var e Event
+	c := cursor{data: mc.s.streams[g], off: st.next}
 	advanced := false
-	for c.off < len(c.data) {
-		c.event(&e) // cannot fail: the scan decoded these bytes before
-		ok, err := mc.step(g, st, &e)
+	for st.off < len(c.data) {
+		if c.off == st.off {
+			c.event(&st.ev) // cannot fail: the scan decoded these bytes before
+		}
+		ok, err := mc.step(g, st)
 		if err != nil {
-			return advanced, fmt.Errorf("replay: rank %d event %d (%v): %w", g, st.pc, e.Kind, err)
+			return advanced, fmt.Errorf("replay: rank %d event %d (%v): %w", g, st.pc, st.ev.Kind, err)
 		}
 		if !ok {
+			st.next = c.off
 			return advanced, nil
 		}
 		st.off = c.off
@@ -241,25 +271,28 @@ func (mc *machine) runRank(g int) (bool, error) {
 	return advanced, nil
 }
 
-// step executes one event; false means blocked (retry later).
-func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
+// step executes the rank's decoded event; false means blocked (retry later).
+func (mc *machine) step(g int, st *rankState) (bool, error) {
+	e := &st.ev
 	clock := st.clock
-	ms := mc.ms[:len(clock)]
+	k := len(clock)
 	switch e.Kind {
 	case KindCompute:
+		flop := mc.flop[:k]
 		for j := range clock {
-			clock[j] += float64(e.Val * ms[j].FlopTime)
+			clock[j] += float64(e.Val * flop[j])
 		}
 	case KindClockAdd:
 		for j := range clock {
 			clock[j] += e.Val
 		}
 	case KindSend:
-		q, _ := mc.pair(g, e.Peer) // every send's pair was listed by the scan
+		q := mc.pairs[g*len(mc.rs)+int(e.Peer)] // every send's pair was listed by the scan
 		sl := mc.newSlot(e.Bytes)
-		sendTime := mc.slotT[int(sl)*len(clock):][:len(clock)]
+		sendTime := mc.slotT[int(sl)*k:][:k]
+		ovh := mc.ovh[:k]
 		for j := range clock {
-			clock[j] += ms[j].Overhead
+			clock[j] += ovh[j]
 			sendTime[j] = clock[j]
 		}
 		if mc.qtail[q] < 0 {
@@ -270,8 +303,8 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 		mc.qtail[q] = sl
 		mc.acctM, mc.acctB = mc.acctM+e.AcctMsgs, mc.acctB+e.AcctBytes
 	case KindRecv:
-		q, ok := mc.pair(int(e.Peer), int32(g))
-		if !ok || mc.qhead[q] < 0 {
+		q := mc.pairs[int(e.Peer)*len(mc.rs)+g]
+		if q < 0 || mc.qhead[q] < 0 {
 			return false, nil
 		}
 		sl := mc.qhead[q]
@@ -279,16 +312,17 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 			mc.qtail[q] = -1
 		}
 		bytes := float64(mc.slots[sl].bytes)
-		sendTime := mc.slotT[int(sl)*len(clock):][:len(clock)]
+		sendTime := mc.slotT[int(sl)*k:][:k]
+		lat, bp := mc.lat[:k], mc.bp[:k]
 		for j := range clock {
-			arrival := sendTime[j] + ms[j].Latency + float64(bytes*ms[j].BytePeriod)
+			arrival := sendTime[j] + lat[j] + float64(bytes*bp[j])
 			if arrival > clock[j] {
 				clock[j] = arrival
 			}
 		}
 		mc.slots[sl].next, mc.freeSlot = mc.freeSlot, sl
 	case KindAllreduce, KindBcast, KindGather:
-		return mc.stepCollective(g, st, e)
+		return mc.stepCollective(g, st)
 	case KindRecStart:
 		copy(st.t0, clock)
 	case KindRecEnd:
@@ -316,15 +350,20 @@ func (mc *machine) step(g int, st *rankState, e *Event) (bool, error) {
 }
 
 // stepCollective replays one member's half of a collective.
-func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) {
+func (mc *machine) stepCollective(g int, st *rankState) (bool, error) {
+	e := &st.ev
 	if int(e.View) >= len(mc.vs) { // Views may have shrunk since the scan
 		return false, fmt.Errorf("view %d out of range", e.View)
 	}
 	vs := &mc.vs[e.View]
 	n := len(vs.members)
-	me, ok := slices.BinarySearch(vs.members, g)
-	if !ok {
-		return false, fmt.Errorf("rank not a member of view %d %v", e.View, vs.members)
+	me := st.member // members ascend, so members[me] == g pins me
+	if me >= n || vs.members[me] != g {
+		var ok bool
+		if me, ok = slices.BinarySearch(vs.members, g); !ok {
+			return false, fmt.Errorf("rank not a member of view %d %v", e.View, vs.members)
+		}
+		st.member = me
 	}
 	clock := st.clock
 	k := len(clock)
@@ -384,8 +423,9 @@ func (mc *machine) stepCollective(g int, st *rankState, e *Event) (bool, error) 
 		if !e.Root {
 			// Non-roots only pay their send overhead; gather does not
 			// synchronize them on the simulated clock.
+			ovh := mc.ovh[:k]
 			for j := range clock {
-				clock[j] += ms[j].Overhead
+				clock[j] += ovh[j]
 			}
 			break
 		}
@@ -444,14 +484,6 @@ func (vs *viewState) retire() {
 		vs.live = vs.live[:copy(vs.live, vs.live[vs.head:])]
 		vs.head = 0
 	}
-}
-
-// pair returns the index of the (src,dst) FIFO; false if src never sends to
-// dst anywhere in the schedule.
-func (mc *machine) pair(src int, dst int32) (int32, bool) {
-	lo := mc.s.pairOff[src]
-	i, ok := slices.BinarySearch(mc.s.pairDst[lo:mc.s.pairOff[src+1]], dst)
-	return lo + int32(i), ok
 }
 
 // newSlot takes a send slot off the free list, growing the pool when every

@@ -595,6 +595,38 @@ func TestRecostHostileSchedulesError(t *testing.T) {
 	}
 }
 
+// The walk's pair table holds n² entries, so a schedule with fewer than n²/64
+// payload bytes is refused before anything is sized: 2¹⁶ empty ranks, 64 kB
+// of input, would otherwise ask for a 16 GB table. 64 empty ranks still
+// re-cost.
+func TestRecostRefusesSparseRankCounts(t *testing.T) {
+	for _, c := range []struct {
+		nodes int
+		want  string
+	}{
+		{64, ""},
+		{65, "65 ranks in 65 payload bytes: too sparse to re-cost"},
+		{1 << 16, "65536 ranks in 65536 payload bytes: too sparse to re-cost"},
+	} {
+		s, err := replay.NewSchedule(c.nodes, nil, make([][]replay.Event, c.nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = s.Recost(cluster.DefaultCostModel())
+		runtime.ReadMemStats(&after)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%d empty ranks: %v", c.nodes, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%d empty ranks: got %v, want an error containing %q", c.nodes, err, c.want)
+		case c.want != "" && after.TotalAlloc-before.TotalAlloc > 1<<10:
+			t.Errorf("%d empty ranks: refusing allocated %d bytes", c.nodes, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+}
+
 // DecodeBinary plus RecostAll allocate by ranks, views, communicating pairs
 // and K — never by events: the same number of objects for a fixture recorded
 // at 1× and at 4× the iterations, and bytes within a bound that knows nothing

@@ -83,10 +83,22 @@ func (c *cursor) fail(err error) {
 
 // uvarint reads a varint of at most limit. A padded varint is an error: one
 // value has one encoding, so what decodes encodes back to the same bytes.
+// One and two bytes, nearly every field, are read inline; any other length,
+// and every failure, takes the general path, so errors read the same.
 func (c *cursor) uvarint(limit uint64) uint64 {
-	if c.off < len(c.data) && c.data[c.off] < 0x80 && uint64(c.data[c.off]) <= limit {
-		c.off++
-		return uint64(c.data[c.off-1]) // one byte, most of the time
+	if c.off < len(c.data) {
+		b0 := uint64(c.data[c.off])
+		if b0 < 0x80 && b0 <= limit {
+			c.off++
+			return b0
+		}
+		if c.off+1 < len(c.data) {
+			b1 := uint64(c.data[c.off+1])
+			if v := b0&0x7f | b1<<7; b0 >= 0x80 && b1 < 0x80 && b1 != 0 && v <= limit {
+				c.off += 2
+				return v
+			}
+		}
 	}
 	v, n := binary.Uvarint(c.data[c.off:])
 	switch {
@@ -112,11 +124,12 @@ func (c *cursor) uvarint(limit uint64) uint64 {
 func (c *cursor) count() int { return int(c.uvarint(uint64(len(c.data) - c.off))) }
 
 // event decodes the event at the cursor into e: the kind byte, then the
-// fields that kind defines. Peers and views beyond int32, counts beyond
-// int64 and unknown kinds fail the cursor.
+// fields that kind defines. Only those fields are written; the others keep
+// what e held, which no reader of that kind looks at. Peers and views beyond
+// int32, counts beyond int64 and unknown kinds fail the cursor.
 func (c *cursor) event(e *Event) {
-	*e = Event{}
 	if c.off >= len(c.data) {
+		e.Kind = KindInvalid
 		c.fail(io.ErrUnexpectedEOF)
 		return
 	}
