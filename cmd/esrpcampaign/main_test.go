@@ -111,12 +111,14 @@ func TestNegativeMaxIterExitsNonZero(t *testing.T) {
 
 // Negative -workers, -rtol and -horizon are errors too, where they used to
 // run on GOMAXPROCS workers, at 1e-8 and up to iteration 200. So are grid
-// values that used to make every cell an error cell and exit 0.
+// values that used to make every cell an error cell and exit 0, and -rtol
+// NaN, which used to run every cell to its iteration cap.
 func TestNegativeValuesExitNonZero(t *testing.T) {
 	bin := buildCommand(t)
 	for _, c := range []struct{ flag, value, want string }{
 		{"-workers", "-3", "workers must be ≥ 0"},
 		{"-rtol", "-1", "tolerance must be ≥ 0"},
+		{"-rtol", "NaN", "tolerance must be finite"},
 		{"-horizon", "-5", "bad -horizon"},
 		{"-nodes", "0", "node counts must be ≥ 1"},
 		{"-phis", "-1", "redundancy φ must be ≥ 0"},

@@ -59,12 +59,14 @@ func TestNegativeMaxBlockExitsNonZero(t *testing.T) {
 }
 
 // Negative -phi, -rtol and -rr are errors too, where they used to solve
-// with φ = 1, at 1e-8 and without residual replacement.
+// with φ = 1, at 1e-8 and without residual replacement. So is -rtol NaN,
+// which used to run to the iteration cap with a NaN residual.
 func TestNegativeValuesExitNonZero(t *testing.T) {
 	bin := buildCommand(t)
 	for _, c := range []struct{ flag, value, want string }{
 		{"-phi", "-2", "phi must be ≥ 0"},
 		{"-rtol", "-1", "tolerance must be ≥ 0"},
+		{"-rtol", "NaN", "tolerance must be finite"},
 		{"-rr", "-3", "residual replacement interval must be ≥ 0"},
 	} {
 		out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-strategy", "esrp", "-T", "5", c.flag, c.value).CombinedOutput()

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"esrp/internal/ccache"
 	"esrp/internal/cluster"
 	"esrp/internal/core"
+	"esrp/internal/faultsim"
 	"esrp/internal/hostobs"
 	"esrp/internal/matgen"
 	"esrp/internal/obs"
@@ -318,6 +320,43 @@ func TestCacheKeyedByGridKnobs(t *testing.T) {
 	ref.Rtol = 1e-6
 	if !bytes.Equal(json2, runJSON(t, ref)) {
 		t.Fatal("rtol-changed run differs from its cold reference")
+	}
+}
+
+// TestCellKeyGolden pins the campaign → cache key mapping: the content
+// address cellInputOf gives an ESRP cell of tinyGrid, failure-free and under
+// its failure process (seed 2; seed 1 draws no event). ccache.TestKeyGolden pins the encoding of a
+// CellInput; this pins which grid and cell values go into it. A change here
+// orphans every cache written before it, so it must be deliberate.
+func TestCellKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		failureFree bool
+		seed        int // index into tinyGrid's Seeds
+		want        string
+	}{
+		{"failure-free", true, 0, "a88afaf3fe3a80220fe09ae6dd69018e09a1e1f579dbdd8dcba569598a888647"},
+		{"failure-laden", false, 1, "f333184259846a5e7839fcf625bf65fd988ec65add6429b288b40a987a879d99"},
+	} {
+		g := tinyGrid()
+		if c.failureFree {
+			g.Scenario = faultsim.Scenario{}
+		}
+		g, err := g.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := g.Matrices[0]
+		cell := Cell{Matrix: m.Name, Nodes: g.Nodes[0], Strategy: "ESRP", T: g.Ts[0], Phi: g.Phis[0],
+			Seed: g.Seeds[c.seed], strat: core.StrategyESRP}
+		g.compileDraws()[c.seed].fill(&cell)
+		if cell.Err != "" || (len(cell.Events) == 0) != c.failureFree {
+			t.Fatalf("%s: cell has %d events, error %q", c.name, len(cell.Events), cell.Err)
+		}
+		key := g.cellInputOf(&cell, ccache.MatrixDigest(m.A, m.B)).Key()
+		if got := hex.EncodeToString(key[:]); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

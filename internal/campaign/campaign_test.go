@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,7 +235,7 @@ func TestGridValidation(t *testing.T) {
 		t.Errorf("unknown strategy: error %v, want one naming Strategy(99)", err)
 	}
 	// A negative cap, tolerance or worker count is an error, not the
-	// default.
+	// default; so is a tolerance that is not finite.
 	for _, c := range []struct {
 		set  func(*Grid)
 		want string
@@ -242,6 +243,8 @@ func TestGridValidation(t *testing.T) {
 		{func(g *Grid) { g.MaxIter = -5 }, "iteration cap must be ≥ 0"},
 		{func(g *Grid) { g.MaxBlock = -3 }, "block size must be ≥ 0"},
 		{func(g *Grid) { g.Rtol = -1 }, "tolerance must be ≥ 0"},
+		{func(g *Grid) { g.Rtol = math.NaN() }, "tolerance must be finite"},
+		{func(g *Grid) { g.Rtol = math.Inf(1) }, "tolerance must be finite"},
 		{func(g *Grid) { g.Workers = -3 }, "workers must be ≥ 0"},
 		// Mistakes that would make every cell of a row an error cell.
 		{func(g *Grid) { g.Nodes = []int{4, 0} }, "node counts must be ≥ 1, got 0"},

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +203,14 @@ func TestSpecValidation(t *testing.T) {
 	} {
 		if _, err := RunPaper(spec); err == nil {
 			t.Errorf("%s: RunPaper succeeded, want an error", name)
+		}
+	}
+	// A tolerance that is not finite stops the constellation before any
+	// cell runs: NaN used to run every cell to its iteration cap.
+	for _, rtol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec := PaperSpec{Matrix: a, Nodes: 4, Ts: []int{1}, Phis: []int{1}, Rtol: rtol}
+		if _, err := RunPaper(spec); err == nil || !strings.Contains(err.Error(), "tolerance must be finite") {
+			t.Errorf("Rtol %g: error %v, want one saying the tolerance must be finite", rtol, err)
 		}
 	}
 }

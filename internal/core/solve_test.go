@@ -502,6 +502,44 @@ func TestConfigNegativeCapsAreErrors(t *testing.T) {
 	}
 }
 
+// A non-finite tolerance, a negative or non-finite detection time and a
+// negative or non-finite inner tolerance are errors. They used to solve: a
+// negative detection time made RecoveryTime negative, NaN and +Inf made it or
+// SimTime non-finite, a NaN inner tolerance ran the inner PCG to its cap, and
+// a NaN tolerance ran to the iteration cap with a NaN residual. A zero inner
+// tolerance still takes the paper's 1e-14.
+func TestConfigNonFiniteSettingsAreErrors(t *testing.T) {
+	a := matgen.Poisson2D(4, 4)
+	b := matgen.RHSOnes(16)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"Rtol NaN", func(c *Config) { c.Rtol = nan }, "tolerance must be finite"},
+		{"Rtol +Inf", func(c *Config) { c.Rtol = inf }, "tolerance must be finite"},
+		{"Rtol -Inf", func(c *Config) { c.Rtol = -inf }, "tolerance must be finite"},
+		{"DetectionTime -1e-3", func(c *Config) { c.DetectionTime = -1e-3 }, "detection time must be finite and ≥ 0"},
+		{"DetectionTime NaN", func(c *Config) { c.DetectionTime = nan }, "detection time must be finite and ≥ 0"},
+		{"DetectionTime +Inf", func(c *Config) { c.DetectionTime = inf }, "detection time must be finite and ≥ 0"},
+		{"InnerRtol -1e-14", func(c *Config) { c.InnerRtol = -1e-14 }, "inner tolerance must be finite and ≥ 0"},
+		{"InnerRtol NaN", func(c *Config) { c.InnerRtol = nan }, "inner tolerance must be finite and ≥ 0"},
+		{"InnerRtol +Inf", func(c *Config) { c.InnerRtol = inf }, "inner tolerance must be finite and ≥ 0"},
+	} {
+		cfg := Config{A: a, B: b, Nodes: 4, Strategy: StrategyESRP, T: 5, Phi: 1,
+			Failures: []FailureSpec{{Iteration: 12, Ranks: []int{1}}}}
+		c.set(&cfg)
+		if _, err := Solve(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one saying %q", c.name, err, c.want)
+		}
+	}
+	got, err := Config{A: a, B: b, Nodes: 2}.withDefaults()
+	if err != nil || got.InnerRtol != 1e-14 {
+		t.Fatalf("zero InnerRtol: %g, err %v; want 1e-14, nil", got.InnerRtol, err)
+	}
+}
+
 func TestStrategyStringParse(t *testing.T) {
 	for _, s := range []Strategy{StrategyNone, StrategyESR, StrategyESRP, StrategyIMCR} {
 		p, err := ParseStrategy(s.String())
