@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -294,6 +295,9 @@ func (g Grid) withDefaults() (Grid, error) {
 	// seed axis instead of running redundant copies.
 	if g.Scenario.Model == faultsim.ModelFixed && len(g.Seeds) > 1 {
 		g.Seeds = g.Seeds[:1]
+	}
+	if math.IsNaN(g.Rtol) || math.IsInf(g.Rtol, 0) {
+		return g, fmt.Errorf("campaign: tolerance must be finite, got %g", g.Rtol)
 	}
 	if g.Rtol < 0 {
 		return g, fmt.Errorf("campaign: tolerance must be ≥ 0 (0 = 1e-8), got %g", g.Rtol)

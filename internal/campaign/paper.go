@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"esrp/internal/core"
@@ -76,6 +77,9 @@ func (s PaperSpec) withDefaults() (PaperSpec, error) {
 	}
 	if s.Nodes <= 0 {
 		s.Nodes = 32
+	}
+	if math.IsNaN(s.Rtol) || math.IsInf(s.Rtol, 0) {
+		return s, fmt.Errorf("campaign: paper constellation: tolerance must be finite, got %g", s.Rtol)
 	}
 	if s.Rtol <= 0 {
 		s.Rtol = 1e-8

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -119,7 +120,7 @@ type Config struct {
 	// (0 = 1 for ESR, ESRP and IMCR; negative is an error).
 	Phi int
 
-	InnerRtol float64 // reconstruction inner-solve tolerance (paper: 1e-14)
+	InnerRtol float64 // reconstruction inner-solve tolerance (0 = the paper's 1e-14; negative is an error)
 
 	// Failure injects a single node-failure event — the paper's framework.
 	// It is shorthand for a one-element Failures timeline; setting both is an
@@ -160,7 +161,8 @@ type Config struct {
 	// the paper's framework leaves unmodeled (Section 4: detecting the
 	// failure, identifying the lost ranks, re-establishing the
 	// communicator, e.g. via ULFM). The paper argues this cost is
-	// comparable across strategies; the knob lets users include it.
+	// comparable across strategies; the knob lets users include it. It must
+	// be finite and ≥ 0.
 	DetectionTime float64
 
 	// BalanceNNZ switches the block row distribution from uniform row
@@ -262,6 +264,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.HostStats != nil && cfg.HostStats.Cap() < cfg.Nodes {
 		return cfg, fmt.Errorf("core: HostStats capacity %d < %d nodes", cfg.HostStats.Cap(), cfg.Nodes)
 	}
+	if !finite(cfg.Rtol) {
+		return cfg, fmt.Errorf("core: tolerance must be finite, got %g", cfg.Rtol)
+	}
 	if cfg.Rtol < 0 {
 		return cfg, fmt.Errorf("core: tolerance must be ≥ 0 (0 = 1e-8), got %g", cfg.Rtol)
 	}
@@ -286,8 +291,14 @@ func (cfg Config) withDefaults() (Config, error) {
 	if !cfg.Kernel.Valid() {
 		return cfg, fmt.Errorf("core: invalid SpMV kernel kind %d", int(cfg.Kernel))
 	}
-	if cfg.InnerRtol <= 0 {
+	if !finite(cfg.InnerRtol) || cfg.InnerRtol < 0 {
+		return cfg, fmt.Errorf("core: inner tolerance must be finite and ≥ 0 (0 = 1e-14), got %g", cfg.InnerRtol)
+	}
+	if cfg.InnerRtol == 0 {
 		cfg.InnerRtol = 1e-14
+	}
+	if !finite(cfg.DetectionTime) || cfg.DetectionTime < 0 {
+		return cfg, fmt.Errorf("core: detection time must be finite and ≥ 0 seconds, got %g", cfg.DetectionTime)
 	}
 	if cfg.Phi < 0 {
 		return cfg, fmt.Errorf("core: phi must be ≥ 0 (0 = 1 for redundant strategies), got %d", cfg.Phi)
@@ -359,6 +370,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	return cfg, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // validate checks one failure event against a cluster of n nodes: non-empty
 // contiguous ascending ranks (duplicates included in the check), ranks in
