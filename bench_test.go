@@ -102,7 +102,7 @@ func BenchmarkTable4ResidualDrift(b *testing.B) {
 		fr, err := esrp.Solve(esrp.Config{
 			A: a, B: rhs, Nodes: benchNodes,
 			Strategy: esrp.StrategyESRP, T: 20, Phi: 1,
-			Failure: &esrp.FailureSpec{Iteration: ref.Iterations / 2, Ranks: []int{0}},
+			Failures: []esrp.FailureSpec{{Iteration: ref.Iterations / 2, Ranks: []int{0}}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -126,7 +126,7 @@ func benchFigurePoint(b *testing.B, a *esrp.CSR, strat esrp.Strategy, t, phi int
 		Strategy: strat, T: t, Phi: phi,
 	}
 	if fail {
-		cfg.Failure = &esrp.FailureSpec{Iteration: ref.Iterations / 2, Ranks: locRanks(phi)}
+		cfg.Failures = []esrp.FailureSpec{{Iteration: ref.Iterations / 2, Ranks: locRanks(phi)}}
 	}
 	b.ResetTimer()
 	var sim float64
@@ -239,56 +239,6 @@ func BenchmarkSpMVExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkExchangeOverlap compares the blocking halo exchange against the
-// overlapped Start/Finish halves on both matrix analogs: same iterates and
-// traffic, different simulated clock. Reported metrics are the modeled
-// runtime (simsec/solve — the gap is what hiding the halo behind the
-// interior-rows product buys at default LogGP parameters), the end-of-solve
-// per-node footprint, and host allocs/op for the steady-state data path.
-//
-// 4 nodes, not benchNodes: overlap needs interior rows to hide the halo
-// behind, i.e. slabs thicker than the stencil's coupling depth. At 16 nodes
-// the reduced-scale analogs degenerate to one stencil plane per node (pure
-// surface, zero interior rows) and the two modes coincide by construction.
-func BenchmarkExchangeOverlap(b *testing.B) {
-	const overlapNodes = 4
-	for _, mat := range []struct {
-		name string
-		a    *esrp.CSR
-	}{
-		{"EmiliaLike", benchEmilia()},
-		{"AudikwLike", benchAudikw()},
-	} {
-		rhs := esrp.RHSOnes(mat.a.Rows)
-		for _, mode := range []struct {
-			name     string
-			blocking bool
-		}{
-			{"blocking", true},
-			{"overlapped", false},
-		} {
-			b.Run(mat.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var sim float64
-				var mem int64
-				for i := 0; i < b.N; i++ {
-					res, err := esrp.Solve(esrp.Config{
-						A: mat.a, B: rhs, Nodes: overlapNodes,
-						MaxIter: 60, Rtol: 1e-30, // fixed-length run: pure data-path cost
-						BlockingExchange: mode.blocking,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sim, mem = res.SimTime, res.MaxNodeBytes
-				}
-				b.ReportMetric(sim, "simsec/solve")
-				b.ReportMetric(float64(mem), "nodebytes")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationBalancedPartition compares uniform-rows and work-balanced
 // row distributions on the audikw-like matrix (near-uniform rows; balancing
 // is cheap insurance) — the paper's future-work question on partitioning.
@@ -352,10 +302,9 @@ func BenchmarkAblationResidualReplacement(b *testing.B) {
 // wall-clock ns/op and allocs/op of one fixed-length solve — the figure the
 // zero-allocation hot path and the structure-aware kernels optimize. Fixed
 // MaxIter + unreachable Rtol makes the run length independent of
-// convergence, so the metric is a pure data-path cost. The default cases run
-// the kernel planner (auto); the kernel=* cases force each layout on the
-// reference strategy for the attribution. The recorded host figures are
-// benchmark/'s solve workloads; this benchmark is for local attribution.
+// convergence, so the metric is a pure data-path cost. The recorded host
+// figures are benchmark/'s solve workloads; this benchmark is for local
+// attribution (internal/sparse's BenchmarkKernelMul times each SpMV layout).
 func BenchmarkHostSolve(b *testing.B) {
 	a := benchEmilia()
 	rhs := esrp.RHSOnes(a.Rows)
@@ -376,10 +325,6 @@ func BenchmarkHostSolve(b *testing.B) {
 		Strategy: esrp.StrategyESRP, T: 20, Phi: 1})
 	run("imcr-T20", esrp.Config{A: a, B: rhs, Nodes: benchNodes, MaxIter: 60, Rtol: 1e-30,
 		Strategy: esrp.StrategyIMCR, T: 20, Phi: 1})
-	for _, kind := range []esrp.KernelKind{esrp.KernelCSR, esrp.KernelSellC, esrp.KernelBand} {
-		run("kernel="+kind.String(), esrp.Config{A: a, B: rhs, Nodes: benchNodes,
-			MaxIter: 60, Rtol: 1e-30, Kernel: kind})
-	}
 }
 
 // BenchmarkCampaignSweep measures the experiment-sweep engine's host
@@ -437,10 +382,10 @@ func BenchmarkNoSpareVsSpare(b *testing.B) {
 					A: a, B: rhs, Nodes: benchNodes,
 					Strategy: esrp.StrategyESRP, T: 20, Phi: 2,
 					NoSpareNodes: sub.noSpare,
-					Failure: &esrp.FailureSpec{
+					Failures: []esrp.FailureSpec{{
 						Iteration: ref.Iterations / 2,
 						Ranks:     []int{4, 5},
-					},
+					}},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -42,12 +42,11 @@ func main() {
 		fig   = flag.Int("fig", 0, "regenerate Figure 2..3 (0 = none)")
 		all   = flag.Bool("all", false, "regenerate every table and figure")
 
-		nodes  = flag.Int("nodes", 32, "simulated cluster size")
-		scale  = flag.Int("scale", 1, "grid refinement factor for the test matrices")
-		phis   = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
-		ts     = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
-		rtol   = flag.Float64("rtol", 1e-8, "outer relative tolerance")
-		kernel = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
+		nodes = flag.Int("nodes", 32, "simulated cluster size")
+		scale = flag.Int("scale", 1, "grid refinement factor for the test matrices")
+		phis  = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
+		ts    = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
+		rtol  = flag.Float64("rtol", 1e-8, "outer relative tolerance")
 
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -76,10 +75,6 @@ func main() {
 	if err != nil {
 		usagef("bad -ts: %v", err)
 	}
-	kk, err := esrp.ParseKernel(*kernel)
-	if err != nil {
-		usagef("bad -kernel: %v", err)
-	}
 
 	stop, err := profiling.Start(*cpuprofile, *memprofile, *allocsprofile)
 	if err != nil {
@@ -92,7 +87,7 @@ func main() {
 		}
 	}()
 
-	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, kernel: kk}
+	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol}
 
 	want := func(t, f int) bool {
 		if *all {
@@ -158,7 +153,6 @@ type generator struct {
 	nodes, scale int
 	phis, ts     []int
 	rtol         float64
-	kernel       esrp.KernelKind
 }
 
 // emilia returns the Emilia_923 analog at the configured scale: a banded
@@ -189,7 +183,6 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 		Ts:     g.ts,
 		Phis:   g.phis,
 		Rtol:   g.rtol,
-		Kernel: g.kernel,
 	})
 	if err != nil {
 		fatalf("%s constellation: %v", name, err)

@@ -63,7 +63,6 @@ func main() {
 		rtol    = flag.Float64("rtol", 1e-8, "outer relative tolerance")
 		maxIter = flag.Int("maxiter", 0, "iteration cap (0 = solver default)")
 		workers = flag.Int("workers", 0, "concurrent cells on the host (0 = GOMAXPROCS)")
-		kernel  = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (cells and JSON are bit-identical under every choice)")
 
 		sweepMachine = flag.String("sweep-machine", "", "machine-parameter sweep on the replay engine: semicolon-separated LogGP value lists crossed into a grid, e.g. \"L=1x,4x,16x;G=1x,8x\" (keys L|o|G|f; absolute seconds or Nx multipliers of the default model). Each grid cell is solved and recorded once, then re-costed per machine point in O(events); results land in the report's machine_cells")
 		schedulesDir = flag.String("schedules", "", "directory for the per-cell recorded schedules (framed compact binary, replayable via esrp.ReadScheduleFile); requires -sweep-machine")
@@ -105,7 +104,6 @@ func main() {
 		model: *model, mtbf: *mtbf, shape: *shape, horizon: *horizon,
 		group: *group, groupProb: *groupProb, maxEvents: *maxEvents, events: *events,
 		spares: *spares, rtol: *rtol, maxIter: *maxIter, workers: *workers,
-		kernel: *kernel,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -316,7 +314,6 @@ type gridFlags struct {
 	rtol       float64
 	maxIter    int
 	workers    int
-	kernel     string
 }
 
 func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
@@ -378,11 +375,6 @@ func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
 		}
 	}
 
-	kernel, err := esrp.ParseKernel(f.kernel)
-	if err != nil {
-		return nil, err
-	}
-
 	return &esrp.CampaignGrid{
 		Matrices:   matrices,
 		Nodes:      nodes,
@@ -395,7 +387,6 @@ func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
 		Rtol:       f.rtol,
 		MaxIter:    f.maxIter,
 		Workers:    f.workers,
-		Kernel:     kernel,
 	}, nil
 }
 

@@ -44,7 +44,6 @@ func main() {
 		rtol     = flag.Float64("rtol", 1e-8, "relative residual tolerance")
 		precond  = flag.String("precond", "blockjacobi", "preconditioner: none|jacobi|blockjacobi|ic0")
 		maxBlock = flag.Int("maxblock", 10, "block Jacobi maximum block size")
-		kernel   = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (auto = planner; trajectories are identical under every choice)")
 
 		failIter  = flag.Int("fail-iter", -1, "iteration to inject a node failure at (-1 = none)")
 		failRanks = flag.String("fail-ranks", "0", "comma-separated contiguous ranks that fail")
@@ -73,15 +72,11 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	kk, err := esrp.ParseKernel(*kernel)
-	if err != nil {
-		fatalf("%v", err)
-	}
 
 	cfg := esrp.Config{
 		A: a, B: esrp.RHSOnes(a.Rows), Nodes: *nodes,
 		Strategy: strat, T: *tInt, Phi: *phi,
-		Rtol: *rtol, PrecondKind: pk, MaxBlock: *maxBlock, Kernel: kk,
+		Rtol: *rtol, PrecondKind: pk, MaxBlock: *maxBlock,
 		RecordResiduals:             *verbose,
 		NoSpareNodes:                *noSpare,
 		BalanceNNZ:                  *balance,
@@ -110,7 +105,7 @@ func main() {
 		if err != nil {
 			fatalf("bad -fail-ranks: %v", err)
 		}
-		cfg.Failure = &esrp.FailureSpec{Iteration: *failIter, Ranks: ranks}
+		cfg.Failures = []esrp.FailureSpec{{Iteration: *failIter, Ranks: ranks}}
 	}
 
 	fmt.Printf("solving %s with PCG: %d rows, %d nnz, %d nodes, strategy %v (T=%d, φ=%d)\n",
@@ -140,7 +135,7 @@ func main() {
 	if *verbose {
 		fmt.Printf("traffic: %d messages, %d payload bytes (%d halo)\n", res.MsgsSent, res.BytesSent, res.HaloBytes)
 		fmt.Printf("per-node memory: %d bytes max (O(local+halo))\n", res.MaxNodeBytes)
-		fmt.Printf("spmv kernels (%s): %s\n", *kernel, esrp.CondenseKernels(res.Kernels))
+		fmt.Printf("spmv kernels: %s\n", esrp.CondenseKernels(res.Kernels))
 		printResiduals(res.Residuals)
 		printRecoveryBreakdown(res.Trace)
 	}

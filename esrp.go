@@ -32,7 +32,7 @@
 //	res, err := esrp.Solve(esrp.Config{
 //		A: a, B: b, Nodes: 8,
 //		Strategy: esrp.StrategyESRP, T: 20, Phi: 1,
-//		Failure:  &esrp.FailureSpec{Iteration: 50, Ranks: []int{3}},
+//		Failures: []esrp.FailureSpec{{Iteration: 50, Ranks: []int{3}}},
 //	})
 //
 // Runtime is reported on a deterministic simulated clock (LogGP model); see
@@ -45,9 +45,10 @@
 // exchange runs in nonblocking Start/Finish halves with the interior-rows
 // product overlapped with the in-flight messages — the overlap shows up
 // directly in the simulated runtime. Result.MaxNodeBytes reports the largest
-// per-node footprint and Result.HaloBytes the measured halo traffic;
-// Config.BlockingExchange disables the overlap for ablation (bitwise
-// identical trajectories, strictly slower modeled runtime).
+// per-node footprint and Result.HaloBytes the measured halo traffic. Each
+// node's local SpMV runs through the storage layout a planner picks per row
+// block (Result.Kernels names them); every layout gives bitwise-identical
+// trajectories.
 package esrp
 
 import (
@@ -70,10 +71,10 @@ import (
 
 // Core solver types.
 type (
-	// Config describes one distributed solve; see core.Config. Beyond the
-	// paper's single Failure event, Config.Failures takes a multi-event
-	// timeline and Config.Spares bounds the replacement-node pool (recovery
-	// falls back to the no-spare shrink once it is exhausted).
+	// Config describes one distributed solve; see core.Config.
+	// Config.Failures is the failure timeline (the paper's single event is
+	// a one-element one) and Config.Spares bounds the replacement-node pool
+	// (recovery falls back to the no-spare shrink once it is exhausted).
 	Config = core.Config
 	// Result is the outcome of a solve; Result.Events records every handled
 	// failure event of a multi-failure timeline.
@@ -90,9 +91,6 @@ type (
 	CSR = sparse.CSR
 	// PrecondKind selects the preconditioner.
 	PrecondKind = precond.Kind
-	// KernelKind selects the local SpMV storage layout (Config.Kernel). All
-	// kinds produce bitwise-identical trajectories; only host speed differs.
-	KernelKind = sparse.KernelKind
 )
 
 // Resilience strategies.
@@ -122,22 +120,6 @@ const (
 	// compatible with the exact state reconstruction.
 	PrecondIC0 = precond.IC0
 )
-
-// SpMV kernel kinds (Config.Kernel).
-const (
-	// KernelAuto lets the Prepare-time planner pick the layout per row
-	// block from its structure statistics (the default).
-	KernelAuto = sparse.KernelAuto
-	// KernelCSR forces the generic scalar CSR traversal.
-	KernelCSR = sparse.KernelCSR
-	// KernelSellC forces the SELL-C sliced-ELL layout.
-	KernelSellC = sparse.KernelSellC
-	// KernelBand forces the constant-band/stencil layout.
-	KernelBand = sparse.KernelBand
-)
-
-// ParseKernel converts a kernel name ("auto", "csr", "sellc", "band").
-func ParseKernel(s string) (KernelKind, error) { return sparse.ParseKernelKind(s) }
 
 // ParsePrecond converts a preconditioner name ("none", "jacobi",
 // "blockjacobi", "ic0", and the aliases "identity", "block-jacobi", "bj",

@@ -53,7 +53,7 @@ func main() {
 		failAt := failureIteration(ref.Iterations, t)
 		fr, err := esrp.Solve(esrp.Config{
 			A: a, B: b, Nodes: nodes, Strategy: strat, T: t, Phi: phi,
-			Failure: &esrp.FailureSpec{Iteration: failAt, Ranks: []int{3, 4, 5}},
+			Failures: []esrp.FailureSpec{{Iteration: failAt, Ranks: []int{3, 4, 5}}},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -49,7 +49,7 @@ func main() {
 		res, err := esrp.Solve(esrp.Config{
 			A: a, B: b, Nodes: nodes,
 			Strategy: tc.strategy, T: 20, Phi: phi,
-			Failure: &esrp.FailureSpec{Iteration: failAt, Ranks: failed},
+			Failures: []esrp.FailureSpec{{Iteration: failAt, Ranks: failed}},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -167,7 +167,7 @@ func (e *estimator) record(strat esrp.Strategy, t, failIter int) *esrp.Schedule 
 	if strat == esrp.StrategyESRP && t <= 2 {
 		cfg.Strategy = esrp.StrategyESR
 	}
-	cfg.Failure = &esrp.FailureSpec{Iteration: failIter, Ranks: []int{e.nodes / 2}}
+	cfg.Failures = []esrp.FailureSpec{{Iteration: failIter, Ranks: []int{e.nodes / 2}}}
 	start := time.Now()
 	res, sched, err := esrp.RecordSchedule(cfg)
 	e.recordNs += time.Since(start).Nanoseconds()

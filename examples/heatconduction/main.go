@@ -32,7 +32,7 @@ func main() {
 		ref.Iterations, ref.SimTime)
 
 	failAt := ref.Iterations / 2
-	fail := &esrp.FailureSpec{Iteration: failAt, Ranks: []int{5}}
+	fail := []esrp.FailureSpec{{Iteration: failAt, Ranks: []int{5}}}
 	fmt.Printf("injecting a failure of node 5 at iteration %d:\n\n", failAt)
 
 	for _, tc := range []struct {
@@ -47,7 +47,7 @@ func main() {
 		res, err := esrp.Solve(esrp.Config{
 			A: a, B: b, Nodes: 12,
 			Strategy: tc.strategy, T: tc.t, Phi: 1,
-			Failure: fail,
+			Failures: fail,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -28,7 +28,7 @@ func main() {
 		// Kill node 3 at iteration 50. The failed node zeroes all its
 		// dynamic data and acts as its own replacement, as in the paper's
 		// experimental framework.
-		Failure: &esrp.FailureSpec{Iteration: 50, Ranks: []int{3}},
+		Failures: []esrp.FailureSpec{{Iteration: 50, Ranks: []int{3}}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -60,7 +60,7 @@ func main() {
 		A: a, B: b, Nodes: nodes,
 		Strategy: esrp.StrategyESRP, T: 15, Phi: 2,
 		NoSpareNodes: true,
-		Failure:      &esrp.FailureSpec{Iteration: failAt, Ranks: failed},
+		Failures:     []esrp.FailureSpec{{Iteration: failAt, Ranks: failed}},
 	})
 	if err != nil {
 		log.Fatal(err)

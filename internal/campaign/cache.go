@@ -70,7 +70,6 @@ func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 		MaxIter:  g.MaxIter,
 		MaxBlock: g.MaxBlock,
 		Precond:  pk,
-		Kernel:   g.Kernel,
 	}
 }
 
@@ -174,22 +173,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 		}
 	}
 
-	r := &entry.Result
-	c.Converged = r.Converged
-	c.Iterations = r.Iterations
-	c.TotalSteps = r.TotalSteps
-	c.RelResidual = r.RelResidual
-	c.SimTime = r.SimTime
-	c.RecoveryTime = r.RecoveryTime
-	c.WastedIters = r.WastedIters
-	c.Drift = r.Drift
-	c.MaxNodeBytes = r.MaxNodeBytes
-	c.HaloBytes = r.HaloBytes
-	c.BytesSent = r.BytesSent
-	c.ActiveNodes = r.ActiveNodes
-	c.Kernels = r.Kernels
-	c.Recoveries = r.Recoveries
-
+	c.CellResult = entry.Result
 	if rep != nil {
 		// Recost is bit-for-bit equal to a live solve under the same
 		// model (the replay-equivalence invariant), so the warm report
@@ -241,30 +225,33 @@ func (g *Grid) recostMachines(sched *replay.Schedule, mcs []MachineCell) error {
 // as a plain miss). Store failures are deliberately non-fatal: the cache
 // is an accelerator, and a cell that fails to persist simply recomputes
 // next run.
-func (g *Grid) storeCell(index int, c *Cell, res *core.Result, sched *replay.Schedule, cr *cacheRun) {
+func (g *Grid) storeCell(index int, c *Cell, sched *replay.Schedule, cr *cacheRun) {
 	if c.Err != "" {
 		return
 	}
 	if sched != nil {
 		g.Cache.PutSchedule(cr.keys[index], sched) //nolint:errcheck // best-effort persist
 	}
-	g.Cache.PutResult(cr.keys[index], &ccache.ResultEntry{ //nolint:errcheck // best-effort persist
-		Model: cr.model,
-		Result: ccache.CellResult{
-			Converged:    res.Converged,
-			Iterations:   res.Iterations,
-			TotalSteps:   res.TotalSteps,
-			RelResidual:  res.RelResidual,
-			SimTime:      res.SimTime,
-			RecoveryTime: res.RecoveryTime,
-			WastedIters:  res.WastedIters,
-			Drift:        res.Drift,
-			MaxNodeBytes: res.MaxNodeBytes,
-			HaloBytes:    res.HaloBytes,
-			BytesSent:    res.BytesSent,
-			ActiveNodes:  res.ActiveNodes,
-			Kernels:      core.CondenseKernels(res.Kernels),
-			Recoveries:   res.Events,
-		},
-	})
+	g.Cache.PutResult(cr.keys[index], &ccache.ResultEntry{Model: cr.model, Result: c.CellResult}) //nolint:errcheck // best-effort persist
+}
+
+// cellResult condenses a solve's result into the record a cell reports and
+// the result tier stores.
+func cellResult(res *core.Result) ccache.CellResult {
+	return ccache.CellResult{
+		Converged:    res.Converged,
+		Iterations:   res.Iterations,
+		TotalSteps:   res.TotalSteps,
+		RelResidual:  res.RelResidual,
+		SimTime:      res.SimTime,
+		RecoveryTime: res.RecoveryTime,
+		WastedIters:  res.WastedIters,
+		Drift:        res.Drift,
+		MaxNodeBytes: res.MaxNodeBytes,
+		HaloBytes:    res.HaloBytes,
+		BytesSent:    res.BytesSent,
+		ActiveNodes:  res.ActiveNodes,
+		Kernels:      core.CondenseKernels(res.Kernels),
+		Recoveries:   res.Events,
+	}
 }

@@ -80,7 +80,6 @@ type Grid struct {
 	MaxIter   int     // iteration cap (0 = solver default; negative is an error)
 	MaxBlock  int     // block Jacobi bound (0 = 10; negative is an error)
 	Precond   precond.Kind
-	Kernel    sparse.KernelKind // SpMV layout for every cell (zero = planner)
 	CostModel *cluster.CostModel
 
 	// Workers bounds the number of cells solved concurrently on the host
@@ -154,20 +153,9 @@ type Cell struct {
 	Events  []core.FailureSpec `json:"events,omitempty"`  // compiled timeline (after φ-clamping)
 	Clamped int                `json:"clamped,omitempty"` // events narrowed to fit φ
 
-	Converged    bool                 `json:"converged"`
-	Iterations   int                  `json:"iterations"`
-	TotalSteps   int                  `json:"total_steps"`
-	RelResidual  float64              `json:"rel_residual"`
-	SimTime      float64              `json:"sim_time_s"`
-	RecoveryTime float64              `json:"recovery_time_s"`
-	WastedIters  int                  `json:"wasted_iters"`
-	Drift        float64              `json:"drift"`
-	MaxNodeBytes int64                `json:"max_node_bytes"`
-	HaloBytes    int64                `json:"halo_bytes"`
-	BytesSent    int64                `json:"bytes_sent"`
-	ActiveNodes  int                  `json:"active_nodes"`
-	Kernels      string               `json:"kernels,omitempty"` // condensed per-node SpMV layouts
-	Recoveries   []core.RecoveryEvent `json:"recoveries,omitempty"`
+	// The condensed solve result, the record the cache's result tier
+	// stores; its fields encode inline.
+	ccache.CellResult
 
 	Err string `json:"error,omitempty"` // non-empty: the cell failed to run
 
@@ -586,7 +574,6 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 			Strategy: c.strat, T: c.T, Phi: c.Phi,
 			Rtol: g.Rtol, MaxIter: g.MaxIter,
 			PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
-			Kernel: g.Kernel,
 		})
 		if err == nil {
 			built[k] = prep // else nil: cells fall back to per-cell setup and surface the error
@@ -685,7 +672,6 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 		Strategy: c.strat, T: c.T, Phi: c.Phi,
 		Rtol: g.Rtol, MaxIter: g.MaxIter,
 		PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
-		Kernel:    g.Kernel,
 		CostModel: g.CostModel,
 		Failures:  c.Events,
 		Prepared:  prep,
@@ -734,23 +720,10 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 			g.OnCellSchedule(index, c, sched)
 		}
 	}
+	c.CellResult = cellResult(res)
 	if cr != nil {
-		g.storeCell(index, c, res, sched, cr)
+		g.storeCell(index, c, sched, cr)
 	}
-	c.Converged = res.Converged
-	c.Iterations = res.Iterations
-	c.TotalSteps = res.TotalSteps
-	c.RelResidual = res.RelResidual
-	c.SimTime = res.SimTime
-	c.RecoveryTime = res.RecoveryTime
-	c.WastedIters = res.WastedIters
-	c.Drift = res.Drift
-	c.MaxNodeBytes = res.MaxNodeBytes
-	c.HaloBytes = res.HaloBytes
-	c.BytesSent = res.BytesSent
-	c.ActiveNodes = res.ActiveNodes
-	c.Kernels = core.CondenseKernels(res.Kernels)
-	c.Recoveries = res.Events
 	if traced && res.Trace != nil {
 		g.OnCellTrace(index, c, res.Trace)
 	}

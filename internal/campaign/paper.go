@@ -15,11 +15,10 @@ import (
 // intervals and redundancy counts, each setting run failure-free and with
 // ψ = φ simultaneous node failures at the two failure locations.
 type PaperSpec struct {
-	Name   string            // matrix label for the rendered tables
-	Matrix *sparse.CSR       // the SPD system, solved for b = A·1
-	Nodes  int               // simulated cluster size (paper: 128; default 32)
-	Rtol   float64           // outer tolerance (paper and default: 1e-8)
-	Kernel sparse.KernelKind // SpMV layout (zero value = planner-chosen)
+	Name   string      // matrix label for the rendered tables
+	Matrix *sparse.CSR // the SPD system, solved for b = A·1
+	Nodes  int         // simulated cluster size (paper: 128; default 32)
+	Rtol   float64     // outer tolerance (paper and default: 1e-8; not finite is an error)
 
 	// Ts are the checkpoint intervals (default 1, 20, 50, 100). An entry of
 	// 1 or 2 is the plain-ESR row, reported at T = 1; ESRP takes T > 2 and
@@ -114,7 +113,6 @@ func (s PaperSpec) grid(strats []core.Strategy, ts []int, sc faultsim.Scenario) 
 		Phis:       s.Phis,
 		Scenario:   sc,
 		Rtol:       s.Rtol,
-		Kernel:     s.Kernel,
 	}
 }
 

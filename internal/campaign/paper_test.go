@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"esrp/internal/ccache"
 	"esrp/internal/matgen"
 )
 
@@ -172,16 +173,17 @@ func TestRenderTable1(t *testing.T) {
 }
 
 func TestDriftStats(t *testing.T) {
-	rep := &PaperReport{Ref: Cell{Drift: -0.01}}
+	drift := func(d float64) Cell { return Cell{CellResult: ccache.CellResult{Drift: d}} }
+	rep := &PaperReport{Ref: drift(-0.01)}
 	ref, med, min := rep.DriftStats()
 	if ref != -0.01 || med != -0.01 || min != -0.01 {
 		t.Errorf("empty drift stats = %g %g %g, want all -0.01", ref, med, min)
 	}
 	rep.ESRP = []PaperCell{
-		{Fail: [2]Cell{{Drift: -0.03}, {Drift: -0.01}}},
-		{Fail: [2]Cell{{Drift: -0.02}, {Drift: -0.04}}},
+		{Fail: [2]Cell{drift(-0.03), drift(-0.01)}},
+		{Fail: [2]Cell{drift(-0.02), drift(-0.04)}},
 	}
-	rep.IMCR = []PaperCell{{Fail: [2]Cell{{Drift: -1}, {Drift: -1}}}} // not ESR/ESRP: ignored
+	rep.IMCR = []PaperCell{{Fail: [2]Cell{drift(-1), drift(-1)}}} // not ESR/ESRP: ignored
 	_, med, min = rep.DriftStats()
 	if min != -0.04 {
 		t.Errorf("min drift = %g, want -0.04", min)

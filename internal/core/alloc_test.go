@@ -78,7 +78,7 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 		for _, sub := range strategies {
 			t.Run(kind.String()+"/"+sub.name, func(t *testing.T) {
 				mut := func(cfg *Config) {
-					cfg.Kernel = kind
+					cfg.kernel = kind
 					sub.mut(cfg)
 				}
 				// A genuine leak shows up at ≥ 1 alloc per iteration (1.0) or per

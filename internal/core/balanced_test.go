@@ -67,7 +67,7 @@ func TestBalanceNNZWithESRPRecovery(t *testing.T) {
 	cfg := Config{
 		A: a, B: b, Nodes: 8, BalanceNNZ: true,
 		Strategy: StrategyESRP, T: 10, Phi: 2,
-		Failure:   &FailureSpec{Iteration: 15, Ranks: []int{2, 3}},
+		Failures:  []FailureSpec{{Iteration: 15, Ranks: []int{2, 3}}},
 		CostModel: fastModel(),
 	}
 	res := checkExactRecovery(t, cfg, 3)
@@ -82,7 +82,7 @@ func TestBalanceNNZWithIMCR(t *testing.T) {
 	imcr := Config{
 		A: a, B: b, Nodes: 8, BalanceNNZ: true,
 		Strategy: StrategyIMCR, T: 10, Phi: 1,
-		Failure:   &FailureSpec{Iteration: 15, Ranks: []int{5}},
+		Failures:  []FailureSpec{{Iteration: 15, Ranks: []int{5}}},
 		CostModel: fastModel(),
 	}
 	res := solveOK(t, imcr)

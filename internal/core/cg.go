@@ -25,7 +25,7 @@ type cg struct {
 	pc       precond.Preconditioner
 	kern     sparse.Kernel   // planned SpMV layout over the compact local rows
 	ex       aspmv.Exchanger // halo exchange driver; by value, so an inner solve's stays on its stack
-	blocking bool            // Config.BlockingExchange
+	blocking bool            // Config.blocking
 
 	// Local blocks of m rows: x, r, z, p of the recurrence, q = A·p, and
 	// pg, the owned+ghost SpMV input buffer of length m + ghosts.

@@ -104,16 +104,6 @@ type Config struct {
 	PrecondKind precond.Kind // paper: block Jacobi
 	MaxBlock    int          // block Jacobi maximum block size (0 = the paper's 10; negative is an error)
 
-	// Kernel selects the storage layout of the local SpMV. The zero value
-	// KernelAuto lets the Prepare-time planner inspect each node's interior
-	// and boundary row blocks and pick per block (constant-band for stencil
-	// runs, SELL-C for regular-width blocks, scalar CSR otherwise); the
-	// forced kinds exist for ablation and irregular inputs. Every kind
-	// computes identical per-row sums in identical order, so trajectories,
-	// the simulated clock and all traffic counters are bitwise invariant
-	// under this knob — only host wall-clock changes.
-	Kernel sparse.KernelKind
-
 	Strategy Strategy
 	T        int // checkpointing interval (ignored for None/ESR)
 	// Phi is the redundancy: copies kept, simultaneous failures supported
@@ -122,15 +112,10 @@ type Config struct {
 
 	InnerRtol float64 // reconstruction inner-solve tolerance (0 = the paper's 1e-14; negative is an error)
 
-	// Failure injects a single node-failure event — the paper's framework.
-	// It is shorthand for a one-element Failures timeline; setting both is an
-	// error.
-	Failure *FailureSpec
-
-	// Failures is the multi-event failure timeline: events fire in order at
-	// strictly increasing iterations (validated eagerly). Each event destroys
-	// the dynamic state of its ranks exactly like the single-event framework;
-	// the strategy's recovery runs after every event. Ranks are interpreted
+	// Failures is the failure timeline: events fire in order at strictly
+	// increasing iterations (validated eagerly). The paper's framework is the
+	// one-element timeline. Each event destroys the dynamic state of its
+	// ranks; the strategy's recovery runs after every event. Ranks are interpreted
 	// in the rank space current at fire time (identical to the initial space
 	// until a no-spare shrink removes nodes).
 	Failures []FailureSpec
@@ -171,14 +156,6 @@ type Config struct {
 	// of SpMV-optimizing partitioning strategies. All resilience machinery
 	// works unchanged: it only requires contiguous ownership.
 	BalanceNNZ bool
-
-	// BlockingExchange disables the overlap of the interior-rows product
-	// with the in-flight halo exchange: the SpMV waits for all ghost entries
-	// before computing any row, as the pre-overlap implementation did. The
-	// numerical trajectory is identical either way (the same per-row sums in
-	// the same order); only the simulated clock differs. Ablation knob for
-	// measuring what the overlap buys (see BenchmarkExchangeOverlap).
-	BlockingExchange bool
 
 	// ResidualReplacementInterval R > 0 replaces the recurrence residual
 	// with the true residual b − A·x every R productive iterations (van der
@@ -238,6 +215,21 @@ type Config struct {
 	// clock, keeping the zero-allocation and determinism guarantees exactly
 	// as without it.
 	HostStats *hostobs.BarrierStats
+
+	// kernel forces one storage layout on every row block of the local SpMV
+	// in place of the Prepare-time planner (the zero value, KernelAuto).
+	// Every layout computes identical per-row sums in identical order, so
+	// trajectories, the simulated clock and all traffic counters are bitwise
+	// invariant under it. Only the package's tests set it, to hold the
+	// layouts the planner rarely picks to the planner's bits.
+	kernel sparse.KernelKind
+
+	// blocking waits for all ghost entries before computing any row of the
+	// SpMV, where the solve otherwise overlaps the interior-rows product with
+	// the in-flight halo exchange. The trajectory is identical either way;
+	// only the simulated clock differs. It is the reference the overlap is
+	// tested against.
+	blocking bool
 }
 
 // withDefaults returns a copy of cfg with defaults applied, or an error if
@@ -287,9 +279,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.PrecondKind == precond.Default {
 		cfg.PrecondKind = precond.BlockJacobi // the paper's choice
-	}
-	if !cfg.Kernel.Valid() {
-		return cfg, fmt.Errorf("core: invalid SpMV kernel kind %d", int(cfg.Kernel))
 	}
 	if !finite(cfg.InnerRtol) || cfg.InnerRtol < 0 {
 		return cfg, fmt.Errorf("core: inner tolerance must be finite and ≥ 0 (0 = 1e-14), got %g", cfg.InnerRtol)
@@ -348,12 +337,6 @@ func (cfg Config) withDefaults() (Config, error) {
 		if cfg.NoSpareNodes {
 			return cfg, fmt.Errorf("core: NoSpareNodes (empty pool) conflicts with Spares=%d", cfg.Spares)
 		}
-	}
-	if cfg.Failure != nil {
-		if len(cfg.Failures) > 0 {
-			return cfg, fmt.Errorf("core: set either Failure (single event) or Failures (timeline), not both")
-		}
-		cfg.Failures = []FailureSpec{*cfg.Failure}
 	}
 	for k := range cfg.Failures {
 		f := &cfg.Failures[k]
@@ -484,8 +467,8 @@ type Result struct {
 	HaloBytes int64
 
 	// Kernels holds each node's SpMV kernel layout ("csr", "sellc", "band",
-	// or a mixed interior+boundary pair) as chosen by Config.Kernel and, for
-	// KernelAuto, the Prepare-time planner. Condense for display with
+	// or a mixed interior+boundary pair) as chosen by the Prepare-time
+	// planner. Condense for display with
 	// CondenseKernels. Purely host-side metadata: the choice never affects
 	// trajectories or the simulated clock.
 	Kernels []string

@@ -72,7 +72,7 @@ func TestNoSpareShrinkMatchesDistHelper(t *testing.T) {
 		A: a, B: b, Nodes: nodes,
 		Strategy: StrategyESRP, T: 10, Phi: 2,
 		NoSpareNodes: true,
-		Failure:      &FailureSpec{Iteration: 15, Ranks: failed},
+		Failures:     []FailureSpec{{Iteration: 15, Ranks: failed}},
 		CostModel:    fastModel(),
 	}
 	res := solveOK(t, cfg)

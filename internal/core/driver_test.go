@@ -19,15 +19,15 @@ func TestDriverInvariants(t *testing.T) {
 	}{
 		{"none-ff", func(cfg *Config) {}, nil},
 		{"none-fail", func(cfg *Config) {
-			cfg.Failure = &FailureSpec{Iteration: 40, Ranks: []int{2, 3}}
+			cfg.Failures = []FailureSpec{{Iteration: 40, Ranks: []int{2, 3}}}
 		}, []string{RecoveryRestart}},
 		{"imcr-fail", func(cfg *Config) {
 			imcr(cfg)
-			cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
+			cfg.Failures = []FailureSpec{{Iteration: 50, Ranks: []int{3}}}
 		}, []string{RecoverySpare}},
 		{"imcr-before-first-checkpoint", func(cfg *Config) {
 			imcr(cfg)
-			cfg.Failure = &FailureSpec{Iteration: 5, Ranks: []int{1}}
+			cfg.Failures = []FailureSpec{{Iteration: 5, Ranks: []int{1}}}
 		}, []string{RecoveryRestart}},
 		{"imcr-timeline-detect", func(cfg *Config) {
 			imcr(cfg)

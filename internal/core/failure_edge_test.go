@@ -16,7 +16,7 @@ func TestESRFailureAtIterationZero(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Strategy = StrategyESR
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 0, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 0, Ranks: []int{3}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if !res.Recovered {
@@ -30,7 +30,7 @@ func TestESRFailureAtIterationOne(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Strategy = StrategyESR
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 1, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 1, Ranks: []int{3}}}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 1 {
 		t.Fatalf("RecoveredAt = %d, want 1", res.RecoveredAt)
@@ -43,7 +43,7 @@ func TestESRPFailureLastIterationBeforeConvergence(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: ref.Iterations - 1, Ranks: []int{7}}
+	cfg.Failures = []FailureSpec{{Iteration: ref.Iterations - 1, Ranks: []int{7}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if !res.Recovered {
@@ -57,7 +57,7 @@ func TestFailureIterationPastConvergenceNeverFires(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: ref.Iterations + 100, Ranks: []int{1}}
+	cfg.Failures = []FailureSpec{{Iteration: ref.Iterations + 100, Ranks: []int{1}}}
 	res := solveOK(t, cfg)
 	if res.Recovered {
 		t.Fatal("failure scheduled past convergence must not fire")
@@ -76,7 +76,7 @@ func TestIMCRFailureExactlyAtCheckpointIteration(t *testing.T) {
 	cfg.Strategy = StrategyIMCR
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 20, Ranks: []int{4}}
+	cfg.Failures = []FailureSpec{{Iteration: 20, Ranks: []int{4}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if !res.Recovered {
@@ -95,7 +95,7 @@ func TestESRPFailureOfBoundaryRankBlocks(t *testing.T) {
 		cfg.Strategy = StrategyESRP
 		cfg.T = 10
 		cfg.Phi = 2
-		cfg.Failure = &FailureSpec{Iteration: 35, Ranks: ranks}
+		cfg.Failures = []FailureSpec{{Iteration: 35, Ranks: ranks}}
 		res := checkExactRecovery(t, cfg, 3)
 		if res.RecoveredAt != 31 {
 			t.Fatalf("ranks %v: RecoveredAt = %d, want 31", ranks, res.RecoveredAt)
@@ -110,7 +110,7 @@ func TestESRPAllButOneNodeFails(t *testing.T) {
 	cfg := Config{
 		A: a, B: b, Nodes: 4,
 		Strategy: StrategyESRP, T: 10, Phi: 3,
-		Failure:   &FailureSpec{Iteration: 25, Ranks: []int{1, 2, 3}},
+		Failures:  []FailureSpec{{Iteration: 25, Ranks: []int{1, 2, 3}}},
 		CostModel: fastModel(),
 	}
 	res := solveOK(t, cfg)
@@ -127,7 +127,7 @@ func TestDetectionTimeChargedOnRecovery(t *testing.T) {
 	base.Strategy = StrategyESRP
 	base.T = 10
 	base.Phi = 1
-	base.Failure = &FailureSpec{Iteration: 25, Ranks: []int{3}}
+	base.Failures = []FailureSpec{{Iteration: 25, Ranks: []int{3}}}
 	plain := solveOK(t, base)
 
 	det := base
@@ -141,7 +141,7 @@ func TestDetectionTimeChargedOnRecovery(t *testing.T) {
 	}
 
 	ff := base
-	ff.Failure = nil
+	ff.Failures = nil
 	ff.DetectionTime = 0.5
 	ffRes := solveOK(t, ff)
 	if ffRes.RecoveryTime != 0 {

@@ -135,7 +135,7 @@ func driverScenarios() []driverScenario {
 			mut: with(func(cfg *Config) { cfg.Strategy, cfg.Phi, cfg.NoSpareNodes = StrategyESR, 1, true },
 				fail(FailureSpec{Iteration: 30, Ranks: []int{5}}))},
 		{name: "standard/esrp-blocking", trace: true,
-			mut: with(esrp(10, 1), func(cfg *Config) { cfg.BlockingExchange = true },
+			mut: with(esrp(10, 1), func(cfg *Config) { cfg.blocking = true },
 				fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
 		{name: "standard/imcr-detect",
 			mut: with(imcr(10, 1), x0, detect, fail(FailureSpec{Iteration: 33, Ranks: []int{4}}))},
@@ -212,7 +212,7 @@ func blockedRecords(t *testing.T) map[string]goldenRecord {
 			mut  func(*Config)
 		}{{"event", event}, {"spare-then-two-shrinks", shrinks}} {
 			cfg := stormBase(t, strategy)
-			cfg.Kernel = testKernel(t)
+			cfg.kernel = testKernel(t)
 			sc.mut(&cfg)
 			name := strategy.String() + "/" + sc.name
 			res, err := Solve(cfg)

@@ -47,8 +47,8 @@ func (run *nodeRun) innerSolve(ev *esrEvent, w []float64) []float64 {
 		panic(fmt.Sprintf("core: inner local matrix: %v", err))
 	}
 	c := cg{
-		nd: nd, tr: nd.Trace(), pc: ev.pc, kern: sparse.BuildKernel(local, run.cfg.Kernel),
-		ex: *sys.plan.NewExchanger(me), blocking: run.cfg.BlockingExchange, m: m,
+		nd: nd, tr: nd.Trace(), pc: ev.pc, kern: sparse.BuildKernel(local, run.cfg.kernel),
+		ex: *sys.plan.NewExchanger(me), blocking: run.cfg.blocking, m: m,
 		x: make([]float64, m), r: append([]float64(nil), w...),
 		z: make([]float64, m), p: make([]float64, m),
 		q: make([]float64, m), pg: make([]float64, m+local.G()),

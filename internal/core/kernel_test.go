@@ -16,12 +16,12 @@ import (
 func TestKernelTrajectoriesBitwiseIdentical(t *testing.T) {
 	for name, base := range localPathScenarios(t) {
 		ref := base
-		ref.Kernel = sparse.KernelCSR
+		ref.kernel = sparse.KernelCSR
 		want := solveOK(t, ref)
 		for _, kind := range []sparse.KernelKind{sparse.KernelAuto, sparse.KernelSellC, sparse.KernelBand} {
 			t.Run(name+"/"+kind.String(), func(t *testing.T) {
 				cfg := base
-				cfg.Kernel = kind
+				cfg.kernel = kind
 				got := solveOK(t, cfg)
 				if got.Iterations != want.Iterations || got.TotalSteps != want.TotalSteps {
 					t.Fatalf("iterations (%d,%d) != csr (%d,%d)",
@@ -56,7 +56,7 @@ func TestKernelTrajectoriesBitwiseIdentical(t *testing.T) {
 // and the Poisson test problem's slabs plan onto the band layout.
 func TestSolveReportsKernels(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.Kernel = sparse.KernelAuto
+	cfg.kernel = sparse.KernelAuto
 	res := solveOK(t, cfg)
 	if len(res.Kernels) != cfg.Nodes {
 		t.Fatalf("Result.Kernels has %d entries, want %d", len(res.Kernels), cfg.Nodes)
@@ -66,7 +66,7 @@ func TestSolveReportsKernels(t *testing.T) {
 		t.Fatalf("planner chose %q for the Poisson slabs, expected band blocks", condensed)
 	}
 	forced := baseConfig(t)
-	forced.Kernel = sparse.KernelCSR
+	forced.kernel = sparse.KernelCSR
 	fres := solveOK(t, forced)
 	if c := CondenseKernels(fres.Kernels); c != "csr×8" {
 		t.Fatalf("forced csr condenses to %q", c)
@@ -78,13 +78,13 @@ func TestSolveReportsKernels(t *testing.T) {
 // instead of silently dispatching through the wrong storage.
 func TestPreparedRejectsKernelMismatch(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.Kernel = sparse.KernelAuto
+	cfg.kernel = sparse.KernelAuto
 	prep, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
-	bad.Kernel = sparse.KernelSellC
+	bad.kernel = sparse.KernelSellC
 	bad.Prepared = prep
 	if _, err := Solve(bad); err == nil {
 		t.Fatal("Solve accepted a Prepared context built for a different kernel kind")

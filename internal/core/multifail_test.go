@@ -222,8 +222,8 @@ func TestNoneMultiEventRestarts(t *testing.T) {
 	}
 }
 
-// Timeline validation: out-of-order events, duplicate ranks, Failure and
-// Failures both set, bad spare pools.
+// Timeline validation: out-of-order events, duplicate ranks, bad spare
+// pools.
 func TestMultiEventValidation(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
 	b := matgen.RHSOnes(a.Rows)
@@ -234,9 +234,6 @@ func TestMultiEventValidation(t *testing.T) {
 			{Iteration: 10, Ranks: []int{1}}, {Iteration: 10, Ranks: []int{2}}}}, // duplicate iteration
 		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 2, Failures: []FailureSpec{
 			{Iteration: 10, Ranks: []int{1, 1}}}}, // duplicate rank
-		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1,
-			Failure:  &FailureSpec{Iteration: 5, Ranks: []int{1}},
-			Failures: []FailureSpec{{Iteration: 10, Ranks: []int{2}}}}, // both set
 		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Spares: -1},                    // negative pool
 		{A: a, B: b, Nodes: 4, Strategy: StrategyIMCR, T: 5, Phi: 1, Spares: 2},              // finite pool needs ESR/ESRP
 		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Spares: 2, NoSpareNodes: true}, // pool vs no-spare
@@ -248,12 +245,13 @@ func TestMultiEventValidation(t *testing.T) {
 	}
 }
 
-// The single-event shorthand still works and produces one event record.
-func TestSingleEventShorthandStillWorks(t *testing.T) {
+// The paper's single failure is a one-element timeline: one event record,
+// and the scalar recovery fields agree with it.
+func TestSingleEventTimeline(t *testing.T) {
 	cfg := multiBase(t)
 	cfg.Strategy = StrategyESR
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 30, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 30, Ranks: []int{3}}}
 	res := solveOK(t, cfg)
 	if len(res.Events) != 1 || res.Events[0].Mode != RecoverySpare {
 		t.Fatalf("events = %+v, want one spare recovery", res.Events)
@@ -275,7 +273,7 @@ func TestMaxNodeBytesSamplesRecoveryScratch(t *testing.T) {
 	fail := multiBase(t)
 	fail.Strategy = StrategyESR
 	fail.Phi = 1
-	fail.Failure = &FailureSpec{Iteration: 30, Ranks: []int{3}}
+	fail.Failures = []FailureSpec{{Iteration: 30, Ranks: []int{3}}}
 	failRes := solveOK(t, fail)
 
 	if failRes.MaxNodeBytes <= ffRes.MaxNodeBytes {

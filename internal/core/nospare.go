@@ -140,7 +140,7 @@ func (run *nodeRun) shrinkTo(ev *esrEvent, survivors []int, xIf, rIf, zIf, pIf [
 		panic(fmt.Sprintf("core: no-spare local matrix: %v", err))
 	}
 	run.local = local
-	run.kern = sparse.BuildKernel(local, run.cfg.Kernel)
+	run.kern = sparse.BuildKernel(local, run.cfg.kernel)
 	sent := run.ex.HaloBytes()
 	run.ex = *newPlan.NewExchanger(subRank)
 	run.ex.AddHaloBytes(sent)

@@ -18,9 +18,9 @@ func checkNoSpareRecovery(t *testing.T, cfg Config) *Result {
 	if !res.Recovered {
 		t.Fatal("failure did not trigger recovery")
 	}
-	if want := cfg.Nodes - len(cfg.Failure.Ranks); res.ActiveNodes != want {
+	if want := cfg.Nodes - len(cfg.Failures[0].Ranks); res.ActiveNodes != want {
 		t.Fatalf("ActiveNodes = %d, want %d after losing %d of %d nodes",
-			res.ActiveNodes, want, len(cfg.Failure.Ranks), cfg.Nodes)
+			res.ActiveNodes, want, len(cfg.Failures[0].Ranks), cfg.Nodes)
 	}
 	if res.Iterations < refRes.Iterations-1 || res.Iterations > refRes.Iterations+3 {
 		t.Fatalf("trajectory length %d, reference %d", res.Iterations, refRes.Iterations)
@@ -38,7 +38,7 @@ func TestNoSpareESRPSingleFailure(t *testing.T) {
 	cfg.T = 10
 	cfg.Phi = 1
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{3}}}
 	res := checkNoSpareRecovery(t, cfg)
 	if res.RecoveredAt != 31 {
 		t.Fatalf("RecoveredAt = %d, want 31", res.RecoveredAt)
@@ -51,7 +51,7 @@ func TestNoSpareESRPMultipleFailures(t *testing.T) {
 	cfg.T = 10
 	cfg.Phi = 3
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 45, Ranks: []int{2, 3, 4}}
+	cfg.Failures = []FailureSpec{{Iteration: 45, Ranks: []int{2, 3, 4}}}
 	res := checkNoSpareRecovery(t, cfg)
 	if res.RecoveredAt != 41 {
 		t.Fatalf("RecoveredAt = %d, want 41", res.RecoveredAt)
@@ -63,7 +63,7 @@ func TestNoSpareESRSingleFailure(t *testing.T) {
 	cfg.Strategy = StrategyESR
 	cfg.Phi = 1
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 30, Ranks: []int{5}}
+	cfg.Failures = []FailureSpec{{Iteration: 30, Ranks: []int{5}}}
 	res := checkNoSpareRecovery(t, cfg)
 	if res.RecoveredAt != 30 {
 		t.Fatalf("ESR reconstructs the failure iteration, got %d", res.RecoveredAt)
@@ -80,7 +80,7 @@ func TestNoSpareFailureOfFirstRanks(t *testing.T) {
 	cfg.T = 10
 	cfg.Phi = 2
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 35, Ranks: []int{0, 1}}
+	cfg.Failures = []FailureSpec{{Iteration: 35, Ranks: []int{0, 1}}}
 	checkNoSpareRecovery(t, cfg)
 }
 
@@ -92,7 +92,7 @@ func TestNoSpareFailureOfLastRanks(t *testing.T) {
 	cfg.T = 10
 	cfg.Phi = 2
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 35, Ranks: []int{6, 7}}
+	cfg.Failures = []FailureSpec{{Iteration: 35, Ranks: []int{6, 7}}}
 	checkNoSpareRecovery(t, cfg)
 }
 
@@ -105,7 +105,7 @@ func TestNoSpareFallbackBeforeFirstStage(t *testing.T) {
 	cfg.T = 30
 	cfg.Phi = 1
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 5, Ranks: []int{4}}
+	cfg.Failures = []FailureSpec{{Iteration: 5, Ranks: []int{4}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if res.ActiveNodes != cfg.Nodes-1 {
@@ -153,7 +153,7 @@ func TestNoSpareContinuedResilienceAfterShrink(t *testing.T) {
 	cfg.T = 10
 	cfg.Phi = 2
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 25, Ranks: []int{1, 2}}
+	cfg.Failures = []FailureSpec{{Iteration: 25, Ranks: []int{1, 2}}}
 	res := checkNoSpareRecovery(t, cfg)
 	if res.TotalSteps <= res.Iterations {
 		t.Fatalf("rolled-back steps missing from TotalSteps: %d vs %d", res.TotalSteps, res.Iterations)
@@ -169,7 +169,7 @@ func TestNoSpareDownToTwoNodes(t *testing.T) {
 		A: a, B: b, Nodes: 4,
 		Strategy: StrategyESRP, T: 10, Phi: 2,
 		NoSpareNodes: true,
-		Failure:      &FailureSpec{Iteration: 25, Ranks: []int{1, 2}},
+		Failures:     []FailureSpec{{Iteration: 25, Ranks: []int{1, 2}}},
 		CostModel:    fastModel(),
 	}
 	res := checkNoSpareRecovery(t, cfg)
@@ -200,7 +200,7 @@ func TestNoSpareWithIC0(t *testing.T) {
 		PrecondKind: precond.IC0,
 		Strategy:    StrategyESRP, T: 10, Phi: 2,
 		NoSpareNodes: true,
-		Failure:      &FailureSpec{Iteration: 25, Ranks: []int{3, 4}},
+		Failures:     []FailureSpec{{Iteration: 25, Ranks: []int{3, 4}}},
 		CostModel:    fastModel(),
 	}
 	checkNoSpareRecovery(t, cfg)

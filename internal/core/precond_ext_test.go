@@ -32,7 +32,7 @@ func TestIC0ESRPRecovery(t *testing.T) {
 		A: a, B: b, Nodes: 8,
 		PrecondKind: precond.IC0,
 		Strategy:    StrategyESRP, T: 10, Phi: 2,
-		Failure:   &FailureSpec{Iteration: 25, Ranks: []int{3, 4}},
+		Failures:  []FailureSpec{{Iteration: 25, Ranks: []int{3, 4}}},
 		CostModel: fastModel(),
 	}
 	res := checkExactRecovery(t, cfg, 3)
@@ -48,7 +48,7 @@ func TestIC0ESRRecoveryMultipleFailures(t *testing.T) {
 		A: a, B: b, Nodes: 8,
 		PrecondKind: precond.IC0,
 		Strategy:    StrategyESR, Phi: 3,
-		Failure:   &FailureSpec{Iteration: 30, Ranks: []int{5, 6, 7}},
+		Failures:  []FailureSpec{{Iteration: 30, Ranks: []int{5, 6, 7}}},
 		CostModel: fastModel(),
 	}
 	res := checkExactRecovery(t, cfg, 3)
@@ -64,7 +64,7 @@ func TestIC0IMCRRecovery(t *testing.T) {
 		A: a, B: b, Nodes: 8,
 		PrecondKind: precond.IC0,
 		Strategy:    StrategyIMCR, T: 10, Phi: 1,
-		Failure:   &FailureSpec{Iteration: 25, Ranks: []int{2}},
+		Failures:  []FailureSpec{{Iteration: 25, Ranks: []int{2}}},
 		CostModel: fastModel(),
 	}
 	res := checkExactRecovery(t, cfg, 3)

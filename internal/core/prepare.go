@@ -75,7 +75,7 @@ func prepare(cfg *Config) (*Prepared, error) {
 	p := &Prepared{
 		a: cfg.A, nodes: cfg.Nodes, phi: phi,
 		balance: cfg.BalanceNNZ, kind: cfg.PrecondKind, maxBlock: cfg.MaxBlock,
-		kernel: cfg.Kernel,
+		kernel: cfg.kernel,
 		part:   part, plan: plan,
 		locals: make([]*sparse.Local, cfg.Nodes),
 		kerns:  make([]sparse.Kernel, cfg.Nodes),
@@ -96,7 +96,7 @@ func prepare(cfg *Config) (*Prepared, error) {
 		}
 		p.pcs[s] = pc
 		p.locals[s] = local
-		p.kerns[s] = sparse.BuildKernel(local, cfg.Kernel)
+		p.kerns[s] = sparse.BuildKernel(local, cfg.kernel)
 	}
 	return p, nil
 }
@@ -116,8 +116,8 @@ func (p *Prepared) compatibleWith(cfg *Config) error {
 	case p.kind != cfg.PrecondKind || p.maxBlock != cfg.MaxBlock:
 		return fmt.Errorf("core: Prepared preconditioner (%v, maxBlock %d) does not match config (%v, %d)",
 			p.kind, p.maxBlock, cfg.PrecondKind, cfg.MaxBlock)
-	case p.kernel != cfg.Kernel:
-		return fmt.Errorf("core: Prepared SpMV kernel (%v) does not match config (%v)", p.kernel, cfg.Kernel)
+	case p.kernel != cfg.kernel:
+		return fmt.Errorf("core: Prepared SpMV kernel (%v) does not match config (%v)", p.kernel, cfg.kernel)
 	}
 	return nil
 }

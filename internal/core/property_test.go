@@ -46,7 +46,7 @@ func TestESRPExactRecoveryProperty(t *testing.T) {
 			A: a, B: b, Nodes: nodes,
 			Strategy: StrategyESRP, T: tInt, Phi: phi,
 			NoSpareNodes: noSpare,
-			Failure:      &FailureSpec{Iteration: failIter, Ranks: ranks},
+			Failures:     []FailureSpec{{Iteration: failIter, Ranks: ranks}},
 			CostModel:    fastModel(),
 		}
 		res, err := Solve(cfg)
@@ -109,7 +109,7 @@ func TestIMCRExactRecoveryProperty(t *testing.T) {
 		cfg := Config{
 			A: a, B: b, Nodes: nodes,
 			Strategy: StrategyIMCR, T: tInt, Phi: phi,
-			Failure:   &FailureSpec{Iteration: failIter, Ranks: ranks},
+			Failures:  []FailureSpec{{Iteration: failIter, Ranks: ranks}},
 			CostModel: fastModel(),
 		}
 		res, err := Solve(cfg)

@@ -43,7 +43,7 @@ func TestResidualReplacementWithESRPRecovery(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{3}}}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 31 {
 		t.Fatalf("RecoveredAt = %d, want 31", res.RecoveredAt)

@@ -126,7 +126,7 @@ func TestRecoverySetUpOncePerEvent(t *testing.T) {
 		for _, tl := range timelines {
 			t.Run(strategy.String()+"/"+tl.name, func(t *testing.T) {
 				cfg := stormBase(t, strategy)
-				cfg.Kernel = testKernel(t)
+				cfg.kernel = testKernel(t)
 				tl.mut(&cfg)
 				run := func(procs int) (*Result, *solveShared) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -216,7 +216,7 @@ func TestRecoveryAllocationsIndependentOfRowLength(t *testing.T) {
 		for _, mode := range modes {
 			t.Run(m.name+"/"+mode.name, func(t *testing.T) {
 				b, _ := matgen.RHSForSolution(m.a, 4)
-				cfg := Config{A: m.a, B: b, Nodes: 8, Rtol: 1e-300, MaxIter: 40, Phi: 3, Kernel: testKernel(t)}
+				cfg := Config{A: m.a, B: b, Nodes: 8, Rtol: 1e-300, MaxIter: 40, Phi: 3, kernel: testKernel(t)}
 				mode.mut(&cfg)
 				prep, err := Prepare(cfg)
 				if err != nil {

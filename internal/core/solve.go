@@ -237,7 +237,7 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared) *nodeRun {
 	run := &nodeRun{
 		cg: cg{
 			nd: nd, tr: nd.Trace(), pc: prep.pcs[s], kern: prep.kerns[s], ex: *plan.NewExchanger(s),
-			blocking: cfg.BlockingExchange, m: hi - lo,
+			blocking: cfg.blocking, m: hi - lo,
 			x: allocZero(hi - lo), r: alloc(hi - lo),
 			z: alloc(hi - lo), p: alloc(hi - lo),
 			q: alloc(hi - lo), pg: alloc(hi - lo + local.G()),

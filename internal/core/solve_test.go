@@ -28,11 +28,13 @@ func testKernel(t *testing.T) sparse.KernelKind {
 	if s == "" {
 		return sparse.KernelAuto
 	}
-	kind, err := sparse.ParseKernelKind(s)
-	if err != nil {
-		t.Fatalf("ESRP_TEST_KERNEL: %v", err)
+	for kind := sparse.KernelAuto; kind <= sparse.KernelBand; kind++ {
+		if kind.String() == s {
+			return kind
+		}
 	}
-	return kind
+	t.Fatalf("ESRP_TEST_KERNEL=%q: want auto, csr, sellc or band", s)
+	return sparse.KernelAuto
 }
 
 // baseConfig returns a small but non-trivial problem: a 2304-row Poisson
@@ -48,7 +50,7 @@ func baseConfig(t *testing.T) Config {
 		PrecondKind: precond.BlockJacobi,
 		MaxBlock:    10,
 		CostModel:   fastModel(),
-		Kernel:      testKernel(t),
+		kernel:      testKernel(t),
 	}
 }
 
@@ -180,7 +182,7 @@ func referenceFor(t *testing.T, cfg Config) *Result {
 	ref := cfg
 	ref.Strategy = StrategyNone
 	ref.T, ref.Phi = 0, 0
-	ref.Failure = nil
+	ref.Failures = nil
 	ref.NoSpareNodes = false
 	return solveOK(t, ref)
 }
@@ -214,7 +216,7 @@ func TestESRSingleFailureExactRecovery(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Strategy = StrategyESR
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 30, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 30, Ranks: []int{3}}}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 30 {
 		t.Fatalf("ESR must reconstruct the failure iteration, got %d", res.RecoveredAt)
@@ -229,7 +231,7 @@ func TestESRPSingleFailureExactRecovery(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{2}}
+	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{2}}}
 	res := checkExactRecovery(t, cfg, 3)
 	// Last completed storage stage before iteration 38 with T=10: (30, 31).
 	if res.RecoveredAt != 31 {
@@ -250,7 +252,7 @@ func TestESRPMultipleNodeFailures(t *testing.T) {
 		cfg.Strategy = StrategyESRP
 		cfg.T = 10
 		cfg.Phi = 3
-		cfg.Failure = &FailureSpec{Iteration: 45, Ranks: ranks}
+		cfg.Failures = []FailureSpec{{Iteration: 45, Ranks: ranks}}
 		res := checkExactRecovery(t, cfg, 3)
 		if res.RecoveredAt != 41 {
 			t.Fatalf("ranks %v: RecoveredAt = %d, want 41", ranks, res.RecoveredAt)
@@ -265,7 +267,7 @@ func TestESRPFailureDuringStorageStage(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 2
-	cfg.Failure = &FailureSpec{Iteration: 40, Ranks: []int{1, 2}} // right after the push of iteration 40
+	cfg.Failures = []FailureSpec{{Iteration: 40, Ranks: []int{1, 2}}} // right after the push of iteration 40
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 31 {
 		t.Fatalf("mid-stage failure must recover the previous stage (31), got %d", res.RecoveredAt)
@@ -279,7 +281,7 @@ func TestESRPFailureAtStageCompletion(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 41, Ranks: []int{4}}
+	cfg.Failures = []FailureSpec{{Iteration: 41, Ranks: []int{4}}}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 41 {
 		t.Fatalf("RecoveredAt = %d, want 41", res.RecoveredAt)
@@ -300,7 +302,7 @@ func TestESRPRecoveryOnEmiliaLikeStencil(t *testing.T) {
 		PrecondKind: precond.BlockJacobi, MaxBlock: 10,
 		CostModel: fastModel(),
 		Strategy:  StrategyESRP, T: 5, Phi: 2,
-		Failure: &FailureSpec{Iteration: 18, Ranks: []int{3, 4}},
+		Failures: []FailureSpec{{Iteration: 18, Ranks: []int{3, 4}}},
 	}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 16 {
@@ -313,7 +315,7 @@ func TestIMCRSingleFailure(t *testing.T) {
 	cfg.Strategy = StrategyIMCR
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{5}}
+	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{5}}}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 31 {
 		t.Fatalf("RecoveredAt = %d, want 31", res.RecoveredAt)
@@ -325,7 +327,7 @@ func TestIMCRMultipleFailures(t *testing.T) {
 	cfg.Strategy = StrategyIMCR
 	cfg.T = 10
 	cfg.Phi = 3
-	cfg.Failure = &FailureSpec{Iteration: 45, Ranks: []int{6, 7}}
+	cfg.Failures = []FailureSpec{{Iteration: 45, Ranks: []int{6, 7}}}
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 41 {
 		t.Fatalf("RecoveredAt = %d, want 41", res.RecoveredAt)
@@ -341,7 +343,7 @@ func TestIMCRRecoveryCheaperThanESRP(t *testing.T) {
 		cfg.Strategy = s
 		cfg.T = 10
 		cfg.Phi = 1
-		cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{3}}
+		cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{3}}}
 		return solveOK(t, cfg).RecoveryTime
 	}
 	imcr, esrp := mk(StrategyIMCR), mk(StrategyESRP)
@@ -353,7 +355,7 @@ func TestIMCRRecoveryCheaperThanESRP(t *testing.T) {
 func TestNoneLocalRestartConvergesSlowly(t *testing.T) {
 	cfg := baseConfig(t)
 	refIters := solveOK(t, cfg).Iterations
-	cfg.Failure = &FailureSpec{Iteration: refIters / 2, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: refIters / 2, Ranks: []int{3}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if !res.Recovered {
@@ -376,7 +378,7 @@ func TestLocalRestartKeepsSurvivingIterand(t *testing.T) {
 		cfg.X0[i] = 1
 	}
 	const at = 40
-	cfg.Failure = &FailureSpec{Iteration: at, Ranks: []int{2}}
+	cfg.Failures = []FailureSpec{{Iteration: at, Ranks: []int{2}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if !res.Recovered || res.RecoveredAt != at {
@@ -394,7 +396,7 @@ func TestESRPFailureBeforeFirstStageFallsBack(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 50
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 5, Ranks: []int{1}} // before stage (50,51)
+	cfg.Failures = []FailureSpec{{Iteration: 5, Ranks: []int{1}}} // before stage (50,51)
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 	if !res.Recovered {
@@ -407,7 +409,7 @@ func TestIMCRFailureBeforeFirstCheckpointFallsBack(t *testing.T) {
 	cfg.Strategy = StrategyIMCR
 	cfg.T = 50
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 5, Ranks: []int{1}}
+	cfg.Failures = []FailureSpec{{Iteration: 5, Ranks: []int{1}}}
 	res := solveOK(t, cfg)
 	checkSolution(t, cfg, res, 5e-8)
 }
@@ -417,7 +419,7 @@ func TestResidualDriftSmall(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 10
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 38, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{3}}}
 	res := solveOK(t, cfg)
 	if math.Abs(res.Drift) > 1 {
 		t.Fatalf("residual drift %g implausibly large", res.Drift)
@@ -448,11 +450,11 @@ func TestConfigValidation(t *testing.T) {
 		{A: a, B: b, Nodes: 2, Strategy: StrategyESRP, T: 2},  // T too small
 		{A: a, B: b, Nodes: 2, Strategy: StrategyIMCR, T: 0},  // T missing
 		{A: a, B: b, Nodes: 2, Strategy: StrategyESR, Phi: 5}, // phi ≥ nodes
-		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Failure: &FailureSpec{Iteration: 1, Ranks: []int{1, 2}}}, // psi > phi
-		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failure: &FailureSpec{Iteration: 1, Ranks: []int{1, 3}}}, // non-contiguous
-		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failure: &FailureSpec{Iteration: -1, Ranks: []int{1}}},   // bad iteration
-		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failure: &FailureSpec{Iteration: 1, Ranks: []int{7}}},    // bad rank
-		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failure: &FailureSpec{Iteration: 1, Ranks: nil}},         // no ranks
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Failures: []FailureSpec{{Iteration: 1, Ranks: []int{1, 2}}}}, // psi > phi
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failures: []FailureSpec{{Iteration: 1, Ranks: []int{1, 3}}}}, // non-contiguous
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failures: []FailureSpec{{Iteration: -1, Ranks: []int{1}}}},   // bad iteration
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failures: []FailureSpec{{Iteration: 1, Ranks: []int{7}}}},    // bad rank
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 3, Failures: []FailureSpec{{Iteration: 1, Ranks: nil}}},         // no ranks
 	}
 	for i, cfg := range bad {
 		if _, err := Solve(cfg); err == nil {

@@ -65,13 +65,13 @@ func TestTraceDoesNotPerturbSolve(t *testing.T) {
 		cfg.Strategy = StrategyESRP
 		cfg.T = 20
 		cfg.Phi = 1
-		cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
+		cfg.Failures = []FailureSpec{{Iteration: 50, Ranks: []int{3}}}
 	})
 	run("imcr-failure", func(cfg *Config) {
 		cfg.Strategy = StrategyIMCR
 		cfg.T = 20
 		cfg.Phi = 1
-		cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
+		cfg.Failures = []FailureSpec{{Iteration: 50, Ranks: []int{3}}}
 	})
 	run("none", func(cfg *Config) { cfg.Strategy = StrategyNone })
 }
@@ -115,20 +115,20 @@ func TestTraceCoverage(t *testing.T) {
 			cfg.Strategy = StrategyESRP
 			cfg.T = 20
 			cfg.Phi = 1
-			cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
+			cfg.Failures = []FailureSpec{{Iteration: 50, Ranks: []int{3}}}
 			cfg.DetectionTime = 1e-4
 		}},
 		{"imcr", func(cfg *Config) {
 			cfg.Strategy = StrategyIMCR
 			cfg.T = 20
 			cfg.Phi = 1
-			cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
+			cfg.Failures = []FailureSpec{{Iteration: 50, Ranks: []int{3}}}
 		}},
 		{"esr-nospare", func(cfg *Config) {
 			cfg.Strategy = StrategyESR
 			cfg.Phi = 2
 			cfg.NoSpareNodes = true
-			cfg.Failure = &FailureSpec{Iteration: 40, Ranks: []int{3, 4}}
+			cfg.Failures = []FailureSpec{{Iteration: 40, Ranks: []int{3, 4}}}
 		}},
 	}
 	for _, tc := range cases {
@@ -191,7 +191,7 @@ func TestTraceSeries(t *testing.T) {
 	cfg.Strategy = StrategyESRP
 	cfg.T = 20
 	cfg.Phi = 1
-	cfg.Failure = &FailureSpec{Iteration: 50, Ranks: []int{3}}
+	cfg.Failures = []FailureSpec{{Iteration: 50, Ranks: []int{3}}}
 	cfg.Observe = &obs.Options{Series: true}
 	res := solveOK(t, cfg)
 	pts := res.Trace.Series
@@ -229,7 +229,7 @@ func TestTraceSurvivesShrink(t *testing.T) {
 	cfg.Strategy = StrategyESR
 	cfg.Phi = 2
 	cfg.NoSpareNodes = true
-	cfg.Failure = &FailureSpec{Iteration: 40, Ranks: []int{3, 4}}
+	cfg.Failures = []FailureSpec{{Iteration: 40, Ranks: []int{3, 4}}}
 	cfg.Observe = &obs.Options{Trace: true}
 	res := solveOK(t, cfg)
 	if res.ActiveNodes >= cfg.Nodes {

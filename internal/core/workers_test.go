@@ -78,7 +78,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 	sort.Slice(scenarios, func(i, j int) bool { return scenarios[i].name < scenarios[j].name })
 
 	shrink := stormBase(t, StrategyESRP)
-	shrink.Kernel = testKernel(t)
+	shrink.kernel = testKernel(t)
 	shrink.Spares, shrink.MaxIter = 3, 110
 	shrink.Failures = []FailureSpec{
 		{Iteration: 25, Ranks: []int{4, 5, 6}},
@@ -109,11 +109,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 					got := fingerprint(t, sc.cfg)
 					if procs == 1 {
 						want = got
-						failures := len(sc.cfg.Failures)
-						if sc.cfg.Failure != nil {
-							failures++
-						}
-						if len(want.Record.Events) != failures {
+						if failures := len(sc.cfg.Failures); len(want.Record.Events) != failures {
 							t.Fatalf("%d recovery events, want %d: %+v", len(want.Record.Events), failures, want.Record.Events)
 						}
 						return
@@ -147,7 +143,7 @@ func TestWideSolveNeverDeadlocks(t *testing.T) {
 	a := matgen.Poisson2D(32, 32)
 	b, _ := matgen.RHSForSolution(a, 5)
 	cfg := Config{
-		A: a, B: b, Nodes: 128, Rtol: 1e-8, CostModel: fastModel(), Kernel: testKernel(t),
+		A: a, B: b, Nodes: 128, Rtol: 1e-8, CostModel: fastModel(), kernel: testKernel(t),
 		Strategy: StrategyESRP, T: 10, Phi: 2,
 		Failures: []FailureSpec{{Iteration: 25, Ranks: []int{63, 64}}},
 	}

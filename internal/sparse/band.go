@@ -89,12 +89,6 @@ type bandRows struct {
 	qvt   int
 }
 
-func newBandRows(l *Local, rows []int) *bandRows {
-	b := findBandRuns(l, rows)
-	b.transpose(l, l.M+l.G())
-	return b
-}
-
 // findBandRuns decomposes the rows into runs — all the planner needs to
 // judge the layout, and all the portable loops need to multiply. Every run's
 // offsets are carved from one arena: count, allocate once, fill.

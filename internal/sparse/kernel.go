@@ -28,7 +28,7 @@ const (
 	KernelBand
 )
 
-// String returns the canonical flag name of the kind.
+// String returns the canonical name of the kind.
 func (k KernelKind) String() string {
 	switch k {
 	case KernelAuto:
@@ -43,24 +43,6 @@ func (k KernelKind) String() string {
 		return fmt.Sprintf("KernelKind(%d)", int(k))
 	}
 }
-
-// ParseKernelKind converts a flag value ("auto", "csr", "sellc", "band").
-func ParseKernelKind(s string) (KernelKind, error) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, nil
-	case "csr":
-		return KernelCSR, nil
-	case "sellc", "sell", "sell-c":
-		return KernelSellC, nil
-	case "band", "stencil":
-		return KernelBand, nil
-	}
-	return KernelAuto, fmt.Errorf("sparse: unknown kernel kind %q (want auto|csr|sellc|band)", s)
-}
-
-// Valid reports whether k is one of the defined kinds.
-func (k KernelKind) Valid() bool { return k >= KernelAuto && k <= KernelBand }
 
 // Kernel computes the local SpMV of one node through a concrete storage
 // layout. The interior/boundary split mirrors Local: MulInterior touches only
@@ -148,7 +130,10 @@ func BuildKernel(l *Local, kind KernelKind) Kernel {
 	case KernelSellC:
 		return assemble(newSellRows(l, l.InteriorRows), newSellRows(l, l.BoundaryRows))
 	case KernelBand:
-		return assemble(newBandRows(l, l.InteriorRows), newBandRows(l, l.BoundaryRows))
+		interior, boundary := findBandRuns(l, l.InteriorRows), findBandRuns(l, l.BoundaryRows)
+		interior.transpose(l, l.M+l.G())
+		boundary.transpose(l, l.M+l.G())
+		return assemble(interior, boundary)
 	case KernelAuto:
 		ik := planBlock(l, l.InteriorRows)
 		bk := planBlock(l, l.BoundaryRows)

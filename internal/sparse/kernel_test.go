@@ -35,6 +35,13 @@ func localOf(t testing.TB, a *CSR, lo, hi int) *Local {
 	return l
 }
 
+// newBandRows builds the band layout of rows whatever the planner would pick.
+func newBandRows(l *Local, rows []int) *bandRows {
+	b := findBandRuns(l, rows)
+	b.transpose(l, l.M+l.G())
+	return b
+}
+
 // stencil27 builds a scalar 27-point stencil matrix on an n³ grid — the
 // Emilia/audikw sparsity-pattern class the band kernel targets.
 func stencil27(n int) *CSR { return stencilGrid(n, n, n) }

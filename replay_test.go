@@ -31,12 +31,12 @@ func replayCases(t *testing.T) []replayCase {
 		mk("none/failure-free", func(c *esrp.Config) { c.Strategy = esrp.StrategyNone }),
 		mk("none/restart", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyNone
-			c.Failure = &esrp.FailureSpec{Iteration: 12, Ranks: []int{2}}
+			c.Failures = []esrp.FailureSpec{{Iteration: 12, Ranks: []int{2}}}
 		}),
 		mk("esr/failure", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyESR
 			c.Phi = 1
-			c.Failure = &esrp.FailureSpec{Iteration: 12, Ranks: []int{1}}
+			c.Failures = []esrp.FailureSpec{{Iteration: 12, Ranks: []int{1}}}
 		}),
 		mk("esrp/multi-event", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyESRP
@@ -49,13 +49,13 @@ func replayCases(t *testing.T) []replayCase {
 		mk("imcr/failure", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyIMCR
 			c.T, c.Phi = 8, 1
-			c.Failure = &esrp.FailureSpec{Iteration: 12, Ranks: []int{2}}
+			c.Failures = []esrp.FailureSpec{{Iteration: 12, Ranks: []int{2}}}
 		}),
 		mk("nospare/shrink", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyESRP
 			c.T, c.Phi = 8, 1
 			c.NoSpareNodes = true
-			c.Failure = &esrp.FailureSpec{Iteration: 12, Ranks: []int{1}}
+			c.Failures = []esrp.FailureSpec{{Iteration: 12, Ranks: []int{1}}}
 		}),
 		mk("spares-exhausted/multi-event", func(c *esrp.Config) {
 			c.Strategy = esrp.StrategyESRP
@@ -91,7 +91,7 @@ func TestRecostReproducesSolveBitForBit(t *testing.T) {
 			if !res.Converged {
 				t.Fatalf("case did not converge (relres %g)", res.RelResidual)
 			}
-			if len(rc.cfg.Failures) > 0 || rc.cfg.Failure != nil {
+			if len(rc.cfg.Failures) > 0 {
 				if len(res.Events) == 0 {
 					t.Fatalf("no failure events fired; the case is vacuous")
 				}

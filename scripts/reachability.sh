@@ -83,10 +83,7 @@ for pc in none jacobi blockjacobi bj ic0; do
 	ok "$solve" -gen poisson2d -n 24 -nodes 4 -precond "$pc" -strategy esrp -T 5 -phi 1 -fail-iter 12 -fail-ranks 2
 done
 fails "$solve" -precond bogus
-for k in auto csr sellc band; do
-	ok "$solve" -gen emilia -n 8 -nodes 4 -kernel "$k" -strategy esrp -T 5 -phi 2 -fail-iter 12 -fail-ranks 1,2
-done
-fails "$solve" -kernel bogus
+ok "$solve" -gen emilia -n 8 -nodes 4 -strategy esrp -T 5 -phi 2 -fail-iter 12 -fail-ranks 1,2
 fails "$solve" -strategy bogus
 fails "$solve" -gen bogus
 fails "$solve" -gen poisson2d -n 4 -nodes 64
@@ -129,7 +126,7 @@ log "esrpsolve done"
 ok "$bench" -table 2 -scale 1 \
 	-cpuprofile "$work/cpu.prof" -memprofile "$work/mem.prof" -allocsprofile "$work/allocs.prof"
 ok "$bench" -all
-ok "$bench" -fig 2 -nodes 8 -ts 10,20 -phis 1 -kernel csr
+ok "$bench" -fig 2 -nodes 8 -ts 10,20 -phis 1
 fails "$bench"
 fails "$bench" -table 1 -scale 0
 fails "$bench" -table 1 -ts 0
@@ -162,7 +159,7 @@ ok "$camp" "${cached[@]}" -cache "$work/ccache" -workers 3 -json "$work/healed.j
 ok "$camp" "${cached[@]}" -cache "$work/ccache" -cache-mismatch refresh -json /dev/null -q
 ok "$camp" -gen banded,audikw -n 6 -nodes 4 -strategies none,esr -ts 5 -phis 1 -seeds 2 \
 	-model weibull -shape 0.7 -mtbf 300 -horizon 40 -group 2 -group-prob 0.5 -max-events 3 -spares 1 \
-	-kernel band -trace-sample 2 -trace-dir "$work/traces" -json /dev/null -q
+	-trace-sample 2 -trace-dir "$work/traces" -json /dev/null -q
 ok "$camp" -gen poisson3d,emilia -n 6 -nodes 4 -strategies esrp -ts 5 -phis 2 -seeds 1 \
 	-model fixed -events "10:1-2;20:3" -rtol 1e-6 -maxiter 500 -json /dev/null -q
 fails "$camp" -gen bogus -json /dev/null
