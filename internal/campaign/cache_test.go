@@ -325,9 +325,10 @@ func TestCacheKeyedByGridKnobs(t *testing.T) {
 
 // TestCellKeyGolden pins the campaign → cache key mapping: the content
 // address cellInputOf gives an ESRP cell of tinyGrid, failure-free and under
-// its failure process (seed 2; seed 1 draws no event). ccache.TestKeyGolden pins the encoding of a
-// CellInput; this pins which grid and cell values go into it. A change here
-// orphans every cache written before it, so it must be deliberate.
+// its failure process (seed 2; seed 1 draws no event). ccache.TestKeyGolden
+// pins the encoding of a CellInput; this pins which grid and cell values go
+// into it. A change here orphans every cache written before it, so it must
+// be deliberate.
 func TestCellKeyGolden(t *testing.T) {
 	for _, c := range []struct {
 		name        string

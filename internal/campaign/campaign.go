@@ -76,7 +76,7 @@ type Grid struct {
 	// back to the no-spare shrink. Other strategies always replace.
 	Spares int
 
-	Rtol      float64 // outer tolerance (0 = 1e-8; negative is an error)
+	Rtol      float64 // outer tolerance (0 = 1e-8; negative or not finite is an error)
 	MaxIter   int     // iteration cap (0 = solver default; negative is an error)
 	MaxBlock  int     // block Jacobi bound (0 = 10; negative is an error)
 	Precond   precond.Kind

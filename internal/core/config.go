@@ -98,7 +98,7 @@ type Config struct {
 
 	Nodes int // number of simulated cluster nodes
 
-	Rtol    float64 // convergence: ‖r‖₂/‖b‖₂ < Rtol (0 = the paper's 1e-8; negative is an error)
+	Rtol    float64 // convergence: ‖r‖₂/‖b‖₂ < Rtol (0 = the paper's 1e-8; negative or not finite is an error)
 	MaxIter int     // iteration cap (0 = 10·M; negative is an error)
 
 	PrecondKind precond.Kind // paper: block Jacobi
@@ -110,14 +110,14 @@ type Config struct {
 	// (0 = 1 for ESR, ESRP and IMCR; negative is an error).
 	Phi int
 
-	InnerRtol float64 // reconstruction inner-solve tolerance (0 = the paper's 1e-14; negative is an error)
+	InnerRtol float64 // reconstruction inner-solve tolerance (0 = the paper's 1e-14; negative or not finite is an error)
 
 	// Failures is the failure timeline: events fire in order at strictly
 	// increasing iterations (validated eagerly). The paper's framework is the
 	// one-element timeline. Each event destroys the dynamic state of its
-	// ranks; the strategy's recovery runs after every event. Ranks are interpreted
-	// in the rank space current at fire time (identical to the initial space
-	// until a no-spare shrink removes nodes).
+	// ranks; the strategy's recovery runs after every event. Ranks are
+	// interpreted in the rank space current at fire time (identical to the
+	// initial space until a no-spare shrink removes nodes).
 	Failures []FailureSpec
 
 	// Spares is the replacement-node pool the recovery draws from: 0 means
@@ -468,9 +468,8 @@ type Result struct {
 
 	// Kernels holds each node's SpMV kernel layout ("csr", "sellc", "band",
 	// or a mixed interior+boundary pair) as chosen by the Prepare-time
-	// planner. Condense for display with
-	// CondenseKernels. Purely host-side metadata: the choice never affects
-	// trajectories or the simulated clock.
+	// planner. Condense for display with CondenseKernels. Purely host-side
+	// metadata: the choice never affects trajectories or the simulated clock.
 	Kernels []string
 
 	Residuals []float64 // per-iteration ‖r‖/‖b‖ if RecordResiduals
