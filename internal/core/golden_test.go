@@ -13,6 +13,7 @@ import (
 	"sort"
 	"testing"
 
+	"esrp/internal/matgen"
 	"esrp/internal/obs"
 )
 
@@ -144,6 +145,13 @@ func driverScenarios() []driverScenario {
 		{name: "standard/imcr-balanced",
 			mut: with(imcr(10, 1), func(cfg *Config) { cfg.BalanceNNZ = true },
 				fail(FailureSpec{Iteration: 33, Ranks: []int{7}}))},
+		// Random-length rows in a narrow band: no row block of it, outer or
+		// the reconstruction's inner one, forms band runs.
+		{name: "banded/esrp",
+			mut: with(esrp(5, 1), func(cfg *Config) {
+				cfg.A = matgen.BandedSPD(32*32, 8, 1)
+				cfg.B, _ = matgen.RHSForSolution(cfg.A, 12)
+			}, fail(FailureSpec{Iteration: 8, Ranks: []int{3}}))},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"esrp/internal/matgen"
 	"esrp/internal/sparse"
 )
 
@@ -88,5 +89,58 @@ func TestPreparedRejectsKernelMismatch(t *testing.T) {
 	bad.Prepared = prep
 	if _, err := Solve(bad); err == nil {
 		t.Fatal("Solve accepted a Prepared context built for a different kernel kind")
+	}
+}
+
+// TestPlannerLayouts pins the planner's choice on the matrices the benchmark
+// workloads and esrpsolve's generators solve: every node of every one plans
+// the band layout, at each node count the workload runs (the recovery-storm
+// matrix at every size its shrinks reach) and under each communication plan
+// it uses — plain (None, IMCR) or augmented by φ (ESR, ESRP).
+func TestPlannerLayouts(t *testing.T) {
+	cases := []struct {
+		name  string
+		a     *sparse.CSR
+		nodes []int
+		phis  []int // plan augmentation; 0 = plain
+		want  string
+	}{
+		{"solve-fat", matgen.EmiliaLike(24, 24, 24, 1), []int{4}, []int{0, 1}, "band"},
+		{"solve-wide", matgen.EmiliaLike(16, 16, 32, 1), []int{128}, []int{0, 3}, "band"},
+		{"recovery-storm", matgen.AudikwLike(10, 10, 10, 3, 1), []int{2, 3, 4, 5, 6, 7, 8}, []int{0, 1, 3}, "band"},
+		{"sweep/poisson2d-48", matgen.Poisson2D(48, 48), []int{8, 16}, []int{0, 1, 3}, "band"},
+		{"sweep/emilia-12", matgen.EmiliaLike(12, 12, 12, 1), []int{8, 16}, []int{0, 1, 3}, "band"},
+		{"gen/poisson2d", matgen.Poisson2D(32, 32), []int{8}, []int{1}, "band"},
+		{"gen/poisson3d", matgen.Poisson3D(32, 32, 32), []int{8}, []int{1}, "band"},
+		{"gen/emilia", matgen.EmiliaLike(32, 32, 32, 1), []int{8}, []int{1}, "band"},
+		{"gen/audikw", matgen.AudikwLike(32, 32, 32, 3, 1), []int{8}, []int{1}, "band"},
+	}
+	for _, c := range cases {
+		b := make([]float64, c.a.Rows)
+		for i := range b {
+			b[i] = 1
+		}
+		for _, nodes := range c.nodes {
+			for _, phi := range c.phis {
+				if phi >= nodes {
+					continue
+				}
+				cfg := Config{A: c.a, B: b, Nodes: nodes, MaxIter: 1, Strategy: StrategyNone}
+				if phi > 0 {
+					cfg.Strategy, cfg.Phi = StrategyESR, phi
+				}
+				res, err := Solve(cfg)
+				if err != nil {
+					t.Fatalf("%s on %d nodes, φ = %d: %v", c.name, nodes, phi, err)
+				}
+				for s, name := range res.Kernels {
+					if name != c.want {
+						t.Errorf("%s on %d nodes, φ = %d: node %d plans %s, want %s (%s)",
+							c.name, nodes, phi, s, name, c.want, CondenseKernels(res.Kernels))
+						break
+					}
+				}
+			}
+		}
 	}
 }
