@@ -69,7 +69,7 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 		{"imcr-T10", func(cfg *Config) { cfg.Strategy = StrategyIMCR; cfg.T = 10; cfg.Phi = 1 }},
 	}
 	kernels := []sparse.KernelKind{testKernel(t)}
-	for _, kind := range []sparse.KernelKind{sparse.KernelCSR, sparse.KernelSellC, sparse.KernelBand} {
+	for _, kind := range []sparse.KernelKind{sparse.KernelCSR, sparse.KernelBand} {
 		if kind != kernels[0] {
 			kernels = append(kernels, kind)
 		}

@@ -466,9 +466,9 @@ type Result struct {
 	// over nodes — as opposed to the planned volume of aspmv.ExtraTraffic.
 	HaloBytes int64
 
-	// Kernels holds each node's SpMV kernel layout ("csr", "sellc", "band",
-	// or a mixed interior+boundary pair) as chosen by the Prepare-time
-	// planner. Condense for display with CondenseKernels. Purely host-side
+	// Kernels holds each node's SpMV kernel layout ("csr", "band", or a
+	// mixed interior+boundary pair like "band+csr") as chosen by the
+	// Prepare-time planner. Condense for display with CondenseKernels. Purely host-side
 	// metadata: the choice never affects trajectories or the simulated clock.
 	Kernels []string
 
@@ -483,7 +483,7 @@ type Result struct {
 
 // CondenseKernels condenses per-node kernel layout names (Result.Kernels)
 // into a compact "name×count" display, counts in first-seen node order:
-// e.g. "band+sellc×14, csr×2".
+// e.g. "band×14, band+csr×2".
 func CondenseKernels(names []string) string {
 	if len(names) == 0 {
 		return ""

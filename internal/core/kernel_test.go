@@ -19,7 +19,7 @@ func TestKernelTrajectoriesBitwiseIdentical(t *testing.T) {
 		ref := base
 		ref.kernel = sparse.KernelCSR
 		want := solveOK(t, ref)
-		for _, kind := range []sparse.KernelKind{sparse.KernelAuto, sparse.KernelSellC, sparse.KernelBand} {
+		for _, kind := range []sparse.KernelKind{sparse.KernelAuto, sparse.KernelBand} {
 			t.Run(name+"/"+kind.String(), func(t *testing.T) {
 				cfg := base
 				cfg.kernel = kind
@@ -85,7 +85,7 @@ func TestPreparedRejectsKernelMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := cfg
-	bad.kernel = sparse.KernelSellC
+	bad.kernel = sparse.KernelCSR
 	bad.Prepared = prep
 	if _, err := Solve(bad); err == nil {
 		t.Fatal("Solve accepted a Prepared context built for a different kernel kind")
@@ -93,10 +93,12 @@ func TestPreparedRejectsKernelMismatch(t *testing.T) {
 }
 
 // TestPlannerLayouts pins the planner's choice on the matrices the benchmark
-// workloads and esrpsolve's generators solve: every node of every one plans
-// the band layout, at each node count the workload runs (the recovery-storm
-// matrix at every size its shrinks reach) and under each communication plan
-// it uses — plain (None, IMCR) or augmented by φ (ESR, ESRP).
+// workloads and esrpsolve's generators solve: every node of every stencil
+// system plans the band layout, at each node count the workload runs (the
+// recovery-storm matrix at every size its shrinks reach) and under each
+// communication plan it uses — plain (None, IMCR) or augmented by φ (ESR,
+// ESRP). The random-length rows of -gen banded form no band runs and stay on
+// scalar CSR rows.
 func TestPlannerLayouts(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -114,6 +116,7 @@ func TestPlannerLayouts(t *testing.T) {
 		{"gen/poisson3d", matgen.Poisson3D(32, 32, 32), []int{8}, []int{1}, "band"},
 		{"gen/emilia", matgen.EmiliaLike(32, 32, 32, 1), []int{8}, []int{1}, "band"},
 		{"gen/audikw", matgen.AudikwLike(32, 32, 32, 3, 1), []int{8}, []int{1}, "band"},
+		{"gen/banded", matgen.BandedSPD(32*32, 8, 1), []int{8}, []int{1}, "csr"},
 	}
 	for _, c := range cases {
 		b := make([]float64, c.a.Rows)

@@ -184,10 +184,10 @@ func TestFailureFreeSolveBuildsNoSetUp(t *testing.T) {
 // with one ψ = 3 event minus those of its failure-free twin stay under a
 // fixed bound per recovery mode — per-rank compact matrices, kernels,
 // exchangers and inner-PCG vectors, the adopter's preconditioner blocks and
-// compact view of the failed rows (built once per shrink: at most 1 344
-// allocations over the kernel kinds, under sellc; 1 127 under band and
-// auto, where each band block carves its run offsets from one arena), one
-// shared set-up —
+// compact view of the failed rows (built once per shrink: at most 983
+// allocations over the kernel kinds, under band and auto, where each band
+// block carves its run offsets from one arena; 880 under csr), one shared
+// set-up —
 // on a 5-entries-per-row and on a ≈ 70-entries-per-row matrix alike. An
 // extraction or plan built per rank, or through a
 // per-entry builder, breaks it (through the builder these events cost

@@ -33,7 +33,7 @@ func testKernel(t *testing.T) sparse.KernelKind {
 			return kind
 		}
 	}
-	t.Fatalf("ESRP_TEST_KERNEL=%q: want auto, csr, sellc or band", s)
+	t.Fatalf("ESRP_TEST_KERNEL=%q: want auto, csr or band", s)
 	return sparse.KernelAuto
 }
 

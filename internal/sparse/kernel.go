@@ -15,14 +15,11 @@ type KernelKind int
 const (
 	// KernelAuto (the zero value) picks per row block: the constant-band
 	// layout for blocks dominated by shifted-pattern row runs (stencil
-	// interiors), sliced-ELL for regular-width blocks, scalar CSR otherwise.
+	// interiors), scalar CSR otherwise.
 	KernelAuto KernelKind = iota
 	// KernelCSR forces the generic scalar CSR traversal (the fallback every
 	// irregular Matrix-Market input uses).
 	KernelCSR
-	// KernelSellC forces the SELL-C sliced-ELL layout (chunk 8, unrolled
-	// inner loop, one independent accumulator per in-flight row).
-	KernelSellC
 	// KernelBand forces the constant-band/stencil layout (per-run column
 	// offset patterns, no per-entry index loads).
 	KernelBand
@@ -35,8 +32,6 @@ func (k KernelKind) String() string {
 		return "auto"
 	case KernelCSR:
 		return "csr"
-	case KernelSellC:
-		return "sellc"
 	case KernelBand:
 		return "band"
 	default:
@@ -51,8 +46,8 @@ func (k KernelKind) String() string {
 // dst[i] exactly once per covered row with the row's products accumulated in
 // source entry order, so results are bitwise identical to Local.Mul.
 type Kernel interface {
-	// Name identifies the layout for reports ("csr", "sellc", "band", or a
-	// mixed "interior+boundary" pair like "band+sellc").
+	// Name identifies the layout for reports ("csr", "band", or a mixed
+	// "interior+boundary" pair like "band+csr").
 	Name() string
 	NNZ() int
 	InteriorNNZ() int
@@ -127,8 +122,6 @@ func BuildKernel(l *Local, kind KernelKind) Kernel {
 	switch kind {
 	case KernelCSR:
 		return l
-	case KernelSellC:
-		return assemble(newSellRows(l, l.InteriorRows), newSellRows(l, l.BoundaryRows))
 	case KernelBand:
 		interior, boundary := findBandRuns(l, l.InteriorRows), findBandRuns(l, l.BoundaryRows)
 		interior.transpose(l, l.M+l.G())
@@ -171,23 +164,14 @@ func assemble(interior, boundary blockMul) *planned {
 // every grid line, capping coverage near (n-2)/n, so moderate coverage must
 // already win: the rows outside runs still take the band kernel, gathered
 // into quads of equal offset pattern on the vector path and one row at a
-// time with no per-entry index load on the portable one. Sliced-ELL needs at
-// least one full chunk of rows to pay for its gather/scatter indirection.
+// time with no per-entry index load on the portable one.
 const (
 	bandMinRun   = bandUnroll
 	bandCoverage = 0.6
-	// sellMaxMeanRow bounds the mean row length SELL-C is planned for.
-	// Short rows leave the scalar CSR loop dominated by per-row overhead,
-	// which the chunked loop amortizes over 8 rows (measured ~1.9× on
-	// ragged 3-entry rows, ~1.1× at 7, parity by ~25); long regular rows
-	// already saturate the load ports in CSR order, and the chunk
-	// bookkeeping only costs there.
-	sellMaxMeanRow = 16
 )
 
 // planBlock inspects one row block's structure and picks its layout: band
-// when shifted-pattern runs dominate, SELL-C for any block with at least one
-// full chunk of rows, scalar CSR for tiny remainders.
+// when shifted-pattern runs dominate, scalar CSR otherwise.
 func planBlock(l *Local, rows []int) blockMul {
 	if len(rows) == 0 {
 		return newCSRRows(l, rows)
@@ -196,9 +180,6 @@ func planBlock(l *Local, rows []int) blockMul {
 	if float64(band.coveredRows()) >= bandCoverage*float64(len(rows)) {
 		band.transpose(l, l.M+l.G())
 		return band
-	}
-	if len(rows) >= sellChunk && band.nnz() <= sellMaxMeanRow*len(rows) {
-		return newSellRows(l, rows)
 	}
 	return newCSRRows(l, rows)
 }

@@ -299,7 +299,7 @@ func kernelMatrices(t testing.TB) map[string]*CSR {
 // also holds NaN and both infinities, and with x and dst starting one element
 // into their arrays, so the vector loads and stores see both alignments.
 func TestKernelsBitwiseIdentical(t *testing.T) {
-	kinds := []KernelKind{KernelAuto, KernelCSR, KernelSellC, KernelBand}
+	kinds := []KernelKind{KernelAuto, KernelCSR, KernelBand}
 	for name, a := range kernelMatrices(t) {
 		splits := [][2]int{{0, a.Rows}} // single node: no ghosts at all
 		third := a.Rows / 3
@@ -710,7 +710,8 @@ func TestBandMulChecksLengths(t *testing.T) {
 }
 
 // TestKernelPlannerPicksBandForStencil pins the planner's headline decision:
-// a stencil slab's interior rows go to the band layout, and the forced kinds
+// a stencil slab's interior rows go to the band layout, a ragged matrix's
+// blocks stay on scalar CSR rows (the Local itself), and the forced kinds
 // report their own names.
 func TestKernelPlannerPicksBandForStencil(t *testing.T) {
 	a := stencil27(8)
@@ -721,16 +722,13 @@ func TestKernelPlannerPicksBandForStencil(t *testing.T) {
 	if name := BuildKernel(l, KernelCSR).Name(); name != "csr" {
 		t.Fatalf("forced csr reports %q", name)
 	}
-	if name := BuildKernel(l, KernelSellC).Name(); name != "sellc" {
-		t.Fatalf("forced sellc reports %q", name)
-	}
 	if name := BuildKernel(l, KernelBand).Name(); name != "band" {
 		t.Fatalf("forced band reports %q", name)
 	}
 	irregular := raggedSparse(97, 3)
 	li := localOf(t, irregular, 0, 97)
-	if name := BuildKernel(li, KernelAuto).Name(); strings.Contains(name, "band") {
-		t.Fatalf("planner chose %q for a ragged matrix, band runs cannot dominate there", name)
+	if k := BuildKernel(li, KernelAuto); k != Kernel(li) {
+		t.Fatalf("planner chose %q for a ragged matrix, want the Local itself: band runs cannot dominate there", k.Name())
 	}
 }
 
@@ -790,9 +788,9 @@ func TestBandRoutesOnRankShapes(t *testing.T) {
 }
 
 // entryBytes is what one stored entry streams through the CPU in each layout:
-// its value, plus CSR's column index (Local.Cols is []int) or SELL-C's int32
-// one. The band layout loads no per-entry index.
-var entryBytes = map[string]int{"csr": 16, "sellc": 12, "band": 8}
+// its value, plus CSR's column index (Local.Cols is []int). The band layout
+// loads no per-entry index.
+var entryBytes = map[string]int{"csr": 16, "band": 8}
 
 func kernelBytes(k Kernel) int64 {
 	if p, ok := k.(*planned); ok {
@@ -834,7 +832,7 @@ func BenchmarkKernelMul(b *testing.B) {
 				}
 			})
 		}
-		for _, kind := range []KernelKind{KernelCSR, KernelSellC, KernelBand, KernelAuto} {
+		for _, kind := range []KernelKind{KernelCSR, KernelBand, KernelAuto} {
 			run(kind.String(), BuildKernel(l, kind))
 		}
 		if bandVector { // what platforms without the vector routine run
