@@ -4,15 +4,15 @@
 // The system is either read from a Matrix Market file (-matrix file.mtx) or
 // generated (-gen poisson2d|poisson3d|emilia|audikw|banded with -n scale).
 //
+// Failures are injected with -events "iter:ranks;...": the paper's single
+// event of contiguous ranks is one entry (ranks 3 and 4 at iteration 100),
+// a whole timeline several, against a finite spare pool if -spares is set.
+//
 // Examples:
 //
 //	esrpsolve -gen emilia -n 16 -nodes 16 -strategy esrp -T 20 -phi 2 \
-//	          -fail-iter 100 -fail-ranks 3,4
+//	          -events "100:3-4"
 //	esrpsolve -matrix system.mtx -nodes 8 -strategy imcr -T 50 -phi 1
-//
-// Beyond the paper's single event, a whole failure timeline can be injected
-// with -events "iter:ranks;..." against a finite spare pool:
-//
 //	esrpsolve -gen poisson2d -n 48 -nodes 8 -strategy esr -phi 1 \
 //	          -events "20:3;45:5;70:2" -spares 1
 package main
@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"esrp"
@@ -45,11 +44,9 @@ func main() {
 		precond  = flag.String("precond", "blockjacobi", "preconditioner: none|jacobi|blockjacobi|ic0")
 		maxBlock = flag.Int("maxblock", 10, "block Jacobi maximum block size")
 
-		failIter  = flag.Int("fail-iter", -1, "iteration to inject a node failure at (-1 = none)")
-		failRanks = flag.String("fail-ranks", "0", "comma-separated contiguous ranks that fail")
-		events    = flag.String("events", "", "multi-event failure timeline iter:r0-r1;iter:r0;... (e.g. 20:2-3;50:5)")
-		spares    = flag.Int("spares", 0, "replacement-node pool (0 = unlimited); exhausted pool falls back to the no-spare shrink (ESR/ESRP)")
-		noSpare   = flag.Bool("no-spare", false, "recover onto surviving nodes instead of replacements (ESR/ESRP)")
+		events  = flag.String("events", "", "failure timeline iter:r0-r1;iter:r0;... of contiguous ranks (e.g. 20:2-3;50:5)")
+		spares  = flag.Int("spares", 0, "replacement-node pool (0 = unlimited); exhausted pool falls back to the no-spare shrink (ESR/ESRP)")
+		noSpare = flag.Bool("no-spare", false, "recover onto surviving nodes instead of replacements (ESR/ESRP)")
 
 		balance = flag.Bool("balance", false, "balance the row distribution by per-row work instead of row counts")
 		rr      = flag.Int("rr", 0, "residual replacement interval (0 = off)")
@@ -92,20 +89,11 @@ func main() {
 		}
 	}
 	if *events != "" {
-		if *failIter >= 0 {
-			fatalf("use either -fail-iter/-fail-ranks (single event) or -events (timeline), not both")
-		}
 		timeline, err := faultsim.ParseSchedule(*events)
 		if err != nil {
 			fatalf("bad -events: %v", err)
 		}
 		cfg.Failures = timeline
-	} else if *failIter >= 0 {
-		ranks, err := parseRanks(*failRanks)
-		if err != nil {
-			fatalf("bad -fail-ranks: %v", err)
-		}
-		cfg.Failures = []esrp.FailureSpec{{Iteration: *failIter, Ranks: ranks}}
 	}
 
 	fmt.Printf("solving %s with PCG: %d rows, %d nnz, %d nodes, strategy %v (T=%d, φ=%d)\n",
@@ -255,18 +243,6 @@ func loadMatrix(file, gen string, n int, seed int64) (*esrp.CSR, string, error) 
 	default:
 		return nil, "", fmt.Errorf("unknown generator %q", gen)
 	}
-}
-
-func parseRanks(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -7,16 +7,6 @@ import (
 	"testing"
 )
 
-func TestParseRanks(t *testing.T) {
-	got, err := parseRanks("3, 4,5")
-	if err != nil || len(got) != 3 || got[0] != 3 || got[2] != 5 {
-		t.Fatalf("parseRanks = %v, %v", got, err)
-	}
-	if _, err := parseRanks("a"); err == nil {
-		t.Error("non-integer rank must fail")
-	}
-}
-
 func TestLoadMatrixGenerators(t *testing.T) {
 	for _, gen := range []string{"poisson2d", "poisson3d", "emilia", "audikw", "banded"} {
 		a, name, err := loadMatrix("", gen, 4, 1)
@@ -76,6 +66,25 @@ func TestNegativeValuesExitNonZero(t *testing.T) {
 		}
 		if !strings.Contains(string(out), c.want) {
 			t.Errorf("esrpsolve %s %s printed\n%s\nwant %q", c.flag, c.value, out, c.want)
+		}
+	}
+}
+
+// Deleted flags are refused by the flag package (exit 2) rather than
+// ignored: -events is the one spelling of a failure, the planner picks the
+// SpMV layout, and there is one PCG recurrence.
+func TestDeletedFlagsExitTwo(t *testing.T) {
+	bin := buildCommand(t)
+	for _, args := range [][]string{
+		{"-fail-iter", "5"}, {"-fail-ranks", "3"}, {"-kernel", "band"}, {"-pipelined"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-gen", "poisson2d", "-n", "8", "-nodes", "2"}, args...)...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("esrpsolve %v: err %v, want exit status 2\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("esrpsolve %v printed\n%s\nwant the undefined-flag error", args, out)
 		}
 	}
 }

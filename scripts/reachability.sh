@@ -70,20 +70,20 @@ fails() {
 solve=$bin/esrpsolve bench=$bin/esrpbench camp=$bin/esrpcampaign
 
 # esrpsolve: the verify-skill recipes and the observability smoke.
-ok "$solve" -gen poisson2d -n 64 -nodes 12 -balance -strategy esrp -T 15 -phi 2 -fail-iter 50 -fail-ranks 5,6 -no-spare -v
-ok "$solve" -gen poisson2d -n 64 -nodes 8 -strategy imcr -T 10 -fail-iter 35 -fail-ranks 4 -v
+ok "$solve" -gen poisson2d -n 64 -nodes 12 -balance -strategy esrp -T 15 -phi 2 -events "50:5-6" -no-spare -v
+ok "$solve" -gen poisson2d -n 64 -nodes 8 -strategy imcr -T 10 -events "35:4" -v
 fails "$solve" -gen poisson2d -n 16 -nodes 4 -pipelined
-ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esrp -T 20 -phi 1 -fail-iter 50 -fail-ranks 3 \
+ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esrp -T 20 -phi 1 -events "50:3" \
 	-trace "$work/solve.trace.json" -series "$work/solve.series.csv" -v
 # The flag values the recipes skip.
 for g in poisson3d emilia audikw banded; do
-	ok "$solve" -gen "$g" -n 6 -nodes 4 -strategy esr -phi 1 -fail-iter 5 -fail-ranks 1
+	ok "$solve" -gen "$g" -n 6 -nodes 4 -strategy esr -phi 1 -events "5:1"
 done
 for pc in none jacobi blockjacobi bj ic0; do
-	ok "$solve" -gen poisson2d -n 24 -nodes 4 -precond "$pc" -strategy esrp -T 5 -phi 1 -fail-iter 12 -fail-ranks 2
+	ok "$solve" -gen poisson2d -n 24 -nodes 4 -precond "$pc" -strategy esrp -T 5 -phi 1 -events "12:2"
 done
 fails "$solve" -precond bogus
-ok "$solve" -gen emilia -n 8 -nodes 4 -strategy esrp -T 5 -phi 2 -fail-iter 12 -fail-ranks 1,2
+ok "$solve" -gen emilia -n 8 -nodes 4 -strategy esrp -T 5 -phi 2 -events "12:1-2"
 fails "$solve" -strategy bogus
 fails "$solve" -gen bogus
 fails "$solve" -gen poisson2d -n 4 -nodes 64
@@ -109,16 +109,15 @@ cat >"$work/small.mtx" <<'EOF'
 8 7 -1.0
 8 8 2.0
 EOF
-ok "$solve" -matrix "$work/small.mtx" -nodes 2 -strategy esr -phi 1 -precond jacobi -fail-iter 2 -fail-ranks 1
+ok "$solve" -matrix "$work/small.mtx" -nodes 2 -strategy esr -phi 1 -precond jacobi -events "2:1"
 fails "$solve" -matrix "$work/missing.mtx"
 ok "$solve" -gen poisson2d -n 24 -nodes 4 -series "$work/solve.series.json"
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esr -phi 1 -events "20:3;45:5;70:2" -spares 1 -v
 ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy esrp -T 10 -phi 2 -rr 10 -events "20:2-3" -no-spare
-ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy none -fail-iter 20 -fail-ranks 1
-ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy imcr -T 50 -fail-iter 5 -fail-ranks 1
-fails "$solve" -events "20:3" -fail-iter 5
+ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy none -events "20:1"
+ok "$solve" -gen poisson2d -n 48 -nodes 8 -strategy imcr -T 50 -events "5:1"
 fails "$solve" -events "bogus"
-fails "$solve" -fail-iter 5 -fail-ranks x
+fails "$solve" -events "5:x"
 log "esrpsolve done"
 
 # esrpbench: the fast table, CI's paper-tables job, the profiles and the
