@@ -119,10 +119,7 @@ func TestPlannerLayouts(t *testing.T) {
 		{"gen/banded", matgen.BandedSPD(32*32, 8, 1), []int{8}, []int{1}, "csr"},
 	}
 	for _, c := range cases {
-		b := make([]float64, c.a.Rows)
-		for i := range b {
-			b[i] = 1
-		}
+		b, _ := matgen.RHSForSolution(c.a, 1)
 		for _, nodes := range c.nodes {
 			for _, phi := range c.phis {
 				if phi >= nodes {
