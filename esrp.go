@@ -52,8 +52,6 @@
 package esrp
 
 import (
-	"io"
-
 	"esrp/internal/campaign"
 	"esrp/internal/ccache"
 	"esrp/internal/ckptmodel"
@@ -231,7 +229,7 @@ func DefaultCostModel() CostModel { return cluster.DefaultCostModel() }
 type (
 	// Schedule is a recorded solve's event schedule: per-rank program-order
 	// event streams plus communicator-view memberships, in canonical order.
-	// Serialize with Schedule.WriteBinary / Schedule.WriteJSON.
+	// Write it with WriteScheduleFile and read it back with ReadScheduleFile.
 	Schedule = replay.Schedule
 	// Replayed is the outcome of re-costing a schedule under one machine
 	// model: the replayed SimTime / RecoveryTime / BytesSent / MsgsSent plus
@@ -274,12 +272,6 @@ func Recost(s *Schedule, m CostModel) (*Replayed, error) {
 func RecostAll(s *Schedule, ms []CostModel) ([]*Replayed, error) {
 	return s.RecostAll(ms)
 }
-
-// ReadScheduleBinary decodes a schedule written by Schedule.WriteBinary.
-func ReadScheduleBinary(r io.Reader) (*Schedule, error) { return replay.ReadBinary(r) }
-
-// ReadScheduleJSON decodes a schedule written by Schedule.WriteJSON.
-func ReadScheduleJSON(r io.Reader) (*Schedule, error) { return replay.ReadJSON(r) }
 
 // Persistent campaign cache (internal/ccache): a content-addressed store
 // of per-cell results and recorded schedules, keyed by a digest of each
@@ -325,8 +317,8 @@ func OpenCampaignCache(dir string, policy CacheMismatchPolicy) (*CampaignCache, 
 // the cache's schedule tier and the esrpcampaign -schedules export.
 func WriteScheduleFile(path string, s *Schedule) error { return ccache.WriteScheduleFile(path, s) }
 
-// ReadScheduleFile reads a schedule written by WriteScheduleFile (or a
-// bare pre-cache Schedule.WriteBinary stream).
+// ReadScheduleFile reads a schedule written by WriteScheduleFile, the one
+// reader of schedule files.
 func ReadScheduleFile(path string) (*Schedule, error) { return ccache.ReadScheduleFile(path) }
 
 // Matrix generators (synthetic analogs of the paper's test problems).

@@ -432,7 +432,8 @@ func TestCacheLateScheduleFailureDemotesToMiss(t *testing.T) {
 	}
 	// Re-frame each entry around a damaged schedule: alternately one that
 	// does not decode (a view names a rank past the node count) and one
-	// that decodes but cannot re-cost (a rank's stream cut short).
+	// that decodes but cannot re-cost (a rank waits for a message no rank
+	// sends).
 	undecodable := 0
 	for i, path := range schedFiles {
 		s, err := ccache.ReadScheduleFile(path)
@@ -443,14 +444,10 @@ func TestCacheLateScheduleFailureDemotesToMiss(t *testing.T) {
 			s.Views = append(s.Views, []int{s.Nodes})
 			undecodable++
 		} else {
-			events := make([][]replay.Event, s.Nodes)
-			for g := range events {
-				events[g] = s.Events(g)
-			}
-			events[0] = events[0][:len(events[0])/2]
-			if s, err = replay.NewSchedule(s.Nodes, s.Views, events); err != nil {
-				t.Fatal(err)
-			}
+			rec := replay.NewRecorder()
+			rec.Init(s.Nodes)
+			rec.Rank(0).Recv(1)
+			s = rec.Schedule()
 		}
 		if err := ccache.WriteScheduleFile(path, s); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -151,15 +152,16 @@ func testEntry() *ResultEntry {
 	}
 }
 
+// testSchedule records two ranks: rank 0 computes and sends 64 bytes to
+// rank 1, which receives them; one view holds both.
 func testSchedule() *replay.Schedule {
-	s, err := replay.NewSchedule(2, [][]int{{0, 1}}, [][]replay.Event{
-		{{Kind: replay.KindCompute, Val: 1.5}, {Kind: replay.KindSend, Peer: 1, Bytes: 64, AcctMsgs: 1, AcctBytes: 64}},
-		{{Kind: replay.KindRecv, Peer: 0}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return s
+	rec := replay.NewRecorder()
+	rec.Init(2)
+	rec.RegisterView([]int{0, 1})
+	rec.Rank(0).Compute(1.5)
+	rec.Rank(0).Send(1, 64)
+	rec.Rank(1).Recv(0)
+	return rec.Schedule()
 }
 
 func TestResultRoundTrip(t *testing.T) {
@@ -378,8 +380,8 @@ func TestGarbageManifest(t *testing.T) {
 	}
 }
 
-// The -schedules export and the schedule tier share one format; the
-// reader additionally accepts the pre-cache bare binary stream.
+// The -schedules export and the schedule tier share one format, and
+// ReadScheduleFile reads nothing else: a bare ESRPRPL1 stream is rejected.
 func TestScheduleFileFormats(t *testing.T) {
 	dir := t.TempDir()
 	want := testSchedule()
@@ -405,13 +407,8 @@ func TestScheduleFileFormats(t *testing.T) {
 	if err := os.WriteFile(bare, wb, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ReadScheduleFile(bare)
-	if err != nil {
-		t.Fatalf("bare pre-cache stream rejected: %v", err)
-	}
-	gb, _ = got.EncodeBinary()
-	if !bytes.Equal(wb, gb) {
-		t.Fatal("bare schedule file did not round-trip")
+	if _, err := ReadScheduleFile(bare); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bare ESRPRPL1 stream: got %v, want ErrCorrupt", err)
 	}
 
 	bad := filepath.Join(dir, "bad.sched")
@@ -422,14 +419,14 @@ func TestScheduleFileFormats(t *testing.T) {
 		t.Fatal("truncated framed file accepted")
 	}
 
-	// A bare stream carries no checksum, so its length fields reach the
-	// decoder unvetted: 15 bytes announcing 2³² events must be an error,
-	// not a 206 GB allocation.
+	// A valid frame vouches for its bytes, not for the length fields inside
+	// them: 15 bytes announcing 2³² events must be an error, not a 206 GB
+	// allocation.
 	huge := filepath.Join(dir, "huge.sched")
-	if err := os.WriteFile(huge, []byte("ESRPRPL1\x01\x00\x80\x80\x80\x80\x10"), 0o644); err != nil {
+	if err := os.WriteFile(huge, frame([]byte("ESRPRPL1\x01\x00\x80\x80\x80\x80\x10")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadScheduleFile(huge); err == nil {
-		t.Fatal("bare stream with an implausible event count accepted")
+	if _, err := ReadScheduleFile(huge); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("framed schedule with an implausible event count: got %v, want a decode error", err)
 	}
 }

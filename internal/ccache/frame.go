@@ -101,19 +101,16 @@ func WriteScheduleFile(path string, s *replay.Schedule) error {
 	return writeFileAtomic(path, frame(payload))
 }
 
-// ReadScheduleFile reads a schedule written by WriteScheduleFile. For
-// compatibility with pre-cache exports it also accepts a bare ESRPRPL1
-// stream (the unframed payload replay.WriteBinary emits). The schedule
-// aliases the bytes read, which nothing else holds.
+// ReadScheduleFile reads a schedule written by WriteScheduleFile, the one
+// reader of schedule files. The schedule aliases the bytes read, which
+// nothing else holds.
 func ReadScheduleFile(path string) (*replay.Schedule, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= len(frameMagic) && string(data[:len(frameMagic)]) == frameMagic {
-		if data, err = unframe(data); err != nil {
-			return nil, err
-		}
+	if data, err = unframe(data); err != nil {
+		return nil, err
 	}
 	return replay.DecodeBinary(data)
 }

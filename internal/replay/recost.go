@@ -75,7 +75,7 @@ type viewState struct {
 type rankState struct {
 	off       int   // of the next event in the rank's stream
 	next      int   // end of ev, the decoded event at off, when next > off
-	ev        Event // kept decoded while the rank is blocked on it
+	ev        event // kept decoded while the rank is blocked on it
 	pc        int   // its index
 	member    int   // the rank's index in the last view it used
 	envIter   int32

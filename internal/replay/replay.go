@@ -88,18 +88,18 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Event is the decoded value of one entry of a rank's program-order stream.
+// event is the decoded value of one entry of a rank's program-order stream.
 // Only the fields the Kind documents are meaningful; the rest stay zero (and
 // have no wire encoding).
-type Event struct {
-	Kind      Kind    `json:"k"`
-	Root      bool    `json:"root,omitempty"` // bcast/gather: this member is the root
-	Peer      int32   `json:"peer,omitempty"` // send dst / recv src / envelope iteration
-	View      int32   `json:"view,omitempty"` // collective communicator view id
-	Bytes     int64   `json:"bytes,omitempty"`
-	AcctMsgs  int64   `json:"amsgs,omitempty"`  // modeled messages booked by this member
-	AcctBytes int64   `json:"abytes,omitempty"` // modeled payload bytes booked
-	Val       float64 `json:"val,omitempty"`    // flops / dt / sync target
+type event struct {
+	Kind      Kind
+	Root      bool  // bcast/gather: this member is the root
+	Peer      int32 // send dst / recv src / envelope iteration
+	View      int32 // collective communicator view id
+	Bytes     int64
+	AcctMsgs  int64   // modeled messages booked by this member
+	AcctBytes int64   // modeled payload bytes booked
+	Val       float64 // flops / dt
 }
 
 // Recorder captures one solve's schedule. Attach with
@@ -174,7 +174,7 @@ func (rc *Recorder) Schedule() *Schedule {
 		size += len(rc.ranks[g].buf)
 	}
 	out := Rank{buf: make([]byte, 0, size)}
-	var e Event
+	var e event
 	for g := range rc.ranks {
 		r := &rc.ranks[g]
 		out.buf = binary.AppendUvarint(out.buf, uint64(r.n))
@@ -187,7 +187,7 @@ func (rc *Recorder) Schedule() *Schedule {
 			if e.Kind == KindAllreduce || e.Kind == KindBcast || e.Kind == KindGather {
 				e.View = remap[e.View]
 			}
-			out.put(&e) //nolint:errcheck // what a rank recorded encodes
+			out.put(&e)
 		}
 	}
 	s, err := index(len(rc.ranks), views, &cursor{data: out.buf})
@@ -290,11 +290,9 @@ func (r *Rank) EnvEnd() { r.mark(KindEnvEnd) }
 func (r *Rank) RTFinal() { r.mark(KindRTFinal) }
 
 // put appends e through the methods the ranks record with, the one encoder.
-// What has no encoding — a negative count, an unknown kind — is an error.
-func (r *Rank) put(e *Event) error {
-	if e.Peer < 0 || e.View < 0 || e.Bytes < 0 || e.AcctMsgs < 0 || e.AcctBytes < 0 {
-		return fmt.Errorf("negative peer, view or byte count in %+v", *e)
-	}
+// Its one caller hands it only what cursor.event decoded from a rank's
+// recording, so every kind is known and every field fits its encoding.
+func (r *Rank) put(e *event) {
 	switch e.Kind {
 	case KindCompute, KindClockAdd, KindRecCharge:
 		r.val(e.Kind, e.Val)
@@ -306,18 +304,15 @@ func (r *Rank) put(e *Event) error {
 		r.Collective(e.Kind, e.View, e.Bytes, e.AcctMsgs, e.AcctBytes, e.Root)
 	case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
 		r.mark(e.Kind)
-	default:
-		return fmt.Errorf("unknown event kind %d", e.Kind)
 	}
-	return nil
 }
 
 // Schedule is a recorded solve's full event schedule: the membership of
 // every communicator view, in canonical order, and per-rank program-order
-// event streams held as their ESRPRPL1 wire bytes. Recorder.Schedule,
-// DecodeBinary and NewSchedule all end in the one validating scan (index);
-// from then on it is immutable, and Recost may be called concurrently (each
-// replay allocates its own machine state and shares the scan's tables).
+// event streams held as their ESRPRPL1 wire bytes. Recorder.Schedule and
+// DecodeBinary both end in the one validating scan (index); from then on it
+// is immutable, and Recost may be called concurrently (each replay allocates
+// its own machine state and shares the scan's tables).
 type Schedule struct {
 	Nodes int
 	Views [][]int
@@ -334,27 +329,6 @@ type Schedule struct {
 	envOff  []int
 }
 
-// NewSchedule builds a schedule from decoded events — the constructor behind
-// ReadJSON and hand-built schedules. It validates what DecodeBinary does.
-func NewSchedule(nodes int, views [][]int, events [][]Event) (*Schedule, error) {
-	if nodes < 0 || len(events) != nodes {
-		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", nodes, len(events))
-	}
-	if err := checkViews(nodes, views); err != nil {
-		return nil, err
-	}
-	var out Rank
-	for g, evs := range events {
-		out.buf = binary.AppendUvarint(out.buf, uint64(len(evs)))
-		for i := range evs {
-			if err := out.put(&evs[i]); err != nil {
-				return nil, fmt.Errorf("replay: rank %d event %d (%v): %w", g, i, evs[i].Kind, err)
-			}
-		}
-	}
-	return index(nodes, views, &cursor{data: out.buf})
-}
-
 // checkViews reports a view that is not an ascending list of ranks below n.
 func checkViews(n int, views [][]int) error {
 	for v, view := range views {
@@ -369,16 +343,6 @@ func checkViews(n int, views [][]int) error {
 
 // NumEvents returns the total event count across ranks.
 func (s *Schedule) NumEvents() int { return s.events }
-
-// Events decodes rank g's stream into a fresh slice.
-func (s *Schedule) Events(g int) []Event {
-	evs := []Event{}
-	for c := (cursor{data: s.streams[g]}); c.off < len(c.data); {
-		evs = append(evs, Event{})
-		c.event(&evs[len(evs)-1])
-	}
-	return evs
-}
 
 // EnvSpan is one replayed recovery envelope: failure event Iter's recovery
 // section on one rank, in simulated seconds.

@@ -3,18 +3,17 @@ package replay
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 )
 
-// Serialization of schedules: a compact self-describing binary format for
-// resumable sweeps and artifacts, and plain JSON for diffing and ad-hoc
-// tooling. Both round-trip bit-exactly (floats travel as their IEEE-754
-// bit patterns), so a deserialized schedule re-costs to the identical
-// bytes the in-memory one does.
+// Serialization of schedules: one compact self-describing binary format,
+// which round-trips bit-exactly (floats travel as their IEEE-754 bit
+// patterns), so a decoded schedule re-costs to the identical bytes the
+// in-memory one does. On disk it travels inside a ccache frame
+// (ccache.WriteScheduleFile / ReadScheduleFile).
 //
 // Binary layout (all ints unsigned varints of minimal length unless noted):
 //
@@ -47,22 +46,6 @@ func (s *Schedule) EncodeBinary() ([]byte, error) {
 		}
 	}
 	return append(dst, s.payload...), nil
-}
-
-// WriteBinary writes the bytes of EncodeBinary.
-func (s *Schedule) WriteBinary(w io.Writer) error {
-	data, _ := s.EncodeBinary() // never fails
-	_, err := w.Write(data)
-	return err
-}
-
-// ReadBinary decodes a schedule written by WriteBinary.
-func ReadBinary(r io.Reader) (*Schedule, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("replay: reading schedule: %w", err)
-	}
-	return DecodeBinary(data)
 }
 
 // cursor reads the binary layout off a byte slice. The first failure
@@ -127,7 +110,7 @@ func (c *cursor) count() int { return int(c.uvarint(uint64(len(c.data) - c.off))
 // fields that kind defines. Only those fields are written; the others keep
 // what e held, which no reader of that kind looks at. Peers and views beyond
 // int32, counts beyond int64 and unknown kinds fail the cursor.
-func (c *cursor) event(e *Event) {
+func (c *cursor) event(e *event) {
 	if c.off >= len(c.data) {
 		e.Kind = KindInvalid
 		c.fail(io.ErrUnexpectedEOF)
@@ -205,7 +188,7 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 		envOff: make([]int, nodes+1), pairOff: int32s[: nodes+1 : nodes+1],
 	}
 	mark := int32s[nodes+1:] // mark[d] == g+1: pair (g,d) is already listed
-	var e Event
+	var e event
 	for g := range s.streams {
 		count := c.count()
 		start, envs := c.off, 0
@@ -236,30 +219,4 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 		return nil, fmt.Errorf("replay: %d bytes after the last rank's stream", len(c.data)-c.off)
 	}
 	return s, nil
-}
-
-// jsonSchedule is the JSON form of a schedule: its events decoded.
-type jsonSchedule struct {
-	Nodes  int       `json:"nodes"`
-	Views  [][]int   `json:"views"`
-	Events [][]Event `json:"events"`
-}
-
-// WriteJSON emits the schedule as JSON (large but diffable; floats are
-// round-trip exact under Go's JSON shortest-representation encoding).
-func (s *Schedule) WriteJSON(w io.Writer) error {
-	js := jsonSchedule{Nodes: s.Nodes, Views: s.Views, Events: make([][]Event, len(s.streams))}
-	for g := range js.Events {
-		js.Events[g] = s.Events(g)
-	}
-	return json.NewEncoder(w).Encode(js)
-}
-
-// ReadJSON decodes a schedule written by WriteJSON.
-func ReadJSON(r io.Reader) (*Schedule, error) {
-	var js jsonSchedule
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
-		return nil, fmt.Errorf("replay: decoding JSON schedule: %w", err)
-	}
-	return NewSchedule(js.Nodes, js.Views, js.Events)
 }

@@ -3,6 +3,8 @@ package esrp_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"esrp"
@@ -186,9 +188,9 @@ func TestRecostUnderSweptMachines(t *testing.T) {
 	}
 }
 
-// TestScheduleSerializationRoundTrip: binary and JSON encodings round-trip
-// to a schedule whose replay is bit-identical, and re-encoding the decoded
-// schedule reproduces the original bytes.
+// TestScheduleSerializationRoundTrip: a schedule written by
+// WriteScheduleFile reads back through ReadScheduleFile to one whose replay
+// is bit-identical, and writing what was read reproduces the file's bytes.
 func TestScheduleSerializationRoundTrip(t *testing.T) {
 	rc := replayCases(t)[3] // esrp/multi-event: exercises every event kind
 	_, sched := record(t, rc.cfg)
@@ -197,50 +199,38 @@ func TestScheduleSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("Recost: %v", err)
 	}
 
-	var bin bytes.Buffer
-	if err := sched.WriteBinary(&bin); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
+	dir := t.TempDir()
+	first, again := filepath.Join(dir, "first.sched"), filepath.Join(dir, "again.sched")
+	if err := esrp.WriteScheduleFile(first, sched); err != nil {
+		t.Fatalf("WriteScheduleFile: %v", err)
 	}
-	first := append([]byte(nil), bin.Bytes()...)
-	decoded, err := esrp.ReadScheduleBinary(&bin)
+	decoded, err := esrp.ReadScheduleFile(first)
 	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
+		t.Fatalf("ReadScheduleFile: %v", err)
 	}
-	var again bytes.Buffer
-	if err := decoded.WriteBinary(&again); err != nil {
-		t.Fatalf("re-encode: %v", err)
+	if err := esrp.WriteScheduleFile(again, decoded); err != nil {
+		t.Fatalf("re-write: %v", err)
 	}
-	if !bytes.Equal(first, again.Bytes()) {
-		t.Errorf("binary encoding is not stable under decode/encode (%d vs %d bytes)", len(first), again.Len())
+	fb, err1 := os.ReadFile(first)
+	ab, err2 := os.ReadFile(again)
+	if err1 != nil || err2 != nil || !bytes.Equal(fb, ab) {
+		t.Errorf("schedule file is not stable under read/write (%d vs %d bytes; %v, %v)", len(fb), len(ab), err1, err2)
 	}
-	repBin, err := esrp.Recost(decoded, esrp.DefaultCostModel())
+	rep, err := esrp.Recost(decoded, esrp.DefaultCostModel())
 	if err != nil {
 		t.Fatalf("Recost(decoded): %v", err)
 	}
-	if repBin.SimTime != ref.SimTime || repBin.RecoveryTime != ref.RecoveryTime ||
-		repBin.BytesSent != ref.BytesSent || repBin.MsgsSent != ref.MsgsSent {
-		t.Errorf("binary round-trip changed the replay: %+v vs %+v", repBin, ref)
+	if rep.SimTime != ref.SimTime || rep.RecoveryTime != ref.RecoveryTime ||
+		rep.BytesSent != ref.BytesSent || rep.MsgsSent != ref.MsgsSent {
+		t.Errorf("file round-trip changed the replay: %+v vs %+v", rep, ref)
 	}
 
-	var js bytes.Buffer
-	if err := sched.WriteJSON(&js); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	garbage := filepath.Join(dir, "garbage.sched")
+	if err := os.WriteFile(garbage, []byte("notaschedule"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	fromJSON, err := esrp.ReadScheduleJSON(&js)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	repJSON, err := esrp.Recost(fromJSON, esrp.DefaultCostModel())
-	if err != nil {
-		t.Fatalf("Recost(json): %v", err)
-	}
-	if repJSON.SimTime != ref.SimTime || repJSON.RecoveryTime != ref.RecoveryTime ||
-		repJSON.BytesSent != ref.BytesSent || repJSON.MsgsSent != ref.MsgsSent {
-		t.Errorf("JSON round-trip changed the replay: %+v vs %+v", repJSON, ref)
-	}
-
-	if _, err := esrp.ReadScheduleBinary(bytes.NewReader([]byte("notaschedule"))); err == nil {
-		t.Errorf("ReadScheduleBinary accepted garbage")
+	if _, err := esrp.ReadScheduleFile(garbage); err == nil {
+		t.Errorf("ReadScheduleFile accepted garbage")
 	}
 }
 
@@ -251,15 +241,13 @@ func TestScheduleBytesDeterministicAcrossRuns(t *testing.T) {
 	rc := replayCases(t)[6] // spares-exhausted: creates sub-communicator views
 	_, s1 := record(t, rc.cfg)
 	_, s2 := record(t, rc.cfg)
-	var b1, b2 bytes.Buffer
-	if err := s1.WriteBinary(&b1); err != nil {
-		t.Fatal(err)
+	b1, err1 := s1.EncodeBinary()
+	b2, err2 := s2.EncodeBinary()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
 	}
-	if err := s2.WriteBinary(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Errorf("two recordings of one solve serialize differently (%d vs %d bytes)", b1.Len(), b2.Len())
+	if !bytes.Equal(b1, b2) {
+		t.Errorf("two recordings of one solve serialize differently (%d vs %d bytes)", len(b1), len(b2))
 	}
 }
 
