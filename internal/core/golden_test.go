@@ -47,9 +47,14 @@ func goldenPath() string        { return filepath.Join("testdata", "golden_traje
 func driverGoldenPath() string  { return filepath.Join("testdata", "golden_driver.json") }
 func blockedGoldenPath() string { return filepath.Join("testdata", "golden_blocked.json") }
 
+// residualsOf returns the solve's per-iteration relative residuals, the one
+// residual record every bitwise comparison in this package reads.
+func residualsOf(res *Result) []float64 { return res.Residuals }
+
 func recordOf(res *Result) goldenRecord {
-	bits := make([]string, len(res.Residuals))
-	for i, v := range res.Residuals {
+	resid := residualsOf(res)
+	bits := make([]string, len(resid))
+	for i, v := range resid {
 		bits[i] = fmt.Sprintf("%016x", math.Float64bits(v))
 	}
 	h := fnv.New64a()
@@ -155,15 +160,23 @@ func driverScenarios() []driverScenario {
 	}
 }
 
+// driverConfig is the configuration driver scenario sc solves, residual
+// record on.
+func driverConfig(t *testing.T, sc driverScenario) Config {
+	t.Helper()
+	cfg := baseConfig(t)
+	cfg.RecordResiduals = true
+	sc.mut(&cfg)
+	return cfg
+}
+
 // driverRecords solves every driver scenario; the traced ones a second time
 // with observation on (which must not move a bit of the first record).
 func driverRecords(t *testing.T) map[string]goldenRecord {
 	t.Helper()
 	got := make(map[string]goldenRecord)
 	for _, sc := range driverScenarios() {
-		cfg := baseConfig(t)
-		cfg.RecordResiduals = true
-		sc.mut(&cfg)
+		cfg := driverConfig(t, sc)
 		res, err := Solve(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
