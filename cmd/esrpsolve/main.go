@@ -74,18 +74,18 @@ func main() {
 		A: a, B: esrp.RHSOnes(a.Rows), Nodes: *nodes,
 		Strategy: strat, T: *tInt, Phi: *phi,
 		Rtol: *rtol, PrecondKind: pk, MaxBlock: *maxBlock,
-		RecordResiduals:             *verbose,
 		NoSpareNodes:                *noSpare,
 		BalanceNNZ:                  *balance,
 		ResidualReplacementInterval: *rr,
 	}
 	cfg.Spares = *spares
-	// -v derives its recovery breakdown from the trace envelopes, so it
-	// turns tracing on too; the recorder never alters the trajectory.
+	// -v prints the residual history from the series and derives its
+	// recovery breakdown from the trace envelopes, so it turns both on; the
+	// recorder never alters the trajectory.
 	if *tracePath != "" || *seriesPath != "" || *verbose {
 		cfg.Observe = &esrp.ObserveOptions{
 			Trace:  *tracePath != "" || *verbose,
-			Series: *seriesPath != "",
+			Series: *seriesPath != "" || *verbose,
 		}
 	}
 	if *events != "" {
@@ -124,7 +124,7 @@ func main() {
 		fmt.Printf("traffic: %d messages, %d payload bytes (%d halo)\n", res.MsgsSent, res.BytesSent, res.HaloBytes)
 		fmt.Printf("per-node memory: %d bytes max (O(local+halo))\n", res.MaxNodeBytes)
 		fmt.Printf("spmv kernels: %s\n", esrp.CondenseKernels(res.Kernels))
-		printResiduals(res.Residuals)
+		printResiduals(res.Trace.Series)
 		printRecoveryBreakdown(res.Trace)
 	}
 	if *tracePath != "" {
@@ -146,21 +146,16 @@ func main() {
 
 // printResiduals shows the residual history's head and tail — enough to see
 // the convergence slope and any post-recovery jump without pages of output.
-func printResiduals(resid []float64) {
-	fmt.Printf("recorded %d residuals\n", len(resid))
+func printResiduals(series []esrp.IterPoint) {
+	fmt.Printf("recorded %d residuals\n", len(series))
 	const edge = 4
-	if len(resid) <= 2*edge {
-		for i, r := range resid {
-			fmt.Printf("  resid[%d] = %.6e\n", i, r)
+	for i, p := range series {
+		if i == edge && len(series) > 2*edge {
+			fmt.Printf("  ... %d more ...\n", len(series)-2*edge)
 		}
-		return
-	}
-	for i := 0; i < edge; i++ {
-		fmt.Printf("  resid[%d] = %.6e\n", i, resid[i])
-	}
-	fmt.Printf("  ... %d more ...\n", len(resid)-2*edge)
-	for i := len(resid) - edge; i < len(resid); i++ {
-		fmt.Printf("  resid[%d] = %.6e\n", i, resid[i])
+		if i < edge || i >= len(series)-edge {
+			fmt.Printf("  resid[%d] = %.6e\n", i, p.RelRes)
+		}
 	}
 }
 

@@ -124,13 +124,14 @@ func TestWorkspaceReuseKeepsTrajectory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", name, pass, err)
 			}
-			if len(res.Residuals) != len(fresh.Residuals) {
-				t.Fatalf("%s pass %d: residual log %d entries, fresh %d", name, pass, len(res.Residuals), len(fresh.Residuals))
+			got, want := residualsOf(res), residualsOf(fresh)
+			if len(got) != len(want) {
+				t.Fatalf("%s pass %d: residual log %d entries, fresh %d", name, pass, len(got), len(want))
 			}
-			for i := range res.Residuals {
-				if res.Residuals[i] != fresh.Residuals[i] {
+			for i := range got {
+				if got[i] != want[i] {
 					t.Fatalf("%s pass %d: residual %d = %v, fresh %v (must be bitwise identical)",
-						name, pass, i, res.Residuals[i], fresh.Residuals[i])
+						name, pass, i, got[i], want[i])
 				}
 			}
 			for i := range res.X {

@@ -167,11 +167,6 @@ type Config struct {
 	// an error.
 	ResidualReplacementInterval int
 
-	// RecordResiduals appends the relative residual of every productive
-	// iteration to Result.Residuals (costs memory, intended for examples
-	// and tests).
-	RecordResiduals bool
-
 	// Prepared supplies a prebuilt read-only solve context (partition, plan,
 	// local matrices, preconditioners) from Prepare. Settings must match the
 	// config (validated); nil rebuilds everything per solve. Sharing one
@@ -186,12 +181,12 @@ type Config struct {
 
 	// Observe enables the observability layer (internal/obs): per-rank span
 	// timelines on the simulated clock and/or the per-iteration metric
-	// series, returned in Result.Trace. Nil (the default) records nothing
-	// and adds zero overhead — the recorder is nil-checked on every hot
-	// path, so trajectories, the simulated clock and the zero-allocation
-	// guarantees are bit-identical with observation off. With observation
-	// on, the recorded data is itself deterministic (simulated timestamps,
-	// single-writer per-rank buffers).
+	// series, the solve's residual history, returned in Result.Trace. Nil
+	// (the default) records nothing and adds zero overhead — the recorder
+	// is nil-checked on every hot path, so trajectories, the simulated
+	// clock and the zero-allocation guarantees are bit-identical with
+	// observation off. With observation on, the recorded data is itself
+	// deterministic (simulated timestamps, single-writer per-rank buffers).
 	Observe *obs.Options
 
 	// Record captures the solve's abstract event schedule (internal/replay):
@@ -472,10 +467,9 @@ type Result struct {
 	// metadata: the choice never affects trajectories or the simulated clock.
 	Kernels []string
 
-	Residuals []float64 // per-iteration ‖r‖/‖b‖ if RecordResiduals
-
 	// Trace is the observability record of the solve — span timelines,
-	// recovery envelopes, the per-iteration series — when Config.Observe
+	// recovery envelopes, the per-iteration series with the residual
+	// history — when Config.Observe
 	// asked for one; nil otherwise. Export with Trace.WriteChrome
 	// (perfetto-viewable) or inspect via the structured API.
 	Trace *obs.Trace

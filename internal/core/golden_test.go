@@ -47,24 +47,36 @@ func goldenPath() string        { return filepath.Join("testdata", "golden_traje
 func driverGoldenPath() string  { return filepath.Join("testdata", "golden_driver.json") }
 func blockedGoldenPath() string { return filepath.Join("testdata", "golden_blocked.json") }
 
-// residualsOf returns the solve's per-iteration relative residuals, the one
-// residual record every bitwise comparison in this package reads.
-func residualsOf(res *Result) []float64 { return res.Residuals }
+// residualsOf returns the solve's per-iteration relative residuals from its
+// series, the one residual record every bitwise comparison in this package
+// reads. The solve must have run with Observe.Series on.
+func residualsOf(res *Result) []float64 {
+	resid := make([]float64, len(res.Trace.Series))
+	for i, p := range res.Trace.Series {
+		resid[i] = p.RelRes
+	}
+	return resid
+}
+
+// digestOf is FNV-64a over the little-endian bits of vs.
+func digestOf(vs []float64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range vs {
+		u := math.Float64bits(v)
+		for k := 0; k < 8; k++ {
+			b[k] = byte(u >> (8 * k))
+		}
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 func recordOf(res *Result) goldenRecord {
 	resid := residualsOf(res)
 	bits := make([]string, len(resid))
 	for i, v := range resid {
 		bits[i] = fmt.Sprintf("%016x", math.Float64bits(v))
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range res.X {
-		u := math.Float64bits(v)
-		for k := 0; k < 8; k++ {
-			b[k] = byte(u >> (8 * k))
-		}
-		h.Write(b[:])
 	}
 	ev := res.Events
 	if ev == nil {
@@ -75,7 +87,7 @@ func recordOf(res *Result) goldenRecord {
 		TotalSteps:   res.TotalSteps,
 		Converged:    res.Converged,
 		ResidualBits: bits,
-		XDigest:      fmt.Sprintf("%016x", h.Sum64()),
+		XDigest:      digestOf(res.X),
 		SimTimeBits:  fmt.Sprintf("%016x", math.Float64bits(res.SimTime)),
 		BytesSent:    res.BytesSent,
 		MsgsSent:     res.MsgsSent,
@@ -160,12 +172,11 @@ func driverScenarios() []driverScenario {
 	}
 }
 
-// driverConfig is the configuration driver scenario sc solves, residual
-// record on.
+// driverConfig is the configuration driver scenario sc solves, series on.
 func driverConfig(t *testing.T, sc driverScenario) Config {
 	t.Helper()
 	cfg := baseConfig(t)
-	cfg.RecordResiduals = true
+	cfg.Observe = &obs.Options{Series: true}
 	sc.mut(&cfg)
 	return cfg
 }
@@ -217,21 +228,12 @@ func driverRecords(t *testing.T) map[string]goldenRecord {
 func blockedRecords(t *testing.T) map[string]goldenRecord {
 	t.Helper()
 	event := func(cfg *Config) { cfg.Failures = []FailureSpec{{Iteration: 25, Ranks: []int{2, 3, 4}}} }
-	shrinks := func(cfg *Config) {
-		cfg.Spares = 3
-		cfg.MaxIter = 110
-		cfg.Failures = []FailureSpec{
-			{Iteration: 25, Ranks: []int{4, 5, 6}},
-			{Iteration: 50, Ranks: []int{1, 2, 3}},
-			{Iteration: 75, Ranks: []int{0, 1, 2}},
-		}
-	}
 	got := make(map[string]goldenRecord)
 	for _, strategy := range []Strategy{StrategyESR, StrategyESRP} {
 		for _, sc := range []struct {
 			name string
 			mut  func(*Config)
-		}{{"event", event}, {"spare-then-two-shrinks", shrinks}} {
+		}{{"event", event}, {"spare-then-two-shrinks", spareThenTwoShrinks}} {
 			cfg := stormBase(t, strategy)
 			cfg.kernel = testKernel(t)
 			sc.mut(&cfg)

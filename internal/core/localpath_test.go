@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"esrp/internal/matgen"
+	"esrp/internal/obs"
 	"esrp/internal/sparse"
 )
 
@@ -13,7 +14,7 @@ func localPathScenarios(t *testing.T) map[string]Config {
 	t.Helper()
 	mk := func(mut func(*Config)) Config {
 		cfg := baseConfig(t)
-		cfg.RecordResiduals = true
+		cfg.Observe = &obs.Options{Series: true}
 		mut(&cfg)
 		return cfg
 	}
@@ -67,13 +68,14 @@ func TestOverlapMatchesBlockingTrajectory(t *testing.T) {
 				t.Fatalf("recovery behavior differs: overlapped (%v,%d), blocking (%v,%d)",
 					over.Recovered, over.RecoveredAt, block.Recovered, block.RecoveredAt)
 			}
-			if len(over.Residuals) != len(block.Residuals) {
-				t.Fatalf("residual logs differ in length: %d vs %d", len(over.Residuals), len(block.Residuals))
+			overRes, blockRes := residualsOf(over), residualsOf(block)
+			if len(overRes) != len(blockRes) {
+				t.Fatalf("residual logs differ in length: %d vs %d", len(overRes), len(blockRes))
 			}
-			for i := range over.Residuals {
-				if over.Residuals[i] != block.Residuals[i] {
+			for i := range overRes {
+				if overRes[i] != blockRes[i] {
 					t.Fatalf("residual %d differs: %v vs %v (must be bitwise identical)",
-						i, over.Residuals[i], block.Residuals[i])
+						i, overRes[i], blockRes[i])
 				}
 			}
 			for i := range over.X {

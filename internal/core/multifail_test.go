@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"esrp/internal/matgen"
+	"esrp/internal/obs"
 )
 
 // multiBase returns a problem big enough that three failure events fit well
@@ -13,7 +14,7 @@ func multiBase(t *testing.T) Config {
 	t.Helper()
 	a := matgen.Poisson2D(48, 48)
 	b, _ := matgen.RHSForSolution(a, 7)
-	return Config{A: a, B: b, Nodes: 8, Rtol: 1e-8, RecordResiduals: true}
+	return Config{A: a, B: b, Nodes: 8, Rtol: 1e-8, Observe: &obs.Options{Series: true}}
 }
 
 // Three events, unlimited spares: every recovery takes the spare path and
@@ -70,7 +71,7 @@ func TestMultiEventDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.X, b.X) {
 		t.Error("iterands differ between identical runs")
 	}
-	if !reflect.DeepEqual(a.Residuals, b.Residuals) {
+	if !reflect.DeepEqual(residualsOf(a), residualsOf(b)) {
 		t.Error("residual logs differ between identical runs")
 	}
 	if a.SimTime != b.SimTime {

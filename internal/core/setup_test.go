@@ -10,6 +10,7 @@ import (
 
 	"esrp/internal/dist"
 	"esrp/internal/matgen"
+	"esrp/internal/obs"
 	"esrp/internal/sparse"
 )
 
@@ -78,12 +79,25 @@ func stormBase(t testing.TB, strategy Strategy) Config {
 	b, _ := matgen.RHSForSolution(a, 4)
 	cfg := Config{
 		A: a, B: b, Nodes: 8, Rtol: 1e-300, MaxIter: 90,
-		Strategy: strategy, Phi: 3, RecordResiduals: true,
+		Strategy: strategy, Phi: 3, Observe: &obs.Options{Series: true},
 	}
 	if strategy == StrategyESRP {
 		cfg.T = 10
 	}
 	return cfg
+}
+
+// spareThenTwoShrinks is recovery-storm's spares-exhausted tail on
+// stormBase: a spare recovery, then two shrinks, the second of which
+// retires global rank 0.
+func spareThenTwoShrinks(cfg *Config) {
+	cfg.Spares = 3
+	cfg.MaxIter = 110
+	cfg.Failures = []FailureSpec{
+		{Iteration: 25, Ranks: []int{4, 5, 6}},
+		{Iteration: 50, Ranks: []int{1, 2, 3}}, // 8 → 5 ranks
+		{Iteration: 75, Ranks: []int{0, 1, 2}}, // 5 → 2 ranks, φ drops to 1
+	}
 }
 
 // TestRecoverySetUpOncePerEvent runs ψ = φ = 3 timelines whose set-ups must
@@ -108,15 +122,7 @@ func TestRecoverySetUpOncePerEvent(t *testing.T) {
 				{Iteration: 50, Ranks: []int{2, 3, 4}},
 			}
 		}, map[setupKind]int{setupInner: 1}, 8},
-		{"spare-then-two-shrinks", func(cfg *Config) {
-			cfg.Spares = 3
-			cfg.MaxIter = 110
-			cfg.Failures = []FailureSpec{
-				{Iteration: 25, Ranks: []int{4, 5, 6}},
-				{Iteration: 50, Ranks: []int{1, 2, 3}}, // 8 → 5 ranks
-				{Iteration: 75, Ranks: []int{0, 1, 2}}, // 5 → 2 ranks, φ drops to 1
-			}
-		}, map[setupKind]int{setupInner: 1, setupInnerSeq: 2, setupShrink: 2}, 2},
+		{"spare-then-two-shrinks", spareThenTwoShrinks, map[setupKind]int{setupInner: 1, setupInnerSeq: 2, setupShrink: 2}, 2},
 	}
 	parallel := runtime.GOMAXPROCS(0) // the CI legs' 2 or 4
 	if parallel < 2 {

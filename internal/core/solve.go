@@ -188,8 +188,6 @@ type nodeRun struct {
 	recCovered                        []int
 	recHolders                        [][]int
 	sendScratch                       []float64
-
-	residLog []float64
 }
 
 // growF resizes buf to n floats, reusing its backing array when possible.
@@ -284,15 +282,15 @@ func (run *nodeRun) dueEvent(j int) *FailureSpec {
 // pendingEvents reports whether unfired events remain on the timeline.
 func (run *nodeRun) pendingEvents() bool { return run.nextEvent < len(run.events) }
 
-// sample records the relative residual √rr/‖b‖ of iteration j — the residual
-// log and rank 0's series point (a no-op on every other rank and with
-// observation off) — and reports whether it meets the tolerance.
+// sample records the relative residual √rr/‖b‖ of iteration j — a series
+// point on the communicator's rank 0, whichever global rank holds that role
+// (a no-op with observation off) — and reports whether it meets the
+// tolerance.
 func (run *nodeRun) sample(step, j int, rr float64) bool {
 	run.relres = math.Sqrt(rr) / run.bNormGlobal
-	if run.cfg.RecordResiduals && run.nd.Rank() == 0 {
-		run.residLog = append(run.residLog, run.relres)
+	if run.nd.Rank() == 0 {
+		run.tr.Point(step, j, run.relres, run.nd.Clock(), run.nd.BytesSent(), run.nd.MsgsSent())
 	}
-	run.tr.Point(step, j, run.relres, run.nd.Clock(), run.nd.BytesSent(), run.nd.MsgsSent())
 	return run.relres < run.cfg.Rtol
 }
 
@@ -415,7 +413,6 @@ func (run *nodeRun) main(result *Result) {
 		result.RecoveredAt = run.recoveredAt
 		result.WastedIters = run.wastedIters
 		result.Drift = drift
-		result.Residuals = run.residLog
 		result.ActiveNodes = run.nd.Size()
 		result.Events = run.eventLog
 	}

@@ -8,6 +8,7 @@ import (
 
 	"esrp/internal/cluster"
 	"esrp/internal/matgen"
+	"esrp/internal/obs"
 	"esrp/internal/precond"
 	"esrp/internal/sparse"
 	"esrp/internal/vec"
@@ -372,7 +373,7 @@ func TestNoneLocalRestartConvergesSlowly(t *testing.T) {
 // first residual sampled after the restart is not the solve's first one.
 func TestLocalRestartKeepsSurvivingIterand(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.RecordResiduals = true
+	cfg.Observe = &obs.Options{Series: true}
 	cfg.X0 = make([]float64, cfg.A.Rows)
 	for i := range cfg.X0 {
 		cfg.X0[i] = 1
@@ -386,7 +387,8 @@ func TestLocalRestartKeepsSurvivingIterand(t *testing.T) {
 	}
 	// One sample per completed step: iterations 0..at−1, then the restarted
 	// iteration at (the interrupted step samples nothing).
-	if first, restarted := res.Residuals[0], res.Residuals[at]; restarted == first {
+	resid := residualsOf(res)
+	if first, restarted := resid[0], resid[at]; restarted == first {
 		t.Fatalf("restart at iteration %d reproduced the first residual %g: x was reset to x0", at, first)
 	}
 }
@@ -423,18 +425,6 @@ func TestResidualDriftSmall(t *testing.T) {
 	res := solveOK(t, cfg)
 	if math.Abs(res.Drift) > 1 {
 		t.Fatalf("residual drift %g implausibly large", res.Drift)
-	}
-}
-
-func TestRecordResiduals(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.RecordResiduals = true
-	res := solveOK(t, cfg)
-	if len(res.Residuals) != res.TotalSteps {
-		t.Fatalf("recorded %d residuals, want %d", len(res.Residuals), res.TotalSteps)
-	}
-	if last := res.Residuals[len(res.Residuals)-1]; last >= cfg.Rtol {
-		t.Fatalf("final recorded residual %g ≥ rtol", last)
 	}
 }
 

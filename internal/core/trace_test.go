@@ -183,9 +183,9 @@ func TestTraceRecoveryStats(t *testing.T) {
 	}
 }
 
-// TestTraceSeries checks the iteration series: monotone steps, cumulative
-// counters, wasted-work attribution consistent with the rollback, and the
-// final relres matching the result.
+// TestTraceSeries checks the iteration series: one point per productive
+// step, monotone steps, cumulative counters, wasted-work attribution
+// consistent with the rollback, and the final relres matching the result.
 func TestTraceSeries(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Strategy = StrategyESRP
@@ -195,8 +195,8 @@ func TestTraceSeries(t *testing.T) {
 	cfg.Observe = &obs.Options{Series: true}
 	res := solveOK(t, cfg)
 	pts := res.Trace.Series
-	if len(pts) == 0 {
-		t.Fatal("no series points recorded")
+	if len(pts) != res.Iterations+res.WastedIters {
+		t.Fatalf("%d series points, want %d iterations + %d wasted", len(pts), res.Iterations, res.WastedIters)
 	}
 	wasted := 0
 	for i, p := range pts {
@@ -218,6 +218,68 @@ func TestTraceSeries(t *testing.T) {
 	last := pts[len(pts)-1]
 	if math.Abs(last.RelRes-res.RelResidual)/res.RelResidual > 1e-12 {
 		t.Errorf("final series relres %g != result relres %g", last.RelRes, res.RelResidual)
+	}
+	if last.RelRes >= cfg.Rtol {
+		t.Errorf("final series relres %g ≥ rtol", last.RelRes)
+	}
+}
+
+// TestTraceSeriesFollowsRankZero: the series is the communicator rank 0's,
+// so it stays whole when a shrink retires global rank 0 and the lowest
+// survivor takes the role over. On spareThenTwoShrinks it holds one point
+// per productive step; its head is global rank 0's series and its tail the
+// new rank 0's, each pinned by digestOf as the build before the hand-off
+// recorded them (its series stopped at the shrink, and a separate residual
+// log held the tail).
+func TestTraceSeriesFollowsRankZero(t *testing.T) {
+	for _, c := range []struct {
+		strategy               Strategy
+		head, tail             int
+		headDigest, tailDigest string
+	}{
+		{StrategyESR, 75, 35, "eeca58ff3186e292", "55e0c3cf121477c7"},
+		{StrategyESRP, 88, 39, "15aad5659269274f", "97ae33e371dc3f64"},
+	} {
+		t.Run(c.strategy.String(), func(t *testing.T) {
+			cfg := stormBase(t, c.strategy)
+			spareThenTwoShrinks(&cfg)
+			res, err := Solve(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := res.Trace.Series
+			if len(pts) != res.Iterations+res.WastedIters || len(pts) != c.head+c.tail {
+				t.Fatalf("%d series points, want %d iterations + %d wasted = %d + %d",
+					len(pts), res.Iterations, res.WastedIters, c.head, c.tail)
+			}
+			resid := residualsOf(res)
+			if got := digestOf(resid[:c.head]); got != c.headDigest {
+				t.Errorf("global rank 0's %d points digest to %s, want %s", c.head, got, c.headDigest)
+			}
+			if got := digestOf(resid[c.head:]); got != c.tailDigest {
+				t.Errorf("the new rank 0's %d points digest to %s, want %s", c.tail, got, c.tailDigest)
+			}
+			wasted := 0
+			for i, p := range pts {
+				if i > 0 && p.Step <= pts[i-1].Step {
+					t.Fatalf("point %d has step %d after step %d", i, p.Step, pts[i-1].Step)
+				}
+				if i > 0 && p.Clock < pts[i-1].Clock {
+					t.Fatalf("clock fell from %v to %v at point %d", pts[i-1].Clock, p.Clock, i)
+				}
+				if p.Wasted {
+					wasted++
+				}
+			}
+			if wasted != res.WastedIters {
+				t.Errorf("series marks %d wasted steps, result reports %d", wasted, res.WastedIters)
+			}
+			for g, spans := range res.Trace.Ranks {
+				if len(spans) != 0 {
+					t.Errorf("series-only observation recorded %d spans on rank %d", len(spans), g)
+				}
+			}
+		})
 	}
 }
 

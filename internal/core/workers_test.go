@@ -79,12 +79,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 
 	shrink := stormBase(t, StrategyESRP)
 	shrink.kernel = testKernel(t)
-	shrink.Spares, shrink.MaxIter = 3, 110
-	shrink.Failures = []FailureSpec{
-		{Iteration: 25, Ranks: []int{4, 5, 6}},
-		{Iteration: 50, Ranks: []int{1, 2, 3}}, // 8 → 5 ranks
-		{Iteration: 75, Ranks: []int{0, 1, 2}}, // 5 → 2 ranks
-	}
+	spareThenTwoShrinks(&shrink)
 	scenarios = append(scenarios, scenario{"esrp-spare-then-two-shrinks", shrink})
 
 	for _, sc := range scenarios {
@@ -146,6 +141,7 @@ func TestWideSolveNeverDeadlocks(t *testing.T) {
 		A: a, B: b, Nodes: 128, Rtol: 1e-8, CostModel: fastModel(), kernel: testKernel(t),
 		Strategy: StrategyESRP, T: 10, Phi: 2,
 		Failures: []FailureSpec{{Iteration: 25, Ranks: []int{63, 64}}},
+		Observe:  &obs.Options{Series: true},
 	}
 	var want goldenRecord
 	for _, procs := range []int{1, 2, 4} {

@@ -137,18 +137,21 @@ type Span struct {
 func (s Span) Dur() float64 { return s.End - s.Start }
 
 // IterPoint is one sample of the per-iteration metric series, recorded by
-// rank 0 at the end of each productive loop iteration. Clock, Bytes and
-// Msgs are cumulative (rank 0's own counters — deterministic, unlike the
-// machine-wide totals mid-run); deltas are derived at export. Wasted is
-// filled when the trace is built: a point is wasted when a later rollback
-// re-ran its iteration.
+// the communicator's rank 0 at the end of each productive loop iteration.
+// The series is the solve's one residual record: when a no-spare shrink
+// retires rank 0, the lowest surviving rank takes the role over and the
+// series goes on. Clock, Bytes and Msgs are cumulative and the recording
+// rank's own counters (deterministic, unlike the machine-wide totals
+// mid-run); deltas are derived at export, so at a hand-off the byte and
+// message deltas can be negative. Wasted is filled when the trace is
+// built: a point is wasted when a later rollback re-ran its iteration.
 type IterPoint struct {
 	Step   int     `json:"step"`   // loop step index (counts rolled-back work)
 	Iter   int     `json:"iter"`   // trajectory iteration the step completed
 	RelRes float64 `json:"relres"` // relative recurrence residual
-	Clock  float64 `json:"clock"`  // rank 0 simulated clock, cumulative seconds
-	Bytes  int64   `json:"bytes"`  // rank 0 payload bytes sent, cumulative
-	Msgs   int64   `json:"msgs"`   // rank 0 messages sent, cumulative
+	Clock  float64 `json:"clock"`  // recording rank's simulated clock, cumulative seconds
+	Bytes  int64   `json:"bytes"`  // recording rank's payload bytes sent, cumulative
+	Msgs   int64   `json:"msgs"`   // recording rank's messages sent, cumulative
 	Wasted bool    `json:"wasted"` // discarded by a later rollback
 }
 
@@ -156,7 +159,8 @@ type IterPoint struct {
 type Options struct {
 	// Trace records per-rank span timelines.
 	Trace bool
-	// Series records the per-iteration metric series on rank 0.
+	// Series records the per-iteration metric series on the
+	// communicator's rank 0, the solve's residual history.
 	Series bool
 }
 
@@ -182,7 +186,7 @@ func NewRecorder(opts Options, n int) *Recorder {
 			rank:   g,
 			iter:   -1,
 			spans:  opts.Trace,
-			series: opts.Series && g == 0,
+			series: opts.Series,
 		}
 	}
 	return rec
@@ -256,8 +260,9 @@ func (rk *Rank) Envelope(iter int, start, end float64) {
 	rk.env = append(rk.env, Span{Kind: KindRecovery, Phase: PhaseRecovery, Iter: iter, Start: start, End: end})
 }
 
-// Point appends one sample to the per-iteration series. Only rank 0's
-// buffer has the series enabled, so call sites need no rank check.
+// Point appends one sample to the per-iteration series. Every buffer has
+// the series enabled with Options.Series; the caller records only on the
+// communicator's rank 0.
 func (rk *Rank) Point(step, iter int, relres, clock float64, bytes, msgs int64) {
 	if rk == nil || !rk.series {
 		return
@@ -278,12 +283,12 @@ func (rec *Recorder) Build(simTime float64) *Trace {
 		Envelopes: make([][]Span, len(rec.ranks)),
 		Build:     CurrentBuild(),
 	}
+	// The rank-0 role only moves to a higher global rank (a shrink keeps
+	// the survivors' order), so global-rank order is chronological.
 	for g, rk := range rec.ranks {
 		t.Ranks[g] = rk.buf
 		t.Envelopes[g] = rk.env
-		if rk.series {
-			t.Series = append(t.Series, rk.points...)
-		}
+		t.Series = append(t.Series, rk.points...)
 	}
 	markWasted(t.Series)
 	return t

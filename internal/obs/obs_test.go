@@ -82,20 +82,6 @@ func TestSpanCoalescing(t *testing.T) {
 	}
 }
 
-func TestSeriesOnlyRankZero(t *testing.T) {
-	rec := NewRecorder(Options{Series: true}, 3)
-	for g := 0; g < 3; g++ {
-		rec.Rank(g).Point(0, 0, 1e-2, float64(g), 10, 1)
-	}
-	tr := rec.Build(1)
-	if len(tr.Series) != 1 || tr.Series[0].Clock != 0 {
-		t.Fatalf("series must hold rank 0's point only, got %+v", tr.Series)
-	}
-	if len(tr.Ranks[0]) != 0 {
-		t.Error("series-only options must not record spans")
-	}
-}
-
 func TestMarkWasted(t *testing.T) {
 	rec := NewRecorder(Options{Series: true}, 1)
 	rk := rec.Rank(0)
