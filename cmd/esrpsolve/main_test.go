@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/csv"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -85,6 +88,65 @@ func TestDeletedFlagsExitTwo(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
 			t.Errorf("esrpsolve %v printed\n%s\nwant the undefined-flag error", args, out)
+		}
+	}
+}
+
+// wall is the one field of the -v report that is host time, not simulated.
+var wall = regexp.MustCompile(`, wall [^ \n]*`)
+
+// -v prints the residual history from the series, which follows the
+// communicator's rank 0: when the shrink retires global rank 0 at iteration
+// 50, the history still holds all 102 iterations, iteration 50 at index 50.
+// The verify recipes, which retire no rank 0, print what the build before
+// the series took the history over printed (testdata/verbose-*.txt).
+func TestVerboseResidualHistory(t *testing.T) {
+	bin := buildCommand(t)
+	series := filepath.Join(t.TempDir(), "series.csv")
+	out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "48", "-nodes", "8", "-strategy", "esr",
+		"-phi", "1", "-no-spare", "-events", "50:0", "-v", "-series", series).CombinedOutput()
+	if err != nil {
+		t.Fatalf("esrpsolve: %v\n%s", err, out)
+	}
+	for _, want := range []string{"converged: 102 iterations", "recorded 102 residuals\n  resid[0] = 4.099279e+00\n"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("esrpsolve -v printed\n%s\nwant %q", out, want)
+		}
+	}
+	f, err := os.Open(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header, then one row per residual: row 1+50 is resid[50].
+	if len(rows) != 1+102 || rows[1+50][1] != "50" || rows[1+50][2] != "0.0006491736410525923" {
+		t.Errorf("series has %d rows, resid[50] row %v; want 1+102 rows, iteration 50 at relres 6.491736e-04",
+			len(rows), rows[min(1+50, len(rows)-1)])
+	}
+
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"verbose-esrp-shrink.txt", []string{"-gen", "poisson2d", "-n", "64", "-nodes", "12", "-balance",
+			"-strategy", "esrp", "-T", "15", "-phi", "2", "-events", "50:5-6", "-no-spare", "-v"}},
+		{"verbose-imcr.txt", []string{"-gen", "poisson2d", "-n", "64", "-nodes", "8",
+			"-strategy", "imcr", "-T", "10", "-events", "35:4", "-v"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, c.args...).Output()
+		if err != nil {
+			t.Fatalf("esrpsolve %v: %v", c.args, err)
+		}
+		if got := wall.ReplaceAllString(string(out), ""); got != string(want) {
+			t.Errorf("esrpsolve %v printed\n%s\nwant testdata/%s:\n%s", c.args, got, c.golden, want)
 		}
 	}
 }
