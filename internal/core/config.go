@@ -469,9 +469,9 @@ type Result struct {
 
 	// Trace is the observability record of the solve — span timelines,
 	// recovery envelopes, the per-iteration series with the residual
-	// history — when Config.Observe
-	// asked for one; nil otherwise. Export with Trace.WriteChrome
-	// (perfetto-viewable) or inspect via the structured API.
+	// history — when Config.Observe asked for one; nil otherwise. Export
+	// with Trace.WriteChrome (perfetto-viewable) or inspect via the
+	// structured API.
 	Trace *obs.Trace
 }
 
