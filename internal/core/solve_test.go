@@ -428,6 +428,21 @@ func TestResidualDriftSmall(t *testing.T) {
 	}
 }
 
+// TestRecordResiduals: with the series on, a failure-free solve records one
+// residual per loop step and the last one is below rtol.
+func TestRecordResiduals(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Observe = &obs.Options{Series: true}
+	res := solveOK(t, cfg)
+	resid := residualsOf(res)
+	if len(resid) != res.TotalSteps {
+		t.Fatalf("recorded %d residuals, want %d", len(resid), res.TotalSteps)
+	}
+	if last := resid[len(resid)-1]; last >= cfg.Rtol {
+		t.Fatalf("final recorded residual %g ≥ rtol", last)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	a := matgen.Poisson2D(4, 4)
 	b := matgen.RHSOnes(16)
