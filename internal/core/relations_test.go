@@ -1,7 +1,6 @@
 package core
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,10 +9,6 @@ import (
 	"esrp/internal/cluster"
 	"esrp/internal/precond"
 )
-
-// -full-relations checks TestMetamorphicRelations on every case of its grid
-// instead of a stride.
-var fullRelations = flag.Bool("full-relations", false, "check the metamorphic relations on the whole grid, not a stride")
 
 // TestMetamorphicRelations checks two relations between solves. Both are
 // exact, bit for bit, because scaling by a power of two commutes with
@@ -32,8 +27,8 @@ var fullRelations = flag.Bool("full-relations", false, "check the metamorphic re
 //
 // The grid is driverScenarios × k ∈ {1, −2, 10} for the clock and
 // driverScenarios × {none, Jacobi, block Jacobi, IC(0)} × k ∈ {1, −1, 5}
-// for the solver. By default every seventh case runs: 7 is prime to the 3
-// values of k and the 4 preconditioners, so the stride still covers each.
+// for the solver. Every seventh case runs: 7 is prime to the 3 values of k
+// and the 4 preconditioners, so the stride still covers each.
 func TestMetamorphicRelations(t *testing.T) {
 	if reflect.TypeOf(cluster.CostModel{}).NumField() != 4 {
 		t.Fatal("CostModel gained a parameter: scale it in scaleClock too")
@@ -64,7 +59,7 @@ func TestMetamorphicRelations(t *testing.T) {
 	}
 	bases := map[baseKey]*Result{}
 	for i, c := range cases {
-		if !*fullRelations && i%7 != 0 {
+		if i%7 != 0 {
 			continue
 		}
 		cfg := driverConfig(t, c.sc)

@@ -230,7 +230,9 @@ func TestTraceSeries(t *testing.T) {
 // per productive step; its head is global rank 0's series and its tail the
 // new rank 0's, each pinned by digestOf as the build before the hand-off
 // recorded them (its series stopped at the shrink, and a separate residual
-// log held the tail).
+// log held the tail). It also checks the contract obs.Recorder.Build states:
+// global-rank order is chronological, so steps strictly increase, the clock
+// never falls, and markWasted flags exactly WastedIters points.
 func TestTraceSeriesFollowsRankZero(t *testing.T) {
 	for _, c := range []struct {
 		strategy               Strategy

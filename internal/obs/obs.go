@@ -275,6 +275,12 @@ func (rk *Rank) Point(step, iter int, relres, clock float64, bytes, msgs int64) 
 
 // Build assembles the immutable Trace after the run completed. simTime is
 // the solve's modeled runtime (max simulated clock over ranks).
+//
+// The series is the buffers' points concatenated in global-rank order, and
+// markWasted reads it as chronological. Callers keep that true: points
+// recorded by a lower global rank come before any a higher one records.
+// The solver does, because the communicator's rank-0 role only ever moves
+// to a higher global rank (a shrink keeps the survivors' order).
 func (rec *Recorder) Build(simTime float64) *Trace {
 	t := &Trace{
 		Nodes:     len(rec.ranks),
@@ -283,8 +289,6 @@ func (rec *Recorder) Build(simTime float64) *Trace {
 		Envelopes: make([][]Span, len(rec.ranks)),
 		Build:     CurrentBuild(),
 	}
-	// The rank-0 role only moves to a higher global rank (a shrink keeps
-	// the survivors' order), so global-rank order is chronological.
 	for g, rk := range rec.ranks {
 		t.Ranks[g] = rk.buf
 		t.Envelopes[g] = rk.env
