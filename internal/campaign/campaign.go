@@ -368,22 +368,27 @@ func Run(g Grid) (*Report, error) {
 		return nil, err
 	}
 
-	// Enumerate the cross-product in deterministic order. A requested
+	// Enumerate the cross-product in deterministic order, each strategy's
+	// admissible intervals and φ values computed once. A requested
 	// strategy with no admissible interval is a configuration error, not a
 	// silent omission from the export. Each cell takes its φ-clamped view of
 	// its (nodes, seed) failure draw as it is enumerated.
-	for _, strat := range g.Strategies {
-		if len(g.tsFor(strat)) == 0 {
+	ts, phis := make([][]int, len(g.Strategies)), make([][]int, len(g.Strategies))
+	perSystem := 0 // cells per (matrix, nodes) pair
+	for i, strat := range g.Strategies {
+		ts[i], phis[i] = g.tsFor(strat), g.phisFor(strat)
+		if len(ts[i]) == 0 {
 			return nil, fmt.Errorf("campaign: strategy %v has no admissible checkpoint interval in %v (ESRP needs T > 2, IMCR T > 1)", strat, g.Ts)
 		}
+		perSystem += len(ts[i]) * len(phis[i]) * len(g.Seeds)
 	}
 	draws := g.compileDraws()
-	var cells []Cell
+	cells := make([]Cell, 0, len(g.Matrices)*len(g.Nodes)*perSystem)
 	for _, m := range g.Matrices {
 		for ni, n := range g.Nodes {
-			for _, strat := range g.Strategies {
-				for _, t := range g.tsFor(strat) {
-					for _, phi := range g.phisFor(strat) {
+			for i, strat := range g.Strategies {
+				for _, t := range ts[i] {
+					for _, phi := range phis[i] {
 						for si, seed := range g.Seeds {
 							c := Cell{
 								Matrix: m.Name, Nodes: n,

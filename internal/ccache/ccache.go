@@ -216,13 +216,20 @@ func (c *Cache) Stats() IOStats {
 	}
 }
 
-// entryPath shards entries by the key's first hex byte. One concatenation,
-// so a probe pays one allocation per path.
-func (c *Cache) entryPath(tier string, k Key, ext string) string {
-	const sep = string(filepath.Separator)
-	var name [2 * len(k)]byte
-	hex.Encode(name[:], k[:])
-	return c.dir + sep + tier + sep + string(name[:2]) + sep + string(name[:]) + ext
+// entryPathMax is the size of the stack array an entry path is built in; a
+// cache directory whose entry paths run longer costs one more allocation per
+// path.
+const entryPathMax = 512
+
+// entryPath appends the path of k's entry in tier to dst. Entries shard by
+// the key's first hex byte. Callers pass a stack array, so a read's path
+// costs no allocation and a write's only its string.
+func (c *Cache) entryPath(dst []byte, tier string, k Key, ext string) []byte {
+	const sep = filepath.Separator
+	dst = append(append(append(dst, c.dir...), sep), tier...)
+	dst = hex.AppendEncode(append(dst, sep), k[:1])
+	dst = hex.AppendEncode(append(dst, sep), k[:])
+	return append(dst, ext...)
 }
 
 // readBufs recycles the buffers entries are read into: a result entry is
@@ -233,7 +240,7 @@ var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 // payload, a view of *buf; (nil, false) is a miss — absent, truncated,
 // tampered and undecodable entries all land there, the last three also
 // counting as corrupt.
-func (c *Cache) read(path string, buf *[]byte) ([]byte, bool) {
+func (c *Cache) read(path []byte, buf *[]byte) ([]byte, bool) {
 	data, err := readFile(path, (*buf)[:0])
 	*buf = data
 	if err != nil {
@@ -255,7 +262,8 @@ func (c *Cache) GetResult(k Key) (*ResultEntry, bool) {
 	}
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	payload, ok := c.read(c.entryPath(resultTierDir, k, ".res"), buf)
+	var path [entryPathMax]byte
+	payload, ok := c.read(c.entryPath(path[:0], resultTierDir, k, ".res"), buf)
 	if !ok {
 		return nil, false
 	}
@@ -278,7 +286,8 @@ func (c *Cache) PutResult(k Key, e *ResultEntry) error {
 		return err
 	}
 	framed := frame(payload)
-	if err := writeFileAtomic(c.entryPath(resultTierDir, k, ".res"), framed); err != nil {
+	var path [entryPathMax]byte
+	if err := writeFileAtomic(string(c.entryPath(path[:0], resultTierDir, k, ".res")), framed); err != nil {
 		return err
 	}
 	c.bytesWritten.Add(int64(len(framed)))
@@ -307,7 +316,8 @@ func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	}
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	payload, ok := c.read(c.entryPath(scheduleTierDir, k, ".sched"), buf)
+	var path [entryPathMax]byte
+	payload, ok := c.read(c.entryPath(path[:0], scheduleTierDir, k, ".sched"), buf)
 	if !ok {
 		return nil, false
 	}
@@ -340,7 +350,8 @@ func (c *Cache) PutSchedule(k Key, s *replay.Schedule) error {
 		return err
 	}
 	framed := frame(payload)
-	if err := writeFileAtomic(c.entryPath(scheduleTierDir, k, ".sched"), framed); err != nil {
+	var path [entryPathMax]byte
+	if err := writeFileAtomic(string(c.entryPath(path[:0], scheduleTierDir, k, ".sched")), framed); err != nil {
 		return err
 	}
 	c.bytesWritten.Add(int64(len(framed)))

@@ -240,8 +240,8 @@ func TestCorruptionIsAMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, path := range []string{
-				c.entryPath(resultTierDir, k, ".res"),
-				c.entryPath(scheduleTierDir, k, ".sched"),
+				string(c.entryPath(nil, resultTierDir, k, ".res")),
+				string(c.entryPath(nil, scheduleTierDir, k, ".sched")),
 			} {
 				data, err := os.ReadFile(path)
 				if err != nil {
@@ -283,7 +283,7 @@ func TestUndecodableScheduleIsAMiss(t *testing.T) {
 	c := openTestCache(t)
 	k := goldenInput().Key()
 	// A validly framed payload that is not an ESRPRPL1 stream.
-	if err := writeFileAtomic(c.entryPath(scheduleTierDir, k, ".sched"), frame([]byte("not a schedule"))); err != nil {
+	if err := writeFileAtomic(string(c.entryPath(nil, scheduleTierDir, k, ".sched")), frame([]byte("not a schedule"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.GetSchedule(k); ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -64,13 +65,25 @@ func decodeResultEntry(data []byte) (*ResultEntry, error) {
 		// that merely looks like one (inside a string) only over-reserves,
 		// still within a small multiple of the payload's length.
 		r.Recoveries = make([]core.RecoveryEvent, 0, bytes.Count(data[c.off:], []byte(recoveryOpen)))
+		// Every event's ranks are parsed into one scratch list, and each
+		// event's rank count (-1 for null) into another. Both start on the
+		// stack, so the ranks cost one array however many events there are;
+		// only an entry of more than 32 events or 128 ranks regrows them.
+		var rankStack [128]int
+		var countStack [32]int
+		ranks, counts := rankStack[:0], countStack[:0]
 		for {
-			r.Recoveries = append(r.Recoveries, c.recovery())
+			ev, more, n := c.recovery(ranks)
+			r.Recoveries = append(r.Recoveries, ev)
+			ranks, counts = more, append(counts, n)
 			if !c.has(",") { // also where a failed cursor stops: it is parked at the end
 				break
 			}
 		}
 		c.lit("]")
+		if c.err == nil {
+			shareRanks(r.Recoveries, slices.Clone(ranks), counts)
+		}
 	}
 	c.lit(`}}`)
 	if c.off != len(data) { // a failed cursor is parked at the end
@@ -232,22 +245,29 @@ func internMode(b []byte) string {
 // recoveryOpen is how every element of "recoveries" starts.
 const recoveryOpen = `{"iteration":`
 
-func (c *cursor) recovery() (ev core.RecoveryEvent) {
+// recovery consumes one element of "recoveries". It appends the event's
+// ranks to the scratch list ranks and returns the list with the event's rank
+// count, -1 for null; decodeResultEntry hands the ranks out once the list is
+// closed. The list is passed by value, not kept on the cursor: an array the
+// cursor pointed into would move the cursor to the heap.
+func (c *cursor) recovery(ranks []int) (ev core.RecoveryEvent, _ []int, n int) {
 	c.lit(recoveryOpen)
 	ev.Iteration = c.int()
 	c.lit(`,"ranks":`)
+	n = -1
 	if !c.has("null") {
 		c.lit("[")
-		ev.Ranks = make([]int, 0, 4) // a failure event is a few ranks wide
+		start := len(ranks)
 		if !c.has("]") {
 			for {
-				ev.Ranks = append(ev.Ranks, c.int())
+				ranks = append(ranks, c.int())
 				if !c.has(",") {
 					break
 				}
 			}
 			c.lit("]")
 		}
+		n = len(ranks) - start
 	}
 	c.lit(`,"mode":`)
 	ev.Mode = internMode(c.str())
@@ -260,5 +280,19 @@ func (c *cursor) recovery() (ev core.RecoveryEvent) {
 	c.lit(`,"active_nodes":`)
 	ev.ActiveNodes = c.int()
 	c.lit("}")
-	return ev
+	return ev, ranks, n
+}
+
+// shareRanks gives event i the next counts[i] ranks of all, as a sub-slice
+// whose capacity ends where its ranks do, so appending to one event's ranks
+// never writes into the next's. A count of -1 leaves the ranks nil, as
+// encoding/json reads null; 0 gives an empty non-nil slice, as it reads [].
+func shareRanks(events []core.RecoveryEvent, all []int, counts []int) {
+	off := 0
+	for i, n := range counts {
+		if n >= 0 {
+			events[i].Ranks = all[off : off+n : off+n]
+			off += n
+		}
+	}
 }

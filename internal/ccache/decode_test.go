@@ -223,7 +223,7 @@ func TestDecodeResultEntryRejectsOtherLayouts(t *testing.T) {
 			t.Errorf("%s: error %q does not say where it comes from", name, err)
 		}
 		before := c.Stats().Corrupt
-		if err := writeFileAtomic(c.entryPath(resultTierDir, k, ".res"), frame(payload)); err != nil {
+		if err := writeFileAtomic(string(c.entryPath(nil, resultTierDir, k, ".res")), frame(payload)); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := c.GetResult(k); ok || c.Stats().Corrupt != before+1 {
@@ -232,23 +232,67 @@ func TestDecodeResultEntryRejectsOtherLayouts(t *testing.T) {
 	}
 }
 
-// A warm probe's decode costs the entry, its kernel string and its events
-// — interned modes, one slice of events however many — not a heap object
-// per field.
+// A warm probe's decode costs the entry, its kernel string, its events and
+// one array all their ranks share — interned modes, no heap object per field
+// or per event — however many events the entry holds.
 func TestDecodeResultEntryAllocations(t *testing.T) {
-	payload := sweepEntries(t)["esr-shrink-skipped.res"]
+	payloads := sweepEntries(t)
+	many := testEntry()
+	many.Result.Recoveries = nil
+	for i := range 32 { // the most events the decoder's stack scratch holds
+		many.Result.Recoveries = append(many.Result.Recoveries, core.RecoveryEvent{
+			Iteration: i, Ranks: []int{i, i + 1, i + 2, i + 3}, Mode: core.RecoverySpare,
+		})
+	}
+	var err error
+	if payloads["many-events"], err = json.Marshal(many); err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range payloads {
+		e, err := decodeResultEntry(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The entry, Kernels, the event slice, the rank array.
+		if got := testing.AllocsPerRun(100, func() { decodeResultEntry(payload) }); got > 4 {
+			t.Errorf("%s: %v allocations per decode of a %d-event entry, want at most 4", name, got, len(e.Result.Recoveries))
+		}
+	}
+}
+
+// The events share one rank array, and each sees only its own ranks:
+// appending to one event's ranks leaves the next event's alone, null stays
+// nil and [] an empty non-nil slice, as encoding/json reads them.
+func TestDecodeResultEntryRanksDoNotAlias(t *testing.T) {
+	in := testEntry()
+	in.Result.Recoveries = []core.RecoveryEvent{
+		{Iteration: 1, Ranks: []int{1, 2}, Mode: core.RecoverySpare},
+		{Iteration: 2, Ranks: []int{3}, Mode: core.RecoverySpare},
+		{Iteration: 3, Ranks: nil, Mode: core.RecoveryRestart},
+		{Iteration: 4, Ranks: []int{}, Mode: core.RecoveryShrink},
+		{Iteration: 5, Ranks: []int{4}, Mode: core.RecoverySpare},
+	}
+	payload, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := decodeResultEntry(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := len(e.Result.Recoveries)
-	if events < 4 {
-		t.Fatalf("the entry has %d events; pick one with more", events)
+	ev := e.Result.Recoveries
+	_ = append(ev[0].Ranks, 99)
+	_ = append(ev[3].Ranks, 98)
+	if !reflect.DeepEqual(ev[1].Ranks, []int{3}) || !reflect.DeepEqual(ev[4].Ranks, []int{4}) {
+		t.Errorf("appending to one event's ranks wrote into another's: %v, %v", ev[1].Ranks, ev[4].Ranks)
 	}
-	// The entry, Kernels, the event slice, one rank slice per event.
-	if got, want := testing.AllocsPerRun(100, func() { decodeResultEntry(payload) }), float64(3+events); got > want {
-		t.Errorf("%v allocations per decode of a %d-event entry, want at most %v", got, events, want)
+	if ev[2].Ranks != nil {
+		t.Errorf(`"ranks":null decoded to %#v, want nil`, ev[2].Ranks)
 	}
+	if ev[3].Ranks == nil || len(ev[3].Ranks) != 0 {
+		t.Errorf(`"ranks":[] decoded to %#v, want an empty non-nil slice`, ev[3].Ranks)
+	}
+	sameAsJSON(t, payload, e)
 }
 
 // FuzzDecodeResultEntry is the differential against encoding/json: any
