@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"esrp/internal/cluster"
@@ -278,19 +279,25 @@ func TestCorruptionIsAMiss(t *testing.T) {
 }
 
 // A corrupted frame whose payload still validates but decodes to garbage
-// (schedule tier): the decoder's own guards classify it as corrupt.
+// (schedule tier): the decoder's own guards classify it as corrupt. So does
+// an entry of the format before ESRPRPL2, which a cache written by an older
+// build holds: it is a counted miss, and the cell re-solves once.
 func TestUndecodableScheduleIsAMiss(t *testing.T) {
 	c := openTestCache(t)
 	k := goldenInput().Key()
-	// A validly framed payload that is not an ESRPRPL1 stream.
-	if err := writeFileAtomic(string(c.entryPath(nil, scheduleTierDir, k, ".sched")), frame([]byte("not a schedule"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.GetSchedule(k); ok {
-		t.Fatal("undecodable schedule was trusted")
-	}
-	if st := c.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt counter = %d, want 1", st.Corrupt)
+	for i, payload := range []string{
+		"not a schedule",
+		"ESRPRPL1\x01\x00\x01\x0e", // one rank, one RTFinal event
+	} {
+		if err := writeFileAtomic(string(c.entryPath(nil, scheduleTierDir, k, ".sched")), frame([]byte(payload))); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.GetSchedule(k); ok {
+			t.Fatalf("undecodable schedule %q was trusted", payload)
+		}
+		if st := c.Stats(); st.Corrupt != int64(i+1) {
+			t.Fatalf("%q: corrupt counter = %d, want %d", payload, st.Corrupt, i+1)
+		}
 	}
 }
 
@@ -381,7 +388,7 @@ func TestGarbageManifest(t *testing.T) {
 }
 
 // The -schedules export and the schedule tier share one format, and
-// ReadScheduleFile reads nothing else: a bare ESRPRPL1 stream is rejected.
+// ReadScheduleFile reads nothing else: a bare ESRPRPL2 stream is rejected.
 func TestScheduleFileFormats(t *testing.T) {
 	dir := t.TempDir()
 	want := testSchedule()
@@ -408,7 +415,7 @@ func TestScheduleFileFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ReadScheduleFile(bare); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bare ESRPRPL1 stream: got %v, want ErrCorrupt", err)
+		t.Fatalf("bare ESRPRPL2 stream: got %v, want ErrCorrupt", err)
 	}
 
 	bad := filepath.Join(dir, "bad.sched")
@@ -420,13 +427,13 @@ func TestScheduleFileFormats(t *testing.T) {
 	}
 
 	// A valid frame vouches for its bytes, not for the length fields inside
-	// them: 15 bytes announcing 2³² events must be an error, not a 206 GB
+	// them: 15 bytes announcing 2³² blocks must be an error, not a 200 GB
 	// allocation.
 	huge := filepath.Join(dir, "huge.sched")
-	if err := os.WriteFile(huge, frame([]byte("ESRPRPL1\x01\x00\x80\x80\x80\x80\x10")), 0o644); err != nil {
+	if err := os.WriteFile(huge, frame([]byte("ESRPRPL2\x01\x00\x80\x80\x80\x80\x10")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadScheduleFile(huge); err == nil || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("framed schedule with an implausible event count: got %v, want a decode error", err)
+	if _, err := ReadScheduleFile(huge); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("framed schedule with an implausible block count: got %v, want a decode error", err)
 	}
 }

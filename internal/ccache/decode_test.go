@@ -333,8 +333,9 @@ func FuzzDecodeResultEntry(f *testing.F) {
 
 // testdata/sweep/esr-shrink-skipped.sched is the schedule-tier entry the same
 // cold sweep wrote beside esr-shrink-skipped.res, copied frame and all from a
-// cache directory of the build before schedules became their wire bytes. It
-// decodes through the cache without counting corrupt, frames back to the
+// cache directory of the build before schedules became their wire bytes, and
+// converted from ESRPRPL1 to ESRPRPL2 (its events, counts and figures kept).
+// It decodes through the cache without counting corrupt, frames back to the
 // file's bytes, and re-costs under the result entry's machine to that entry's
 // figures — which a live solve produced — and under a skewed machine to the
 // bits the writing build computed.

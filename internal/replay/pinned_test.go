@@ -109,10 +109,12 @@ func writePinned(t *testing.T) {
 	}
 }
 
-// The committed schedules — ESRPRPL1 bytes the build before the wire-bytes
-// representation recorded, one per fixture — decode, re-encode to the same
-// bytes, are what this build records, and re-cost under three machines to
-// the committed figures bit for bit, batched and one model at a time.
+// The committed schedules — one per fixture, ESRPRPL2 bytes converted from
+// the ESRPRPL1 bytes the build before the wire-bytes representation
+// recorded — decode, re-encode to the same bytes, are what this build
+// records, and re-cost under three machines to the committed figures, which
+// the ESRPRPL1 bytes re-costed to, bit for bit, batched and one model at a
+// time.
 func TestPinnedSchedulesRecost(t *testing.T) {
 	if *updatePinned {
 		writePinned(t)

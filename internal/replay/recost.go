@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -27,15 +28,18 @@ import (
 // blocks. Every sweep retires all newly unblocked work, so the total cost is
 // O(events) amortized — the sweep count is bounded by the schedule's
 // synchronization depth, and a blocked rank's re-check is a step of the
-// event it keeps decoded, with O(1) pair and member lookups. A recorded
+// event it stopped at, with O(1) pair and member lookups. A recorded
 // schedule cannot deadlock (replay blocking is a subset of the original
 // run's blocking); the no-progress check below guards against truncated or
-// hand-edited schedules. Nothing is allocated per event: a rank fetches its
-// next event through a cursor over its wire bytes, send slots and
+// hand-edited schedules. Each call decodes every distinct block once, into
+// one array; a rank then follows its block references through it, so
+// nothing is allocated or decoded per event occurrence. Send slots and
 // collective instances are recycled, and the lookup tables are sized by what
-// the schedule's validating scan left — ranks, view members and the n×n pair
-// table, which newMachine refuses for a schedule too sparse to pay for it, so
-// a hostile schedule cannot inflate them.
+// the schedule's validating scan left — ranks, view members, blocks and the
+// n×n pair table, which newMachine refuses for a schedule too sparse to pay
+// for it. Expanded, a schedule can hold more events than bytes, so the walk
+// also fails once the send slots and collective instances in flight
+// outnumber the payload's bytes: memory stays linear in the input.
 
 // sendSlot is one in-flight point-to-point message: payload size and the
 // link to the next message of the same (src,dst) FIFO, or to the next free
@@ -73,11 +77,11 @@ type viewState struct {
 // rankState is one rank's replay cursor; the float fields are the rank's
 // K-wide windows into the machine's flat n·K arrays.
 type rankState struct {
-	off       int   // of the next event in the rank's stream
-	next      int   // end of ev, the decoded event at off, when next > off
-	ev        event // kept decoded while the rank is blocked on it
-	pc        int   // its index
-	member    int   // the rank's index in the last view it used
+	evs       []event // the decoded events of the block being run
+	pos       int     // of the next event in evs
+	ref       int     // offset of the next block reference in the rank's window
+	pc        int     // the next event's index in the expanded stream
+	member    int     // the rank's index in the last view it used
 	envIter   int32
 	rtFinal   bool
 	published bool      // current collective event already contributed
@@ -94,6 +98,11 @@ type machine struct {
 	out []*Replayed
 	rs  []rankState
 	vs  []viewState
+	evs []event // every distinct block's events, decoded once
+
+	// Send slots and collective instances that may still be made: the
+	// payload's byte count, less those made so far.
+	room int
 
 	// Per-model parameters the K-wide loops read, one run of K each.
 	flop, ovh, lat, bp []float64
@@ -139,7 +148,7 @@ func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
 				return nil, err
 			}
 			progress = progress || adv
-			done = done && mc.rs[g].off == len(s.streams[g])
+			done = done && mc.finished(g)
 		}
 		if !done && !progress {
 			return nil, mc.deadlockErr()
@@ -177,8 +186,8 @@ func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
 // here, so that re-costing any schedule returns a result or an error.
 func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	n, k := s.Nodes, len(models)
-	if n < 0 || len(s.streams) != n {
-		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.streams))
+	if n < 0 || len(s.streams) != n+1 {
+		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.streams)-1)
 	}
 	if err := checkViews(n, s.Views); err != nil {
 		return nil, err
@@ -189,7 +198,13 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	if n*n/64 > len(s.payload) {
 		return nil, fmt.Errorf("replay: %d ranks in %d payload bytes: too sparse to re-cost", n, len(s.payload))
 	}
-	mc := &machine{s: s, ms: models, freeSlot: -1}
+	mc := &machine{s: s, ms: models, freeSlot: -1, room: len(s.payload), evs: make([]event, s.dictEvs)}
+	for _, b := range s.blocks {
+		c := cursor{data: s.payload[b.off:b.end]}
+		for i := range mc.evs[b.first : b.first+b.events] {
+			c.event(&mc.evs[b.first+i]) // cannot fail: the scan decoded these bytes before
+		}
+	}
 
 	members := 0
 	for _, view := range s.Views {
@@ -218,20 +233,29 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 		}
 	}
 
+	// The K results share one allocation of each kind: structs, clocks
+	// (behind the machine's own float windows), envelope lists and spans.
+	f := make([]float64, 4*(n+1)*k+n*k)
+	reps, envs := make([]Replayed, k), make([][]EnvSpan, n*k)
+	var spans []EnvSpan
+	if total := s.streams[n].env; total > 0 {
+		spans = make([]EnvSpan, total*k)
+	}
 	mc.out = make([]*Replayed, k)
 	for j := range mc.out {
-		out := &Replayed{Clocks: make([]float64, n), Envelopes: make([][]EnvSpan, n), Events: s.events}
-		if n > 0 && s.envOff[n] > 0 {
+		out := &reps[j]
+		out.Clocks, out.Envelopes, out.Events = f[4*(n+1)*k+j*n:][:n:n], envs[j*n:][:n:n], s.events
+		if spans != nil {
 			// Each rank appends into its own capacity-limited window.
-			all := make([]EnvSpan, s.envOff[n])
+			all := spans[j*s.streams[n].env:]
 			for g := range out.Envelopes {
-				out.Envelopes[g] = all[s.envOff[g]:s.envOff[g]:s.envOff[g+1]]
+				lo, hi := s.streams[g].env, s.streams[g+1].env
+				out.Envelopes[g] = all[lo:lo:hi]
 			}
 		}
 		mc.out[j] = out
 	}
 
-	f := make([]float64, 4*(n+1)*k)
 	mc.rs = make([]rankState, n)
 	for g := range mc.rs {
 		w := f[4*g*k:]
@@ -245,35 +269,50 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	return mc, nil
 }
 
+// finished reports whether rank g has run its last event.
+func (mc *machine) finished(g int) bool {
+	st := &mc.rs[g]
+	return st.pos == len(st.evs) && st.ref == len(mc.s.streams[g].refs)
+}
+
 // runRank executes rank g's events until it blocks or finishes, reporting
-// whether it made any progress. A blocked event stays decoded on the rank,
-// with its end offset, and the next sweep steps it again without decoding.
+// whether it made any progress. A blocked rank stays on its event, and the
+// next sweep steps it again.
 func (mc *machine) runRank(g int) (bool, error) {
 	st := &mc.rs[g]
-	c := cursor{data: mc.s.streams[g], off: st.next}
+	refs := mc.s.streams[g].refs
 	advanced := false
-	for st.off < len(c.data) {
-		if c.off == st.off {
-			c.event(&st.ev) // cannot fail: the scan decoded these bytes before
+	for {
+		if st.pos == len(st.evs) {
+			if st.ref == len(refs) {
+				return advanced, nil
+			}
+			// The scan checked every reference: a minimal varint below the
+			// rank's block count, nearly always one byte.
+			r, w := int(refs[st.ref]), 1
+			if r >= 0x80 {
+				u, n := binary.Uvarint(refs[st.ref:])
+				r, w = int(u), n
+			}
+			st.ref += w
+			b := &mc.s.blocks[mc.s.streams[g].block+r]
+			st.evs, st.pos = mc.evs[b.first:b.first+b.events], 0
 		}
-		ok, err := mc.step(g, st)
+		ok, err := mc.step(g, st, &st.evs[st.pos])
 		if err != nil {
-			return advanced, fmt.Errorf("replay: rank %d event %d (%v): %w", g, st.pc, st.ev.Kind, err)
+			return advanced, fmt.Errorf("replay: rank %d event %d (%v): %w", g, st.pc, st.evs[st.pos].Kind, err)
 		}
 		if !ok {
-			st.next = c.off
 			return advanced, nil
 		}
-		st.off = c.off
+		st.pos++
 		st.pc++
 		advanced = true
 	}
-	return advanced, nil
 }
 
 // step executes the rank's decoded event; false means blocked (retry later).
-func (mc *machine) step(g int, st *rankState) (bool, error) {
-	e := &st.ev
+func (mc *machine) step(g int, st *rankState, e *event) (bool, error) {
 	clock := st.clock
 	k := len(clock)
 	switch e.Kind {
@@ -288,7 +327,10 @@ func (mc *machine) step(g int, st *rankState) (bool, error) {
 		}
 	case KindSend:
 		q := mc.pairs[g*len(mc.rs)+int(e.Peer)] // every send's pair was listed by the scan
-		sl := mc.newSlot(e.Bytes)
+		sl, err := mc.newSlot(e.Bytes)
+		if err != nil {
+			return false, err
+		}
 		sendTime := mc.slotT[int(sl)*k:][:k]
 		ovh := mc.ovh[:k]
 		for j := range clock {
@@ -322,7 +364,7 @@ func (mc *machine) step(g int, st *rankState) (bool, error) {
 		}
 		mc.slots[sl].next, mc.freeSlot = mc.freeSlot, sl
 	case KindAllreduce, KindBcast, KindGather:
-		return mc.stepCollective(g, st)
+		return mc.stepCollective(g, st, e)
 	case KindRecStart:
 		copy(st.t0, clock)
 	case KindRecEnd:
@@ -350,8 +392,7 @@ func (mc *machine) step(g int, st *rankState) (bool, error) {
 }
 
 // stepCollective replays one member's half of a collective.
-func (mc *machine) stepCollective(g int, st *rankState) (bool, error) {
-	e := &st.ev
+func (mc *machine) stepCollective(g int, st *rankState, e *event) (bool, error) {
 	if int(e.View) >= len(mc.vs) { // Views may have shrunk since the scan
 		return false, fmt.Errorf("view %d out of range", e.View)
 	}
@@ -368,7 +409,10 @@ func (mc *machine) stepCollective(g int, st *rankState) (bool, error) {
 	clock := st.clock
 	k := len(clock)
 	ms := mc.ms[:k]
-	inst := vs.instance(vs.seq[me], k)
+	inst, err := mc.instance(vs, vs.seq[me])
+	if err != nil {
+		return false, err
+	}
 	bytes := float64(e.Bytes)
 
 	switch e.Kind {
@@ -453,22 +497,26 @@ func (mc *machine) stepCollective(g int, st *rankState) (bool, error) {
 	return true, nil
 }
 
-// instance returns the view's instance number seq, creating it — from the
+// instance returns view vs's instance number seq, creating it — from the
 // free list when possible — if this member is the first to reach it.
-func (vs *viewState) instance(seq int32, k int) *collInst {
+func (mc *machine) instance(vs *viewState, seq int32) (*collInst, error) {
 	if i := vs.head + int(seq-vs.base); i < len(vs.live) {
-		return vs.live[i]
+		return vs.live[i], nil
 	}
 	var inst *collInst
 	if last := len(vs.free) - 1; last >= 0 {
 		inst, vs.free = vs.free[last], vs.free[:last]
 	} else {
+		if err := mc.book(); err != nil {
+			return nil, err
+		}
+		k := len(mc.ms)
 		nk := len(vs.members) * k
 		f := make([]float64, nk+k)
 		inst = &collInst{entries: f[:nk], agg: f[nk:]}
 	}
 	vs.live = append(vs.live, inst)
-	return inst
+	return inst, nil
 }
 
 // retire recycles the oldest live instance once every member has departed
@@ -486,19 +534,31 @@ func (vs *viewState) retire() {
 	}
 }
 
+// book counts one more send slot or collective instance, and fails once
+// they would outnumber the payload's bytes.
+func (mc *machine) book() error {
+	if mc.room--; mc.room < 0 {
+		return fmt.Errorf("more send slots and collective instances in flight than the schedule's %d payload bytes", len(mc.s.payload))
+	}
+	return nil
+}
+
 // newSlot takes a send slot off the free list, growing the pool when every
 // slot is in flight.
-func (mc *machine) newSlot(bytes int64) int32 {
+func (mc *machine) newSlot(bytes int64) (int32, error) {
 	sl := mc.freeSlot
 	if sl >= 0 {
 		mc.freeSlot = mc.slots[sl].next
 	} else {
+		if err := mc.book(); err != nil {
+			return 0, err
+		}
 		sl = int32(len(mc.slots))
 		mc.slots = append(mc.slots, sendSlot{})
 		mc.slotT = slices.Grow(mc.slotT, len(mc.ms))[:len(mc.slots)*len(mc.ms)]
 	}
 	mc.slots[sl] = sendSlot{bytes: bytes, next: -1}
-	return sl
+	return sl, nil
 }
 
 // deadlockErr describes where every unfinished rank is stuck — reached only
@@ -506,8 +566,8 @@ func (mc *machine) newSlot(bytes int64) int32 {
 func (mc *machine) deadlockErr() error {
 	msg := "replay: no progress (truncated or inconsistent schedule); stuck:"
 	for g := range mc.rs {
-		if st := &mc.rs[g]; st.off < len(mc.s.streams[g]) {
-			msg += fmt.Sprintf(" rank %d at event %d (%v)", g, st.pc, Kind(mc.s.streams[g][st.off]))
+		if st := &mc.rs[g]; !mc.finished(g) {
+			msg += fmt.Sprintf(" rank %d at event %d (%v)", g, st.pc, st.evs[st.pos].Kind)
 		}
 	}
 	return fmt.Errorf("%s", msg)

@@ -13,7 +13,7 @@
 // reproducing SimTime, BytesSent, MsgsSent, RecoveryTime and the per-event
 // recovery envelopes bit-for-bit when replayed under the recording model.
 //
-// An event stream has one representation, its ESRPRPL1 wire bytes
+// An event stream has one representation, its ESRPRPL2 wire bytes
 // (serialize.go): ranks record them, the cache stores them, a decoded
 // schedule aliases them and the re-coster walks them by cursor.
 //
@@ -32,9 +32,11 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -118,13 +120,16 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Init sizes the recorder for an n-rank cluster. Called by
 // cluster.Comm.RecordSchedule; calling it twice resets the recording. A
-// rank's buffer starts with room for a hundred-odd events.
+// rank's dictionary and references start in one allocation, room for a
+// few dozen distinct blocks and a few hundred references.
 func (rc *Recorder) Init(n int) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	const dictCap, refsCap = 2 << 10, 1 << 9
 	rc.ranks = make([]Rank, n)
 	for g := range rc.ranks {
-		rc.ranks[g].buf = make([]byte, 0, 1<<10)
+		b := make([]byte, 0, dictCap+refsCap)
+		rc.ranks[g] = Rank{dict: b[:0:dictCap], refs: b[dictCap:dictCap]}
 	}
 	rc.views = nil
 }
@@ -152,10 +157,12 @@ func (rc *Recorder) RegisterView(ranks []int) int32 {
 
 // Schedule freezes the recording into its canonical form. Views are
 // reordered lexicographically by member list, so the bytes of a schedule are
-// independent of the (racy) arena-creation order of the recorded run. The
-// ranks' buffers are copied, behind their event counts, into one payload;
-// events are encoded afresh only if the canonical order moved a view id.
-// Call after the solve returns, not while recording.
+// independent of the (racy) arena-creation order of the recorded run. Each
+// rank's dictionary and references are copied into one payload, its open
+// block (the events after its last collective) closed as a last block;
+// blocks are encoded afresh only if the canonical order moved a view id.
+// Call after the solve returns, not while recording; the recording is left
+// as it was.
 func (rc *Recorder) Schedule() *Schedule {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -169,28 +176,50 @@ func (rc *Recorder) Schedule() *Schedule {
 		remap[oldID] = int32(newID)
 		moved = moved || newID != oldID
 	}
-	size := binary.MaxVarintLen64 * len(rc.ranks)
-	for g := range rc.ranks {
-		size += len(rc.ranks[g].buf)
-	}
-	out := Rank{buf: make([]byte, 0, size)}
-	var e event
+	size := 0
 	for g := range rc.ranks {
 		r := &rc.ranks[g]
-		out.buf = binary.AppendUvarint(out.buf, uint64(r.n))
-		if !moved {
-			out.buf = append(out.buf, r.buf...)
-			continue
-		}
-		for c := (cursor{data: r.buf}); c.off < len(r.buf); {
-			c.event(&e)
-			if e.Kind == KindAllreduce || e.Kind == KindBcast || e.Kind == KindGather {
-				e.View = remap[e.View]
-			}
-			out.put(&e)
-		}
+		size += 6*binary.MaxVarintLen64 + len(r.dict) + len(r.refs)
 	}
-	s, err := index(len(rc.ranks), views, &cursor{data: out.buf})
+	out := make([]byte, 0, size)
+	var blk []byte // a block re-encoded under the canonical view ids
+	for g := range rc.ranks {
+		r := &rc.ranks[g]
+		tail := r.dict[r.open:] // the open block, closed here as the last one
+		blocks, refs := r.blocks, r.refs[:len(r.refs):len(r.refs)]
+		if len(tail) > 0 {
+			blocks++
+			refs = binary.AppendUvarint(refs, uint64(r.blocks))
+		}
+		out = binary.AppendUvarint(out, uint64(blocks))
+		if !moved {
+			out = append(out, r.dict[:r.open]...)
+			if len(tail) > 0 {
+				out = append(binary.AppendUvarint(out, uint64(len(tail))), tail...)
+			}
+		} else {
+			for off := 0; off < len(r.dict); {
+				n := len(tail) // the open block has no length in front
+				if off < r.open {
+					u, w := binary.Uvarint(r.dict[off:])
+					n, off = int(u), off+w
+				}
+				blk = blk[:0]
+				var e event
+				for c := (cursor{data: r.dict[:off+n], off: off}); c.off < len(c.data); {
+					c.event(&e)
+					if isCollective(e.Kind) {
+						e.View = remap[e.View]
+					}
+					blk = appendEvent(blk, &e)
+				}
+				out = append(binary.AppendUvarint(out, uint64(len(blk))), blk...)
+				off += n
+			}
+		}
+		out = append(binary.AppendUvarint(out, uint64(len(refs))), refs...)
+	}
+	s, err := index(len(rc.ranks), views, &cursor{data: out})
 	if err != nil { // the cluster range-checks every peer before it records it
 		panic("replay: the recorder holds an invalid stream: " + err.Error())
 	}
@@ -198,11 +227,102 @@ func (rc *Recorder) Schedule() *Schedule {
 }
 
 // Rank is one global rank's append-only event stream, held in the wire
-// encoding of serialize.go. All methods are single-goroutine (the rank's
-// own) and tolerate a nil receiver — the zero-overhead-off contract.
+// encoding of serialize.go as a dictionary of distinct blocks and one
+// reference per block occurrence. A block is the events up to and including
+// a collective; the events after the last one form the open block at the
+// dictionary's tail. All methods are single-goroutine (the rank's own) and
+// tolerate a nil receiver — the zero-overhead-off contract.
 type Rank struct {
-	buf []byte
-	n   int // events in buf
+	dict   []byte // closed distinct blocks, each its length then its events; then the open block
+	open   int    // where the open block starts in dict
+	blocks int    // closed blocks in dict
+	refs   []byte // a varint block index per closed block occurrence
+
+	// Where the dictionary search starts: the offset and index of the
+	// block after the one last referenced.
+	hint, hintBlock int
+}
+
+// close ends the open block after a collective: a reference to an equal
+// block already in the dictionary, which gives the open block's bytes back,
+// or the block itself, added to the dictionary behind its length. The
+// search starts after the block last referenced, where a repeated
+// iteration body finds its next block at once, and wraps around.
+func (r *Rank) close() {
+	blk := r.dict[r.open:]
+	i, off := r.hintBlock, r.hint
+	for range r.blocks {
+		if off == r.open {
+			i, off = 0, 0
+		}
+		n, w := binary.Uvarint(r.dict[off:])
+		start := off + w
+		end := start + int(n)
+		if int(n) == len(blk) && bytes.Equal(r.dict[start:end], blk) {
+			r.dict = r.dict[:r.open]
+			r.refs = binary.AppendUvarint(r.refs, uint64(i))
+			r.hint, r.hintBlock = end, i+1
+			return
+		}
+		i, off = i+1, end
+	}
+	w := (bits.Len64(uint64(len(blk))|1) + 6) / 7 // the length's varint bytes
+	r.dict = append(r.dict, make([]byte, w)...)
+	copy(r.dict[r.open+w:], r.dict[r.open:len(r.dict)-w])
+	binary.PutUvarint(r.dict[r.open:], uint64(len(blk)))
+	r.refs = binary.AppendUvarint(r.refs, uint64(r.blocks))
+	r.blocks++
+	r.open = len(r.dict)
+	r.hint, r.hintBlock = r.open, r.blocks
+}
+
+// appendVal appends an event that is its kind and one float64.
+func appendVal(b []byte, k Kind, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, byte(k)), math.Float64bits(v))
+}
+
+// appendPeer appends an event that is its kind and one varint.
+func appendPeer(b []byte, k Kind, p int) []byte {
+	return binary.AppendUvarint(append(b, byte(k)), uint64(p))
+}
+
+// appendSend appends a send of bytes payload to global rank dst.
+func appendSend(b []byte, dst int, bytes int64) []byte {
+	return binary.AppendUvarint(appendPeer(b, KindSend, dst), uint64(bytes))
+}
+
+// appendCollective appends one member's half of a collective.
+func appendCollective(b []byte, kind Kind, view int32, bytes, acctMsgs, acctBytes int64, root bool) []byte {
+	b = append(b, byte(kind), 0)
+	if root {
+		b[len(b)-1] = 1
+	}
+	for _, v := range [...]int64{int64(view), bytes, acctMsgs, acctBytes} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return b
+}
+
+// appendEvent appends e through the encoders the ranks record with. Its one
+// caller hands it only what cursor.event decoded from a rank's recording, so
+// every kind is known and every field fits its encoding.
+func appendEvent(b []byte, e *event) []byte {
+	switch e.Kind {
+	case KindCompute, KindClockAdd, KindRecCharge:
+		return appendVal(b, e.Kind, e.Val)
+	case KindSend:
+		return appendSend(b, int(e.Peer), e.Bytes)
+	case KindRecv, KindEnvStart:
+		return appendPeer(b, e.Kind, int(e.Peer))
+	case KindAllreduce, KindBcast, KindGather:
+		return appendCollective(b, e.Kind, e.View, e.Bytes, e.AcctMsgs, e.AcctBytes, e.Root)
+	}
+	return append(b, byte(e.Kind))
+}
+
+// isCollective reports whether events of kind k end a block.
+func isCollective(k Kind) bool {
+	return k == KindAllreduce || k == KindBcast || k == KindGather
 }
 
 // val appends an event that is its kind and one float64.
@@ -210,8 +330,7 @@ func (r *Rank) val(k Kind, v float64) {
 	if r == nil {
 		return
 	}
-	r.buf = binary.LittleEndian.AppendUint64(append(r.buf, byte(k)), math.Float64bits(v))
-	r.n++
+	r.dict = appendVal(r.dict, k, v)
 }
 
 // peer appends an event that is its kind and one varint.
@@ -219,8 +338,7 @@ func (r *Rank) peer(k Kind, p int) {
 	if r == nil {
 		return
 	}
-	r.buf = binary.AppendUvarint(append(r.buf, byte(k)), uint64(p))
-	r.n++
+	r.dict = appendPeer(r.dict, k, p)
 }
 
 // mark appends an event that is its kind alone.
@@ -228,8 +346,7 @@ func (r *Rank) mark(k Kind) {
 	if r == nil {
 		return
 	}
-	r.buf = append(r.buf, byte(k))
-	r.n++
+	r.dict = append(r.dict, byte(k))
 }
 
 // Compute records a Compute(flops) clock advance.
@@ -244,8 +361,7 @@ func (r *Rank) Send(dst int, bytes int64) {
 	if r == nil {
 		return
 	}
-	r.peer(KindSend, dst)
-	r.buf = binary.AppendUvarint(r.buf, uint64(bytes))
+	r.dict = appendSend(r.dict, dst, bytes)
 }
 
 // Recv records a clocked receive from global rank src; payload size and
@@ -254,20 +370,14 @@ func (r *Rank) Recv(src int) { r.peer(KindRecv, src) }
 
 // Collective records this member's half of one collective on the given
 // view: kind, the payload size its clock arithmetic uses, the modeled star
-// traffic it books, and whether it is the root (bcast/gather).
+// traffic it books, and whether it is the root (bcast/gather). It closes
+// the rank's open block.
 func (r *Rank) Collective(kind Kind, view int32, bytes, acctMsgs, acctBytes int64, root bool) {
 	if r == nil {
 		return
 	}
-	b := append(r.buf, byte(kind), 0)
-	if root {
-		b[len(b)-1] = 1
-	}
-	for _, v := range [...]int64{int64(view), bytes, acctMsgs, acctBytes} {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	r.buf = b
-	r.n++
+	r.dict = appendCollective(r.dict, kind, view, bytes, acctMsgs, acctBytes, root)
+	r.close()
 }
 
 // RecStart marks a recovery protocol's t0 := Clock() sample.
@@ -289,44 +399,47 @@ func (r *Rank) EnvEnd() { r.mark(KindEnvEnd) }
 // OpMax reduction (retired ranks never reach it).
 func (r *Rank) RTFinal() { r.mark(KindRTFinal) }
 
-// put appends e through the methods the ranks record with, the one encoder.
-// Its one caller hands it only what cursor.event decoded from a rank's
-// recording, so every kind is known and every field fits its encoding.
-func (r *Rank) put(e *event) {
-	switch e.Kind {
-	case KindCompute, KindClockAdd, KindRecCharge:
-		r.val(e.Kind, e.Val)
-	case KindSend:
-		r.Send(int(e.Peer), e.Bytes)
-	case KindRecv, KindEnvStart:
-		r.peer(e.Kind, int(e.Peer))
-	case KindAllreduce, KindBcast, KindGather:
-		r.Collective(e.Kind, e.View, e.Bytes, e.AcctMsgs, e.AcctBytes, e.Root)
-	case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
-		r.mark(e.Kind)
-	}
-}
-
 // Schedule is a recorded solve's full event schedule: the membership of
-// every communicator view, in canonical order, and per-rank program-order
-// event streams held as their ESRPRPL1 wire bytes. Recorder.Schedule and
-// DecodeBinary both end in the one validating scan (index); from then on it
-// is immutable, and Recost may be called concurrently (each replay allocates
-// its own machine state and shares the scan's tables).
+// every communicator view, in canonical order, and per rank its dictionary
+// of distinct blocks and its block references, held as their ESRPRPL2 wire
+// bytes. Recorder.Schedule and DecodeBinary both end in the one validating
+// scan (index); from then on it is immutable, and Recost may be called
+// concurrently (each replay allocates its own machine state and shares the
+// scan's tables).
 type Schedule struct {
 	Nodes int
 	Views [][]int
 
-	payload []byte   // per rank: its event count, then its events
-	streams [][]byte // per rank: the window of payload that holds its events
-	events  int      // in all streams together
+	payload []byte   // per rank: its dictionary, then its references
+	blocks  []block  // every rank's distinct blocks, rank by rank
+	streams []stream // per rank, then one entry that closes the prefix sums
+	events  int      // in all streams together, every block occurrence counted
+	dictEvs int      // in all blocks together, each distinct block once
 
 	// Left by the scan: the distinct (src,dst) pairs of all sends in CSR form
-	// (pairDst[pairOff[src]:pairOff[src+1]] ascending) and, as a prefix sum,
-	// the envelopes each rank can emit.
+	// (pairDst[pairOff[src]:pairOff[src+1]] ascending).
 	pairOff []int32
 	pairDst []int32
-	envOff  []int
+}
+
+// stream is one rank's part of a schedule: its block references, and as
+// prefix sums over the ranks, where its blocks start in Schedule.blocks and
+// where its envelopes start among all the ranks can emit.
+type stream struct {
+	refs  []byte // the window of payload that holds the references
+	block int
+	env   int
+}
+
+// block is one distinct block of a rank's dictionary: where its events lie
+// in the payload, how many there are, where the first lands among all
+// blocks' decoded events, and how many envelopes it closes.
+type block struct {
+	off, end int
+	first    int
+	events   int
+	envs     int
+	closed   bool // ends in a collective
 }
 
 // checkViews reports a view that is not an ascending list of ranks below n.

@@ -352,45 +352,134 @@ func TestAllocationGates(t *testing.T) {
 	}
 }
 
-// payload builds an input: the magic followed by each value as a varint.
-func payload(vals ...uint64) []byte {
-	out := []byte("ESRPRPL1")
+// A rank closes a block after each collective. Closing one equal to a block
+// already in its dictionary appends one reference and nothing else: no
+// allocation, and the dictionary keeps its bytes.
+func TestRecorderRepeatedBlockAllocatesNothing(t *testing.T) {
+	rec := replay.NewRecorder()
+	rec.Init(2)
+	view := rec.RegisterView([]int{0, 1})
+	iteration := func(r *replay.Rank, g int) {
+		r.Compute(1e3)
+		r.Send(1-g, 64)
+		r.Recv(1 - g)
+		r.Collective(replay.KindAllreduce, view, 8, 1, 8, false)
+		r.Compute(2e3)
+		r.Collective(replay.KindAllreduce, view, 16, 1, 16, false)
+	}
+	r0, r1 := rec.Rank(0), rec.Rank(1)
+	iteration(r0, 0) // adds the two blocks
+	iteration(r1, 1)
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { iteration(r0, 0) }); allocs != 0 {
+		t.Errorf("recording a repeated iteration allocates %.1f times", allocs)
+	}
+	for range runs + 1 {
+		iteration(r1, 1)
+	}
+	s := rec.Schedule()
+	if events, refs := replay.DictStats(s); events != 12 || refs != 2*2*(runs+2) {
+		t.Errorf("%d iterations: %d dictionary events and %d references, want 12 and %d", runs+2, events, refs, 2*2*(runs+2))
+	}
+	if _, err := s.Recost(cluster.DefaultCostModel()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// varints encodes each value as a varint.
+func varints(vals ...uint64) []byte {
+	var out []byte
 	for _, v := range vals {
-		for ; v >= 0x80; v >>= 7 {
-			out = append(out, byte(v)|0x80)
-		}
-		out = append(out, byte(v))
+		out = binary.AppendUvarint(out, v)
 	}
 	return out
 }
 
+// payload builds an input: the magic followed by each value as a varint,
+// then the parts as they are.
+func payload(vals []uint64, parts ...[]byte) []byte {
+	out := append([]byte("ESRPRPL2"), varints(vals...)...)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// stream builds one rank's part of the payload: its dictionary, each block
+// behind its length, then its references behind their byte count.
+func stream(blocks [][]byte, refs ...uint64) []byte {
+	out := varints(uint64(len(blocks)))
+	for _, b := range blocks {
+		out = append(binary.AppendUvarint(out, uint64(len(b))), b...)
+	}
+	r := varints(refs...)
+	return append(binary.AppendUvarint(out, uint64(len(r))), r...)
+}
+
+// once is a stream of one block used once.
+func once(events ...byte) []byte { return stream([][]byte{events}, 0) }
+
+// ev encodes one event of a hand-built block: its kind, then each field as
+// a varint.
+func ev(k replay.Kind, fields ...uint64) []byte {
+	return append([]byte{byte(k)}, varints(fields...)...)
+}
+
+// compute encodes a Compute event of flops.
+func compute(flops float64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{byte(replay.KindCompute)}, math.Float64bits(flops))
+}
+
+// cat concatenates byte slices.
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
 // hostilePayloads are inputs whose length fields announce far more than the
-// bytes that follow could hold, or whose views name ranks that do not exist.
+// bytes that follow could hold, whose views name ranks that do not exist,
+// or whose dictionary or references break the block rules.
 func hostilePayloads() map[string][]byte {
+	send := func(peer, bytes uint64) []byte { return ev(replay.KindSend, peer, bytes) }
+	allreduce := ev(replay.KindAllreduce, 0, 0, 8, 0, 0) // on view 0, the one view {0}
+	a, b := cat(compute(1), allreduce), cat(compute(2), allreduce)
+	oneView := []uint64{1, 1, 1, 0} // one node, one view: {0}
 	return map[string][]byte{
-		"events-2^32":      payload(1, 0, 1<<32), // the 15-byte input that asked for 206 GB
-		"events-2^31":      payload(1, 0, 1<<31),
-		"nodes-2^24":       payload(1<<24, 0), // passed the old "sane" guard: 400 MB of slice headers
-		"views-2^24":       payload(1, 1<<24),
-		"members-2^20":     payload(1<<20, 1, 1<<20),      // one view as wide as a node count no input backs
-		"member-past-end":  payload(2, 1, 2, 0, 1, 0, 0),  // view [0, 2] on 2 nodes
-		"member-overflow":  payload(2, 1, 2, 1, 1<<63, 0), // delta that wraps int
-		"varint-overflow":  append(payload(), bytes.Repeat([]byte{0xff}, 11)...),
-		"zero-nodes":       payload(0, 0),
-		"unknown-kind":     payload(1, 0, 1, 99),
-		"truncated-float":  append(payload(1, 0, 1), byte(replay.KindCompute), 1, 2, 3),
+		"blocks-2^32":      payload([]uint64{1, 0, 1 << 32}), // the 15-byte input that asked for 206 GB, as a block count
+		"blocks-2^31":      payload([]uint64{1, 0, 1 << 31}),
+		"block-bytes-2^32": payload([]uint64{1, 0, 1, 1 << 32}),
+		"ref-bytes-2^32":   payload([]uint64{1, 0, 0, 1 << 32}),
+		"nodes-2^24":       payload([]uint64{1 << 24, 0}), // passed the old "sane" guard: 400 MB of slice headers
+		"views-2^24":       payload([]uint64{1, 1 << 24}),
+		"members-2^20":     payload([]uint64{1 << 20, 1, 1 << 20}),             // one view as wide as a node count no input backs
+		"member-past-end":  payload([]uint64{2, 1, 2, 0, 1, 0, 0, 0, 0}),       // view [0, 2] on 2 nodes
+		"member-overflow":  payload([]uint64{2, 1, 2, 1, 1 << 63, 0, 0, 0, 0}), // delta that wraps int
+		"varint-overflow":  append(payload(nil), bytes.Repeat([]byte{0xff}, 11)...),
+		"zero-nodes":       payload([]uint64{0, 0}),
+		"unknown-kind":     payload([]uint64{1, 0}, once(99)),
+		"truncated-float":  payload([]uint64{1, 0}, once(compute(1)[:4]...)), // a block that ends mid-event
+		"truncated-block":  payload([]uint64{1, 0, 1, 9}, compute(1)[:4]),
+		"block-past-end":   payload([]uint64{1, 0, 1, 1}), // a length that fits the bytes left only with its own
 		"truncated-header": []byte("ESRPRP"),
 		"bad-magic":        []byte("ESRPCCF1........"),
-		// Fields wider than the Event they decode into: rank 0 sends 8 bytes
+		"format-1":         append([]byte("ESRPRPL1"), varints(1, 0, 1, uint64(replay.KindRTFinal))...),
+		// Fields wider than the event they decode into: rank 0 sends 8 bytes
 		// to peer 2³²+1, which used to wrap to peer 1 and re-cost cleanly.
-		"peer-2^32+1": payload(2, 0, 1, uint64(replay.KindSend), 1<<32+1, 8, 1, uint64(replay.KindRecv), 0),
-		"view-2^32":   payload(1, 1, 1, 0, 1, uint64(replay.KindAllreduce), 0, 1<<32, 8, 0, 0),
-		"bytes-2^63":  payload(2, 0, 1, uint64(replay.KindSend), 1, 1<<63, 1, uint64(replay.KindRecv), 0),
+		"peer-2^32+1": payload([]uint64{2, 0}, once(send(1<<32+1, 8)...), once(ev(replay.KindRecv, 0)...)),
+		"view-2^32":   payload(oneView, once(ev(replay.KindAllreduce, 0, 1<<32, 8, 0, 0)...)),
+		"bytes-2^63":  payload([]uint64{2, 0}, once(send(1, 1<<63)...), once(ev(replay.KindRecv, 0)...)),
 		// One schedule, one encoding: nothing after the last rank, no padded
-		// varints, a root flag of 0 or 1.
-		"trailing-bytes": append(payload(1, 0, 1, uint64(replay.KindRTFinal)), 0xde, 0xad, 0xbe, 0xef),
-		"padded-varint":  append([]byte("ESRPRPL1"), 0x81, 0x00, 0, 0),
-		"root-flag-2":    payload(1, 1, 1, 0, 1, uint64(replay.KindBcast), 2, 0, 8, 0, 0),
+		// varints, a root flag of 0 or 1, and each stream cut into blocks
+		// after its collectives, its distinct blocks listed once each, in
+		// order of first use.
+		"trailing-bytes":       append(payload([]uint64{1, 0}, once(byte(replay.KindRTFinal))), 0xde, 0xad, 0xbe, 0xef),
+		"padded-varint":        append([]byte("ESRPRPL2"), 0x81, 0x00, 0, 0),
+		"root-flag-2":          payload(oneView, once(ev(replay.KindBcast, 2, 0, 8, 0, 0)...)),
+		"ref-past-dictionary":  payload(oneView, stream([][]byte{a}, 0, 1)),
+		"ref-out-of-order":     payload(oneView, stream([][]byte{a, b}, 1, 0)),
+		"unused-block":         payload(oneView, stream([][]byte{a, b}, 0, 0)),
+		"duplicate-block":      payload(oneView, stream([][]byte{a, b, a}, 0, 1, 2)),
+		"empty-block":          payload(oneView, stream([][]byte{a, nil}, 0, 1)),
+		"collective-mid-block": payload(oneView, stream([][]byte{cat(a, compute(3))}, 0)),
+		"open-block-not-last":  payload(oneView, stream([][]byte{compute(3), a}, 0, 1)),
+		"open-block-repeated":  payload(oneView, stream([][]byte{compute(3)}, 0, 0)),
 	}
 }
 
@@ -409,6 +498,31 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(data), grew)
 		}
 	}
+
+	// A valid encoding that expands without bound: rank 0 repeats a block of
+	// two sends to rank 1, which never receives, 10⁶ times. The walk stops
+	// once the messages in flight outnumber the payload's bytes, so neither
+	// half allocates more than a fixed multiple of the input: a send slot is
+	// 16 bytes plus 8 per model, and append's growth allocates about five
+	// times a large slice's final size in all.
+	const repeats = 1_000_000
+	send := ev(replay.KindSend, 1, 8)
+	flood := payload([]uint64{2, 1, 1, 0},
+		stream([][]byte{cat(send, send, ev(replay.KindAllreduce, 0, 0, 8, 0, 0))}, make([]uint64, repeats)...),
+		stream(nil))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := replay.DecodeBinary(flood)
+	if err == nil {
+		_, err = s.Recost(cluster.DefaultCostModel())
+	}
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "more send slots and collective instances in flight than") {
+		t.Errorf("send flood: got %v, want the in-flight bound's error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 160*uint64(len(flood)) {
+		t.Errorf("send flood: %d bytes of input allocated %d", len(flood), grew)
+	}
 }
 
 // Two-byte varints are accepted when minimal and within their field's limit,
@@ -417,17 +531,16 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 // value: rank 0 runs EnvStart(value), Compute, EnvEnd, and the envelope its
 // replay emits carries the value.
 func TestDecodeTwoByteVarints(t *testing.T) {
-	envStart := func(tail ...byte) []byte {
-		return append(payload(1, 0, 3, uint64(replay.KindEnvStart)), tail...)
+	envStart := func(iter ...byte) []byte {
+		return payload([]uint64{1, 0}, once(append([]byte{byte(replay.KindEnvStart)}, iter...)...))
 	}
 	closed := func(iter ...byte) []byte {
-		data := append(envStart(iter...), byte(replay.KindCompute))
-		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(1e3))
-		return append(data, byte(replay.KindEnvEnd))
+		blk := cat([]byte{byte(replay.KindEnvStart)}, iter, compute(1e3), []byte{byte(replay.KindEnvEnd)})
+		return payload([]uint64{1, 0}, once(blk...))
 	}
 	bcastRoot := func(root ...byte) []byte { // the root flag's limit is 1
-		data := append(payload(1, 1, 1, 0, 1, uint64(replay.KindBcast)), root...)
-		return append(data, 0, 8, 0, 0)
+		blk := cat([]byte{byte(replay.KindBcast)}, root, []byte{0, 8, 0, 0})
+		return payload([]uint64{1, 1, 1, 0}, once(blk...))
 	}
 	cases := []struct {
 		name string
@@ -437,10 +550,10 @@ func TestDecodeTwoByteVarints(t *testing.T) {
 	}{
 		{"128", closed(0x80, 0x01), 128, ""},
 		{"16383", closed(0xff, 0x7f), 16383, ""},
-		{"padded", envStart(0x80, 0x00), 0, "varint at offset 12 is padded"},
+		{"padded", envStart(0x80, 0x00), 0, "varint at offset 13 is padded"},
 		{"cut-after-first-byte", envStart(0x80), 0, io.ErrUnexpectedEOF.Error()},
-		{"root-flag-128", bcastRoot(0x80, 0x01), 0, "value 128 at offset 14 exceeds 1"},
-		{"node-count-past-input", append([]byte("ESRPRPL1"), 0x80, 0x01, 0), 0, "value 128 at offset 8 exceeds 3"},
+		{"root-flag-128", bcastRoot(0x80, 0x01), 0, "value 128 at offset 15 exceeds 1"},
+		{"node-count-past-input", append([]byte("ESRPRPL2"), 0x80, 0x01, 0), 0, "value 128 at offset 8 exceeds 3"},
 	}
 	for _, c := range cases {
 		s, err := replay.DecodeBinary(c.data)
@@ -468,9 +581,8 @@ func TestDecodeTwoByteVarints(t *testing.T) {
 // rejected by the decoder.
 func TestReservedKindIsRejected(t *testing.T) {
 	const reserved = 3
-	val := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.5))
-	data := append(payload(1, 0, 2, reserved), val...)
-	data = append(data, byte(replay.KindRTFinal))
+	val := binary.LittleEndian.AppendUint64([]byte{reserved}, math.Float64bits(1.5))
+	data := payload([]uint64{1, 0}, once(append(val, byte(replay.KindRTFinal))...))
 	if s, err := replay.DecodeBinary(data); err == nil || !strings.Contains(err.Error(), "unknown event kind 3") {
 		t.Fatalf("DecodeBinary: got %v, %v; want the unknown event kind 3 error", s, err)
 	}
@@ -487,9 +599,9 @@ func TestRecostHostileSchedulesError(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"send-peer-past-nodes", payload(2, 0, 1, uint64(replay.KindSend), 2, 8, 1, uint64(replay.KindRecv), 0), "rank 0 event 0 (send): peer 2 out of range"},
-		{"recv-peer-past-nodes", payload(2, 0, 1, uint64(replay.KindSend), 1, 8, 1, uint64(replay.KindRecv), 2), "rank 1 event 0 (recv): peer 2 out of range"},
-		{"view-past-views", payload(1, 1, 1, 0, 1, uint64(replay.KindAllreduce), 0, 1, 8, 0, 0), "rank 0 event 0 (allreduce): view 1 out of range"},
+		{"send-peer-past-nodes", payload([]uint64{2, 0}, once(ev(replay.KindSend, 2, 8)...), once(ev(replay.KindRecv, 0)...)), "rank 0 block 0 event 0 (send): peer 2 out of range"},
+		{"recv-peer-past-nodes", payload([]uint64{2, 0}, once(ev(replay.KindSend, 1, 8)...), once(ev(replay.KindRecv, 2)...)), "rank 1 block 0 event 0 (recv): peer 2 out of range"},
+		{"view-past-views", payload([]uint64{1, 1, 1, 0}, once(ev(replay.KindAllreduce, 0, 1, 8, 0, 0)...)), "rank 0 block 0 event 0 (allreduce): view 1 out of range"},
 	} {
 		if _, err := replay.DecodeBinary(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
@@ -589,19 +701,19 @@ func TestRecostHostileSchedulesError(t *testing.T) {
 }
 
 // The walk's pair table holds n² entries, so a schedule with fewer than n²/64
-// payload bytes is refused before anything is sized: 2¹⁶ empty ranks, 64 kB
-// of input, would otherwise ask for a 16 GB table. 64 empty ranks still
-// re-cost.
+// payload bytes is refused before anything is sized: 2¹⁶ empty ranks, 128 kB
+// of input, would otherwise ask for a 16 GB table. 128 empty ranks, two
+// bytes each, still re-cost.
 func TestRecostRefusesSparseRankCounts(t *testing.T) {
 	for _, c := range []struct {
 		nodes int
 		want  string
 	}{
-		{64, ""},
-		{65, "65 ranks in 65 payload bytes: too sparse to re-cost"},
-		{1 << 16, "65536 ranks in 65536 payload bytes: too sparse to re-cost"},
+		{128, ""},
+		{129, "129 ranks in 258 payload bytes: too sparse to re-cost"},
+		{1 << 16, "65536 ranks in 131072 payload bytes: too sparse to re-cost"},
 	} {
-		s, err := replay.DecodeBinary(payload(append([]uint64{uint64(c.nodes), 0}, make([]uint64, c.nodes)...)...))
+		s, err := replay.DecodeBinary(payload(append([]uint64{uint64(c.nodes), 0}, make([]uint64, 2*c.nodes)...)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -634,15 +746,17 @@ func recostBytes(s *replay.Schedule) (uint64, error) {
 	return after.TotalAlloc - before.TotalAlloc, err
 }
 
-// DecodeBinary plus RecostAll allocate by ranks, views, communicating pairs
-// and K — never by events: the same number of objects for a fixture recorded
-// at 1× and at 4× the iterations, and bytes within a bound that knows nothing
-// of the event count. (ROADMAP item 2: "replay decode allocations per
+// DecodeBinary plus RecostAll allocate by ranks, views, communicating pairs,
+// distinct blocks and K — never by events or block references: the same
+// number of objects for a fixture recorded at 1× and at 4× the iterations,
+// which is more than twice the references, and bytes within a bound that
+// knows nothing of either count. (ROADMAP item 2: "replay decode allocations per
 // schedule O(1)".)
 func TestRecostAllocsIndependentOfEvents(t *testing.T) {
 	ms := randomModels(rand.New(rand.NewSource(7)), 8)
 	for _, fx := range fixtures() {
 		var objects [2]float64
+		var refs [2]int
 		for i, iters := range []int{shortIters, 4 * shortIters} {
 			_, sched := record(t, fx, iters)
 			data, err := sched.EncodeBinary()
@@ -667,15 +781,21 @@ func TestRecostAllocsIndependentOfEvents(t *testing.T) {
 			for _, view := range sched.Views {
 				members += len(view)
 			}
+			var dictEvents int
+			dictEvents, refs[i] = replay.DictStats(sched)
 			// Four float windows per rank, an instance or two per view member,
-			// a queue and a few slots per pair (at most n² of them), all K wide.
-			bound := uint64(4096 + 8*len(ms)*(16*n+8*members+8*n*n))
+			// a queue and a few slots per pair (at most n² of them), all K
+			// wide, and the distinct blocks' events, decoded once.
+			bound := uint64(4096 + 8*len(ms)*(16*n+8*members+8*n*n) + 2*replay.EventBytes*dictEvents)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
 				t.Errorf("%s, %d events in %d bytes: decode + re-cost allocated %d bytes, bound %d", fx.name, sched.NumEvents(), len(data), grew, bound)
 			}
 		}
 		if objects[0] != objects[1] {
 			t.Errorf("%s: decode + re-cost allocates %.0f objects at 1× the iterations, %.0f at 4×", fx.name, objects[0], objects[1])
+		}
+		if refs[1] < 2*refs[0] {
+			t.Errorf("%s: %d block references at 1× the iterations, %d at 4×; the fixture does not scale", fx.name, refs[0], refs[1])
 		}
 	}
 }
@@ -740,10 +860,11 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 }
 
 // FuzzDecodeBinary: any input decodes to an error or to a schedule whose
-// every rank, view member and event is backed by at least one input byte and
-// which encodes back to exactly the input, and whatever decodes re-costs —
-// batched, and one model at a time — to identical results or an error, never
-// a panic.
+// every rank, view, member, dictionary event and block reference is backed by
+// at least one input byte and which encodes back to exactly the input, and
+// whatever decodes re-costs — batched, and one model at a time — to
+// identical results or an error, never a panic. The expanded events are not
+// bounded by the input: a reference repeats a block.
 func FuzzDecodeBinary(f *testing.F) {
 	ms := randomModels(rand.New(rand.NewSource(1)), 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -751,12 +872,13 @@ func FuzzDecodeBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		items := s.Nodes + s.NumEvents()
+		events, refs := replay.DictStats(s)
+		items := s.Nodes + events + refs
 		for _, view := range s.Views {
 			items += 1 + len(view)
 		}
 		if items > len(data) {
-			t.Fatalf("%d bytes decoded to %d ranks, views, members and events", len(data), items)
+			t.Fatalf("%d bytes decoded to %d ranks, views, members, dictionary events and references", len(data), items)
 		}
 		if again, err := s.EncodeBinary(); err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("%d bytes decode, then encode to %d different ones (err %v)", len(data), len(again), err)

@@ -17,17 +17,31 @@ import (
 //
 // Binary layout (all ints unsigned varints of minimal length unless noted):
 //
-//	magic "ESRPRPL1" (8 bytes)
+//	magic "ESRPRPL2" (8 bytes)
 //	nodes, nviews
 //	per view:  nmembers, then member ranks delta-encoded (rank − prev − 1
 //	           for the tail, absolute for the first; views are ascending)
-//	per rank:  nevents, then per event: kind byte followed by the fields
-//	           that kind defines (see cursor.event); float64s are fixed
-//	           8-byte little-endian bit patterns
+//	per rank:  nblocks, then per block: nbytes, then its events, each a
+//	           kind byte followed by the fields that kind defines (see
+//	           cursor.event; float64s are fixed 8-byte little-endian bit
+//	           patterns); then nrefbytes, then one block index per block
+//	           occurrence, in program order
 //
-// The per-event part of this layout is also the in-memory form (Rank,
-// Schedule.streams): encoding copies it behind a header, decoding aliases it.
-const binaryMagic = "ESRPRPL1"
+// A rank's program-order event stream is cut into blocks after every
+// collective (Allreduce, Bcast, Gather): every block but the stream's last
+// ends in its one collective, and the last may end in none. The dictionary
+// holds each distinct block once, in order of first use, and the
+// references spell the stream out. A schedule therefore has one encoding:
+// the scan refuses an empty block, a block with a collective before its
+// end, a block that does not end in one where another follows, a duplicate
+// or unused block, one introduced out of first-use order, and a reference
+// past the dictionary. There are no repeat counts or loop descriptors: the
+// expanded stream is at most refs × (largest block) events, quadratic in
+// the input, where nested counts would make it exponential.
+//
+// The per-rank part of this layout is also the in-memory form (Rank,
+// Schedule.payload): encoding copies it behind a header, decoding aliases it.
+const binaryMagic = "ESRPRPL2"
 
 // EncodeBinary returns the schedule's compact binary encoding: the header,
 // then the payload as it is held. The content-addressed campaign cache frames
@@ -101,10 +115,22 @@ func (c *cursor) uvarint(limit uint64) uint64 {
 }
 
 // count reads a length field. Every item a length announces — a rank, a
-// view, a member, an event — occupies at least one byte of what follows, so
-// a count beyond the bytes remaining is corrupt; checking it here keeps
-// every allocation proportional to the input.
+// view, a member, a block, a byte — occupies at least one byte of what
+// follows, so a count beyond the bytes remaining is corrupt; checking it
+// here keeps every allocation proportional to the input.
 func (c *cursor) count() int { return int(c.uvarint(uint64(len(c.data) - c.off))) }
+
+// window returns the next n bytes and moves past them; fewer than n left
+// fail the cursor.
+func (c *cursor) window(n int) []byte {
+	if n > len(c.data)-c.off {
+		c.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	w := c.data[c.off : c.off+n : c.off+n]
+	c.off += n
+	return w
+}
 
 // event decodes the event at the cursor into e: the kind byte, then the
 // fields that kind defines. Only those fields are written; the others keep
@@ -176,47 +202,129 @@ func DecodeBinary(data []byte) (*Schedule, error) {
 }
 
 // index runs the one validating scan over a schedule's payload, which runs
-// from the cursor to the end of its data: rank by rank, the event count, then
-// the events. It checks every event's kind and field ranges, every peer
-// against the node count and every view id against the view list, and leaves
-// on the schedule the stream windows, the event total, the distinct (src,dst)
-// pairs and the envelope counts that every Recost call then shares.
+// from the cursor to the end of its data. A first pass reads only the
+// lengths, to size the block table; the second checks each distinct block's
+// events once — kind, field ranges, peers against the node count, view ids
+// against the view list, the block rule — and every reference, and a last
+// pass sorts each rank's blocks to refuse duplicates. It leaves on the
+// schedule the block table, the reference windows, the expanded event
+// total, the distinct (src,dst) pairs and the envelope counts that every
+// Recost call then shares.
 func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
-	int32s := make([]int32, 2*nodes+1)
-	s := &Schedule{
-		Nodes: nodes, Views: views, payload: c.data[c.off:], streams: make([][]byte, nodes),
-		envOff: make([]int, nodes+1), pairOff: int32s[: nodes+1 : nodes+1],
-	}
-	mark := int32s[nodes+1:] // mark[d] == g+1: pair (g,d) is already listed
-	var e event
-	for g := range s.streams {
-		count := c.count()
-		start, envs := c.off, 0
-		for i := 0; i < count; i++ {
-			c.event(&e)
-			switch {
-			case (e.Kind == KindSend || e.Kind == KindRecv) && int(e.Peer) >= nodes:
-				return nil, fmt.Errorf("replay: rank %d event %d (%v): peer %d out of range", g, i, e.Kind, e.Peer)
-			case e.Kind == KindSend && mark[e.Peer] != int32(g)+1:
-				mark[e.Peer] = int32(g) + 1
-				s.pairDst = append(s.pairDst, e.Peer)
-			case (e.Kind == KindAllreduce || e.Kind == KindBcast || e.Kind == KindGather) && int(e.View) >= len(views):
-				return nil, fmt.Errorf("replay: rank %d event %d (%v): view %d out of range", g, i, e.Kind, e.View)
-			case e.Kind == KindEnvEnd:
-				envs++
-			}
+	base := c.off
+	nblocks := 0
+	for p, g := *c, 0; g < nodes; g++ {
+		n := p.count()
+		for i := 0; i < n && p.err == nil; i++ {
+			p.window(p.count())
 		}
-		if c.err != nil {
-			return nil, fmt.Errorf("replay: rank %d: %w", g, c.err)
+		p.window(p.count())
+		if p.err != nil {
+			return nil, fmt.Errorf("replay: rank %d: %w", g, p.err)
+		}
+		nblocks += n
+	}
+
+	int32s := make([]int32, 2*nodes+1+nblocks)
+	s := &Schedule{
+		Nodes: nodes, Views: views, payload: c.data[base:],
+		blocks: make([]block, nblocks), streams: make([]stream, nodes+1), pairOff: int32s[: nodes+1 : nodes+1],
+	}
+	mark := int32s[nodes+1 : 2*nodes+1] // mark[d] == g+1: pair (g,d) is already listed
+	var e event
+	for g := range nodes {
+		st, next := &s.streams[g], &s.streams[g+1]
+		blocks := s.blocks[st.block:][:c.count()]
+		next.block = st.block + len(blocks)
+		for i := range blocks {
+			b := &blocks[i]
+			size := c.count()
+			if size == 0 {
+				return nil, fmt.Errorf("replay: rank %d block %d is empty", g, i)
+			}
+			b.off, b.end, b.first = c.off-base, c.off-base+size, s.dictEvs
+			bc := cursor{data: c.data[:c.off+size], off: c.off}
+			c.off += size
+			for bc.off < len(bc.data) {
+				if b.closed {
+					return nil, fmt.Errorf("replay: rank %d block %d event %d follows the block's collective", g, i, b.events)
+				}
+				bc.event(&e)
+				switch {
+				case (e.Kind == KindSend || e.Kind == KindRecv) && int(e.Peer) >= nodes:
+					return nil, fmt.Errorf("replay: rank %d block %d event %d (%v): peer %d out of range", g, i, b.events, e.Kind, e.Peer)
+				case e.Kind == KindSend && mark[e.Peer] != int32(g)+1:
+					mark[e.Peer] = int32(g) + 1
+					s.pairDst = append(s.pairDst, e.Peer)
+				case isCollective(e.Kind) && int(e.View) >= len(views):
+					return nil, fmt.Errorf("replay: rank %d block %d event %d (%v): view %d out of range", g, i, b.events, e.Kind, e.View)
+				case e.Kind == KindEnvEnd:
+					b.envs++
+				}
+				b.closed = isCollective(e.Kind)
+				b.events++
+			}
+			if bc.err != nil {
+				return nil, fmt.Errorf("replay: rank %d block %d: %w", g, i, bc.err)
+			}
+			s.dictEvs += b.events
 		}
 		slices.Sort(s.pairDst[s.pairOff[g]:])
 		s.pairOff[g+1] = int32(len(s.pairDst))
-		s.envOff[g+1] = s.envOff[g] + envs
-		s.streams[g] = c.data[start:c.off:c.off]
-		s.events += count
+
+		n := c.count()
+		rc := cursor{data: c.data[:c.off+n], off: c.off}
+		st.refs = c.window(n)
+		used, envs := 0, 0
+		for i := 0; rc.off < len(rc.data); i++ {
+			r := int(rc.uvarint(math.MaxInt32))
+			switch {
+			case rc.err != nil:
+				return nil, fmt.Errorf("replay: rank %d reference %d: %w", g, i, rc.err)
+			case r >= len(blocks):
+				return nil, fmt.Errorf("replay: rank %d reference %d: block %d past the dictionary of %d", g, i, r, len(blocks))
+			case r > used:
+				return nil, fmt.Errorf("replay: rank %d reference %d: block %d before block %d, out of first-use order", g, i, r, used)
+			case !blocks[r].closed && rc.off < len(rc.data):
+				return nil, fmt.Errorf("replay: rank %d reference %d: block %d ends in no collective, and another follows", g, i, r)
+			case r == used:
+				used++
+			}
+			s.events += blocks[r].events
+			envs += blocks[r].envs
+		}
+		if used < len(blocks) {
+			return nil, fmt.Errorf("replay: rank %d block %d is never used", g, used)
+		}
+		if next.env = st.env + envs; next.env > len(s.payload) {
+			return nil, fmt.Errorf("replay: %d envelopes in %d payload bytes: too many to re-cost", next.env, len(s.payload))
+		}
 	}
 	if c.off != len(c.data) {
 		return nil, fmt.Errorf("replay: %d bytes after the last rank's stream", len(c.data)-c.off)
 	}
+
+	// One schedule, one encoding: no rank's dictionary holds a block twice.
+	order := int32s[2*nodes+1:]
+	for g := range nodes {
+		lo, hi := s.streams[g].block, s.streams[g+1].block
+		ids := order[lo:hi]
+		for i := range ids {
+			ids[i] = int32(lo + i)
+		}
+		slices.SortFunc(ids, s.compareBlocks)
+		for i := 1; i < len(ids); i++ {
+			if s.compareBlocks(ids[i-1], ids[i]) == 0 {
+				a, b := min(ids[i-1], ids[i]), max(ids[i-1], ids[i])
+				return nil, fmt.Errorf("replay: rank %d blocks %d and %d are equal", g, int(a)-lo, int(b)-lo)
+			}
+		}
+	}
 	return s, nil
+}
+
+// compareBlocks orders blocks a and b by their bytes.
+func (s *Schedule) compareBlocks(a, b int32) int {
+	x, y := &s.blocks[a], &s.blocks[b]
+	return bytes.Compare(s.payload[x.off:x.end], s.payload[y.off:y.end])
 }
