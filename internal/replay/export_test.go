@@ -1,5 +1,7 @@
 package replay
 
+import "unsafe"
+
 // DictStats returns what a schedule's dictionaries and references hold: the
 // events of its distinct blocks, each block counted once, and the block
 // references of all ranks.
@@ -16,4 +18,4 @@ func DictStats(s *Schedule) (events, refs int) {
 
 // EventBytes is what one decoded event occupies in the re-cost walk's
 // array.
-const EventBytes = 48
+const EventBytes = int(unsafe.Sizeof(event{}))

@@ -14,8 +14,11 @@
 // recovery envelopes bit-for-bit when replayed under the recording model.
 //
 // An event stream has one representation, its ESRPRPL2 wire bytes
-// (serialize.go): ranks record them, the cache stores them, a decoded
-// schedule aliases them and the re-coster walks them by cursor.
+// (serialize.go): a dictionary of the rank's distinct blocks — the events
+// up to and including a collective — and one reference per block
+// occurrence. Ranks record them, the cache stores them, a decoded schedule
+// aliases them, and the re-coster decodes each distinct block once and
+// follows the references.
 //
 // The package follows the same nil-handle contract as internal/obs: a nil
 // *Recorder yields nil *Rank handles, every Rank method tolerates a nil
@@ -186,10 +189,10 @@ func (rc *Recorder) Schedule() *Schedule {
 	for g := range rc.ranks {
 		r := &rc.ranks[g]
 		tail := r.dict[r.open:] // the open block, closed here as the last one
-		blocks, refs := r.blocks, r.refs[:len(r.refs):len(r.refs)]
+		blocks, refBytes := r.blocks, len(r.refs)
 		if len(tail) > 0 {
 			blocks++
-			refs = binary.AppendUvarint(refs, uint64(r.blocks))
+			refBytes += uvarintLen(uint64(r.blocks))
 		}
 		out = binary.AppendUvarint(out, uint64(blocks))
 		if !moved {
@@ -217,7 +220,10 @@ func (rc *Recorder) Schedule() *Schedule {
 				off += n
 			}
 		}
-		out = append(binary.AppendUvarint(out, uint64(len(refs))), refs...)
+		out = append(binary.AppendUvarint(out, uint64(refBytes)), r.refs...)
+		if len(tail) > 0 {
+			out = binary.AppendUvarint(out, uint64(r.blocks))
+		}
 	}
 	s, err := index(len(rc.ranks), views, &cursor{data: out})
 	if err != nil { // the cluster range-checks every peer before it records it
@@ -266,7 +272,7 @@ func (r *Rank) close() {
 		}
 		i, off = i+1, end
 	}
-	w := (bits.Len64(uint64(len(blk))|1) + 6) / 7 // the length's varint bytes
+	w := uvarintLen(uint64(len(blk)))
 	r.dict = append(r.dict, make([]byte, w)...)
 	copy(r.dict[r.open+w:], r.dict[r.open:len(r.dict)-w])
 	binary.PutUvarint(r.dict[r.open:], uint64(len(blk)))
@@ -275,6 +281,9 @@ func (r *Rank) close() {
 	r.open = len(r.dict)
 	r.hint, r.hintBlock = r.open, r.blocks
 }
+
+// uvarintLen returns the bytes of v's varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // appendVal appends an event that is its kind and one float64.
 func appendVal(b []byte, k Kind, v float64) []byte {

@@ -442,8 +442,8 @@ func hostilePayloads() map[string][]byte {
 	a, b := cat(compute(1), allreduce), cat(compute(2), allreduce)
 	oneView := []uint64{1, 1, 1, 0} // one node, one view: {0}
 	return map[string][]byte{
-		"blocks-2^32":      payload([]uint64{1, 0, 1 << 32}), // the 15-byte input that asked for 206 GB, as a block count
-		"blocks-2^31":      payload([]uint64{1, 0, 1 << 31}),
+		"events-2^32":      payload([]uint64{1, 0, 1 << 32}), // the 15-byte input that asked for 206 GB of events, now for 2³² blocks
+		"events-2^31":      payload([]uint64{1, 0, 1 << 31}),
 		"block-bytes-2^32": payload([]uint64{1, 0, 1, 1 << 32}),
 		"ref-bytes-2^32":   payload([]uint64{1, 0, 0, 1 << 32}),
 		"nodes-2^24":       payload([]uint64{1 << 24, 0}), // passed the old "sane" guard: 400 MB of slice headers
