@@ -2,7 +2,7 @@ package aspmv
 
 import (
 	"esrp/internal/cluster"
-	"esrp/internal/obs"
+	"esrp/internal/replay"
 	"esrp/internal/sparse"
 )
 
@@ -20,33 +20,23 @@ import (
 // FinishAugmented): the ReceivedCopy of iteration iter is returned by value
 // for the caller to retain. A plain exchange returns the zero ReceivedCopy.
 //
-// Each half lands on the node's span timeline (halo_post, spmv_interior,
-// halo_wait, spmv_boundary — or halo_wait then a single spmv span when
-// blocking); the obs.Rank methods no-op when tracing is off.
+// Each half lands on the node's span timeline through what the schedule
+// records: the sends and receives as halo_post and halo_wait, and the
+// products as spmv_interior and spmv_boundary — or one spmv when blocking.
 func (ex *Exchanger) MulOverlapped(nd *cluster.Node, k sparse.Kernel, dst, xg []float64, augmented bool, iter int, blocking bool) ReceivedCopy {
 	m := len(xg) - ex.GhostLen()
-	tr := nd.Trace()
-	t0 := nd.Clock()
 	ex.start(nd, xg[:m], augmented)
-	tr.Span(obs.KindHaloPost, t0, nd.Clock())
 	if !blocking {
-		t0 = nd.Clock()
 		k.MulInterior(dst, xg)
-		nd.Compute(2 * float64(k.InteriorNNZ()))
-		tr.Span(obs.KindSpMVInterior, t0, nd.Clock())
+		nd.Compute(replay.WorkSpMVInterior, 2*float64(k.InteriorNNZ()))
 	}
-	t0 = nd.Clock()
 	rc := ex.finish(nd, xg[m:], augmented, iter)
-	tr.Span(obs.KindHaloWait, t0, nd.Clock())
-	t0 = nd.Clock()
 	if blocking {
 		k.Mul(dst, xg)
-		nd.Compute(2 * float64(k.NNZ()))
-		tr.Span(obs.KindSpMV, t0, nd.Clock())
+		nd.Compute(replay.WorkSpMV, 2*float64(k.NNZ()))
 	} else {
 		k.MulBoundary(dst, xg)
-		nd.Compute(2 * float64(k.BoundaryNNZ()))
-		tr.Span(obs.KindSpMVBoundary, t0, nd.Clock())
+		nd.Compute(replay.WorkSpMVBoundary, 2*float64(k.BoundaryNNZ()))
 	}
 	return rc
 }

@@ -6,6 +6,7 @@ import (
 	"esrp/internal/ccache"
 	"esrp/internal/cluster"
 	"esrp/internal/core"
+	"esrp/internal/obs"
 	"esrp/internal/precond"
 	"esrp/internal/replay"
 )
@@ -85,12 +86,8 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 	if g.Cache == nil {
 		return nil
 	}
-	model := cluster.DefaultCostModel()
-	if g.CostModel != nil {
-		model = *g.CostModel
-	}
 	cr := &cacheRun{
-		model:   model,
+		model:   g.model(),
 		keys:    make([]ccache.Key, len(cells)),
 		state:   make([]cellCacheState, len(cells)),
 		entries: make([]*ccache.ResultEntry, len(cells)),
@@ -129,10 +126,10 @@ func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 		return
 	}
 	// An exact-model entry answers the cell from the result tier alone; a
-	// machine sweep or a model change additionally needs the recorded
-	// schedule. If the schedule tier can't deliver one, the whole cell
-	// re-solves so both tiers get rewritten consistently.
-	if len(g.Machines) > 0 || entry.Model != cr.model {
+	// machine sweep, a model change or a sampled trace additionally needs
+	// the recorded schedule. If the schedule tier can't deliver one, the
+	// whole cell re-solves so both tiers get rewritten consistently.
+	if len(g.Machines) > 0 || entry.Model != cr.model || g.traced(i) {
 		sched, ok := g.Cache.GetSchedulePayload(cr.keys[i])
 		if !ok {
 			return
@@ -149,21 +146,26 @@ func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 
 // fillFromCache completes one probe-classified hit: report fields from
 // the result tier, simulated times re-costed for a schedule hit, machine
-// sweep points replayed from the cached schedule. Returns false (and
-// demotes the cell to a miss) only if the schedule fails to decode or to
-// re-cost, in which case the caller falls through to a live solve that
-// rewrites both tiers.
+// sweep points replayed and a sampled cell's trace walked from the cached
+// schedule. Returns false (and demotes the cell to a miss) only if the
+// schedule fails to decode or to re-cost, in which case the caller falls
+// through to a live solve that rewrites both tiers.
 func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun) bool {
 	entry := cr.entries[index]
 	var sched *replay.Schedule
 	var rep *replay.Replayed
+	var tr *obs.Trace
 	if payload := cr.scheds[index]; payload != nil {
 		cr.scheds[index] = nil // probe loaded eagerly; release once consumed
 		var ok bool
 		var err error
 		if sched, ok = g.Cache.DecodeSchedule(payload); ok {
 			err = g.recostMachines(sched, mcs)
-			if err == nil && cr.state[index] == cellScheduleHit {
+			switch {
+			case err != nil:
+			case g.traced(index): // the trace's walk is the re-cost too
+				rep, tr, err = g.cellTrace(sched)
+			case cr.state[index] == cellScheduleHit:
 				rep, err = sched.Recost(cr.model)
 			}
 		}
@@ -174,7 +176,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 	}
 
 	c.CellResult = entry.Result
-	if rep != nil {
+	if cr.state[index] == cellScheduleHit {
 		// Recost is bit-for-bit equal to a live solve under the same
 		// model (the replay-equivalence invariant), so the warm report
 		// matches a cold run at this machine point exactly.
@@ -193,6 +195,9 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 	}
 	if sched != nil && g.OnCellSchedule != nil {
 		g.OnCellSchedule(index, c, sched)
+	}
+	if tr != nil {
+		g.OnCellTrace(index, c, tr)
 	}
 	return true
 }

@@ -93,54 +93,74 @@ func TestCacheWarmRunByteIdentical(t *testing.T) {
 // A sampled cell delivers its trace on a warm run too: cold and warm runs
 // with TraceSample = 1 hand over the same indices and byte-identical traces,
 // while the warm report and the cache directory stay what the cold run left.
+// The warm run walks the cached schedules: zero misses, and zero solves —
+// not one collective phase.
 func TestCacheWarmRunDeliversSampledTraces(t *testing.T) {
 	dir := t.TempDir()
-	run := func() ([]byte, map[int][]byte, map[string][]byte) {
+	type outcome struct {
+		report []byte
+		traces map[int][]byte
+		files  map[string][]byte
+		cache  hostobs.CacheCounters
+		phases int64
+	}
+	run := func() outcome {
 		g := tinyGrid()
 		g.Cache = openCache(t, dir)
 		g.TraceSample = 1
+		rec := hostobs.NewCampaignRecorder()
+		g.HostObs = rec
 		var mu sync.Mutex
-		traces := map[int][]byte{}
+		o := outcome{traces: map[int][]byte{}, files: map[string][]byte{}}
 		g.OnCellTrace = func(index int, c *Cell, tr *obs.Trace) {
 			var buf bytes.Buffer
 			if err := tr.WriteChrome(&buf); err != nil {
 				t.Error(err)
 			}
 			mu.Lock()
-			traces[index] = buf.Bytes()
+			o.traces[index] = buf.Bytes()
 			mu.Unlock()
 		}
-		out := runJSON(t, g)
-		files := map[string][]byte{}
+		o.report = runJSON(t, g)
+		tel := rec.Telemetry()
+		o.cache = *tel.Cache
+		for _, m := range tel.Barrier.Members {
+			o.phases += m.Phases
+		}
 		if err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil || d.IsDir() {
 				return err
 			}
-			files[path], err = os.ReadFile(path)
+			o.files[path], err = os.ReadFile(path)
 			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return out, traces, files
+		return o
 	}
-	coldJSON, coldTraces, coldFiles := run()
-	warmJSON, warmTraces, warmFiles := run()
-	if len(coldTraces) == 0 || len(warmTraces) != len(coldTraces) {
-		t.Fatalf("warm run delivered %d traces, cold %d", len(warmTraces), len(coldTraces))
+	cold, warm := run(), run()
+	if len(cold.traces) == 0 || len(warm.traces) != len(cold.traces) {
+		t.Fatalf("warm run delivered %d traces, cold %d", len(warm.traces), len(cold.traces))
 	}
-	for i, tr := range coldTraces {
-		if !bytes.Equal(warmTraces[i], tr) {
+	for i, tr := range cold.traces {
+		if !bytes.Equal(warm.traces[i], tr) {
 			t.Errorf("cell %d: warm trace differs from the cold one", i)
 		}
 	}
-	if !bytes.Equal(warmJSON, coldJSON) {
+	if cold.phases == 0 {
+		t.Fatal("the cold run completed no collective phase: the solve witness is vacuous")
+	}
+	if warm.cache.Misses != 0 || warm.cache.ResultHits != cold.cache.Misses || warm.phases != 0 {
+		t.Errorf("warm run: cache %+v, %d collective phases; want %d result hits, no miss, no phase", warm.cache, warm.phases, cold.cache.Misses)
+	}
+	if !bytes.Equal(warm.report, cold.report) {
 		t.Error("warm report differs from the cold one")
 	}
-	if len(warmFiles) != len(coldFiles) {
-		t.Fatalf("cache holds %d files after the warm run, %d after the cold one", len(warmFiles), len(coldFiles))
+	if len(warm.files) != len(cold.files) {
+		t.Fatalf("cache holds %d files after the warm run, %d after the cold one", len(warm.files), len(cold.files))
 	}
-	for path, b := range coldFiles {
-		if !bytes.Equal(warmFiles[path], b) {
+	for path, b := range cold.files {
+		if !bytes.Equal(warm.files[path], b) {
 			t.Errorf("%s changed on the warm run", path)
 		}
 	}

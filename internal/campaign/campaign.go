@@ -435,7 +435,7 @@ func Run(g Grid) (*Report, error) {
 	// lookup. A context that fails to prepare stays nil and the cell falls
 	// back to the old per-cell path (surfacing the same error).
 	preps := g.prepareContexts(cells, matrices, func(i int) bool {
-		return cells[i].Err == "" && (cr == nil || cr.state[i] == cellMiss || g.traced(i))
+		return cells[i].Err == "" && (cr == nil || cr.state[i] == cellMiss)
 	})
 	g.HostObs.SamplePhase("prepared")
 
@@ -656,21 +656,19 @@ func (d *draw) fill(c *Cell) {
 // per Grid.Machines point): the solve is recorded once and each point's
 // figures come from an O(events) replay of the schedule. cr, when non-nil,
 // is the cache context: hits fill the cell without solving, misses solve
-// with recording on and persist both tiers. Until traces are derived from
-// schedules, a sampled hit still solves, for its trace alone: the cell keeps
-// the cached figures.
+// with recording on and persist both tiers. A sampled cell's trace is a
+// walk of its schedule, the cached one on a hit, so a hit never solves.
 func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
 	if c.Err != "" {
 		return
 	}
-	traced := g.traced(index)
-	hit := cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr)
-	if hit && !traced {
+	if cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr) {
 		return
 	}
-	if cr != nil && !hit {
+	if cr != nil {
 		g.HostObs.CacheMiss()
 	}
+	traced := g.traced(index)
 
 	cfg := core.Config{
 		A: m.A, B: m.B, Nodes: c.Nodes,
@@ -686,22 +684,12 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		cfg.Spares = g.Spares
 	}
-	if traced {
-		cfg.Observe = &obs.Options{Trace: true}
-	}
-	if hit {
-		if res, err := core.Solve(cfg); err != nil {
-			c.Err = err.Error()
-		} else {
-			g.OnCellTrace(index, c, res.Trace)
-		}
-		return
-	}
-	// Record whenever a machine sweep needs the schedule, or a cache miss
-	// will persist it: the schedule tier is what lets future runs serve
-	// any machine point without a solve.
+	// Record whenever a machine sweep needs the schedule, a cache miss will
+	// persist it, or a trace is drawn from it: the schedule tier is what
+	// lets future runs serve any machine point, and any trace, without a
+	// solve.
 	var srec *replay.Recorder
-	if len(mcs) > 0 || cr != nil {
+	if len(mcs) > 0 || cr != nil || traced {
 		srec = replay.NewRecorder()
 		cfg.Record = srec
 	}
@@ -729,9 +717,27 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	if cr != nil {
 		g.storeCell(index, c, sched, cr)
 	}
-	if traced && res.Trace != nil {
-		g.OnCellTrace(index, c, res.Trace)
+	if traced {
+		if _, tr, err := g.cellTrace(sched); err != nil {
+			c.Err = err.Error()
+		} else {
+			g.OnCellTrace(index, c, tr)
+		}
 	}
+}
+
+// cellTrace walks a sampled cell's schedule under the grid's model: the
+// re-cost, and the span timelines OnCellTrace receives.
+func (g *Grid) cellTrace(sched *replay.Schedule) (*replay.Replayed, *obs.Trace, error) {
+	return sched.Trace(g.model(), obs.Options{Trace: true})
+}
+
+// model is the machine model the grid's cells solve under.
+func (g *Grid) model() cluster.CostModel {
+	if g.CostModel != nil {
+		return *g.CostModel
+	}
+	return cluster.DefaultCostModel()
 }
 
 // traced reports whether the cell at grid index i is in the trace sample.

@@ -10,11 +10,12 @@
 //     the cluster.CostModel it was computed under — an exact-model hit
 //     fills the report cell with zero solves;
 //   - the schedule tier holds the solve's recorded event schedule
-//     (replay's ESRPRPL2 binary encoding: per rank, its distinct blocks of
+//     (replay's ESRPRPL3 binary encoding: per rank, its distinct blocks of
 //     events and a reference per block occurrence) — a model mismatch
 //     re-costs the schedule in O(events) via Schedule.Recost instead of
-//     re-solving, so one cold sweep serves every machine point forever
-//     after. An entry of the earlier ESRPRPL1 encoding fails to decode and
+//     re-solving, and a sampled cell's trace is a walk of it, so one cold
+//     sweep serves every machine point and every trace forever after. An
+//     entry of an earlier encoding (ESRPRPL1, ESRPRPL2) fails to decode and
 //     counts as corrupt: its cell is solved once more and rewritten.
 //
 // Entries are framed (length + CRC-32) and written atomically, so an

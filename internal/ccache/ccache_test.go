@@ -159,7 +159,7 @@ func testSchedule() *replay.Schedule {
 	rec := replay.NewRecorder()
 	rec.Init(2)
 	rec.RegisterView([]int{0, 1})
-	rec.Rank(0).Compute(1.5)
+	rec.Rank(0).Compute(replay.WorkVec, 1.5)
 	rec.Rank(0).Send(1, 64)
 	rec.Rank(1).Recv(0)
 	return rec.Schedule()
@@ -280,14 +280,15 @@ func TestCorruptionIsAMiss(t *testing.T) {
 
 // A corrupted frame whose payload still validates but decodes to garbage
 // (schedule tier): the decoder's own guards classify it as corrupt. So does
-// an entry of the format before ESRPRPL2, which a cache written by an older
+// an entry of a format before ESRPRPL3, which a cache written by an older
 // build holds: it is a counted miss, and the cell re-solves once.
 func TestUndecodableScheduleIsAMiss(t *testing.T) {
 	c := openTestCache(t)
 	k := goldenInput().Key()
 	for i, payload := range []string{
 		"not a schedule",
-		"ESRPRPL1\x01\x00\x01\x0e", // one rank, one RTFinal event
+		"ESRPRPL1\x01\x00\x01\x0e",             // one rank, one RTFinal event
+		"ESRPRPL2\x01\x00\x01\x01\x0e\x01\x00", // one rank, one block of one RTFinal event
 	} {
 		if err := writeFileAtomic(string(c.entryPath(nil, scheduleTierDir, k, ".sched")), frame([]byte(payload))); err != nil {
 			t.Fatal(err)
@@ -388,7 +389,7 @@ func TestGarbageManifest(t *testing.T) {
 }
 
 // The -schedules export and the schedule tier share one format, and
-// ReadScheduleFile reads nothing else: a bare ESRPRPL2 stream is rejected.
+// ReadScheduleFile reads nothing else: a bare ESRPRPL3 stream is rejected.
 func TestScheduleFileFormats(t *testing.T) {
 	dir := t.TempDir()
 	want := testSchedule()
@@ -415,7 +416,7 @@ func TestScheduleFileFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ReadScheduleFile(bare); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bare ESRPRPL2 stream: got %v, want ErrCorrupt", err)
+		t.Fatalf("bare ESRPRPL3 stream: got %v, want ErrCorrupt", err)
 	}
 
 	bad := filepath.Join(dir, "bad.sched")
@@ -430,7 +431,7 @@ func TestScheduleFileFormats(t *testing.T) {
 	// them: 15 bytes announcing 2³² blocks must be an error, not a 200 GB
 	// allocation.
 	huge := filepath.Join(dir, "huge.sched")
-	if err := os.WriteFile(huge, frame([]byte("ESRPRPL2\x01\x00\x80\x80\x80\x80\x10")), 0o644); err != nil {
+	if err := os.WriteFile(huge, frame([]byte("ESRPRPL3\x01\x00\x80\x80\x80\x80\x10")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadScheduleFile(huge); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "exceeds") {

@@ -333,8 +333,9 @@ func FuzzDecodeResultEntry(f *testing.F) {
 
 // testdata/sweep/esr-shrink-skipped.sched is the schedule-tier entry the same
 // cold sweep wrote beside esr-shrink-skipped.res, copied frame and all from a
-// cache directory of the build before schedules became their wire bytes, and
-// converted from ESRPRPL1 to ESRPRPL2 (its events, counts and figures kept).
+// cache directory of the build that first wrote ESRPRPL3 (its figures are
+// the ones the ESRPRPL1 and ESRPRPL2 copies of the entry had; the event
+// count grew by the span markers).
 // It decodes through the cache without counting corrupt, frames back to the
 // file's bytes, and re-costs under the result entry's machine to that entry's
 // figures — which a live solve produced — and under a skewed machine to the
@@ -385,7 +386,7 @@ func TestPinnedScheduleEntryRecost(t *testing.T) {
 
 // What the writing build read off esr-shrink-skipped.sched.
 const (
-	pinnedEntryEvents = 11195
+	pinnedEntryEvents = 11919 // 11 195 before ESRPRPL3's markers
 	pinnedEntryMsgs   = 4143
 )
 

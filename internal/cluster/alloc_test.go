@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"esrp/internal/hostobs"
+	"esrp/internal/replay"
 )
 
 // collectiveWindowAllocs runs `rounds` steady-state rounds of
@@ -176,7 +177,7 @@ func TestCollectiveHammer(t *testing.T) {
 			next, prev := (nd.Rank()+1)%n, (nd.Rank()+n-1)%n
 			nd.ISend(next, 42, buf[:2])
 			req := nd.IRecv(prev, 42)
-			nd.Compute(100)
+			nd.Compute(replay.WorkVec, 100)
 			nd.Release(req.Wait())
 
 			data := []float64{float64(round), 0}

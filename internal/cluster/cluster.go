@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"esrp/internal/hostobs"
-	"esrp/internal/obs"
 	"esrp/internal/replay"
 )
 
@@ -213,7 +212,6 @@ type Comm struct {
 
 	quiet census // the workers' agreement that nothing can run any more
 
-	rec       *obs.Recorder         // nil = no instrumentation (the default)
 	rep       *replay.Recorder      // nil = no schedule recording (the default)
 	hostStats *hostobs.BarrierStats // nil = no host telemetry (the default)
 
@@ -242,18 +240,12 @@ func New(n int, model CostModel) *Comm {
 	return c
 }
 
-// Observe attaches an observability recorder: each node then records
-// collective spans (and whatever the layers above add) into its own
-// per-rank buffer. Must be called before Run; a nil recorder (or not
-// calling Observe at all) keeps the zero-overhead disabled path.
-func (c *Comm) Observe(rec *obs.Recorder) { c.rec = rec }
-
 // ObserveHost attaches host-side collective telemetry: every arena — the
 // root view's and any sub-communicator's — records per-member wait time
 // (from the yield of a member that arrived early to its resumption),
 // arrival-order skew and releases into st, and a failed run one abort.
 // Members are indexed by view-local rank, so st must have capacity ≥ n.
-// Must be called before Run, like Observe; a nil st (or not calling
+// Must be called before Run; a nil st (or not calling
 // ObserveHost) keeps the zero-overhead disabled path.
 func (c *Comm) ObserveHost(st *hostobs.BarrierStats) {
 	if st != nil && st.Cap() < c.n {
@@ -410,7 +402,6 @@ type nodeState struct {
 	clock     float64
 	bytesSent int64
 	msgsSent  int64
-	trace     *obs.Rank    // nil unless Comm.Observe attached a recorder
 	sched     *replay.Rank // nil unless Comm.RecordSchedule attached one
 
 	coroutine
@@ -455,10 +446,11 @@ func (nd *Node) AddClock(dt float64) {
 	nd.state.sched.ClockAdd(dt)
 }
 
-// Compute advances the clock by flops·FlopTime.
-func (nd *Node) Compute(flops float64) {
+// Compute advances the clock by flops·FlopTime; w says what the flops are
+// spent on, for the span a trace derives from the recorded event.
+func (nd *Node) Compute(w replay.Work, flops float64) {
 	nd.state.clock += float64(flops * nd.comm.model.FlopTime)
-	nd.state.sched.Compute(flops)
+	nd.state.sched.Compute(w, flops)
 }
 
 // BytesSent returns the payload bytes this node has sent.
@@ -467,11 +459,6 @@ func (nd *Node) BytesSent() int64 { return nd.state.bytesSent }
 // MsgsSent returns the number of point-to-point messages this node has
 // sent (collective traffic accounted as the retired star's messages).
 func (nd *Node) MsgsSent() int64 { return nd.state.msgsSent }
-
-// Trace returns the node's observability buffer — nil when no recorder is
-// attached, which every obs.Rank method tolerates, so callers instrument
-// unconditionally. Shared across Sub handles (it lives on nodeState).
-func (nd *Node) Trace() *obs.Rank { return nd.state.trace }
 
 // Sched returns the node's replay event stream — nil when no schedule
 // recorder is attached, which every replay.Rank method tolerates, so the
@@ -733,7 +720,6 @@ func (nd *Node) Allreduce(op Op, x []float64) {
 	phase, bank := nd.enter()
 
 	copy(a.slot(bank+me, len(x)), x)
-	t0 := nd.state.clock
 	a.clocks[bank+me] = nd.state.clock
 	last := nd.arrive()
 	if last {
@@ -750,7 +736,6 @@ func (nd *Node) Allreduce(op Op, x []float64) {
 
 	copy(x, a.slots[bank][:len(x)])
 	nd.state.clock = a.clocks[bank] + nd.collectiveCost(8*len(x))
-	nd.state.trace.Span(obs.KindAllreduce, t0, nd.state.clock)
 
 	payloadBytes := int64(8 * (len(x) + 1)) // star payload: body + clock
 	msgs, bytes := int64(1), payloadBytes
@@ -777,7 +762,6 @@ func (nd *Node) Bcast(root int, data []float64) {
 	me := nd.rank
 	a := nd.ar
 	phase, bank := nd.enter()
-	t0 := nd.state.clock
 	if me == root {
 		copy(a.slot(bank+me, len(data)), data)
 		a.clocks[bank+me] = nd.state.clock
@@ -793,7 +777,6 @@ func (nd *Node) Bcast(root int, data []float64) {
 		copy(data, a.slots[bank+root][:len(data)])
 		nd.state.clock = math.Max(a.clocks[bank+root], nd.state.clock) + cost
 	}
-	nd.state.trace.Span(obs.KindBcast, t0, nd.state.clock)
 	nd.state.sched.Collective(replay.KindBcast, a.repID, int64(8*len(data)), msgs, bytes, me == root)
 }
 
@@ -806,7 +789,6 @@ func (nd *Node) Gather(root int, data []float64) [][]float64 {
 	phase, bank := nd.enter()
 
 	copy(a.slot(bank+me, len(data)), data)
-	t0 := nd.state.clock
 	a.clocks[bank+me] = nd.state.clock
 	// Recorded at entry (before the non-root overhead advance): the replay
 	// publishes the entry clock, then applies the same per-role arithmetic.
@@ -840,6 +822,5 @@ func (nd *Node) Gather(root int, data []float64) [][]float64 {
 		}
 		nd.state.clock = nd.comm.model.GatherRootClock(tmax, replay.Rounds(n), float64(totalBytes))
 	}
-	nd.state.trace.Span(obs.KindGather, t0, nd.state.clock)
 	return out
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"esrp/internal/replay"
 )
 
 func testModel() CostModel {
@@ -268,7 +270,7 @@ func TestSubSharesClock(t *testing.T) {
 	c := New(4, testModel())
 	err := c.Run(func(nd *Node) {
 		sub := nd.Sub([]int{0, 1, 2, 3})
-		sub.Compute(1e6)
+		sub.Compute(replay.WorkVec, 1e6)
 		if nd.Clock() != sub.Clock() || nd.Clock() <= 0 {
 			panic("sub must share the node clock")
 		}
@@ -283,7 +285,7 @@ func TestSimulatedClockAdvances(t *testing.T) {
 	c := New(2, m)
 	err := c.Run(func(nd *Node) {
 		if nd.Rank() == 0 {
-			nd.Compute(1000)
+			nd.Compute(replay.WorkVec, 1000)
 			nd.Send(1, 1, make([]float64, 100))
 		} else {
 			nd.Recv(0, 1)
@@ -307,7 +309,7 @@ func TestClockDeterminism(t *testing.T) {
 		c := New(8, testModel())
 		err := c.Run(func(nd *Node) {
 			for i := 0; i < 20; i++ {
-				nd.Compute(float64(100 * (nd.Rank() + 1)))
+				nd.Compute(replay.WorkVec, float64(100*(nd.Rank()+1)))
 				nd.AllreduceScalar(OpSum, 1)
 				if nd.Rank() == 0 {
 					nd.Send(7, 1, make([]float64, 10))
@@ -476,11 +478,11 @@ func TestNonblockingOverlapHidesLatency(t *testing.T) {
 			const flops = 1e4
 			req := nd.IRecv(0, 5)
 			if overlap {
-				nd.Compute(flops) // hidden behind the flight
+				nd.Compute(replay.WorkVec, flops) // hidden behind the flight
 				req.Wait()
 			} else {
 				req.Wait()
-				nd.Compute(flops) // stacked on top of the delivery
+				nd.Compute(replay.WorkVec, flops) // stacked on top of the delivery
 			}
 			clock = nd.Clock()
 		})

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"esrp/internal/replay"
 )
 
 // foldRef is the serial reference of an Allreduce: the members' payloads
@@ -95,7 +97,7 @@ func TestAllreduceFoldOnce(t *testing.T) {
 				check := func(v *Node, members []int, seq, k int) {
 					op, length := ops[k%len(ops)], lengths[k%len(lengths)]
 					g := v.GlobalRank()
-					v.Compute(flops[k][g])
+					v.Compute(replay.WorkVec, flops[k][g])
 					entry[seq][g] = v.Clock()
 					x := append([]float64(nil), vals[k][g][:length]...)
 					v.Allreduce(op, x)

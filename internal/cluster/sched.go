@@ -163,7 +163,7 @@ func (w *worker) rankMain(yield func(struct{}) bool) {
 			c.fail(fmt.Errorf("cluster: node %d panicked: %v", g, r))
 		}
 	}()
-	st.trace, st.sched = c.rec.Rank(g), c.rep.Rank(g)
+	st.sched = c.rep.Rank(g)
 	st.root = Node{comm: c, ar: c.root, g: g, rank: g, state: st}
 	w.body(&st.root)
 }

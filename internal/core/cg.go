@@ -3,8 +3,8 @@ package core
 import (
 	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
-	"esrp/internal/obs"
 	"esrp/internal/precond"
+	"esrp/internal/replay"
 	"esrp/internal/sparse"
 	"esrp/internal/vec"
 )
@@ -14,13 +14,9 @@ import (
 // (Alg. 1, which nodeRun embeds this in) and the reconstruction's inner
 // solve of A[If,If]·x = w (Alg. 2 line 8). Each keeps only its own
 // bootstrap, exit test and extras around the steps, so every modeled flop
-// charge, collective and span of an iteration comes from one body.
+// charge and collective of an iteration comes from one body.
 type cg struct {
-	// nd is the (sub-)communicator handle the iteration runs on; tr its
-	// rank's observability buffer — nil with observation off (every obs.Rank
-	// method no-ops on nil, so span sites carry no guards).
-	nd *cluster.Node
-	tr *obs.Rank
+	nd *cluster.Node // the (sub-)communicator handle the iteration runs on
 
 	pc       precond.Preconditioner
 	kern     sparse.Kernel   // planned SpMV layout over the compact local rows
@@ -33,20 +29,9 @@ type cg struct {
 	x, r, z, p, q, pg []float64
 	rz                float64 // r·z of the current iteration
 
-	// vecKind and pcKind label the vector and preconditioner work on the
-	// span timeline: the inner solve lands all of it under KindInnerSolve.
-	vecKind, pcKind obs.Kind
-}
-
-// compute advances the simulated clock by flops·FlopTime and attributes
-// the interval to kind on the node's span timeline. With observation off
-// this degenerates to nd.Compute: the clock reads are plain loads and the
-// span call no-ops on the nil buffer — no branches worth measuring, no
-// allocation, identical simulated time either way.
-func (c *cg) compute(kind obs.Kind, flops float64) {
-	t0 := c.nd.Clock()
-	c.nd.Compute(flops)
-	c.tr.Span(kind, t0, c.nd.Clock())
+	// vecWork and pcWork label the vector and preconditioner flops: the
+	// inner solve spends all of them on WorkInnerSolve.
+	vecWork, pcWork replay.Work
 }
 
 // dot2 performs the fused allreduce of two local partial sums, the way an
@@ -73,27 +58,27 @@ func (c *cg) spmv(dst, src []float64) { c.mul(dst, src, false, 0) }
 // pAq reduces p·q, the denominator of α = r·z / p·(A p).
 func (c *cg) pAq() float64 {
 	pqLoc := vec.Dot(c.p, c.q)
-	c.compute(c.vecKind, 2*float64(c.m))
+	c.nd.Compute(c.vecWork, 2*float64(c.m))
 	return c.nd.AllreduceScalar(cluster.OpSum, pqLoc)
 }
 
 // update advances x += α·p and r −= α·q.
 func (c *cg) update(alpha float64) {
 	vec.AxpyPair(alpha, c.p, c.x, -alpha, c.q, c.r)
-	c.compute(c.vecKind, 4*float64(c.m))
+	c.nd.Compute(c.vecWork, 4*float64(c.m))
 }
 
 // step derives z = P·r, reduces r·z next to r·r, and sets p = z + β·p. It
 // returns β and the reduced r·r.
 func (c *cg) step() (beta, rr float64) {
 	c.pc.Apply(c.z, c.r)
-	c.compute(c.pcKind, c.pc.ApplyFlops())
+	c.nd.Compute(c.pcWork, c.pc.ApplyFlops())
 	rzLoc, rrLoc := vec.Dot2(c.r, c.z)
-	c.compute(c.vecKind, 4*float64(c.m))
+	c.nd.Compute(c.vecWork, 4*float64(c.m))
 	rzNew, rr := c.dot2(rzLoc, rrLoc)
 	beta = rzNew / c.rz
 	vec.XpayInto(c.p, c.z, beta, c.p)
-	c.compute(c.vecKind, 2*float64(c.m))
+	c.nd.Compute(c.vecWork, 2*float64(c.m))
 	c.rz = rzNew
 	return beta, rr
 }

@@ -181,12 +181,13 @@ type Config struct {
 
 	// Observe enables the observability layer (internal/obs): per-rank span
 	// timelines on the simulated clock and/or the per-iteration metric
-	// series, the solve's residual history, returned in Result.Trace. Nil
-	// (the default) records nothing and adds zero overhead — the recorder
-	// is nil-checked on every hot path, so trajectories, the simulated
-	// clock and the zero-allocation guarantees are bit-identical with
-	// observation off. With observation on, the recorded data is itself
-	// deterministic (simulated timestamps, single-writer per-rank buffers).
+	// series, the solve's residual history, returned in Result.Trace. The
+	// solve then records its event schedule (into Record, or a recorder of
+	// its own) and derives the trace from one walk of it under the solve's
+	// machine model; the residuals, which the schedule does not hold, are
+	// kept beside it. Nil (the default) adds nothing: trajectories and the
+	// simulated clock are bit-identical either way, and the trace is as
+	// deterministic as the schedule.
 	Observe *obs.Options
 
 	// Record captures the solve's abstract event schedule (internal/replay):

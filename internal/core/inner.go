@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"esrp/internal/obs"
+	"esrp/internal/replay"
 	"esrp/internal/sparse"
 	"esrp/internal/vec"
 )
@@ -47,19 +47,19 @@ func (run *nodeRun) innerSolve(ev *esrEvent, w []float64) []float64 {
 		panic(fmt.Sprintf("core: inner local matrix: %v", err))
 	}
 	c := cg{
-		nd: nd, tr: nd.Trace(), pc: ev.pc, kern: sparse.BuildKernel(local, run.cfg.kernel),
+		nd: nd, pc: ev.pc, kern: sparse.BuildKernel(local, run.cfg.kernel),
 		ex: *sys.plan.NewExchanger(me), blocking: run.cfg.blocking, m: m,
 		x: make([]float64, m), r: append([]float64(nil), w...),
 		z: make([]float64, m), p: make([]float64, m),
 		q: make([]float64, m), pg: make([]float64, m+local.G()),
-		vecKind: obs.KindInnerSolve, pcKind: obs.KindInnerSolve,
+		vecWork: replay.WorkInnerSolve, pcWork: replay.WorkInnerSolve,
 	}
 	c.pc.Apply(c.z, c.r)
-	c.compute(c.pcKind, c.pc.ApplyFlops())
+	c.nd.Compute(c.pcWork, c.pc.ApplyFlops())
 	copy(c.p, c.z)
 	rzLoc := vec.Dot(c.r, c.z)
 	bbLoc := vec.Dot(w, w)
-	c.compute(c.vecKind, 4*float64(m))
+	c.nd.Compute(c.vecWork, 4*float64(m))
 	var bb float64
 	c.rz, bb = c.dot2(rzLoc, bbLoc)
 	if wNorm := math.Sqrt(bb); wNorm != 0 { // zero rhs: zero solution

@@ -8,8 +8,8 @@ import (
 
 	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
-	"esrp/internal/obs"
 	"esrp/internal/precond"
+	"esrp/internal/replay"
 	"esrp/internal/vec"
 )
 
@@ -235,7 +235,7 @@ func (st *imcrState) afterIteration(j int, _ float64) {
 // ship sends the local checkpoint to the buddies and takes in the sources'.
 func (st *imcrState) ship() {
 	run := st.run
-	tCkpt := run.nd.Clock()
+	run.nd.Sched().Region(replay.RegionCheckpoint)
 	for _, b := range st.buddies {
 		run.nd.Send(b, tagCheckpoint, st.ownData)
 	}
@@ -254,7 +254,7 @@ func (st *imcrState) ship() {
 		}
 		st.held[src] = run.nd.Recv(src, tagCheckpoint)
 	}
-	run.tr.Span(obs.KindCheckpoint, tCkpt, run.nd.Clock())
+	run.nd.Sched().Region(replay.RegionHalo)
 }
 
 // restore loads a checkpoint payload into the checkpoint set's blocks.
@@ -342,16 +342,11 @@ func (run *nodeRun) handleFailure(j int, ev *FailureSpec) (int, string) {
 		run.logEvent(ev, failed, RecoverySkipped, j, j)
 		return j, RecoverySkipped
 	}
-	// All spans until the restored scalars belong to this event's recovery
-	// phase; the KindRecovery envelope recorded at the end encloses them
-	// for the per-event breakdown.
-	tEnv := run.nd.Clock()
+	// Everything until the restored scalars belongs to this event's
+	// recovery phase; its envelope encloses it for the per-event breakdown.
 	run.nd.Sched().EnvStart(j)
-	run.tr.SetPhase(obs.PhaseRecovery)
 	if dt := run.cfg.DetectionTime; dt > 0 {
-		t0 := run.nd.Clock()
 		run.nd.AddClock(dt) // failure detection + communicator repair
-		run.tr.Span(obs.KindDetect, t0, run.nd.Clock())
 	}
 	var jrec int
 	var mode string
@@ -376,9 +371,7 @@ func (run *nodeRun) handleFailure(j int, ev *FailureSpec) (int, string) {
 	// charge, so the detection cost is added on top here.
 	run.recoveryTime += run.cfg.DetectionTime
 	run.nd.Sched().RecCharge(run.cfg.DetectionTime)
-	run.tr.Envelope(j, tEnv, run.nd.Clock())
 	run.nd.Sched().EnvEnd()
-	run.tr.SetPhase(obs.PhaseSteady)
 	if !run.retired {
 		run.logEvent(ev, failed, mode, jrec, j)
 	}
@@ -585,7 +578,7 @@ func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r,
 
 	// Each failed rank's entries go from their surviving holders to the rank
 	// rebuilding its rows; the adopter files its own copies first.
-	tGather := run.nd.Clock()
+	run.nd.Sched().Region(replay.RegionRecoverGather)
 	for pass, tag := range [2]int{tagRecoverP0, tagRecoverP1} {
 		c := st.queue.Get(jrec - 1 + pass)
 		dst := pPrev
@@ -618,7 +611,7 @@ func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r,
 			}
 		}
 	}
-	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
+	run.nd.Sched().Region(replay.RegionHalo)
 	if len(run.events) > 1 {
 		// Multi-event timelines can leave the gathered copies incomplete: a
 		// holder that failed earlier lost its queue, and the stage whose
@@ -644,7 +637,7 @@ func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r,
 
 	// Halo of the surviving iterand x (Alg. 2 lines 2 and 7): the owners of
 	// the entries the failed rows couple to send them to the rows' rebuilder.
-	tGather = run.nd.Clock()
+	run.nd.Sched().Region(replay.RegionRecoverGather)
 	for _, fr := range ev.failed {
 		reb := ev.rebuilderOf(fr)
 		for _, t := range run.plan.Recv[fr] {
@@ -667,7 +660,7 @@ func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r,
 			}
 		}
 	}
-	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
+	run.nd.Sched().Region(replay.RegionHalo)
 	if !rebuilds {
 		return nil, nil, nil, nil, true
 	}
@@ -684,11 +677,11 @@ func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r,
 	for i := range z {
 		z[i] = pCur[i] - betaStar*pPrev[i]
 	}
-	run.compute(obs.KindReconstruct, 2*float64(rm))
+	run.nd.Compute(replay.WorkReconstruct, 2*float64(rm))
 	// Lines 5–6: v = z_If − P[If,I\If]·r (zero off-part for node-local
 	// preconditioners), then solve P[If,If]·r_If = v.
 	ev.pc.SolveRestricted(r, z)
-	run.compute(obs.KindReconstruct, ev.pc.SolveRestrictedFlops())
+	run.nd.Compute(replay.WorkReconstruct, ev.pc.SolveRestrictedFlops())
 	// Line 7: w = b_If − r_If − A[If,I\If]·x_(I\If): owned columns lie inside
 	// If by construction, ghost columns owned by other failed ranks are
 	// inner-system unknowns — both are skipped, leaving exactly the
@@ -709,7 +702,7 @@ func (run *nodeRun) reconstruct(ev *esrEvent, jrec int, betaStar float64) (x, r,
 		}
 		w[i] = b[i] - r[i] - s
 	}
-	run.compute(obs.KindReconstruct, 2*float64(local.NNZ()))
+	run.nd.Compute(replay.WorkReconstruct, 2*float64(local.NNZ()))
 	// Line 8: solve A[If,If]·x_If = w over the rebuilders.
 	return run.innerSolve(ev, w), r, z, pCur, true
 }
@@ -795,7 +788,7 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 
 	// For each failed node, its designated sender is the first surviving
 	// buddy in Eq. 1 order — computable by every node without communication.
-	tGather := run.nd.Clock()
+	run.nd.Sched().Region(replay.RegionRecoverGather)
 	for _, fr := range failed {
 		var sender = -1
 		for k := 1; k <= run.cfg.Phi; k++ {
@@ -827,7 +820,7 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 	if !amFailed {
 		st.restore(st.ownData)
 	}
-	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
+	run.nd.Sched().Region(replay.RegionHalo)
 	if run.pendingEvents() {
 		// More events may strike before the next checkpoint stage, and the
 		// nodes that just failed hold no checkpoints of their sources any

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"esrp/internal/aspmv"
 	"esrp/internal/cluster"
 	"esrp/internal/dist"
 	"esrp/internal/obs"
+	"esrp/internal/replay"
 	"esrp/internal/sparse"
 	"esrp/internal/vec"
 )
@@ -42,9 +44,11 @@ func (sh *solveShared) solve(in Config) (*Result, error) {
 		ws.reset(cfg.Nodes)
 	}
 	comm := cluster.New(cfg.Nodes, model)
-	rec := newRecorder(cfg)
-	comm.Observe(rec)
-	comm.RecordSchedule(cfg.Record) // nil = recording off
+	rec := cfg.Record // nil = recording off
+	if rec == nil && cfg.Observe.Enabled() {
+		rec = replay.NewRecorder() // the trace is a view of the schedule
+	}
+	comm.RecordSchedule(rec)
 	if cfg.HostStats != nil {
 		comm.ObserveHost(cfg.HostStats)
 	}
@@ -55,12 +59,14 @@ func (sh *solveShared) solve(in Config) (*Result, error) {
 	nodeMem := make([]int64, cfg.Nodes)
 	nodeHalo := make([]int64, cfg.Nodes)
 	nodeKern := make([]string, cfg.Nodes)
+	nodePoints := make([][]obs.IterPoint, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
 		run := newNodeRun(sh, nd, prep)
 		run.main(result)
 		nodeMem[nd.GlobalRank()] = run.maxBytes()
 		nodeHalo[nd.GlobalRank()] = run.ex.HaloBytes()
 		nodeKern[nd.GlobalRank()] = run.kern.Name()
+		nodePoints[nd.GlobalRank()] = run.points
 	})
 	if runErr != nil {
 		return nil, runErr
@@ -71,19 +77,38 @@ func (sh *solveShared) solve(in Config) (*Result, error) {
 	result.BytesSent = comm.BytesSent()
 	result.MsgsSent = comm.MsgsSent()
 	result.MaxNodeBytes, result.HaloBytes = reduceFootprint(nodeMem, nodeHalo)
-	if rec != nil {
-		result.Trace = rec.Build(result.SimTime)
+	if cfg.Observe.Enabled() {
+		if result.Trace, err = traceOf(rec.Schedule(), model, *cfg.Observe, nodePoints); err != nil {
+			return nil, err
+		}
 	}
 	return result, nil
 }
 
-// newRecorder materializes the config's observability options: nil unless
-// something was asked for, so the disabled path costs nothing anywhere.
-func newRecorder(cfg *Config) *obs.Recorder {
-	if !cfg.Observe.Enabled() {
-		return nil
+// traceOf derives a solve's trace from its schedule, walked under the
+// model it ran on, and fills each series point's step and residual from
+// the samples the ranks kept: rank g's k-th sample belongs to the k-th
+// point the walk finds on rank g, and the series lists the ranks in
+// global order, as points does.
+func traceOf(sched *replay.Schedule, model cluster.CostModel, opts obs.Options, points [][]obs.IterPoint) (*obs.Trace, error) {
+	_, tr, err := sched.Trace(model, opts)
+	if err != nil {
+		return nil, err
 	}
-	return obs.NewRecorder(*cfg.Observe, cfg.Nodes)
+	k := 0
+	for _, pts := range points {
+		for _, p := range pts {
+			if k == len(tr.Series) || tr.Series[k].Iter != p.Iter {
+				return nil, fmt.Errorf("core: series sample %d (iteration %d) has no point in the schedule", k, p.Iter)
+			}
+			tr.Series[k].Step, tr.Series[k].RelRes = p.Step, p.RelRes
+			k++
+		}
+	}
+	if k != len(tr.Series) {
+		return nil, fmt.Errorf("core: the schedule holds %d series points, the ranks sampled %d", len(tr.Series), k)
+	}
+	return tr, nil
 }
 
 // reduceFootprint condenses the per-node metric slots: the largest dynamic
@@ -131,10 +156,8 @@ func PartitionFor(cfg Config) (*dist.Partition, error) {
 // node holds its block rows as a compact local matrix, its vector blocks,
 // and an owned+ghost assembly buffer — never a full-length vector.
 type nodeRun struct {
-	// cg is the PCG iteration state: communicator handle, trace buffer
-	// (it lives on the cluster node's shared state, so it survives the
-	// no-spare shrink's communicator replacement), preconditioner, kernel,
-	// exchanger and the dynamic vectors. x, r, z, p and the SpMV buffers are
+	// cg is the PCG iteration state: communicator handle, preconditioner,
+	// kernel, exchanger and the dynamic vectors. x, r, z, p and the SpMV buffers are
 	// exactly the data a node failure destroys.
 	cg
 
@@ -156,6 +179,11 @@ type nodeRun struct {
 	betaPrev    float64 // β of the previous iteration
 	bNormGlobal float64
 	relres      float64 // latest ‖r‖/‖b‖ the recurrence sampled
+
+	// points holds the series samples this rank took as the communicator's
+	// rank 0, with Config.Observe.Series: the residuals the schedule's Point
+	// markers do not carry.
+	points []obs.IterPoint
 
 	res resilience // strategy-specific redundant storage (nil for None)
 
@@ -234,12 +262,12 @@ func newNodeRun(sh *solveShared, nd *cluster.Node, prep *Prepared) *nodeRun {
 	}
 	run := &nodeRun{
 		cg: cg{
-			nd: nd, tr: nd.Trace(), pc: prep.pcs[s], kern: prep.kerns[s], ex: *plan.NewExchanger(s),
+			nd: nd, pc: prep.pcs[s], kern: prep.kerns[s], ex: *plan.NewExchanger(s),
 			blocking: cfg.blocking, m: hi - lo,
 			x: allocZero(hi - lo), r: alloc(hi - lo),
 			z: alloc(hi - lo), p: alloc(hi - lo),
 			q: alloc(hi - lo), pg: alloc(hi - lo + local.G()),
-			vecKind: obs.KindVec, pcKind: obs.KindPrecond,
+			vecWork: replay.WorkVec, pcWork: replay.WorkPrecond,
 		},
 		cfg: cfg, setups: &sh.setups, part: part, plan: plan,
 		lo: lo, hi: hi, local: local, alloc: alloc, allocZero: allocZero,
@@ -283,13 +311,16 @@ func (run *nodeRun) dueEvent(j int) *FailureSpec {
 func (run *nodeRun) pendingEvents() bool { return run.nextEvent < len(run.events) }
 
 // sample records the relative residual √rr/‖b‖ of iteration j — a series
-// point on the communicator's rank 0, whichever global rank holds that role
-// (a no-op with observation off) — and reports whether it meets the
-// tolerance.
+// point on the communicator's rank 0, whichever global rank holds that role:
+// a Point marker in the schedule, and the residual beside it when the series
+// is asked for — and reports whether it meets the tolerance.
 func (run *nodeRun) sample(step, j int, rr float64) bool {
 	run.relres = math.Sqrt(rr) / run.bNormGlobal
 	if run.nd.Rank() == 0 {
-		run.tr.Point(step, j, run.relres, run.nd.Clock(), run.nd.BytesSent(), run.nd.MsgsSent())
+		run.nd.Sched().Point()
+		if o := run.cfg.Observe; o != nil && o.Series {
+			run.points = append(run.points, obs.IterPoint{Step: step, Iter: j, RelRes: run.relres})
+		}
 	}
 	return run.relres < run.cfg.Rtol
 }
@@ -306,7 +337,7 @@ func (run *nodeRun) setBNorm(bb float64) {
 func (run *nodeRun) trueResidual() {
 	run.spmv(run.q, run.x)
 	vec.Sub(run.r, run.cfg.B[run.lo:run.hi], run.q)
-	run.compute(obs.KindVec, float64(run.m))
+	run.nd.Compute(replay.WorkVec, float64(run.m))
 }
 
 // residualFromX computes r = b − A·x and z = P·r, and sets p = z: the part
@@ -315,7 +346,7 @@ func (run *nodeRun) trueResidual() {
 func (run *nodeRun) residualFromX() {
 	run.trueResidual()
 	run.pc.Apply(run.z, run.r)
-	run.compute(obs.KindPrecond, run.pc.ApplyFlops())
+	run.nd.Compute(replay.WorkPrecond, run.pc.ApplyFlops())
 	copy(run.p, run.z)
 }
 
@@ -326,7 +357,7 @@ func (run *nodeRun) bootstrap() float64 {
 	bLoc := run.cfg.B[run.lo:run.hi]
 	rzLoc, rrLoc := vec.Dot2(run.r, run.z)
 	bbLoc := vec.Dot(bLoc, bLoc)
-	run.compute(obs.KindVec, 6*float64(run.m))
+	run.nd.Compute(replay.WorkVec, 6*float64(run.m))
 	buf := [3]float64{rzLoc, bbLoc, rrLoc}
 	run.nd.Allreduce(cluster.OpSum, buf[:])
 	run.rz = buf[0]
@@ -346,7 +377,7 @@ func (run *nodeRun) restoreScalars() {
 	bLoc := run.cfg.B[run.lo:run.hi]
 	rzLoc := vec.Dot(run.r, run.z)
 	bbLoc := vec.Dot(bLoc, bLoc)
-	run.compute(obs.KindVec, 4*float64(run.m))
+	run.nd.Compute(replay.WorkVec, 4*float64(run.m))
 	var bb float64
 	run.rz, bb = run.dot2(rzLoc, bbLoc)
 	run.setBNorm(bb)
@@ -365,7 +396,7 @@ func (run *nodeRun) main(result *Result) {
 	converged := run.relres < cfg.Rtol // x0 may already satisfy the tolerance
 	j := 0
 	for ; !converged && j < cfg.MaxIter; totalSteps++ {
-		run.tr.SetIter(j)
+		run.nd.Sched().IterNext() // the step runs iteration j
 		run.head(j)
 
 		// Failure injection point: immediately after the SpMV communication
@@ -384,6 +415,7 @@ func (run *nodeRun) main(result *Result) {
 				run.recoveredAt = jrec
 				run.recovered = true
 				j = jrec
+				run.nd.Sched().IterSet(j - 1) // for the next step's IterNext
 				continue
 			}
 		}
@@ -392,7 +424,7 @@ func (run *nodeRun) main(result *Result) {
 		j++
 	}
 
-	run.tr.SetIter(-1) // epilogue: drift check and the final gather
+	run.nd.Sched().IterSet(-1) // epilogue: drift check and the final gather
 	drift := run.residualDrift()
 	run.nd.Sched().RTFinal() // this rank's recoveryTime enters the reduction
 	recovery := run.nd.AllreduceScalar(cluster.OpMax, run.recoveryTime)
@@ -495,7 +527,7 @@ func (run *nodeRun) residualDrift() float64 {
 		d := bLoc[i] - run.q[i]
 		trueLoc += d * d
 	}
-	run.compute(obs.KindVec, 3*float64(run.m))
+	run.nd.Compute(replay.WorkVec, 3*float64(run.m))
 	trueSq := run.nd.AllreduceScalar(cluster.OpSum, trueLoc)
 	trueNorm := math.Sqrt(trueSq)
 	if trueNorm == 0 {

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"esrp/internal/cluster"
 	"esrp/internal/obs"
+	"esrp/internal/replay"
 )
 
 // TestTraceNilWhenDisabled pins the disabled contract: without Observe the
@@ -230,7 +232,7 @@ func TestTraceSeries(t *testing.T) {
 // per productive step; its head is global rank 0's series and its tail the
 // new rank 0's, each pinned by digestOf as the build before the hand-off
 // recorded them (its series stopped at the shrink, and a separate residual
-// log held the tail). It also checks the contract obs.Recorder.Build states:
+// log held the tail). It also checks the contract obs.Builder.Build states:
 // global-rank order is chronological, so steps strictly increase, the clock
 // never falls, and markWasted flags exactly WastedIters points.
 func TestTraceSeriesFollowsRankZero(t *testing.T) {
@@ -305,5 +307,57 @@ func TestTraceSurvivesShrink(t *testing.T) {
 	survivorLast := res.Trace.Ranks[0][len(res.Trace.Ranks[0])-1].End
 	if survivorLast <= failedLast {
 		t.Errorf("survivor timeline ends at %v, not past the failed rank's %v", survivorLast, failedLast)
+	}
+}
+
+// TestTraceIsMachineIndependent checks that a trace is a view of the
+// schedule: on the traced scenarios of golden_driver.json, the schedule a
+// solve records under the default machine, walked under another machine
+// with the recording solve's residual samples, renders to the Chrome bytes
+// a solve under that machine renders — with latency ×4 and with the byte
+// period ×2.
+func TestTraceIsMachineIndependent(t *testing.T) {
+	chrome := func(tr *obs.Trace) []byte {
+		var buf bytes.Buffer
+		if err := tr.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	opts := obs.Options{Trace: true, Series: true}
+	base := cluster.DefaultCostModel()
+	slow, narrow := base, base
+	slow.Latency *= 4
+	narrow.BytePeriod *= 2
+	for _, sc := range driverScenarios() {
+		if !sc.trace {
+			continue
+		}
+		cfg := driverConfig(t, sc)
+		cfg.Observe, cfg.Record = &opts, replay.NewRecorder()
+		recorded := solveOK(t, cfg)
+		sched := cfg.Record.Schedule()
+		for name, m := range map[string]cluster.CostModel{"L×4": slow, "G×2": narrow} {
+			live := driverConfig(t, sc)
+			live.Observe, live.CostModel = &opts, &m
+			want := chrome(solveOK(t, live).Trace)
+			if bytes.Equal(want, chrome(recorded.Trace)) {
+				t.Fatalf("%s: the trace under %s is the default machine's; the check is vacuous", sc.name, name)
+			}
+
+			_, tr, err := sched.Trace(m, opts)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", sc.name, name, err)
+			}
+			if len(tr.Series) != len(recorded.Trace.Series) {
+				t.Fatalf("%s under %s: %d series points, the recording solve sampled %d", sc.name, name, len(tr.Series), len(recorded.Trace.Series))
+			}
+			for i, p := range recorded.Trace.Series {
+				tr.Series[i].Step, tr.Series[i].RelRes = p.Step, p.RelRes
+			}
+			if got := chrome(tr); !bytes.Equal(got, want) {
+				t.Errorf("%s: the schedule walked under %s renders %d bytes unlike the %d of a solve under it", sc.name, name, len(got), len(want))
+			}
+		}
 	}
 }

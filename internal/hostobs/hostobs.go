@@ -7,8 +7,8 @@
 // cell's solve context, and what the Go runtime (heap, GC, scheduler) was
 // doing while a campaign ran.
 //
-// The layer follows the same zero-overhead-when-off discipline as
-// obs.Recorder: every hot-path entry point is a method on a handle that
+// The layer follows the zero-overhead-when-off discipline of
+// replay.Recorder: every hot-path entry point is a method on a handle that
 // nil-checks its receiver, so a solve or campaign without a recorder
 // attached performs no clock reads, no atomics and no allocations — the
 // zero-alloc gates and byte-identity contracts of the engine hold

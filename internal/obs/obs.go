@@ -6,13 +6,13 @@
 // resilience action — so the trace explains where the modeled runtime of
 // a solve went, iteration by iteration and failure by failure.
 //
-// The layer is zero-overhead when disabled: every hot-path entry point is
-// a method on *Rank that nil-checks its receiver, and a solve without a
-// Recorder carries nil Ranks everywhere. With recording enabled the data
-// model stays deterministic: each rank's buffer is written only by that
-// rank's goroutine, all timestamps come from the deterministic simulated
-// clock, and export walks ranks in ascending order — the same seed and
-// configuration therefore produce byte-identical trace files.
+// The solver writes nothing here while it runs. A trace is a view of the
+// solve's recorded event schedule (internal/replay): the walk that re-costs
+// the schedule under the solve's machine model hands each event's interval
+// to a Builder, attributed by the Compute work, region, iteration and
+// envelope markers the schedule carries. The schedule fixes every clock bit,
+// and export walks ranks in ascending order, so the same seed and
+// configuration produce byte-identical trace files.
 package obs
 
 // Kind identifies the activity a span measures.
@@ -136,8 +136,8 @@ type Span struct {
 // Dur returns the span length in simulated seconds.
 func (s Span) Dur() float64 { return s.End - s.Start }
 
-// IterPoint is one sample of the per-iteration metric series, recorded by
-// the communicator's rank 0 at the end of each productive loop iteration.
+// IterPoint is one sample of the per-iteration metric series, taken by the
+// communicator's rank 0 at the end of each productive loop iteration.
 // The series is the solve's one residual record: when a no-spare shrink
 // retires rank 0, the lowest surviving rank takes the role over and the
 // series goes on. Clock, Bytes and Msgs are cumulative and the recording
@@ -155,7 +155,7 @@ type IterPoint struct {
 	Wasted bool    `json:"wasted"` // discarded by a later rollback
 }
 
-// Options selects what a Recorder captures.
+// Options selects what a trace keeps.
 type Options struct {
 	// Trace records per-rank span timelines.
 	Trace bool
@@ -164,135 +164,78 @@ type Options struct {
 	Series bool
 }
 
-// enabled reports whether the options ask for any recording at all.
-func (o Options) enabled() bool { return o.Trace || o.Series }
+// Enabled reports whether o asks for anything (nil-safe).
+func (o *Options) Enabled() bool { return o != nil && (o.Trace || o.Series) }
 
-// Enabled reports whether o asks for any recording (nil-safe).
-func (o *Options) Enabled() bool { return o != nil && o.enabled() }
-
-// Recorder owns the per-rank recording buffers of one solve. Each rank's
-// buffer is handed to that rank's goroutine (Rank) and written only
-// there; Build runs after the solve, single-threaded.
-type Recorder struct {
-	opts  Options
-	ranks []*Rank
+// Builder assembles a Trace from what a walk of a recorded schedule derives
+// (replay.Schedule.Trace): per rank, its leaf spans in time order, its
+// recovery envelopes and its series points. It applies the recording rule
+// of the timeline: zero-length spans are dropped, and a span abutting the
+// rank's previous one with equal kind, iteration and phase extends it, which
+// keeps steady-state timelines compact.
+type Builder struct {
+	opts   Options
+	spans  [][]Span
+	env    [][]Span // KindRecovery envelopes, kept apart from the leaves
+	points [][]IterPoint
 }
 
-// NewRecorder returns a recorder for an n-node solve.
-func NewRecorder(opts Options, n int) *Recorder {
-	rec := &Recorder{opts: opts, ranks: make([]*Rank, n)}
-	for g := range rec.ranks {
-		rec.ranks[g] = &Rank{
-			rank:   g,
-			iter:   -1,
-			spans:  opts.Trace,
-			series: opts.Series,
-		}
-	}
-	return rec
+// NewBuilder returns a builder for an n-rank trace that keeps what opts
+// asks for: spans and envelopes with Trace, series points with Series.
+func NewBuilder(opts Options, n int) *Builder {
+	return &Builder{opts: opts, spans: make([][]Span, n), env: make([][]Span, n), points: make([][]IterPoint, n)}
 }
 
-// Rank returns global rank g's recording buffer. Nil-safe: a nil Recorder
-// yields a nil *Rank, whose methods are all no-ops — the disabled path.
-func (rec *Recorder) Rank(g int) *Rank {
-	if rec == nil {
-		return nil
-	}
-	return rec.ranks[g]
-}
-
-// Rank is one rank's recording buffer. All recording methods nil-check the
-// receiver so instrumentation sites need no guards of their own; only the
-// owning rank's goroutine may call them during a run.
-type Rank struct {
-	rank   int
-	spans  bool
-	series bool
-
-	iter  int
-	phase Phase
-
-	buf    []Span
-	env    []Span // KindRecovery envelopes, kept apart from the leaves
-	points []IterPoint
-}
-
-// SetIter sets the iteration subsequent spans are attributed to.
-func (rk *Rank) SetIter(j int) {
-	if rk == nil {
+// Span appends leaf span s to rank g's timeline, or extends the last one.
+func (b *Builder) Span(g int, s Span) {
+	if !b.opts.Trace || s.End <= s.Start {
 		return
 	}
-	rk.iter = j
-}
-
-// SetPhase sets the phase subsequent spans are attributed to.
-func (rk *Rank) SetPhase(p Phase) {
-	if rk == nil {
-		return
-	}
-	rk.phase = p
-}
-
-// Span records one leaf interval [start, end) of the rank's simulated
-// timeline under the current iteration and phase. Zero-length spans are
-// dropped; a span abutting the previous one with identical attribution is
-// coalesced into it, keeping steady-state buffers compact.
-func (rk *Rank) Span(kind Kind, start, end float64) {
-	if rk == nil || !rk.spans || end <= start {
-		return
-	}
-	if n := len(rk.buf); n > 0 {
-		last := &rk.buf[n-1]
-		if last.Kind == kind && last.Iter == rk.iter && last.Phase == rk.phase && last.End == start {
-			last.End = end
+	spans := b.spans[g]
+	if n := len(spans); n > 0 {
+		last := &spans[n-1]
+		if last.Kind == s.Kind && last.Iter == s.Iter && last.Phase == s.Phase && last.End == s.Start {
+			last.End = s.End
 			return
 		}
 	}
-	rk.buf = append(rk.buf, Span{Kind: kind, Phase: rk.phase, Iter: rk.iter, Start: start, End: end})
+	b.spans[g] = append(spans, s)
 }
 
-// Envelope records the per-failure-event KindRecovery envelope enclosing
-// the event's leaf spans. iter is the iteration the failure struck.
-func (rk *Rank) Envelope(iter int, start, end float64) {
-	if rk == nil || !rk.spans || end <= start {
+// Envelope records rank g's KindRecovery envelope of the failure that
+// struck iteration iter, enclosing the event's leaf spans.
+func (b *Builder) Envelope(g, iter int, start, end float64) {
+	if !b.opts.Trace || end <= start {
 		return
 	}
-	rk.env = append(rk.env, Span{Kind: KindRecovery, Phase: PhaseRecovery, Iter: iter, Start: start, End: end})
+	b.env[g] = append(b.env[g], Span{Kind: KindRecovery, Phase: PhaseRecovery, Iter: iter, Start: start, End: end})
 }
 
-// Point appends one sample to the per-iteration series. Every buffer has
-// the series enabled with Options.Series; the caller records only on the
-// communicator's rank 0.
-func (rk *Rank) Point(step, iter int, relres, clock float64, bytes, msgs int64) {
-	if rk == nil || !rk.series {
-		return
+// Point appends one sample to rank g's part of the series.
+func (b *Builder) Point(g int, p IterPoint) {
+	if b.opts.Series {
+		b.points[g] = append(b.points[g], p)
 	}
-	rk.points = append(rk.points, IterPoint{
-		Step: step, Iter: iter, RelRes: relres,
-		Clock: clock, Bytes: bytes, Msgs: msgs,
-	})
 }
 
-// Build assembles the immutable Trace after the run completed. simTime is
-// the solve's modeled runtime (max simulated clock over ranks).
+// Build assembles the immutable Trace. simTime is the solve's modeled
+// runtime (max simulated clock over ranks).
 //
-// The series is the buffers' points concatenated in global-rank order, and
-// markWasted reads it as chronological. Callers keep that true: points
-// recorded by a lower global rank come before any a higher one records.
-// The solver does, because the communicator's rank-0 role only ever moves
-// to a higher global rank (a shrink keeps the survivors' order).
-func (rec *Recorder) Build(simTime float64) *Trace {
+// The series is the ranks' points concatenated in global-rank order, and
+// markWasted reads it as chronological. That holds for a solve: the
+// communicator's rank-0 role only ever moves to a higher global rank (a
+// shrink keeps the survivors' order), so points of a lower global rank come
+// before any a higher one samples.
+func (b *Builder) Build(simTime float64) *Trace {
 	t := &Trace{
-		Nodes:     len(rec.ranks),
+		Nodes:     len(b.spans),
 		SimTime:   simTime,
-		Ranks:     make([][]Span, len(rec.ranks)),
-		Envelopes: make([][]Span, len(rec.ranks)),
+		Ranks:     b.spans,
+		Envelopes: b.env,
 		Build:     CurrentBuild(),
 	}
-	for g, rk := range rec.ranks {
-		t.Ranks[g] = rk.buf
-		t.Envelopes[g] = rk.env
-		t.Series = append(t.Series, rk.points...)
+	for _, pts := range b.points {
+		t.Series = append(t.Series, pts...)
 	}
 	markWasted(t.Series)
 	return t

@@ -28,18 +28,6 @@ func TestKindTables(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var rec *Recorder
-	rk := rec.Rank(3) // nil recorder: nil rank
-	if rk != nil {
-		t.Fatal("nil Recorder.Rank must be nil")
-	}
-	// All recording methods must be no-ops on a nil receiver.
-	rk.SetIter(5)
-	rk.SetPhase(PhaseRecovery)
-	rk.Span(KindVec, 0, 1)
-	rk.Envelope(2, 0, 1)
-	rk.Point(0, 0, 1e-3, 0.5, 100, 2)
-
 	var opts *Options
 	if opts.Enabled() {
 		t.Error("nil Options must report disabled")
@@ -50,27 +38,38 @@ func TestNilSafety(t *testing.T) {
 	if !(&Options{Trace: true}).Enabled() || !(&Options{Series: true}).Enabled() {
 		t.Error("set Options must report enabled")
 	}
+
+	// A builder keeps only what its options ask for.
+	b := NewBuilder(Options{}, 1)
+	b.Span(0, Span{Kind: KindVec, Start: 0, End: 1})
+	b.Envelope(0, 2, 0, 1)
+	b.Point(0, IterPoint{Clock: 0.5})
+	if tr := b.Build(1); len(tr.Ranks[0]) != 0 || len(tr.Envelopes[0]) != 0 || len(tr.Series) != 0 {
+		t.Errorf("zero Options kept %+v", tr)
+	}
 }
 
 func TestSpanCoalescing(t *testing.T) {
-	rec := NewRecorder(Options{Trace: true}, 1)
-	rk := rec.Rank(0)
-	rk.SetIter(7)
-	rk.Span(KindVec, 0, 1)
-	rk.Span(KindVec, 1, 2)     // abuts with same attribution: coalesce
-	rk.Span(KindVec, 2, 2)     // zero-length: dropped
-	rk.Span(KindPrecond, 2, 3) // different kind: new span
-	rk.Span(KindVec, 4, 5)     // gap: new span
-	rk.SetIter(8)
-	rk.Span(KindVec, 5, 6) // abuts but different iter: new span
+	b := NewBuilder(Options{Trace: true}, 1)
+	span := func(kind Kind, iter int, start, end float64) {
+		b.Span(0, Span{Kind: kind, Iter: iter, Start: start, End: end})
+	}
+	span(KindVec, 7, 0, 1)
+	span(KindVec, 7, 1, 2)                                                          // abuts with same attribution: coalesce
+	span(KindVec, 7, 2, 2)                                                          // zero-length: dropped
+	span(KindPrecond, 7, 2, 3)                                                      // different kind: new span
+	span(KindVec, 7, 4, 5)                                                          // gap: new span
+	span(KindVec, 8, 5, 6)                                                          // abuts but different iter: new span
+	b.Span(0, Span{Kind: KindVec, Phase: PhaseRecovery, Iter: 8, Start: 6, End: 7}) // different phase: new span
 
-	tr := rec.Build(6)
+	tr := b.Build(7)
 	spans := tr.Ranks[0]
 	want := []Span{
 		{Kind: KindVec, Iter: 7, Start: 0, End: 2},
 		{Kind: KindPrecond, Iter: 7, Start: 2, End: 3},
 		{Kind: KindVec, Iter: 7, Start: 4, End: 5},
 		{Kind: KindVec, Iter: 8, Start: 5, End: 6},
+		{Kind: KindVec, Phase: PhaseRecovery, Iter: 8, Start: 6, End: 7},
 	}
 	if len(spans) != len(want) {
 		t.Fatalf("got %d spans, want %d: %+v", len(spans), len(want), spans)
@@ -83,14 +82,13 @@ func TestSpanCoalescing(t *testing.T) {
 }
 
 func TestMarkWasted(t *testing.T) {
-	rec := NewRecorder(Options{Series: true}, 1)
-	rk := rec.Rank(0)
+	b := NewBuilder(Options{Series: true}, 1)
 	// Iterations 0,1,2 then a rollback to 1: steps at iters 1 and 2 before
 	// the rollback are re-run, so they are wasted.
 	for step, iter := range []int{0, 1, 2, 1, 2, 3} {
-		rk.Point(step, iter, 1e-3, float64(step), 0, 0)
+		b.Point(0, IterPoint{Step: step, Iter: iter, RelRes: 1e-3, Clock: float64(step)})
 	}
-	tr := rec.Build(6)
+	tr := b.Build(6)
 	want := []bool{false, true, true, false, false, false}
 	for i, p := range tr.Series {
 		if p.Wasted != want[i] {
@@ -100,16 +98,19 @@ func TestMarkWasted(t *testing.T) {
 }
 
 func TestRecoveryStatsAndCoverage(t *testing.T) {
-	rec := NewRecorder(Options{Trace: true}, 2)
-	r0, r1 := rec.Rank(0), rec.Rank(1)
-	r0.Span(KindVec, 0, 6)
-	r0.Envelope(10, 6, 9)
-	r0.Span(KindRecoverGather, 6, 9)
-	r0.Span(KindVec, 9, 10)
-	r1.Span(KindVec, 0, 4)
-	r1.Envelope(10, 6, 8)
+	b := NewBuilder(Options{Trace: true}, 2)
+	b.Span(0, Span{Kind: KindVec, Start: 0, End: 6})
+	b.Envelope(0, 10, 6, 9)
+	b.Envelope(0, 11, 9, 9) // zero-length: dropped
+	b.Span(0, Span{Kind: KindRecoverGather, Phase: PhaseRecovery, Start: 6, End: 9})
+	b.Span(0, Span{Kind: KindVec, Start: 9, End: 10})
+	b.Span(1, Span{Kind: KindVec, Start: 0, End: 4})
+	b.Envelope(1, 10, 6, 8)
 
-	tr := rec.Build(10)
+	tr := b.Build(10)
+	if want := (Span{Kind: KindRecovery, Phase: PhaseRecovery, Iter: 10, Start: 6, End: 9}); len(tr.Envelopes[0]) != 1 || tr.Envelopes[0][0] != want {
+		t.Errorf("rank 0 envelopes %+v, want [%+v]", tr.Envelopes[0], want)
+	}
 	stats := tr.RecoveryStats()
 	if len(stats) != 1 {
 		t.Fatalf("got %d recovery stats, want 1", len(stats))
@@ -129,15 +130,13 @@ func TestRecoveryStatsAndCoverage(t *testing.T) {
 
 func TestWriteChromeDeterministicAndValid(t *testing.T) {
 	build := func() *bytes.Buffer {
-		rec := NewRecorder(Options{Trace: true, Series: true}, 2)
-		rk := rec.Rank(0)
-		rk.SetIter(0)
-		rk.Span(KindVec, 0, 1)
-		rk.Span(KindAllreduce, 1, 2)
-		rk.Point(0, 0, 1e-3, 2, 64, 1)
-		rk.Envelope(0, 2, 3)
-		rec.Rank(1).Span(KindPrecond, 0, 2)
-		tr := rec.Build(3)
+		b := NewBuilder(Options{Trace: true, Series: true}, 2)
+		b.Span(0, Span{Kind: KindVec, Start: 0, End: 1})
+		b.Span(0, Span{Kind: KindAllreduce, Start: 1, End: 2})
+		b.Point(0, IterPoint{RelRes: 1e-3, Clock: 2, Bytes: 64, Msgs: 1})
+		b.Envelope(0, 0, 2, 3)
+		b.Span(1, Span{Kind: KindPrecond, Start: 0, End: 2})
+		tr := b.Build(3)
 		var buf bytes.Buffer
 		if err := tr.WriteChrome(&buf); err != nil {
 			t.Fatal(err)
@@ -178,11 +177,10 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 }
 
 func TestWriteSeriesCSV(t *testing.T) {
-	rec := NewRecorder(Options{Series: true}, 1)
-	rk := rec.Rank(0)
-	rk.Point(0, 0, 1e-1, 1.0, 100, 2)
-	rk.Point(1, 1, 1e-2, 2.5, 250, 5)
-	tr := rec.Build(2.5)
+	b := NewBuilder(Options{Series: true}, 1)
+	b.Point(0, IterPoint{Step: 0, Iter: 0, RelRes: 1e-1, Clock: 1.0, Bytes: 100, Msgs: 2})
+	b.Point(0, IterPoint{Step: 1, Iter: 1, RelRes: 1e-2, Clock: 2.5, Bytes: 250, Msgs: 5})
+	tr := b.Build(2.5)
 	var buf bytes.Buffer
 	if err := tr.WriteSeriesCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -200,11 +198,11 @@ func TestWriteSeriesCSV(t *testing.T) {
 }
 
 func TestTotals(t *testing.T) {
-	rec := NewRecorder(Options{Trace: true}, 2)
-	rec.Rank(0).Span(KindVec, 0, 2)
-	rec.Rank(1).Span(KindVec, 0, 1)
-	rec.Rank(1).Span(KindSpMV, 1, 4)
-	tr := rec.Build(4)
+	b := NewBuilder(Options{Trace: true}, 2)
+	b.Span(0, Span{Kind: KindVec, Start: 0, End: 2})
+	b.Span(1, Span{Kind: KindVec, Start: 0, End: 1})
+	b.Span(1, Span{Kind: KindSpMV, Start: 1, End: 4})
+	tr := b.Build(4)
 	tot := tr.Totals()
 	if tot[KindVec] != 3 || tot[KindSpMV] != 3 {
 		t.Errorf("totals = %v, want vec 3, spmv 3", tot)

@@ -91,7 +91,7 @@ type rankState struct {
 	envStart  []float64
 }
 
-// machine is the full replay state for one RecostAll call.
+// machine is the full replay state for one RecostAll or Trace call.
 type machine struct {
 	s   *Schedule
 	ms  []CostModel
@@ -118,6 +118,8 @@ type machine struct {
 	freeSlot int32
 
 	acctB, acctM int64 // modeled traffic booked so far
+
+	tr *tracer // nil unless the walk is Schedule.Trace's
 }
 
 // Recost replays the schedule under machine model m. Safe for concurrent
@@ -139,19 +141,28 @@ func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := mc.run(); err != nil {
+		return nil, err
+	}
+	return mc.out, nil
+}
+
+// run sweeps the ranks until every one has run its last event, then fills
+// the results.
+func (mc *machine) run() error {
 	for done := false; !done; {
 		progress := false
 		done = true
 		for g := range mc.rs {
 			adv, err := mc.runRank(g)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			progress = progress || adv
 			done = done && mc.finished(g)
 		}
 		if !done && !progress {
-			return nil, mc.deadlockErr()
+			return mc.deadlockErr()
 		}
 	}
 
@@ -178,7 +189,7 @@ func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
 			}
 		}
 	}
-	return mc.out, nil
+	return nil
 }
 
 // newMachine sizes the replay state. The streams were validated when the
@@ -304,6 +315,9 @@ func (mc *machine) runRank(g int) (bool, error) {
 		}
 		if !ok {
 			return advanced, nil
+		}
+		if mc.tr != nil {
+			mc.tr.note(g, &st.evs[st.pos], st.clock[0])
 		}
 		st.pos++
 		st.pc++
@@ -544,7 +558,10 @@ func (mc *machine) book() error {
 }
 
 // newSlot takes a send slot off the free list, growing the pool when every
-// slot is in flight.
+// slot is in flight. The pool doubles, but never past the slots the
+// in-flight bound still allows, so a schedule that floods it costs at most
+// about twice the pool it ends with (append's 1.25× steps for a large slice
+// cost five times).
 func (mc *machine) newSlot(bytes int64) (int32, error) {
 	sl := mc.freeSlot
 	if sl >= 0 {
@@ -554,8 +571,13 @@ func (mc *machine) newSlot(bytes int64) (int32, error) {
 			return 0, err
 		}
 		sl = int32(len(mc.slots))
-		mc.slots = append(mc.slots, sendSlot{})
-		mc.slotT = slices.Grow(mc.slotT, len(mc.ms))[:len(mc.slots)*len(mc.ms)]
+		if len(mc.slots) == cap(mc.slots) {
+			n := min(max(2*len(mc.slots), 16), len(mc.slots)+1+mc.room)
+			mc.slots = append(make([]sendSlot, 0, n), mc.slots...)
+			mc.slotT = append(make([]float64, 0, n*len(mc.ms)), mc.slotT...)
+		}
+		mc.slots = mc.slots[:sl+1]
+		mc.slotT = mc.slotT[:len(mc.slots)*len(mc.ms)]
 	}
 	mc.slots[sl] = sendSlot{bytes: bytes, next: -1}
 	return sl, nil

@@ -13,17 +13,23 @@
 // reproducing SimTime, BytesSent, MsgsSent, RecoveryTime and the per-event
 // recovery envelopes bit-for-bit when replayed under the recording model.
 //
-// An event stream has one representation, its ESRPRPL2 wire bytes
+// An event stream has one representation, its ESRPRPL3 wire bytes
 // (serialize.go): a dictionary of the rank's distinct blocks — the events
 // up to and including a collective — and one reference per block
 // occurrence. Ranks record them, the cache stores them, a decoded schedule
 // aliases them, and the re-coster decodes each distinct block once and
 // follows the references.
 //
-// The package follows the same nil-handle contract as internal/obs: a nil
-// *Recorder yields nil *Rank handles, every Rank method tolerates a nil
-// receiver, and a solve without a recorder pays only dead nil-checks on the
-// hot path — zero allocations, bit-identical results.
+// A schedule also carries what a span timeline needs (trace.go): each
+// Compute names its Work, a Region marker names the point-to-point traffic
+// that is not halo exchange, IterNext and IterSet markers attribute events
+// to solver iterations, and a Point marker stands where the series samples.
+// None of them carries a clock or a residual, so a traced walk under any
+// CostModel yields the timeline a solve under that model would have.
+//
+// A nil *Recorder yields nil *Rank handles, every Rank method tolerates a
+// nil receiver, and a solve without a recorder pays only dead nil-checks on
+// the hot path — zero allocations, bit-identical results.
 //
 // CostModel and its formulas live here rather than in internal/cluster
 // (which imports replay and aliases the type): the live clock and the
@@ -60,10 +66,11 @@ type Kind uint8
 // Event kinds. The first group is emitted by internal/cluster's clock
 // primitives; the Rec*/Env*/RTFinal markers are emitted by internal/core
 // around its recovery protocols so a replay can rebuild Result.RecoveryTime
-// and the per-event recovery envelopes without touching solver state.
+// and the per-event recovery envelopes without touching solver state; the
+// last four are internal/core's span attribution, which moves no clock.
 const (
 	KindInvalid   Kind = iota
-	KindCompute        // Val = flops; clock += flops·FlopTime
+	KindCompute        // Tag = Work, Val = flops; clock += flops·FlopTime
 	KindClockAdd       // Val = dt (model-independent, e.g. DetectionTime)
 	_                  // 3: reserved (a clock sync no solve records); decoding it is an error
 	KindSend           // Peer = dst global rank, Bytes = payload
@@ -77,6 +84,10 @@ const (
 	KindEnvStart       // Peer = failure iteration; envelope opens at clock
 	KindEnvEnd         // envelope closes at clock
 	KindRTFinal        // rank contributes recoveryTime to the final OpMax
+	KindIterNext       // the next loop step: iteration += 1
+	KindIterSet        // Peer = iteration (−1 outside the loop): a rollback or the epilogue
+	KindPoint          // the communicator's rank 0 samples the series
+	KindRegion         // Tag = Region of the sends and receives that follow
 )
 
 var kindNames = [...]string{
@@ -84,7 +95,36 @@ var kindNames = [...]string{
 	KindSend: "send", KindRecv: "recv", KindAllreduce: "allreduce", KindBcast: "bcast", KindGather: "gather",
 	KindRecStart: "recstart", KindRecEnd: "recend", KindRecCharge: "reccharge",
 	KindEnvStart: "envstart", KindEnvEnd: "envend", KindRTFinal: "rtfinal",
+	KindIterNext: "iternext", KindIterSet: "iterset", KindPoint: "point", KindRegion: "region",
 }
+
+// Work names what a Compute event's flops are spent on: the span kind a
+// traced walk attributes them to.
+type Work uint8
+
+// Work labels.
+const (
+	WorkVec          Work = iota // fused vector kernels and local dot products
+	WorkPrecond                  // preconditioner applications
+	WorkSpMV                     // the whole local product of a blocking exchange
+	WorkSpMVInterior             // interior rows, overlapping the halo in flight
+	WorkSpMVBoundary             // boundary rows, after the halo arrived
+	WorkReconstruct              // Alg. 2's reconstruction arithmetic
+	WorkInnerSolve               // the inner-system PCG's vector and preconditioner work
+	workCount
+)
+
+// Region names the point-to-point traffic between two Region events: halo
+// exchange unless a checkpoint shipment or a recovery gather is marked.
+type Region uint8
+
+// Regions.
+const (
+	RegionHalo          Region = iota // sends are halo_post, receives halo_wait
+	RegionCheckpoint                  // IMCR buddy shipments
+	RegionRecoverGather               // post-failure state retrieval
+	regionCount
+)
 
 func (k Kind) String() string {
 	if int(k) >= len(kindNames) || kindNames[k] == "" {
@@ -99,7 +139,8 @@ func (k Kind) String() string {
 type event struct {
 	Kind      Kind
 	Root      bool  // bcast/gather: this member is the root
-	Peer      int32 // send dst / recv src / envelope iteration
+	Tag       uint8 // compute: Work; region: Region
+	Peer      int32 // send dst / recv src / envelope iteration / iteration set
 	View      int32 // collective communicator view id
 	Bytes     int64
 	AcctMsgs  int64   // modeled messages booked by this member
@@ -237,7 +278,7 @@ func (rc *Recorder) Schedule() *Schedule {
 // reference per block occurrence. A block is the events up to and including
 // a collective; the events after the last one form the open block at the
 // dictionary's tail. All methods are single-goroutine (the rank's own) and
-// tolerate a nil receiver — the zero-overhead-off contract.
+// tolerate a nil receiver, so a solve without a recorder pays nil-checks.
 type Rank struct {
 	dict   []byte // closed distinct blocks, each its length then its events; then the open block
 	open   int    // where the open block starts in dict
@@ -295,6 +336,11 @@ func appendPeer(b []byte, k Kind, p int) []byte {
 	return binary.AppendUvarint(append(b, byte(k)), uint64(p))
 }
 
+// appendCompute appends a Compute of flops spent on w.
+func appendCompute(b []byte, w Work, flops float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, byte(KindCompute), byte(w)), math.Float64bits(flops))
+}
+
 // appendSend appends a send of bytes payload to global rank dst.
 func appendSend(b []byte, dst int, bytes int64) []byte {
 	return binary.AppendUvarint(appendPeer(b, KindSend, dst), uint64(bytes))
@@ -317,12 +363,18 @@ func appendCollective(b []byte, kind Kind, view int32, bytes, acctMsgs, acctByte
 // every kind is known and every field fits its encoding.
 func appendEvent(b []byte, e *event) []byte {
 	switch e.Kind {
-	case KindCompute, KindClockAdd, KindRecCharge:
+	case KindCompute:
+		return appendCompute(b, Work(e.Tag), e.Val)
+	case KindClockAdd, KindRecCharge:
 		return appendVal(b, e.Kind, e.Val)
 	case KindSend:
 		return appendSend(b, int(e.Peer), e.Bytes)
 	case KindRecv, KindEnvStart:
 		return appendPeer(b, e.Kind, int(e.Peer))
+	case KindIterSet:
+		return appendPeer(b, e.Kind, int(e.Peer)+1)
+	case KindRegion:
+		return appendPeer(b, e.Kind, int(e.Tag))
 	case KindAllreduce, KindBcast, KindGather:
 		return appendCollective(b, e.Kind, e.View, e.Bytes, e.AcctMsgs, e.AcctBytes, e.Root)
 	}
@@ -358,8 +410,13 @@ func (r *Rank) mark(k Kind) {
 	r.dict = append(r.dict, byte(k))
 }
 
-// Compute records a Compute(flops) clock advance.
-func (r *Rank) Compute(flops float64) { r.val(KindCompute, flops) }
+// Compute records a Compute(flops) clock advance spent on w.
+func (r *Rank) Compute(w Work, flops float64) {
+	if r == nil {
+		return
+	}
+	r.dict = appendCompute(r.dict, w, flops)
+}
 
 // ClockAdd records an AddClock(dt) advance (model-independent).
 func (r *Rank) ClockAdd(dt float64) { r.val(KindClockAdd, dt) }
@@ -408,9 +465,25 @@ func (r *Rank) EnvEnd() { r.mark(KindEnvEnd) }
 // OpMax reduction (retired ranks never reach it).
 func (r *Rank) RTFinal() { r.mark(KindRTFinal) }
 
+// IterNext marks the start of the next loop step, one iteration past the
+// last.
+func (r *Rank) IterNext() { r.mark(KindIterNext) }
+
+// IterSet marks that the events after it belong to iteration j (−1: outside
+// the loop). The solver sets it only where IterNext does not reach: at a
+// rollback and at the epilogue.
+func (r *Rank) IterSet(j int) { r.peer(KindIterSet, j+1) }
+
+// Point marks where the communicator's rank 0 samples the series; the
+// sampled residual stays with the caller.
+func (r *Rank) Point() { r.mark(KindPoint) }
+
+// Region marks the sends and receives that follow as rg's traffic.
+func (r *Rank) Region(rg Region) { r.peer(KindRegion, int(rg)) }
+
 // Schedule is a recorded solve's full event schedule: the membership of
 // every communicator view, in canonical order, and per rank its dictionary
-// of distinct blocks and its block references, held as their ESRPRPL2 wire
+// of distinct blocks and its block references, held as their ESRPRPL3 wire
 // bytes. Recorder.Schedule and DecodeBinary both end in the one validating
 // scan (index); from then on it is immutable, and Recost may be called
 // concurrently (each replay allocates its own machine state and shares the

@@ -17,7 +17,7 @@ import (
 //
 // Binary layout (all ints unsigned varints of minimal length unless noted):
 //
-//	magic "ESRPRPL2" (8 bytes)
+//	magic "ESRPRPL3" (8 bytes)
 //	nodes, nviews
 //	per view:  nmembers, then member ranks delta-encoded (rank − prev − 1
 //	           for the tail, absolute for the first; views are ascending)
@@ -41,7 +41,23 @@ import (
 //
 // The per-rank part of this layout is also the in-memory form (Rank,
 // Schedule.payload): encoding copies it behind a header, decoding aliases it.
-const binaryMagic = "ESRPRPL2"
+//
+// An event is its kind byte, then:
+//
+//	compute             work (varint below 7), flops (float64)
+//	clockadd, reccharge dt (float64)
+//	send                dst, bytes
+//	recv                src
+//	allreduce, bcast,   root flag (0 or 1), view, bytes, booked messages,
+//	gather              booked bytes
+//	envstart            failure iteration
+//	iterset             iteration + 1 (0 is outside the loop)
+//	region              region (varint below 3)
+//	recstart, recend, envend, rtfinal, iternext, point: nothing
+//
+// ESRPRPL3 added the work of a compute and the last four kinds to
+// ESRPRPL2; a decoder of one refuses the other's magic.
+const binaryMagic = "ESRPRPL3"
 
 // EncodeBinary returns the schedule's compact binary encoding: the header,
 // then the payload as it is held. The content-addressed campaign cache frames
@@ -146,6 +162,9 @@ func (c *cursor) event(e *event) {
 	c.off++
 	switch e.Kind {
 	case KindCompute, KindClockAdd, KindRecCharge:
+		if e.Kind == KindCompute {
+			e.Tag = uint8(c.uvarint(uint64(workCount - 1)))
+		}
 		if len(c.data)-c.off < 8 {
 			c.fail(io.ErrUnexpectedEOF)
 			return
@@ -157,12 +176,16 @@ func (c *cursor) event(e *event) {
 		e.AcctMsgs, e.AcctBytes = 1, e.Bytes
 	case KindRecv, KindEnvStart:
 		e.Peer = int32(c.uvarint(math.MaxInt32))
+	case KindIterSet:
+		e.Peer = int32(c.uvarint(math.MaxInt32)) - 1
+	case KindRegion:
+		e.Tag = uint8(c.uvarint(uint64(regionCount - 1)))
 	case KindAllreduce, KindBcast, KindGather:
 		root := c.uvarint(1)
 		e.Root = root == 1
 		e.View, e.Bytes = int32(c.uvarint(math.MaxInt32)), int64(c.uvarint(math.MaxInt64))
 		e.AcctMsgs, e.AcctBytes = int64(c.uvarint(math.MaxInt64)), int64(c.uvarint(math.MaxInt64))
-	case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal:
+	case KindRecStart, KindRecEnd, KindEnvEnd, KindRTFinal, KindIterNext, KindPoint:
 	default:
 		c.fail(fmt.Errorf("unknown event kind %d at offset %d", e.Kind, c.off-1))
 	}
