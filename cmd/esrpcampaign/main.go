@@ -175,7 +175,7 @@ func main() {
 			// Sampled concurrently, but every cell index gets its own file,
 			// so the writes never contend.
 			path := filepath.Join(dir, fmt.Sprintf("cell-%04d-%s-%s-seed%d.trace.json", index, c.Matrix, c.Strategy, c.Seed))
-			if err := writeCellTrace(tr, path); err != nil {
+			if err := writeChrome(tr, path); err != nil {
 				fmt.Fprintf(os.Stderr, "esrpcampaign: trace %s: %v\n", path, err)
 			}
 		}
@@ -245,7 +245,7 @@ func main() {
 		}
 	}
 	if *hostTracePath != "" {
-		if err := writeHostTrace(hostRec, rep, *hostTracePath); err != nil {
+		if err := writeChrome(esrp.BuildHostTrace(hostRec, rep, esrp.CurrentBuild()), *hostTracePath); err != nil {
 			fatalf("writing host trace: %v", err)
 		}
 	}
@@ -264,23 +264,9 @@ func main() {
 	}
 }
 
-// writeHostTrace exports the wall-clock worker trace, self-validated
-// against the same trace_event schema check as the simulated cell traces.
-func writeHostTrace(rec *esrp.HostRecorder, rep *esrp.CampaignReport, path string) error {
-	tr := esrp.BuildHostTrace(rec, rep, esrp.CurrentBuild())
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		return err
-	}
-	if err := esrp.ValidateChromeTrace(buf.Bytes()); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// writeCellTrace exports one sampled cell's Chrome trace, self-validated
-// against the same schema check the CI gate runs.
-func writeCellTrace(tr *esrp.Trace, path string) error {
+// writeChrome exports a Chrome trace — the wall-clock worker trace or a
+// sampled cell's — self-validated against the schema check the CI gate runs.
+func writeChrome(tr interface{ WriteChrome(io.Writer) error }, path string) error {
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		return err

@@ -164,7 +164,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 			switch {
 			case err != nil:
 			case g.traced(index): // the trace's walk is the re-cost too
-				rep, tr, err = g.cellTrace(sched)
+				rep, tr, err = sched.Trace(cr.model, obs.Options{Trace: true})
 			case cr.state[index] == cellScheduleHit:
 				rep, err = sched.Recost(cr.model)
 			}

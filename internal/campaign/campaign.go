@@ -718,18 +718,12 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 		g.storeCell(index, c, sched, cr)
 	}
 	if traced {
-		if _, tr, err := g.cellTrace(sched); err != nil {
+		if _, tr, err := sched.Trace(g.model(), obs.Options{Trace: true}); err != nil {
 			c.Err = err.Error()
 		} else {
 			g.OnCellTrace(index, c, tr)
 		}
 	}
-}
-
-// cellTrace walks a sampled cell's schedule under the grid's model: the
-// re-cost, and the span timelines OnCellTrace receives.
-func (g *Grid) cellTrace(sched *replay.Schedule) (*replay.Replayed, *obs.Trace, error) {
-	return sched.Trace(g.model(), obs.Options{Trace: true})
 }
 
 // model is the machine model the grid's cells solve under.

@@ -453,13 +453,6 @@ func (nd *Node) Compute(w replay.Work, flops float64) {
 	nd.state.sched.Compute(w, flops)
 }
 
-// BytesSent returns the payload bytes this node has sent.
-func (nd *Node) BytesSent() int64 { return nd.state.bytesSent }
-
-// MsgsSent returns the number of point-to-point messages this node has
-// sent (collective traffic accounted as the retired star's messages).
-func (nd *Node) MsgsSent() int64 { return nd.state.msgsSent }
-
 // Sched returns the node's replay event stream — nil when no schedule
 // recorder is attached, which every replay.Rank method tolerates, so the
 // core layer marks its recovery sections unconditionally. Shared across

@@ -372,7 +372,7 @@ func TestCounters(t *testing.T) {
 			}
 			nd.Allreduce(OpMax, nil)
 		}
-		nodeBytes[nd.GlobalRank()], nodeMsgs[nd.GlobalRank()] = nd.BytesSent(), nd.MsgsSent()
+		nodeBytes[nd.GlobalRank()], nodeMsgs[nd.GlobalRank()] = nd.state.bytesSent, nd.state.msgsSent
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,72 +53,52 @@ func (sh *solveShared) solve(in Config) (*Result, error) {
 		comm.ObserveHost(cfg.HostStats)
 	}
 	result := &Result{}
-	// Per-node metric slots (each goroutine writes only its own index, like
-	// comm's node states): collected host-side after the run so the
-	// instrumentation costs nothing on the simulated clock.
-	nodeMem := make([]int64, cfg.Nodes)
-	nodeHalo := make([]int64, cfg.Nodes)
-	nodeKern := make([]string, cfg.Nodes)
-	nodePoints := make([][]obs.IterPoint, cfg.Nodes)
+	// Each goroutine writes only its own slot, like comm's node states; the
+	// per-node figures are collected host-side after the run.
+	runs := make([]*nodeRun, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
 		run := newNodeRun(sh, nd, prep)
 		run.main(result)
-		nodeMem[nd.GlobalRank()] = run.maxBytes()
-		nodeHalo[nd.GlobalRank()] = run.ex.HaloBytes()
-		nodeKern[nd.GlobalRank()] = run.kern.Name()
-		nodePoints[nd.GlobalRank()] = run.points
+		runs[nd.GlobalRank()] = run
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	result.Kernels = nodeKern
+	result.Kernels = make([]string, cfg.Nodes)
+	var samples []obs.IterPoint // in global-rank order, as the series lists its points
+	for g, run := range runs {
+		result.Kernels[g] = run.kern.Name()
+		result.MaxNodeBytes = max(result.MaxNodeBytes, run.maxBytes())
+		result.HaloBytes += run.ex.HaloBytes()
+		samples = append(samples, run.points...)
+	}
 	result.SimTime = comm.MaxClock()
 	result.WallTime = comm.WallTime()
 	result.BytesSent = comm.BytesSent()
 	result.MsgsSent = comm.MsgsSent()
-	result.MaxNodeBytes, result.HaloBytes = reduceFootprint(nodeMem, nodeHalo)
 	if cfg.Observe.Enabled() {
-		if result.Trace, err = traceOf(rec.Schedule(), model, *cfg.Observe, nodePoints); err != nil {
+		if result.Trace, err = traceOf(rec.Schedule(), model, *cfg.Observe, samples); err != nil {
 			return nil, err
 		}
 	}
 	return result, nil
 }
 
-// traceOf derives a solve's trace from its schedule, walked under the
-// model it ran on, and fills each series point's step and residual from
-// the samples the ranks kept: rank g's k-th sample belongs to the k-th
-// point the walk finds on rank g, and the series lists the ranks in
-// global order, as points does.
-func traceOf(sched *replay.Schedule, model cluster.CostModel, opts obs.Options, points [][]obs.IterPoint) (*obs.Trace, error) {
+// traceOf derives a solve's trace from one walk of its schedule under the
+// model it ran on; the ranks' samples give the walk's points their steps
+// and residuals.
+func traceOf(sched *replay.Schedule, model cluster.CostModel, opts obs.Options, samples []obs.IterPoint) (*obs.Trace, error) {
 	_, tr, err := sched.Trace(model, opts)
 	if err != nil {
 		return nil, err
 	}
-	k := 0
-	for _, pts := range points {
-		for _, p := range pts {
-			if k == len(tr.Series) || tr.Series[k].Iter != p.Iter {
-				return nil, fmt.Errorf("core: series sample %d (iteration %d) has no point in the schedule", k, p.Iter)
-			}
-			tr.Series[k].Step, tr.Series[k].RelRes = p.Step, p.RelRes
-			k++
-		}
+	if len(samples) != len(tr.Series) {
+		return nil, fmt.Errorf("core: the schedule holds %d series points, the ranks sampled %d", len(tr.Series), len(samples))
 	}
-	if k != len(tr.Series) {
-		return nil, fmt.Errorf("core: the schedule holds %d series points, the ranks sampled %d", len(tr.Series), k)
+	for i, p := range samples {
+		tr.Series[i].Step, tr.Series[i].RelRes = p.Step, p.RelRes
 	}
 	return tr, nil
-}
-
-// reduceFootprint condenses the per-node metric slots: the largest dynamic
-// footprint any node held, and the halo traffic summed over nodes.
-func reduceFootprint(nodeMem, nodeHalo []int64) (maxMem, halo int64) {
-	for i := range nodeMem {
-		maxMem = max(maxMem, nodeMem[i])
-		halo += nodeHalo[i]
-	}
-	return maxMem, halo
 }
 
 // buildPartition returns the block row partition of the configured solve:

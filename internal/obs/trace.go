@@ -146,57 +146,59 @@ const usPerSec = 1e6 // simulated seconds → trace_event microseconds
 // recovery envelopes nest around their leaf spans. Output is
 // byte-deterministic for a given trace.
 func (t *Trace) WriteChrome(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.puts(`{"displayTimeUnit":"ms","otherData":`)
-	meta, err := json.Marshal(struct {
+	other := struct {
 		SimTime   float64 `json:"sim_time_seconds"`
 		Nodes     int     `json:"nodes"`
 		GoVersion string  `json:"go_version"`
 		Revision  string  `json:"vcs_revision,omitempty"`
-	}{t.SimTime, t.Nodes, t.Build.GoVersion, t.Build.Revision})
+	}{t.SimTime, t.Nodes, t.Build.GoVersion, t.Build.Revision}
+	return writeChrome(w, other, func(emit func(any)) {
+		emit(chromeMeta{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
+			Args: chromeMetaArgs{Name: "esrp simulated cluster"}})
+		for g := 0; g < t.Nodes; g++ {
+			emit(chromeMeta{Name: "thread_name", Ph: "M", Pid: 0, Tid: g,
+				Args: chromeMetaArgs{Name: "rank " + strconv.Itoa(g)}})
+		}
+		for g := 0; g < t.Nodes; g++ {
+			// Envelopes first: at equal start timestamps the enclosing event
+			// must precede its children for viewers that resolve nesting by
+			// order, and a fixed order keeps the bytes deterministic.
+			for _, s := range t.Envelopes[g] {
+				emit(spanEvent(g, s))
+			}
+			for _, s := range t.Ranks[g] {
+				emit(spanEvent(g, s))
+			}
+		}
+		for _, p := range t.Series {
+			emit(chromeCounter{Name: "relres", Ph: "C", Ts: p.Clock * usPerSec,
+				Pid: 0, Tid: 0, Args: counterRelArgs{RelRes: p.RelRes}})
+		}
+	})
+}
+
+// writeChrome writes the object form both traces share: otherData, then
+// the events that events emits, one per line.
+func writeChrome(w io.Writer, other any, events func(emit func(any))) error {
+	bw := &errWriter{w: w}
+	bw.puts(`{"displayTimeUnit":"ms","otherData":`)
+	meta, err := json.Marshal(other)
 	if err != nil {
 		return err
 	}
 	bw.put(meta)
 	bw.puts(`,"traceEvents":[`)
-
-	first := true
-	emit := func(v any) {
+	sep := "\n"
+	events(func(v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			bw.err = err
 			return
 		}
-		if !first {
-			bw.puts(",\n")
-		} else {
-			bw.puts("\n")
-			first = false
-		}
+		bw.puts(sep)
 		bw.put(b)
-	}
-
-	emit(chromeMeta{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: chromeMetaArgs{Name: "esrp simulated cluster"}})
-	for g := 0; g < t.Nodes; g++ {
-		emit(chromeMeta{Name: "thread_name", Ph: "M", Pid: 0, Tid: g,
-			Args: chromeMetaArgs{Name: "rank " + strconv.Itoa(g)}})
-	}
-	for g := 0; g < t.Nodes; g++ {
-		// Envelopes first: at equal start timestamps the enclosing event
-		// must precede its children for viewers that resolve nesting by
-		// order, and a fixed order keeps the bytes deterministic.
-		for _, s := range t.Envelopes[g] {
-			emit(spanEvent(g, s))
-		}
-		for _, s := range t.Ranks[g] {
-			emit(spanEvent(g, s))
-		}
-	}
-	for _, p := range t.Series {
-		emit(chromeCounter{Name: "relres", Ph: "C", Ts: p.Clock * usPerSec,
-			Pid: 0, Tid: 0, Args: counterRelArgs{RelRes: p.RelRes}})
-	}
+		sep = ",\n"
+	})
 	bw.puts("\n]}\n")
 	return bw.err
 }

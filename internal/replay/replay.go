@@ -20,12 +20,9 @@
 // aliases them, and the re-coster decodes each distinct block once and
 // follows the references.
 //
-// A schedule also carries what a span timeline needs (trace.go): each
-// Compute names its Work, a Region marker names the point-to-point traffic
-// that is not halo exchange, IterNext and IterSet markers attribute events
-// to solver iterations, and a Point marker stands where the series samples.
-// None of them carries a clock or a residual, so a traced walk under any
-// CostModel yields the timeline a solve under that model would have.
+// A schedule also carries what a span timeline needs (trace.go), with no
+// clock or residual in it, so a traced walk under any CostModel yields the
+// timeline a solve under that model would have.
 //
 // A nil *Recorder yields nil *Rank handles, every Rank method tolerates a
 // nil receiver, and a solve without a recorder pays only dead nil-checks on

@@ -42,21 +42,8 @@ import (
 // The per-rank part of this layout is also the in-memory form (Rank,
 // Schedule.payload): encoding copies it behind a header, decoding aliases it.
 //
-// An event is its kind byte, then:
-//
-//	compute             work (varint below 7), flops (float64)
-//	clockadd, reccharge dt (float64)
-//	send                dst, bytes
-//	recv                src
-//	allreduce, bcast,   root flag (0 or 1), view, bytes, booked messages,
-//	gather              booked bytes
-//	envstart            failure iteration
-//	iterset             iteration + 1 (0 is outside the loop)
-//	region              region (varint below 3)
-//	recstart, recend, envend, rtfinal, iternext, point: nothing
-//
-// ESRPRPL3 added the work of a compute and the last four kinds to
-// ESRPRPL2; a decoder of one refuses the other's magic.
+// ESRPRPL3 added a compute's Work and the iternext, iterset, region and
+// point kinds (cursor.event) to ESRPRPL2, whose magic it refuses.
 const binaryMagic = "ESRPRPL3"
 
 // EncodeBinary returns the schedule's compact binary encoding: the header,
@@ -149,7 +136,8 @@ func (c *cursor) window(n int) []byte {
 }
 
 // event decodes the event at the cursor into e: the kind byte, then the
-// fields that kind defines. Only those fields are written; the others keep
+// fields that kind defines (a compute's Work, then its flops; an iterset's
+// iteration plus one, since the epilogue's is −1). Only those fields are written; the others keep
 // what e held, which no reader of that kind looks at. Peers and views beyond
 // int32, counts beyond int64 and unknown kinds fail the cursor.
 func (c *cursor) event(e *event) {

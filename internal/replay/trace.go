@@ -2,50 +2,32 @@ package replay
 
 import "esrp/internal/obs"
 
-// This file derives a solve's span timeline from its schedule. The walk
-// that re-costs the schedule knows, for every event of every rank, the
-// rank's clock before and after it; the schedule's markers say what the
-// interval was spent on and when. So the timeline needs no clock stamps of
-// its own, and walked under another machine model it is the timeline a
-// solve under that model would have produced.
-//
-// Attribution of one event's interval [clock before, clock after):
-//
-//	compute             its Work's kind
-//	clockadd            detect (the one clock advance a solve charges is
-//	                    the failure-detection time)
-//	send, recv          halo_post, halo_wait — or checkpoint, or
-//	                    recover_gather, inside a Region of that name
-//	allreduce, bcast,   the collective's kind
-//	gather
-//
-// under the rank's current iteration (IterNext, IterSet; −1 before the
-// loop) and phase (recovery between EnvStart and EnvEnd, else steady). The
-// markers carry no clock and no residual, and the iteration only at a
-// rollback or the epilogue, so an iteration body records the same bytes
-// every time and the block dictionary keeps repeating.
+// This file derives a solve's span timeline from its schedule: the re-cost
+// walk knows each rank's clock before and after each event, and the
+// schedule's markers say what the interval was spent on. The rule, the
+// attribution state and why the markers carry no value are DESIGN.md §
+// Observability.
 
-// workKinds maps a Compute's Work to its span kind.
-var workKinds = [workCount]obs.Kind{
-	WorkVec: obs.KindVec, WorkPrecond: obs.KindPrecond, WorkSpMV: obs.KindSpMV,
-	WorkSpMVInterior: obs.KindSpMVInterior, WorkSpMVBoundary: obs.KindSpMVBoundary,
-	WorkReconstruct: obs.KindReconstruct, WorkInnerSolve: obs.KindInnerSolve,
-}
-
-// sendKinds and recvKinds map a Region to the span kind of its sends and of
-// its receives.
+// workKinds maps a Compute's Work to its span kind; regionKinds a Region to
+// the span kinds of its sends ([0]) and of its receives ([1]).
 var (
-	sendKinds = [regionCount]obs.Kind{obs.KindHaloPost, obs.KindCheckpoint, obs.KindRecoverGather}
-	recvKinds = [regionCount]obs.Kind{obs.KindHaloWait, obs.KindCheckpoint, obs.KindRecoverGather}
+	workKinds = [workCount]obs.Kind{
+		obs.KindVec, obs.KindPrecond, obs.KindSpMV, obs.KindSpMVInterior,
+		obs.KindSpMVBoundary, obs.KindReconstruct, obs.KindInnerSolve,
+	}
+	regionKinds = [regionCount][2]obs.Kind{
+		{obs.KindHaloPost, obs.KindHaloWait},
+		{obs.KindCheckpoint, obs.KindCheckpoint},
+		{obs.KindRecoverGather, obs.KindRecoverGather},
+	}
 )
 
-// tracer is a traced walk's attribution state and its sink.
+// tracer is a traced walk's sink and per-rank attribution state.
 type tracer struct {
 	b     *obs.Builder
 	ranks []traceRank
 }
 
-// traceRank is one rank's attribution state.
 type traceRank struct {
 	at          float64 // the clock after the rank's last event, where its next span starts
 	iter        int
@@ -55,11 +37,11 @@ type traceRank struct {
 }
 
 // Trace re-costs the schedule under m, like Recost, and derives from the
-// same walk the solve's trace: what opts asks for of the per-rank span
-// timelines and recovery envelopes (Trace) and the series points (Series),
-// with SimTime the walk's. A series point carries its iteration, clock and
-// the sampling rank's cumulative bytes and messages; its Step and RelRes
-// are the solver's, which the schedule does not hold, and stay zero.
+// same walk what opts asks for of the solve's trace: the per-rank spans and
+// recovery envelopes (Trace) and the series points (Series), with SimTime
+// the walk's. A point carries its iteration, its clock and the sampling
+// rank's cumulative bytes and messages; Step and RelRes are the solver's,
+// which the schedule does not hold, and stay zero.
 func (s *Schedule) Trace(m CostModel, opts obs.Options) (*Replayed, *obs.Trace, error) {
 	mc, err := newMachine(s, []CostModel{m})
 	if err != nil {
@@ -88,13 +70,10 @@ func (tr *tracer) note(g int, e *event, now float64) {
 	switch e.Kind {
 	case KindCompute:
 		kind = workKinds[e.Tag]
-	case KindClockAdd:
+	case KindClockAdd: // a solve's one clock advance is the detection time
 		kind = obs.KindDetect
-	case KindSend:
-		kind = sendKinds[r.region]
-		r.bytes, r.msgs = r.bytes+e.AcctBytes, r.msgs+e.AcctMsgs
-	case KindRecv:
-		kind = recvKinds[r.region]
+	case KindSend, KindRecv:
+		kind = regionKinds[r.region][e.Kind-KindSend]
 	case KindAllreduce:
 		kind = obs.KindAllreduce
 	case KindBcast:
@@ -103,28 +82,22 @@ func (tr *tracer) note(g int, e *event, now float64) {
 		kind = obs.KindGather
 	case KindIterNext:
 		r.iter++
-		return
 	case KindIterSet:
 		r.iter = int(e.Peer)
-		return
 	case KindRegion:
 		r.region = Region(e.Tag)
-		return
 	case KindEnvStart:
 		r.phase = obs.PhaseRecovery
-		return
 	case KindEnvEnd:
 		r.phase = obs.PhaseSteady
-		return
 	case KindPoint:
 		tr.b.Point(g, obs.IterPoint{Iter: r.iter, Clock: now, Bytes: r.bytes, Msgs: r.msgs})
-		return
-	default: // the recovery-time marks move no clock and attribute nothing
-		return
 	}
-	if isCollective(e.Kind) {
-		r.bytes, r.msgs = r.bytes+e.AcctBytes, r.msgs+e.AcctMsgs
+	// Sends and collectives book AcctMsgs/AcctBytes; every other event
+	// books none, and only the clock-moving ones are spans.
+	r.bytes, r.msgs = r.bytes+e.AcctBytes, r.msgs+e.AcctMsgs
+	if now > r.at {
+		tr.b.Span(g, obs.Span{Kind: kind, Phase: r.phase, Iter: r.iter, Start: r.at, End: now})
+		r.at = now
 	}
-	tr.b.Span(g, obs.Span{Kind: kind, Phase: r.phase, Iter: r.iter, Start: r.at, End: now})
-	r.at = now
 }
