@@ -162,9 +162,6 @@ func printResiduals(series []esrp.IterPoint) {
 // printRecoveryBreakdown itemizes each failure event's simulated recovery
 // cost from the trace envelopes.
 func printRecoveryBreakdown(tr *esrp.Trace) {
-	if tr == nil {
-		return
-	}
 	stats := tr.RecoveryStats()
 	if len(stats) == 0 {
 		return
@@ -178,9 +175,6 @@ func printRecoveryBreakdown(tr *esrp.Trace) {
 // writeTrace exports the Chrome trace_event JSON, self-validating the bytes
 // against the schema checker the CI gate uses before they hit disk.
 func writeTrace(tr *esrp.Trace, path string) error {
-	if tr == nil {
-		return fmt.Errorf("no trace recorded")
-	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		return fmt.Errorf("building trace: %w", err)
@@ -193,9 +187,6 @@ func writeTrace(tr *esrp.Trace, path string) error {
 
 // writeSeries exports the per-iteration series, JSON or CSV by extension.
 func writeSeries(tr *esrp.Trace, path string) error {
-	if tr == nil {
-		return fmt.Errorf("no series recorded")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

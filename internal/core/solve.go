@@ -137,8 +137,8 @@ func PartitionFor(cfg Config) (*dist.Partition, error) {
 // and an owned+ghost assembly buffer — never a full-length vector.
 type nodeRun struct {
 	// cg is the PCG iteration state: communicator handle, preconditioner,
-	// kernel, exchanger and the dynamic vectors. x, r, z, p and the SpMV buffers are
-	// exactly the data a node failure destroys.
+	// kernel, exchanger and the dynamic vectors. x, r, z, p and the SpMV
+	// buffers are exactly the data a node failure destroys.
 	cg
 
 	cfg  *Config
