@@ -9,7 +9,7 @@ import (
 // TestDriverInvariants checks what the step loop and the failure handling
 // own, scenario by scenario: step and wasted-iteration bookkeeping, the
 // event log, the recovery summary, the footprint accounting, the kernel
-// report, and that the span taxonomy covers the critical rank's timeline.
+// report, and that each rank's spans tile its timeline exactly.
 func TestDriverInvariants(t *testing.T) {
 	imcr := func(cfg *Config) { cfg.Strategy, cfg.T, cfg.Phi = StrategyIMCR, 20, 1 }
 	scenarios := []struct {
@@ -89,10 +89,8 @@ func TestDriverInvariants(t *testing.T) {
 				t.Errorf("MaxNodeBytes %d below the steady state of %d floats", res.MaxNodeBytes, floor)
 			}
 
-			rank, frac := res.Trace.Coverage()
-			if frac < 0.95 || frac > 1+1e-9 {
-				t.Errorf("leaf spans cover %.1f%% of rank %d's timeline, want 95–100%% (totals %v, simtime %v)",
-					100*frac, rank, res.Trace.Totals(), res.Trace.SimTime)
+			if err := res.Trace.CheckTiling(); err != nil {
+				t.Errorf("the spans do not tile the timeline: %v (totals %v)", err, res.Trace.Totals())
 			}
 		})
 	}

@@ -104,10 +104,10 @@ func TestTraceByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceCoverage checks the taxonomy's completeness: on a failure run the
-// leaf spans of the critical rank must account for ≥95% of the modeled
-// runtime — nothing substantial happens on the simulated clock without a
-// span saying what it was.
+// TestTraceCoverage checks the taxonomy's completeness: on failure runs
+// each rank's spans tile its timeline exactly, from 0 to its last event, and
+// the latest end is SimTime. Nothing happens on the simulated clock without
+// a span saying what it was.
 func TestTraceCoverage(t *testing.T) {
 	cases := []struct {
 		name string
@@ -145,14 +145,8 @@ func TestTraceCoverage(t *testing.T) {
 			if res.Trace == nil {
 				t.Fatal("no trace recorded")
 			}
-			rank, frac := res.Trace.Coverage()
-			if frac < 0.95 {
-				tot := res.Trace.Totals()
-				t.Errorf("leaf spans cover %.1f%% of rank %d's timeline, want ≥95%% (totals %v, simtime %v)",
-					100*frac, rank, tot, res.Trace.SimTime)
-			}
-			if frac > 1+1e-9 {
-				t.Errorf("coverage %.4f > 1: leaf spans overlap", frac)
+			if err := res.Trace.CheckTiling(); err != nil {
+				t.Errorf("the spans do not tile the timeline: %v (totals %v)", err, res.Trace.Totals())
 			}
 		})
 	}

@@ -119,12 +119,14 @@ func TestRecoveryStatsAndCoverage(t *testing.T) {
 		t.Errorf("stat = %+v, want Iter 10, Time 3, Ranks 2", st)
 	}
 
-	rank, frac := tr.Coverage()
-	if rank != 0 {
-		t.Errorf("critical rank = %d, want 0", rank)
+	// Rank 0's leaves tile [0,10) and rank 1's [0,4): the latest end is
+	// SimTime. A span-less stretch at the end of rank 0 is a gap.
+	if err := tr.CheckTiling(); err != nil {
+		t.Error(err)
 	}
-	if frac != 1.0 { // rank 0's leaves cover [0,10) exactly
-		t.Errorf("coverage = %v, want 1.0", frac)
+	tr.SimTime = 11
+	if tr.CheckTiling() == nil {
+		t.Error("spans ending at 10 tile a timeline of 11")
 	}
 }
 

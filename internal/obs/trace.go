@@ -56,6 +56,27 @@ func (t *Trace) Coverage() (rank int, fraction float64) {
 	return rank, sum / t.SimTime
 }
 
+// CheckTiling names the first place where spans fail to tile a rank's
+// timeline, nil if none: from 0, each non-empty span starts where the one
+// before it ended, and the latest end is SimTime, all under ==.
+func (t *Trace) CheckTiling() error {
+	latest := 0.0
+	for g, spans := range t.Ranks {
+		at := 0.0
+		for i, s := range spans {
+			if s.Start != at || !(s.End > s.Start) {
+				return fmt.Errorf("obs: rank %d: span %d (%v) runs [%v, %v), want a start at %v and a later end", g, i, s.Kind, s.Start, s.End, at)
+			}
+			at = s.End
+		}
+		latest = max(latest, at)
+	}
+	if latest != t.SimTime {
+		return fmt.Errorf("obs: the latest span ends at %v, SimTime is %v", latest, t.SimTime)
+	}
+	return nil
+}
+
 // RecoveryStat condenses one failure event's recovery cost out of the
 // envelope spans: the modeled time is the longest envelope over ranks
 // (recovery is a collective episode; the slowest participant defines it).
