@@ -75,7 +75,8 @@ type (
 	// (recovery falls back to the no-spare shrink once it is exhausted).
 	Config = core.Config
 	// Result is the outcome of a solve; Result.Events records every handled
-	// failure event of a multi-failure timeline.
+	// failure event of a multi-failure timeline, Result.Schedule the schedule
+	// of a solve that records.
 	Result = core.Result
 	// FailureSpec marks the iteration and ranks of an injected node failure.
 	FailureSpec = core.FailureSpec
@@ -247,16 +248,15 @@ type (
 )
 
 // RecordSchedule runs one solve with schedule recording attached and returns
-// both the result and the recorded schedule. Recording adds no simulated
-// cost: the result is bit-identical to Solve(cfg)'s.
+// the result and res.Schedule. Recording adds no simulated cost: the result
+// is bit-identical to Solve(cfg)'s but for that field.
 func RecordSchedule(cfg Config) (*Result, *Schedule, error) {
-	rec := replay.NewRecorder()
-	cfg.Record = rec
+	cfg.Record = replay.NewRecorder()
 	res, err := core.Solve(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, rec.Schedule(), nil
+	return res, res.Schedule, nil
 }
 
 // Recost replays a recorded schedule under machine model m, running the

@@ -164,7 +164,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 			switch {
 			case err != nil:
 			case g.traced(index): // the trace's walk is the re-cost too
-				rep, tr, err = sched.Trace(cr.model, obs.Options{Trace: true})
+				rep, tr, err = sched.Trace(cr.model, obs.Options{Trace: true}, nil)
 			case cr.state[index] == cellScheduleHit:
 				rep, err = sched.Recost(cr.model)
 			}

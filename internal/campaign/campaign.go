@@ -688,10 +688,8 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	// persist it, or a trace is drawn from it: the schedule tier is what
 	// lets future runs serve any machine point, and any trace, without a
 	// solve.
-	var srec *replay.Recorder
 	if len(mcs) > 0 || cr != nil || traced {
-		srec = replay.NewRecorder()
-		cfg.Record = srec
+		cfg.Record = replay.NewRecorder()
 	}
 	res, err := core.Solve(cfg)
 	if err != nil {
@@ -701,9 +699,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 		}
 		return
 	}
-	var sched *replay.Schedule
-	if srec != nil {
-		sched = srec.Schedule()
+	if sched := res.Schedule; sched != nil {
 		if rerr := g.recostMachines(sched, mcs); rerr != nil {
 			for mi := range mcs {
 				mcs[mi].Err = rerr.Error()
@@ -715,10 +711,10 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	}
 	c.CellResult = cellResult(res)
 	if cr != nil {
-		g.storeCell(index, c, sched, cr)
+		g.storeCell(index, c, res.Schedule, cr)
 	}
 	if traced {
-		if _, tr, err := sched.Trace(g.model(), obs.Options{Trace: true}); err != nil {
+		if _, tr, err := res.Schedule.Trace(g.model(), obs.Options{Trace: true}, nil); err != nil {
 			c.Err = err.Error()
 		} else {
 			g.OnCellTrace(index, c, tr)

@@ -474,6 +474,9 @@ type Result struct {
 	// with Trace.WriteChrome (perfetto-viewable) or inspect via the
 	// structured API.
 	Trace *obs.Trace
+	// Schedule is the solve's event schedule, frozen once, when it records
+	// (Config.Record or Config.Observe); nil otherwise.
+	Schedule *replay.Schedule
 }
 
 // CondenseKernels condenses per-node kernel layout names (Result.Kernels)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"esrp/internal/aspmv"
@@ -76,29 +75,15 @@ func (sh *solveShared) solve(in Config) (*Result, error) {
 	result.WallTime = comm.WallTime()
 	result.BytesSent = comm.BytesSent()
 	result.MsgsSent = comm.MsgsSent()
+	if rec != nil {
+		result.Schedule = rec.Schedule()
+	}
 	if cfg.Observe.Enabled() {
-		if result.Trace, err = traceOf(rec.Schedule(), model, *cfg.Observe, samples); err != nil {
+		if _, result.Trace, err = result.Schedule.Trace(model, *cfg.Observe, samples); err != nil {
 			return nil, err
 		}
 	}
 	return result, nil
-}
-
-// traceOf derives a solve's trace from one walk of its schedule under the
-// model it ran on; the ranks' samples give the walk's points their steps
-// and residuals.
-func traceOf(sched *replay.Schedule, model cluster.CostModel, opts obs.Options, samples []obs.IterPoint) (*obs.Trace, error) {
-	_, tr, err := sched.Trace(model, opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(samples) != len(tr.Series) {
-		return nil, fmt.Errorf("core: the schedule holds %d series points, the ranks sampled %d", len(tr.Series), len(samples))
-	}
-	for i, p := range samples {
-		tr.Series[i].Step, tr.Series[i].RelRes = p.Step, p.RelRes
-	}
-	return tr, nil
 }
 
 // buildPartition returns the block row partition of the configured solve:

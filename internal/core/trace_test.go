@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -328,9 +330,8 @@ func TestTraceIsMachineIndependent(t *testing.T) {
 			continue
 		}
 		cfg := driverConfig(t, sc)
-		cfg.Observe, cfg.Record = &opts, replay.NewRecorder()
+		cfg.Observe = &opts
 		recorded := solveOK(t, cfg)
-		sched := cfg.Record.Schedule()
 		for name, m := range map[string]cluster.CostModel{"L×4": slow, "G×2": narrow} {
 			live := driverConfig(t, sc)
 			live.Observe, live.CostModel = &opts, &m
@@ -339,19 +340,56 @@ func TestTraceIsMachineIndependent(t *testing.T) {
 				t.Fatalf("%s: the trace under %s is the default machine's; the check is vacuous", sc.name, name)
 			}
 
-			_, tr, err := sched.Trace(m, opts)
+			_, tr, err := recorded.Schedule.Trace(m, opts, recorded.Trace.Series)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", sc.name, name, err)
-			}
-			if len(tr.Series) != len(recorded.Trace.Series) {
-				t.Fatalf("%s under %s: %d series points, the recording solve sampled %d", sc.name, name, len(tr.Series), len(recorded.Trace.Series))
-			}
-			for i, p := range recorded.Trace.Series {
-				tr.Series[i].Step, tr.Series[i].RelRes = p.Step, p.RelRes
 			}
 			if got := chrome(tr); !bytes.Equal(got, want) {
 				t.Errorf("%s: the schedule walked under %s renders %d bytes unlike the %d of a solve under it", sc.name, name, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestResultScheduleIsFrozenOnce pins Result.Schedule on standard/esrp-spare.
+// Without Record and Observe it is nil. With a caller's recorder it is the
+// very schedule that recorder's Schedule returns, so the solve and its
+// caller share one freeze. With the caller's recorder and with Observe's
+// own, its bytes are those a caller's recorder froze before Result.Schedule
+// existed: 6 655 bytes of FNV-64a digest 7892a0f6c2183a26.
+func TestResultScheduleIsFrozenOnce(t *testing.T) {
+	var sc driverScenario
+	for _, sc = range driverScenarios() {
+		if sc.name == "standard/esrp-spare" {
+			break
+		}
+	}
+	digest := func(s *replay.Schedule) string {
+		data, err := s.EncodeBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		return fmt.Sprintf("%d bytes of digest %016x", len(data), h.Sum64())
+	}
+	const want = "6655 bytes of digest 7892a0f6c2183a26"
+
+	plain := driverConfig(t, sc)
+	plain.Observe = nil
+	if res := solveOK(t, plain); res.Schedule != nil {
+		t.Error("a solve without Record or Observe hands back a schedule")
+	}
+	recorded := plain
+	recorded.Record = replay.NewRecorder()
+	res := solveOK(t, recorded)
+	if res.Schedule == nil || res.Schedule != recorded.Record.Schedule() {
+		t.Fatal("Result.Schedule is not the schedule the caller's recorder returns")
+	}
+	if got := digest(res.Schedule); got != want {
+		t.Errorf("the caller's recorder froze %s, want %s", got, want)
+	}
+	if got := digest(solveOK(t, driverConfig(t, sc)).Schedule); got != want {
+		t.Errorf("Observe's recorder froze %s, want %s", got, want)
 	}
 }

@@ -33,29 +33,6 @@ func (t *Trace) Totals() map[Kind]float64 {
 	return totals
 }
 
-// Coverage returns the critical rank — the rank whose timeline extends
-// furthest, i.e. the one defining SimTime — and the fraction of its final
-// clock covered by leaf spans. Instrumented solves cover ≥95%: the only
-// unattributed time is host-free bookkeeping the cost model charges
-// nothing for.
-func (t *Trace) Coverage() (rank int, fraction float64) {
-	bestEnd := -1.0
-	for g, spans := range t.Ranks {
-		if n := len(spans); n > 0 && spans[n-1].End > bestEnd {
-			bestEnd = spans[n-1].End
-			rank = g
-		}
-	}
-	if bestEnd <= 0 || t.SimTime <= 0 {
-		return rank, 0
-	}
-	sum := 0.0
-	for _, s := range t.Ranks[rank] {
-		sum += s.Dur()
-	}
-	return rank, sum / t.SimTime
-}
-
 // CheckTiling names the first place where spans fail to tile a rank's
 // timeline, nil if none: from 0, each non-empty span starts where the one
 // before it ended, and the latest end is SimTime, all under ==.

@@ -153,7 +153,8 @@ type event struct {
 type Recorder struct {
 	mu    sync.Mutex
 	ranks []Rank
-	views [][]int // view id → ascending global member ranks
+	views [][]int   // view id → ascending global member ranks
+	sched *Schedule // the frozen recording, once Schedule has run
 }
 
 // NewRecorder returns an empty recorder, which RecordSchedule sizes.
@@ -172,7 +173,7 @@ func (rc *Recorder) Init(n int) {
 		b := make([]byte, 0, dictCap+refsCap)
 		rc.ranks[g] = Rank{dict: b[:0:dictCap], refs: b[dictCap:dictCap]}
 	}
-	rc.views = nil
+	rc.views, rc.sched = nil, nil
 }
 
 // Rank returns global rank g's event stream handle — nil when the recorder
@@ -203,10 +204,13 @@ func (rc *Recorder) RegisterView(ranks []int) int32 {
 // block (the events after its last collective) closed as a last block;
 // blocks are encoded afresh only if the canonical order moved a view id.
 // Call after the solve returns, not while recording; the recording is left
-// as it was.
+// as it was; later calls return the same *Schedule until the next Init.
 func (rc *Recorder) Schedule() *Schedule {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	if rc.sched != nil {
+		return rc.sched
+	}
 	// Views have distinct member sets, so the order is strict and total.
 	views := slices.Clone(rc.views)
 	slices.SortFunc(views, slices.Compare[[]int])
@@ -267,6 +271,7 @@ func (rc *Recorder) Schedule() *Schedule {
 	if err != nil { // the cluster range-checks every peer before it records it
 		panic("replay: the recorder holds an invalid stream: " + err.Error())
 	}
+	rc.sched = s
 	return s
 }
 

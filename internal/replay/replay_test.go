@@ -19,6 +19,7 @@ import (
 	"esrp/internal/cluster"
 	"esrp/internal/core"
 	"esrp/internal/matgen"
+	"esrp/internal/obs"
 	"esrp/internal/replay"
 )
 
@@ -349,6 +350,26 @@ func TestAllocationGates(t *testing.T) {
 				t.Errorf("%s, %d events: DecodeBinary allocates %.0f times, gate %.0f", fx.name, sched.NumEvents(), decode, limit)
 			}
 		}
+	}
+}
+
+// Recorder.Schedule freezes once: a second call returns the first call's
+// schedule, and Init starts a recording that freezes afresh.
+func TestRecorderFreezesOnce(t *testing.T) {
+	rec := replay.NewRecorder()
+	rec.Init(2)
+	view := rec.RegisterView([]int{0, 1})
+	for g := range 2 {
+		rec.Rank(g).Compute(replay.WorkVec, 1e3)
+		rec.Rank(g).Collective(replay.KindAllreduce, view, 8, 1, 8, false)
+	}
+	s := rec.Schedule()
+	if rec.Schedule() != s {
+		t.Error("a second Schedule call froze the recording again")
+	}
+	rec.Init(3)
+	if again := rec.Schedule(); again == s || again.Nodes != 3 {
+		t.Errorf("after Init(3), Schedule returns %d ranks (the first schedule: %v)", again.Nodes, again == s)
 	}
 }
 
@@ -867,8 +888,10 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 // every rank, view, member, dictionary event and block reference is backed by
 // at least one input byte and which encodes back to exactly the input, and
 // whatever decodes re-costs — batched, and one model at a time — to
-// identical results or an error, never a panic. The expanded events are not
-// bounded by the input: a reference repeats a block.
+// identical results or an error, never a panic. The traced walk is the
+// re-cost too: Schedule.Trace fails exactly when Recost does, returns
+// Recost's Replayed, and its spans tile each rank's timeline. The expanded
+// events are not bounded by the input: a reference repeats a block.
 func FuzzDecodeBinary(f *testing.F) {
 	ms := randomModels(rand.New(rand.NewSource(1)), 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -887,17 +910,28 @@ func FuzzDecodeBinary(f *testing.F) {
 		if again, err := s.EncodeBinary(); err != nil || !bytes.Equal(again, data) {
 			t.Fatalf("%d bytes decode, then encode to %d different ones (err %v)", len(data), len(again), err)
 		}
-		reps, err := s.RecostAll(ms)
-		if err != nil {
-			return
-		}
+		reps, batchErr := s.RecostAll(ms)
 		for j, m := range ms {
 			one, err := s.Recost(m)
-			if err != nil {
+			rep, tr, trErr := s.Trace(m, obs.Options{Trace: true}, nil)
+			switch {
+			case (err == nil) != (trErr == nil):
+				t.Fatalf("models[%d]: Recost fails with %v, Trace with %v", j, err, trErr)
+			case err != nil && batchErr == nil:
 				t.Fatalf("RecostAll succeeds, Recost(models[%d]) fails: %v", j, err)
+			case err != nil:
+				continue
 			}
-			if d := diffReplayed(reps[j], one); d != "" {
-				t.Fatalf("RecostAll[%d] != Recost: %s", j, d)
+			if d := diffReplayed(rep, one); d != "" {
+				t.Fatalf("Trace(models[%d]) != Recost: %s", j, d)
+			}
+			if err := tr.CheckTiling(); err != nil {
+				t.Fatalf("Trace(models[%d]): %v", j, err)
+			}
+			if batchErr == nil {
+				if d := diffReplayed(reps[j], one); d != "" {
+					t.Fatalf("RecostAll[%d] != Recost: %s", j, d)
+				}
 			}
 		}
 	})

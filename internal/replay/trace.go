@@ -1,6 +1,10 @@
 package replay
 
-import "esrp/internal/obs"
+import (
+	"fmt"
+
+	"esrp/internal/obs"
+)
 
 // This file derives a solve's span timeline from its schedule: the re-cost
 // walk knows each rank's clock before and after each event, and the
@@ -41,8 +45,9 @@ type traceRank struct {
 // recovery envelopes (Trace) and the series points (Series), with SimTime
 // the walk's. A point carries its iteration, its clock and the sampling
 // rank's cumulative bytes and messages; Step and RelRes are the solver's,
-// which the schedule does not hold, and stay zero.
-func (s *Schedule) Trace(m CostModel, opts obs.Options) (*Replayed, *obs.Trace, error) {
+// which the schedule does not hold: samples, rank 0's series as the solve
+// took it, gives them point by point, or leaves them zero when nil.
+func (s *Schedule) Trace(m CostModel, opts obs.Options, samples []obs.IterPoint) (*Replayed, *obs.Trace, error) {
 	mc, err := newMachine(s, []CostModel{m})
 	if err != nil {
 		return nil, nil, err
@@ -60,7 +65,14 @@ func (s *Schedule) Trace(m CostModel, opts obs.Options) (*Replayed, *obs.Trace, 
 			mc.tr.b.Envelope(g, e.Iter, e.Start, e.End)
 		}
 	}
-	return rep, mc.tr.b.Build(rep.SimTime), nil
+	tr := mc.tr.b.Build(rep.SimTime)
+	if samples != nil && len(samples) != len(tr.Series) {
+		return nil, nil, fmt.Errorf("replay: the schedule holds %d series points, the solve sampled %d", len(tr.Series), len(samples))
+	}
+	for i, p := range samples {
+		tr.Series[i].Step, tr.Series[i].RelRes = p.Step, p.RelRes
+	}
+	return rep, tr, nil
 }
 
 // note attributes rank g's event e, which has just moved its clock to now.
