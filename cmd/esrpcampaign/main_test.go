@@ -58,6 +58,50 @@ func TestBuildGrid(t *testing.T) {
 	}
 }
 
+// Each -gen value at n = 4: the matrix name the report carries, and the
+// system's rows and nonzeros.
+func TestGeneratorNames(t *testing.T) {
+	want := []struct {
+		name      string
+		rows, nnz int
+	}{
+		{"poisson2d-4x4", 16, 64},
+		{"poisson3d-4", 64, 352},
+		{"emilia-like-4", 64, 1000},
+		{"audikw-like-4x3", 192, 9000},
+		{"banded-16", 16, 132},
+	}
+	g, err := buildGrid(gridFlags{
+		gens: "poisson2d,poisson3d,emilia,audikw,banded", n: 4, seed: 1,
+		nodes: "2", strategies: "none", ts: "10", phis: "1", seeds: 1,
+		model: "exp", mtbf: 1e9, shape: 1, horizon: 10, group: 1, rtol: 1e-8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Matrices) != len(want) {
+		t.Fatalf("got %d matrices, want %d", len(g.Matrices), len(want))
+	}
+	for i, m := range g.Matrices {
+		if w := want[i]; m.Name != w.name || m.A.Rows != w.rows || m.A.NNZ() != w.nnz {
+			t.Errorf("matrix %d = %q, %d rows, %d nnz; want %q, %d, %d",
+				i, m.Name, m.A.Rows, m.A.NNZ(), w.name, w.rows, w.nnz)
+		}
+	}
+	rep, err := esrp.RunCampaign(*g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != len(want) {
+		t.Fatalf("got %d cells, want %d", len(rep.Cells), len(want))
+	}
+	for i, c := range rep.Cells {
+		if c.Matrix != want[i].name {
+			t.Errorf("cell %d matrix = %q, want %q", i, c.Matrix, want[i].name)
+		}
+	}
+}
+
 // End-to-end: a tiny grid through the library surface the CLI drives.
 func TestTinyGridEndToEnd(t *testing.T) {
 	g, err := buildGrid(gridFlags{

@@ -10,11 +10,27 @@ import (
 	"testing"
 )
 
+// Each -gen value at n = 4: the name the first output line prints, and the
+// system's rows and nonzeros.
 func TestLoadMatrixGenerators(t *testing.T) {
-	for _, gen := range []string{"poisson2d", "poisson3d", "emilia", "audikw", "banded"} {
-		a, name, err := loadMatrix("", gen, 4, 1)
-		if err != nil || a == nil || name == "" {
-			t.Errorf("loadMatrix(%q): %v", gen, err)
+	for _, c := range []struct {
+		gen, name string
+		rows, nnz int
+	}{
+		{"poisson2d", "poisson2d-4x4", 16, 64},
+		{"poisson3d", "poisson3d-4³", 64, 352},
+		{"emilia", "emilia-like-4³", 64, 1000},
+		{"audikw", "audikw-like-4³x3", 192, 9000},
+		{"banded", "banded-16", 16, 132},
+	} {
+		a, name, err := loadMatrix("", c.gen, 4, 1)
+		if err != nil {
+			t.Errorf("loadMatrix(%q): %v", c.gen, err)
+			continue
+		}
+		if name != c.name || a.Rows != c.rows || a.NNZ() != c.nnz {
+			t.Errorf("loadMatrix(%q) = %q, %d rows, %d nnz; want %q, %d, %d",
+				c.gen, name, a.Rows, a.NNZ(), c.name, c.rows, c.nnz)
 		}
 	}
 	if _, _, err := loadMatrix("", "bogus", 4, 1); err == nil {
