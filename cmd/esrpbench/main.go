@@ -29,10 +29,10 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"esrp"
+	"esrp/internal/campaign"
 	"esrp/internal/profiling"
 )
 
@@ -67,11 +67,11 @@ func main() {
 			usagef("bad -%s: %d is not a positive integer", f.name, f.v)
 		}
 	}
-	phiList, err := parseInts(*phis)
+	phiList, err := campaign.ParseList(*phis, positive)
 	if err != nil {
 		usagef("bad -phis: %v", err)
 	}
-	tList, err := parseInts(*ts)
+	tList, err := campaign.ParseList(*ts, positive)
 	if err != nil {
 		usagef("bad -ts: %v", err)
 	}
@@ -200,27 +200,13 @@ func esrpTable1(g generator) string {
 	})
 }
 
-// parseInts parses a comma-separated list of positive integers.
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("%d is not a positive integer", v)
-		}
-		out = append(out, v)
+// positive reads one -phis or -ts entry, a positive integer.
+func positive(f string) (int, error) {
+	v, err := strconv.Atoi(f)
+	if err == nil && v < 1 {
+		err = fmt.Errorf("%d is not a positive integer", v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
+	return v, err
 }
 
 // stopProfile finishes any active -cpuprofile/-memprofile capture; fatalf

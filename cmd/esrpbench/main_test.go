@@ -1,21 +1,26 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"esrp/internal/campaign"
+)
+
+// -phis and -ts are campaign lists of positive integers.
 func TestParseInts(t *testing.T) {
-	got, err := parseInts("1, 20,50")
+	got, err := campaign.ParseList("1, 20,50", positive)
 	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 50 {
-		t.Fatalf("parseInts = %v, %v", got, err)
+		t.Fatalf("ParseList = %v, %v", got, err)
 	}
-	if _, err := parseInts(""); err == nil {
+	if _, err := campaign.ParseList("", positive); err == nil {
 		t.Error("empty list must fail")
 	}
-	if _, err := parseInts("1,x"); err == nil {
+	if _, err := campaign.ParseList("1,x", positive); err == nil {
 		t.Error("non-integer must fail")
 	}
 	for _, csv := range []string{"0", "-3", "1,0"} {
-		if got, err := parseInts(csv); err == nil {
-			t.Errorf("parseInts(%q) = %v, want an error for a non-positive entry", csv, got)
+		if got, err := campaign.ParseList(csv, positive); err == nil {
+			t.Errorf("ParseList(%q) = %v, want an error for a non-positive entry", csv, got)
 		}
 	}
 }

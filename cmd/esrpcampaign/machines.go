@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"esrp"
+	"esrp/internal/campaign"
 )
 
 // parseMachineSweep parses the -sweep-machine axis: semicolon-separated
@@ -44,8 +45,7 @@ func parseMachineSweep(spec string, base esrp.CostModel) ([]esrp.CampaignMachine
 			return nil, fmt.Errorf("parameter %q swept twice", key)
 		}
 		seen[key] = true
-		var vals []float64
-		for _, v := range splitCSV(list) {
+		vals, err := campaign.ParseList(list, func(v string) (float64, error) {
 			var f float64
 			var err error
 			if m, isMult := strings.CutSuffix(v, "x"); isMult {
@@ -55,15 +55,15 @@ func parseMachineSweep(spec string, base esrp.CostModel) ([]esrp.CampaignMachine
 				f, err = strconv.ParseFloat(v, 64)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("bad value %q for %s: %w", v, key, err)
+				return 0, fmt.Errorf("bad value %q: %w", v, err)
 			}
 			if f <= 0 {
-				return nil, fmt.Errorf("value %q for %s: machine parameters must be positive", v, key)
+				return 0, fmt.Errorf("value %q: machine parameters must be positive", v)
 			}
-			vals = append(vals, f)
-		}
-		if len(vals) == 0 {
-			return nil, fmt.Errorf("parameter %q has no values", key)
+			return f, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("parameter %q: %w", key, err)
 		}
 		axes = append(axes, axis{key: key, vals: vals})
 	}

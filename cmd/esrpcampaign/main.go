@@ -20,20 +20,22 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"esrp"
+	"esrp/internal/campaign"
 	"esrp/internal/faultsim"
+	"esrp/internal/obs"
 	"esrp/internal/profiling"
 )
 
@@ -175,7 +177,7 @@ func main() {
 			// Sampled concurrently, but every cell index gets its own file,
 			// so the writes never contend.
 			path := filepath.Join(dir, fmt.Sprintf("cell-%04d-%s-%s-seed%d.trace.json", index, c.Matrix, c.Strategy, c.Seed))
-			if err := writeChrome(tr, path); err != nil {
+			if err := obs.WriteChromeFile(path, tr); err != nil {
 				fmt.Fprintf(os.Stderr, "esrpcampaign: trace %s: %v\n", path, err)
 			}
 		}
@@ -245,7 +247,7 @@ func main() {
 		}
 	}
 	if *hostTracePath != "" {
-		if err := writeChrome(esrp.BuildHostTrace(hostRec, rep, esrp.CurrentBuild()), *hostTracePath); err != nil {
+		if err := obs.WriteChromeFile(*hostTracePath, esrp.BuildHostTrace(hostRec, rep, esrp.CurrentBuild())); err != nil {
 			fatalf("writing host trace: %v", err)
 		}
 	}
@@ -262,19 +264,6 @@ func main() {
 			fatalf("writing metrics: %v", err)
 		}
 	}
-}
-
-// writeChrome exports a Chrome trace — the wall-clock worker trace or a
-// sampled cell's — self-validated against the schema check the CI gate runs.
-func writeChrome(tr interface{ WriteChrome(io.Writer) error }, path string) error {
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		return err
-	}
-	if err := esrp.ValidateChromeTrace(buf.Bytes()); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // gridFlags bundles the parsed flag values for buildGrid, keeping the flag
@@ -303,33 +292,27 @@ type gridFlags struct {
 }
 
 func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
-	var matrices []esrp.CampaignMatrix
-	for _, g := range splitCSV(f.gens) {
-		a, name, err := genMatrix(g, f.n, f.seed)
-		if err != nil {
-			return nil, err
-		}
-		matrices = append(matrices, esrp.CampaignMatrix{Name: name, A: a})
+	matrices, err := campaign.ParseList(f.gens, func(gen string) (campaign.MatrixSpec, error) {
+		return campaign.Generate(gen, f.n, f.seed)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bad -gen: %w", err)
 	}
-	nodes, err := parseInts(f.nodes)
+	nodes, err := campaign.ParseList(f.nodes, strconv.Atoi)
 	if err != nil {
 		return nil, fmt.Errorf("bad -nodes: %w", err)
 	}
-	ts, err := parseInts(f.ts)
+	ts, err := campaign.ParseList(f.ts, strconv.Atoi)
 	if err != nil {
 		return nil, fmt.Errorf("bad -ts: %w", err)
 	}
-	phis, err := parseInts(f.phis)
+	phis, err := campaign.ParseList(f.phis, strconv.Atoi)
 	if err != nil {
 		return nil, fmt.Errorf("bad -phis: %w", err)
 	}
-	var strats []esrp.Strategy
-	for _, s := range splitCSV(f.strategies) {
-		st, err := esrp.ParseStrategy(s)
-		if err != nil {
-			return nil, err
-		}
-		strats = append(strats, st)
+	strats, err := campaign.ParseList(f.strategies, esrp.ParseStrategy)
+	if err != nil {
+		return nil, fmt.Errorf("bad -strategies: %w", err)
 	}
 	if f.seeds < 1 {
 		return nil, fmt.Errorf("need at least 1 seed, got %d", f.seeds)
@@ -355,7 +338,9 @@ func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
 		GroupSize: f.group, GroupProb: f.groupProb, MaxEvents: f.maxEvents,
 	}
 	if mdl == esrp.ScenarioFixed {
-		scenario.Schedule, err = parseSchedule(f.events)
+		// The largest cluster bounds the ranks; a cell on a smaller one
+		// reports a rank out of its range as its error.
+		scenario.Schedule, err = faultsim.ParseSchedule(f.events, slices.Max(nodes))
 		if err != nil {
 			return nil, fmt.Errorf("bad -events: %w", err)
 		}
@@ -376,31 +361,6 @@ func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
 	}, nil
 }
 
-func genMatrix(gen string, n int, seed int64) (*esrp.CSR, string, error) {
-	switch gen {
-	case "poisson2d":
-		return esrp.Poisson2D(n, n), fmt.Sprintf("poisson2d-%dx%d", n, n), nil
-	case "poisson3d":
-		return esrp.Poisson3D(n, n, n), fmt.Sprintf("poisson3d-%d", n), nil
-	case "emilia":
-		return esrp.EmiliaLike(n, n, n, seed), fmt.Sprintf("emilia-like-%d", n), nil
-	case "audikw":
-		return esrp.AudikwLike(n, n, n, 3, seed), fmt.Sprintf("audikw-like-%dx3", n), nil
-	case "banded":
-		return esrp.BandedSPD(n*n, 8, seed), fmt.Sprintf("banded-%d", n*n), nil
-	}
-	return nil, "", fmt.Errorf("unknown generator %q", gen)
-}
-
-// parseSchedule reads a fixed event list "iter:r0-r1;iter:r0;...", e.g.
-// "20:2-3;50:5" = ranks {2,3} fail at iteration 20, rank 5 at 50.
-func parseSchedule(s string) ([]esrp.FailureSpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("model fixed needs -events")
-	}
-	return faultsim.ParseSchedule(s)
-}
-
 func writeOut(path string, write func(io.Writer) error) error {
 	if path == "-" {
 		return write(os.Stdout)
@@ -414,31 +374,6 @@ func writeOut(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range splitCSV(csv) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }
 
 // stopProfile finishes any active -cpuprofile/-memprofile capture; fatalf

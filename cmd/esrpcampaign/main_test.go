@@ -9,27 +9,6 @@ import (
 	"esrp"
 )
 
-func TestParseSchedule(t *testing.T) {
-	ev, err := parseSchedule("20:2-3;50:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev) != 2 {
-		t.Fatalf("got %d events", len(ev))
-	}
-	if ev[0].Iteration != 20 || len(ev[0].Ranks) != 2 || ev[0].Ranks[0] != 2 || ev[0].Ranks[1] != 3 {
-		t.Fatalf("event 0 = %+v", ev[0])
-	}
-	if ev[1].Iteration != 50 || len(ev[1].Ranks) != 1 || ev[1].Ranks[0] != 5 {
-		t.Fatalf("event 1 = %+v", ev[1])
-	}
-	for _, bad := range []string{"", "20", "x:1", "20:a", "20:5-3"} {
-		if _, err := parseSchedule(bad); err == nil {
-			t.Errorf("schedule %q accepted", bad)
-		}
-	}
-}
-
 func TestBuildGrid(t *testing.T) {
 	g, err := buildGrid(gridFlags{
 		gens: "poisson2d", n: 16, seed: 1,
@@ -52,6 +31,15 @@ func TestBuildGrid(t *testing.T) {
 	}
 	if _, err := buildGrid(gridFlags{gens: "poisson2d", n: 8, nodes: "4", strategies: "esr", ts: "10", phis: "1", seeds: 1, model: "fixed", events: ""}); err == nil {
 		t.Error("fixed model without events accepted")
+	}
+	// The largest cluster bounds the ranks, before a range is expanded.
+	for _, events := range []string{"1:0-2000000000", "1:0-9223372036854775807", "1:8"} {
+		if _, err := buildGrid(gridFlags{gens: "poisson2d", n: 8, nodes: "4,8", strategies: "esr", ts: "10", phis: "1", seeds: 1, model: "fixed", events: events}); err == nil {
+			t.Errorf("-events %q accepted on at most 8 nodes", events)
+		}
+	}
+	if _, err := buildGrid(gridFlags{gens: "poisson2d", n: 8, nodes: "4,8", strategies: "esr", ts: "10", phis: "1", seeds: 1, model: "fixed", events: "1:7"}); err != nil {
+		t.Errorf("-events on the largest cluster's top rank: %v", err)
 	}
 	if _, err := buildGrid(gridFlags{gens: "poisson2d", n: 8, nodes: "4", strategies: "esr", ts: "10", phis: "1", seeds: 0, model: "exp", mtbf: 1}); err == nil {
 		t.Error("zero seeds accepted")

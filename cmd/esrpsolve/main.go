@@ -18,14 +18,15 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"esrp"
+	"esrp/internal/campaign"
 	"esrp/internal/faultsim"
+	"esrp/internal/obs"
 	"esrp/internal/sparse"
 )
 
@@ -89,7 +90,7 @@ func main() {
 		}
 	}
 	if *events != "" {
-		timeline, err := faultsim.ParseSchedule(*events)
+		timeline, err := faultsim.ParseSchedule(*events, *nodes)
 		if err != nil {
 			fatalf("bad -events: %v", err)
 		}
@@ -128,7 +129,7 @@ func main() {
 		printRecoveryBreakdown(res.Trace)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(res.Trace, *tracePath); err != nil {
+		if err := obs.WriteChromeFile(*tracePath, res.Trace); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("trace: %s (open in https://ui.perfetto.dev)\n", *tracePath)
@@ -172,19 +173,6 @@ func printRecoveryBreakdown(tr *esrp.Trace) {
 	}
 }
 
-// writeTrace exports the Chrome trace_event JSON, self-validating the bytes
-// against the schema checker the CI gate uses before they hit disk.
-func writeTrace(tr *esrp.Trace, path string) error {
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		return fmt.Errorf("building trace: %w", err)
-	}
-	if err := esrp.ValidateChromeTrace(buf.Bytes()); err != nil {
-		return fmt.Errorf("trace failed self-validation: %w", err)
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
 // writeSeries exports the per-iteration series, JSON or CSV by extension.
 func writeSeries(tr *esrp.Trace, path string) error {
 	f, err := os.Create(path)
@@ -215,20 +203,8 @@ func loadMatrix(file, gen string, n int, seed int64) (*esrp.CSR, string, error) 
 		}
 		return a, file, nil
 	}
-	switch gen {
-	case "poisson2d":
-		return esrp.Poisson2D(n, n), fmt.Sprintf("poisson2d-%dx%d", n, n), nil
-	case "poisson3d":
-		return esrp.Poisson3D(n, n, n), fmt.Sprintf("poisson3d-%d³", n), nil
-	case "emilia":
-		return esrp.EmiliaLike(n, n, n, seed), fmt.Sprintf("emilia-like-%d³", n), nil
-	case "audikw":
-		return esrp.AudikwLike(n, n, n, 3, seed), fmt.Sprintf("audikw-like-%d³x3", n), nil
-	case "banded":
-		return esrp.BandedSPD(n*n, 8, seed), fmt.Sprintf("banded-%d", n*n), nil
-	default:
-		return nil, "", fmt.Errorf("unknown generator %q", gen)
-	}
+	m, err := campaign.Generate(gen, n, seed)
+	return m.A, m.Name, err
 }
 
 func fatalf(format string, args ...any) {

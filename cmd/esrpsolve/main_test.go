@@ -18,9 +18,9 @@ func TestLoadMatrixGenerators(t *testing.T) {
 		rows, nnz int
 	}{
 		{"poisson2d", "poisson2d-4x4", 16, 64},
-		{"poisson3d", "poisson3d-4³", 64, 352},
-		{"emilia", "emilia-like-4³", 64, 1000},
-		{"audikw", "audikw-like-4³x3", 192, 9000},
+		{"poisson3d", "poisson3d-4", 64, 352},
+		{"emilia", "emilia-like-4", 64, 1000},
+		{"audikw", "audikw-like-4x3", 192, 9000},
 		{"banded", "banded-16", 16, 132},
 	} {
 		a, name, err := loadMatrix("", c.gen, 4, 1)
@@ -69,7 +69,8 @@ func TestNegativeMaxBlockExitsNonZero(t *testing.T) {
 
 // Negative -phi, -rtol and -rr are errors too, where they used to solve
 // with φ = 1, at 1e-8 and without residual replacement. So is -rtol NaN,
-// which used to run to the iteration cap with a NaN residual.
+// which used to run to the iteration cap with a NaN residual, and an
+// -events range past -nodes, which used to be expanded rank by rank.
 func TestNegativeValuesExitNonZero(t *testing.T) {
 	bin := buildCommand(t)
 	for _, c := range []struct{ flag, value, want string }{
@@ -77,6 +78,8 @@ func TestNegativeValuesExitNonZero(t *testing.T) {
 		{"-rtol", "-1", "tolerance must be ≥ 0"},
 		{"-rtol", "NaN", "tolerance must be finite"},
 		{"-rr", "-3", "residual replacement interval must be ≥ 0"},
+		{"-events", "1:0-2000000000", "rank 2000000000 ≥ 2 nodes"},
+		{"-events", "1:0-9223372036854775807", "≥ 2 nodes"},
 	} {
 		out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2", "-strategy", "esrp", "-T", "5", c.flag, c.value).CombinedOutput()
 		if _, exited := err.(*exec.ExitError); !exited {

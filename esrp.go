@@ -213,10 +213,6 @@ func BuildHostTrace(rec *HostRecorder, rep *CampaignReport, build BuildInfo) *Ho
 // embedded debug build information.
 func CurrentBuild() BuildInfo { return obs.CurrentBuild() }
 
-// ValidateChromeTrace structurally checks Chrome trace_event JSON as emitted
-// by Trace.WriteChrome (used by the CLI's self-check and the CI gate).
-func ValidateChromeTrace(data []byte) error { return obs.ValidateChromeTrace(data) }
-
 // DefaultCostModel returns the LogGP parameters loosely calibrated to the
 // paper's VSC3 platform.
 func DefaultCostModel() CostModel { return cluster.DefaultCostModel() }
@@ -338,9 +334,6 @@ func EmiliaLike(nx, ny, nz int, seed int64) *CSR { return matgen.EmiliaLike(nx, 
 func AudikwLike(nx, ny, nz, dof int, seed int64) *CSR {
 	return matgen.AudikwLike(nx, ny, nz, dof, seed)
 }
-
-// BandedSPD returns a random diagonally dominant banded SPD matrix.
-func BandedSPD(n, bw int, seed int64) *CSR { return matgen.BandedSPD(n, bw, seed) }
 
 // RHSOnes returns the all-ones right-hand side of length n.
 func RHSOnes(n int) []float64 { return matgen.RHSOnes(n) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"esrp"
+	"esrp/internal/matgen"
 )
 
 func TestQuickstartAPI(t *testing.T) {
@@ -126,7 +127,7 @@ func TestGeneratorsProduceSPDStructure(t *testing.T) {
 		"poisson3d": esrp.Poisson3D(6, 6, 6),
 		"emilia":    esrp.EmiliaLike(5, 5, 5, 1),
 		"audikw":    esrp.AudikwLike(4, 4, 4, 3, 1),
-		"banded":    esrp.BandedSPD(200, 5, 1),
+		"banded":    matgen.BandedSPD(200, 5, 1),
 	} {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: invalid CSR: %v", name, err)
@@ -138,7 +139,7 @@ func TestGeneratorsProduceSPDStructure(t *testing.T) {
 }
 
 func TestPartitionAPI(t *testing.T) {
-	a := esrp.BandedSPD(300, 4, 2)
+	a := matgen.BandedSPD(300, 4, 2)
 	part := esrp.NewBlockPartition(a.Rows, 6)
 	if part.N != 6 || part.M != a.Rows {
 		t.Fatalf("block partition reports M=%d N=%d", part.M, part.N)

@@ -35,6 +35,7 @@ import (
 	"esrp/internal/core"
 	"esrp/internal/faultsim"
 	"esrp/internal/hostobs"
+	"esrp/internal/matgen"
 	"esrp/internal/obs"
 	"esrp/internal/precond"
 	"esrp/internal/replay"
@@ -46,6 +47,47 @@ type MatrixSpec struct {
 	Name string
 	A    *sparse.CSR
 	B    []float64 // nil = b for x* = ones
+}
+
+// Generate builds the CLIs' -gen system gen at grid scale n: poisson2d on
+// n×n, poisson3d, emilia and audikw on n³ vertices (audikw with 3 dofs
+// each), banded with n² rows. Its name is the one reports, schedule files
+// and trace files carry.
+func Generate(gen string, n int, seed int64) (MatrixSpec, error) {
+	switch gen {
+	case "poisson2d":
+		return MatrixSpec{Name: fmt.Sprintf("poisson2d-%dx%d", n, n), A: matgen.Poisson2D(n, n)}, nil
+	case "poisson3d":
+		return MatrixSpec{Name: fmt.Sprintf("poisson3d-%d", n), A: matgen.Poisson3D(n, n, n)}, nil
+	case "emilia":
+		return MatrixSpec{Name: fmt.Sprintf("emilia-like-%d", n), A: matgen.EmiliaLike(n, n, n, seed)}, nil
+	case "audikw":
+		return MatrixSpec{Name: fmt.Sprintf("audikw-like-%dx3", n), A: matgen.AudikwLike(n, n, n, 3, seed)}, nil
+	case "banded":
+		return MatrixSpec{Name: fmt.Sprintf("banded-%d", n*n), A: matgen.BandedSPD(n*n, 8, seed)}, nil
+	}
+	return MatrixSpec{}, fmt.Errorf("unknown generator %q", gen)
+}
+
+// ParseList reads a CLI list flag: comma-separated entries, blanks skipped,
+// each read by parse (strconv.Atoi for an integer list). An empty list is an
+// error; range rules are the caller's.
+func ParseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
+		v, err := parse(f)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty list")
+	}
+	return out, nil
 }
 
 // MachinePoint is one machine model of a machine-parameter sweep

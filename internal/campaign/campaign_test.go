@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,6 +194,24 @@ func TestRenderAndSummary(t *testing.T) {
 	sum := Summary(rep)
 	if !strings.Contains(sum, "campaign:") || !strings.Contains(sum, "fastest group") {
 		t.Fatalf("summary incomplete:\n%s", sum)
+	}
+}
+
+// ParseList is the grammar of the CLIs' list flags; the range rules stay
+// with the flags.
+func TestParseList(t *testing.T) {
+	got, err := ParseList(" 4, ,8,0,-2 ", strconv.Atoi)
+	if err != nil || len(got) != 4 || got[0] != 4 || got[1] != 8 || got[2] != 0 || got[3] != -2 {
+		t.Fatalf("ParseList = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", " , ", "1,x"} {
+		if got, err := ParseList(bad, strconv.Atoi); err == nil {
+			t.Errorf("ParseList(%q) = %v, want an error", bad, got)
+		}
+	}
+	if _, err := ParseList("poisson2d,bogus", func(g string) (MatrixSpec, error) { return Generate(g, 4, 1) }); err == nil ||
+		err.Error() != `unknown generator "bogus"` {
+		t.Errorf("unknown generator: %v", err)
 	}
 }
 

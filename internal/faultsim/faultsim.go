@@ -277,11 +277,13 @@ func blade(r, g, nodes int) []int {
 	return ranks
 }
 
-// ParseSchedule reads the CLI form of a fixed schedule —
-// "iter:r0-r1;iter:r0;..." (e.g. "20:2-3;50:5" = ranks {2,3} fail at
-// iteration 20, rank 5 at iteration 50) — into an event list for
-// Scenario.Schedule. Validation beyond syntax happens in Compile.
-func ParseSchedule(s string) ([]core.FailureSpec, error) {
+// ParseSchedule reads the CLI form of a fixed schedule on a cluster of
+// nodes ranks — "iter:r0-r1;iter:r0;..." (e.g. "20:2-3;50:5" = ranks {2,3}
+// fail at iteration 20, rank 5 at iteration 50) — into an event list for
+// Scenario.Schedule. A rank ≥ nodes is refused before its range is
+// expanded, so an event holds at most nodes ranks. Validation beyond that
+// happens in Compile.
+func ParseSchedule(s string, nodes int) ([]core.FailureSpec, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("faultsim: empty schedule")
 	}
@@ -299,22 +301,26 @@ func ParseSchedule(s string) ([]core.FailureSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faultsim: event %q: bad iteration: %w", part, err)
 		}
-		var ranks []int
+		var lo, hi int
 		if lohi := strings.SplitN(iterRanks[1], "-", 2); len(lohi) == 2 {
-			lo, err1 := strconv.Atoi(strings.TrimSpace(lohi[0]))
-			hi, err2 := strconv.Atoi(strings.TrimSpace(lohi[1]))
+			var err1, err2 error
+			lo, err1 = strconv.Atoi(strings.TrimSpace(lohi[0]))
+			hi, err2 = strconv.Atoi(strings.TrimSpace(lohi[1]))
 			if err1 != nil || err2 != nil || hi < lo {
 				return nil, fmt.Errorf("faultsim: event %q: bad rank range", part)
 			}
-			for r := lo; r <= hi; r++ {
-				ranks = append(ranks, r)
-			}
 		} else {
-			r, err := strconv.Atoi(strings.TrimSpace(iterRanks[1]))
-			if err != nil {
+			if lo, err = strconv.Atoi(strings.TrimSpace(iterRanks[1])); err != nil {
 				return nil, fmt.Errorf("faultsim: event %q: bad rank: %w", part, err)
 			}
-			ranks = []int{r}
+			hi = lo
+		}
+		if hi >= nodes {
+			return nil, fmt.Errorf("faultsim: event %q: rank %d ≥ %d nodes", part, hi, nodes)
+		}
+		ranks := make([]int, 0, hi-lo+1)
+		for r := lo; r <= hi; r++ {
+			ranks = append(ranks, r)
 		}
 		out = append(out, core.FailureSpec{Iteration: iter, Ranks: ranks})
 	}

@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"esrp/internal/core"
@@ -188,4 +189,78 @@ func TestParseModel(t *testing.T) {
 	if _, err := ParseModel("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
+}
+
+func TestParseSchedule(t *testing.T) {
+	ev, err := ParseSchedule("20:2-3;50:5", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.FailureSpec{{Iteration: 20, Ranks: []int{2, 3}}, {Iteration: 50, Ranks: []int{5}}}
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("ParseSchedule = %+v, want %+v", ev, want)
+	}
+	if _, err := ParseSchedule("50:7", 8); err != nil {
+		t.Errorf("top rank of an 8-node cluster refused: %v", err)
+	}
+	for _, bad := range []string{"", "20", "x:1", "20:a", "20:5-3", "50:8", "50:6-8", "50:3;60:9"} {
+		if _, err := ParseSchedule(bad, 8); err == nil {
+			t.Errorf("schedule %q accepted on 8 nodes", bad)
+		}
+	}
+}
+
+// A range reaching far past the cluster fails before it is expanded: it
+// used to append two billion ranks, or never end where r++ wraps.
+func TestParseScheduleHostileRange(t *testing.T) {
+	for _, s := range []string{"1:0-2000000000", "1:0-9223372036854775807", "1:9223372036854775807"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseSchedule(s, 8)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("schedule %q accepted on 8 nodes", s)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("schedule %q allocated %d bytes", s, n)
+		}
+	}
+}
+
+// ParseSchedule returns an error or a schedule of contiguous ascending rank
+// blocks below nodes, each allocated at no more than nodes ints; it never
+// panics. The seeds are the -events spellings of the CI smokes and the
+// verify recipes, on their clusters, and the hostile ranges.
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []struct {
+		events string
+		nodes  uint16
+	}{
+		{"50:5-6", 12}, {"35:4", 8}, {"50:3", 8}, {"50:0", 8}, {"5:1", 4},
+		{"12:2", 4}, {"12:1-2", 4}, {"2:1", 2}, {"20:3;45:5;70:2", 8},
+		{"20:2-3", 8}, {"20:1", 8}, {"10:1-2;20:3", 4}, {"bogus", 8}, {"5:x", 8},
+		{"1:0-2000000000", 8}, {"1:0-9223372036854775807", 8},
+	} {
+		f.Add(seed.events, seed.nodes)
+	}
+	f.Fuzz(func(t *testing.T, s string, n uint16) {
+		nodes := int(n % 1025)
+		events, err := ParseSchedule(s, nodes)
+		if err != nil {
+			return
+		}
+		if len(events) == 0 {
+			t.Fatalf("ParseSchedule(%q, %d) returned no events and no error", s, nodes)
+		}
+		for i, ev := range events {
+			if len(ev.Ranks) == 0 || cap(ev.Ranks) > nodes {
+				t.Fatalf("ParseSchedule(%q, %d): event %d holds %d ranks in %d slots", s, nodes, i, len(ev.Ranks), cap(ev.Ranks))
+			}
+			for k, r := range ev.Ranks {
+				if r < 0 || r >= nodes || (k > 0 && r != ev.Ranks[k-1]+1) {
+					t.Fatalf("ParseSchedule(%q, %d): event %d ranks %v not a contiguous block below %d", s, nodes, i, ev.Ranks, nodes)
+				}
+			}
+		}
+	})
 }

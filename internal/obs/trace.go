@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -212,6 +213,19 @@ func spanEvent(rank int, s Span) chromeSpan {
 		Tid:  rank,
 		Args: chromeArgs{Iter: s.Iter, Phase: s.Phase.String()},
 	}
+}
+
+// WriteChromeFile writes a Trace's or a HostTrace's Chrome trace_event JSON
+// to path once ValidateChromeTrace, the check the CI gate runs, accepts it.
+func WriteChromeFile(path string, t interface{ WriteChrome(io.Writer) error }) error {
+	var buf bytes.Buffer
+	if err := t.WriteChrome(&buf); err != nil {
+		return err
+	}
+	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // errWriter latches the first write error so emission code stays linear.
