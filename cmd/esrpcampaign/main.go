@@ -338,8 +338,9 @@ func buildGrid(f gridFlags) (*esrp.CampaignGrid, error) {
 		GroupSize: f.group, GroupProb: f.groupProb, MaxEvents: f.maxEvents,
 	}
 	if mdl == esrp.ScenarioFixed {
-		// The largest cluster bounds the ranks; a cell on a smaller one
-		// reports a rank out of its range as its error.
+		// The largest cluster bounds the ranks here, before a range is
+		// expanded; the grid refuses a rank past a smaller one before any
+		// cell runs.
 		scenario.Schedule, err = faultsim.ParseSchedule(f.events, slices.Max(nodes))
 		if err != nil {
 			return nil, fmt.Errorf("bad -events: %w", err)

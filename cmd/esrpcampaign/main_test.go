@@ -168,3 +168,17 @@ func TestNegativeValuesExitNonZero(t *testing.T) {
 		}
 	}
 }
+
+// A fixed schedule over several -nodes entries is checked against each: a
+// rank past a smaller cluster exits 1 and names that row, where it used to
+// exit 0 with that row's cells reported as error cells.
+func TestFixedScheduleRankPastSmallerClusterExitsOne(t *testing.T) {
+	bin := buildCommand(t)
+	out, err := exec.Command(bin, "-gen", "poisson2d", "-n", "8", "-nodes", "2,4", "-model", "fixed", "-events", "5:3", "-json", "-", "-q").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("err %v, want exit status 1\n%s", err, out)
+	}
+	if want := "campaign: scenario at 2 nodes: faultsim: event 0 rank 3 out of range [0,2)"; !strings.Contains(string(out), want) {
+		t.Fatalf("printed\n%s\nwant %q", out, want)
+	}
+}

@@ -46,17 +46,13 @@ type cacheRun struct {
 
 // cellInputOf assembles the content address of one cell. The values
 // mirror exactly what runCell puts into core.Config — in particular
-// Spares is zeroed for strategies that never draw from the pool, and the
-// default preconditioner is normalized to core's effective choice so
-// spelled-out and defaulted grids share entries.
+// Spares is zeroed for strategies that never draw from the pool — and name
+// the preconditioner core defaults every cell to: block Jacobi with blocks
+// of at most 10 rows.
 func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 	spares := 0
 	if c.strat == core.StrategyESR || c.strat == core.StrategyESRP {
 		spares = g.Spares
-	}
-	pk := g.Precond
-	if pk == precond.Default {
-		pk = precond.BlockJacobi
 	}
 	return ccache.CellInput{
 		Matrix:   mdigest,
@@ -69,8 +65,8 @@ func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 		Spares:   spares,
 		Rtol:     g.Rtol,
 		MaxIter:  g.MaxIter,
-		MaxBlock: g.MaxBlock,
-		Precond:  pk,
+		MaxBlock: 10,
+		Precond:  precond.BlockJacobi,
 	}
 }
 
@@ -106,7 +102,8 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 	eachIndex(g.Workers, nm+len(cells), func(_, t int) {
 		if t < nm {
 			digests[g.Matrices[t].Name]()
-		} else if c := &cells[t-nm]; c.Err == "" {
+		} else {
+			c := &cells[t-nm]
 			g.probeCell(t-nm, c, digests[c.Matrix](), cr)
 		}
 	})

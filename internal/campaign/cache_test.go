@@ -370,7 +370,11 @@ func TestCellKeyGolden(t *testing.T) {
 		m := g.Matrices[0]
 		cell := Cell{Matrix: m.Name, Nodes: g.Nodes[0], Strategy: "ESRP", T: g.Ts[0], Phi: g.Phis[0],
 			Seed: g.Seeds[c.seed], strat: core.StrategyESRP}
-		g.compileDraws()[c.seed].fill(&cell)
+		draws, err := g.compileDraws()
+		if err != nil {
+			t.Fatal(err)
+		}
+		draws[c.seed].fill(&cell)
 		if cell.Err != "" || (len(cell.Events) == 0) != c.failureFree {
 			t.Fatalf("%s: cell has %d events, error %q", c.name, len(cell.Events), cell.Err)
 		}

@@ -37,7 +37,6 @@ import (
 	"esrp/internal/hostobs"
 	"esrp/internal/matgen"
 	"esrp/internal/obs"
-	"esrp/internal/precond"
 	"esrp/internal/replay"
 	"esrp/internal/sparse"
 )
@@ -120,8 +119,6 @@ type Grid struct {
 
 	Rtol      float64 // outer tolerance (0 = 1e-8; negative or not finite is an error)
 	MaxIter   int     // iteration cap (0 = solver default; negative is an error)
-	MaxBlock  int     // block Jacobi bound (0 = 10; negative is an error)
-	Precond   precond.Kind
 	CostModel *cluster.CostModel
 
 	// Workers bounds the number of cells solved concurrently on the host
@@ -338,12 +335,6 @@ func (g Grid) withDefaults() (Grid, error) {
 	if g.MaxIter < 0 {
 		return g, fmt.Errorf("campaign: iteration cap must be ≥ 0 (0 = solver default), got %d", g.MaxIter)
 	}
-	if g.MaxBlock < 0 {
-		return g, fmt.Errorf("campaign: block Jacobi block size must be ≥ 0 (0 = 10), got %d", g.MaxBlock)
-	}
-	if g.MaxBlock == 0 {
-		g.MaxBlock = 10
-	}
 	if g.Spares < 0 {
 		return g, fmt.Errorf("campaign: spares must be ≥ 0, got %d", g.Spares)
 	}
@@ -424,7 +415,10 @@ func Run(g Grid) (*Report, error) {
 		}
 		perSystem += len(ts[i]) * len(phis[i]) * len(g.Seeds)
 	}
-	draws := g.compileDraws()
+	draws, err := g.compileDraws()
+	if err != nil {
+		return nil, err
+	}
 	cells := make([]Cell, 0, len(g.Matrices)*len(g.Nodes)*perSystem)
 	for _, m := range g.Matrices {
 		for ni, n := range g.Nodes {
@@ -477,7 +471,7 @@ func Run(g Grid) (*Report, error) {
 	// lookup. A context that fails to prepare stays nil and the cell falls
 	// back to the old per-cell path (surfacing the same error).
 	preps := g.prepareContexts(cells, matrices, func(i int) bool {
-		return cells[i].Err == "" && (cr == nil || cr.state[i] == cellMiss)
+		return cr == nil || cr.state[i] == cellMiss
 	})
 	g.HostObs.SamplePhase("prepared")
 
@@ -620,7 +614,6 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 			A: m.A, B: m.B, Nodes: c.Nodes,
 			Strategy: c.strat, T: c.T, Phi: c.Phi,
 			Rtol: g.Rtol, MaxIter: g.MaxIter,
-			PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
 		})
 		if err == nil {
 			built[k] = prep // else nil: cells fall back to per-cell setup and surface the error
@@ -633,32 +626,31 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 }
 
 // draw is the failure timeline of one (nodes, seed) pair — the scenario
-// compiled once — or the error compiling it. Every cell at that pair reads
-// the same draw, whatever its matrix, strategy, T and φ.
-type draw struct {
-	events []core.FailureSpec
-	err    string
-}
+// compiled once. Every cell at that pair reads the same draw, whatever its
+// matrix, strategy, T and φ.
+type draw []core.FailureSpec
 
 // compileDraws compiles the grid's failure scenario once per (nodes, seed);
-// the draw of g.Nodes[ni], g.Seeds[si] is at [ni*len(g.Seeds)+si].
-func (g Grid) compileDraws() []draw {
+// the draw of g.Nodes[ni], g.Seeds[si] is at [ni*len(g.Seeds)+si]. Compile
+// fails only where Validate does, which withDefaults ran at every node
+// count, so an error here fails the whole grid as that check would have.
+func (g Grid) compileDraws() ([]draw, error) {
 	draws := make([]draw, len(g.Nodes)*len(g.Seeds))
 	if g.failureFree() {
-		return draws
+		return draws, nil
 	}
 	for ni, n := range g.Nodes {
 		for si, seed := range g.Seeds {
 			sc := g.Scenario
 			sc.Nodes, sc.Seed = n, seed
-			d := &draws[ni*len(g.Seeds)+si]
-			var err error
-			if d.events, err = sc.Compile(); err != nil {
-				d.err = err.Error()
+			events, err := sc.Compile()
+			if err != nil {
+				return nil, fmt.Errorf("campaign: scenario at %d nodes: %w", n, err)
 			}
+			draws[ni*len(g.Seeds)+si] = events
 		}
 	}
-	return draws
+	return draws, nil
 }
 
 // failureFree reports whether the grid's scenario is the zero one: a fixed
@@ -667,23 +659,22 @@ func (g *Grid) failureFree() bool {
 	return g.Scenario.Model == faultsim.ModelFixed && len(g.Scenario.Schedule) == 0
 }
 
-// fill gives c its view of the draw, setting c.Events and c.Clamped (or
-// c.Err, if the scenario does not compile for the cell's node count).
+// fill gives c its view of the draw, setting c.Events and c.Clamped.
 // Redundancy covers at most φ simultaneous failures; events wider than the
 // cell's φ are clamped to their first φ ranks (still a contiguous block) so
 // every cell of the grid is admissible. The clamp count is recorded — a grid
 // with many clamps should raise φ or shrink the correlation groups. Cells no
 // clamp narrows share the draw's slice, which nothing writes after this; a
 // clamped cell narrows a private copy.
-func (d *draw) fill(c *Cell) {
-	c.Err, c.Events = d.err, d.events
+func (d draw) fill(c *Cell) {
+	c.Events = d
 	if c.strat == core.StrategyNone || c.Phi <= 0 {
 		return
 	}
-	for i := range d.events {
-		if len(d.events[i].Ranks) > c.Phi {
+	for i := range d {
+		if len(d[i].Ranks) > c.Phi {
 			if c.Clamped == 0 {
-				c.Events = slices.Clone(d.events)
+				c.Events = slices.Clone(d)
 			}
 			c.Events[i].Ranks = c.Events[i].Ranks[:c.Phi:c.Phi]
 			c.Clamped++
@@ -691,8 +682,7 @@ func (d *draw) fill(c *Cell) {
 	}
 }
 
-// runCell solves the cell and condenses the result in place; a cell whose
-// scenario did not compile already carries its error and is left alone.
+// runCell solves the cell and condenses the result in place.
 // index is the cell's position in the grid order (the trace sampling key).
 // mcs, when non-nil, is this cell's machine-sweep result window (one entry
 // per Grid.Machines point): the solve is recorded once and each point's
@@ -701,9 +691,6 @@ func (d *draw) fill(c *Cell) {
 // with recording on and persist both tiers. A sampled cell's trace is a
 // walk of its schedule, the cached one on a hit, so a hit never solves.
 func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
-	if c.Err != "" {
-		return
-	}
 	if cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr) {
 		return
 	}
@@ -716,7 +703,6 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 		A: m.A, B: m.B, Nodes: c.Nodes,
 		Strategy: c.strat, T: c.T, Phi: c.Phi,
 		Rtol: g.Rtol, MaxIter: g.MaxIter,
-		PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
 		CostModel: g.CostModel,
 		Failures:  c.Events,
 		Prepared:  prep,

@@ -260,7 +260,6 @@ func TestGridValidation(t *testing.T) {
 		want string
 	}{
 		{func(g *Grid) { g.MaxIter = -5 }, "iteration cap must be ≥ 0"},
-		{func(g *Grid) { g.MaxBlock = -3 }, "block size must be ≥ 0"},
 		{func(g *Grid) { g.Rtol = -1 }, "tolerance must be ≥ 0"},
 		{func(g *Grid) { g.Rtol = math.NaN() }, "tolerance must be finite"},
 		{func(g *Grid) { g.Rtol = math.Inf(1) }, "tolerance must be finite"},
@@ -276,6 +275,11 @@ func TestGridValidation(t *testing.T) {
 			g.Nodes = []int{8, 4}
 			g.Scenario = stochastic(func(sc *faultsim.Scenario) { sc.GroupSize = 4 })
 		}, "scenario at 4 nodes: faultsim: group size must be in [0,4)"},
+		// A fixed schedule's rank past the smallest cluster of the grid.
+		{func(g *Grid) {
+			g.Nodes = []int{2, 4}
+			g.Scenario = faultsim.Scenario{Model: faultsim.ModelFixed, Schedule: []core.FailureSpec{{Iteration: 5, Ranks: []int{3}}}}
+		}, "scenario at 2 nodes: faultsim: event 0 rank 3 out of range [0,2)"},
 	} {
 		g = tinyGrid()
 		c.set(&g)

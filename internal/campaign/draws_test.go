@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -103,59 +102,5 @@ func TestDrawsMatchPerCellCompile(t *testing.T) {
 	}
 	if clampedCells == 0 || sharedCells == 0 {
 		t.Fatalf("%d clamped and %d unclamped cells: the scenarios exercise one side only", clampedCells, sharedCells)
-	}
-}
-
-// A scenario that validates but does not compile for one node count fails
-// exactly that count's cells, with the compile error, identically without a
-// cache, into an empty one and out of a full one. (One that fails
-// validation at any node count fails the whole grid: TestGridValidation.)
-func TestDrawCompileErrorOnEveryPath(t *testing.T) {
-	grid := func() Grid {
-		g := drawGrid(rand.New(rand.NewSource(7)))
-		g.Nodes = []int{4, 8}
-		// Rank 5 exists on the 8-node cluster only.
-		g.Scenario = faultsim.Scenario{Model: faultsim.ModelFixed,
-			Schedule: []core.FailureSpec{{Iteration: 3, Ranks: []int{5}}}}
-		return g
-	}
-	sc := grid().Scenario
-	sc.Nodes = 4
-	_, cerr := sc.Compile()
-	if cerr == nil {
-		t.Fatal("the scenario compiles on 4 nodes")
-	}
-
-	plain := runJSON(t, grid())
-	dir := t.TempDir()
-	for _, path := range []string{"cold", "warm"} {
-		g := grid()
-		g.Cache = openCache(t, dir)
-		rep, err := Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		failed := 0
-		for i := range rep.Cells {
-			c := &rep.Cells[i]
-			switch {
-			case c.Nodes == 4 && c.Err != cerr.Error():
-				t.Fatalf("%s: 4-node cell %d has error %q, want %q", path, i, c.Err, cerr)
-			case c.Nodes == 4:
-				failed++
-			case c.Err != "":
-				t.Fatalf("%s: 8-node cell %d failed: %s", path, i, c.Err)
-			}
-		}
-		if failed == 0 {
-			t.Fatalf("%s: no 4-node cells", path)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), plain) {
-			t.Fatalf("%s cached report differs from the cache-less one", path)
-		}
 	}
 }

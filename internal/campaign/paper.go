@@ -203,12 +203,13 @@ func RunPaper(spec PaperSpec) (*PaperReport, error) {
 	return rep, nil
 }
 
-// runPaperGrid runs one grid of the constellation and turns the first cell
-// error into the run's error; where names the grid's failure location.
+// runPaperGrid runs one grid of the constellation and turns the grid's
+// refusal or the first cell error into the run's error; where names the
+// grid's failure location.
 func runPaperGrid(g Grid, where string) (*Report, error) {
 	rep, err := Run(g)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s grid: %w", where, err)
 	}
 	for _, c := range rep.Cells {
 		if c.Err == "" {

@@ -72,3 +72,20 @@ func TestIC0IMCRRecovery(t *testing.T) {
 		t.Fatalf("RecoveredAt = %d, want 21", res.RecoveredAt)
 	}
 }
+
+func TestNoSpareWithIC0(t *testing.T) {
+	// The composite preconditioner path must reproduce IC(0) segments too.
+	a := matgen.EmiliaLike(8, 8, 8, 21)
+	b := matgen.RHSOnes(a.Rows)
+	cfg := Config{
+		A: a, B: b, Nodes: 8,
+		PrecondKind: precond.IC0,
+		Strategy:    StrategyESRP, T: 10, Phi: 2,
+		NoSpareNodes: true,
+		Failures:     []FailureSpec{{Iteration: 25, Ranks: []int{3, 4}}},
+		CostModel:    fastModel(),
+	}
+	if res := checkExactRecovery(t, cfg, 3); res.ActiveNodes != 6 {
+		t.Fatalf("ActiveNodes = %d, want 6 after losing 2 of 8 nodes", res.ActiveNodes)
+	}
+}

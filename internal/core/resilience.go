@@ -512,6 +512,13 @@ func (run *nodeRun) recoverESR(j int, failed []int, shrink bool) (int, string) {
 		// of jrec they rolled back to, the work since then counted as wasted
 		// (ESR reconstructs iteration j itself and never rolls back).
 		run.restart()
+		if !shrink {
+			// The copies and starred states belong to the process that just
+			// ended; a later reconstruction from them would mix it with the
+			// restarted one. Like a shrink that restarts, every rank drops
+			// them and waits for the next storage stage.
+			st.lose()
+		}
 	}
 	run.recEnd(t0)
 	switch {

@@ -213,85 +213,6 @@ func checkExactRecovery(t *testing.T, cfg Config, maxExtraIters int) *Result {
 	return res
 }
 
-func TestESRSingleFailureExactRecovery(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESR
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 30, Ranks: []int{3}}}
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 30 {
-		t.Fatalf("ESR must reconstruct the failure iteration, got %d", res.RecoveredAt)
-	}
-	if res.WastedIters != 0 {
-		t.Fatalf("ESR wastes no iterations, got %d", res.WastedIters)
-	}
-}
-
-func TestESRPSingleFailureExactRecovery(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{2}}}
-	res := checkExactRecovery(t, cfg, 3)
-	// Last completed storage stage before iteration 38 with T=10: (30, 31).
-	if res.RecoveredAt != 31 {
-		t.Fatalf("RecoveredAt = %d, want 31", res.RecoveredAt)
-	}
-	if res.WastedIters != 38-31 {
-		t.Fatalf("WastedIters = %d, want 7", res.WastedIters)
-	}
-	if res.TotalSteps != res.Iterations+res.WastedIters+1 {
-		t.Fatalf("TotalSteps %d != Iterations %d + wasted %d + 1",
-			res.TotalSteps, res.Iterations, res.WastedIters)
-	}
-}
-
-func TestESRPMultipleNodeFailures(t *testing.T) {
-	for _, ranks := range [][]int{{0, 1, 2}, {3, 4, 5}, {5, 6, 7}} {
-		cfg := baseConfig(t)
-		cfg.Strategy = StrategyESRP
-		cfg.T = 10
-		cfg.Phi = 3
-		cfg.Failures = []FailureSpec{{Iteration: 45, Ranks: ranks}}
-		res := checkExactRecovery(t, cfg, 3)
-		if res.RecoveredAt != 41 {
-			t.Fatalf("ranks %v: RecoveredAt = %d, want 41", ranks, res.RecoveredAt)
-		}
-	}
-}
-
-// Failure striking after the first push of a storage stage must roll back to
-// the *previous* stage — the scenario that requires queue depth 3 (Fig. 1).
-func TestESRPFailureDuringStorageStage(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	cfg.Phi = 2
-	cfg.Failures = []FailureSpec{{Iteration: 40, Ranks: []int{1, 2}}} // right after the push of iteration 40
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 31 {
-		t.Fatalf("mid-stage failure must recover the previous stage (31), got %d", res.RecoveredAt)
-	}
-}
-
-// Failure on the second stage iteration: the stage just completed, rollback
-// loses only the partial iteration.
-func TestESRPFailureAtStageCompletion(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 41, Ranks: []int{4}}}
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 41 {
-		t.Fatalf("RecoveredAt = %d, want 41", res.RecoveredAt)
-	}
-	if res.WastedIters != 0 {
-		t.Fatalf("WastedIters = %d, want 0", res.WastedIters)
-	}
-}
-
 // The same exactness property on the 27-point structural stencil the
 // paper constellation uses (the EmiliaLike analog), at its natural
 // iteration count.
@@ -308,30 +229,6 @@ func TestESRPRecoveryOnEmiliaLikeStencil(t *testing.T) {
 	res := checkExactRecovery(t, cfg, 3)
 	if res.RecoveredAt != 16 {
 		t.Fatalf("RecoveredAt = %d, want 16", res.RecoveredAt)
-	}
-}
-
-func TestIMCRSingleFailure(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyIMCR
-	cfg.T = 10
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{5}}}
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 31 {
-		t.Fatalf("RecoveredAt = %d, want 31", res.RecoveredAt)
-	}
-}
-
-func TestIMCRMultipleFailures(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyIMCR
-	cfg.T = 10
-	cfg.Phi = 3
-	cfg.Failures = []FailureSpec{{Iteration: 45, Ranks: []int{6, 7}}}
-	res := checkExactRecovery(t, cfg, 3)
-	if res.RecoveredAt != 41 {
-		t.Fatalf("RecoveredAt = %d, want 41", res.RecoveredAt)
 	}
 }
 
@@ -390,41 +287,6 @@ func TestLocalRestartKeepsSurvivingIterand(t *testing.T) {
 	resid := residualsOf(res)
 	if first, restarted := resid[0], resid[at]; restarted == first {
 		t.Fatalf("restart at iteration %d reproduced the first residual %g: x was reset to x0", at, first)
-	}
-}
-
-func TestESRPFailureBeforeFirstStageFallsBack(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 50
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 5, Ranks: []int{1}}} // before stage (50,51)
-	res := solveOK(t, cfg)
-	checkSolution(t, cfg, res, 5e-8)
-	if !res.Recovered {
-		t.Fatal("fallback restart must still be reported")
-	}
-}
-
-func TestIMCRFailureBeforeFirstCheckpointFallsBack(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyIMCR
-	cfg.T = 50
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 5, Ranks: []int{1}}}
-	res := solveOK(t, cfg)
-	checkSolution(t, cfg, res, 5e-8)
-}
-
-func TestResidualDriftSmall(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Strategy = StrategyESRP
-	cfg.T = 10
-	cfg.Phi = 1
-	cfg.Failures = []FailureSpec{{Iteration: 38, Ranks: []int{3}}}
-	res := solveOK(t, cfg)
-	if math.Abs(res.Drift) > 1 {
-		t.Fatalf("residual drift %g implausibly large", res.Drift)
 	}
 }
 
@@ -587,5 +449,70 @@ func TestZeroRHS(t *testing.T) {
 	res := solveOK(t, cfg)
 	if vec.Norm2(res.X) != 0 {
 		t.Fatalf("Ax=0 must give x=0, got norm %g", vec.Norm2(res.X))
+	}
+}
+
+func TestDetectionTimeChargedOnRecovery(t *testing.T) {
+	// The middleware-cost knob must add to the modeled recovery cost of a
+	// failure run and leave failure-free runs untouched.
+	base := baseConfig(t)
+	base.Strategy = StrategyESRP
+	base.T = 10
+	base.Phi = 1
+	base.Failures = []FailureSpec{{Iteration: 25, Ranks: []int{3}}}
+	plain := solveOK(t, base)
+
+	det := base
+	det.DetectionTime = 0.5
+	res := solveOK(t, det)
+	if res.RecoveryTime < plain.RecoveryTime+0.5 {
+		t.Fatalf("recovery %g missing detection cost (plain %g)", res.RecoveryTime, plain.RecoveryTime)
+	}
+	if res.SimTime < plain.SimTime+0.5 {
+		t.Fatalf("total time %g missing detection cost (plain %g)", res.SimTime, plain.SimTime)
+	}
+
+	ff := base
+	ff.Failures = nil
+	ff.DetectionTime = 0.5
+	ffRes := solveOK(t, ff)
+	if ffRes.RecoveryTime != 0 {
+		t.Fatalf("failure-free run must not pay detection cost, got %g", ffRes.RecoveryTime)
+	}
+}
+
+// Timeline validation: out-of-order events, duplicate ranks, bad spare
+// pools.
+func TestMultiEventValidation(t *testing.T) {
+	a := matgen.Poisson2D(16, 16)
+	b := matgen.RHSOnes(a.Rows)
+	bad := []Config{
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Failures: []FailureSpec{
+			{Iteration: 20, Ranks: []int{1}}, {Iteration: 10, Ranks: []int{2}}}}, // out of order
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Failures: []FailureSpec{
+			{Iteration: 10, Ranks: []int{1}}, {Iteration: 10, Ranks: []int{2}}}}, // duplicate iteration
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 2, Failures: []FailureSpec{
+			{Iteration: 10, Ranks: []int{1, 1}}}}, // duplicate rank
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Spares: -1},                    // negative pool
+		{A: a, B: b, Nodes: 4, Strategy: StrategyIMCR, T: 5, Phi: 1, Spares: 2},              // finite pool needs ESR/ESRP
+		{A: a, B: b, Nodes: 4, Strategy: StrategyESR, Phi: 1, Spares: 2, NoSpareNodes: true}, // pool vs no-spare
+	}
+	for i, cfg := range bad {
+		if _, err := Solve(cfg); err == nil {
+			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+func TestNoSpareConfigValidation(t *testing.T) {
+	a := matgen.Poisson2D(8, 8)
+	b := matgen.RHSOnes(a.Rows)
+	_, err := Solve(Config{
+		A: a, B: b, Nodes: 4,
+		Strategy: StrategyIMCR, T: 10, Phi: 1,
+		NoSpareNodes: true,
+	})
+	if err == nil {
+		t.Fatal("NoSpareNodes with IMCR must be rejected")
 	}
 }

@@ -97,7 +97,9 @@ type Scenario struct {
 	Schedule []core.FailureSpec
 }
 
-// Validate checks the scenario parameters; Compile runs it first.
+// Validate checks the scenario parameters, and a fixed schedule's events
+// against the contract the generated timelines keep on s.Nodes nodes; Compile
+// runs it first.
 func (s Scenario) Validate() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("faultsim: need at least 2 nodes, got %d", s.Nodes)
@@ -105,6 +107,30 @@ func (s Scenario) Validate() error {
 	if s.Model == ModelFixed {
 		if len(s.Schedule) == 0 {
 			return fmt.Errorf("faultsim: fixed model without a schedule")
+		}
+		at := make(map[int]bool, len(s.Schedule))
+		for i, ev := range s.Schedule {
+			if ev.Iteration < 1 {
+				return fmt.Errorf("faultsim: event %d at iteration %d: scenarios start at iteration 1", i, ev.Iteration)
+			}
+			if at[ev.Iteration] {
+				return fmt.Errorf("faultsim: two events at iteration %d; merge their ranks or stagger them", ev.Iteration)
+			}
+			at[ev.Iteration] = true
+			if len(ev.Ranks) == 0 {
+				return fmt.Errorf("faultsim: event %d has no ranks", i)
+			}
+			for k, r := range ev.Ranks {
+				if r < 0 || r >= s.Nodes {
+					return fmt.Errorf("faultsim: event %d rank %d out of range [0,%d)", i, r, s.Nodes)
+				}
+				if k > 0 && r != ev.Ranks[k-1]+1 {
+					return fmt.Errorf("faultsim: event %d ranks %v are not a contiguous ascending block", i, ev.Ranks)
+				}
+			}
+			if len(ev.Ranks) >= s.Nodes {
+				return fmt.Errorf("faultsim: event %d kills all %d nodes", i, s.Nodes)
+			}
 		}
 		return nil
 	}
@@ -172,7 +198,7 @@ func (s Scenario) Compile() ([]core.FailureSpec, error) {
 		return nil, err
 	}
 	if s.Model == ModelFixed {
-		return s.compileFixed()
+		return s.compileFixed(), nil
 	}
 
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -226,10 +252,9 @@ func (s Scenario) Compile() ([]core.FailureSpec, error) {
 	return events, nil
 }
 
-// compileFixed validates and normalizes the explicit schedule: events are
-// sorted by iteration and must satisfy the same contract as the generated
-// timelines.
-func (s Scenario) compileFixed() ([]core.FailureSpec, error) {
+// compileFixed sorts a copy of the explicit schedule, which Validate
+// checked, by iteration.
+func (s Scenario) compileFixed() []core.FailureSpec {
 	events := make([]core.FailureSpec, len(s.Schedule))
 	for i, ev := range s.Schedule {
 		events[i] = core.FailureSpec{
@@ -238,29 +263,7 @@ func (s Scenario) compileFixed() ([]core.FailureSpec, error) {
 		}
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Iteration < events[j].Iteration })
-	for i, ev := range events {
-		if ev.Iteration < 1 {
-			return nil, fmt.Errorf("faultsim: event %d at iteration %d: scenarios start at iteration 1", i, ev.Iteration)
-		}
-		if i > 0 && ev.Iteration == events[i-1].Iteration {
-			return nil, fmt.Errorf("faultsim: two events at iteration %d; merge their ranks or stagger them", ev.Iteration)
-		}
-		if len(ev.Ranks) == 0 {
-			return nil, fmt.Errorf("faultsim: event %d has no ranks", i)
-		}
-		for k, r := range ev.Ranks {
-			if r < 0 || r >= s.Nodes {
-				return nil, fmt.Errorf("faultsim: event %d rank %d out of range [0,%d)", i, r, s.Nodes)
-			}
-			if k > 0 && r != ev.Ranks[k-1]+1 {
-				return nil, fmt.Errorf("faultsim: event %d ranks %v are not a contiguous ascending block", i, ev.Ranks)
-			}
-		}
-		if len(ev.Ranks) >= s.Nodes {
-			return nil, fmt.Errorf("faultsim: event %d kills all %d nodes", i, s.Nodes)
-		}
-	}
-	return events, nil
+	return events
 }
 
 // blade returns the aligned group of width g containing rank r, clipped to

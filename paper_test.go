@@ -230,15 +230,16 @@ func TestPaperRejectsExcludedIntervals(t *testing.T) {
 	}
 }
 
-// A cell that fails to run fails the constellation, naming the cell, and
-// never renders as a row of zeros.
+// A grid that refuses its failure schedule, or a cell that fails to run,
+// fails the constellation, naming the grid or the cell, and never renders
+// as a row of zeros.
 func TestPaperCellErrorsAreErrors(t *testing.T) {
 	a := esrp.Poisson2D(24, 24)
 	for _, tc := range []struct {
 		phis []int
 		want string
 	}{
-		{[]int{1, 5}, "ESR T=1 φ=1 Center: faultsim: event 0 rank 8 out of range"}, // the Center block of max(φ) = 5 ranks
+		{[]int{1, 5}, "Center grid: campaign: scenario at 8 nodes: faultsim: event 0 rank 8 out of range"}, // the Center block of max(φ) = 5 ranks
 		{[]int{8}, "ESR T=1 φ=8 failure-free"},
 	} {
 		rep, err := esrp.RunExperiment(esrp.ExperimentSpec{Matrix: a, Nodes: 8, Ts: []int{1, 10}, Phis: tc.phis})
