@@ -69,5 +69,12 @@ func (q *Queue) LatestPair() (prev, cur *ReceivedCopy, ok bool) {
 	return nil, nil, false
 }
 
-// Reset drops all copies (used when the solver restarts from scratch).
-func (q *Queue) Reset() { q.slots = q.slots[:0] }
+// Reset drops all copies (used when the solver restarts from scratch),
+// handing each one's value buffer to release, oldest first, so callers can
+// recycle it via Exchanger.Recycle as they do an evicted copy's.
+func (q *Queue) Reset(release func(val []float64)) {
+	for i := range q.slots {
+		release(q.slots[i].Val)
+	}
+	q.slots = q.slots[:0]
+}

@@ -1,6 +1,7 @@
 package aspmv
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -128,9 +129,14 @@ func TestQueueTimelineFigure1(t *testing.T) {
 func TestQueueReset(t *testing.T) {
 	q := NewQueue(2)
 	q.Push(mkCopy(1))
-	q.Reset()
+	q.Push(mkCopy(2))
+	var released []float64
+	q.Reset(func(val []float64) { released = append(released, val...) })
 	if len(q.slots) != 0 {
 		t.Fatal("Reset must empty the queue")
+	}
+	if !reflect.DeepEqual(released, []float64{1, 2}) {
+		t.Fatalf("Reset released %v, want the buffers of 1 and 2, oldest first", released)
 	}
 	if q.depth != 2 {
 		t.Fatal("Reset must keep the depth")

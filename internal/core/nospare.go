@@ -152,7 +152,7 @@ func (run *nodeRun) shrinkTo(ev *esrEvent, survivors []int, xIf, rIf, zIf, pIf [
 	// just-reconstructed state at jrec. A restart leaves nothing to roll back
 	// to until the next storage stage.
 	if st, ok := run.res.(*esrState); ok && st != nil {
-		st.queue.Reset()
+		st.queue.Reset(run.ex.Recycle)
 		st.xs = make([]float64, newM)
 		st.rs = make([]float64, newM)
 		st.zs = make([]float64, newM)

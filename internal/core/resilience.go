@@ -110,7 +110,7 @@ func (st *esrState) stateBytes() int64 {
 }
 
 func (st *esrState) lose() {
-	st.queue.Reset()
+	st.queue.Reset(st.run.ex.Recycle)
 	vec.Zero(st.xs)
 	vec.Zero(st.rs)
 	vec.Zero(st.zs)

@@ -200,6 +200,11 @@ func (refs *timelineRefs) check(d draw, full bool, k int) error {
 	if dx := vec.MaxAbsDiff(res.X, ref.X); dx > 1e-6 {
 		return fmt.Errorf("|x − x_None| = %g", dx)
 	}
+	// The true residual, not the recurrence's, within 5× the tolerance after
+	// any number of events (every draw reaches ≤ 1e-8).
+	if rel := trueRelResidual(cfg, res.X); rel > 5e-8 {
+		return fmt.Errorf("true relative residual %g > 5e-8", rel)
+	}
 	if math.Abs(res.Drift) > 1 {
 		return fmt.Errorf("residual drift %g", res.Drift)
 	}
@@ -235,6 +240,10 @@ func (refs *timelineRefs) check(d draw, full bool, k int) error {
 	if res.Recovered != (fired > 0) || fired > 0 && res.RecoveredAt != lastAt || res.ActiveNodes != active {
 		return fmt.Errorf("Recovered %v, RecoveredAt %d, %d active nodes; event log %+v",
 			res.Recovered, res.RecoveredAt, res.ActiveNodes, res.Events)
+	}
+	// Each fired event charges the detection time and its protocol's own.
+	if fired > 0 && (res.RecoveryTime <= 0 || res.RecoveryTime < float64(fired)*cfg.DetectionTime) || fired == 0 && res.RecoveryTime != 0 {
+		return fmt.Errorf("RecoveryTime %g s after %d fired events, detection %g s each", res.RecoveryTime, fired, cfg.DetectionTime)
 	}
 	switch {
 	case fired == 0:
@@ -303,8 +312,10 @@ func (refs *timelineRefs) check(d draw, full bool, k int) error {
 // iterations; tier-1 runs every pairStride-th, -all-timelines all of them.
 //
 // On each draw: a refusal is the documented one; otherwise the solve
-// converges to the failure-free StrategyNone solution within 1e-6, the event
-// log is expectedLog's, the steps add up, exact recoveries stay within −1…+3
+// converges to the failure-free StrategyNone solution within 1e-6 with a true
+// relative residual ≤ 5e-8, the event log is expectedLog's, the
+// steps add up, each fired event charges recovery time at least the
+// detection time, exact recoveries stay within −1…+3
 // iterations of the reference, recovery raises the per-node footprint, and
 // the recorded schedule re-costs to the live SimTime, RecoveryTime and
 // traffic bit for bit. Every fullStride-th draw also checks the trace
