@@ -75,9 +75,7 @@ func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 // worker pool: one atomic cursor hands out the per-matrix digests first and
 // then the grid indices, and a cell's task writes nothing but its own slots
 // of keys/state/entries/scheds — so what the probe finds, and every byte
-// and counter derived from it, is independent of Workers. Cells whose
-// scenario failed to compile stay misses; they carry their error already
-// and never run.
+// and counter derived from it, is independent of Workers.
 func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRun {
 	if g.Cache == nil {
 		return nil

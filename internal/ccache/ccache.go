@@ -43,8 +43,9 @@ import (
 
 // FormatVersion is the on-disk layout version, stamped into the manifest.
 // Layout changes bump it; an old-format directory is treated exactly like
-// a build mismatch.
-const FormatVersion = 1
+// a build mismatch. Format 1 stored result entries as JSON; format 2 stores
+// them as binary records (frame.go).
+const FormatVersion = 2
 
 // manifestName is the stamp file at the cache root.
 const manifestName = "MANIFEST.json"
@@ -101,9 +102,9 @@ type CellResult struct {
 }
 
 // ResultEntry is one result-tier entry: the condensed cell outcome plus
-// the machine model its simulated times were computed under. JSON floats
-// round-trip exactly under Go's shortest-representation encoding, so a
-// cache hit reproduces the cold run's report bytes bit-for-bit.
+// the machine model its simulated times were computed under. Its record
+// (appendResultEntry) stores every float as its bits, so a cache hit
+// reproduces the cold run's report bytes bit-for-bit.
 type ResultEntry struct {
 	Model  cluster.CostModel `json:"model"`
 	Result CellResult        `json:"result"`
@@ -280,16 +281,17 @@ func (c *Cache) GetResult(k Key) (*ResultEntry, bool) {
 }
 
 // PutResult stores a result-tier entry (no-op on nil c). An existing
-// entry is replaced atomically.
+// entry is replaced atomically. An event whose mode is not one of the
+// core.Recovery* constants is an error, and nothing is written.
 func (c *Cache) PutResult(k Key, e *ResultEntry) error {
 	if c == nil {
 		return nil
 	}
-	payload, err := json.Marshal(e)
+	framed, err := appendResultEntry(make([]byte, frameHeaderLen, frameHeaderLen+recordLenMax(e)), e)
 	if err != nil {
 		return err
 	}
-	framed := frame(payload)
+	framed = seal(framed)
 	var path [entryPathMax]byte
 	if err := writeFileAtomic(string(c.entryPath(path[:0], resultTierDir, k, ".res")), framed); err != nil {
 		return err

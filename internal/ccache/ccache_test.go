@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -369,6 +370,24 @@ func TestBuildMismatch(t *testing.T) {
 	c4, note, err := Open(dir, other, MismatchBypass)
 	if err != nil || note != "" || c4 == nil {
 		t.Fatalf("reopening after refresh: cache=%v note=%q err=%v", c4, note, err)
+	}
+
+	// The same build at the previous format is a mismatch too.
+	if err := c4.PutResult(k, testEntry()); err != nil {
+		t.Fatal(err)
+	}
+	if err := stampManifest(filepath.Join(dir, manifestName), Manifest{Format: FormatVersion - 1, Build: other}); err != nil {
+		t.Fatal(err)
+	}
+	if c5, note, err := Open(dir, other, MismatchBypass); err != nil || c5 != nil || !strings.Contains(note, fmt.Sprintf("format %d,", FormatVersion-1)) {
+		t.Fatalf("bypassing the previous format: cache=%v note=%q err=%v", c5, note, err)
+	}
+	c6, note, err := Open(dir, other, MismatchRefresh)
+	if err != nil || c6 == nil || note == "" {
+		t.Fatalf("refreshing the previous format: cache=%v note=%q err=%v", c6, note, err)
+	}
+	if _, ok := c6.GetResult(k); ok {
+		t.Fatal("refresh kept an entry of the previous format")
 	}
 }
 
