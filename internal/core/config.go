@@ -387,11 +387,14 @@ const (
 	// IMCR checkpoint was restored.
 	RecoverySpare = "spare"
 	// RecoveryShrink: no spare was available; a surviving node adopted the
-	// failed rows and the cluster continued smaller (no-spare recovery).
+	// failed rows, the exact state was reconstructed, and the cluster
+	// continued smaller (no-spare recovery).
 	RecoveryShrink = "shrink"
 	// RecoveryRestart: nothing to reconstruct from (no completed storage
 	// stage, or redundant copies incomplete after an earlier loss); the
-	// Krylov process restarted from the surviving iterand.
+	// Krylov process restarted from the surviving iterand. A no-spare event
+	// that restarts is logged so too: RecoveryEvent.ActiveNodes shows the
+	// smaller cluster.
 	RecoveryRestart = "restart"
 	// RecoverySkipped: the event could not be applied to the current cluster
 	// (e.g. its ranks no longer exist after a shrink) and was dropped.

@@ -443,9 +443,9 @@ func (ev *esrEvent) rebuilderOf(fr int) int {
 // despite the repartitioning. Either way the survivors roll back to their
 // starred copies, the lowest of them announces the reconstruction iteration
 // and β*, and the rebuilders reconstruct the exact state (Alg. 2). It
-// returns the resume iteration and the recovery mode: RecoverySpare
-// (RecoveryRestart when there was nothing to reconstruct from), or
-// RecoveryShrink — the cluster got smaller either way.
+// returns the resume iteration and the recovery mode: RecoverySpare or
+// RecoveryShrink when the state was rebuilt, RecoveryRestart when it was not
+// (nothing to reconstruct from, or a failed coverage vote), shrink or not.
 func (run *nodeRun) recoverESR(j int, failed []int, shrink bool) (int, string) {
 	st := run.res.(*esrState)
 	amFailed := run.amFailed(failed)
@@ -522,12 +522,12 @@ func (run *nodeRun) recoverESR(j int, failed []int, shrink bool) (int, string) {
 	}
 	run.recEnd(t0)
 	switch {
+	case !rebuilt:
+		return jrec, RecoveryRestart
 	case shrink:
 		return jrec, RecoveryShrink
-	case rebuilt:
-		return jrec, RecoverySpare
 	}
-	return jrec, RecoveryRestart
+	return jrec, RecoverySpare
 }
 
 // reconstruct is Alg. 2 for one event once the header is known: the

@@ -113,10 +113,11 @@ func (d draw) resumeAt(j int) int {
 // far as the protocol fixes it: an event past the reference's last
 // iteration never fires; one whose block a shrink removed is skipped; a
 // pool with fewer spares than failed ranks shrinks the cluster, whole; any
-// other event is a spare recovery resuming where resumeAt says, or a
-// restart where it says −1. A later ESR/ESRP event's mode is left "": the
-// coverage vote passes it as a spare recovery or degrades it to a restart
-// from the same iteration.
+// other event is a recovery resuming where resumeAt says — a spare or a
+// shrink one by the pool — or a restart where it says −1, shrink or not. A
+// later ESR/ESRP event's mode is left "": the coverage vote passes it as a
+// spare or shrink recovery or degrades it to a restart from the same
+// iteration.
 func (d draw) expectedLog(n, refIters int) []RecoveryEvent {
 	nodes, spares := n, d.v.pool
 	var log []RecoveryEvent
@@ -136,7 +137,10 @@ func (d draw) expectedLog(n, refIters int) []RecoveryEvent {
 		}
 		if e.Mode != RecoverySkipped && (d.v.strategy == StrategyESR || d.v.strategy == StrategyESRP) {
 			if spares >= 0 && spares < psi {
-				e.Mode, nodes = RecoveryShrink, nodes-psi
+				nodes -= psi
+				if e.Mode == RecoverySpare {
+					e.Mode = RecoveryShrink
+				}
 			} else if spares > 0 {
 				spares -= psi
 			}
@@ -219,18 +223,21 @@ func (refs *timelineRefs) check(d draw, full bool, k int) error {
 	wasted, fired, exact, active, lastAt := 0, 0, true, cfg.Nodes, 0
 	for i, e := range res.Events {
 		w := want[i]
-		if w.Mode == "" && (e.Mode == RecoverySpare || e.Mode == RecoveryRestart) {
-			w.Mode = e.Mode
+		if rebuilt := RecoverySpare; w.Mode == "" {
+			if w.ActiveNodes < active { // the cluster shrank
+				rebuilt = RecoveryShrink
+			}
+			if e.Mode == rebuilt || e.Mode == RecoveryRestart {
+				w.Mode = e.Mode
+			}
 		}
 		if !reflect.DeepEqual(e, w) {
 			return fmt.Errorf("event %d: %+v, want %+v", i, e, w)
 		}
 		if active = e.ActiveNodes; e.Mode != RecoverySkipped {
 			wasted, fired, lastAt = wasted+e.WastedIters, fired+1, e.RecoveredAt
-			// A spare recovery rebuilt the state; so did a first shrink with
-			// a stage to resume from. A later shrink may have restarted
-			// after a failed vote, which its mode does not tell.
-			exact = exact && (e.Mode == RecoverySpare || e.Mode == RecoveryShrink && i == 0 && d.resumeAt(e.Iteration) >= 0)
+			// A spare or a shrink recovery rebuilt the state; a restart did not.
+			exact = exact && (e.Mode == RecoverySpare || e.Mode == RecoveryShrink)
 		}
 	}
 	if res.WastedIters != wasted || res.TotalSteps != res.Iterations+wasted+fired {
