@@ -172,11 +172,11 @@ func Open(dir string, build obs.BuildInfo, policy MismatchPolicy) (*Cache, strin
 			return nil, "", err
 		}
 		note := fmt.Sprintf("cache %s was written by %s; refreshed (entries discarded, restamped as %s)",
-			dir, describeManifest(data, have), describeBuild(want.Build))
+			dir, describeManifest(data, have), describeManifest(nil, want))
 		return &Cache{dir: dir}, note, nil
 	default:
 		note := fmt.Sprintf("cache %s was written by %s, this binary is %s; bypassing it (use a refresh policy to rebuild in place)",
-			dir, describeManifest(data, have), describeBuild(want.Build))
+			dir, describeManifest(data, have), describeManifest(nil, want))
 		return nil, note, nil
 	}
 }
