@@ -166,31 +166,6 @@ func testSchedule() *replay.Schedule {
 	return rec.Schedule()
 }
 
-func TestResultRoundTrip(t *testing.T) {
-	c := openTestCache(t)
-	in := goldenInput()
-	k := in.Key()
-	if _, ok := c.GetResult(k); ok {
-		t.Fatal("hit on an empty cache")
-	}
-	want := testEntry()
-	if err := c.PutResult(k, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.GetResult(k)
-	if !ok {
-		t.Fatal("miss after put")
-	}
-	if got.Model != want.Model || got.Result.SimTime != want.Result.SimTime ||
-		got.Result.Iterations != want.Result.Iterations || len(got.Result.Recoveries) != 1 {
-		t.Fatalf("entry did not round-trip: got %+v", got)
-	}
-	st := c.Stats()
-	if st.BytesWritten == 0 || st.BytesRead == 0 || st.Corrupt != 0 {
-		t.Fatalf("unexpected stats %+v", st)
-	}
-}
-
 func TestScheduleRoundTrip(t *testing.T) {
 	c := openTestCache(t)
 	k := goldenInput().Key()

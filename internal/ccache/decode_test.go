@@ -2,6 +2,7 @@ package ccache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -132,6 +133,9 @@ func TestDecodeResultEntryRoundTrip(t *testing.T) {
 
 	c := openTestCache(t)
 	k := goldenInput().Key()
+	if _, ok := c.GetResult(k); ok {
+		t.Fatal("hit on an empty cache")
+	}
 	for name, want := range map[string]*ResultEntry{
 		"every-field": full, "extremes": extremes, "bare": bare, "events": events, "plain": testEntry(),
 	} {
@@ -154,8 +158,8 @@ func TestDecodeResultEntryRoundTrip(t *testing.T) {
 			t.Errorf("%s: through the cache: ok=%v, got %+v", name, ok, cached)
 		}
 	}
-	if st := c.Stats(); st.Corrupt != 0 {
-		t.Errorf("round trips counted %d corrupt entries", st.Corrupt)
+	if st := c.Stats(); st.Corrupt != 0 || st.BytesRead == 0 || st.BytesRead != st.BytesWritten {
+		t.Errorf("round trips: %+v, want equal bytes read and written and no corrupt entry", st)
 	}
 	other := testEntry()
 	other.Result.Recoveries[0].Mode = "tomorrow's"
@@ -167,10 +171,11 @@ func TestDecodeResultEntryRoundTrip(t *testing.T) {
 // What is not a record PutResult writes is an error to the decoder and a
 // miss counted once as corrupt to the cache.
 func TestDecodeResultEntryRejectsOtherLayouts(t *testing.T) {
-	// Every field of these two is zero or one byte long, up to the event
-	// count at offset 73: one event, ranks [2 3] or nil, mode "spare".
+	// Every field of these two is zero or one byte long up to the event
+	// count at offset 73: one "spare" event, with ranks [2 3] or with nil
+	// ranks and a two-byte iteration.
 	good := encode(t, &ResultEntry{Result: CellResult{Recoveries: []core.RecoveryEvent{{Ranks: []int{2, 3}, Mode: core.RecoverySpare}}}})
-	nilRanks := encode(t, &ResultEntry{Result: CellResult{Recoveries: []core.RecoveryEvent{{Mode: core.RecoverySpare}}}})
+	nilRanks := encode(t, &ResultEntry{Result: CellResult{Recoveries: []core.RecoveryEvent{{Iteration: 1000, Mode: core.RecoverySpare}}}})
 	set := func(payload []byte, off int, b ...byte) []byte {
 		return slices.Concat(payload[:off], b, payload[off+1:])
 	}
@@ -180,9 +185,10 @@ func TestDecodeResultEntryRejectsOtherLayouts(t *testing.T) {
 		"mode-4":              set(good, len(good)-5, 4),
 		"padded-varint":       set(good, 33, 0x80, 0),
 		"events-past-end":     set(good, 73, 2),
+		"events-huge":         set(good, 73, binary.AppendUvarint(nil, 1<<40)...),
 		"ranks-past-end":      set(good, 74, 3),
 		"rank-count-past-sum": set(good, 74, 1),
-		"rank-sum-unused":     append(set(nilRanks, 74, 1), 0),
+		"rank-sum-unused":     set(nilRanks, 74, 1),
 		"int-overflow":        set(good, 33, bytes.Repeat([]byte{0xff}, 10)...),
 	}
 	full := encode(t, testEntry())
