@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,9 +36,9 @@ func countsGrid(workers int) Grid {
 
 // sweepCounts runs countsGrid into a fresh cache three ways — cold, warm,
 // and warm under one other machine point — and returns each run's cache
-// counters: solves (misses), result and schedule hits and corrupt entries
-// as the host recorder counts them, bytes read and written as Cache.Stats
-// does.
+// counters as the host recorder reports them: solves (misses), result and
+// schedule hits, and the corrupt entries and bytes read and written it
+// copies from Cache.Stats.
 func sweepCounts(t *testing.T, workers int) map[string]*hostobs.CacheCounters {
 	t.Helper()
 	dir := t.TempDir()
@@ -53,9 +54,6 @@ func sweepCounts(t *testing.T, workers int) map[string]*hostobs.CacheCounters {
 		g.CostModel = run.model
 		g.Cache = openCache(t, dir)
 		_, out[run.name] = cacheCounters(t, g)
-		if st := g.Cache.Stats(); st.BytesRead != out[run.name].BytesRead || st.BytesWritten != out[run.name].BytesWritten {
-			t.Fatalf("%s: the recorder's byte counts %+v differ from Cache.Stats %+v", run.name, out[run.name], st)
-		}
 	}
 	return out
 }
@@ -67,15 +65,13 @@ func sweepCounts(t *testing.T, workers int) map[string]*hostobs.CacheCounters {
 // testdata/counts.json; regenerate it with -update and say why.
 func TestSweepCounts(t *testing.T) {
 	got := sweepCounts(t, 1)
-	if four := sweepCounts(t, 4); !equalCounts(got, four) {
+	same := func(a, b *hostobs.CacheCounters) bool { return *a == *b }
+	if four := sweepCounts(t, 4); !maps.EqualFunc(got, four, same) {
 		t.Fatalf("counts depend on the worker count:\n1 worker:  %s\n4 workers: %s", countsJSON(t, got), countsJSON(t, four))
 	}
 	path := filepath.Join("testdata", "counts.json")
 	data := countsJSON(t, got)
 	if *updateCounts {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -87,15 +83,6 @@ func TestSweepCounts(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatalf("sweep counts changed (regenerate with -update if intended):\n got %s\nwant %s", data, want)
 	}
-}
-
-func equalCounts(a, b map[string]*hostobs.CacheCounters) bool {
-	for name, c := range a {
-		if *c != *b[name] {
-			return false
-		}
-	}
-	return len(a) == len(b)
 }
 
 func countsJSON(t *testing.T, counts map[string]*hostobs.CacheCounters) []byte {
