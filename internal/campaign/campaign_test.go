@@ -6,8 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"esrp/internal/core"
@@ -58,28 +56,6 @@ func TestRunTinyGrid(t *testing.T) {
 		if a.MedianTime <= 0 || a.P90Time < a.P10Time {
 			t.Errorf("aggregate times inconsistent: %+v", a)
 		}
-	}
-}
-
-// The same grid must produce byte-identical JSON regardless of worker
-// scheduling — the reproducibility contract of the campaign engine.
-func TestCampaignReproducible(t *testing.T) {
-	render := func(workers int) []byte {
-		g := tinyGrid()
-		g.Workers = workers
-		rep, err := Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b, c := render(1), render(4), render(4)
-	if !bytes.Equal(a, b) || !bytes.Equal(b, c) {
-		t.Fatal("campaign JSON differs across runs/worker counts")
 	}
 }
 
@@ -314,90 +290,6 @@ func TestDefaultedPhiSharesContexts(t *testing.T) {
 		if !c.Converged {
 			t.Fatalf("cell %s/T%d/phi%d/seed%d did not converge", c.Strategy, c.T, c.Phi, c.Seed)
 		}
-	}
-}
-
-// TestTraceSampling checks campaign telemetry: sampled cells deliver traces
-// keyed by grid index (not worker order), the sampled traces are
-// byte-identical across worker counts, the unsampled report JSON is
-// untouched by sampling, and the progress callback counts every cell.
-func TestTraceSampling(t *testing.T) {
-	collect := func(workers int) (map[int][]byte, []byte, int) {
-		g := tinyGrid()
-		g.Workers = workers
-		g.TraceSample = 2 // indices 0, 2, 4
-		var mu sync.Mutex
-		traces := map[int][]byte{}
-		g.OnCellTrace = func(index int, c *Cell, tr *obs.Trace) {
-			var buf bytes.Buffer
-			if err := tr.WriteChrome(&buf); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			traces[index] = buf.Bytes()
-			mu.Unlock()
-		}
-		var done atomic.Int64
-		var sawTotal atomic.Int64
-		g.Progress = func(d, total int) {
-			done.Add(1)
-			if d == total {
-				sawTotal.Add(1)
-			}
-		}
-		rep, err := Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if int(done.Load()) != len(rep.Cells) || sawTotal.Load() != 1 {
-			t.Errorf("progress fired %d times (done==total %d), want %d/1",
-				done.Load(), sawTotal.Load(), len(rep.Cells))
-		}
-		return traces, buf.Bytes(), len(rep.Cells)
-	}
-
-	seq, seqJSON, cells := collect(1)
-	par, parJSON, _ := collect(4)
-	if want := (cells + 1) / 2; len(seq) != want {
-		t.Fatalf("sampled %d traces, want %d", len(seq), want)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("worker counts sampled different cells: %d vs %d", len(seq), len(par))
-	}
-	for idx, a := range seq {
-		b, ok := par[idx]
-		if !ok {
-			t.Errorf("cell %d sampled sequentially but not in parallel", idx)
-			continue
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("cell %d trace differs across worker counts", idx)
-		}
-		if err := obs.ValidateChromeTrace(a); err != nil {
-			t.Errorf("cell %d trace invalid: %v", idx, err)
-		}
-	}
-	if !bytes.Equal(seqJSON, parJSON) {
-		t.Error("report JSON differs across worker counts with sampling on")
-	}
-
-	// Sampling must not leak into the report: the same grid without
-	// sampling produces the same JSON.
-	plain, err := Run(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := plain.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), seqJSON) {
-		t.Error("trace sampling changed the campaign report JSON")
 	}
 }
 

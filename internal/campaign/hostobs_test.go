@@ -30,35 +30,6 @@ func runWithRecorder(t *testing.T, workers int) ([]byte, []byte, *hostobs.Campai
 	return jb.Bytes(), cb.Bytes(), rec
 }
 
-// TestHostObsOutputByteIdentical pins the acceptance contract: enabling the
-// host recorder must not change a single byte of the campaign's JSON or CSV
-// output, at any worker count.
-func TestHostObsOutputByteIdentical(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		g := oneContextGrid()
-		g.Workers = workers
-		rep, err := Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jb, cb bytes.Buffer
-		if err := rep.WriteJSON(&jb); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-
-		obsJSON, obsCSV, _ := runWithRecorder(t, workers)
-		if !bytes.Equal(jb.Bytes(), obsJSON) {
-			t.Errorf("workers=%d: JSON differs with host telemetry on", workers)
-		}
-		if !bytes.Equal(cb.Bytes(), obsCSV) {
-			t.Errorf("workers=%d: CSV differs with host telemetry on", workers)
-		}
-	}
-}
-
 // TestHostObsTelemetrySanity runs the one-context grid (24 cells) with
 // several workers and checks the recorder's aggregate story: every cell
 // accounted once, no steals, the shared barrier saw traffic, and phase

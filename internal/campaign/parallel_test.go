@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bytes"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -10,7 +8,6 @@ import (
 	"esrp/internal/core"
 	"esrp/internal/faultsim"
 	"esrp/internal/matgen"
-	"esrp/internal/obs"
 )
 
 // oneContextGrid is a grid whose 24 cells ALL share one Prepared context
@@ -52,66 +49,6 @@ func TestCampaignWorkerHammer(t *testing.T) {
 		}
 		if !c.Converged {
 			t.Errorf("cell T=%d seed=%d did not converge", c.T, c.Seed)
-		}
-	}
-}
-
-// TestCampaignDeterministicAcrossWorkers pins the byte-identity contract:
-// JSON report, CSV export and every sampled trace must be identical for
-// Workers ∈ {1, 3, NumCPU} on the one-context grid, whatever cells each
-// worker happens to claim.
-func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	collect := func(workers int) (jsonB, csvB []byte, traces map[int][]byte) {
-		g := oneContextGrid()
-		g.Workers = workers
-		g.TraceSample = 5
-		var mu sync.Mutex
-		traces = map[int][]byte{}
-		g.OnCellTrace = func(index int, c *Cell, tr *obs.Trace) {
-			var buf bytes.Buffer
-			if err := tr.WriteChrome(&buf); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			traces[index] = buf.Bytes()
-			mu.Unlock()
-		}
-		rep, err := Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jb, cb bytes.Buffer
-		if err := rep.WriteJSON(&jb); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		return jb.Bytes(), cb.Bytes(), traces
-	}
-
-	workerCounts := []int{1, 3, runtime.NumCPU()}
-	refJSON, refCSV, refTraces := collect(workerCounts[0])
-	if len(refTraces) == 0 {
-		t.Fatal("no traces sampled")
-	}
-	for _, w := range workerCounts[1:] {
-		jb, cb, tr := collect(w)
-		if !bytes.Equal(refJSON, jb) {
-			t.Errorf("JSON differs between workers=1 and workers=%d", w)
-		}
-		if !bytes.Equal(refCSV, cb) {
-			t.Errorf("CSV differs between workers=1 and workers=%d", w)
-		}
-		if len(tr) != len(refTraces) {
-			t.Errorf("workers=%d sampled %d traces, workers=1 sampled %d", w, len(tr), len(refTraces))
-			continue
-		}
-		for idx, a := range refTraces {
-			if !bytes.Equal(a, tr[idx]) {
-				t.Errorf("cell %d trace differs between workers=1 and workers=%d", idx, w)
-			}
 		}
 	}
 }
