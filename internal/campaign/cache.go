@@ -188,7 +188,7 @@ func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun
 	} else {
 		g.HostObs.CacheResultHit()
 	}
-	if sched != nil && g.OnCellSchedule != nil {
+	if len(mcs) > 0 && g.OnCellSchedule != nil {
 		g.OnCellSchedule(index, c, sched)
 	}
 	if tr != nil {

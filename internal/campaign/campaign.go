@@ -153,8 +153,9 @@ type Grid struct {
 	Machines []MachinePoint
 
 	// OnCellSchedule, when set together with Machines, receives every
-	// successfully recorded cell's schedule (for artifact export). Called
-	// from worker goroutines; must be safe for concurrent use.
+	// cell's schedule, recorded or cached (for artifact export); without
+	// Machines it is never called. Called from worker goroutines; must be
+	// safe for concurrent use.
 	OnCellSchedule func(index int, c *Cell, s *replay.Schedule)
 
 	// Cache, when set, consults the persistent content-addressed store
@@ -733,7 +734,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 				mcs[mi].Err = rerr.Error()
 			}
 		}
-		if g.OnCellSchedule != nil {
+		if len(mcs) > 0 && g.OnCellSchedule != nil {
 			g.OnCellSchedule(index, c, sched)
 		}
 	}

@@ -430,7 +430,7 @@ func check(out, ref *cacheRunOut, o cacheOpts, cached bool, want []cellCacheStat
 		return fmt.Errorf("report differs from the reference")
 	case !maps.EqualFunc(out.traces, ref.traces, bytes.Equal):
 		return fmt.Errorf("traces of cells %v differ from the reference's %v", slices.Sorted(maps.Keys(out.traces)), slices.Sorted(maps.Keys(ref.traces)))
-	case o.machines && !maps.EqualFunc(out.scheds, ref.scheds, bytes.Equal):
+	case !maps.EqualFunc(out.scheds, ref.scheds, bytes.Equal):
 		return fmt.Errorf("schedules of cells %v delivered, the reference's %v", slices.Sorted(maps.Keys(out.scheds)), slices.Sorted(maps.Keys(ref.scheds)))
 	case out.calls != len(want):
 		return fmt.Errorf("%d progress calls for %d cells", out.calls, len(want))
