@@ -227,6 +227,9 @@ type (
 	// Schedule is a recorded solve's event schedule: per-rank program-order
 	// event streams plus communicator-view memberships, in canonical order.
 	// Write it with WriteScheduleFile and read it back with ReadScheduleFile.
+	// Its Recost method re-prices it under one machine model, RecostAll
+	// under several in one walk of the events (what a campaign's machine
+	// sweep does per cell), element j equal to Recost(ms[j]) bit for bit.
 	Schedule = replay.Schedule
 	// Replayed is the outcome of re-costing a schedule under one machine
 	// model: the replayed SimTime / RecoveryTime / BytesSent / MsgsSent plus
@@ -253,20 +256,6 @@ func RecordSchedule(cfg Config) (*Result, *Schedule, error) {
 		return nil, nil, err
 	}
 	return res, res.Schedule, nil
-}
-
-// Recost replays a recorded schedule under machine model m, running the
-// identical LogGP clock arithmetic the cluster ran when recording. Safe for
-// concurrent calls on one schedule.
-func Recost(s *Schedule, m CostModel) (*Replayed, error) {
-	return s.Recost(m)
-}
-
-// RecostAll replays a recorded schedule under every model in one walk of its
-// events — what a campaign's machine sweep does per cell; element j equals
-// Recost(s, ms[j]) bit-for-bit.
-func RecostAll(s *Schedule, ms []CostModel) ([]*Replayed, error) {
-	return s.RecostAll(ms)
 }
 
 // Persistent campaign cache (internal/ccache): a content-addressed store
@@ -389,8 +378,9 @@ func RenderFigureASCII(r *ExperimentReport, failureFree bool) string {
 type (
 	// FailureScenario describes a seeded failure process — fixed schedule,
 	// exponential (Poisson), or Weibull per-node inter-arrivals, optionally
-	// with correlated group failures — compiled into a Config.Failures
-	// timeline.
+	// with correlated group failures — that its Compile method turns into
+	// a Config.Failures timeline; the same scenario, seed included, always
+	// compiles to the same events.
 	FailureScenario = faultsim.Scenario
 	// ScenarioModel selects the scenario's inter-arrival process.
 	ScenarioModel = faultsim.Model
@@ -419,11 +409,6 @@ const (
 	// wear-out failures, by shape).
 	ScenarioWeibull = faultsim.ModelWeibull
 )
-
-// CompileScenario turns a failure scenario into the ordered event timeline
-// Config.Failures consumes. Deterministic: the same scenario (including
-// seed) always compiles to the same events.
-func CompileScenario(s FailureScenario) ([]FailureSpec, error) { return s.Compile() }
 
 // ParseScenarioModel converts a model name ("fixed", "exp", "weibull").
 func ParseScenarioModel(s string) (ScenarioModel, error) { return faultsim.ParseModel(s) }

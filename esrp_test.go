@@ -174,11 +174,11 @@ func TestPartitionAPI(t *testing.T) {
 // The scenario/campaign surface: compile a stochastic failure process, run a
 // multi-failure solve against a finite spare pool, and sweep a tiny grid.
 func TestScenarioAndCampaignAPI(t *testing.T) {
-	events, err := esrp.CompileScenario(esrp.FailureScenario{
+	events, err := esrp.FailureScenario{
 		Model: esrp.ScenarioExponential, Nodes: 8, Horizon: 60, MTBF: 250, Seed: 11,
-	})
+	}.Compile()
 	if err != nil {
-		t.Fatalf("CompileScenario: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
 	if len(events) == 0 {
 		t.Fatal("scenario compiled to no events")

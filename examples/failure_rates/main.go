@@ -144,7 +144,7 @@ func (e *estimator) expectedRuntime(strat esrp.Strategy, t int, mtbf, iterTime f
 			e.schedules[key] = sched
 		}
 		start := time.Now()
-		rep, err := esrp.Recost(sched, esrp.DefaultCostModel())
+		rep, err := sched.Recost(esrp.DefaultCostModel())
 		e.recostNs += time.Since(start).Nanoseconds()
 		e.recosts++
 		if err != nil {
@@ -178,7 +178,7 @@ func (e *estimator) record(strat esrp.Strategy, t, failIter int) *esrp.Schedule 
 	if !res.Converged {
 		log.Fatalf("%v T=%d: did not converge", strat, t)
 	}
-	rep, err := esrp.Recost(sched, esrp.DefaultCostModel())
+	rep, err := sched.Recost(esrp.DefaultCostModel())
 	if err != nil {
 		log.Fatalf("%v T=%d: re-cost: %v", strat, t, err)
 	}

@@ -35,7 +35,7 @@ func TestAnalyticOptimumMatchesReplaySweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := esrp.Recost(sched, esrp.DefaultCostModel())
+		rep, err := sched.Recost(esrp.DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}

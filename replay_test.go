@@ -98,7 +98,7 @@ func TestRecostReproducesSolveBitForBit(t *testing.T) {
 					t.Fatalf("no failure events fired; the case is vacuous")
 				}
 			}
-			rep, err := esrp.Recost(sched, esrp.DefaultCostModel())
+			rep, err := sched.Recost(esrp.DefaultCostModel())
 			if err != nil {
 				t.Fatalf("Recost: %v", err)
 			}
@@ -160,13 +160,13 @@ func TestRecostUnderSweptMachines(t *testing.T) {
 	rc := replayCases(t)[3] // esrp/multi-event
 	_, sched := record(t, rc.cfg)
 	base := esrp.DefaultCostModel()
-	ref, err := esrp.Recost(sched, base)
+	ref, err := sched.Recost(base)
 	if err != nil {
 		t.Fatalf("Recost: %v", err)
 	}
 	slow := base
 	slow.Latency *= 10
-	repSlow, err := esrp.Recost(sched, slow)
+	repSlow, err := sched.Recost(slow)
 	if err != nil {
 		t.Fatalf("Recost(10×L): %v", err)
 	}
@@ -179,7 +179,7 @@ func TestRecostUnderSweptMachines(t *testing.T) {
 	}
 	fast := base
 	fast.FlopTime /= 8
-	repFast, err := esrp.Recost(sched, fast)
+	repFast, err := sched.Recost(fast)
 	if err != nil {
 		t.Fatalf("Recost(8× flops): %v", err)
 	}
@@ -194,7 +194,7 @@ func TestRecostUnderSweptMachines(t *testing.T) {
 func TestScheduleSerializationRoundTrip(t *testing.T) {
 	rc := replayCases(t)[3] // esrp/multi-event: exercises every event kind
 	_, sched := record(t, rc.cfg)
-	ref, err := esrp.Recost(sched, esrp.DefaultCostModel())
+	ref, err := sched.Recost(esrp.DefaultCostModel())
 	if err != nil {
 		t.Fatalf("Recost: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestScheduleSerializationRoundTrip(t *testing.T) {
 	if err1 != nil || err2 != nil || !bytes.Equal(fb, ab) {
 		t.Errorf("schedule file is not stable under read/write (%d vs %d bytes; %v, %v)", len(fb), len(ab), err1, err2)
 	}
-	rep, err := esrp.Recost(decoded, esrp.DefaultCostModel())
+	rep, err := decoded.Recost(esrp.DefaultCostModel())
 	if err != nil {
 		t.Fatalf("Recost(decoded): %v", err)
 	}
