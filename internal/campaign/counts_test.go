@@ -34,22 +34,23 @@ func countsGrid(workers int) Grid {
 	}
 }
 
-// sweepCounts runs countsGrid into a fresh cache three ways — cold, warm,
-// and warm under one other machine point — and returns each run's cache
-// counters as the host recorder reports them: solves (misses), result and
-// schedule hits, and the corrupt entries and bytes read and written it
-// copies from Cache.Stats.
+// sweepCounts runs countsGrid into a fresh cache four ways — cold, warm,
+// warm under another machine point, and then under a third one, over the
+// entries the second machine left — and returns each run's cache counters
+// as the host recorder reports them: solves (misses), result and schedule
+// hits, and the corrupt entries and bytes read and written it copies from
+// Cache.Stats.
 func sweepCounts(t *testing.T, workers int) map[string]*hostobs.CacheCounters {
 	t.Helper()
 	dir := t.TempDir()
-	moved := cluster.DefaultCostModel()
-	moved.Latency *= 4
-	moved.BytePeriod *= 2
+	moved := movedModel()
+	fast := moved
+	fast.FlopTime /= 2
 	out := map[string]*hostobs.CacheCounters{}
 	for _, run := range []struct {
 		name  string
 		model *cluster.CostModel
-	}{{"cold", nil}, {"warm", nil}, {"machine", &moved}} {
+	}{{"cold", nil}, {"warm", nil}, {"machine", &moved}, {"machine-fast", &fast}} {
 		g := countsGrid(workers)
 		g.CostModel = run.model
 		g.Cache = openCache(t, dir)
