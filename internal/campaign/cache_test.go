@@ -27,34 +27,6 @@ func openCache(t *testing.T, dir string) *ccache.Cache {
 	return c
 }
 
-// runJSON runs g and renders its report.
-func runJSON(t *testing.T, g Grid) []byte {
-	t.Helper()
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// cacheCounters runs g with a recorder attached and returns the cache
-// section of its telemetry alongside the report bytes.
-func cacheCounters(t *testing.T, g Grid) ([]byte, *hostobs.CacheCounters) {
-	t.Helper()
-	rec := hostobs.NewCampaignRecorder()
-	g.HostObs = rec
-	out := runJSON(t, g)
-	tel := rec.Telemetry()
-	if g.Cache != nil && tel.Cache == nil {
-		t.Fatal("cache-backed run produced no cache telemetry")
-	}
-	return out, tel.Cache
-}
-
 // TestCellKeyGolden pins the campaign → cache key mapping: the content
 // address cellInputOf gives an ESRP cell of tinyGrid, failure-free and under
 // its failure process (seed 2; seed 1 draws no event). ccache.TestKeyGolden
@@ -112,7 +84,7 @@ func TestCacheSharedByConcurrentRuns(t *testing.T) {
 	}
 	var want [2][]byte
 	for i := range want {
-		want[i] = runJSON(t, grid(i))
+		want[i] = runOpts(t, grid(i), cacheOpts{}, false).json
 	}
 	cache := openCache(t, t.TempDir())
 	for _, pass := range []string{"cold", "warm"} {

@@ -29,11 +29,18 @@ func tinyGrid() Grid {
 	}
 }
 
-func TestRunTinyGrid(t *testing.T) {
-	rep, err := Run(tinyGrid())
+// mustRun runs g and fails the test on a grid error.
+func mustRun(t *testing.T, g Grid) *Report {
+	t.Helper()
+	rep, err := Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+func TestRunTinyGrid(t *testing.T) {
+	rep := mustRun(t, tinyGrid())
 	// 1 matrix × 1 node count × (ESR + ESRP + IMCR) × 1 T × 1 φ × 2 seeds.
 	if want := 3 * 2; len(rep.Cells) != want {
 		t.Fatalf("got %d cells, want %d", len(rep.Cells), want)
@@ -78,10 +85,7 @@ func TestCampaignSparePoolShrinks(t *testing.T) {
 			},
 		},
 	}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, g)
 	c := rep.Cells[0]
 	if c.Err != "" || !c.Converged {
 		t.Fatalf("cell failed: err=%q converged=%v", c.Err, c.Converged)
@@ -112,10 +116,7 @@ func TestCampaignClampsWideEvents(t *testing.T) {
 			},
 		},
 	}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, g)
 	c := rep.Cells[0]
 	if c.Err != "" {
 		t.Fatalf("clamped cell errored: %s", c.Err)
@@ -129,10 +130,7 @@ func TestWriteJSONAndCSV(t *testing.T) {
 	g := tinyGrid()
 	g.Strategies = []core.Strategy{core.StrategyESR}
 	g.Seeds = []int64{1}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, g)
 	var jb bytes.Buffer
 	if err := rep.WriteJSON(&jb); err != nil {
 		t.Fatal(err)
@@ -159,10 +157,7 @@ func TestWriteJSONAndCSV(t *testing.T) {
 }
 
 func TestRenderAndSummary(t *testing.T) {
-	rep, err := Run(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, tinyGrid())
 	tbl := Render(rep)
 	if !strings.Contains(tbl, "ESR") || !strings.Contains(tbl, "IMCR") || !strings.Contains(tbl, "poisson") {
 		t.Fatalf("render missing groups:\n%s", tbl)
@@ -279,10 +274,7 @@ func TestGridValidation(t *testing.T) {
 func TestDefaultedPhiSharesContexts(t *testing.T) {
 	g := tinyGrid()
 	g.Phis = []int{0}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, g)
 	for _, c := range rep.Cells {
 		if c.Err != "" {
 			t.Fatalf("cell %s/T%d/phi%d/seed%d failed: %s", c.Strategy, c.T, c.Phi, c.Seed, c.Err)
@@ -296,10 +288,7 @@ func TestDefaultedPhiSharesContexts(t *testing.T) {
 // TestWriteMetrics checks the Prometheus textfile export: deterministic
 // output, well-formed lines, and a build-info gauge.
 func TestWriteMetrics(t *testing.T) {
-	rep, err := Run(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, tinyGrid())
 	build := obs.BuildInfo{GoVersion: "go1.24", Revision: "abc123", Modified: true}
 	render := func() string {
 		var buf bytes.Buffer

@@ -54,7 +54,7 @@ func sweepCounts(t *testing.T, workers int) map[string]*hostobs.CacheCounters {
 		g := countsGrid(workers)
 		g.CostModel = run.model
 		g.Cache = openCache(t, dir)
-		_, out[run.name] = cacheCounters(t, g)
+		out[run.name] = runOpts(t, g, cacheOpts{}, true).ctr
 	}
 	return out
 }

@@ -8,34 +8,18 @@ import (
 	"esrp/internal/obs"
 )
 
-// runWithRecorder runs the one-context grid with host telemetry on and
-// returns the report bytes plus the recorder for inspection.
-func runWithRecorder(t *testing.T, workers int) ([]byte, []byte, *hostobs.CampaignRecorder) {
-	t.Helper()
-	g := oneContextGrid()
-	g.Workers = workers
-	rec := hostobs.NewCampaignRecorder()
-	g.HostObs = rec
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jb, cb bytes.Buffer
-	if err := rep.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	return jb.Bytes(), cb.Bytes(), rec
-}
-
 // TestHostObsTelemetrySanity runs the one-context grid (24 cells) with
 // several workers and checks the recorder's aggregate story: every cell
 // accounted once, no steals, the shared barrier saw traffic, and phase
 // samples bracket the run.
 func TestHostObsTelemetrySanity(t *testing.T) {
-	_, _, rec := runWithRecorder(t, 4)
+	g := oneContextGrid()
+	g.Workers = 4
+	rec := hostobs.NewCampaignRecorder()
+	g.HostObs = rec
+	if _, err := Run(g); err != nil {
+		t.Fatal(err)
+	}
 	tel := rec.Telemetry()
 
 	const total = 8 * 3
@@ -85,10 +69,7 @@ func TestBuildHostTraceValidates(t *testing.T) {
 	g.Workers = 3
 	rec := hostobs.NewCampaignRecorder()
 	g.HostObs = rec
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, g)
 	tr := BuildHostTrace(rec, rep, obs.BuildInfo{GoVersion: "test", Revision: "deadbeef"})
 	if tr == nil {
 		t.Fatal("BuildHostTrace returned nil for a live recorder")
@@ -126,10 +107,7 @@ func TestCursorClaimsEachCellOnce(t *testing.T) {
 		g.Workers = workers
 		rec := hostobs.NewCampaignRecorder()
 		g.HostObs = rec
-		rep, err := Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := mustRun(t, g)
 		if len(rep.Cells) != 8*3 {
 			t.Fatalf("workers=%d: %d cells, want %d", workers, len(rep.Cells), 8*3)
 		}

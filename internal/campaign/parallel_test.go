@@ -36,10 +36,7 @@ func oneContextGrid() Grid {
 // cursor, the shared Prepared context or the per-worker workspace reuse;
 // the result assertions pin that every cell still solves correctly.
 func TestCampaignWorkerHammer(t *testing.T) {
-	rep, err := Run(oneContextGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, oneContextGrid())
 	if want := 8 * 3; len(rep.Cells) != want {
 		t.Fatalf("got %d cells, want %d", len(rep.Cells), want)
 	}
@@ -70,10 +67,7 @@ func TestCampaignProgressExact(t *testing.T) {
 			t.Errorf("progress total %d, want %d", total, 8*3)
 		}
 	}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, g)
 	if len(dones) != len(rep.Cells) {
 		t.Fatalf("progress fired %d times, want %d", len(dones), len(rep.Cells))
 	}

@@ -35,7 +35,7 @@ func TestCachedSchedulesRecostHomogeneously(t *testing.T) {
 		defer mu.Unlock()
 		scheds[index] = s
 	}
-	if _, ctr := cacheCounters(t, warm); ctr.Misses != 0 {
+	if ctr := runOpts(t, warm, cacheOpts{}, true).ctr; ctr.Misses != 0 {
 		t.Fatalf("warm sweep counters: %+v (want zero misses)", ctr)
 	}
 

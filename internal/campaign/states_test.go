@@ -3,13 +3,12 @@ package campaign
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -58,9 +57,9 @@ const (
 	numFaults       = iota - 1
 )
 
-// cacheOpts is one run option of the enumeration. Each runs at the worker
-// counts it lists, so every pre-state meets both; the machine sweep, whose
-// probe reads both tiers of every cell, runs at both.
+// cacheOpts is one run option. Each runs at the worker counts it lists, so
+// every pre-state meets both; the machine sweep, whose probe reads both tiers
+// of every cell, runs at both.
 type cacheOpts struct {
 	name      string
 	machines  bool // Machines {base, fast}
@@ -126,12 +125,12 @@ func predict(model cluster.CostModel, f fault, o cacheOpts, i int) (cellCacheSta
 	return cellResultHit, 0
 }
 
-// cacheRunOut is what one run hands over: report bytes, the Chrome bytes of
-// each delivered trace and the encoding of each delivered schedule by cell
-// index, each cell's class in grid order (one-worker cache-backed runs
-// only), the progress calls, the cache counters and the collective phases
-// the run's solves completed.
+// cacheRunOut is what a run hands over: its report and report bytes, each
+// delivered trace's Chrome bytes and schedule's encoding by cell index, each
+// cell's class in grid order (one-worker cache-backed runs only), its
+// progress calls, cache counters and the collective phases its solves ran.
 type cacheRunOut struct {
+	rep            *Report
 	json, csv      []byte
 	traces, scheds map[int][]byte
 	classes        []cellCacheState
@@ -150,8 +149,8 @@ func runOpts(t *testing.T, g Grid, o cacheOpts, rec bool) *cacheRunOut {
 			t.Error(err)
 		}
 		mu.Lock()
+		defer mu.Unlock()
 		m[i] = b
-		mu.Unlock()
 	}
 	if o.machines {
 		fast := cluster.DefaultCostModel()
@@ -181,24 +180,17 @@ func runOpts(t *testing.T, g Grid, o cacheOpts, rec bool) *cacheRunOut {
 		out.calls++
 		if g.Workers == 1 && g.Cache != nil { // cells finish in grid order
 			r, s, m := g.HostObs.LiveCacheHits()
-			now := [3]int64{m, r, s}
-			for c := range now {
-				if now[c] != last[c] {
+			for c, n := range [3]int64{m, r, s} {
+				if n != last[c] {
 					out.classes = append(out.classes, cellCacheState(c))
 				}
+				last[c] = n
 			}
-			last = now
 		}
 	}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out.rep = mustRun(t, g)
 	var jb, cb bytes.Buffer
-	if err := rep.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteCSV(&cb); err != nil {
+	if err := errors.Join(out.rep.WriteJSON(&jb), out.rep.WriteCSV(&cb)); err != nil {
 		t.Fatal(err)
 	}
 	out.json, out.csv = jb.Bytes(), cb.Bytes()
@@ -211,26 +203,22 @@ func runOpts(t *testing.T, g Grid, o cacheOpts, rec bool) *cacheRunOut {
 }
 
 // cacheEnum holds what draws share: the grid's cells and keys, and each
-// option's reference run and each pre-state's template, made on first use.
+// option's reference run, made on first use.
 type cacheEnum struct {
-	t         *testing.T
-	cells     []Cell
-	keys      []ccache.Key
-	refs      map[string]*cacheRunOut
-	templates map[cachePre]string
-	drawn     int // runs over a pre-state; second runs not counted
+	t     *testing.T
+	cells []Cell
+	keys  []ccache.Key
+	refs  map[string]*cacheRunOut
+	drawn int // runs over a pre-state; second runs not counted
 }
 
 func newCacheEnum(t *testing.T) *cacheEnum {
-	g, err := statesGrid().withDefaults()
+	e := &cacheEnum{t: t, refs: map[string]*cacheRunOut{}}
+	e.cells = e.ref(cacheOptions[0]).rep.Cells
+	g, err := statesGrid().withDefaults() // the right-hand side and the tolerance the keys name
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &cacheEnum{t: t, cells: rep.Cells, refs: map[string]*cacheRunOut{}, templates: map[cachePre]string{}}
 	for i := range e.cells {
 		e.keys = append(e.keys, g.cellInputOf(&e.cells[i], ccache.MatrixDigest(g.Matrices[0].A, g.Matrices[0].B)).Key())
 	}
@@ -242,24 +230,18 @@ func newCacheEnum(t *testing.T) *cacheEnum {
 // schedule iff it sweeps machines, and reports what the plain (or the
 // machine-sweep) run reports: sampling and the callback change no byte.
 func (e *cacheEnum) ref(o cacheOpts) *cacheRunOut {
-	t := e.t
 	if r, ok := e.refs[o.name]; ok {
 		return r
 	}
 	g := statesGrid()
 	g.Workers = 1
-	r := runOpts(t, g, o, false)
+	r := runOpts(e.t, g, o, false)
 	e.refs[o.name] = r
-	for i := range e.cells {
-		_, traced := r.traces[i]
+	for i := range r.rep.Cells {
+		tr, traced := r.traces[i]
 		_, sched := r.scheds[i]
-		if traced != o.sampled(i) || sched != (o.schedules && o.machines) {
-			t.Fatalf("%s reference: cell %d traced %v, delivered a schedule %v", o.name, i, traced, sched)
-		}
-		if traced {
-			if err := obs.ValidateChromeTrace(r.traces[i]); err != nil {
-				t.Fatalf("%s reference: cell %d: %v", o.name, i, err)
-			}
+		if traced != o.sampled(i) || sched != (o.schedules && o.machines) || traced && obs.ValidateChromeTrace(tr) != nil {
+			e.t.Fatalf("%s reference: cell %d traced %v, delivered a schedule %v, or its trace is invalid", o.name, i, traced, sched)
 		}
 	}
 	bare := cacheOptions[0] // plain
@@ -267,43 +249,9 @@ func (e *cacheEnum) ref(o cacheOpts) *cacheRunOut {
 		bare = cacheOptions[1]
 	}
 	if b := e.ref(bare); !bytes.Equal(r.json, b.json) || !bytes.Equal(r.csv, b.csv) {
-		t.Fatalf("%s reference: sampling or the schedule callback changed the report", o.name)
+		e.t.Fatalf("%s reference: sampling or the schedule callback changed the report", o.name)
 	}
 	return r
-}
-
-// template returns the directory a cold run left for pre-state p to start
-// from: damaged draws start from the warm one, refresh from the foreign one.
-func (e *cacheEnum) template(p cachePre) string {
-	switch p {
-	case preDamaged:
-		p = preWarm
-	case preRefresh:
-		p = preBypass
-	}
-	if dir, ok := e.templates[p]; ok {
-		return dir
-	}
-	dir, g, build := e.t.TempDir(), statesGrid(), obs.BuildInfo{GoVersion: "test"}
-	switch moved := movedModel(); p {
-	case preMoved:
-		g.CostModel = &moved
-	case prePartial:
-		g.Strategies = []core.Strategy{core.StrategyESRP}
-	case preKeyed:
-		g.Rtol = 1e-6
-	case preBypass:
-		build.GoVersion = "foreign"
-	}
-	var err error
-	if g.Cache, _, err = ccache.Open(dir, build, ccache.MismatchBypass); err == nil {
-		_, err = Run(g)
-	}
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	e.templates[p] = dir
-	return dir
 }
 
 // stored is the model cell i's entries in pre-state p were written under and
@@ -320,40 +268,20 @@ func (e *cacheEnum) stored(p cachePre, i, rot int) (cluster.CostModel, fault) {
 	return cluster.DefaultCostModel(), resMissing
 }
 
-// damage applies fault f to cell i's entries in dir. The entry is a link to
-// the template's file, so a damaged one is a new file, never written in place.
+// damage applies fault f to cell i's entries in dir.
 func (e *cacheEnum) damage(dir string, i int, f fault) error {
 	tier, ext := "res", ".res"
 	if f >= schMissing {
 		tier, ext = "sch", ".sched"
 	}
-	k := e.keys[i]
-	path := filepath.Join(dir, tier, hex.EncodeToString(k[:1]), hex.EncodeToString(k[:])+ext)
+	path := filepath.Join(dir, tier, hex.EncodeToString(e.keys[i][:1]), hex.EncodeToString(e.keys[i][:])+ext)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	s := &replay.Schedule{}
-	switch f {
-	case schUndecodable:
-		if s, err = ccache.ReadScheduleFile(path); err != nil {
-			return err
-		}
-		s.Views = append(s.Views, []int{s.Nodes})
-	case schUnrecostable:
-		rec := replay.NewRecorder()
-		rec.Init(4)
-		rec.Rank(0).Recv(1)
-		s = rec.Schedule()
-	}
-	if err := os.Remove(path); err != nil {
-		return err
-	}
 	switch f {
 	case resMissing, schMissing:
-		return nil
-	case schUndecodable, schUnrecostable:
-		return ccache.WriteScheduleFile(path, s)
+		return os.Remove(path)
 	case resTruncated:
 		data = data[:len(data)/2]
 	case resFlipped:
@@ -362,65 +290,65 @@ func (e *cacheEnum) damage(dir string, i int, f fault) error {
 		copy(data, "BADMAGIC")
 	case schGarbled:
 		copy(data[len(data)/2:], "GARBAGE!")
+	case schUndecodable:
+		s, err := ccache.ReadScheduleFile(path)
+		if err != nil {
+			return err
+		}
+		s.Views = append(s.Views, []int{s.Nodes})
+		return ccache.WriteScheduleFile(path, s)
+	case schUnrecostable:
+		rec := replay.NewRecorder()
+		rec.Init(4)
+		rec.Rank(0).Recv(1)
+		return ccache.WriteScheduleFile(path, rec.Schedule())
 	}
 	return os.WriteFile(path, data, 0o644)
 }
 
-// setUp builds pre-state p and opens the cache over it (nil for preNone and
-// preBypass). The directory links the template's files instead of copying
-// them: the cache replaces an entry by renaming a new file over it, never
-// writes one in place. A bypassed cache reads nothing but the manifest, and
-// a warm one is all result hits, which check holds to writing nothing, so
-// preBypass and preWarm open the template itself.
+// setUp builds pre-state p in a fresh directory — what a cold run of the
+// grid, changed as p says, leaves there, damaged for preDamaged — and opens
+// the cache over it (nil for preNone and preBypass).
 func (e *cacheEnum) setUp(p cachePre, rot int) (*ccache.Cache, string) {
-	t := e.t
-	var dir string
-	switch p {
-	case preNone:
+	if p == preNone {
 		return nil, ""
-	case preBypass, preWarm:
-		dir = e.template(p)
-	case preEmpty:
-		dir = t.TempDir()
-	default:
-		dir = t.TempDir()
-		src := e.template(p)
-		err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-			to := filepath.Join(dir, strings.TrimPrefix(path, src))
-			switch {
-			case err != nil:
-				return err
-			case d.IsDir():
-				return os.MkdirAll(to, 0o755)
-			}
-			return os.Link(path, to)
-		})
-		for i := range e.cells {
-			if _, f := e.stored(p, i, rot); p == preDamaged && err == nil {
-				err = e.damage(dir, i, f)
-			}
+	}
+	dir, g, build := e.t.TempDir(), statesGrid(), obs.BuildInfo{GoVersion: "test"}
+	switch moved := movedModel(); p {
+	case preMoved:
+		g.CostModel = &moved
+	case prePartial:
+		g.Strategies = []core.Strategy{core.StrategyESRP}
+	case preKeyed:
+		g.Rtol = 1e-6
+	case preBypass, preRefresh:
+		build.GoVersion = "foreign"
+	}
+	var err error
+	if p != preEmpty {
+		if g.Cache, _, err = ccache.Open(dir, build, ccache.MismatchBypass); err == nil {
+			_, err = Run(g)
 		}
-		if err != nil {
-			t.Fatal(err)
+	}
+	for i := range e.cells {
+		if _, f := e.stored(p, i, rot); p == preDamaged && err == nil {
+			err = e.damage(dir, i, f)
 		}
 	}
 	policy := ccache.MismatchBypass
 	if p == preRefresh {
 		policy = ccache.MismatchRefresh
 	}
-	c, note, err := ccache.Open(dir, obs.BuildInfo{GoVersion: "test"}, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if foreign := p == preBypass || p == preRefresh; (note != "") != foreign || (c == nil) != (p == preBypass) {
-		t.Fatalf("%s: cache %v, note %q", preNames[p], c != nil, note)
+	c, note, oerr := ccache.Open(dir, obs.BuildInfo{GoVersion: "test"}, policy)
+	if foreign := p == preBypass || p == preRefresh; errors.Join(err, oerr) != nil || (note != "") != foreign || (c == nil) != (p == preBypass) {
+		e.t.Fatalf("%s: cache %v, note %q, error %v", preNames[p], c != nil, note, errors.Join(err, oerr))
 	}
 	return c, dir
 }
 
 // check compares a run with its reference and with the classes want and the
 // corrupt count predict gives (cached false: the run had no cache).
-func check(out, ref *cacheRunOut, o cacheOpts, cached bool, want []cellCacheState, corrupt int64) error {
+func check(out, ref *cacheRunOut, cached bool, want []cellCacheState, corrupt int64) error {
 	var count [3]int64
 	for _, c := range want {
 		count[c]++
@@ -436,12 +364,10 @@ func check(out, ref *cacheRunOut, o cacheOpts, cached bool, want []cellCacheStat
 		return fmt.Errorf("%d progress calls for %d cells", out.calls, len(want))
 	case (out.phases > 0) != (count[cellMiss] > 0):
 		return fmt.Errorf("%d collective phases with %d predicted misses", out.phases, count[cellMiss])
-	case !cached && out.ctr != nil:
-		return fmt.Errorf("a cacheless run reported cache counters %+v", out.ctr)
+	case (out.ctr != nil) != cached:
+		return fmt.Errorf("cache counters %+v on a run with a cache: %v", out.ctr, cached)
 	case !cached:
 		return nil
-	case out.ctr == nil:
-		return fmt.Errorf("no cache counters")
 	case [3]int64{out.ctr.Misses, out.ctr.ResultHits, out.ctr.ScheduleHits} != count || out.ctr.Corrupt != corrupt:
 		return fmt.Errorf("counters %+v, want misses, result and schedule hits %v with %d corrupt", out.ctr, count, corrupt)
 	case out.classes != nil && !slices.Equal(out.classes, want):
@@ -457,7 +383,7 @@ func check(out, ref *cacheRunOut, o cacheOpts, cached bool, want []cellCacheStat
 // runs at two worker counts must read and write the same bytes, and a second
 // run over the cache with the same options must be all result hits.
 func (e *cacheEnum) draws(p cachePre, oi int) {
-	t, o := e.t, cacheOptions[oi]
+	o := cacheOptions[oi]
 	ref := e.ref(o)
 	rot := 2 * oi // every fault meets every strategy over the five options
 	want := make([]cellCacheState, len(e.cells))
@@ -476,25 +402,24 @@ func (e *cacheEnum) draws(p cachePre, oi int) {
 		cache, dir := e.setUp(p, rot)
 		g := statesGrid()
 		g.Workers, g.Cache = workers, cache
-		out := runOpts(t, g, o, true)
-		if err := check(out, ref, o, cache != nil, want, corrupt); err != nil {
-			t.Errorf("%s: %v", name, err)
+		out := runOpts(e.t, g, o, true)
+		switch err := check(out, ref, cache != nil, want, corrupt); {
+		case err != nil:
+			e.t.Errorf("%s: %v", name, err)
 			continue
-		}
-		if cache == nil {
+		case cache == nil:
 			continue
-		}
-		if first == nil {
+		case first == nil:
 			first = out.ctr
-		} else if *out.ctr != *first {
-			t.Errorf("%s: counters %+v, one worker's %+v", name, out.ctr, first)
+		case *out.ctr != *first:
+			e.t.Errorf("%s: counters %+v, one worker's %+v", name, out.ctr, first)
 		}
 		if slices.Equal(want, hits) {
 			continue // it wrote nothing, so it was its own second run
 		}
-		g.Cache = openCache(t, dir)
-		if err := check(runOpts(t, g, o, true), ref, o, true, hits, 0); err != nil {
-			t.Errorf("%s, second run: %v", name, err)
+		g.Cache = openCache(e.t, dir)
+		if err := check(runOpts(e.t, g, o, true), ref, true, hits, 0); err != nil {
+			e.t.Errorf("%s, second run: %v", name, err)
 		}
 	}
 }
