@@ -125,10 +125,10 @@ func predict(model cluster.CostModel, f fault, o cacheOpts, i int) (cellCacheSta
 	return cellResultHit, 0
 }
 
-// cacheRunOut is what a run hands over: its report and report bytes, each
-// delivered trace's Chrome bytes and schedule's encoding by cell index, each
-// cell's class in grid order (one-worker cache-backed runs only), its
-// progress calls, cache counters and the collective phases its solves ran.
+// cacheRunOut is what a run hands over: its report and its bytes, each
+// delivered trace's Chrome bytes and schedule's encoding by cell, each cell's
+// class (one-worker cache-backed runs), progress calls, cache counters and
+// the collective phases its solves ran.
 type cacheRunOut struct {
 	rep            *Report
 	json, csv      []byte
@@ -145,12 +145,12 @@ func runOpts(t *testing.T, g Grid, o cacheOpts, rec bool) *cacheRunOut {
 	out := &cacheRunOut{traces: map[int][]byte{}, scheds: map[int][]byte{}}
 	var mu sync.Mutex
 	keep := func(m map[int][]byte, i int, b []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
 		mu.Lock()
 		defer mu.Unlock()
 		m[i] = b
+		if err != nil {
+			t.Error(err)
+		}
 	}
 	if o.machines {
 		fast := cluster.DefaultCostModel()
@@ -203,22 +203,20 @@ func runOpts(t *testing.T, g Grid, o cacheOpts, rec bool) *cacheRunOut {
 }
 
 // cacheEnum holds what draws share: the grid's cells and keys, and each
-// option's reference run, made on first use.
+// option's reference run and the directories setUp shares, made on first use.
 type cacheEnum struct {
-	t     *testing.T
-	cells []Cell
-	keys  []ccache.Key
-	refs  map[string]*cacheRunOut
-	drawn int // runs over a pre-state; second runs not counted
+	t      *testing.T
+	cells  []Cell
+	keys   []ccache.Key
+	refs   map[string]*cacheRunOut
+	shared map[cachePre]string
+	drawn  int // runs over a pre-state; second runs not counted
 }
 
 func newCacheEnum(t *testing.T) *cacheEnum {
-	e := &cacheEnum{t: t, refs: map[string]*cacheRunOut{}}
+	e := &cacheEnum{t: t, refs: map[string]*cacheRunOut{}, shared: map[cachePre]string{}}
 	e.cells = e.ref(cacheOptions[0]).rep.Cells
-	g, err := statesGrid().withDefaults() // the right-hand side and the tolerance the keys name
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := statesGrid().withDefaults() // valid, as its reference ran: the b and Rtol the keys name
 	for i := range e.cells {
 		e.keys = append(e.keys, g.cellInputOf(&e.cells[i], ccache.MatrixDigest(g.Matrices[0].A, g.Matrices[0].B)).Key())
 	}
@@ -308,31 +306,40 @@ func (e *cacheEnum) damage(dir string, i int, f fault) error {
 
 // setUp builds pre-state p in a fresh directory — what a cold run of the
 // grid, changed as p says, leaves there, damaged for preDamaged — and opens
-// the cache over it (nil for preNone and preBypass).
+// the cache over it (nil for preNone and preBypass). No run writes to a
+// bypassed cache, nor to a warm one, all result hits, which check holds to
+// writing nothing: those two are built once.
 func (e *cacheEnum) setUp(p cachePre, rot int) (*ccache.Cache, string) {
 	if p == preNone {
 		return nil, ""
 	}
-	dir, g, build := e.t.TempDir(), statesGrid(), obs.BuildInfo{GoVersion: "test"}
-	switch moved := movedModel(); p {
-	case preMoved:
-		g.CostModel = &moved
-	case prePartial:
-		g.Strategies = []core.Strategy{core.StrategyESRP}
-	case preKeyed:
-		g.Rtol = 1e-6
-	case preBypass, preRefresh:
-		build.GoVersion = "foreign"
-	}
+	dir, built := e.shared[p]
 	var err error
-	if p != preEmpty {
-		if g.Cache, _, err = ccache.Open(dir, build, ccache.MismatchBypass); err == nil {
-			_, err = Run(g)
+	if !built {
+		dir = e.t.TempDir()
+		g, build := statesGrid(), obs.BuildInfo{GoVersion: "test"}
+		switch moved := movedModel(); p {
+		case preMoved:
+			g.CostModel = &moved
+		case prePartial:
+			g.Strategies = []core.Strategy{core.StrategyESRP}
+		case preKeyed:
+			g.Rtol = 1e-6
+		case preBypass, preRefresh:
+			build.GoVersion = "foreign"
 		}
-	}
-	for i := range e.cells {
-		if _, f := e.stored(p, i, rot); p == preDamaged && err == nil {
-			err = e.damage(dir, i, f)
+		if p != preEmpty {
+			if g.Cache, _, err = ccache.Open(dir, build, ccache.MismatchBypass); err == nil {
+				_, err = Run(g)
+			}
+		}
+		for i := range e.cells {
+			if _, f := e.stored(p, i, rot); p == preDamaged && err == nil {
+				err = e.damage(dir, i, f)
+			}
+		}
+		if p == preWarm || p == preBypass {
+			e.shared[p] = dir
 		}
 	}
 	policy := ccache.MismatchBypass
@@ -378,10 +385,10 @@ func check(out, ref *cacheRunOut, cached bool, want []cellCacheState, corrupt in
 	return nil
 }
 
-// draws runs pre-state p under option oi at each of the option's worker
-// counts. Each run must reproduce its reference's bytes and match predict,
-// runs at two worker counts must read and write the same bytes, and a second
-// run over the cache with the same options must be all result hits.
+// draws runs pre-state p under option oi at each of its worker counts. Each
+// run must reproduce its reference's bytes and match predict, two worker
+// counts must read and write the same bytes, and a second run over the cache
+// with the same options must be all result hits.
 func (e *cacheEnum) draws(p cachePre, oi int) {
 	o := cacheOptions[oi]
 	ref := e.ref(o)
