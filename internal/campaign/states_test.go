@@ -58,8 +58,8 @@ const (
 )
 
 // cacheOpts is one run option. Each runs at the worker counts it lists, so
-// every pre-state meets both; the machine sweep, whose probe reads both tiers
-// of every cell, runs at both.
+// every pre-state and traces meet both; the machine sweep, whose probe reads
+// both tiers of every cell, runs at both.
 type cacheOpts struct {
 	name      string
 	machines  bool // Machines {base, fast}
@@ -69,11 +69,11 @@ type cacheOpts struct {
 }
 
 var cacheOptions = []cacheOpts{
-	{name: "plain", workers: []int{4}},
+	{name: "plain", workers: []int{1}},
 	{name: "machines", machines: true, workers: []int{1, 4}},
 	{name: "sample2", sample: 2, workers: []int{1}},
 	{name: "schedules", schedules: true, workers: []int{4}},
-	{name: "all", machines: true, sample: 1, schedules: true, workers: []int{1}},
+	{name: "all", machines: true, sample: 1, schedules: true, workers: []int{4}},
 }
 
 func (o cacheOpts) sampled(i int) bool { return o.sample > 0 && i%o.sample == 0 }
@@ -478,6 +478,6 @@ func TestCacheScheduleCallbackBitIdentical(t *testing.T)      { cacheDraws(t, pr
 func TestCacheLateScheduleFailureDemotesToMiss(t *testing.T)  { cacheDraws(t, preDamaged, "machines") }
 func TestCacheProbeWorkerIndependent(t *testing.T)            { cacheDraws(t, preDamaged, "machines") }
 func TestHostObsOutputByteIdentical(t *testing.T)             { cacheDraws(t, preNone, "plain") }
-func TestCampaignDeterministicAcrossWorkers(t *testing.T)     { cacheDraws(t, preNone, "machines") }
+func TestCampaignDeterministicAcrossWorkers(t *testing.T)     { cacheDraws(t, preNone, "all") }
 func TestCampaignReproducible(t *testing.T)                   { cacheDraws(t, preNone, "schedules") }
 func TestTraceSampling(t *testing.T)                          { cacheDraws(t, preNone, "sample2") }
