@@ -152,10 +152,10 @@ type Grid struct {
 	// independent of Workers.
 	Machines []MachinePoint
 
-	// OnCellSchedule, when set together with Machines, receives every
-	// cell's schedule, recorded or cached (for artifact export); without
-	// Machines it is never called. Called from worker goroutines; must be
-	// safe for concurrent use.
+	// OnCellSchedule, when set together with Machines, receives the
+	// schedule of every cell that solved or was served from the cache (for
+	// artifact export); without Machines it is never called. Called from
+	// worker goroutines; must be safe for concurrent use.
 	OnCellSchedule func(index int, c *Cell, s *replay.Schedule)
 
 	// Cache, when set, consults the persistent content-addressed store
