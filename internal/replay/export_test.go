@@ -1,6 +1,9 @@
 package replay
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // DictStats returns what a schedule's dictionaries and references hold: the
 // events of its distinct blocks, each block counted once, and the block
@@ -14,6 +17,28 @@ func DictStats(s *Schedule) (events, refs int) {
 		}
 	}
 	return s.dictEvs, refs
+}
+
+// KindCounts follows every rank's block references, as the re-cost walk
+// does, and counts the events of each kind by name, every block occurrence
+// counted. It also returns the distinct blocks of all ranks.
+func KindCounts(s *Schedule) (kinds map[string]int, blocks int) {
+	kinds = map[string]int{}
+	var e event
+	for g := range s.Nodes {
+		st := &s.streams[g]
+		for off := 0; off < len(st.refs); {
+			r, w := binary.Uvarint(st.refs[off:])
+			off += w
+			b := &s.blocks[st.block+int(r)]
+			c := cursor{data: s.payload[:b.end], off: b.off}
+			for c.off < len(c.data) {
+				c.event(&e)
+				kinds[e.Kind.String()]++
+			}
+		}
+	}
+	return kinds, len(s.blocks)
 }
 
 // EventBytes is what one decoded event occupies in the re-cost walk's

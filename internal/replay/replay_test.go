@@ -23,7 +23,7 @@ import (
 	"esrp/internal/replay"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed FuzzDecodeBinary seed corpus from this build's recorder")
+var update = flag.Bool("update", false, "rewrite the committed FuzzDecodeBinary seed corpus and testdata/counts.json from this build")
 
 // fixture is one (strategy, failure timeline) shape. Every solve runs to a
 // fixed iteration count (Rtol is unreachable), so a fixture's event count
