@@ -5,8 +5,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -87,4 +91,63 @@ func receiverName(fd *ast.FuncDecl) string {
 		return id.Name + "."
 	}
 	return ""
+}
+
+// TestCIBenchPatternsMatch checks that every -bench pattern of
+// .github/workflows/ci.yml selects something: the first level of each
+// top-level alternative must match a Benchmark function the step's packages
+// declare. A stale pattern would let the step pass while it runs nothing.
+func TestCIBenchPatternsMatch(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := regexp.MustCompile(`-bench='?([^' ]+)'?(.*)`).FindAllStringSubmatch(string(ci), -1)
+	if len(steps) == 0 {
+		t.Fatal("ci.yml runs no -bench step")
+	}
+	for _, m := range steps { // the pattern, then the rest of its line
+		var pkgs, benches []string
+		for _, arg := range strings.Fields(m[2]) {
+			if strings.HasPrefix(arg, ".") {
+				pkgs, benches = append(pkgs, arg), append(benches, benchmarks(t, arg)...)
+			}
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			first, _, _ := strings.Cut(alt, "/")
+			if re, err := regexp.Compile(first); err != nil || !slices.ContainsFunc(benches, re.MatchString) {
+				t.Errorf("-bench=%s: alternative %q matches no benchmark in %v", m[1], alt, pkgs)
+			}
+		}
+	}
+}
+
+// benchmarks returns the Benchmark functions declared in the *_test.go
+// files of a go test package argument ("dir/..." walks every package).
+func benchmarks(t *testing.T, pkg string) (names []string) {
+	root, all := strings.CutSuffix(pkg, "/...")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (!all || d.Name() == "testdata" || d.Name()[0] == '.'):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range src.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Benchmark") {
+				names = append(names, fd.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", pkg, err)
+	}
+	return names
 }
