@@ -143,13 +143,6 @@ type (
 // n nodes — the paper's distribution.
 func NewBlockPartition(m, n int) *Partition { return dist.NewBlockPartition(m, n) }
 
-// NewBalancedPartition returns the contiguous partition minimizing the
-// maximum per-node weight (Config.BalanceNNZ uses this internally with
-// per-row cost weights).
-func NewBalancedPartition(weights []float64, n int) (*Partition, error) {
-	return dist.NewBalancedWeightPartition(weights, n)
-}
-
 // Solve runs one configured PCG solve on the simulated cluster.
 func Solve(cfg Config) (*Result, error) { return core.Solve(cfg) }
 

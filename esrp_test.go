@@ -144,15 +144,7 @@ func TestPartitionAPI(t *testing.T) {
 	if part.N != 6 || part.M != a.Rows {
 		t.Fatalf("block partition reports M=%d N=%d", part.M, part.N)
 	}
-	weights := make([]float64, a.Rows)
-	for i := range weights {
-		weights[i] = 1 + float64(i%7)
-	}
-	bal, err := esrp.NewBalancedPartition(weights, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := bal.Analyze(a)
+	q, err := part.Analyze(a)
 	if err != nil {
 		t.Fatal(err)
 	}
