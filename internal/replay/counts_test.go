@@ -35,6 +35,17 @@ func recostAllSchedule(tb testing.TB) []byte {
 	return data
 }
 
+// recostAllModels returns the k machine models BenchmarkRecostAll prices
+// under: the same flop time and overhead, latency growing and byte period
+// shrinking with the index.
+func recostAllModels(k int) []replay.CostModel {
+	ms := make([]replay.CostModel, k)
+	for j := range ms {
+		ms[j] = replay.CostModel{FlopTime: 1e-9, Latency: 1e-6 * float64(j+1), BytePeriod: 1e-9 / float64(j+1), Overhead: 2e-7}
+	}
+	return ms
+}
+
 // BenchmarkRecostAll prices the two halves of a machine sweep's per-schedule
 // work on a 16-rank ESRP solve (T = 20, φ = 1, EmiliaLike 12³, one failure,
 // 100 iterations): the validating decode of its wire bytes, and the re-cost
@@ -60,10 +71,7 @@ func BenchmarkRecostAll(b *testing.B) {
 		perEvent(b)
 	})
 	for _, k := range []int{1, 8} {
-		ms := make([]replay.CostModel, k)
-		for j := range ms {
-			ms[j] = replay.CostModel{FlopTime: 1e-9, Latency: 1e-6 * float64(j+1), BytePeriod: 1e-9 / float64(j+1), Overhead: 2e-7}
-		}
+		ms := recostAllModels(k)
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
@@ -84,13 +92,21 @@ type scheduleCounts struct {
 	DictEvents int            `json:"dict_events"`
 	Refs       int            `json:"refs"`
 	Bytes      int            `json:"bytes"`
+
+	// Objects one DecodeBinary of the bytes allocates, and one RecostAll of
+	// the decoded schedule under BenchmarkRecostAll's first and eight models.
+	DecodeAllocs   float64 `json:"decode_allocs"`
+	RecostAllocsK1 float64 `json:"recost_allocs_k1"`
+	RecostAllocsK8 float64 `json:"recost_allocs_k8"`
 }
 
 // TestScheduleCounts pins how much each schedule holds — events per kind,
 // distinct blocks and the events they hold, block references and encoded
-// bytes — for the five pinned fixtures and BenchmarkRecostAll's schedule. A
-// change that makes a solve record more, or its encoding longer, shows here
-// as a diff of testdata/counts.json; regenerate it with -update and say why.
+// bytes — and the objects its decode and its re-cost at K = 1 and 8
+// allocate, for the five pinned fixtures and BenchmarkRecostAll's schedule.
+// A change that makes a solve record more, its encoding longer or its
+// re-cost allocate more shows here as a diff of testdata/counts.json;
+// regenerate it with -update and say why.
 func TestScheduleCounts(t *testing.T) {
 	got := map[string]scheduleCounts{}
 	count := func(name string, data []byte) {
@@ -108,6 +124,22 @@ func TestScheduleCounts(t *testing.T) {
 		if sum != c.Events {
 			t.Errorf("%s: the kinds sum to %d events, NumEvents is %d", name, sum, c.Events)
 		}
+		c.DecodeAllocs = testing.AllocsPerRun(5, func() {
+			if _, err := replay.DecodeBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		k1, k8 := recostAllModels(1), recostAllModels(8)
+		c.RecostAllocsK1 = testing.AllocsPerRun(5, func() {
+			if _, err := s.RecostAll(k1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		c.RecostAllocsK8 = testing.AllocsPerRun(5, func() {
+			if _, err := s.RecostAll(k8); err != nil {
+				t.Fatal(err)
+			}
+		})
 		got[name] = c
 	}
 	count("recostall-esrp", recostAllSchedule(t))
