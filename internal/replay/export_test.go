@@ -16,7 +16,7 @@ func DictStats(s *Schedule) (events, refs int) {
 			}
 		}
 	}
-	return s.dictEvs, refs
+	return len(s.dict), refs
 }
 
 // KindCounts follows every rank's block references, as the re-cost walk
@@ -24,16 +24,13 @@ func DictStats(s *Schedule) (events, refs int) {
 // counted. It also returns the distinct blocks of all ranks.
 func KindCounts(s *Schedule) (kinds map[string]int, blocks int) {
 	kinds = map[string]int{}
-	var e event
 	for g := range s.Nodes {
 		st := &s.streams[g]
 		for off := 0; off < len(st.refs); {
 			r, w := binary.Uvarint(st.refs[off:])
 			off += w
 			b := &s.blocks[st.block+int(r)]
-			c := cursor{data: s.payload[:b.end], off: b.off}
-			for c.off < len(c.data) {
-				c.event(&e)
+			for _, e := range s.dict[b.first : b.first+b.events] {
 				kinds[e.Kind.String()]++
 			}
 		}

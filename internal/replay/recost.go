@@ -31,15 +31,19 @@ import (
 // event it stopped at, with O(1) pair and member lookups. A recorded
 // schedule cannot deadlock (replay blocking is a subset of the original
 // run's blocking); the no-progress check below guards against truncated or
-// hand-edited schedules. Each call decodes every distinct block once, into
-// one array; a rank then follows its block references through it, so
-// nothing is allocated or decoded per event occurrence. Send slots and
-// collective instances are recycled, and the lookup tables are sized by what
-// the schedule's validating scan left — ranks, view members, blocks and the
-// n×n pair table, which newMachine refuses for a schedule too sparse to pay
-// for it. Expanded, a schedule can hold more events than bytes, so the walk
-// also fails once the send slots and collective instances in flight
-// outnumber the payload's bytes: memory stays linear in the input.
+// hand-edited schedules. The schedule's validating scan decoded every
+// distinct block once, into one array, and gave each send and receive the
+// index of its (src,dst) pair; a rank follows its block references through
+// that array, so a call decodes nothing, and nothing is allocated per event
+// occurrence. A call allocates one array per element type, sized from counts
+// the scan left — ranks, view members, pairs, the send slots one block per
+// rank needs, two collective instances per view — and the send-slot and
+// instance pools grow past that only when ranks run further ahead than the
+// scan can bound (broadcast roots and gather non-roots). Send slots and
+// collective instances are recycled. Expanded, a schedule can hold more
+// events than bytes, so the walk also fails once the send slots and
+// collective instances in flight outnumber the payload's bytes: memory stays
+// linear in the input.
 
 // sendSlot is one in-flight point-to-point message: payload size and the
 // link to the next message of the same (src,dst) FIFO, or to the next free
@@ -63,15 +67,17 @@ type collInst struct {
 // viewState is one communicator view's replay state. A member reaches
 // instance q+1 only by departing instance q, so instances are created, and
 // fully departed, in sequence order: the live ones form a FIFO and
-// (view, seq) needs no map.
+// (view, seq) needs no map. Instances are indices into machine.insts, whose
+// entries 2v and 2v+1 are view v's first two.
 type viewState struct {
 	members []int
-	rounds  float64     // Rounds(len(members))
-	seq     []int32     // per local rank: collectives completed on this view
-	live    []*collInst // live[head+i] is instance base+i
+	rounds  float64 // Rounds(len(members))
+	seq     []int32 // per local rank: collectives completed on this view
+	live    []int32 // live[head+i] is instance base+i
 	head    int
 	base    int32
-	free    []*collInst
+	free    []int32
+	made    int32 // instances made for this view so far
 }
 
 // rankState is one rank's replay cursor; the float fields are the rank's
@@ -93,12 +99,12 @@ type rankState struct {
 
 // machine is the full replay state for one RecostAll or Trace call.
 type machine struct {
-	s   *Schedule
-	ms  []CostModel
-	out []*Replayed
-	rs  []rankState
-	vs  []viewState
-	evs []event // every distinct block's events, decoded once
+	s     *Schedule
+	ms    []CostModel
+	out   []*Replayed
+	rs    []rankState
+	vs    []viewState
+	insts []collInst
 
 	// Send slots and collective instances that may still be made: the
 	// payload's byte count, less those made so far.
@@ -107,10 +113,9 @@ type machine struct {
 	// Per-model parameters the K-wide loops read, one run of K each.
 	flop, ovh, lat, bp []float64
 
-	// Point-to-point boxes: one FIFO per (src,dst) pair of s.pairDst,
-	// threaded through the recycled slots; pairs[src·n+dst] is the pair's
-	// index, or -1 if src never sends to dst.
-	pairs    []int32
+	// Point-to-point boxes: one FIFO per (src,dst) pair, indexed by the
+	// pair index the scan gave each send and receive, threaded through the
+	// recycled slots.
 	qhead    []int32
 	qtail    []int32
 	slots    []sendSlot
@@ -137,8 +142,8 @@ func (s *Schedule) Recost(m CostModel) (*Replayed, error) {
 // Recost(models[j]). A schedule that fails to replay fails for every model
 // alike. Safe for concurrent calls on one Schedule.
 func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
-	mc, err := newMachine(s, models)
-	if err != nil {
+	var mc machine
+	if err := mc.init(s, models); err != nil {
 		return nil, err
 	}
 	if err := mc.run(); err != nil {
@@ -192,61 +197,75 @@ func (mc *machine) run() error {
 	return nil
 }
 
-// newMachine sizes the replay state. The streams were validated when the
-// schedule was built; Nodes and Views are exported fields and are checked
-// here, so that re-costing any schedule returns a result or an error.
-func newMachine(s *Schedule, models []CostModel) (*machine, error) {
+// init sizes the replay state: one allocation per element type, sized from
+// the scan's counts. The streams were validated when the schedule was built;
+// Nodes and Views are exported fields and are checked here, so that
+// re-costing any schedule returns a result or an error.
+func (mc *machine) init(s *Schedule, models []CostModel) error {
 	n, k := s.Nodes, len(models)
 	if n < 0 || len(s.streams) != n+1 {
-		return nil, fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.streams)-1)
+		return fmt.Errorf("replay: schedule declares %d nodes but carries %d event streams", n, len(s.streams)-1)
 	}
 	if err := checkViews(n, s.Views); err != nil {
-		return nil, err
+		return err
 	}
-	// The pair table has n² entries. A recorded solve holds many bytes per
-	// rank; a schedule with fewer than n²/64 bytes is refused, so that no
-	// input makes the table larger than 256 bytes per byte of its own.
+	// A recorded solve holds many bytes per rank; a schedule with fewer than
+	// n²/64 bytes is refused. The bound was set for an n×n pair table the
+	// walk no longer builds; it stays so that whether a schedule re-costs
+	// does not change with the build.
 	if n*n/64 > len(s.payload) {
-		return nil, fmt.Errorf("replay: %d ranks in %d payload bytes: too sparse to re-cost", n, len(s.payload))
+		return fmt.Errorf("replay: %d ranks in %d payload bytes: too sparse to re-cost", n, len(s.payload))
 	}
-	mc := &machine{s: s, ms: models, freeSlot: -1, room: len(s.payload), evs: make([]event, s.dictEvs)}
-	for _, b := range s.blocks {
-		c := cursor{data: s.payload[b.off:b.end]}
-		for i := range mc.evs[b.first : b.first+b.events] {
-			c.event(&mc.evs[b.first+i]) // cannot fail: the scan decoded these bytes before
-		}
-	}
+	*mc = machine{s: s, ms: models, freeSlot: -1, room: len(s.payload)}
 
 	members := 0
 	for _, view := range s.Views {
 		members += len(view)
 	}
-	seq := make([]int32, members)
-	mc.vs = make([]viewState, len(s.Views))
+	p, nv := s.pairs, len(s.Views)
+
+	// int32s: per view member a collective count, per pair a FIFO head and
+	// tail, per view two live and two free instance indices.
+	is := make([]int32, members+2*p+4*nv)
+	seq, q, lists := is[:members], is[members:members+2*p], is[members+2*p:]
+	for i := range q {
+		q[i] = -1
+	}
+	mc.qhead, mc.qtail = q[:p:p], q[p:]
+
+	// float64s: per rank its four windows, per model its four parameters,
+	// the results' clocks, the first send slots' times and the first two
+	// instances' entry and aggregate clocks of each view, all K wide.
+	f := make([]float64, k*(4*n+4+n+s.slots+2*(members+nv)))
+	w := f[4*n*k:]
+	mc.flop, mc.ovh, mc.lat, mc.bp = w[:k:k], w[k:2*k:2*k], w[2*k:3*k:3*k], w[3*k:4*k:4*k]
+	for j, m := range models {
+		mc.flop[j], mc.ovh[j], mc.lat[j], mc.bp[j] = m.FlopTime, m.Overhead, m.Latency, m.BytePeriod
+	}
+	clocks := f[(4*n+4)*k:][: n*k : n*k]
+	w = f[(5*n+4)*k:]
+	mc.slots, mc.slotT = make([]sendSlot, 0, s.slots), w[:0:s.slots*k]
+	w = w[s.slots*k:]
+
+	mc.vs, mc.insts = make([]viewState, nv), make([]collInst, 2*nv)
 	for v, view := range s.Views {
+		nk := len(view) * k
+		for i := range 2 {
+			mc.insts[2*v+i] = collInst{entries: w[:nk:nk], agg: w[nk : nk+k : nk+k]}
+			w = w[nk+k:]
+		}
 		mc.vs[v] = viewState{
 			members: view,
 			rounds:  Rounds(len(view)),
 			seq:     seq[:len(view):len(view)],
+			live:    lists[:0:2],
+			free:    lists[2:2:4],
 		}
-		seq = seq[len(view):]
+		seq, lists = seq[len(view):], lists[4:]
 	}
 
-	p := len(s.pairDst)
-	q := make([]int32, 2*p+n*n)
-	for i := range q {
-		q[i] = -1
-	}
-	mc.qhead, mc.qtail, mc.pairs = q[:p:p], q[p:2*p:2*p], q[2*p:]
-	for src := range n {
-		for i := s.pairOff[src]; i < s.pairOff[src+1]; i++ {
-			mc.pairs[src*n+int(s.pairDst[i])] = i
-		}
-	}
-
-	// The K results share one allocation of each kind: structs, clocks
-	// (behind the machine's own float windows), envelope lists and spans.
-	f := make([]float64, 4*(n+1)*k+n*k)
+	// The K results share one allocation of each kind: structs, envelope
+	// lists and spans; their clocks are in the float64s.
 	reps, envs := make([]Replayed, k), make([][]EnvSpan, n*k)
 	var spans []EnvSpan
 	if total := s.streams[n].env; total > 0 {
@@ -255,7 +274,7 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 	mc.out = make([]*Replayed, k)
 	for j := range mc.out {
 		out := &reps[j]
-		out.Clocks, out.Envelopes, out.Events = f[4*(n+1)*k+j*n:][:n:n], envs[j*n:][:n:n], s.events
+		out.Clocks, out.Envelopes, out.Events = clocks[j*n:][:n:n], envs[j*n:][:n:n], s.events
 		if spans != nil {
 			// Each rank appends into its own capacity-limited window.
 			all := spans[j*s.streams[n].env:]
@@ -272,12 +291,7 @@ func newMachine(s *Schedule, models []CostModel) (*machine, error) {
 		w := f[4*g*k:]
 		mc.rs[g] = rankState{clock: w[:k:k], rt: w[k : 2*k : 2*k], t0: w[2*k : 3*k : 3*k], envStart: w[3*k : 4*k : 4*k]}
 	}
-	w := f[4*n*k:]
-	mc.flop, mc.ovh, mc.lat, mc.bp = w[:k:k], w[k:2*k:2*k], w[2*k:3*k:3*k], w[3*k:4*k:4*k]
-	for j, m := range models {
-		mc.flop[j], mc.ovh[j], mc.lat[j], mc.bp[j] = m.FlopTime, m.Overhead, m.Latency, m.BytePeriod
-	}
-	return mc, nil
+	return nil
 }
 
 // finished reports whether rank g has run its last event.
@@ -307,7 +321,7 @@ func (mc *machine) runRank(g int) (bool, error) {
 			}
 			st.ref += w
 			b := &mc.s.blocks[mc.s.streams[g].block+r]
-			st.evs, st.pos = mc.evs[b.first:b.first+b.events], 0
+			st.evs, st.pos = mc.s.dict[b.first:b.first+b.events], 0
 		}
 		ok, err := mc.step(g, st, &st.evs[st.pos])
 		if err != nil {
@@ -340,7 +354,7 @@ func (mc *machine) step(g int, st *rankState, e *event) (bool, error) {
 			clock[j] += e.Val
 		}
 	case KindSend:
-		q := mc.pairs[g*len(mc.rs)+int(e.Peer)] // every send's pair was listed by the scan
+		q := e.Pair // every send's pair was listed by the scan
 		sl, err := mc.newSlot(e.Bytes)
 		if err != nil {
 			return false, err
@@ -359,7 +373,7 @@ func (mc *machine) step(g int, st *rankState, e *event) (bool, error) {
 		mc.qtail[q] = sl
 		mc.acctM, mc.acctB = mc.acctM+e.AcctMsgs, mc.acctB+e.AcctBytes
 	case KindRecv:
-		q := mc.pairs[int(e.Peer)*len(mc.rs)+g]
+		q := e.Pair
 		if q < 0 || mc.qhead[q] < 0 {
 			return false, nil
 		}
@@ -423,7 +437,7 @@ func (mc *machine) stepCollective(g int, st *rankState, e *event) (bool, error) 
 	clock := st.clock
 	k := len(clock)
 	ms := mc.ms[:k]
-	inst, err := mc.instance(vs, vs.seq[me])
+	inst, err := mc.instance(int32(e.View), vs, vs.seq[me])
 	if err != nil {
 		return false, err
 	}
@@ -506,40 +520,48 @@ func (mc *machine) stepCollective(g int, st *rankState, e *event) (bool, error) 
 	st.published = false
 	vs.seq[me]++
 	if inst.departed++; inst.departed == n {
-		vs.retire()
+		mc.retire(vs)
 	}
 	return true, nil
 }
 
-// instance returns view vs's instance number seq, creating it — from the
-// free list when possible — if this member is the first to reach it.
-func (mc *machine) instance(vs *viewState, seq int32) (*collInst, error) {
+// instance returns view v's instance number seq, creating it — from the
+// free list when possible, then from the view's two made by init — if this
+// member is the first to reach it.
+func (mc *machine) instance(v int32, vs *viewState, seq int32) (*collInst, error) {
 	if i := vs.head + int(seq-vs.base); i < len(vs.live) {
-		return vs.live[i], nil
+		return &mc.insts[vs.live[i]], nil
 	}
-	var inst *collInst
+	var id int32
 	if last := len(vs.free) - 1; last >= 0 {
-		inst, vs.free = vs.free[last], vs.free[:last]
+		id, vs.free = vs.free[last], vs.free[:last]
 	} else {
 		if err := mc.book(); err != nil {
 			return nil, err
 		}
-		k := len(mc.ms)
-		nk := len(vs.members) * k
-		f := make([]float64, nk+k)
-		inst = &collInst{entries: f[:nk], agg: f[nk:]}
+		if vs.made < 2 {
+			id = 2*v + vs.made
+		} else {
+			k := len(mc.ms)
+			nk := len(vs.members) * k
+			f := make([]float64, nk+k)
+			id = int32(len(mc.insts))
+			mc.insts = append(mc.insts, collInst{entries: f[:nk], agg: f[nk:]})
+		}
+		vs.made++
 	}
-	vs.live = append(vs.live, inst)
-	return inst, nil
+	vs.live = append(vs.live, id)
+	return &mc.insts[id], nil
 }
 
 // retire recycles the oldest live instance once every member has departed
 // it, compacting the FIFO whenever its dead prefix reaches half its length
 // (amortized O(1), and the slice stays as short as the live window).
-func (vs *viewState) retire() {
-	inst := vs.live[vs.head]
+func (mc *machine) retire(vs *viewState) {
+	id := vs.live[vs.head]
+	inst := &mc.insts[id]
 	inst.bytes, inst.arrived, inst.departed, inst.rootSeen = 0, 0, 0, false
-	vs.free = append(vs.free, inst)
+	vs.free = append(vs.free, id)
 	vs.head++
 	vs.base++
 	if 2*vs.head >= len(vs.live) {

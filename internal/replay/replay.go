@@ -17,8 +17,8 @@
 // (serialize.go): a dictionary of the rank's distinct blocks — the events
 // up to and including a collective — and one reference per block
 // occurrence. Ranks record them, the cache stores them, a decoded schedule
-// aliases them, and the re-coster decodes each distinct block once and
-// follows the references.
+// aliases them; the validating scan decodes each distinct block once and
+// keeps the events, and the re-coster follows the references through them.
 //
 // A schedule also carries what a span timeline needs (trace.go), with no
 // clock or residual in it, so a traced walk under any CostModel yields the
@@ -132,13 +132,14 @@ func (k Kind) String() string {
 
 // event is the decoded value of one entry of a rank's program-order stream.
 // Only the fields the Kind documents are meaningful; the rest stay zero (and
-// have no wire encoding).
+// have no wire encoding). Pair is not decoded: the scan resolves it.
 type event struct {
 	Kind      Kind
 	Root      bool  // bcast/gather: this member is the root
 	Tag       uint8 // compute: Work; region: Region
 	Peer      int32 // send dst / recv src / envelope iteration / iteration set
 	View      int32 // collective communicator view id
+	Pair      int32 // send/recv: the (src,dst) pair's index, −1 for a receive no rank sends
 	Bytes     int64
 	AcctMsgs  int64   // modeled messages booked by this member
 	AcctBytes int64   // modeled payload bytes booked
@@ -487,9 +488,9 @@ func (r *Rank) Region(rg Region) { r.peer(KindRegion, int(rg)) }
 // every communicator view, in canonical order, and per rank its dictionary
 // of distinct blocks and its block references, held as their ESRPRPL3 wire
 // bytes. Recorder.Schedule and DecodeBinary both end in the one validating
-// scan (index); from then on it is immutable, and Recost may be called
-// concurrently (each replay allocates its own machine state and shares the
-// scan's tables).
+// scan (index), which keeps the distinct blocks' decoded events; from then on
+// it is immutable, and Recost may be called concurrently (each replay
+// allocates its own machine state and shares the scan's tables).
 type Schedule struct {
 	Nodes int
 	Views [][]int
@@ -497,13 +498,14 @@ type Schedule struct {
 	payload []byte   // per rank: its dictionary, then its references
 	blocks  []block  // every rank's distinct blocks, rank by rank
 	streams []stream // per rank, then one entry that closes the prefix sums
+	dict    []event  // every distinct block's events, markers included, block by block
 	events  int      // in all streams together, every block occurrence counted
-	dictEvs int      // in all blocks together, each distinct block once
 
-	// Left by the scan: the distinct (src,dst) pairs of all sends in CSR form
-	// (pairDst[pairOff[src]:pairOff[src+1]] ascending).
-	pairOff []int32
-	pairDst []int32
+	// Left by the scan for sizing a walk: the distinct (src,dst) pairs of all
+	// sends, and the send slots a walk starts with — per rank the most sends
+	// one of its blocks holds, summed.
+	pairs int
+	slots int
 }
 
 // stream is one rank's part of a schedule: its block references, and as
@@ -516,8 +518,8 @@ type stream struct {
 }
 
 // block is one distinct block of a rank's dictionary: where its events lie
-// in the payload, how many there are, where the first lands among all
-// blocks' decoded events, and how many envelopes it closes.
+// in the payload, how many there are, where the first lies in
+// Schedule.dict, and how many envelopes it closes.
 type block struct {
 	off, end int
 	first    int

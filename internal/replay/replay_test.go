@@ -725,9 +725,10 @@ func TestRecostHostileSchedulesError(t *testing.T) {
 	}
 }
 
-// The walk's pair table holds n² entries, so a schedule with fewer than n²/64
-// payload bytes is refused before anything is sized: 2¹⁶ empty ranks, 128 kB
-// of input, would otherwise ask for a 16 GB table. 128 empty ranks, two
+// A schedule with fewer than n²/64 payload bytes is refused before anything
+// is sized: 2¹⁶ empty ranks, 128 kB of input, once asked the walk for a 16 GB
+// pair table. The table is gone, and the refusal stays, so that whether a
+// schedule re-costs does not change with the build. 128 empty ranks, two
 // bytes each, still re-cost.
 func TestRecostRefusesSparseRankCounts(t *testing.T) {
 	for _, c := range []struct {

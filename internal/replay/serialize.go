@@ -186,14 +186,27 @@ func DecodeBinary(data []byte) (*Schedule, error) {
 	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
 		return nil, fmt.Errorf("replay: bad magic %q (not a schedule file)", data[:min(len(data), len(binaryMagic))])
 	}
-	c := &cursor{data: data, off: len(binaryMagic)}
+	c := cursor{data: data, off: len(binaryMagic)}
 	nodes := c.count()
 	if c.err == nil && nodes == 0 {
 		c.fail(fmt.Errorf("node count 0"))
 	}
 	views := make([][]int, c.count())
+	// A first pass over the member counts sizes one array for every view's
+	// members. It reads what the second reads, up to where either fails.
+	total := 0
+	for p, v := c, 0; v < len(views) && p.err == nil; v++ {
+		n := p.count()
+		for range n {
+			p.uvarint(math.MaxUint64)
+		}
+		total += n
+	}
+	all := make([]int, total)
 	for v := range views {
-		members := make([]int, c.count())
+		n := c.count()
+		members := all[:n:n]
+		all = all[n:]
 		prev := -1
 		for i := range members {
 			// Every delta is below nodes − prev − 1, so views arrive valid.
@@ -209,64 +222,135 @@ func DecodeBinary(data []byte) (*Schedule, error) {
 	if c.err != nil {
 		return nil, fmt.Errorf("replay: %w", c.err)
 	}
-	return index(nodes, views, c)
+	return index(nodes, views, &c)
+}
+
+// shape is what cursor.event reads after a kind byte: so many varints, then
+// so many fixed bytes (markers read neither); and whether the kind is known,
+// a send or a receive.
+type shape struct {
+	varints, fixed uint8
+	known          bool
+	send, recv     uint8
+}
+
+var shapes = [256]shape{
+	KindCompute: {1, 8, true, 0, 0}, KindClockAdd: {0, 8, true, 0, 0}, KindRecCharge: {0, 8, true, 0, 0},
+	KindSend: {2, 0, true, 1, 0}, KindRecv: {1, 0, true, 0, 1},
+	KindEnvStart: {1, 0, true, 0, 0}, KindIterSet: {1, 0, true, 0, 0}, KindRegion: {1, 0, true, 0, 0},
+	KindAllreduce: {5, 0, true, 0, 0}, KindBcast: {5, 0, true, 0, 0}, KindGather: {5, 0, true, 0, 0},
+	KindRecStart: {known: true}, KindRecEnd: {known: true}, KindEnvEnd: {known: true},
+	KindRTFinal: {known: true}, KindIterNext: {known: true}, KindPoint: {known: true},
+}
+
+// skim counts a block's events, and the sends and receives among them, by
+// stepping over each event's fields without decoding them. Every event
+// cursor.event decodes takes the bytes skim steps over, so over any block
+// cursor.event decodes at most the events skim counts, and exactly those
+// when the block is valid: the scan sizes its tables from the counts. An
+// unknown kind, where cursor.event fails, ends the count.
+func skim(b []byte) (events, sends, recvs int) {
+	for i := 0; i < len(b); events++ {
+		sh := shapes[b[i]]
+		if !sh.known {
+			return events + 1, sends, recvs
+		}
+		i++
+		sends, recvs = sends+int(sh.send), recvs+int(sh.recv)
+		for range sh.varints {
+			for i < len(b) && b[i] >= 0x80 {
+				i++
+			}
+			i++
+		}
+		i += int(sh.fixed)
+	}
+	return events, sends, recvs
 }
 
 // index runs the one validating scan over a schedule's payload, which runs
-// from the cursor to the end of its data. A first pass reads only the
-// lengths, to size the block table; the second checks each distinct block's
-// events once — kind, field ranges, peers against the node count, view ids
-// against the view list, the block rule — and every reference, and a last
-// pass sorts each rank's blocks to refuse duplicates. It leaves on the
-// schedule the block table, the reference windows, the expanded event
-// total, the distinct (src,dst) pairs and the envelope counts that every
-// Recost call then shares.
+// from the cursor to the end of its data. A first pass reads the lengths and
+// skims the blocks, to size the tables; the second decodes each distinct
+// block's events once, into the event array the walk reads, and checks them
+// — kind, field ranges, peers against the node count, view ids against the
+// view list, the block rule — and every reference; it gives each send its
+// (src,dst) pair's index, and a third pass each receive. A last sorts each
+// rank's blocks to refuse duplicates. It leaves on the schedule the decoded
+// events, the block table, the reference windows, the expanded event total,
+// the pair and send-slot counts and the envelope counts that every Recost
+// call then shares.
 func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 	base := c.off
-	nblocks := 0
+	nblocks, nevents, npairs, nrecvs := 0, 0, 0, 0
 	for p, g := *c, 0; g < nodes; g++ {
-		n := p.count()
+		n, sends := p.count(), 0
 		for i := 0; i < n && p.err == nil; i++ {
-			p.window(p.count())
+			evs, snd, rcv := skim(p.window(p.count()))
+			nevents, sends, nrecvs = nevents+evs, sends+snd, nrecvs+rcv
 		}
 		p.window(p.count())
 		if p.err != nil {
 			return nil, fmt.Errorf("replay: rank %d: %w", g, p.err)
 		}
 		nblocks += n
+		npairs += min(sends, nodes) // a rank sends to at most every rank
 	}
 
-	int32s := make([]int32, 2*nodes+1+nblocks)
 	s := &Schedule{
 		Nodes: nodes, Views: views, payload: c.data[base:],
-		blocks: make([]block, nblocks), streams: make([]stream, nodes+1), pairOff: int32s[: nodes+1 : nodes+1],
+		blocks: make([]block, nblocks), streams: make([]stream, nodes+1), dict: make([]event, nevents),
 	}
-	mark := int32s[nodes+1 : 2*nodes+1] // mark[d] == g+1: pair (g,d) is already listed
-	var e event
+	// Scratch, carved from one allocation: the pairs' sources and
+	// destinations, in order of first send; per rank, a mark (mark[d] == g+1:
+	// pair (g,d) is listed) and the listed pair's index; where the receives
+	// lie in the event array, and where each rank's start; the pairs bucketed
+	// by destination; the block order of the duplicate check.
+	int32s := make([]int32, 4*nodes+2+3*npairs+nrecvs+nblocks)
+	cut := func(n int) []int32 {
+		w := int32s[:n:n]
+		int32s = int32s[n:]
+		return w
+	}
+	pairSrc, pairDst := cut(npairs)[:0], cut(npairs)[:0]
+	mark, pid := cut(nodes), cut(nodes)
+	recvs, recvOff := cut(nrecvs)[:0], cut(nodes+1)
+	byDst, dstOff := cut(npairs), cut(nodes+1)
+	order := cut(nblocks)
+
+	nevents = 0
 	for g := range nodes {
 		st, next := &s.streams[g], &s.streams[g+1]
 		blocks := s.blocks[st.block:][:c.count()]
 		next.block = st.block + len(blocks)
+		slots := 0
 		for i := range blocks {
 			b := &blocks[i]
 			size := c.count()
 			if size == 0 {
 				return nil, fmt.Errorf("replay: rank %d block %d is empty", g, i)
 			}
-			b.off, b.end, b.first = c.off-base, c.off-base+size, s.dictEvs
+			b.off, b.end, b.first = c.off-base, c.off-base+size, nevents
 			bc := cursor{data: c.data[:c.off+size], off: c.off}
 			c.off += size
+			sends := 0
 			for bc.off < len(bc.data) {
 				if b.closed {
 					return nil, fmt.Errorf("replay: rank %d block %d event %d follows the block's collective", g, i, b.events)
 				}
-				bc.event(&e)
+				e := &s.dict[nevents] // skim counted this event
+				bc.event(e)
 				switch {
 				case (e.Kind == KindSend || e.Kind == KindRecv) && int(e.Peer) >= nodes:
 					return nil, fmt.Errorf("replay: rank %d block %d event %d (%v): peer %d out of range", g, i, b.events, e.Kind, e.Peer)
-				case e.Kind == KindSend && mark[e.Peer] != int32(g)+1:
-					mark[e.Peer] = int32(g) + 1
-					s.pairDst = append(s.pairDst, e.Peer)
+				case e.Kind == KindSend:
+					sends++
+					if mark[e.Peer] != int32(g)+1 {
+						mark[e.Peer], pid[e.Peer] = int32(g)+1, int32(len(pairDst))
+						pairSrc, pairDst = append(pairSrc, int32(g)), append(pairDst, e.Peer)
+					}
+					e.Pair = pid[e.Peer]
+				case e.Kind == KindRecv:
+					recvs = append(recvs, int32(nevents))
 				case isCollective(e.Kind) && int(e.View) >= len(views):
 					return nil, fmt.Errorf("replay: rank %d block %d event %d (%v): view %d out of range", g, i, b.events, e.Kind, e.View)
 				case e.Kind == KindEnvEnd:
@@ -274,21 +358,27 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 				}
 				b.closed = isCollective(e.Kind)
 				b.events++
+				nevents++
 			}
 			if bc.err != nil {
 				return nil, fmt.Errorf("replay: rank %d block %d: %w", g, i, bc.err)
 			}
-			s.dictEvs += b.events
+			slots = max(slots, sends)
 		}
-		slices.Sort(s.pairDst[s.pairOff[g]:])
-		s.pairOff[g+1] = int32(len(s.pairDst))
+		s.slots += slots
+		recvOff[g+1] = int32(len(recvs))
 
 		n := c.count()
 		rc := cursor{data: c.data[:c.off+n], off: c.off}
 		st.refs = c.window(n)
 		used, envs := 0, 0
 		for i := 0; rc.off < len(rc.data); i++ {
-			r := int(rc.uvarint(math.MaxInt32))
+			r := int(rc.data[rc.off])
+			if r < 0x80 { // nearly every reference is one byte
+				rc.off++
+			} else {
+				r = int(rc.uvarint(math.MaxInt32))
+			}
 			switch {
 			case rc.err != nil:
 				return nil, fmt.Errorf("replay: rank %d reference %d: %w", g, i, rc.err)
@@ -314,9 +404,37 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 	if c.off != len(c.data) {
 		return nil, fmt.Errorf("replay: %d bytes after the last rank's stream", len(c.data)-c.off)
 	}
+	s.pairs = len(pairDst)
+
+	// A receive's pair is (its peer, its rank), −1 if the peer never sends to
+	// it: bucket the pairs by destination, then mark each rank's sources
+	// (mark[src] == −(g+1)) and look its receives' peers up.
+	for _, d := range pairDst {
+		dstOff[d+1]++
+	}
+	for d := range nodes {
+		dstOff[d+1] += dstOff[d]
+	}
+	for id, d := range pairDst {
+		byDst[dstOff[d]] = int32(id)
+		dstOff[d]++ // now where bucket d ends, and bucket d+1 starts
+	}
+	start := int32(0)
+	for g := range nodes {
+		for _, id := range byDst[start:dstOff[g]] {
+			mark[pairSrc[id]], pid[pairSrc[id]] = -int32(g)-1, id
+		}
+		start = dstOff[g]
+		for _, at := range recvs[recvOff[g]:recvOff[g+1]] {
+			e := &s.dict[at]
+			e.Pair = -1
+			if mark[e.Peer] == -int32(g)-1 {
+				e.Pair = pid[e.Peer]
+			}
+		}
+	}
 
 	// One schedule, one encoding: no rank's dictionary holds a block twice.
-	order := int32s[2*nodes+1:]
 	for g := range nodes {
 		lo, hi := s.streams[g].block, s.streams[g+1].block
 		ids := order[lo:hi]

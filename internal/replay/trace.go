@@ -48,8 +48,8 @@ type traceRank struct {
 // which the schedule does not hold: samples, rank 0's series as the solve
 // took it, gives them point by point, or leaves them zero when nil.
 func (s *Schedule) Trace(m CostModel, opts obs.Options, samples []obs.IterPoint) (*Replayed, *obs.Trace, error) {
-	mc, err := newMachine(s, []CostModel{m})
-	if err != nil {
+	var mc machine
+	if err := mc.init(s, []CostModel{m}); err != nil {
 		return nil, nil, err
 	}
 	mc.tr = &tracer{b: obs.NewBuilder(opts, s.Nodes), ranks: make([]traceRank, s.Nodes)}
