@@ -203,11 +203,7 @@ func (g *Grid) recostMachines(sched *replay.Schedule, mcs []MachineCell) error {
 	if len(mcs) == 0 {
 		return nil
 	}
-	models := make([]cluster.CostModel, len(g.Machines))
-	for mi := range models {
-		models[mi] = g.Machines[mi].Model
-	}
-	reps, err := sched.RecostAll(models)
+	reps, err := sched.RecostAll(g.models)
 	if err != nil {
 		return err
 	}

@@ -178,6 +178,8 @@ type Grid struct {
 	// bytes, cell trajectories and allocation behaviour are identical to a
 	// recorder-less run.
 	HostObs *hostobs.CampaignRecorder
+
+	models []cluster.CostModel // Machines' models in order, built once per Run
 }
 
 // Cell is one grid point: its coordinates, the compiled scenario, and the
@@ -347,10 +349,12 @@ func (g Grid) withDefaults() (Grid, error) {
 	}
 	if len(g.Machines) > 0 {
 		g.Machines = append([]MachinePoint(nil), g.Machines...)
+		g.models = make([]cluster.CostModel, len(g.Machines))
 		for i := range g.Machines {
 			if g.Machines[i].Name == "" {
 				g.Machines[i].Name = fmt.Sprintf("machine%d", i)
 			}
+			g.models[i] = g.Machines[i].Model
 		}
 	}
 	return g, nil
