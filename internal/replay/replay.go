@@ -139,7 +139,7 @@ type event struct {
 	Tag       uint8 // compute: Work; region: Region
 	Peer      int32 // send dst / recv src / envelope iteration / iteration set
 	View      int32 // collective communicator view id
-	Pair      int32 // send/recv: the (src,dst) pair's index, −1 for a receive no rank sends
+	Pair      int32 // send/recv: the (src,dst) pair's index; −1: the source never sends to this rank
 	Bytes     int64
 	AcctMsgs  int64   // modeled messages booked by this member
 	AcctBytes int64   // modeled payload bytes booked
