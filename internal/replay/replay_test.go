@@ -502,6 +502,9 @@ func hostilePayloads() map[string][]byte {
 		"collective-mid-block": payload(oneView, stream([][]byte{cat(a, compute(3))}, 0)),
 		"open-block-not-last":  payload(oneView, stream([][]byte{compute(3), a}, 0, 1)),
 		"open-block-repeated":  payload(oneView, stream([][]byte{compute(3)}, 0, 0)),
+		// 100 envelopes in a block referenced 100 times: 10 000 envelopes in
+		// 410 payload bytes, which the scan refuses.
+		"envelopes-past-bytes": payload(oneView, stream([][]byte{cat(bytes.Repeat(cat(ev(replay.KindEnvStart, 0), ev(replay.KindEnvEnd)), 100), allreduce)}, make([]uint64, 100)...)),
 	}
 }
 
@@ -519,6 +522,10 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(data), grew)
 		}
+	}
+	data := hostilePayloads()["envelopes-past-bytes"]
+	if _, err := replay.DecodeBinary(data); err == nil || !strings.Contains(err.Error(), "10000 envelopes in 410 payload bytes: too many to re-cost") {
+		t.Errorf("envelopes-past-bytes (%d bytes): got %v, want the envelope count's refusal", len(data), err)
 	}
 
 	// A valid encoding that expands without bound: rank 0 repeats a block of
@@ -554,13 +561,14 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 // and rejected exactly as the general path rejects them otherwise: padded,
 // cut short, or too large for the field. An accepted one decodes to its
 // value: rank 0 runs EnvStart(value), Compute, EnvEnd, and the envelope its
-// replay emits carries the value.
+// traced walk emits carries the value. An envelope that ends at a NaN clock
+// is not later than its start, and the walk drops it.
 func TestDecodeTwoByteVarints(t *testing.T) {
 	envStart := func(iter ...byte) []byte {
 		return payload([]uint64{1, 0}, once(append([]byte{byte(replay.KindEnvStart)}, iter...)...))
 	}
-	closed := func(iter ...byte) []byte {
-		blk := cat([]byte{byte(replay.KindEnvStart)}, iter, compute(1e3), []byte{byte(replay.KindEnvEnd)})
+	closed := func(flops float64, iter ...byte) []byte {
+		blk := cat([]byte{byte(replay.KindEnvStart)}, iter, compute(flops), []byte{byte(replay.KindEnvEnd)})
 		return payload([]uint64{1, 0}, once(blk...))
 	}
 	bcastRoot := func(root ...byte) []byte { // the root flag's limit is 1
@@ -568,17 +576,18 @@ func TestDecodeTwoByteVarints(t *testing.T) {
 		return payload([]uint64{1, 1, 1, 0}, once(blk...))
 	}
 	cases := []struct {
-		name string
-		data []byte
-		iter int    // the decoded EnvStart iteration, when want is ""
-		want string // an error substring
+		name  string
+		data  []byte
+		iters []int  // the traced envelopes' iterations, when want is ""
+		want  string // an error substring
 	}{
-		{"128", closed(0x80, 0x01), 128, ""},
-		{"16383", closed(0xff, 0x7f), 16383, ""},
-		{"padded", envStart(0x80, 0x00), 0, "varint at offset 13 is padded"},
-		{"cut-after-first-byte", envStart(0x80), 0, io.ErrUnexpectedEOF.Error()},
-		{"root-flag-128", bcastRoot(0x80, 0x01), 0, "value 128 at offset 15 exceeds 1"},
-		{"node-count-past-input", append([]byte("ESRPRPL3"), 0x80, 0x01, 0), 0, "value 128 at offset 8 exceeds 3"},
+		{"128", closed(1e3, 0x80, 0x01), []int{128}, ""},
+		{"16383", closed(1e3, 0xff, 0x7f), []int{16383}, ""},
+		{"nan-clock", closed(math.NaN(), 7), nil, ""},
+		{"padded", envStart(0x80, 0x00), nil, "varint at offset 13 is padded"},
+		{"cut-after-first-byte", envStart(0x80), nil, io.ErrUnexpectedEOF.Error()},
+		{"root-flag-128", bcastRoot(0x80, 0x01), nil, "value 128 at offset 15 exceeds 1"},
+		{"node-count-past-input", append([]byte("ESRPRPL3"), 0x80, 0x01, 0), nil, "value 128 at offset 8 exceeds 3"},
 	}
 	for _, c := range cases {
 		s, err := replay.DecodeBinary(c.data)
@@ -588,15 +597,20 @@ func TestDecodeTwoByteVarints(t *testing.T) {
 			}
 			continue
 		}
-		var rep *replay.Replayed
+		var tr *obs.Trace
 		if err == nil {
-			rep, err = s.Recost(cluster.DefaultCostModel())
+			_, tr, err = s.Trace(cluster.DefaultCostModel(), obs.Options{Trace: true}, nil)
 		}
-		switch {
-		case err != nil:
+		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
-		case len(rep.Envelopes[0]) != 1 || rep.Envelopes[0][0].Iter != c.iter:
-			t.Errorf("%s: envelopes %+v, want one of iteration %d", c.name, rep.Envelopes[0], c.iter)
+			continue
+		}
+		var iters []int
+		for _, e := range tr.Envelopes[0] {
+			iters = append(iters, e.Iter)
+		}
+		if !slices.Equal(iters, c.iters) {
+			t.Errorf("%s: envelopes %+v, want iterations %v", c.name, tr.Envelopes[0], c.iters)
 		}
 	}
 }
