@@ -226,11 +226,9 @@ type (
 	Schedule = replay.Schedule
 	// Replayed is the outcome of re-costing a schedule under one machine
 	// model: the replayed SimTime / RecoveryTime / BytesSent / MsgsSent plus
-	// per-rank clocks and per-event recovery envelopes.
+	// per-rank clocks. Per-event recovery envelopes are the trace's
+	// (Schedule.Trace, Result.Trace.Envelopes).
 	Replayed = replay.Replayed
-	// ReplayEnvSpan is one replayed recovery envelope (failure event, start
-	// and end on the replayed simulated clock).
-	ReplayEnvSpan = replay.EnvSpan
 	// CampaignMachine is one named machine model of a campaign's
 	// machine-parameter sweep axis (CampaignGrid.Machines).
 	CampaignMachine = campaign.MachinePoint

@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"esrp/internal/cluster"
+	"esrp/internal/obs"
 	"esrp/internal/replay"
 )
 
@@ -18,8 +20,9 @@ var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/pinned fr
 const pinnedDir = "testdata/pinned"
 
 // pinnedRecost is testdata/pinned/<fixture>.json: the machine models a
-// pinned schedule was re-costed under and what each re-cost returned, every
-// float as its IEEE-754 bit pattern.
+// pinned schedule was re-costed under, what each re-cost returned, the
+// schedule's event count and the recovery envelopes of its traced walk under
+// each model, every float as its IEEE-754 bit pattern.
 type pinnedRecost struct {
 	Models   [][4]uint64      `json:"models"` // FlopTime, Latency, BytePeriod, Overhead
 	Replayed []pinnedReplayed `json:"replayed"`
@@ -35,16 +38,18 @@ type pinnedReplayed struct {
 	Envelopes    [][][3]uint64 `json:"envelopes"` // per rank: iter, start, end
 }
 
-func pinReplayed(r *replay.Replayed) pinnedReplayed {
+// pinReplayed pins one model's re-cost, the schedule's event count and the
+// envelopes of the traced walk under the same model.
+func pinReplayed(r *replay.Replayed, events int, envs [][]obs.Span) pinnedReplayed {
 	p := pinnedReplayed{
 		SimTime: math.Float64bits(r.SimTime), RecoveryTime: math.Float64bits(r.RecoveryTime),
-		BytesSent: r.BytesSent, MsgsSent: r.MsgsSent, Events: r.Events,
-		Clocks: make([]uint64, len(r.Clocks)), Envelopes: make([][][3]uint64, len(r.Envelopes)),
+		BytesSent: r.BytesSent, MsgsSent: r.MsgsSent, Events: events,
+		Clocks: make([]uint64, len(r.Clocks)), Envelopes: make([][][3]uint64, len(envs)),
 	}
 	for g, c := range r.Clocks {
 		p.Clocks[g] = math.Float64bits(c)
 	}
-	for g, spans := range r.Envelopes {
+	for g, spans := range envs {
 		p.Envelopes[g] = make([][3]uint64, len(spans))
 		for i, sp := range spans {
 			p.Envelopes[g][i] = [3]uint64{uint64(sp.Iter), math.Float64bits(sp.Start), math.Float64bits(sp.End)}
@@ -56,22 +61,17 @@ func pinReplayed(r *replay.Replayed) pinnedReplayed {
 func (p pinnedReplayed) replayed() *replay.Replayed {
 	r := &replay.Replayed{
 		SimTime: math.Float64frombits(p.SimTime), RecoveryTime: math.Float64frombits(p.RecoveryTime),
-		BytesSent: p.BytesSent, MsgsSent: p.MsgsSent, Events: p.Events,
-		Clocks: make([]float64, len(p.Clocks)), Envelopes: make([][]replay.EnvSpan, len(p.Envelopes)),
+		BytesSent: p.BytesSent, MsgsSent: p.MsgsSent, Clocks: make([]float64, len(p.Clocks)),
 	}
 	for g, c := range p.Clocks {
 		r.Clocks[g] = math.Float64frombits(c)
-	}
-	for g, spans := range p.Envelopes {
-		for _, sp := range spans {
-			r.Envelopes[g] = append(r.Envelopes[g], replay.EnvSpan{Iter: int(sp[0]), Start: math.Float64frombits(sp[1]), End: math.Float64frombits(sp[2])})
-		}
 	}
 	return r
 }
 
 // writePinned records every fixture with this build and writes its schedule
-// and what it re-costs to under the default machine and two skewed ones.
+// and what it re-costs and traces to under the default machine and two
+// skewed ones.
 func writePinned(t *testing.T) {
 	d := cluster.DefaultCostModel()
 	models := []replay.CostModel{
@@ -88,14 +88,14 @@ func writePinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps, err := sched.RecostAll(models)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var pin pinnedRecost
-		for j, m := range models {
+		for _, m := range models {
+			rep, tr, err := sched.Trace(m, obs.Options{Trace: true}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			pin.Models = append(pin.Models, [4]uint64{math.Float64bits(m.FlopTime), math.Float64bits(m.Latency), math.Float64bits(m.BytePeriod), math.Float64bits(m.Overhead)})
-			pin.Replayed = append(pin.Replayed, pinReplayed(reps[j]))
+			pin.Replayed = append(pin.Replayed, pinReplayed(rep, sched.NumEvents(), tr.Envelopes))
 		}
 		js, err := json.Marshal(pin)
 		if err != nil {
@@ -109,12 +109,13 @@ func writePinned(t *testing.T) {
 	}
 }
 
-// The committed schedules — one per fixture, ESRPRPL2 bytes converted from
-// the ESRPRPL1 bytes the build before the wire-bytes representation
-// recorded — decode, re-encode to the same bytes, are what this build
-// records, and re-cost under three machines to the committed figures, which
-// the ESRPRPL1 bytes re-costed to, bit for bit, batched and one model at a
-// time.
+// The committed schedules — one per fixture, in ESRPRPL3 — decode,
+// re-encode to the same bytes, are what this build records, and re-cost
+// under three machines to the committed figures, bit for bit, batched, one
+// model at a time and traced; the traced walk under each machine keeps the
+// committed recovery envelopes, and the schedule holds the committed event
+// count. But for the event counts, which ESRPRPL3's span markers raised, the
+// figures are those the ESRPRPL1 schedules of an earlier build re-costed to.
 func TestPinnedSchedulesRecost(t *testing.T) {
 	if *updatePinned {
 		writePinned(t)
@@ -161,16 +162,22 @@ func TestPinnedSchedulesRecost(t *testing.T) {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
 		for j, m := range models {
-			want := pin.Replayed[j].replayed()
-			if d := diffReplayed(reps[j], want); d != "" {
-				t.Errorf("%s model %d: RecostAll: %s", fx.name, j, d)
-			}
+			want := pin.Replayed[j]
 			one, err := sched.Recost(m)
 			if err != nil {
 				t.Fatalf("%s model %d: %v", fx.name, j, err)
 			}
-			if d := diffReplayed(one, want); d != "" {
-				t.Errorf("%s model %d: Recost: %s", fx.name, j, d)
+			traced, tr, err := sched.Trace(m, obs.Options{Trace: true}, nil)
+			if err != nil {
+				t.Fatalf("%s model %d: Trace: %v", fx.name, j, err)
+			}
+			for name, got := range map[string]*replay.Replayed{"RecostAll": &reps[j], "Recost": one, "Trace": traced} {
+				if d := diffReplayed(got, want.replayed()); d != "" {
+					t.Errorf("%s model %d: %s: %s", fx.name, j, name, d)
+				}
+			}
+			if got := pinReplayed(traced, sched.NumEvents(), tr.Envelopes); got.Events != want.Events || !reflect.DeepEqual(got.Envelopes, want.Envelopes) {
+				t.Errorf("%s model %d: %d events and traced envelopes %v, pinned %d and %v", fx.name, j, got.Events, got.Envelopes, want.Events, want.Envelopes)
 			}
 		}
 	}

@@ -88,20 +88,18 @@ type rankState struct {
 	ref       int     // offset of the next block reference in the rank's window
 	pc        int     // the next event's index in the expanded stream
 	member    int     // the rank's index in the last view it used
-	envIter   int32
 	rtFinal   bool
 	published bool      // current collective event already contributed
 	clock     []float64 // simulated clocks
 	rt        []float64 // recoveryTime accumulators
 	t0        []float64 // last RecStart clocks
-	envStart  []float64
 }
 
 // machine is the full replay state for one RecostAll or Trace call.
 type machine struct {
 	s     *Schedule
 	ms    []CostModel
-	out   []*Replayed
+	out   []Replayed
 	rs    []rankState
 	vs    []viewState
 	insts []collInst
@@ -134,14 +132,14 @@ func (s *Schedule) Recost(m CostModel) (*Replayed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return reps[0], nil
+	return &reps[0], nil
 }
 
 // RecostAll replays the schedule under every model in one walk and returns
 // one Replayed per model, in order; element j is bit-identical to
 // Recost(models[j]). A schedule that fails to replay fails for every model
 // alike. Safe for concurrent calls on one Schedule.
-func (s *Schedule) RecostAll(models []CostModel) ([]*Replayed, error) {
+func (s *Schedule) RecostAll(models []CostModel) ([]Replayed, error) {
 	var mc machine
 	if err := mc.init(s, models); err != nil {
 		return nil, err
@@ -171,7 +169,8 @@ func (mc *machine) run() error {
 		}
 	}
 
-	for j, out := range mc.out {
+	for j := range mc.out {
+		out := &mc.out[j]
 		out.BytesSent, out.MsgsSent = mc.acctB, mc.acctM
 		// The final recovery time is the OpMax allreduce over the surviving
 		// view: the fold starts from the lowest-ranked participant and applies
@@ -233,17 +232,17 @@ func (mc *machine) init(s *Schedule, models []CostModel) error {
 	}
 	mc.qhead, mc.qtail = q[:p:p], q[p:]
 
-	// float64s: per rank its four windows, per model its four parameters,
+	// float64s: per rank its three windows, per model its four parameters,
 	// the results' clocks, the first send slots' times and the first two
 	// instances' entry and aggregate clocks of each view, all K wide.
-	f := make([]float64, k*(4*n+4+n+s.slots+2*(members+nv)))
-	w := f[4*n*k:]
+	f := make([]float64, k*(3*n+4+n+s.slots+2*(members+nv)))
+	w := f[3*n*k:]
 	mc.flop, mc.ovh, mc.lat, mc.bp = w[:k:k], w[k:2*k:2*k], w[2*k:3*k:3*k], w[3*k:4*k:4*k]
 	for j, m := range models {
 		mc.flop[j], mc.ovh[j], mc.lat[j], mc.bp[j] = m.FlopTime, m.Overhead, m.Latency, m.BytePeriod
 	}
-	clocks := f[(4*n+4)*k:][: n*k : n*k]
-	w = f[(5*n+4)*k:]
+	clocks := f[(3*n+4)*k:][: n*k : n*k]
+	w = f[(4*n+4)*k:]
 	mc.slots, mc.slotT = make([]sendSlot, 0, s.slots), w[:0:s.slots*k]
 	w = w[s.slots*k:]
 
@@ -264,32 +263,16 @@ func (mc *machine) init(s *Schedule, models []CostModel) error {
 		seq, lists = seq[len(view):], lists[4:]
 	}
 
-	// The K results share one allocation of each kind: structs, envelope
-	// lists and spans; their clocks are in the float64s.
-	reps, envs := make([]Replayed, k), make([][]EnvSpan, n*k)
-	var spans []EnvSpan
-	if total := s.streams[n].env; total > 0 {
-		spans = make([]EnvSpan, total*k)
-	}
-	mc.out = make([]*Replayed, k)
+	// The K results; their clocks are in the float64s.
+	mc.out = make([]Replayed, k)
 	for j := range mc.out {
-		out := &reps[j]
-		out.Clocks, out.Envelopes, out.Events = clocks[j*n:][:n:n], envs[j*n:][:n:n], s.events
-		if spans != nil {
-			// Each rank appends into its own capacity-limited window.
-			all := spans[j*s.streams[n].env:]
-			for g := range out.Envelopes {
-				lo, hi := s.streams[g].env, s.streams[g+1].env
-				out.Envelopes[g] = all[lo:lo:hi]
-			}
-		}
-		mc.out[j] = out
+		mc.out[j].Clocks = clocks[j*n:][:n:n]
 	}
 
 	mc.rs = make([]rankState, n)
 	for g := range mc.rs {
-		w := f[4*g*k:]
-		mc.rs[g] = rankState{clock: w[:k:k], rt: w[k : 2*k : 2*k], t0: w[2*k : 3*k : 3*k], envStart: w[3*k : 4*k : 4*k]}
+		w := f[3*g*k:]
+		mc.rs[g] = rankState{clock: w[:k:k], rt: w[k : 2*k : 2*k], t0: w[2*k : 3*k : 3*k]}
 	}
 	return nil
 }
@@ -402,16 +385,6 @@ func (mc *machine) step(g int, st *rankState, e *event) (bool, error) {
 	case KindRecCharge:
 		for j := range st.rt {
 			st.rt[j] += e.Val
-		}
-	case KindEnvStart:
-		st.envIter = e.Peer
-		copy(st.envStart, clock)
-	case KindEnvEnd:
-		for j := range clock {
-			if clock[j] > st.envStart[j] { // obs.Envelope drops empty spans
-				envs := &mc.out[j].Envelopes[g]
-				*envs = append(*envs, EnvSpan{Iter: int(st.envIter), Start: st.envStart[j], End: clock[j]})
-			}
 		}
 	case KindRTFinal:
 		st.rtFinal = true

@@ -10,8 +10,8 @@
 // via cluster.Comm.RecordSchedule captures each rank's program-order event
 // stream plus the membership of every communicator view; Schedule.Recost
 // then replays the identical clock arithmetic under any CostModel,
-// reproducing SimTime, BytesSent, MsgsSent, RecoveryTime and the per-event
-// recovery envelopes bit-for-bit when replayed under the recording model.
+// reproducing SimTime, BytesSent, MsgsSent and RecoveryTime bit-for-bit when
+// replayed under the recording model.
 //
 // An event stream has one representation, its ESRPRPL3 wire bytes
 // (serialize.go): a dictionary of the rank's distinct blocks — the events
@@ -22,7 +22,8 @@
 //
 // A schedule also carries what a span timeline needs (trace.go), with no
 // clock or residual in it, so a traced walk under any CostModel yields the
-// timeline a solve under that model would have.
+// timeline a solve under that model would have, its per-event recovery
+// envelopes included; only Schedule.Trace derives them.
 //
 // A nil *Recorder yields nil *Rank handles, every Rank method tolerates a
 // nil receiver, and a solve without a recorder pays only dead nil-checks on
@@ -63,8 +64,9 @@ type Kind uint8
 // Event kinds. The first group is emitted by internal/cluster's clock
 // primitives; the Rec*/Env*/RTFinal markers are emitted by internal/core
 // around its recovery protocols so a replay can rebuild Result.RecoveryTime
-// and the per-event recovery envelopes without touching solver state; the
-// last four are internal/core's span attribution, which moves no clock.
+// and a traced walk the per-event recovery envelopes without touching solver
+// state; the last four are internal/core's span attribution, which moves no
+// clock.
 const (
 	KindInvalid   Kind = iota
 	KindCompute        // Tag = Work, Val = flops; clock += flops·FlopTime
@@ -508,13 +510,11 @@ type Schedule struct {
 	slots int
 }
 
-// stream is one rank's part of a schedule: its block references, and as
-// prefix sums over the ranks, where its blocks start in Schedule.blocks and
-// where its envelopes start among all the ranks can emit.
+// stream is one rank's part of a schedule: its block references, and as a
+// prefix sum over the ranks, where its blocks start in Schedule.blocks.
 type stream struct {
 	refs  []byte // the window of payload that holds the references
 	block int
-	env   int
 }
 
 // block is one distinct block of a rank's dictionary: where its events lie
@@ -543,26 +543,16 @@ func checkViews(n int, views [][]int) error {
 // NumEvents returns the total event count across ranks.
 func (s *Schedule) NumEvents() int { return s.events }
 
-// EnvSpan is one replayed recovery envelope: failure event Iter's recovery
-// section on one rank, in simulated seconds.
-type EnvSpan struct {
-	Iter  int     `json:"iter"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-}
-
 // Replayed is the outcome of re-costing a schedule under one machine model:
 // the replayed counterparts of Result.SimTime / RecoveryTime / BytesSent /
-// MsgsSent, per-rank final clocks, and per-failure-event recovery envelopes
-// (indexed by global rank, zero-length spans dropped like obs.Envelope).
+// MsgsSent, and per-rank final clocks. The per-event recovery envelopes are
+// the trace's (Schedule.Trace).
 type Replayed struct {
 	SimTime      float64
 	RecoveryTime float64
 	BytesSent    int64
 	MsgsSent     int64
 	Clocks       []float64
-	Envelopes    [][]EnvSpan
-	Events       int
 }
 
 // Rounds returns ⌈log₂ max(n,2)⌉, the round count of a collective over n

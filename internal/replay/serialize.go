@@ -276,9 +276,10 @@ func skim(b []byte) (events, sends, recvs int) {
 // view list, the block rule — and every reference; it gives each send its
 // (src,dst) pair's index, and a third pass each receive. A last sorts each
 // rank's blocks to refuse duplicates. It leaves on the schedule the decoded
-// events, the block table, the reference windows, the expanded event total,
-// the pair and send-slot counts and the envelope counts that every Recost
-// call then shares.
+// events, the block table, the reference windows, the expanded event total
+// and the pair and send-slot counts that every Recost call then shares. It
+// refuses a schedule whose expanded envelopes outnumber its payload bytes,
+// since a traced walk keeps one span per envelope.
 func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 	base := c.off
 	nblocks, nevents, npairs, nrecvs := 0, 0, 0, 0
@@ -317,7 +318,7 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 	byDst, dstOff := cut(npairs), cut(nodes+1)
 	order := cut(nblocks)
 
-	nevents = 0
+	nevents, envs := 0, 0
 	for g := range nodes {
 		st, next := &s.streams[g], &s.streams[g+1]
 		blocks := s.blocks[st.block:][:c.count()]
@@ -371,7 +372,7 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 		n := c.count()
 		rc := cursor{data: c.data[:c.off+n], off: c.off}
 		st.refs = c.window(n)
-		used, envs := 0, 0
+		used := 0
 		for i := 0; rc.off < len(rc.data); i++ {
 			r := int(rc.data[rc.off])
 			if r < 0x80 { // nearly every reference is one byte
@@ -397,8 +398,8 @@ func index(nodes int, views [][]int, c *cursor) (*Schedule, error) {
 		if used < len(blocks) {
 			return nil, fmt.Errorf("replay: rank %d block %d is never used", g, used)
 		}
-		if next.env = st.env + envs; next.env > len(s.payload) {
-			return nil, fmt.Errorf("replay: %d envelopes in %d payload bytes: too many to re-cost", next.env, len(s.payload))
+		if envs > len(s.payload) {
+			return nil, fmt.Errorf("replay: %d envelopes in %d payload bytes: too many to re-cost", envs, len(s.payload))
 		}
 	}
 	if c.off != len(c.data) {

@@ -38,6 +38,10 @@ type traceRank struct {
 	phase       obs.Phase
 	region      Region
 	bytes, msgs int64 // booked so far: the rank's cumulative traffic
+
+	// The open recovery envelope: its failure iteration and start clock.
+	envIter  int
+	envStart float64
 }
 
 // Trace re-costs the schedule under m, like Recost, and derives from the
@@ -59,12 +63,7 @@ func (s *Schedule) Trace(m CostModel, opts obs.Options, samples []obs.IterPoint)
 	if err := mc.run(); err != nil {
 		return nil, nil, err
 	}
-	rep := mc.out[0]
-	for g, envs := range rep.Envelopes {
-		for _, e := range envs {
-			mc.tr.b.Envelope(g, e.Iter, e.Start, e.End)
-		}
-	}
+	rep := &mc.out[0]
 	tr := mc.tr.b.Build(rep.SimTime)
 	if samples != nil && len(samples) != len(tr.Series) {
 		return nil, nil, fmt.Errorf("replay: the schedule holds %d series points, the solve sampled %d", len(tr.Series), len(samples))
@@ -100,8 +99,12 @@ func (tr *tracer) note(g int, e *event, now float64) {
 		r.region = Region(e.Tag)
 	case KindEnvStart:
 		r.phase = obs.PhaseRecovery
+		r.envIter, r.envStart = int(e.Peer), now
 	case KindEnvEnd:
 		r.phase = obs.PhaseSteady
+		if now > r.envStart { // not if either clock is NaN, which Envelope would keep
+			tr.b.Envelope(g, r.envIter, r.envStart, now)
+		}
 	case KindPoint:
 		tr.b.Point(g, obs.IterPoint{Iter: r.iter, Clock: now, Bytes: r.bytes, Msgs: r.msgs})
 	}
