@@ -40,8 +40,8 @@ type cacheRun struct {
 	model   cluster.CostModel // the run's effective recording model
 	keys    []ccache.Key
 	state   []cellCacheState
-	entries []*ccache.ResultEntry
-	scheds  [][]byte // frame-validated schedule payloads, decoded by the consuming worker
+	entries []ccache.ResultEntry // a hit's entry, decoded into its slot
+	scheds  [][]byte             // frame-validated schedule payloads, decoded by the consuming worker
 }
 
 // cellInputOf assembles the content address of one cell. The values
@@ -76,7 +76,7 @@ func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 // then the grid indices, and a cell's task writes nothing but its own slots
 // of keys/state/entries/scheds — so what the probe finds, and every byte
 // and counter derived from it, is independent of Workers.
-func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRun {
+func (g *Grid) probeCache(cells []Cell, matrices map[string]*system) *cacheRun {
 	if g.Cache == nil {
 		return nil
 	}
@@ -84,7 +84,7 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 		model:   g.model(),
 		keys:    make([]ccache.Key, len(cells)),
 		state:   make([]cellCacheState, len(cells)),
-		entries: make([]*ccache.ResultEntry, len(cells)),
+		entries: make([]ccache.ResultEntry, len(cells)),
 		scheds:  make([][]byte, len(cells)),
 	}
 	// A digest is computed by whichever task asks first — normally its own
@@ -116,8 +116,8 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]MatrixSpec) *cacheRu
 // probeCell classifies cell i against the cache, writing only slot i of cr.
 func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 	cr.keys[i] = g.cellInputOf(c, mdigest).Key()
-	entry, ok := g.Cache.GetResult(cr.keys[i])
-	if !ok {
+	entry := &cr.entries[i]
+	if !g.Cache.LoadResult(cr.keys[i], entry) {
 		return
 	}
 	// An exact-model entry answers the cell from the result tier alone; a
@@ -131,7 +131,6 @@ func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 		}
 		cr.scheds[i] = sched
 	}
-	cr.entries[i] = entry
 	if entry.Model == cr.model {
 		cr.state[i] = cellResultHit
 	} else {
@@ -146,7 +145,7 @@ func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 // schedule fails to decode or to re-cost, in which case the caller falls
 // through to a live solve that rewrites both tiers.
 func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun) bool {
-	entry := cr.entries[index]
+	entry := &cr.entries[index]
 	var sched *replay.Schedule
 	var rep *replay.Replayed
 	var tr *obs.Trace

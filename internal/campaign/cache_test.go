@@ -3,6 +3,9 @@ package campaign
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -62,7 +65,8 @@ func TestCellKeyGolden(t *testing.T) {
 		if cell.Err != "" || (len(cell.Events) == 0) != c.failureFree {
 			t.Fatalf("%s: cell has %d events, error %q", c.name, len(cell.Events), cell.Err)
 		}
-		key := g.cellInputOf(&cell, ccache.MatrixDigest(m.A, m.B)).Key()
+		// The probe's digest: a nil B is b = A·1.
+		key := g.cellInputOf(&cell, (*ccache.Cache)(nil).Digest(m.A, m.B)).Key()
 		if got := hex.EncodeToString(key[:]); got != c.want {
 			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
 		}
@@ -125,12 +129,14 @@ func TestCacheSharedByConcurrentRuns(t *testing.T) {
 
 // A warm sweep's allocations per cell at one worker: the digest comes from
 // the handle's memo, each entry is read into a recycled buffer through a
-// path built on the stack, and its events share one rank array, so what is
-// left is the key, the path's NUL-terminated copy and the decoded entry's
-// four objects. This grid reads 6.57 per cell (8.29 with one rank slice per
-// event and a heap path per entry, 12.25 when every run hashed its systems
-// and every entry went through os.ReadFile); the bound leaves room for a
-// collection that empties the buffer pool mid-measurement.
+// path built on the stack and decoded into its slot of one array, its
+// events share one rank array and its kernel string is interned, so what is
+// left is the path's NUL-terminated copy, the events and their ranks, and
+// the run's fixed objects spread over its cells. This grid reads 4.54 per
+// cell (6.57 with a heap entry and kernel string per hit, 8.29 with one rank
+// slice per event and a heap path per entry, 12.25 when every run hashed its
+// systems and every entry went through os.ReadFile); the bound leaves room
+// for a collection that empties the buffer pool mid-measurement.
 func TestWarmSweepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates and drops pooled buffers on its own")
@@ -151,7 +157,55 @@ func TestWarmSweepAllocations(t *testing.T) {
 		}
 	}) / cells
 	t.Logf("%.2f allocations per warm cell", perCell)
-	if perCell > 6.8 {
-		t.Fatalf("%.2f allocations per warm cell, want ≤ 6.8", perCell)
+	if perCell > 4.8 {
+		t.Fatalf("%.2f allocations per warm cell, want ≤ 4.8", perCell)
+	}
+}
+
+// A warm Run does no arithmetic on its systems and decodes every hit into a
+// slot of one array, so what it allocates does not depend on the matrix:
+// tinyGrid's cells over Poisson2D 16×16 and 64×64 cost the same bytes and
+// objects per warm Run. (When every Run derived b = A·1 for its systems,
+// 16×16 cost 23.7 KB per Run and 64×64 85.0 KB.) It measures as
+// testing.AllocsPerRun does, on one P, and with collection off, so no
+// emptied buffer pool reallocates in one batch and not the other; the least
+// of five batches drops what the process's other goroutines allocate.
+func TestWarmRunBytesIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const runs, batches = 10, 5
+	perRun := func(n int) (bytes, objects uint64) {
+		g := tinyGrid()
+		g.Workers = 1
+		g.Matrices = []MatrixSpec{{Name: "poisson", A: matgen.Poisson2D(n, n)}}
+		g.Cache = openCache(t, t.TempDir())
+		for range 2 { // cold, then one warm run to fill the pools
+			if _, err := Run(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		bytes, objects = math.MaxUint64, math.MaxUint64
+		for range batches {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if _, err := Run(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			objects = min(objects, after.Mallocs-before.Mallocs)
+		}
+		return bytes / runs, objects / runs
+	}
+	smallB, smallN := perRun(16)
+	largeB, largeN := perRun(64)
+	t.Logf("per warm Run: %d B in %d objects at 16×16, %d B in %d objects at 64×64", smallB, smallN, largeB, largeN)
+	if smallB != largeB || smallN != largeN {
+		t.Errorf("a warm Run over 64×64 costs %d B in %d objects, over 16×16 %d B in %d objects; want equal", largeB, largeN, smallB, smallN)
 	}
 }

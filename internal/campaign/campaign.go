@@ -260,7 +260,8 @@ func (g Grid) withDefaults() (Grid, error) {
 		return g, fmt.Errorf("campaign: no matrices")
 	}
 	// Default into a copy: Run takes the grid by value, so filling names
-	// and right-hand sides must not leak into the caller's slice.
+	// must not leak into the caller's slice. A nil B stays nil: Run derives
+	// b = A·1 only if a cell of the system solves (system.rhs).
 	g.Matrices = append([]MatrixSpec(nil), g.Matrices...)
 	// Cells, prepared contexts and cache digests find their system by name.
 	index := make(map[string]int, len(g.Matrices))
@@ -276,15 +277,6 @@ func (g Grid) withDefaults() (Grid, error) {
 			return g, fmt.Errorf("campaign: matrices %d and %d are both named %q", j, i, m.Name)
 		}
 		index[m.Name] = i
-		if m.B == nil {
-			b := make([]float64, m.A.Rows)
-			one := make([]float64, m.A.Rows)
-			for k := range one {
-				one[k] = 1
-			}
-			m.A.MulVecRows(b, one, 0, m.A.Rows)
-			m.B = b
-		}
 	}
 	if len(g.Nodes) == 0 {
 		g.Nodes = []int{8}
@@ -448,9 +440,11 @@ func Run(g Grid) (*Report, error) {
 		return nil, fmt.Errorf("campaign: empty grid (no admissible strategy×T cells)")
 	}
 
-	matrices := make(map[string]MatrixSpec, len(g.Matrices))
-	for _, m := range g.Matrices {
-		matrices[m.Name] = m
+	systems := make([]system, len(g.Matrices))
+	matrices := make(map[string]*system, len(g.Matrices))
+	for i, m := range g.Matrices {
+		systems[i].MatrixSpec = m
+		matrices[m.Name] = &systems[i]
 	}
 
 	// Host telemetry (inert when HostObs is nil): one barrier-stats sink
@@ -542,6 +536,27 @@ func Run(g Grid) (*Report, error) {
 	}, nil
 }
 
+// system is one matrix of a run. A nil B is the right-hand side for
+// x* = ones, b = A·1, which the run derives at most once and only for a
+// solve: a warm run, whose cells all hit, does no arithmetic on its systems.
+type system struct {
+	MatrixSpec
+	once    sync.Once
+	derived []float64
+}
+
+// rhs returns the system's right-hand side, deriving A·1 on first use for a
+// nil B.
+func (s *system) rhs() []float64 {
+	if s.B != nil {
+		return s.B
+	}
+	s.once.Do(s.derive)
+	return s.derived
+}
+
+func (s *system) derive() { s.derived = ccache.DefaultRHS(s.A) }
+
 // prepKey identifies the solve context a cell needs: everything that shapes
 // the partition/plan/local-matrix setup. T, seed and the IMCR-vs-None
 // distinction don't: they only affect the dynamic solve.
@@ -597,7 +612,7 @@ func eachIndex(workers, n int, do func(w, i int)) {
 // part of a wide grid's setup. need(i) filters which cells still require a
 // context: a cache-backed run only prepares for its misses, so a fully-warm
 // prep group skips factorization along with its solves.
-func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need func(i int) bool) map[prepKey]*core.Prepared {
+func (g Grid) prepareContexts(cells []Cell, matrices map[string]*system, need func(i int) bool) map[prepKey]*core.Prepared {
 	preps := make(map[prepKey]*core.Prepared)
 	var first []*Cell // per distinct key, the first cell that needs it
 	for i := range cells {
@@ -616,7 +631,7 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 		c := first[k]
 		m := matrices[c.Matrix]
 		prep, err := core.Prepare(core.Config{
-			A: m.A, B: m.B, Nodes: c.Nodes,
+			A: m.A, B: m.rhs(), Nodes: c.Nodes,
 			Strategy: c.strat, T: c.T, Phi: c.Phi,
 			Rtol: g.Rtol, MaxIter: g.MaxIter,
 		})
@@ -695,7 +710,7 @@ func (d draw) fill(c *Cell) {
 // is the cache context: hits fill the cell without solving, misses solve
 // with recording on and persist both tiers. A sampled cell's trace is a
 // walk of its schedule, the cached one on a hit, so a hit never solves.
-func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
+func (g Grid) runCell(index int, c *Cell, m *system, prep *core.Prepared, ws *core.Workspace, mcs []MachineCell, cr *cacheRun) {
 	if cr != nil && cr.state[index] != cellMiss && g.fillFromCache(index, c, mcs, cr) {
 		return
 	}
@@ -705,7 +720,7 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 	traced := g.traced(index)
 
 	cfg := core.Config{
-		A: m.A, B: m.B, Nodes: c.Nodes,
+		A: m.A, B: m.rhs(), Nodes: c.Nodes,
 		Strategy: c.strat, T: c.T, Phi: c.Phi,
 		Rtol: g.Rtol, MaxIter: g.MaxIter,
 		CostModel: g.CostModel,

@@ -216,9 +216,11 @@ type cacheEnum struct {
 func newCacheEnum(t *testing.T) *cacheEnum {
 	e := &cacheEnum{t: t, refs: map[string]*cacheRunOut{}, shared: map[cachePre]string{}}
 	e.cells = e.ref(cacheOptions[0]).rep.Cells
-	g, _ := statesGrid().withDefaults() // valid, as its reference ran: the b and Rtol the keys name
+	g, _ := statesGrid().withDefaults() // valid, as its reference ran: the Rtol the keys name
+	m := g.Matrices[0]
+	d := (*ccache.Cache)(nil).Digest(m.A, m.B) // the probe's digest: a nil B is b = A·1
 	for i := range e.cells {
-		e.keys = append(e.keys, g.cellInputOf(&e.cells[i], ccache.MatrixDigest(g.Matrices[0].A, g.Matrices[0].B)).Key())
+		e.keys = append(e.keys, g.cellInputOf(&e.cells[i], d).Key())
 	}
 	return e
 }

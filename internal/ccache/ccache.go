@@ -261,23 +261,38 @@ func (c *Cache) read(path []byte, buf *[]byte) ([]byte, bool) {
 }
 
 // GetResult fetches a result-tier entry ((nil, false) on miss or nil c).
+// A miss allocates no entry: the decode goes into a local one, copied out
+// on a hit.
 func (c *Cache) GetResult(k Key) (*ResultEntry, bool) {
-	if c == nil {
+	var e ResultEntry
+	if !c.LoadResult(k, &e) {
 		return nil, false
+	}
+	hit := e
+	return &hit, true
+}
+
+// LoadResult decodes k's result-tier entry into *e and reports whether it
+// hit; on a miss (or nil c) *e is zeroed. The decode allocates only the
+// entry's events and their ranks: Kernels is interned.
+func (c *Cache) LoadResult(k Key, e *ResultEntry) bool {
+	*e = ResultEntry{}
+	if c == nil {
+		return false
 	}
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
 	var path [entryPathMax]byte
 	payload, ok := c.read(c.entryPath(path[:0], resultTierDir, k, ".res"), buf)
 	if !ok {
-		return nil, false
+		return false
 	}
-	e, err := decodeResultEntry(payload) // copies out all it keeps
-	if err != nil {
+	if err := decodeResultEntry(payload, e); err != nil { // copies out all it keeps
+		*e = ResultEntry{}
 		c.corrupt.Add(1)
-		return nil, false
+		return false
 	}
-	return e, true
+	return true
 }
 
 // PutResult stores a result-tier entry (no-op on nil c). An existing

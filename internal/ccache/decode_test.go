@@ -54,6 +54,15 @@ func encode(t testing.TB, e *ResultEntry) []byte {
 	return payload
 }
 
+// decode is decodeResultEntry into a fresh entry: nil on an error.
+func decode(payload []byte) (*ResultEntry, error) {
+	e := new(ResultEntry)
+	if err := decodeResultEntry(payload, e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // The committed sweep entries are what this build writes: each decodes and
 // encodes back to the same bytes, and together they carry every recovery
 // mode. A field added to or moved in the record fails here until the
@@ -61,7 +70,7 @@ func encode(t testing.TB, e *ResultEntry) []byte {
 func TestSweepEntriesAreCurrent(t *testing.T) {
 	modes := map[string]bool{}
 	for name, payload := range sweepEntries(t) {
-		got, err := decodeResultEntry(payload)
+		got, err := decode(payload)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -143,7 +152,7 @@ func TestDecodeResultEntryRoundTrip(t *testing.T) {
 		if n := recordLenMax(want); len(payload) > n {
 			t.Errorf("%s: %d-byte record, recordLenMax says at most %d", name, len(payload), n)
 		}
-		got, err := decodeResultEntry(payload)
+		got, err := decode(payload)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -198,7 +207,7 @@ func TestDecodeResultEntryRejectsOtherLayouts(t *testing.T) {
 	c := openTestCache(t)
 	k := goldenInput().Key()
 	for name, payload := range cases {
-		if e, err := decodeResultEntry(payload); err == nil {
+		if e, err := decode(payload); err == nil {
 			t.Errorf("%s: decoded to %+v", name, e)
 		} else if !strings.HasPrefix(err.Error(), "ccache: result entry: ") {
 			t.Errorf("%s: error %q does not say where it comes from", name, err)
@@ -209,6 +218,9 @@ func TestDecodeResultEntryRejectsOtherLayouts(t *testing.T) {
 		}
 		if _, ok := c.GetResult(k); ok || c.Stats().Corrupt != before+1 {
 			t.Errorf("%s: GetResult hit=%v, corrupt %d -> %d (want a miss counted once)", name, ok, before, c.Stats().Corrupt)
+		}
+		if slot := *testEntry(); c.LoadResult(k, &slot) || !reflect.DeepEqual(slot, ResultEntry{}) {
+			t.Errorf("%s: LoadResult left %+v in its slot, want it zeroed", name, slot)
 		}
 	}
 }
@@ -232,8 +244,9 @@ func TestFormat1EntryIsAMiss(t *testing.T) {
 	}
 }
 
-// A warm probe's decode costs the entry, its kernel string, its events and
-// one array all their ranks share, however many events the entry holds.
+// A warm probe decodes into its own slot, which costs the events and one
+// array all their ranks share, however many events the entry holds: the
+// kernel string is interned.
 func TestDecodeResultEntryAllocations(t *testing.T) {
 	payloads := sweepEntries(t)
 	many := testEntry()
@@ -245,13 +258,17 @@ func TestDecodeResultEntryAllocations(t *testing.T) {
 	}
 	payloads["many-events"] = encode(t, many)
 	for name, payload := range payloads {
-		e, err := decodeResultEntry(payload)
+		e, err := decode(payload)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// The entry, Kernels, the event slice, the rank array.
-		if got := testing.AllocsPerRun(100, func() { decodeResultEntry(payload) }); got > 4 {
-			t.Errorf("%s: %v allocations per decode of a %d-event entry, want at most 4", name, got, len(e.Result.Recoveries))
+		var slot ResultEntry
+		// The event slice, the rank array.
+		if got := testing.AllocsPerRun(100, func() {
+			slot = ResultEntry{}
+			decodeResultEntry(payload, &slot)
+		}); got > 2 {
+			t.Errorf("%s: %v allocations per decode of a %d-event entry, want at most 2", name, got, len(e.Result.Recoveries))
 		}
 	}
 }
@@ -268,7 +285,7 @@ func TestDecodeResultEntryRanksDoNotAlias(t *testing.T) {
 		{Iteration: 4, Ranks: []int{}, Mode: core.RecoveryShrink},
 		{Iteration: 5, Ranks: []int{4}, Mode: core.RecoverySpare},
 	}
-	e, err := decodeResultEntry(encode(t, in))
+	e, err := decode(encode(t, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +320,7 @@ func FuzzDecodeResultEntry(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		got, err := decodeResultEntry(payload)
+		got, err := decode(payload)
 		if err != nil {
 			if got != nil {
 				t.Fatalf("an error (%v) and a value", err)
@@ -353,7 +370,7 @@ func TestPinnedScheduleEntryRecost(t *testing.T) {
 		t.Errorf("the entry is not what PutSchedule writes for its schedule today (err %v)", err)
 	}
 
-	entry, err := decodeResultEntry(sweepEntries(t)["esr-shrink-skipped.res"])
+	entry, err := decode(sweepEntries(t)["esr-shrink-skipped.res"])
 	if err != nil {
 		t.Fatal(err)
 	}

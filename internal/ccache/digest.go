@@ -10,6 +10,10 @@ import (
 )
 
 // Digest returns MatrixDigest(a, b), hashing each system once per handle.
+// A nil b means b = A·1 (DefaultRHS): the digest is MatrixDigest(a,
+// DefaultRHS(a)), the product is formed only when the handle hashes, and a
+// later nil-b call is matched on a's bytes alone.
+//
 // The handle keeps a private copy of every array it hashed and reuses a
 // digest only while a and b hold exactly those bytes — floats compared as
 // bit patterns, so −0 against +0 and a changed NaN payload both count as
@@ -18,7 +22,11 @@ import (
 // copies are bounded by KeepDigests. Safe for concurrent use; distinct
 // systems hash in parallel. On a nil handle it is MatrixDigest.
 func (c *Cache) Digest(a *sparse.CSR, b []float64) [32]byte {
+	derived := b == nil
 	if c == nil {
+		if derived {
+			b = DefaultRHS(a)
+		}
 		return MatrixDigest(a, b)
 	}
 	m := &c.digests
@@ -26,23 +34,44 @@ func (c *Cache) Digest(a *sparse.CSR, b []float64) [32]byte {
 	known := m.systems
 	m.mu.Unlock()
 	for _, s := range known {
-		if s.holds(a, b) {
+		if s.derived == derived && s.holds(a, b) {
 			return s.digest
 		}
 	}
 	// Hash the copy, not the caller's arrays: the digest is then of exactly
-	// the bytes later calls are compared against.
+	// the bytes later calls are compared against. A derived b is not kept:
+	// it is a function of the copied A.
 	s := &hashedSystem{
-		a: sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: slices.Clone(a.RowPtr), ColIdx: slices.Clone(a.ColIdx), Val: slices.Clone(a.Val)},
-		b: slices.Clone(b),
+		a:       sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: slices.Clone(a.RowPtr), ColIdx: slices.Clone(a.ColIdx), Val: slices.Clone(a.Val)},
+		b:       slices.Clone(b),
+		derived: derived,
 	}
-	s.digest = MatrixDigest(&s.a, s.b)
+	hashed := s.b
+	if derived {
+		hashed = DefaultRHS(&s.a)
+	}
+	s.digest = MatrixDigest(&s.a, hashed)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !slices.ContainsFunc(m.systems, func(t *hashedSystem) bool { return t.digest == s.digest }) {
+	// A derived and an explicit system may share a digest. Each is matched
+	// on its own terms, so both are kept: dropping either would hash it
+	// again on every call.
+	if !slices.ContainsFunc(m.systems, func(t *hashedSystem) bool { return t.digest == s.digest && t.derived == derived }) {
 		m.systems = append(m.systems, s)
 	}
 	return s.digest
+}
+
+// DefaultRHS returns b = A·1, the right-hand side whose solution is all
+// ones: what a nil b means to Digest and to a campaign grid.
+func DefaultRHS(a *sparse.CSR) []float64 {
+	one := make([]float64, a.Cols)
+	for k := range one {
+		one[k] = 1
+	}
+	b := make([]float64, a.Rows)
+	a.MulVecRows(b, one, 0, a.Rows)
+	return b
 }
 
 // KeepDigests drops every remembered system whose digest is not in keep.
@@ -72,14 +101,17 @@ type digestMemo struct {
 }
 
 // hashedSystem is a private copy of one digested system and its digest,
-// never written after it is made.
+// never written after it is made. A derived system's b is nil: its digest
+// is of A·1.
 type hashedSystem struct {
-	a      sparse.CSR
-	b      []float64
-	digest [32]byte
+	a       sparse.CSR
+	b       []float64
+	derived bool
+	digest  [32]byte
 }
 
-// holds reports whether a and b are byte for byte the system s copied.
+// holds reports whether a and b are byte for byte the system s copied (for
+// a derived system, b is nil and only a is compared).
 func (s *hashedSystem) holds(a *sparse.CSR, b []float64) bool {
 	return s.a.Rows == a.Rows && s.a.Cols == a.Cols &&
 		bytes.Equal(raw(s.a.RowPtr), raw(a.RowPtr)) && bytes.Equal(raw(s.a.ColIdx), raw(a.ColIdx)) &&

@@ -68,6 +68,55 @@ func TestDigestFollowsInPlaceEdits(t *testing.T) {
 	}
 }
 
+// A nil b is the derived system b = A·1. Its digest is MatrixDigest over
+// the product, bit for bit, on a handle and on a nil one, so an explicit b
+// equal to A·1 addresses the same cells. The handle matches a derived
+// system on A's bytes alone: an in-place edit of A hashes again, and
+// alternating derived and explicit calls hash each system once, then hit.
+func TestDigestOfDerivedRHS(t *testing.T) {
+	c := openTestCache(t)
+	a := matgen.Poisson2D(8, 8)
+	timesOnes := func() []float64 {
+		b := make([]float64, a.Rows)
+		a.MulVec(b, matgen.RHSOnes(a.Cols))
+		return b
+	}
+	b := timesOnes()
+	want := MatrixDigest(a, b)
+	if got := (*Cache)(nil).Digest(a, nil); got != want {
+		t.Errorf("nil handle: Digest(a, nil) %x, MatrixDigest(a, A·1) %x", got, want)
+	}
+	if got := c.Digest(a, nil); got != want {
+		t.Fatalf("Digest(a, nil) %x, MatrixDigest(a, A·1) %x", got, want)
+	}
+	if got := c.Digest(a, b); got != want {
+		t.Fatalf("explicit b = A·1: Digest %x, want %x", got, want)
+	}
+	if n := remembered(c); n != 2 {
+		t.Fatalf("memo holds %d systems after one derived and one explicit call, want 2", n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		c.Digest(a, nil)
+		c.Digest(a, b)
+	}); allocs != 0 || remembered(c) != 2 {
+		t.Errorf("alternating derived and explicit calls: %v allocations per pair, %d systems held; want 0 and 2 (no re-hash)", allocs, remembered(c))
+	}
+
+	a.Val[0] *= 2
+	edited := MatrixDigest(a, timesOnes())
+	if edited == want {
+		t.Fatal("the edit does not change MatrixDigest(a, A·1)")
+	}
+	for range 2 {
+		if got := c.Digest(a, nil); got != edited {
+			t.Fatalf("after an in-place edit of A: Digest(a, nil) %x, want %x", got, edited)
+		}
+	}
+	if got := c.Digest(a, b); got != MatrixDigest(a, b) || got == edited {
+		t.Error("after the edit, the old explicit b does not address its own system")
+	}
+}
+
 // KeepDigests bounds the memo to the systems named: a process that digests
 // many matrices through one handle holds only the latest run's, and those
 // still hit.

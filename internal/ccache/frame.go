@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"unique"
+	"unsafe"
 
 	"esrp/internal/core"
 	"esrp/internal/replay"
@@ -148,13 +150,14 @@ func recordLenMax(e *ResultEntry) int {
 	return n
 }
 
-// decodeResultEntry decodes a record appendResultEntry wrote. The entry,
-// Kernels, the events and one array all their ranks share are its only
-// allocations, and each is sized by a count checked against the bytes that
-// remain, so a decode never allocates more items than the payload has bytes.
-func decodeResultEntry(data []byte) (*ResultEntry, error) {
+// decodeResultEntry decodes a record appendResultEntry wrote into *e, which
+// must be zero. The events and one array all their ranks share are its only
+// allocations, each sized by a count checked against the bytes that remain,
+// so a decode never allocates more items than the payload has bytes.
+// Kernels is interned: a campaign's cells share a handful of kernel
+// summaries, and each costs one copy per process, not one per entry.
+func decodeResultEntry(data []byte, e *ResultEntry) error {
 	d := record{data: data}
-	e := &ResultEntry{}
 	m, r := &e.Model, &e.Result
 	m.FlopTime, m.Latency, m.BytePeriod, m.Overhead = d.float(), d.float(), d.float(), d.float()
 	r.Converged = d.enum(2) == 1
@@ -163,7 +166,10 @@ func decodeResultEntry(data []byte) (*ResultEntry, error) {
 	r.WastedIters, r.Drift = d.int(), d.float()
 	r.MaxNodeBytes, r.HaloBytes, r.BytesSent = d.int64(), d.int64(), d.int64()
 	r.ActiveNodes = d.int()
-	r.Kernels = string(d.bytes(d.uvarint()))
+	if k := d.bytes(d.uvarint()); len(k) > 0 {
+		// unique.Make clones what it inserts, so the view never outlives data.
+		r.Kernels = unique.Make(unsafe.String(unsafe.SliceData(k), len(k))).Value()
+	}
 	events, ranks := d.uvarint(), d.uvarint()
 	if rest := uint64(len(data) - d.off); events > rest/minEventLen || ranks > rest-events*minEventLen {
 		d.fail("event or rank count exceeds the bytes that remain")
@@ -194,10 +200,7 @@ func decodeResultEntry(data []byte) (*ResultEntry, error) {
 	case d.off != len(data):
 		d.fail("trailing bytes")
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return e, nil
+	return d.err
 }
 
 // record reads a result record off a byte slice. The first failure sticks
