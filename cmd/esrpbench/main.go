@@ -48,9 +48,8 @@ func main() {
 		ts    = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
 		rtol  = flag.Float64("rtol", 1e-8, "outer relative tolerance")
 
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		allocsprofile = flag.String("allocsprofile", "", "write an allocation profile to this file on exit")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -76,7 +75,7 @@ func main() {
 		usagef("bad -ts: %v", err)
 	}
 
-	stop, err := profiling.Start(*cpuprofile, *memprofile, *allocsprofile)
+	stop, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatalf("%v", err)
 	}

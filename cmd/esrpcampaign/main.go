@@ -83,13 +83,12 @@ func main() {
 		traceDir      = flag.String("trace-dir", "traces", "directory for sampled cell traces (Chrome trace_event JSON)")
 		hostTracePath = flag.String("host-trace", "", "write a wall-clock Chrome trace of the host workers (one span per cell) to this path")
 
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		allocsprofile = flag.String("allocsprofile", "", "write an allocation profile to this file on exit")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	stop, err := profiling.Start(*cpuprofile, *memprofile, *allocsprofile)
+	stop, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatalf("%v", err)
 	}

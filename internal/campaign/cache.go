@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"sync"
-
 	"esrp/internal/ccache"
 	"esrp/internal/cluster"
 	"esrp/internal/core"
@@ -27,21 +25,19 @@ const (
 )
 
 // cacheRun is the per-run cache context: keys, probe classifications and
-// eagerly loaded entries for every cell. Probing happens before the
+// eagerly loaded result entries for every cell. Probing happens before the
 // prepare phase so fully-warm prep groups skip factorization entirely —
 // that skip, not the solve skip, is most of the warm-path win on wide
-// grids. The probe validates every entry's frame (length + checksum) and
-// decodes the small result entries, but hands schedules over still encoded:
-// the decode runs on the worker that re-costs the schedule, which is also
-// the one that then owns it. A corrupt entry is classified as a miss and
-// recomputed, never trusted — at probe time, or for a framed-but-undecodable
-// schedule when fillFromCache demotes the cell.
+// grids. The probe reads the result tier only; a cell that needs its
+// schedule has it read, checked and decoded by the worker that fills it. A
+// corrupt entry of either tier is a miss and recomputed, never trusted: a
+// result entry at probe time, a schedule when fillFromCache demotes the
+// cell.
 type cacheRun struct {
 	model   cluster.CostModel // the run's effective recording model
 	keys    []ccache.Key
 	state   []cellCacheState
 	entries []ccache.ResultEntry // a hit's entry, decoded into its slot
-	scheds  [][]byte             // frame-validated schedule payloads, decoded by the consuming worker
 }
 
 // cellInputOf assembles the content address of one cell. The values
@@ -72,11 +68,13 @@ func (g *Grid) cellInputOf(c *Cell, mdigest [32]byte) ccache.CellInput {
 
 // probeCache computes every cell's content address and classifies it
 // against the cache (nil when the grid has no cache). It runs on the
-// worker pool: one atomic cursor hands out the per-matrix digests first and
-// then the grid indices, and a cell's task writes nothing but its own slots
-// of keys/state/entries/scheds — so what the probe finds, and every byte
-// and counter derived from it, is independent of Workers.
-func (g *Grid) probeCache(cells []Cell, matrices map[string]*system) *cacheRun {
+// worker pool in two passes: each system's digest, distinct systems side by
+// side, then the cells. A cell's task writes nothing but its own slots of
+// keys/state/entries — so what the probe finds, and every byte and counter
+// derived from it, is independent of Workers. The cache handle hashes a
+// system it has seen before only if its bytes changed, and then remembers
+// just this run's systems.
+func (g *Grid) probeCache(cells []Cell, systems []system, matrices map[string]*system) *cacheRun {
 	if g.Cache == nil {
 		return nil
 	}
@@ -85,55 +83,34 @@ func (g *Grid) probeCache(cells []Cell, matrices map[string]*system) *cacheRun {
 		keys:    make([]ccache.Key, len(cells)),
 		state:   make([]cellCacheState, len(cells)),
 		entries: make([]ccache.ResultEntry, len(cells)),
-		scheds:  make([][]byte, len(cells)),
 	}
-	// A digest is computed by whichever task asks first — normally its own
-	// leading task, so distinct matrices hash side by side — and cell tasks
-	// that get there early wait for it. The cache handle hashes a system it
-	// has seen before only if its bytes changed, and then remembers just
-	// this run's systems.
-	digests := make(map[string]func() [32]byte, len(matrices))
-	for name, m := range matrices {
-		digests[name] = sync.OnceValue(func() [32]byte { return g.Cache.Digest(m.A, m.B) })
-	}
-	nm := len(g.Matrices)
-	eachIndex(g.Workers, nm+len(cells), func(_, t int) {
-		if t < nm {
-			digests[g.Matrices[t].Name]()
-		} else {
-			c := &cells[t-nm]
-			g.probeCell(t-nm, c, digests[c.Matrix](), cr)
-		}
+	eachIndex(g.Workers, len(systems), func(_, i int) {
+		s := &systems[i]
+		s.digest = g.Cache.Digest(s.A, s.B)
 	})
-	used := make([][32]byte, 0, nm)
-	for _, d := range digests {
-		used = append(used, d())
+	used := make([][32]byte, len(systems))
+	for i := range systems {
+		used[i] = systems[i].digest
 	}
 	g.Cache.KeepDigests(used)
+	eachIndex(g.Workers, len(cells), func(_, i int) {
+		c := &cells[i]
+		g.probeCell(i, c, matrices[c.Matrix].digest, cr)
+	})
 	return cr
 }
 
-// probeCell classifies cell i against the cache, writing only slot i of cr.
+// probeCell classifies cell i against the result tier, writing only slot i
+// of cr: a hit under the run's model is a result hit, under another a
+// schedule hit.
 func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 	cr.keys[i] = g.cellInputOf(c, mdigest).Key()
 	entry := &cr.entries[i]
-	if !g.Cache.LoadResult(cr.keys[i], entry) {
-		return
-	}
-	// An exact-model entry answers the cell from the result tier alone; a
-	// machine sweep, a model change or a sampled trace additionally needs
-	// the recorded schedule. If the schedule tier can't deliver one, the
-	// whole cell re-solves so both tiers get rewritten consistently.
-	if len(g.Machines) > 0 || entry.Model != cr.model || g.traced(i) {
-		sched, ok := g.Cache.GetSchedulePayload(cr.keys[i])
-		if !ok {
-			return
-		}
-		cr.scheds[i] = sched
-	}
-	if entry.Model == cr.model {
+	switch {
+	case !g.Cache.LoadResult(cr.keys[i], entry):
+	case entry.Model == cr.model:
 		cr.state[i] = cellResultHit
-	} else {
+	default:
 		cr.state[i] = cellScheduleHit
 	}
 }
@@ -141,19 +118,19 @@ func (g *Grid) probeCell(i int, c *Cell, mdigest [32]byte, cr *cacheRun) {
 // fillFromCache completes one probe-classified hit: report fields from
 // the result tier, simulated times re-costed for a schedule hit, machine
 // sweep points replayed and a sampled cell's trace walked from the cached
-// schedule. Returns false (and demotes the cell to a miss) only if the
-// schedule fails to decode or to re-cost, in which case the caller falls
-// through to a live solve that rewrites both tiers.
+// schedule. A machine sweep, a model change or a sampled trace needs the
+// schedule; if it is missing, fails its frame or decode, or fails to
+// re-cost, fillFromCache returns false and demotes the cell to a miss, and
+// the caller falls through to a live solve that rewrites both tiers.
 func (g *Grid) fillFromCache(index int, c *Cell, mcs []MachineCell, cr *cacheRun) bool {
 	entry := &cr.entries[index]
 	var sched *replay.Schedule
 	var rep *replay.Replayed
 	var tr *obs.Trace
-	if payload := cr.scheds[index]; payload != nil {
-		cr.scheds[index] = nil // probe loaded eagerly; release once consumed
+	if len(g.Machines) > 0 || cr.state[index] == cellScheduleHit || g.traced(index) {
 		var ok bool
 		var err error
-		if sched, ok = g.Cache.DecodeSchedule(payload); ok {
+		if sched, ok = g.Cache.GetSchedule(cr.keys[index]); ok {
 			err = g.recostMachines(sched, mcs)
 			switch {
 			case err != nil:

@@ -455,10 +455,10 @@ func Run(g Grid) (*Report, error) {
 
 	// Probe the persistent cache first (nil cacheRun when Grid.Cache is
 	// nil): every cell's content address resolves and hits load their
-	// entries — so the prepare phase below can skip factorizing contexts no
-	// miss needs, which on a fully-warm sweep eliminates setup along with
-	// the solves.
-	cr := g.probeCache(cells, matrices)
+	// result entries — so the prepare phase below can skip factorizing
+	// contexts no miss needs, which on a fully-warm sweep eliminates setup
+	// along with the solves.
+	cr := g.probeCache(cells, systems, matrices)
 	if cr != nil {
 		g.HostObs.SamplePhase("cache-probed")
 	}
@@ -541,6 +541,7 @@ func Run(g Grid) (*Report, error) {
 // solve: a warm run, whose cells all hit, does no arithmetic on its systems.
 type system struct {
 	MatrixSpec
+	digest  [32]byte // the cache's digest of the system, set by probeCache
 	once    sync.Once
 	derived []float64
 }

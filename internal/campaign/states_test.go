@@ -35,10 +35,11 @@ const (
 	preBypass                  // the grid's entries under a foreign build's manifest, MismatchBypass
 	preRefresh                 // the same directory under MismatchRefresh
 	preDamaged                 // the grid's entries, each cell's with one fault
+	preResults                 // the grid's result entries, the schedule tier deleted
 	numPres
 )
 
-var preNames = [numPres]string{"none", "empty", "warm", "moved", "partial", "keyed", "bypass", "refresh", "damaged"}
+var preNames = [numPres]string{"none", "empty", "warm", "moved", "partial", "keyed", "bypass", "refresh", "damaged", "results-only"}
 
 // A fault is what the damaged pre-state does to one cell's entries. A cell
 // whose key has no entries is a resMissing cell.
@@ -58,8 +59,8 @@ const (
 )
 
 // cacheOpts is one run option. Each runs at the worker counts it lists, so
-// every pre-state and traces meet both; the machine sweep, whose probe reads
-// both tiers of every cell, runs at both.
+// every pre-state and traces meet both; the machine sweep, whose workers
+// read both tiers of every cell, runs at both.
 type cacheOpts struct {
 	name      string
 	machines  bool // Machines {base, fast}
@@ -262,6 +263,8 @@ func (e *cacheEnum) stored(p cachePre, i, rot int) (cluster.CostModel, fault) {
 		return movedModel(), noFault
 	case p == preDamaged:
 		return cluster.DefaultCostModel(), fault(1 + (i+rot)%numFaults)
+	case p == preResults:
+		return cluster.DefaultCostModel(), schMissing
 	case p == preWarm || p == prePartial && e.cells[i].strat == core.StrategyESRP:
 		return cluster.DefaultCostModel(), noFault
 	}
@@ -307,8 +310,9 @@ func (e *cacheEnum) damage(dir string, i int, f fault) error {
 }
 
 // setUp builds pre-state p in a fresh directory — what a cold run of the
-// grid, changed as p says, leaves there, damaged for preDamaged — and opens
-// the cache over it (nil for preNone and preBypass). No run writes to a
+// grid, changed as p says, leaves there, damaged for preDamaged, without its
+// schedule tier for preResults — and opens the cache over it (nil for
+// preNone and preBypass). No run writes to a
 // bypassed cache, nor to a warm one, all result hits, which check holds to
 // writing nothing: those two are built once.
 func (e *cacheEnum) setUp(p cachePre, rot int) (*ccache.Cache, string) {
@@ -339,6 +343,9 @@ func (e *cacheEnum) setUp(p cachePre, rot int) (*ccache.Cache, string) {
 			if _, f := e.stored(p, i, rot); p == preDamaged && err == nil {
 				err = e.damage(dir, i, f)
 			}
+		}
+		if p == preResults && err == nil {
+			err = os.RemoveAll(filepath.Join(dir, "sch"))
 		}
 		if p == preWarm || p == preBypass {
 			e.shared[p] = dir
@@ -436,11 +443,12 @@ func (e *cacheEnum) draws(p cachePre, oi int) {
 // TestCacheStates crosses every cache pre-state with every run option, with
 // the host recorder on: whatever the cache holds — nothing, its own entries,
 // another machine's, an interrupted sweep's, another grid's, a foreign
-// build's, damaged ones — a run at one worker or at four reports, traces and
-// delivers schedules byte for byte as the cacheless one-worker run does,
-// with exactly the hits, misses and corrupt entries predict gives, solves
-// nothing when everything hits, and leaves a cache that a second run reads
-// whole. Under -race every raceStride-th pre-state and option pair runs.
+// build's, damaged ones, result entries without their schedules — a run at
+// one worker or at four reports, traces and delivers schedules byte for
+// byte as the cacheless one-worker run does, with exactly the hits, misses
+// and corrupt entries predict gives, solves nothing when everything hits,
+// and leaves a cache that a second run reads whole. Under -race every
+// raceStride-th pre-state and option pair runs.
 func TestCacheStates(t *testing.T) {
 	e := newCacheEnum(t)
 	stride := 1
@@ -455,8 +463,8 @@ func TestCacheStates(t *testing.T) {
 			}
 		}
 	}
-	if stride == 1 && e.drawn != 54 {
-		t.Errorf("%d draws, want 54", e.drawn)
+	if stride == 1 && e.drawn != 60 {
+		t.Errorf("%d draws, want 60", e.drawn)
 	}
 	t.Logf("%d draws of %d pre-state and option pairs", e.drawn, pairs)
 }

@@ -318,20 +318,9 @@ func (c *Cache) PutResult(k Key, e *ResultEntry) error {
 // GetSchedule fetches and decodes a schedule-tier entry ((nil, false) on
 // miss or nil c). A schedule that fails frame validation or binary
 // decoding counts as corrupt and misses — the caller re-solves and
-// re-records, overwriting the bad entry.
+// re-records, overwriting the bad entry. The schedule's event streams are
+// windows into its own copy of the payload.
 func (c *Cache) GetSchedule(k Key) (*replay.Schedule, bool) {
-	payload, ok := c.GetSchedulePayload(k)
-	if !ok {
-		return nil, false
-	}
-	return c.DecodeSchedule(payload)
-}
-
-// GetSchedulePayload fetches a schedule-tier entry's frame-validated but
-// still encoded payload ((nil, false) on miss or nil c). It is GetSchedule
-// split in two so the probe can classify entries cheaply and leave
-// DecodeSchedule to whichever worker consumes the schedule.
-func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -342,18 +331,7 @@ func (c *Cache) GetSchedulePayload(k Key) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return bytes.Clone(payload), true
-}
-
-// DecodeSchedule decodes a payload GetSchedulePayload returned and takes it
-// over: the schedule's event streams are windows into payload, which the
-// caller must not write to afterwards. A payload that fails to decode counts
-// as corrupt, exactly as in GetSchedule.
-func (c *Cache) DecodeSchedule(payload []byte) (*replay.Schedule, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s, err := replay.DecodeBinary(payload)
+	s, err := replay.DecodeBinary(bytes.Clone(payload))
 	if err != nil {
 		c.corrupt.Add(1)
 		return nil, false

@@ -345,7 +345,7 @@ func FuzzDecodeResultEntry(f *testing.F) {
 // cache directory of the build that first wrote ESRPRPL3 (its figures are
 // the ones the ESRPRPL1 and ESRPRPL2 copies of the entry had; the event
 // count grew by the span markers).
-// It decodes through the cache without counting corrupt, frames back to the
+// It reads through the cache without counting corrupt, frames back to the
 // file's bytes, and re-costs under the result entry's machine to that entry's
 // figures — which a live solve produced — and under a skewed machine to the
 // bits the writing build computed.
@@ -354,12 +354,12 @@ func TestPinnedScheduleEntryRecost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := unframe(bytes.Clone(file)) // DecodeSchedule may keep the payload
-	if err != nil {
+	c := openTestCache(t)
+	var k Key
+	if err := writeFileAtomic(string(c.entryPath(nil, scheduleTierDir, k, ".sched")), file); err != nil {
 		t.Fatal(err)
 	}
-	c := openTestCache(t)
-	s, ok := c.DecodeSchedule(payload)
+	s, ok := c.GetSchedule(k)
 	if !ok || c.Stats().Corrupt != 0 {
 		t.Fatalf("the entry does not decode (corrupt %d)", c.Stats().Corrupt)
 	}

@@ -15,10 +15,11 @@
 package faultsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -222,11 +223,11 @@ func (s Scenario) Compile() ([]core.FailureSpec, error) {
 			arrivals = append(arrivals, arrival{time: t, rank: rank})
 		}
 	}
-	sort.Slice(arrivals, func(i, j int) bool {
-		if arrivals[i].time != arrivals[j].time {
-			return arrivals[i].time < arrivals[j].time
+	slices.SortFunc(arrivals, func(a, b arrival) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
 		}
-		return arrivals[i].rank < arrivals[j].rank
+		return cmp.Compare(a.rank, b.rank)
 	})
 
 	// Fold arrivals into the event timeline: map continuous times to
@@ -262,7 +263,7 @@ func (s Scenario) compileFixed() []core.FailureSpec {
 			Ranks:     append([]int(nil), ev.Ranks...),
 		}
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Iteration < events[j].Iteration })
+	slices.SortStableFunc(events, func(a, b core.FailureSpec) int { return cmp.Compare(a.Iteration, b.Iteration) })
 	return events
 }
 

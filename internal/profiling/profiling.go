@@ -1,6 +1,6 @@
-// Package profiling wires the standard -cpuprofile/-memprofile/-allocsprofile
-// flags into the command-line binaries, so future performance work can
-// profile esrpbench and esrpcampaign without patching them.
+// Package profiling wires the standard -cpuprofile/-memprofile flags into
+// the command-line binaries, so future performance work can profile
+// esrpbench and esrpcampaign without patching them.
 package profiling
 
 import (
@@ -13,15 +13,15 @@ import (
 
 // Start begins CPU profiling into cpuPath (if non-empty) and returns a stop
 // function that finishes the CPU profile and writes a heap profile to
-// memPath and an allocation profile to allocsPath (each if non-empty). The
-// heap profile is GC-settled first so it reflects live objects; the allocs
-// profile keeps every allocation site since process start, which is the
-// view the zero-alloc work cares about. The stop function is idempotent:
-// the first call finalizes the profiles and reports any error, later calls
-// are no-ops returning the first call's error — so the binaries' error
-// paths (which both defer stop and call it before os.Exit) cannot corrupt
-// a profile by stopping twice.
-func Start(cpuPath, memPath, allocsPath string) (stop func() error, err error) {
+// memPath (if non-empty). The heap is GC-settled first, so the profile's
+// in-use samples reflect live objects and its alloc samples count every
+// allocation since process start — the view the zero-alloc work reads with
+// `go tool pprof -sample_index=alloc_space` (or alloc_objects). The stop
+// function is idempotent: the first call finalizes the profiles and reports
+// any error, later calls are no-ops returning the first call's error — so
+// the binaries' error paths (which both defer stop and call it before
+// os.Exit) cannot corrupt a profile by stopping twice.
+func Start(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
@@ -36,44 +36,30 @@ func Start(cpuPath, memPath, allocsPath string) (stop func() error, err error) {
 	var once sync.Once
 	var stopErr error
 	return func() error {
-		once.Do(func() { stopErr = finish(cpuFile, memPath, allocsPath) })
+		once.Do(func() { stopErr = finish(cpuFile, memPath) })
 		return stopErr
 	}, nil
 }
 
-// finish finalizes the CPU profile and writes the heap and allocs snapshots.
-func finish(cpuFile *os.File, memPath, allocsPath string) error {
+// finish finalizes the CPU profile and writes the heap snapshot.
+func finish(cpuFile *os.File, memPath string) error {
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := cpuFile.Close(); err != nil {
 			return fmt.Errorf("profiling: %w", err)
 		}
 	}
-	if memPath != "" {
-		f, err := os.Create(memPath)
-		if err != nil {
-			return fmt.Errorf("profiling: %w", err)
-		}
-		runtime.GC() // settle the heap so the profile reflects live data
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("profiling: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if memPath == "" {
+		return nil
 	}
-	if allocsPath != "" {
-		f, err := os.Create(allocsPath)
-		if err != nil {
-			return fmt.Errorf("profiling: %w", err)
-		}
-		// debug=0 keeps the binary proto format `go tool pprof` expects.
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("profiling: %w", err)
-		}
-		return f.Close()
+	f, err := os.Create(memPath)
+	if err != nil {
+		return fmt.Errorf("profiling: %w", err)
 	}
-	return nil
+	runtime.GC() // settle the heap so the profile reflects live data
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("profiling: %w", err)
+	}
+	return f.Close()
 }

@@ -1,13 +1,16 @@
 package profiling
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestStartNoOp(t *testing.T) {
-	stop, err := Start("", "", "")
+	stop, err := Start("", "")
 	if err != nil {
 		t.Fatalf("Start with no paths: %v", err)
 	}
@@ -16,12 +19,14 @@ func TestStartNoOp(t *testing.T) {
 	}
 }
 
-func TestCPUHeapAndAllocsProfiles(t *testing.T) {
+// The heap profile carries the allocation samples too (pprof's
+// -sample_index=alloc_space and alloc_objects), so it is the one allocation
+// profile the binaries write.
+func TestCPUAndHeapProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	allocs := filepath.Join(dir, "allocs.pprof")
-	stop, err := Start(cpu, mem, allocs)
+	stop, err := Start(cpu, mem)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -34,7 +39,7 @@ func TestCPUHeapAndAllocsProfiles(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	for _, p := range []string{cpu, mem, allocs} {
+	for _, p := range []string{cpu, mem} {
 		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatalf("profile %s not written: %v", p, err)
@@ -43,11 +48,29 @@ func TestCPUHeapAndAllocsProfiles(t *testing.T) {
 			t.Errorf("profile %s is empty", p)
 		}
 	}
+	f, err := os.Open(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range []string{"alloc_objects", "alloc_space", "inuse_space"} {
+		if !bytes.Contains(proto, []byte(sample)) {
+			t.Errorf("heap profile has no %s samples", sample)
+		}
+	}
 }
 
 func TestStopIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	stop, err := Start(filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof"), filepath.Join(dir, "allocs.pprof"))
+	stop, err := Start(filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof"))
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -66,7 +89,7 @@ func TestStopErrorSticky(t *testing.T) {
 	// The heap profile targets a path whose parent does not exist, so the
 	// stop fails; the failure must repeat verbatim instead of turning into
 	// a spurious success.
-	stop, err := Start("", filepath.Join(dir, "missing", "mem.pprof"), "")
+	stop, err := Start("", filepath.Join(dir, "missing", "mem.pprof"))
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -79,20 +102,9 @@ func TestStopErrorSticky(t *testing.T) {
 	}
 }
 
-func TestStopErrorStickyAllocs(t *testing.T) {
-	dir := t.TempDir()
-	stop, err := Start("", "", filepath.Join(dir, "missing", "allocs.pprof"))
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if stop() == nil {
-		t.Fatal("stop with unwritable allocs path succeeded")
-	}
-}
-
 func TestStartBadCPUPath(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Start(filepath.Join(dir, "missing", "cpu.pprof"), "", ""); err == nil {
+	if _, err := Start(filepath.Join(dir, "missing", "cpu.pprof"), ""); err == nil {
 		t.Fatal("Start with unwritable CPU path succeeded")
 	}
 }
