@@ -27,13 +27,10 @@
 //
 // # Quickstart
 //
-//	a := esrp.Poisson2D(64, 64)
-//	b := esrp.RHSOnes(a.Rows)
-//	res, err := esrp.Solve(esrp.Config{
-//		A: a, B: b, Nodes: 8,
-//		Strategy: esrp.StrategyESRP, T: 20, Phi: 1,
-//		Failures: []esrp.FailureSpec{{Iteration: 50, Ranks: []int{3}}},
-//	})
+// The package Example solves a 64×64 Poisson system on 8 nodes under ESRP
+// (T = 20, φ = 1), kills node 3 at iteration 50 and checks the recovered
+// solution against the known one; the other examples show the no-spare
+// shrink, the strategies side by side and the choice of T against the MTBF.
 //
 // Runtime is reported on a deterministic simulated clock (LogGP model); see
 // internal/cluster for the machine model and DESIGN.md for the substitutions

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Lists the functions of the module that no entry point reaches.
 #
-# Builds the three CLIs, the examples and ./benchmark with coverage over the
-# whole module (go build -cover -coverpkg=./...), drives them with the
-# verify-skill recipes, every CI smoke, one command per flag value those skip,
-# every example and all six benchmark workloads at -trace 0 and -trace 1, then
-# prints every function whose coverage is 0.0 %, one "file Func" line each
-# (methods as Recv.Method), sorted. testdata/reachability.txt is the checked
-# allowlist of that set; CI's reachability job diffs the two.
+# Builds the three CLIs and ./benchmark with coverage over the whole module
+# (go build -cover -coverpkg=./...), and the root package's tests as one
+# covered test binary (go test -c). Drives them with the verify-skill
+# recipes, every CI smoke, one command per flag value those skip, the root
+# package's Example functions (only those: its other tests reach reference
+# functions no entry point does) and all six benchmark workloads at -trace 0
+# and -trace 1, then prints every function whose coverage is 0.0 %, one
+# "file Func" line each (methods as Recv.Method), sorted.
+# testdata/reachability.txt is the checked allowlist of that set; CI's
+# reachability job diffs the two.
 #
 #	bash scripts/reachability.sh            # the 0.0 % set on stdout
 #	bash scripts/reachability.sh -check     # exit 1 unless it equals the allowlist
@@ -46,10 +49,10 @@ export GOCOVERDIR=$dir/cov GOFLAGS=-buildvcs=false
 
 log() { echo "reachability: $*" >&2; }
 
-for p in cmd/esrpsolve cmd/esrpbench cmd/esrpcampaign benchmark examples/*/; do
-	p=${p%/}
+for p in cmd/esrpsolve cmd/esrpbench cmd/esrpcampaign benchmark; do
 	go build -cover -coverpkg=./... -o "$bin/${p##*/}" "./$p"
 done
+go test -c -cover -coverpkg=./... -o "$bin/examples.test" .
 log "built $(ls "$bin" | wc -l) entry points"
 
 # ok runs an entry point that must succeed, fails one that must exit non-zero.
@@ -168,10 +171,7 @@ fails "$camp" -machine "L=1x,2x" -json /dev/null
 fails "$camp" -cache "$work/ccache" -cache-mismatch bogus -json /dev/null
 log "esrpcampaign done"
 
-for e in "$bin"/*; do
-	case ${e##*/} in esrpsolve | esrpbench | esrpcampaign | benchmark) continue ;; esac
-	ok "$e"
-done
+ok "$bin/examples.test" -test.run '^Example' -test.gocoverdir "$GOCOVERDIR"
 log "examples done"
 
 # The benchmark finds the repository from its working directory and writes
