@@ -407,9 +407,11 @@ func failureIteration(c, t int) int {
 // The estimator runs on the replay engine: each distinct scenario shape
 // (strategy, interval, failure iteration) is simulated and *recorded* once,
 // and every draw that maps onto it is costed by re-playing the recorded
-// event schedule in O(events) instead of re-running the solver. A re-cost
-// under the default machine reproduces the recorded solve bit for bit; the
-// example checks that on every recording and prints the count that differ.
+// event schedule in O(events) instead of re-running the solver. A draw
+// whose failure would come after convergence maps onto the failure-free
+// solve. A re-cost under the default machine reproduces the recorded solve
+// bit for bit; the example checks that on every recording and prints the
+// count that differ.
 //
 // One failure event at most strikes per solve (the paper's framework
 // simulates exactly one event per run; with MTBF ≫ solve time the chance of
@@ -431,7 +433,17 @@ func Example_failureRates() {
 		ref.Iterations, t0, nodes)
 
 	est := &estimator{a: a, b: b, nodes: nodes, phi: phi, trials: trials,
-		schedules: map[string]*esrp.Schedule{}}
+		recordings: map[string]recording{}}
+
+	// Daly's closed-form optimum for comparison: δ measured as the
+	// failure-free cost of one ESRP storage stage.
+	ff20, err := esrp.Solve(esrp.Config{
+		A: a, B: b, Nodes: nodes, Strategy: esrp.StrategyESRP, T: 20, Phi: phi,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	delta := math.Max((ff20.SimTime-t0)/float64(ref.Iterations/20), 1e-12)
 
 	intervals := []int{5, 20, 50, 100}
 	for _, mtbfFactor := range []float64{0.8, 5, 50} {
@@ -452,17 +464,7 @@ func Example_failureRates() {
 			}
 			fmt.Println()
 		}
-
-		// Daly's closed-form optimum for comparison: δ measured as the
-		// failure-free cost of one ESRP storage stage.
-		ff20, err := esrp.Solve(esrp.Config{
-			A: a, B: b, Nodes: nodes, Strategy: esrp.StrategyESRP, T: 20, Phi: phi,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		delta := (ff20.SimTime - t0) / float64(ref.Iterations/20)
-		if advice, err := esrp.PlanCheckpointInterval(math.Max(delta, 1e-12), iterTime, mtbf); err == nil {
+		if advice, err := esrp.PlanCheckpointInterval(delta, iterTime, mtbf); err == nil {
 			fmt.Printf("Daly's optimal interval for this δ and MTBF: T* ≈ %d iterations\n", advice.DalyIters)
 		}
 	}
@@ -498,7 +500,7 @@ func Example_failureRates() {
 	// IMCR                2.25%      0.50%      0.17%      0.08%
 	// Daly's optimal interval for this δ and MTBF: T* ≈ 27 iterations
 	//
-	// replay engine: 960 draws costed by 912 recorded solves + 960 re-costs
+	// replay engine: 960 draws costed by 256 recorded solves + 960 re-costs
 	// recorded solves that did not converge: 0
 	// re-costs that differ from their solve: 0
 	//
@@ -529,24 +531,31 @@ type estimator struct {
 	phi    int
 	trials int
 
-	schedules map[string]*esrp.Schedule
+	recordings map[string]recording
 
 	draws, records, recosts, unconverged, mismatches int
+}
+
+// recording is one recorded solve: its schedule and iteration count.
+type recording struct {
+	sched *esrp.Schedule
+	iters int
 }
 
 // expectedRuntime replays `trials` seeded failure draws against the
 // recorded schedules and returns the mean simulated total runtime.
 func (e *estimator) expectedRuntime(strat esrp.Strategy, t int, mtbf, iterTime float64) float64 {
+	// A failure at or past the failure-free solve's iteration count cannot
+	// strike: the solve has converged by then.
+	ff := e.recorded(strat, t, -1)
 	rng := rand.New(rand.NewSource(42))
 	var sum float64
 	for trial := 0; trial < e.trials; trial++ {
 		failTime := rng.ExpFloat64() * mtbf
 		failIter := int(failTime / iterTime)
-		key := fmt.Sprintf("%v/%d/%d", strat, t, failIter)
-		sched, ok := e.schedules[key]
-		if !ok {
-			sched = e.record(strat, t, failIter)
-			e.schedules[key] = sched
+		sched := ff.sched
+		if failIter < ff.iters {
+			sched = e.recorded(strat, t, failIter).sched
 		}
 		rep, err := sched.Recost(esrp.DefaultCostModel())
 		e.recosts++
@@ -559,18 +568,22 @@ func (e *estimator) expectedRuntime(strat esrp.Strategy, t int, mtbf, iterTime f
 	return sum / float64(e.trials)
 }
 
-// record runs one solve with recording on and checks it: the solve must
-// converge, and the schedule re-costed under the default machine must
-// reproduce the solve's figures bit for bit.
-func (e *estimator) record(strat esrp.Strategy, t, failIter int) *esrp.Schedule {
+// recorded returns the recorded solve of one shape, failure-free for a
+// negative failIter, and records it on first use. A new recording is
+// checked: the solve must converge, and the schedule re-costed under the
+// default machine must reproduce the solve's figures bit for bit.
+func (e *estimator) recorded(strat esrp.Strategy, t, failIter int) recording {
+	key := fmt.Sprintf("%v/%d/%d", strat, t, failIter)
+	if r, ok := e.recordings[key]; ok {
+		return r
+	}
 	cfg := esrp.Config{
 		A: e.a, B: e.b, Nodes: e.nodes,
 		Strategy: strat, T: t, Phi: e.phi,
 	}
-	if strat == esrp.StrategyESRP && t <= 2 {
-		cfg.Strategy = esrp.StrategyESR
+	if failIter >= 0 {
+		cfg.Failures = []esrp.FailureSpec{{Iteration: failIter, Ranks: []int{e.nodes / 2}}}
 	}
-	cfg.Failures = []esrp.FailureSpec{{Iteration: failIter, Ranks: []int{e.nodes / 2}}}
 	res, sched, err := esrp.RecordSchedule(cfg)
 	e.records++
 	if err != nil {
@@ -587,7 +600,9 @@ func (e *estimator) record(strat esrp.Strategy, t, failIter int) *esrp.Schedule 
 		rep.BytesSent != res.BytesSent || rep.MsgsSent != res.MsgsSent {
 		e.mismatches++
 	}
-	return sched
+	r := recording{sched, res.Iterations}
+	e.recordings[key] = r
+	return r
 }
 
 // campaignGrid is a small failure-laden campaign: 8 cells.
