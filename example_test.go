@@ -421,7 +421,7 @@ func Example_failureRates() {
 	b := esrp.RHSOnes(a.Rows)
 	// φ = 3: redundancy with a measurable storage cost (at φ = 1 the banded
 	// product replicates nearly everything already, making δ ≈ 0).
-	const nodes, phi, trials = 12, 3, 40
+	const nodes, phi, trials = 12, 3, 20
 
 	ref, err := esrp.Solve(esrp.Config{A: a, B: b, Nodes: nodes})
 	if err != nil {
@@ -484,14 +484,14 @@ func Example_failureRates() {
 	//
 	// MTBF = 0.8 × solve time (failures are frequent):
 	// strategy        T=5         T=20        T=50        T=100
-	// ESRP                9.03%      9.77%     12.95%     17.25%
-	// IMCR                3.66%      4.93%     10.42%     16.34%
+	// ESRP                9.89%     11.51%     14.73%     19.65%
+	// IMCR                3.79%      6.44%     11.47%     18.26%
 	// Daly's optimal interval for this δ and MTBF: T* ≈ 3 iterations
 	//
 	// MTBF = 5.0 × solve time (failures are occasional):
 	// strategy        T=5         T=20        T=50        T=100
-	// ESRP                3.40%      3.61%      5.70%      8.15%
-	// IMCR                2.71%      1.95%      4.12%      7.48%
+	// ESRP                3.87%      4.17%      6.19%      8.64%
+	// IMCR                2.70%      2.04%      3.88%      7.25%
 	// Daly's optimal interval for this δ and MTBF: T* ≈ 8 iterations
 	//
 	// MTBF = 50.0 × solve time (failures are rare):
@@ -500,7 +500,7 @@ func Example_failureRates() {
 	// IMCR                2.25%      0.50%      0.17%      0.08%
 	// Daly's optimal interval for this δ and MTBF: T* ≈ 27 iterations
 	//
-	// replay engine: 960 draws costed by 256 recorded solves + 960 re-costs
+	// replay engine: 480 draws costed by 160 recorded solves + 480 re-costs
 	// recorded solves that did not converge: 0
 	// re-costs that differ from their solve: 0
 	//
