@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"esrp"
@@ -693,4 +694,54 @@ func ExampleOpenCampaignCache() {
 	//
 	// warm report equals cold: true
 	// machine-point report equals a live solve: true
+}
+
+// A recorded schedule written to a file and read back re-costs like the
+// solve it was recorded from, and under any other machine model without
+// solving again. Config.DetectionTime, the simulated cost of detecting the
+// failure, is recorded too: re-costs carry it unchanged.
+func ExampleReadScheduleFile() {
+	a := esrp.Poisson2D(32, 32)
+	res, sched, err := esrp.RecordSchedule(esrp.Config{
+		A: a, B: esrp.RHSOnes(a.Rows), Nodes: 8,
+		Strategy: esrp.StrategyESRP, T: 10, Phi: 1,
+		Failures:      []esrp.FailureSpec{{Iteration: 30, Ranks: []int{3}}},
+		DetectionTime: 1e-4,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	dir, err := os.MkdirTemp("", "esrp-schedule")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "solve.sched")
+	if err := esrp.WriteScheduleFile(path, sched); err != nil {
+		log.Fatal(err)
+	}
+	read, err := esrp.ReadScheduleFile(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	def, err := read.Recost(esrp.DefaultCostModel())
+	if err != nil {
+		log.Fatal(err)
+	}
+	slow := esrp.DefaultCostModel()
+	slow.Latency *= 4
+	moved, err := read.Recost(slow)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("solve:       %.4g s simulated, %.4g s of it recovery\n", res.SimTime, res.RecoveryTime)
+	fmt.Printf("4× latency:  %.4g s simulated, %.4g s of it recovery\n", moved.SimTime, moved.RecoveryTime)
+	fmt.Printf("default re-cost equals the solve's SimTime: %v\n", def.SimTime == res.SimTime)
+
+	// Output:
+	// solve:       0.002231 s simulated, 0.0004397 s of it recovery
+	// 4× latency:  0.00526 s simulated, 0.0004775 s of it recovery
+	// default re-cost equals the solve's SimTime: true
 }

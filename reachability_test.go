@@ -16,11 +16,11 @@ import (
 
 // entryLine is one allowlist entry: file, function (methods as
 // Recv.Method), two spaces, category, colon, reason.
-var entryLine = regexp.MustCompile(`^(\S+) (\S+)  (reference|error-path|platform|public-api): \S`)
+var entryLine = regexp.MustCompile(`^(\S+) (\S+)  (reference|error-path|platform): \S`)
 
 // TestReachabilityAllowlistIsCurrent checks the form of
 // testdata/reachability.txt, the functions no entry point reaches:
-// every entry names a function that exists, uses one of the four
+// every entry names a function that exists, uses one of the three
 // categories, and the list is sorted without duplicates. Whether the list
 // equals what the entry points leave unreached is scripts/reachability.sh
 // -check, which builds and drives them.
