@@ -94,13 +94,7 @@ func Example_shrinkingCluster() {
 	// The repartitioning the recovery will perform: the survivor adjacent
 	// to the failed block adopts its rows.
 	part := esrp.NewBlockPartition(a.Rows, nodes)
-	survivors := make([]int, 0, nodes-len(failed))
-	for s := 0; s < nodes; s++ {
-		if s != failed[0] && s != failed[1] {
-			survivors = append(survivors, s)
-		}
-	}
-	shrunk, err := part.ShrinkAfterLoss(survivors)
+	shrunk, err := part.ShrinkAfterLoss([]int{0, 1, 2, 3, 4, 7, 8, 9, 10, 11})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -199,9 +193,6 @@ func Example_heatConduction() {
 			tc.label, res.Converged, res.TotalSteps, overhead, res.WastedIters)
 	}
 
-	fmt.Println("\nESR/ESRP resume the exact pre-failure trajectory; the unprotected")
-	fmt.Println("solver pays for the lost conjugacy with many extra iterations.")
-
 	// Output:
 	// reference (failure-free): 72 iterations, 0.007133 s simulated
 	//
@@ -210,9 +201,6 @@ func Example_heatConduction() {
 	// none (local restart)   converged=true  total iterations=  110  overhead= 51.61%  wasted=0
 	// ESR  (T=1)             converged=true  total iterations=   73  overhead= 40.34%  wasted=0
 	// ESRP (T=25)            converged=true  total iterations=   83  overhead= 53.89%  wasted=10
-	//
-	// ESR/ESRP resume the exact pre-failure trajectory; the unprotected
-	// solver pays for the lost conjugacy with many extra iterations.
 }
 
 // Multiple simultaneous node failures: a switch fault takes out a contiguous
@@ -221,9 +209,10 @@ func Example_heatConduction() {
 // audikw_1-like elasticity system with 3 degrees of freedom per vertex.
 //
 // This contrasts ESRP with the in-memory buddy checkpoint-restart baseline
-// (IMCR) at the same checkpoint interval and redundancy: ESRP pays for
-// recovery with gathers plus two inner solves, IMCR with pure communication
-// — the paper's headline trade-off.
+// (IMCR) at the same checkpoint interval and redundancy. Both recover
+// exactly; ESRP pays for recovery with gathers plus two inner solves, IMCR
+// with near-free communication — but ESRP ships far less data per
+// checkpoint, which shows in the failure-free overhead (see esrpbench).
 func Example_elasticity() {
 	// Elasticity-like system: 12×12×12 vertices × 3 dofs = 5 184 unknowns
 	// on 12 simulated nodes.
@@ -267,10 +256,6 @@ func Example_elasticity() {
 			tc.label, phi, res.Converged, overhead, recovery, res.RecoveredAt, res.Drift)
 	}
 
-	fmt.Println("\nBoth recover exactly; IMCR's recovery is near-free communication while")
-	fmt.Println("ESRP's includes the reconstruction solves — but ESRP ships far less data")
-	fmt.Println("per checkpoint, which shows in the failure-free overhead (see esrpbench).")
-
 	// Output:
 	// matrix: 5184 rows, 353736 nnz (68.2 nnz/row)
 	// reference: 119 iterations, 0.01573 s simulated
@@ -279,16 +264,12 @@ func Example_elasticity() {
 	//
 	// ESRP  T=20 φ=3: converged=true  overhead= 71.00%  recovery=55.68%  rolled back to 41  drift=2.35e-07
 	// IMCR  T=20 φ=3: converged=true  overhead= 15.89%  recovery= 0.37%  rolled back to 41  drift=3.17e-07
-	//
-	// Both recover exactly; IMCR's recovery is near-free communication while
-	// ESRP's includes the reconstruction solves — but ESRP ships far less data
-	// per checkpoint, which shows in the failure-free overhead (see esrpbench).
 }
 
 // The core tension of any checkpoint-restart scheme (Section 3.1 of the
 // paper): storing redundant state less often (larger T) cuts the
 // failure-free overhead, but a failure then rolls the solver back further,
-// wasting more iterations.
+// wasting more iterations. The optimum depends on the failure rate.
 //
 // This sweeps T for ESRP on an Emilia-like system, measuring both sides of
 // the trade-off, and compares the empirical sweet spot with the classical
@@ -336,20 +317,12 @@ func Example_checkpointTradeoff() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%6d %17.2f%% %21.2f%% %14d\n",
-			t,
-			100*(ff.SimTime-ref.SimTime)/ref.SimTime,
-			100*(fr.SimTime-ref.SimTime)/ref.SimTime,
-			fr.WastedIters)
+		fmt.Printf("%6d %17.2f%% %21.2f%% %14d\n", t, 100*(ff.SimTime-ref.SimTime)/ref.SimTime,
+			100*(fr.SimTime-ref.SimTime)/ref.SimTime, fr.WastedIters)
 		if t == 20 {
-			stages := float64(ref.Iterations / t)
-			delta = (ff.SimTime - ref.SimTime) / stages
+			delta = (ff.SimTime - ref.SimTime) / float64(ref.Iterations/t)
 		}
 	}
-
-	fmt.Println("\nSmall T: you pay for redundancy every few iterations but lose almost")
-	fmt.Println("nothing on rollback. Large T: free when nothing fails, expensive when")
-	fmt.Println("something does. The optimum depends on the machine's failure rate.")
 
 	// The Young/Daly models the paper cites ([28, 8]) pick T* from the
 	// storage-stage cost δ and the machine's MTBF. On a machine failing
@@ -375,10 +348,6 @@ func Example_checkpointTradeoff() {
 	//     50              0.03%                 98.98%             47
 	//    100              0.01%                119.47%             97
 	//
-	// Small T: you pay for redundancy every few iterations but lose almost
-	// nothing on rollback. Large T: free when nothing fails, expensive when
-	// something does. The optimum depends on the machine's failure rate.
-	//
 	// Young/Daly for δ=2.4e-06 s, MTBF=3.21 s (≈100 solves):
 	//   Young: τ*=0.003927 s  →  T* ≈ 30 iterations
 	//   Daly:  τ*=0.003926 s  →  T* ≈ 30 iterations
@@ -390,12 +359,7 @@ func failureIteration(c, t int) int {
 	if t <= 1 {
 		return c / 2
 	}
-	k := (c / 2) / t
-	j := (k+1)*t - 2
-	if j < 0 {
-		return 0
-	}
-	return j
+	return ((c/2)/t+1)*t - 2
 }
 
 // The paper's closing argument is that whether ESRP or IMCR (and which
@@ -403,16 +367,16 @@ func failureIteration(c, t int) int {
 // This draws failure times from a seeded exponential distribution for a
 // range of machine MTBFs and reports the *expected* total runtime per
 // strategy and interval — alongside Daly's closed-form prediction of the
-// optimal interval.
+// optimal interval. Frequent failures favour small T and IMCR's cheap
+// recovery; rare ones favour large T, where ESRP's storage is almost free.
 //
 // The estimator runs on the replay engine: each distinct scenario shape
 // (strategy, interval, failure iteration) is simulated and *recorded* once,
 // and every draw that maps onto it is costed by re-playing the recorded
-// event schedule in O(events) instead of re-running the solver. A draw
-// whose failure would come after convergence maps onto the failure-free
-// solve. A re-cost under the default machine reproduces the recorded solve
-// bit for bit; the example checks that on every recording and prints the
-// count that differ.
+// event schedule in O(events) instead of re-running the solver; a failure
+// after convergence maps onto the failure-free solve. A re-cost under the
+// default machine reproduces the recorded solve bit for bit, which the
+// example checks on every recording.
 //
 // One failure event at most strikes per solve (the paper's framework
 // simulates exactly one event per run; with MTBF ≫ solve time the chance of
@@ -433,8 +397,8 @@ func Example_failureRates() {
 	fmt.Printf("reference: %d iterations, t0 = %.4g s simulated, %d nodes\n",
 		ref.Iterations, t0, nodes)
 
-	est := &estimator{a: a, b: b, nodes: nodes, phi: phi, trials: trials,
-		recordings: map[string]recording{}}
+	est := &estimator{base: esrp.Config{A: a, B: b, Nodes: nodes, Phi: phi},
+		trials: trials, recordings: map[string]recording{}}
 
 	// Daly's closed-form optimum for comparison: δ measured as the
 	// failure-free cost of one ESRP storage stage.
@@ -447,10 +411,12 @@ func Example_failureRates() {
 	delta := math.Max((ff20.SimTime-t0)/float64(ref.Iterations/20), 1e-12)
 
 	intervals := []int{5, 20, 50, 100}
-	for _, mtbfFactor := range []float64{0.8, 5, 50} {
-		mtbf := mtbfFactor * t0
-		fmt.Printf("\nMTBF = %.1f × solve time (failures are %s):\n",
-			mtbfFactor, regime(mtbfFactor))
+	for _, m := range []struct {
+		factor float64
+		regime string
+	}{{0.8, "frequent"}, {5, "occasional"}, {50, "rare"}} {
+		mtbf := m.factor * t0
+		fmt.Printf("\nMTBF = %.1f × solve time (failures are %s):\n", m.factor, m.regime)
 		header := fmt.Sprintf("%-14s", "strategy")
 		for _, t := range intervals {
 			header += fmt.Sprintf("  T=%-8d", t)
@@ -470,15 +436,10 @@ func Example_failureRates() {
 		}
 	}
 
-	fmt.Printf("\nreplay engine: %d draws costed by %d recorded solves + %d re-costs\n",
-		est.draws, est.records, est.recosts)
+	fmt.Printf("\nreplay engine: %d draws, each a re-cost of one of %d recorded solves\n",
+		est.recosts, est.records)
 	fmt.Printf("recorded solves that did not converge: %d\n", est.unconverged)
 	fmt.Printf("re-costs that differ from their solve: %d\n", est.mismatches)
-
-	fmt.Println("\nExpected overhead over the failure-free reference, averaged across")
-	fmt.Println("seeded random failure times. Frequent failures favour small T (and")
-	fmt.Println("IMCR's cheap recovery); rare failures favour large T, where ESRP's")
-	fmt.Println("storage is almost free — the paper's concluding trade-off.")
 
 	// Output:
 	// reference: 136 iterations, t0 = 0.006534 s simulated, 12 nodes
@@ -501,40 +462,20 @@ func Example_failureRates() {
 	// IMCR                2.25%      0.50%      0.17%      0.08%
 	// Daly's optimal interval for this δ and MTBF: T* ≈ 27 iterations
 	//
-	// replay engine: 480 draws costed by 160 recorded solves + 480 re-costs
+	// replay engine: 480 draws, each a re-cost of one of 160 recorded solves
 	// recorded solves that did not converge: 0
 	// re-costs that differ from their solve: 0
-	//
-	// Expected overhead over the failure-free reference, averaged across
-	// seeded random failure times. Frequent failures favour small T (and
-	// IMCR's cheap recovery); rare failures favour large T, where ESRP's
-	// storage is almost free — the paper's concluding trade-off.
-}
-
-func regime(f float64) string {
-	switch {
-	case f < 2:
-		return "frequent"
-	case f < 20:
-		return "occasional"
-	default:
-		return "rare"
-	}
 }
 
 // estimator draws failure times and costs them on the replay engine: each
 // distinct (strategy, T, failure iteration) shape is recorded once, every
 // draw is a re-cost of the matching schedule.
 type estimator struct {
-	a      *esrp.CSR
-	b      []float64
-	nodes  int
-	phi    int
-	trials int
-
+	base       esrp.Config // the system, nodes and φ of every solve
+	trials     int
 	recordings map[string]recording
 
-	draws, records, recosts, unconverged, mismatches int
+	records, recosts, unconverged, mismatches int
 }
 
 // recording is one recorded solve: its schedule and iteration count.
@@ -552,19 +493,17 @@ func (e *estimator) expectedRuntime(strat esrp.Strategy, t int, mtbf, iterTime f
 	rng := rand.New(rand.NewSource(42))
 	var sum float64
 	for trial := 0; trial < e.trials; trial++ {
-		failTime := rng.ExpFloat64() * mtbf
-		failIter := int(failTime / iterTime)
+		failIter := int(rng.ExpFloat64() * mtbf / iterTime)
 		sched := ff.sched
 		if failIter < ff.iters {
 			sched = e.recorded(strat, t, failIter).sched
 		}
 		rep, err := sched.Recost(esrp.DefaultCostModel())
-		e.recosts++
 		if err != nil {
 			log.Fatalf("%v T=%d: re-cost: %v", strat, t, err)
 		}
+		e.recosts++
 		sum += rep.SimTime
-		e.draws++
 	}
 	return sum / float64(e.trials)
 }
@@ -578,12 +517,10 @@ func (e *estimator) recorded(strat esrp.Strategy, t, failIter int) recording {
 	if r, ok := e.recordings[key]; ok {
 		return r
 	}
-	cfg := esrp.Config{
-		A: e.a, B: e.b, Nodes: e.nodes,
-		Strategy: strat, T: t, Phi: e.phi,
-	}
+	cfg := e.base
+	cfg.Strategy, cfg.T = strat, t
 	if failIter >= 0 {
-		cfg.Failures = []esrp.FailureSpec{{Iteration: failIter, Ranks: []int{e.nodes / 2}}}
+		cfg.Failures = []esrp.FailureSpec{{Iteration: failIter, Ranks: []int{cfg.Nodes / 2}}}
 	}
 	res, sched, err := esrp.RecordSchedule(cfg)
 	e.records++
@@ -606,9 +543,12 @@ func (e *estimator) recorded(strat esrp.Strategy, t, failIter int) recording {
 	return r
 }
 
-// campaignGrid is a small failure-laden campaign: 8 cells.
-func campaignGrid() esrp.CampaignGrid {
-	return esrp.CampaignGrid{
+// campaignJSON runs a small failure-laden campaign (8 cells) under model
+// (nil: the default machine), through cache when it is not nil, and returns
+// the report as JSON and the cache counters.
+func campaignJSON(cache *esrp.CampaignCache, model *esrp.CostModel) ([]byte, *esrp.CampaignCacheCounters) {
+	rec := esrp.NewHostRecorder()
+	rep, err := esrp.RunCampaign(esrp.CampaignGrid{
 		Matrices:   []esrp.CampaignMatrix{{Name: "poisson2d-32", A: esrp.Poisson2D(32, 32)}},
 		Nodes:      []int{8},
 		Strategies: []esrp.Strategy{esrp.StrategyESRP, esrp.StrategyIMCR},
@@ -616,19 +556,10 @@ func campaignGrid() esrp.CampaignGrid {
 		Phis:       []int{1},
 		Seeds:      []int64{1, 2},
 		Scenario:   esrp.FailureScenario{Model: esrp.ScenarioExponential, MTBF: 500, Horizon: 80},
-	}
-}
-
-// campaignJSON runs the grid under model (nil: the default machine), through
-// cache when it is not nil, and returns the report as JSON and the cache
-// counters.
-func campaignJSON(cache *esrp.CampaignCache, model *esrp.CostModel) ([]byte, *esrp.CampaignCacheCounters) {
-	g := campaignGrid()
-	g.Cache = cache
-	g.CostModel = model
-	rec := esrp.NewHostRecorder()
-	g.HostObs = rec
-	rep, err := esrp.RunCampaign(g)
+		Cache:      cache,
+		CostModel:  model,
+		HostObs:    rec,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -657,12 +588,10 @@ func ExampleOpenCampaignCache() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	cache, note, err := esrp.OpenCampaignCache(dir, esrp.CacheMismatchBypass)
+	// A new directory holds no entries of another build: no note.
+	cache, _, err := esrp.OpenCampaignCache(dir, esrp.CacheMismatchBypass)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if note != "" {
-		fmt.Println(note)
 	}
 
 	cold, coldCtr := campaignJSON(cache, nil)
